@@ -97,8 +97,8 @@ let write_results ~windows () =
 
 (* One small fixed-seed run per protocol.  The simulator is
    deterministic, so for a given binary these numbers are exactly
-   reproducible; the CI gate compares them against bench/baseline.json
-   with a tolerance that absorbs legitimate cross-version drift. *)
+   reproducible, and the CI gate compares them against
+   bench/baseline.json exactly. *)
 let smoke_windows = { Runner.warmup = Rdb_sim.Time.ms 500; measure = Rdb_sim.Time.ms 1500 }
 let smoke_cfg () = Config.make ~z:2 ~n:4 ~batch_size:50 ~client_inflight:16 ~seed:1 ()
 
@@ -132,7 +132,17 @@ let smoke_scenarios () =
       Scenario.make
         ~windows:{ Runner.warmup = Rdb_sim.Time.ms 300; measure = Rdb_sim.Time.ms 700 }
         Scenario.Geobft
-        (Config.make ~z:8 ~n:31 ~clients:16_000 ~seed:1 ()) ]
+        (Config.make ~z:8 ~n:31 ~clients:16_000 ~seed:1 ());
+      (* The faulted-wire entry: chaos seed 10's timeline severs a link
+         (a drop rule), degrades another with 13% loss and duplicates
+         a third, with a replica crash on top, so drop rules, loss and
+         dup draws, and state transfer all sit in the gated schedule.
+         Pbft's chaos envelope has no partitions; the severed link is
+         the same drop-rule mechanism.  The windows are the shortest
+         that leave the planner room for faults. *)
+      Scenario.make
+        ~windows:{ Runner.warmup = Rdb_sim.Time.ms 1000; measure = Rdb_sim.Time.ms 4000 }
+        ~fault:(Scenario.Chaos 10) Scenario.Pbft (smoke_cfg ()) ]
 
 let smoke_runs () =
   List.map
@@ -150,41 +160,38 @@ let run_smoke () =
 
 (* Baseline file: written by --write-baseline, committed as
    bench/baseline.json, checked by --check (the CI regression gate).
-   Since schema 2 the runs are keyed by Scenario.to_string ids, so the
-   gate re-derives its matrix from the baseline file itself. *)
-(* Per-metric tolerance bands (schema 3).  Simulated throughput moves
-   more than latency when event interleavings shift, so the two
-   metrics get independent bands; schema-2 files (one shared
-   [tolerance_pct]) are still accepted. *)
-let default_thr_tolerance = 10.0
-let default_lat_tolerance = 10.0
+   Runs are keyed by Scenario.to_string ids, so the gate re-derives its
+   matrix from the baseline file itself.  The simulator is
+   deterministic, so every gated value is exact (schema 4): simulated
+   throughput and average latency compare as floats, the trace digest
+   byte for byte.  Any change to the simulated schedule shows up here;
+   an intentional one is re-baselined and its diff reviewed. *)
+let baseline_schema = 4
 
-type tolerances = { tol_thr : float; tol_lat : float }
+let digest_of (r : Report.t) =
+  match r.Report.trace with Some tr -> tr.Rdb_trace.Trace.digest_hex | None -> "-"
 
-let tolerance_of t = function
-  | "throughput_txn_s" -> t.tol_thr
-  | _ -> t.tol_lat
+(* Traced runs: the digest is part of the baseline.  Tracing is
+   observational — it never perturbs the simulated schedule. *)
+let traced_sweep scenarios =
+  sweep (List.map (fun (s : Scenario.t) -> { s with Scenario.trace = true }) scenarios)
 
 let write_baseline path runs =
   let doc =
     Json.Obj
       [
-        ("schema", Json.Int 3);
-        ( "tolerances",
-          Json.Obj
-            [
-              ("throughput_txn_s", Json.Float default_thr_tolerance);
-              ("avg_latency_ms", Json.Float default_lat_tolerance);
-            ] );
+        ("schema", Json.Int baseline_schema);
         ( "runs",
           Json.List
             (List.map
                (fun ((s : Scenario.t), (r : Report.t)) ->
                  Json.Obj
                    [
-                     ("scenario", Json.String (Scenario.to_string s));
+                     ( "scenario",
+                       Json.String (Scenario.to_string { s with Scenario.trace = false }) );
                      ("throughput_txn_s", Json.Float r.Report.throughput_txn_s);
                      ("avg_latency_ms", Json.Float r.Report.avg_latency_ms);
+                     ("digest_hex", Json.String (digest_of r));
                    ])
                runs) );
       ]
@@ -194,7 +201,7 @@ let write_baseline path runs =
   close_out oc;
   say "wrote %s (%d scenarios)\n%!" path (List.length runs)
 
-type baseline_run = { b_scenario : Scenario.t; b_thr : float; b_lat : float }
+type baseline_run = { b_scenario : Scenario.t; b_thr : float; b_lat : float; b_digest : string }
 
 let parse_baseline path =
   let ic = open_in path in
@@ -205,32 +212,13 @@ let parse_baseline path =
   | Error msg -> fail "cannot parse %s: %s" path msg
   | Ok doc ->
       (match Option.bind (Json.member "schema" doc) Json.to_int with
-      | Some (2 | 3) -> ()
+      | Some v when v = baseline_schema -> ()
       | Some v ->
           fail
-            "%s has schema %d, expected 2 or 3 (re-baseline with: dune exec bench/main.exe -- \
+            "%s has schema %d, expected %d (re-baseline with: dune exec bench/main.exe -- \
              --write-baseline %s)"
-            path v path
+            path v baseline_schema path
       | None -> fail "%s carries no schema field" path);
-      let shared =
-        match Option.bind (Json.member "tolerance_pct" doc) Json.to_float with
-        | Some t -> t
-        | None -> default_thr_tolerance
-      in
-      let per_metric name fallback =
-        match
-          Option.bind (Json.member "tolerances" doc) (fun t ->
-              Option.bind (Json.member name t) Json.to_float)
-        with
-        | Some t -> t
-        | None -> fallback
-      in
-      let tolerances =
-        {
-          tol_thr = per_metric "throughput_txn_s" shared;
-          tol_lat = per_metric "avg_latency_ms" shared;
-        }
-      in
       let runs =
         match Option.bind (Json.member "runs" doc) Json.to_list with
         | Some runs -> runs
@@ -239,44 +227,33 @@ let parse_baseline path =
       let parse_run rj =
         let str name = Option.bind (Json.member name rj) Json.to_str in
         let num name = Option.bind (Json.member name rj) Json.to_float in
-        match (str "scenario", num "throughput_txn_s", num "avg_latency_ms") with
-        | Some id, Some b_thr, Some b_lat -> (
+        match (str "scenario", num "throughput_txn_s", num "avg_latency_ms", str "digest_hex") with
+        | Some id, Some b_thr, Some b_lat, Some b_digest -> (
             match Scenario.of_string id with
-            | Some b_scenario -> { b_scenario; b_thr; b_lat }
+            | Some b_scenario -> { b_scenario; b_thr; b_lat; b_digest }
             | None -> fail "unparseable scenario id %S" id)
         | _ -> fail "ill-formed baseline run entry"
       in
-      (tolerances, List.map parse_run runs)
+      List.map parse_run runs
 
 (* The CI regression gate: rerun every baseline scenario (through the
-   sweep engine), compare per-scenario throughput and average latency
-   against the committed values, exit non-zero if any metric drifts
-   beyond the tolerance.  The current run matrix is cross-checked
-   against the baseline's coverage: a matrix scenario with no baseline
-   entry is a MISSING failure (otherwise newly added scenarios would
-   silently escape the gate).  Good-direction drift beyond the band is
-   reported as IMPROVED — not a failure, but a nudge to refresh the
-   baseline so the band stays centred on reality.  Re-baseline with:
+   sweep engine, traced) [reps] times and require every repetition to
+   reproduce the committed throughput, average latency and trace
+   digest exactly.  The current run matrix is cross-checked against
+   the baseline's coverage: a matrix scenario with no baseline entry
+   is a MISSING failure (otherwise newly added scenarios would
+   silently escape the gate).  The repetitions time the simulator
+   (BENCH_results.json); they cannot disagree on simulated values.
+   Re-baseline with:
      dune exec bench/main.exe -- --write-baseline bench/baseline.json *)
-(* Median of an odd (or even) number of repetitions: sort and take the
-   middle, averaging the two central values for even counts. *)
-let median xs =
-  let a = Array.of_list xs in
-  Array.sort compare a;
-  let n = Array.length a in
-  if n = 0 then nan
-  else if n mod 2 = 1 then a.(n / 2)
-  else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.
-
 let run_check ?(reps = 3) path =
-  let tolerances, baseline = parse_baseline path in
+  let baseline = parse_baseline path in
   if baseline = [] then begin
     say "bench --check: no runs found in %s\n" path;
     exit 2
   end;
-  say
-    "== bench regression check against %s (median of %d, tolerance thr %.0f%% / lat %.0f%%) ==\n%!"
-    path reps tolerances.tol_thr tolerances.tol_lat;
+  say "== bench regression check against %s (%d rep%s, exact) ==\n%!" path reps
+    (if reps = 1 then "" else "s");
   let covered = List.map (fun b -> Scenario.to_string b.b_scenario) baseline in
   let missing =
     List.filter
@@ -286,76 +263,53 @@ let run_check ?(reps = 3) path =
   List.iter
     (fun s -> say "  MISSING  %s has no baseline entry\n%!" (Scenario.to_string s))
     missing;
-  (* Each repetition reruns the full baseline matrix with tracing on:
-     the simulator is deterministic, so the median mainly de-flakes
-     environmental effects (CI machine contention skewing any run that
-     touches wall-clock), and the trace digests come along for free as
-     a cross-PR artifact.  Tracing is observational — it never perturbs
-     the simulated schedule — so the traced rerun reproduces the
-     baseline numbers exactly. *)
-  let traced = List.map (fun b -> { b.b_scenario with Scenario.trace = true }) baseline in
   let rep_runs =
     List.init reps (fun i ->
         let t0 = Unix.gettimeofday () in
-        let runs = sweep traced in
+        let runs = traced_sweep (List.map (fun b -> b.b_scenario) baseline) in
         say "  [rep %d/%d done in %.1fs]\n%!" (i + 1) reps (Unix.gettimeofday () -. t0);
         record (Printf.sprintf "check-rep-%d" (i + 1)) (Unix.gettimeofday () -. t0)
           (List.map (fun ((s : Scenario.t), r) -> (Scenario.to_string s, r)) runs);
         runs)
   in
-  (* Trace digests, one line per scenario (deterministic: any rep, any
-     -j, same digest) — uploaded as a CI artifact next to
-     BENCH_results.json so digests are diffable across PRs. *)
+  (* Trace digests, one line per scenario — uploaded as a CI artifact
+     next to BENCH_results.json so digests are diffable across PRs. *)
   (match rep_runs with
   | first :: _ ->
       let oc = open_out "BENCH_digests.txt" in
       List.iter
-        (fun ((s : Scenario.t), (r : Report.t)) ->
-          let digest =
-            match r.Report.trace with
-            | Some tr -> tr.Rdb_trace.Trace.digest_hex
-            | None -> "-"
-          in
-          Printf.fprintf oc "%s %s\n" digest (Scenario.to_string s))
+        (fun ((s : Scenario.t), r) ->
+          Printf.fprintf oc "%s %s\n" (digest_of r)
+            (Scenario.to_string { s with Scenario.trace = false }))
         first;
       close_out oc;
       say "wrote BENCH_digests.txt (%d scenarios)\n%!" (List.length first)
   | [] -> ());
-  let failures = ref 0 and improved = ref 0 in
-  let check id metric ~base ~got =
-    let tolerance = tolerance_of tolerances metric in
-    let drift = (got -. base) /. base *. 100. in
-    (* Higher throughput / lower latency than baseline is never a
-       regression; only flag drift in the bad direction.  Drift beyond
-       the band in the *good* direction means the baseline has gone
-       stale — call it out without failing. *)
-    let bad, good =
-      match metric with
-      | "throughput_txn_s" -> (drift < -.tolerance, drift > tolerance)
-      | _ -> (drift > tolerance, drift < -.tolerance)
-    in
-    say "  %-40s %-18s baseline %10.1f  got %10.1f  (%+.1f%%) %s\n%!" id metric base got drift
-      (if bad then "FAIL" else if good then "IMPROVED" else "ok");
-    if bad then incr failures;
-    if good then incr improved
+  let failures = ref 0 in
+  let check id metric ~base ~got ~same =
+    say "  %-40s %-18s baseline %s  got %s  %s\n%!" id metric base got
+      (if same then "ok" else "FAIL");
+    if not same then incr failures
   in
   List.iteri
     (fun i b ->
       let id = Scenario.to_string b.b_scenario in
-      let nth_metric f = median (List.map (fun runs -> f (snd (List.nth runs i))) rep_runs) in
-      check id "throughput_txn_s" ~base:b.b_thr
-        ~got:(nth_metric (fun (r : Report.t) -> r.Report.throughput_txn_s));
-      check id "avg_latency_ms" ~base:b.b_lat
-        ~got:(nth_metric (fun (r : Report.t) -> r.Report.avg_latency_ms)))
+      List.iter
+        (fun runs ->
+          let r = snd (List.nth runs i) in
+          let num metric base got =
+            check id metric ~base:(Json.float_to_string base) ~got:(Json.float_to_string got)
+              ~same:(Float.equal base got)
+          in
+          num "throughput_txn_s" b.b_thr r.Report.throughput_txn_s;
+          num "avg_latency_ms" b.b_lat r.Report.avg_latency_ms;
+          let digest = digest_of r in
+          check id "digest_hex" ~base:b.b_digest ~got:digest ~same:(String.equal b.b_digest digest))
+        rep_runs)
     baseline;
   write_results ~windows:smoke_windows ();
-  if !improved > 0 then
-    say
-      "bench --check: %d metric(s) improved beyond the band; consider refreshing the \
-       baseline (dune exec bench/main.exe -- --write-baseline %s)\n"
-      !improved path;
   if !failures > 0 || missing <> [] then begin
-    if !failures > 0 then say "bench --check: %d metric(s) regressed beyond tolerance\n" !failures;
+    if !failures > 0 then say "bench --check: %d value(s) differ from the baseline\n" !failures;
     if missing <> [] then
       say
         "bench --check: %d run-matrix scenario(s) missing from %s (re-baseline with: dune exec \
@@ -363,8 +317,8 @@ let run_check ?(reps = 3) path =
         (List.length missing) path path;
     exit 1
   end;
-  say "bench --check: all %d scenarios within tolerance of baseline (median of %d)\n"
-    (List.length baseline) reps
+  say "bench --check: all %d scenarios reproduce the baseline exactly (%d rep%s)\n"
+    (List.length baseline) reps (if reps = 1 then "" else "s")
 
 (* -- Bechamel micro-benchmarks ----------------------------------------------- *)
 
@@ -571,13 +525,12 @@ let () =
   let baseline_path, args = take_flag "--write-baseline" args in
   (match (check_path, baseline_path) with
   | Some path, _ ->
-      (* CI regression gate: compare the median of [reps] fresh runs of
-         the baseline's scenarios against the committed values, exit
-         non-zero on regression. *)
+      (* CI regression gate: [reps] fresh runs of the baseline's
+         scenarios must reproduce the committed values exactly. *)
       run_check ~reps path;
       exit 0
   | None, Some path ->
-      write_baseline path (smoke_runs ());
+      write_baseline path (traced_sweep (smoke_scenarios ()));
       exit 0
   | None, None -> ());
   let targets =

@@ -401,10 +401,6 @@ let run_instrumented ?tracer ~install (s : Scenario.t) : Report.t =
   exec ~instrument:install ?attack:s.Scenario.attack ~sharded:false s.Scenario.proto
     ~windows:s.Scenario.windows ~fault:s.Scenario.fault ~tracer s.Scenario.cfg
 
-let run_proto (p : proto) ?(windows = default_windows) ?(fault = No_fault) ?tracer ?jobs
-    (cfg : Config.t) : Report.t =
-  exec p ~windows ~fault ~tracer ?jobs cfg
-
 (* The fault timeline a chaos run with this seed would execute, without
    running it — lets tests (and curious users) verify event-for-event
    reproducibility cheaply. *)

@@ -67,17 +67,6 @@ val run_instrumented : ?tracer:Rdb_trace.Trace.t -> install:(instrument -> unit)
 
     @raise Chaos.Violation under [Chaos _] if an invariant breaks. *)
 
-val run_proto :
-  proto ->
-  ?windows:windows ->
-  ?fault:fault ->
-  ?tracer:Rdb_trace.Trace.t ->
-  ?jobs:int ->
-  Config.t ->
-  Report.t
-  [@@ocaml.deprecated "Build a Scenario.t and call Runner.run instead."]
-(** Positional/optional-argument form, kept for compatibility. *)
-
 val chaos_profile : proto -> Config.t -> Chaos.caps * Chaos.agreement_mode * float
 (** What the chaos scheduler may throw at each protocol (capabilities,
     agreement mode, liveness window in ms) — the faults it is

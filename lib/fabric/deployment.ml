@@ -138,10 +138,7 @@ module Make (P : Protocol.S) = struct
   let rec make_ctx (t : t) ~node : P.msg Ctx.t =
     let cfg = t.cfg in
     let is_replica = Config.is_replica cfg node in
-    let send ~dst ~size ~vcost payload =
-      Network.send t.net ~src:node ~dst ~size { payload; vcost }
-    in
-    let bcast ~dsts ~size ~vcost payload =
+    let send ~dsts ~size ~vcost payload =
       Network.multicast t.net ~src:node ~dsts ~size { payload; vcost }
     in
     let charge ~stage ~cost k =
@@ -262,7 +259,6 @@ module Make (P : Protocol.S) = struct
       rng = Rdb_prng.Rng.split (Engine.rng t.engine) ~index:node;
       now = (fun () -> Engine.now t.engine);
       send;
-      bcast;
       charge;
       set_timer;
       cancel_timer = Engine.cancel;

@@ -154,13 +154,6 @@ let field name conv j =
   | Some v -> Ok v
   | None -> Error (Printf.sprintf "Report.of_json: missing or ill-typed field %S" name)
 
-(* A field introduced by a later schema version: absent in old
-   documents, in which case [default] applies. *)
-let field_or name conv ~default j =
-  match Json.member name j with
-  | None -> Ok default
-  | Some _ -> field name conv j
-
 let trace_of_json j =
   match j with
   | None | Some Json.Null -> Ok None
@@ -201,6 +194,10 @@ let of_json j : (t, string) result =
   let* v = field "schema_version" Json.to_int j in
   if v > schema_version then
     Error (Printf.sprintf "Report.of_json: schema_version %d is newer than %d" v schema_version)
+  else if v < schema_version then
+    Error
+      (Printf.sprintf "Report.of_json: schema_version %d is older than %d and no longer read" v
+         schema_version)
   else
     let* protocol = field "protocol" Json.to_str j in
     let* z = field "z" Json.to_int j in
@@ -222,14 +219,13 @@ let of_json j : (t, string) result =
     let* state_transfers = field "state_transfers" Json.to_int j in
     let* holes_filled = field "holes_filled" Json.to_int j in
     let* retransmissions = field "retransmissions" Json.to_int j in
-    (* Schema-3 fields; a schema-2 document is a write-only in-memory run. *)
-    let* storage = field_or "storage" Json.to_str ~default:"mem" j in
-    let* read_txns = field_or "read_txns" Json.to_int ~default:0 j in
-    let* scan_txns = field_or "scan_txns" Json.to_int ~default:0 j in
-    let* write_txns = field_or "write_txns" Json.to_int ~default:0 j in
-    let* read_p50_latency_ms = field_or "read_p50_latency_ms" Json.to_float ~default:0.0 j in
-    let* read_p95_latency_ms = field_or "read_p95_latency_ms" Json.to_float ~default:0.0 j in
-    let* read_p99_latency_ms = field_or "read_p99_latency_ms" Json.to_float ~default:0.0 j in
+    let* storage = field "storage" Json.to_str j in
+    let* read_txns = field "read_txns" Json.to_int j in
+    let* scan_txns = field "scan_txns" Json.to_int j in
+    let* write_txns = field "write_txns" Json.to_int j in
+    let* read_p50_latency_ms = field "read_p50_latency_ms" Json.to_float j in
+    let* read_p95_latency_ms = field "read_p95_latency_ms" Json.to_float j in
+    let* read_p99_latency_ms = field "read_p99_latency_ms" Json.to_float j in
     let* window_sec = field "window_sec" Json.to_float j in
     let* trace = trace_of_json (Json.member "trace" j) in
     Ok

@@ -60,7 +60,8 @@ val to_string : t -> string
     optional trace summary) survives the round-trip, floats included
     (shortest-round-trip decimal encoding).  The [schema_version]
     field is embedded in every document; [of_json] accepts documents
-    up to the current version and refuses newer ones. *)
+    of the current version only and refuses older and newer ones with
+    an error naming both versions. *)
 
 val schema_version : int
 

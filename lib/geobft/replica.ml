@@ -126,7 +126,7 @@ let vcost_of cfg m =
         (Time.of_us_f (cfg.Config.costs.Config.verify_us *. float_of_int (max 1 (List.length blocks))))
   | m -> Config.recv_floor_cost cfg ~bytes:(size_of cfg m)
 
-let send r ~dst m = r.ctx.Ctx.send ~dst ~size:(size_of r.cfg m) ~vcost:(vcost_of r.cfg m) m
+let send r ~dst m = Ctx.send r.ctx ~dst ~size:(size_of r.cfg m) ~vcost:(vcost_of r.cfg m) m
 
 let local_members r = Config.replicas_of_cluster r.cfg r.my_cluster
 
@@ -742,7 +742,7 @@ let create_client (ctx : msg Ctx.t) ~cluster =
       Ctx.multicast ctx
         ~dsts:(Config.replicas_of_cluster cfg cluster)
         ~size ~vcost (Request batch)
-    else ctx.Ctx.send ~dst:!primary_guess ~size ~vcost (Request batch)
+    else Ctx.send ctx ~dst:!primary_guess ~size ~vcost (Request batch)
   in
   (* Read-only batches bypass consensus: every local replica answers
      from its state, f+1 matching digests suffice. *)

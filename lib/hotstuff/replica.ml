@@ -157,7 +157,7 @@ let vcost_of cfg m =
       Time.add (Config.recv_floor_cost c ~bytes:(size_of c m)) (Config.verify_cost c)
   | m -> Config.recv_floor_cost c ~bytes:(size_of c m)
 
-let send r ~dst m = r.ctx.Ctx.send ~dst ~size:(size_of r.cfg m) ~vcost:(vcost_of r.cfg m) m
+let send r ~dst m = Ctx.send r.ctx ~dst ~size:(size_of r.cfg m) ~vcost:(vcost_of r.cfg m) m
 
 let broadcast r m =
   let dsts = ref [] in
@@ -567,7 +567,7 @@ let create_client (ctx : msg Ctx.t) ~cluster =
        the next (live) leader. *)
     let dst = locals.(!rr mod Array.length locals) in
     incr rr;
-    ctx.Ctx.send ~dst ~size ~vcost (Request batch)
+    Ctx.send ctx ~dst ~size ~vcost (Request batch)
   in
   let f_global = (Config.n_replicas cfg - 1) / 3 in
   (* No consensus-bypass reads: without a cross-instance global order,

@@ -224,7 +224,7 @@ let send_to t ~dst_local m =
   match m' with
   | None -> ()
   | Some m ->
-      t.ctx.Ctx.send ~dst:t.members.(dst_local) ~size:(size_of t m) ~vcost:(vcost_of t m) m
+      Ctx.send t.ctx ~dst:t.members.(dst_local) ~size:(size_of t m) ~vcost:(vcost_of t m) m
 
 (* Broadcast to all other members; the caller handles its own copy
    directly (self-delivery never crosses the network). *)

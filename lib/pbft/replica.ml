@@ -116,7 +116,7 @@ let serve_fetch (r : replica) ~src ~from =
       (Config.recv_floor_cost cfg ~bytes:size)
       (Time.of_us_f (cfg.Config.costs.Config.verify_us *. float_of_int (max 1 nb)))
   in
-  r.ctx.Ctx.send ~dst:src ~size ~vcost
+  Ctx.send r.ctx ~dst:src ~size ~vcost
     (Snapshot
        {
          from;
@@ -230,7 +230,7 @@ let create_replica (ctx : msg Ctx.t) =
                 Hashtbl.replace r.reply_cache batch.Batch.digest
                   (batch.Batch.id, res.App.digest);
                 let primary = Engine.primary r.engine in
-                ctx.Ctx.send ~dst:batch.Batch.origin ~size:(reply_size cfg)
+                Ctx.send ctx ~dst:batch.Batch.origin ~size:(reply_size cfg)
                   ~vcost:(Config.recv_floor_cost cfg ~bytes:(reply_size cfg))
                   (Reply { batch_id = batch.Batch.id; result_digest = res.App.digest; primary })
             | _ ->
@@ -286,7 +286,7 @@ let on_message (r : replica) ~src (m : msg) =
             (* Already executed: the client's retransmission means the
                original reply was lost — answer from the cache. *)
             let cfg = r.ctx.Ctx.config in
-            r.ctx.Ctx.send ~dst:batch.Batch.origin ~size:(reply_size cfg)
+            Ctx.send r.ctx ~dst:batch.Batch.origin ~size:(reply_size cfg)
               ~vcost:(Config.recv_floor_cost cfg ~bytes:(reply_size cfg))
               (Reply { batch_id; result_digest; primary = Engine.primary r.engine })
         | None -> Engine.submit_batch r.engine batch)
@@ -299,7 +299,7 @@ let on_message (r : replica) ~src (m : msg) =
       if Batch.verify ~keychain:r.ctx.Ctx.keychain batch && Batch.read_only batch then
         r.ctx.Ctx.read_execute batch ~on_done:(fun res ->
             let cfg = r.ctx.Ctx.config in
-            r.ctx.Ctx.send ~dst:batch.Batch.origin ~size:(reply_size cfg)
+            Ctx.send r.ctx ~dst:batch.Batch.origin ~size:(reply_size cfg)
               ~vcost:(Config.recv_floor_cost cfg ~bytes:(reply_size cfg))
               (Reply
                  {
@@ -374,15 +374,15 @@ let create_client (ctx : msg Ctx.t) ~cluster:_ =
       (* Suspect the primary: broadcast so backups forward and start
          censorship timers (standard Pbft client fallback). *)
       List.iter
-        (fun dst -> ctx.Ctx.send ~dst ~size ~vcost (Request batch))
+        (fun dst -> Ctx.send ctx ~dst ~size ~vcost (Request batch))
         (List.init (Config.n_replicas cfg) Fun.id)
-    else ctx.Ctx.send ~dst:!primary_guess ~size ~vcost (Request batch)
+    else Ctx.send ctx ~dst:!primary_guess ~size ~vcost (Request batch)
   in
   (* Read-only batches go straight to every replica; f+1 matching
      result digests prove the read reflects a committed prefix. *)
   let transmit_read (batch : Batch.t) =
     List.iter
-      (fun dst -> ctx.Ctx.send ~dst ~size ~vcost (Read_request batch))
+      (fun dst -> Ctx.send ctx ~dst ~size ~vcost (Read_request batch))
       (List.init (Config.n_replicas cfg) Fun.id)
   in
   (* Global f for the flat group. *)

@@ -48,12 +48,12 @@ type timer = { ev : event; tgen : int }
 let noop_run () = ()
 
 (* A staged cross-shard item: a single event, or a pooled fan-out group
-   — [times] in staging (send) order plus one shared delivery closure
-   indexed by staging position.  A group occupies one outbox slot and
-   one heap slot however many recipients it carries (DESIGN.md §17). *)
+   — the caller's [times] and [deliver] plus the group's agenda (see
+   [agenda_for]).  A group occupies one outbox slot and one heap slot
+   however many entries it carries (DESIGN.md §17). *)
 type staged =
   | Sone of Time.t * event
-  | Sgroup of Time.t array * (int -> unit)
+  | Sgroup of Time.t array * int array * (int -> unit)
 
 type shard = {
   sid : int;
@@ -98,13 +98,14 @@ let next_eid = Atomic.make 0
 (* Which shard (of which engine) the current domain is executing.  Set
    for the duration of one shard-epoch; consulted by [now]/[rng]/
    [schedule_at] so all engine operations made from inside an event
-   resolve to the executing shard. *)
-let dls_shard : (int * shard) option ref Domain.DLS.key =
+   resolve to the executing shard.  The shard is stored as the option
+   [current_shard] returns, so that lookup allocates nothing. *)
+let dls_shard : (int * shard option) option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
 let current_shard t =
   match !(Domain.DLS.get dls_shard) with
-  | Some (eid, s) when eid = t.eid -> Some s
+  | Some (eid, s) when eid = t.eid -> s
   | _ -> None
 
 let create ?(seed = 42) ?(shards = 1) ?(lookahead = Int64.max_int) () =
@@ -154,7 +155,7 @@ let executed_events t = Array.fold_left (fun acc s -> acc + s.sexec) 0 t.shards
 
 let staged_count = function
   | Sone _ -> 1
-  | Sgroup (times, _) -> Array.length times
+  | Sgroup (_, agenda, _) -> Array.length agenda / 2
 
 let pending_events t =
   Array.fold_left
@@ -169,10 +170,6 @@ let set_defer_hook t h =
     invalid_arg "Engine.set_defer_hook: schedule exploration requires a single-shard engine";
   t.defer_hook <- h;
   t.sched_calls <- 0
-
-(* Callers with a fast path that bypasses per-schedule sequencing (the
-   network's pooled multicast) must fall back while exploration is on. *)
-let defer_active t = t.defer_hook <> None
 
 let schedule_calls t = t.sched_calls
 
@@ -200,19 +197,23 @@ let pooled_events t = Array.fold_left (fun acc s -> acc + List.length s.pool) 0 
 
 (* -- scheduling --------------------------------------------------------- *)
 
+(* Reserve [s]'s next sequence number for one schedule call; under
+   schedule exploration the defer hook may push it behind its
+   equal-timestamp group. *)
+let next_seq t s =
+  s.sseq <- s.sseq + 1;
+  match t.defer_hook with
+  | None -> s.sseq
+  | Some defer ->
+      let n = t.sched_calls in
+      t.sched_calls <- n + 1;
+      if defer n then s.sseq + defer_offset else s.sseq
+
 (* Schedule onto [s]'s own heap (clamped to its clock: scheduling in
    the past runs "immediately", preserving causality). *)
 let schedule_local t s ~at f =
   let at = Time.max at s.snow in
-  s.sseq <- s.sseq + 1;
-  let seq =
-    match t.defer_hook with
-    | None -> s.sseq
-    | Some defer ->
-        let n = t.sched_calls in
-        t.sched_calls <- n + 1;
-        if defer n then s.sseq + defer_offset else s.sseq
-  in
+  let seq = next_seq t s in
   let ev = alloc_event s f in
   Heap.push s.heap ~time:at ~seq ev;
   { ev; tgen = ev.gen }
@@ -248,94 +249,97 @@ let schedule_at_shard t ~shard ~at f =
    fan-out path, so the shard's counter is not consulted again. *)
 let push_at s ~at ~seq f = Heap.push s.heap ~time:at ~seq (alloc_event s f)
 
-(* Delivery order of a fan-out group: arrival time ascending, original
-   (staging) position as the tie-break — exactly the (time, seq) order
-   the equivalent individual schedules would pop in. *)
-let sort_order ~times k =
-  let order = Array.init k (fun i -> i) in
-  Array.sort
-    (fun a b ->
-      let c = Time.compare times.(a) times.(b) in
-      if c <> 0 then c else compare a b)
-    order;
-  order
+(* A fan-out group's agenda is one int array: slot 0 is the walk
+   position, and the group's p-th entry is entry [a.(1 + 2p)] of the
+   caller's arrays, scheduled under sequence number [a.(2 + 2p)].
+   [agenda_for] lists the entries bound for shard [sh] in call order,
+   sequence numbers still unset ([||] when there are none). *)
+let agenda_for ~shards sh =
+  let m = ref 0 in
+  for i = 0 to Array.length shards - 1 do
+    if shards.(i) = sh then incr m
+  done;
+  if !m = 0 then [||]
+  else begin
+    let a = Array.make (1 + (2 * !m)) 0 in
+    let p = ref 0 in
+    for i = 0 to Array.length shards - 1 do
+      if shards.(i) = sh then begin
+        a.(1 + (2 * !p)) <- i;
+        incr p
+      end
+    done;
+    a
+  end
 
-(* One pooled record walks the sorted (time, seq) agenda: each pop
-   delivers one recipient and re-inserts the record keyed at the next
-   pending one, so an m-recipient fan-out occupies one heap slot
-   instead of m.  Because the keys are exactly those m individual
-   [schedule_local] calls would have used — and the record always
-   carries the minimum remaining key — the engine's pop order, and
-   therefore every downstream effect, is unchanged. *)
-let schedule_fanout_sorted s ~times ~seqs ~deliver =
-  let k = Array.length times in
-  let idx = ref 0 in
+(* Sort an agenda by (time clamped to [floor], seq).  Insertion sort:
+   it allocates nothing, and a group holds only one send's recipients
+   on one shard, so its quadratic worst case stays small. *)
+let sort_agenda ~floor ~times a =
+  for p = 1 to (Array.length a / 2) - 1 do
+    let i = a.(1 + (2 * p)) and sq = a.(2 + (2 * p)) in
+    let at = Time.max times.(i) floor in
+    let q = ref (p - 1) in
+    while
+      !q >= 0
+      &&
+      let c = Time.compare at (Time.max times.(a.(1 + (2 * !q))) floor) in
+      c < 0 || (c = 0 && sq < a.(2 + (2 * !q)))
+    do
+      a.(3 + (2 * !q)) <- a.(1 + (2 * !q));
+      a.(4 + (2 * !q)) <- a.(2 + (2 * !q));
+      decr q
+    done;
+    a.(3 + (2 * !q)) <- i;
+    a.(4 + (2 * !q)) <- sq
+  done
+
+(* Push one pooled record for a sequenced agenda bound for shard [s]:
+   entry [i] runs [deliver i] at [times.(i)] clamped to [floor].  The
+   record walks the agenda in (time, seq) order: each pop delivers one
+   entry and re-inserts the record keyed at the next, so an m-entry
+   group occupies one heap slot instead of m.  The keys are exactly
+   those m individual schedules would have used and the record always
+   carries the least remaining one, so the engine's pop order — and
+   every downstream effect — is unchanged (DESIGN.md §17). *)
+let push_group s ~floor ~times ~agenda:a ~deliver =
+  sort_agenda ~floor ~times a;
   let rec run () =
-    let j = !idx in
-    incr idx;
-    if !idx < k then push_at s ~at:times.(!idx) ~seq:seqs.(!idx) run;
-    deliver j
+    let p = a.(0) + 1 in
+    a.(0) <- p;
+    if (2 * p) + 1 < Array.length a then
+      push_at s ~at:(Time.max times.(a.(1 + (2 * p))) floor) ~seq:a.(2 + (2 * p)) run;
+    deliver a.((2 * p) - 1)
   in
-  push_at s ~at:times.(0) ~seq:seqs.(0) run
+  push_at s ~at:(Time.max times.(a.(1)) floor) ~seq:a.(2) run
 
-(* Schedule one delivery closure to [k] recipients: [deliver i] is
-   recipient [i]'s delivery, at time [times.(i)], on shard
-   [shards.(i)].  Same-shard recipients reserve the same sequence
-   numbers (in the same order) as individual schedules would, and each
-   cross-shard group stages as one outbox entry expanded at the
-   barrier, so the executed schedule is byte-identical to [k] separate
-   [schedule_at_shard] calls — the determinism contract at any
-   [--jobs] is untouched. *)
+(* Schedule [deliver i] at [times.(i)] on shard [shards.(i)] for every
+   entry [i], exactly as [k] separate [schedule_at_shard] calls would,
+   as one pooled record per destination shard.  Entries for a shard
+   the caller may push to directly — the executing shard, or any shard
+   from outside event execution — reserve their sequence numbers now,
+   in call order and through the defer hook like any schedule call.
+   Entries for another shard stage as one outbox group that the barrier
+   expands into consecutive sequence numbers at the group's FIFO
+   position.  Either way the executed schedule is the one [k]
+   individual schedules produce, at any [--jobs]. *)
 let fanout t ~shards ~times ~deliver =
-  match current_shard t with
-  | Some s when t.defer_hook = None ->
-      let k = Array.length times in
-      let z = Array.length t.shards in
-      let counts = Array.make z 0 in
-      Array.iter (fun sh -> counts.(sh) <- counts.(sh) + 1) shards;
-      for sh = 0 to z - 1 do
-        let m = counts.(sh) in
-        if m > 0 then begin
-          let idxs = Array.make m 0 in
-          let j = ref 0 in
-          for i = 0 to k - 1 do
-            if shards.(i) = sh then begin
-              idxs.(!j) <- i;
-              incr j
-            end
+  let cur = current_shard t in
+  for sh = 0 to Array.length t.shards - 1 do
+    let agenda = agenda_for ~shards sh in
+    if Array.length agenda > 0 then
+      match cur with
+      | Some s when s.sid <> sh ->
+          s.outboxes.(sh) <- Sgroup (times, agenda, deliver) :: s.outboxes.(sh)
+      | _ ->
+          (* Only one-shard engines take a defer hook, so reserving
+             shard by shard is reserving in call order. *)
+          let d = t.shards.(sh) in
+          for p = 0 to (Array.length agenda / 2) - 1 do
+            agenda.(2 + (2 * p)) <- next_seq t d
           done;
-          if sh = s.sid then begin
-            let tms = Array.map (fun i -> Time.max times.(i) s.snow) idxs in
-            let base = s.sseq in
-            s.sseq <- base + m;
-            if m = 1 then
-              let i = idxs.(0) in
-              push_at s ~at:tms.(0) ~seq:(base + 1) (fun () -> deliver i)
-            else begin
-              let order = sort_order ~times:tms m in
-              let stimes = Array.map (fun o -> tms.(o)) order in
-              let sseqs = Array.map (fun o -> base + 1 + o) order in
-              schedule_fanout_sorted s ~times:stimes ~seqs:sseqs ~deliver:(fun j ->
-                  deliver idxs.(order.(j)))
-            end
-          end
-          else if m = 1 then begin
-            let i = idxs.(0) in
-            let ev = alloc_event s (fun () -> deliver i) in
-            s.outboxes.(sh) <- Sone (times.(i), ev) :: s.outboxes.(sh)
-          end
-          else begin
-            let tms = Array.map (fun i -> times.(i)) idxs in
-            s.outboxes.(sh) <- Sgroup (tms, fun j -> deliver idxs.(j)) :: s.outboxes.(sh)
-          end
-        end
-      done
-  | _ ->
-      (* Outside event execution, or under schedule exploration: the
-         per-recipient path (it consults the defer hook per call). *)
-      Array.iteri
-        (fun i sh -> ignore (schedule_at_shard t ~shard:sh ~at:times.(i) (fun () -> deliver i)))
-        shards
+          push_group d ~floor:d.snow ~times ~agenda ~deliver
+  done
 
 (* Global control action at absolute time [at]: runs at an epoch
    barrier with all shards stopped, before same-time ordinary events.
@@ -373,20 +377,15 @@ let drain_outboxes t =
               | Sone (at, ev) ->
                   d.sseq <- d.sseq + 1;
                   Heap.push d.heap ~time:(Time.max at d.snow) ~seq:d.sseq ev
-              | Sgroup (times, deliver) ->
+              | Sgroup (times, agenda, deliver) ->
                   (* Expand the group exactly where its entries would
-                     have sat in the FIFO: m fresh sequence numbers in
-                     staging order, then one pooled record keyed by the
-                     sorted (time, seq) agenda. *)
-                  let m = Array.length times in
-                  let tms = Array.map (fun at -> Time.max at d.snow) times in
-                  let base = d.sseq in
-                  d.sseq <- base + m;
-                  let order = sort_order ~times:tms m in
-                  let stimes = Array.map (fun o -> tms.(o)) order in
-                  let sseqs = Array.map (fun o -> base + 1 + o) order in
-                  schedule_fanout_sorted d ~times:stimes ~seqs:sseqs ~deliver:(fun j ->
-                      deliver order.(j)))
+                     have sat in the FIFO: fresh sequence numbers in
+                     staging order. *)
+                  for p = 0 to (Array.length agenda / 2) - 1 do
+                    d.sseq <- d.sseq + 1;
+                    agenda.(2 + (2 * p)) <- d.sseq
+                  done;
+                  push_group d ~floor:d.snow ~times ~agenda ~deliver)
             (List.rev staged)
     done
   done
@@ -396,7 +395,7 @@ let drain_outboxes t =
    resolves to this shard. *)
 let run_shard t s ~bound ~incl =
   let cur = Domain.DLS.get dls_shard in
-  cur := Some (t.eid, s);
+  cur := Some (t.eid, Some s);
   let continue = ref true in
   while !continue do
     let mt = Heap.min_time s.heap in
@@ -404,18 +403,17 @@ let run_shard t s ~bound ~incl =
       mt = Int64.max_int
       || (if incl then Time.( > ) mt bound else Time.( >= ) mt bound)
     then continue := false
-    else
-      match Heap.pop s.heap with
-      | None -> continue := false
-      | Some { Heap.time; payload = ev; _ } ->
-          if ev.cancelled then release_event s ev
-          else begin
-            s.snow <- time;
-            s.sexec <- s.sexec + 1;
-            let f = ev.run in
-            release_event s ev;
-            f ()
-          end
+    else begin
+      let ev = Heap.pop_payload s.heap in
+      if ev.cancelled then release_event s ev
+      else begin
+        s.snow <- mt;
+        s.sexec <- s.sexec + 1;
+        let f = ev.run in
+        release_event s ev;
+        f ()
+      end
+    end
   done;
   cur := None
 
@@ -521,16 +519,18 @@ let run t =
 let step t =
   if Array.length t.shards > 1 then invalid_arg "Engine.step: single-shard engines only";
   let s = t.shards.(0) in
-  match Heap.pop s.heap with
-  | None -> false
-  | Some { Heap.time; payload = ev; _ } ->
-      if ev.cancelled then release_event s ev
-      else begin
-        s.snow <- time;
-        t.gnow <- time;
-        s.sexec <- s.sexec + 1;
-        let f = ev.run in
-        release_event s ev;
-        f ()
-      end;
-      true
+  if Heap.is_empty s.heap then false
+  else begin
+    let time = Heap.min_time s.heap in
+    let ev = Heap.pop_payload s.heap in
+    if ev.cancelled then release_event s ev
+    else begin
+      s.snow <- time;
+      t.gnow <- time;
+      s.sexec <- s.sexec + 1;
+      let f = ev.run in
+      release_event s ev;
+      f ()
+    end;
+    true
+  end

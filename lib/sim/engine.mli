@@ -66,10 +66,6 @@ val set_defer_hook : t -> (int -> bool) option -> unit
 val schedule_calls : t -> int
 (** Schedule calls observed since the defer hook was installed. *)
 
-val defer_active : t -> bool
-(** Whether a defer hook is installed (callers that pool events must
-    fall back to per-event scheduling so the hook sees every call). *)
-
 val schedule_at : t -> at:Time.t -> (unit -> unit) -> timer
 (** Schedule at an absolute time on the current shard (shard 0 when
     called from outside event execution); times in the past run at
@@ -88,12 +84,12 @@ val fanout :
 (** Pooled fan-out: behave exactly like
     [Array.iteri (fun i sh -> schedule_at_shard t ~shard:sh ~at:times.(i)
        (fun () -> deliver i)) shards]
-    — same seq reservations, same heap pop order, same cross-shard
-    staging slots — but allocate O(1) heap records per destination
-    shard instead of one per recipient.  The pop-order proof is in
-    DESIGN.md §17.  Fan-outs are not cancellable (network deliveries
-    never are).  Falls back to per-event scheduling when a defer hook
-    is installed or when called outside event execution. *)
+    — same seq reservations (through the defer hook when one is
+    installed), same heap pop order, same cross-shard staging slots —
+    but occupy one heap record per destination shard instead of one
+    per entry.  Inside or outside event execution, with or without a
+    defer hook; the pop-order proof is in DESIGN.md §17.  Fan-outs are
+    not cancellable (network deliveries never are). *)
 
 val schedule_control : t -> at:Time.t -> (unit -> unit) -> unit
 (** A global action (fault injection, chaos step, monitor probe) that

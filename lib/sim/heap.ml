@@ -73,49 +73,53 @@ let peek t =
   else
     Some { time = Int64.of_int t.times.(0); seq = t.seqs.(0); payload = t.pays.(0) }
 
-let pop t =
-  if t.size = 0 then None
-  else begin
-    let times = t.times and seqs = t.seqs and pays = t.pays in
-    let top =
-      { time = Int64.of_int times.(0); seq = seqs.(0); payload = pays.(0) }
-    in
-    t.size <- t.size - 1;
-    let n = t.size in
-    if n > 0 then begin
-      (* Sift the last element down from the root with a hole. *)
-      let mt = Array.unsafe_get times n in
-      let ms = Array.unsafe_get seqs n in
-      let mp = Array.unsafe_get pays n in
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 in
-        if l >= n then continue := false
-        else begin
-          let r = l + 1 in
-          let c =
-            if r < n then begin
-              let lt = Array.unsafe_get times l and rt = Array.unsafe_get times r in
-              if rt < lt || (rt = lt && Array.unsafe_get seqs r < Array.unsafe_get seqs l)
-              then r
-              else l
-            end
+(* Remove the root and return its payload, without materializing an
+   entry: the engine's hot loop reads the key with [min_time] first. *)
+let pop_payload t =
+  if t.size = 0 then invalid_arg "Heap.pop_payload: empty heap";
+  let times = t.times and seqs = t.seqs and pays = t.pays in
+  let top = pays.(0) in
+  t.size <- t.size - 1;
+  let n = t.size in
+  if n > 0 then begin
+    (* Sift the last element down from the root with a hole. *)
+    let mt = Array.unsafe_get times n in
+    let ms = Array.unsafe_get seqs n in
+    let mp = Array.unsafe_get pays n in
+    let i = ref 0 in
+    let continue = ref true in
+    while !continue do
+      let l = (2 * !i) + 1 in
+      if l >= n then continue := false
+      else begin
+        let r = l + 1 in
+        let c =
+          if r < n then begin
+            let lt = Array.unsafe_get times l and rt = Array.unsafe_get times r in
+            if rt < lt || (rt = lt && Array.unsafe_get seqs r < Array.unsafe_get seqs l) then r
             else l
-          in
-          let ct = Array.unsafe_get times c in
-          if ct < mt || (ct = mt && Array.unsafe_get seqs c < ms) then begin
-            Array.unsafe_set times !i ct;
-            Array.unsafe_set seqs !i (Array.unsafe_get seqs c);
-            Array.unsafe_set pays !i (Array.unsafe_get pays c);
-            i := c
           end
-          else continue := false
+          else l
+        in
+        let ct = Array.unsafe_get times c in
+        if ct < mt || (ct = mt && Array.unsafe_get seqs c < ms) then begin
+          Array.unsafe_set times !i ct;
+          Array.unsafe_set seqs !i (Array.unsafe_get seqs c);
+          Array.unsafe_set pays !i (Array.unsafe_get pays c);
+          i := c
         end
-      done;
-      Array.unsafe_set times !i mt;
-      Array.unsafe_set seqs !i ms;
-      Array.unsafe_set pays !i mp
-    end;
-    Some top
-  end
+        else continue := false
+      end
+    done;
+    Array.unsafe_set times !i mt;
+    Array.unsafe_set seqs !i ms;
+    Array.unsafe_set pays !i mp
+  end;
+  top
+
+let pop t =
+  match peek t with
+  | None -> None
+  | top ->
+      ignore (pop_payload t);
+      top

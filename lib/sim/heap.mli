@@ -25,3 +25,8 @@ val min_key : 'a t -> int
 
 val peek : 'a t -> 'a entry option
 val pop : 'a t -> 'a entry option
+
+val pop_payload : 'a t -> 'a
+(** Remove the least entry and return its payload without allocating
+    (read its time with {!min_time} first).
+    @raise Invalid_argument on an empty heap. *)

@@ -47,7 +47,8 @@ type delivery_hook =
    silence, tampered payloads are equivocation, extra elements are
    replays; [on_recv] lets a corrupted receiver pretend not to have
    heard a peer.  Both sit outside the bandwidth/latency model: an
-   emission re-enters [send] as if the sender had behaved that way. *)
+   emission enters the wire model as if the sender had behaved that
+   way. *)
 type 'm interposer = {
   on_send : src:int -> dst:int -> 'm -> ('m * Time.t) list;
   on_recv : src:int -> dst:int -> 'm -> bool;
@@ -178,8 +179,6 @@ let transmission_ns ~size_bytes ~bw_mbps =
   let bytes_per_ns = bw_mbps *. 1e6 /. 8.0 /. 1e9 in
   Int64.of_float (Float.of_int size_bytes /. bytes_per_ns)
 
-(* Send one message.  [size] is the wire size in bytes (headers and
-   authentication tags included by the caller's sizing function). *)
 (* [Hashtbl.length] guard: the common (healthy) case pays no tuple-key
    allocation and no hash lookup; the RNG is still only consumed when a
    rule exists for this exact link, so random streams are unchanged. *)
@@ -195,14 +194,10 @@ let trace_drop t ~src ~dst ~size ~reason =
   | None -> ()
   | Some tr -> Rdb_trace.Trace.net_drop tr ~src ~dst ~size ~at:(Engine.now t.engine) ~reason
 
-(* The healthy wire model shared by [send_admitted] and [multicast]:
-   stats, WAN-egress + uplink serialization, the net_send trace span,
-   base latency and the jitter draw.  Returns the arrival time.  Every
-   side effect (busy-pipe updates, stats, trace, RNG consumption)
-   happens here in call order, so a pooled multicast that calls this
-   once per recipient in destination order is indistinguishable from
-   the per-recipient send path. *)
-let wire_arrival t ~src ~dst ~size =
+(* The wire model up to the jitter draw: stats, WAN-egress + uplink
+   serialization, the net_send trace span and base latency.  Returns
+   the earliest legal arrival (departure + one-way latency). *)
+let wire_floor t ~src ~dst ~size =
   let now = Engine.now t.engine in
   let admitted = now in
   let local = Topology.same_region t.topo src dst in
@@ -233,19 +228,71 @@ let wire_arrival t ~src ~dst ~size =
       (* [admitted] is when the caller handed us the message; any WAN
          egress serialization shows up as queueing before [start]. *)
       Rdb_trace.Trace.net_send tr ~src ~dst ~size ~local ~now:admitted ~start ~depart);
-  let delay = Time.of_ms_f (Topology.one_way_ms t.topo ~a:src ~b:dst) in
-  let jitter =
-    if t.jitter_ms <= 0. then Time.zero
-    else Time.of_ms_f (Rdb_prng.Rng.float_range (Engine.rng t.engine) ~lo:0. ~hi:t.jitter_ms)
-  in
-  (* (earliest legal arrival, actual arrival): jitter is non-negative,
-     so any time >= the floor is producible by the latency model. *)
-  (Time.add depart delay, Time.add depart (Time.add delay jitter))
+  Time.add depart (Time.of_ms_f (Topology.one_way_ms t.topo ~a:src ~b:dst))
 
-(* The post-interposition send path: everything the wire does to a
-   message the (possibly corrupted) sender actually emitted. *)
-let send_admitted t ~src ~dst ~size msg =
-  if List.exists (fun (_, rule) -> rule ~src ~dst) t.drop_rules then begin
+(* The arrival the latency model draws above [floor].  Jitter is
+   non-negative, so any time >= the floor is one the model could
+   produce. *)
+let jittered t floor =
+  if t.jitter_ms <= 0. then floor
+  else
+    Time.add floor
+      (Time.of_ms_f (Rdb_prng.Rng.float_range (Engine.rng t.engine) ~lo:0. ~hi:t.jitter_ms))
+
+(* -- the send path ------------------------------------------------------ *)
+
+(* The entries one send stages for [Engine.fanout], in the order the
+   per-destination decisions produce them: entry [i] is due on shard
+   [shards.(i)] at [times.(i)] and carries [msgs.(i)].  [dsts.(i)] is
+   its recipient, or [lnot dst] for an emission the sender holds back:
+   that entry runs on the sender's shard when the hold expires and
+   re-admits [msgs.(i)] toward [dst].  Capacity starts at one entry per
+   destination; duplicates and replays grow it. *)
+type 'm staged = {
+  mutable n : int;
+  mutable shards : int array;
+  mutable times : Time.t array;
+  mutable dsts : int array;
+  mutable msgs : 'm array;
+}
+
+let staging ~capacity msg =
+  {
+    n = 0;
+    shards = Array.make capacity 0;
+    times = Array.make capacity Time.zero;
+    dsts = Array.make capacity 0;
+    msgs = Array.make capacity msg;
+  }
+
+let stage st ~shard ~at ~dst msg =
+  if st.n = Array.length st.dsts then begin
+    let grow a fill = Array.append a (Array.make (max 1 (Array.length a)) fill) in
+    st.shards <- grow st.shards 0;
+    st.times <- grow st.times Time.zero;
+    st.dsts <- grow st.dsts 0;
+    st.msgs <- grow st.msgs msg
+  end;
+  st.shards.(st.n) <- shard;
+  st.times.(st.n) <- at;
+  st.dsts.(st.n) <- dst;
+  st.msgs.(st.n) <- msg;
+  st.n <- st.n + 1
+
+let prefix a n = if Array.length a = n then a else Array.sub a 0 n
+
+(* [List.exists] over the drop rules, without allocating a closure. *)
+let rec dropped_by rules ~src ~dst =
+  match rules with
+  | [] -> false
+  | (_, rule) :: rest -> rule ~src ~dst || dropped_by rest ~src ~dst
+
+(* What the wire does to one message the (possibly corrupted) sender
+   actually emitted toward [dst]: drop rules, then the loss draw, then
+   the wire model, the delivery hook's arrival edit, and the dup draw.
+   Admitted copies are staged; a duplicate right after its primary. *)
+let admit t st ~src ~dst ~size msg =
+  if dropped_by t.drop_rules ~src ~dst then begin
     Stats.count_dropped t.stats ~size;
     trace_drop t ~src ~dst ~size ~reason:"rule"
   end
@@ -254,7 +301,8 @@ let send_admitted t ~src ~dst ~size msg =
     trace_drop t ~src ~dst ~size ~reason:"loss"
   end
   else begin
-    let floor, arrive = wire_arrival t ~src ~dst ~size in
+    let floor = wire_floor t ~src ~dst ~size in
+    let arrive = jittered t floor in
     let arrive =
       match t.dhook with
       | None -> arrive
@@ -267,111 +315,88 @@ let send_admitted t ~src ~dst ~size msg =
             (match last with None -> arrive | Some l -> Time.max l arrive);
           arrive
     in
-    let deliver_traced () =
-      if t.crashed.(dst) then trace_drop t ~src ~dst ~size ~reason:"dst-crashed"
-      else
-        match t.interpose with
-        | Some ip when not (ip.on_recv ~src ~dst msg) ->
-            (* A corrupted receiver ignoring this peer: judged at
-               delivery time, so receive-side rules are windowed by
-               arrival like every other fault. *)
-            trace_drop t ~src ~dst ~size ~reason:"adversary-deaf"
-        | _ ->
-            (match t.trace with
-            | None -> ()
-            | Some tr -> Rdb_trace.Trace.net_deliver tr ~src ~dst ~size ~at:(Engine.now t.engine));
-            t.deliver ~src ~dst msg
-    in
-    let dshard = t.shard_of dst in
-    ignore (Engine.schedule_at_shard t.engine ~shard:dshard ~at:arrive deliver_traced);
+    let shard = t.shard_of dst in
+    stage st ~shard ~at:arrive ~dst msg;
     (* Duplication: deliver a second copy shortly after the first (a
        retransmitted or re-routed frame); receivers must deduplicate. *)
     if Hashtbl.length t.link_dup > 0 then
       match Hashtbl.find_opt t.link_dup (src, dst) with
       | Some p when Rdb_prng.Rng.float (Engine.rng t.engine) < p ->
-          let again = Time.add arrive (Time.of_ms_f 0.05) in
-          ignore (Engine.schedule_at_shard t.engine ~shard:dshard ~at:again deliver_traced)
+          stage st ~shard ~at:(Time.add arrive (Time.of_ms_f 0.05)) ~dst msg
       | _ -> ()
   end
 
-let send t ~src ~dst ~size msg =
-  if t.crashed.(src) then ()
-  else
-    match t.interpose with
-    | None -> send_admitted t ~src ~dst ~size msg
-    | Some ip -> (
-        match ip.on_send ~src ~dst msg with
-        | [] ->
-            (* Targeted silence: the message never touches the wire
-               (no bandwidth charged), but the drop is visible to the
-               tracer and the stats like any other discard. *)
-            Stats.count_dropped t.stats ~size;
-            trace_drop t ~src ~dst ~size ~reason:"adversary"
-        | emissions ->
-            let now = Engine.now t.engine in
-            List.iter
-              (fun (m, after) ->
-                if Time.(after <= Time.zero) then send_admitted t ~src ~dst ~size m
-                else
-                  (* Delayed / slow-drip sending: the emission enters
-                     the normal wire model when the hold expires (and
-                     not at all if the sender crashed meanwhile). *)
-                  ignore
-                    (Engine.schedule_at t.engine ~at:(Time.add now after) (fun () ->
-                         if not t.crashed.(src) then send_admitted t ~src ~dst ~size m)))
-              emissions)
+(* One destination of a send: the sender's interposer first rewrites
+   the message into the emissions it actually produces. *)
+let emit t st ~src ~dst ~size msg =
+  match t.interpose with
+  | None -> admit t st ~src ~dst ~size msg
+  | Some ip -> (
+      match ip.on_send ~src ~dst msg with
+      | [] ->
+          (* Targeted silence: the message never touches the wire
+             (no bandwidth charged), but the drop is visible to the
+             tracer and the stats like any other discard. *)
+          Stats.count_dropped t.stats ~size;
+          trace_drop t ~src ~dst ~size ~reason:"adversary"
+      | emissions ->
+          List.iter
+            (fun (m, after) ->
+              if Time.(after <= Time.zero) then admit t st ~src ~dst ~size m
+              else
+                (* Delayed / slow-drip sending: the emission enters the
+                   wire model when the hold expires. *)
+                stage st
+                  ~shard:(Engine.current_shard_id t.engine)
+                  ~at:(Time.add (Engine.now t.engine) after)
+                  ~dst:(lnot dst) m)
+            emissions)
 
-(* Broadcast one message to [dsts] (in order).
-
-   Fast path: on the healthy wire — no interposer, no delivery hook, no
-   drop rules, no degraded links, no schedule exploration — an
-   n-recipient broadcast runs the per-recipient wire model once per
-   destination (identical side effects, stats, and RNG stream to n
-   [send] calls) but hands the engine ONE pooled fan-out per shard
-   instead of n heap inserts, with a single shared delivery closure
-   instead of n per-recipient closures.  The engine reserves the same
-   sequence numbers n individual schedules would have consumed, so the
-   executed event schedule is byte-identical (see Engine.fanout and
-   DESIGN.md §17).
-
-   Any installed fault/exploration machinery falls back to the
-   per-recipient path: those features key off per-send state (loss and
-   dup draws, interposer emissions, hook counters) that the pooled
-   representation deliberately does not model. *)
-let multicast t ~src ~dsts ~size msg =
-  match dsts with
+let rec emit_all t st ~src ~size msg = function
   | [] -> ()
-  | [ dst ] -> send t ~src ~dst ~size msg
-  | _ ->
-      if t.crashed.(src) then ()
-      else if
-        t.interpose <> None || t.dhook <> None || t.drop_rules <> []
-        || Hashtbl.length t.link_loss > 0
-        || Hashtbl.length t.link_dup > 0
-        || Engine.defer_active t.engine
-      then List.iter (fun dst -> send t ~src ~dst ~size msg) dsts
-      else begin
-        let dsts = Array.of_list dsts in
-        let k = Array.length dsts in
-        let arrives = Array.make k Time.zero in
-        let shards = Array.make k 0 in
-        for i = 0 to k - 1 do
-          let dst = dsts.(i) in
-          let _, arrive = wire_arrival t ~src ~dst ~size in
-          arrives.(i) <- arrive;
-          shards.(i) <- t.shard_of dst
-        done;
-        Engine.fanout t.engine ~shards ~times:arrives ~deliver:(fun i ->
-            let dst = dsts.(i) in
-            if t.crashed.(dst) then trace_drop t ~src ~dst ~size ~reason:"dst-crashed"
-            else
-              match t.interpose with
-              | Some ip when not (ip.on_recv ~src ~dst msg) ->
-                  trace_drop t ~src ~dst ~size ~reason:"adversary-deaf"
-              | _ ->
-                  (match t.trace with
-                  | None -> ()
-                  | Some tr ->
-                      Rdb_trace.Trace.net_deliver tr ~src ~dst ~size ~at:(Engine.now t.engine));
-                  t.deliver ~src ~dst msg)
-      end
+  | dst :: rest ->
+      emit t st ~src ~dst ~size msg;
+      emit_all t st ~src ~size msg rest
+
+(* Hand everything staged to the engine as one fan-out, with the one
+   delivery closure every entry shares. *)
+let rec flush t st ~src ~size =
+  if st.n > 0 then begin
+    Engine.fanout t.engine ~shards:(prefix st.shards st.n) ~times:(prefix st.times st.n)
+      ~deliver:(fun i ->
+        let dst = st.dsts.(i) and msg = st.msgs.(i) in
+        if dst < 0 then begin
+          (* A held emission's hold expired: re-admit it, and not at
+             all if the sender crashed meanwhile. *)
+          if not t.crashed.(src) then begin
+            let st = staging ~capacity:1 msg in
+            admit t st ~src ~dst:(lnot dst) ~size msg;
+            flush t st ~src ~size
+          end
+        end
+        else if t.crashed.(dst) then trace_drop t ~src ~dst ~size ~reason:"dst-crashed"
+        else
+          match t.interpose with
+          | Some ip when not (ip.on_recv ~src ~dst msg) ->
+              (* A corrupted receiver ignoring this peer: judged at
+                 delivery time, so receive-side rules are windowed by
+                 arrival like every other fault. *)
+              trace_drop t ~src ~dst ~size ~reason:"adversary-deaf"
+          | _ ->
+              (match t.trace with
+              | None -> ()
+              | Some tr ->
+                  Rdb_trace.Trace.net_deliver tr ~src ~dst ~size ~at:(Engine.now t.engine));
+              t.deliver ~src ~dst msg)
+  end
+
+(* The one send path (network.mli, DESIGN.md §17): every destination's
+   decisions in order, then one pooled fan-out of the survivors. *)
+let multicast t ~src ~dsts ~size msg =
+  if not t.crashed.(src) then begin
+    let st = staging ~capacity:(List.length dsts) msg in
+    emit_all t st ~src ~size msg dsts;
+    flush t st ~src ~size
+  end
+
+let send t ~src ~dst ~size msg = multicast t ~src ~dsts:[ dst ] ~size msg

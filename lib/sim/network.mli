@@ -53,8 +53,18 @@ val create :
     conservative sharding because cross-shard links are cross-region
     and the WAN one-way latency floor is the engine's lookahead. *)
 
-val send : 'm t -> src:int -> dst:int -> size:int -> 'm -> unit
 val multicast : 'm t -> src:int -> dsts:int list -> size:int -> 'm -> unit
+(** The send path: one message from [src] to each of [dsts], in order.
+    Each destination gets every decision the wire makes, in order —
+    crashed sender, interposer emissions, drop rules, loss, the wire
+    model, the delivery hook, duplication — exactly as a send per
+    recipient would, and the survivors reach the engine as one pooled
+    {!Engine.fanout}: one heap record per destination shard and one
+    shared delivery closure, with the executed schedule of individual
+    sends (DESIGN.md §17). *)
+
+val send : 'm t -> src:int -> dst:int -> size:int -> 'm -> unit
+(** [multicast] to one recipient. *)
 
 val crash : 'm t -> int -> unit
 val recover : 'm t -> int -> unit

@@ -138,7 +138,7 @@ let vcost_of cfg m =
            (cfg.Config.costs.Config.verify_us *. float_of_int (max 1 (List.length batches))))
   | m -> Config.recv_floor_cost cfg ~bytes:(size_of cfg m)
 
-let send r ~dst m = r.ctx.Ctx.send ~dst ~size:(size_of r.cfg m) ~vcost:(vcost_of r.cfg m) m
+let send r ~dst m = Ctx.send r.ctx ~dst ~size:(size_of r.cfg m) ~vcost:(vcost_of r.cfg m) m
 
 let rep_of cfg ~cluster = Config.replica_id cfg ~cluster ~index:0
 let is_rep r = r.my_local = 0
@@ -576,13 +576,13 @@ let create_client (ctx : msg Ctx.t) ~cluster =
   let vcost = Config.recv_floor_cost cfg ~bytes:size in
   let transmit ~retry:_ (batch : Batch.t) =
     (* Clients talk to their site's representative. *)
-    ctx.Ctx.send ~dst:(rep_of cfg ~cluster) ~size ~vcost (Request batch)
+    Ctx.send ctx ~dst:(rep_of cfg ~cluster) ~size ~vcost (Request batch)
   in
   (* Read-only batches skip global ordering entirely: every site
      member answers from its state. *)
   let transmit_read (batch : Batch.t) =
     List.iter
-      (fun dst -> ctx.Ctx.send ~dst ~size ~vcost (Read_request batch))
+      (fun dst -> Ctx.send ctx ~dst ~size ~vcost (Read_request batch))
       (Config.replicas_of_cluster cfg cluster)
   in
   {

@@ -10,9 +10,13 @@ open Import
    uniform and auditable.
 
    Conventions:
-   - [send] declares the wire [size] (bandwidth model) and the
+   - [send] delivers one message to a list of recipients (in list
+     order); it declares the wire [size] (bandwidth model) and the
      receiver-side verification cost [vcost] (charged to the receiver's
-     worker thread before its handler runs).
+     worker thread before its handler runs).  The fabric binds it to
+     the network's pooled fan-out, so an n-recipient message costs one
+     event-queue record per destination shard instead of n.  Protocols
+     call it through [send] (one recipient) and [multicast].
    - Sender-side CPU (signing, certificate construction, batch
      assembly) is charged explicitly with [charge]; continuations fire
      when the stage completes.
@@ -42,12 +46,7 @@ type 'm t = {
   keychain : Keychain.t;
   rng : Rng.t;
   now : unit -> Time.t;
-  send : dst:int -> size:int -> vcost:Time.t -> 'm -> unit;
-  (* One message to many recipients (in list order).  Semantically
-     identical to folding [send] over [dsts]; the fabric binds it to
-     the network's pooled fan-out so an n-recipient broadcast costs one
-     event-queue record instead of n (the large-topology send path). *)
-  bcast : dsts:int list -> size:int -> vcost:Time.t -> 'm -> unit;
+  send : dsts:int list -> size:int -> vcost:Time.t -> 'm -> unit;
   charge : stage:Cpu.stage -> cost:Time.t -> (unit -> unit) -> unit;
   set_timer : delay:Time.t -> (unit -> unit) -> timer;
   cancel_timer : timer -> unit;
@@ -71,7 +70,8 @@ type 'm t = {
   phase : key:int -> name:string -> unit;
 }
 
-let multicast t ~dsts ~size ~vcost msg = t.bcast ~dsts ~size ~vcost msg
+let send t ~dst ~size ~vcost msg = t.send ~dsts:[ dst ] ~size ~vcost msg
+let multicast t ~dsts ~size ~vcost msg = t.send ~dsts ~size ~vcost msg
 
 (* Restrict a context to an embedded sub-protocol speaking its own
    message type (e.g. the Pbft engine inside GeoBFT): sends are mapped
@@ -83,8 +83,7 @@ let map_send (inject : 'a -> 'b) (t : 'b t) : 'a t =
     keychain = t.keychain;
     rng = t.rng;
     now = t.now;
-    send = (fun ~dst ~size ~vcost m -> t.send ~dst ~size ~vcost (inject m));
-    bcast = (fun ~dsts ~size ~vcost m -> t.bcast ~dsts ~size ~vcost (inject m));
+    send = (fun ~dsts ~size ~vcost m -> t.send ~dsts ~size ~vcost (inject m));
     charge = t.charge;
     set_timer = t.set_timer;
     cancel_timer = t.cancel_timer;

@@ -8,9 +8,10 @@ open Import
     charging of CPU/network costs uniform and auditable.
 
     Conventions:
-    - [send] declares the wire [size] (for the bandwidth model) and the
-      receiver-side verification cost [vcost] (charged to the
-      receiver's input threads before its handler runs);
+    - [send] delivers one message to a list of recipients and declares
+      the wire [size] (for the bandwidth model) and the receiver-side
+      verification cost [vcost] (charged to the receiver's input
+      threads before its handler runs);
     - sender-side CPU (signing, certificate construction, batch
       assembly) is charged explicitly with [charge];
     - [execute] is the single "this batch is ordered" entry point: the
@@ -34,13 +35,12 @@ type 'm t = {
   keychain : Keychain.t;
   rng : Rng.t;
   now : unit -> Time.t;
-  send : dst:int -> size:int -> vcost:Time.t -> 'm -> unit;
-  bcast : dsts:int list -> size:int -> vcost:Time.t -> 'm -> unit;
-      (** One message to many recipients (in list order).  Semantically
-          identical to folding [send] over [dsts]; the fabric binds it
-          to the network's pooled fan-out so an n-recipient broadcast
-          costs one event-queue record instead of n.  Call through
-          {!multicast}. *)
+  send : dsts:int list -> size:int -> vcost:Time.t -> 'm -> unit;
+      (** One message to many recipients (in list order), each getting
+          exactly what a separate send would.  The fabric binds it to
+          the network's pooled fan-out, so an n-recipient message costs
+          one event-queue record per destination shard instead of n.
+          Call through {!send} and {!multicast}. *)
   charge : stage:Cpu.stage -> cost:Time.t -> (unit -> unit) -> unit;
   set_timer : delay:Time.t -> (unit -> unit) -> timer;
   cancel_timer : timer -> unit;
@@ -65,6 +65,9 @@ type 'm t = {
           tracing is off — marking must stay cheap enough to leave in
           the hot path unconditionally. *)
 }
+
+val send : 'm t -> dst:int -> size:int -> vcost:Time.t -> 'm -> unit
+(** One message to one recipient. *)
 
 val multicast : 'm t -> dsts:int list -> size:int -> vcost:Time.t -> 'm -> unit
 

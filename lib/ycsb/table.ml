@@ -81,10 +81,6 @@ let apply t (txn : Txn.t) : int64 =
 
 let apply_batch t (txns : Txn.t array) = Array.map (apply t) txns
 
-(* Deprecated result-less execution path (see the .mli): the fabric now
-   executes through Rdb_storage.Kv, which returns per-batch results. *)
-let execute t (txns : Txn.t array) = ignore (apply_batch t txns)
-
 (* An identical, independent copy: one memcpy of the record store
    instead of re-deriving 600 k records per replica at deployment
    construction.  Counters start fresh, matching [create]. *)

@@ -38,14 +38,6 @@ val apply : t -> Txn.t -> int64
 
 val apply_batch : t -> Txn.t array -> int64 array
 
-val execute : t -> Txn.t array -> unit
-[@@ocaml.deprecated
-  "results are no longer optional: use apply_batch (or execute batches through \
-   Rdb_storage.Kv, which the fabric does) so replicas can reply with result digests."]
-(** Same state transition as {!apply_batch} with the result array
-    dropped.  Deprecated: the execution seam now returns per-batch
-    results that client replies carry; this alias remains for one PR. *)
-
 val clone : t -> t
 (** An identical, independent copy of the record store (one memcpy);
     read/write counters start fresh, as after {!create}. *)

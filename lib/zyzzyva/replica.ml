@@ -80,7 +80,7 @@ let vcost_of cfg m =
       Time.add (Config.recv_floor_cost cfg ~bytes:(size_of cfg m)) (Config.verify_cost cfg)
   | m -> Config.recv_floor_cost cfg ~bytes:(size_of cfg m)
 
-let send r ~dst m = r.ctx.Ctx.send ~dst ~size:(size_of r.cfg m) ~vcost:(vcost_of r.cfg m) m
+let send r ~dst m = Ctx.send r.ctx ~dst ~size:(size_of r.cfg m) ~vcost:(vcost_of r.cfg m) m
 
 let create_replica (ctx : msg Ctx.t) =
   let cfg = ctx.Ctx.config in
@@ -243,7 +243,7 @@ let create_client (ctx : msg Ctx.t) ~cluster:_ =
     slow_completions = 0;
   }
 
-let csend c ~dst m = c.cctx.Ctx.send ~dst ~size:(size_of c.ccfg m) ~vcost:(vcost_of c.ccfg m) m
+let csend c ~dst m = Ctx.send c.cctx ~dst ~size:(size_of c.ccfg m) ~vcost:(vcost_of c.ccfg m) m
 
 (* The commit timer: how long a client waits for the full n fast-path
    replies before falling back to the commit-certificate path.  Zyzzyva

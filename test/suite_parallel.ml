@@ -171,6 +171,61 @@ let test_digest_equality proto () =
   check_equal (name ^ " attack")
     (Scenario.make ~windows ~attack:(sampled_attack proto cfg) proto cfg)
 
+(* -- pinned fault-path digests -------------------------------------------- *)
+
+(* Trace digests of three runs whose messages take the faulted branches
+   of the network's send path, pinned to the values the simulator
+   produced before that path was merged into the pooled fan-out.  Any
+   change to how a faulted send is admitted, delayed, duplicated or
+   sequenced moves one of them. *)
+let test_pinned_fault_digests () =
+  let module A = Adversary in
+  let module Check = Rdb_check.Check in
+  let module Perturb = Rdb_check.Perturb in
+  let digest_of ~jobs s = snd (run_to_bytes ~jobs s) in
+  let cfg = Config.make ~z:2 ~n:4 ~batch_size:20 ~client_inflight:8 ~seed:1 () in
+  let windows = { Scenario.warmup = Time.ms 500; measure = Time.ms 1000 } in
+  (* Interposed emissions: a delayed sender (held emissions re-admitted
+     later) and a replaying primary (two emissions per send). *)
+  let attack =
+    {
+      A.Attack.rules =
+        [
+          { A.actor = 4; prim = A.Delay { cls = None; dst = A.Everyone; ms = 7 };
+            from_ms = 600; until_ms = 1400 };
+          { A.actor = 0; prim = A.Replay { cls = Rdb_types.Interpose.Proposal; every = 2 };
+            from_ms = 600; until_ms = 1400 };
+        ];
+    }
+  in
+  Alcotest.(check string) "attack: delay + replay"
+    "31a8ebf6d4086577c4b4d1002e71a5db8bb051af4e6e71878b046b0b3bfcb070"
+    (digest_of ~jobs:1 (Scenario.make ~windows ~attack Scenario.Pbft cfg));
+  (* A checker schedule editing both counters: engine deferrals and
+     delivery-hook delay/swap edits. *)
+  let edits =
+    [ Perturb.Delay { nth = 40; extra = Time.ms 3 }; Perturb.Defer { nth = 120 };
+      Perturb.Defer { nth = 500 }; Perturb.Swap { nth = 300 } ]
+  in
+  let r =
+    Check.run_one (Scenario.make ~windows ~trace:true Scenario.Pbft cfg)
+      ~hooks:(Perturb.replay edits) ~provoke:None
+  in
+  Alcotest.(check (list string)) "every edit landed" (List.map Perturb.to_string edits)
+    (List.map Perturb.to_string r.Check.applied);
+  Alcotest.(check (option string)) "check: defer + delivery hook"
+    (Some "abc51ab6926827b15b88fe8ba1e5cc9060b11b891f9ae51bfd2c38d723095eac")
+    r.Check.digest;
+  (* Cross-shard staging with faults: three shards on two domains under
+     a timeline with a partition, link loss, duplication and a severed
+     link. *)
+  let chaos_cfg = Config.make ~z:3 ~n:4 ~batch_size:20 ~client_inflight:4 ~seed:2 () in
+  let chaos_windows = { Scenario.warmup = Time.ms 1000; measure = Time.ms 3000 } in
+  Alcotest.(check string) "chaos z3 --jobs 2"
+    "e2e7c27b8e5a09e9abff3784db3cfe43159afc9cbac8a9d9dec8edacd7ee1e17"
+    (digest_of ~jobs:2
+       (Scenario.make ~windows:chaos_windows ~fault:(Runner.Chaos 8) Scenario.Geobft chaos_cfg))
+
 let suite =
   [
     ("event pool reuse", `Quick, test_pool_reuse);
@@ -184,4 +239,5 @@ let suite =
     ("seq=par: Zyzzyva", `Slow, test_digest_equality Runner.Zyzzyva);
     ("seq=par: HotStuff", `Slow, test_digest_equality Runner.Hotstuff);
     ("seq=par: Steward", `Slow, test_digest_equality Runner.Steward);
+    ("pinned fault-path digests", `Slow, test_pinned_fault_digests);
   ]

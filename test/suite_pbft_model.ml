@@ -71,9 +71,6 @@ let make_harness ~n =
       rng = Rng.create (Int64.of_int id);
       now = (fun () -> Rdb_sim.Engine.now engine_handle);
       send =
-        (fun ~dst ~size:_ ~vcost:_ m ->
-          match !h_ref with Some h -> push_mail h (id, dst, m) | None -> ());
-      bcast =
         (fun ~dsts ~size:_ ~vcost:_ m ->
           match !h_ref with
           | Some h -> List.iter (fun dst -> push_mail h (id, dst, m)) dsts

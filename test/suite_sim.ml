@@ -366,6 +366,94 @@ let test_cpu_fast_path_and_accounting () =
   Alcotest.(check (float 0.0001) ) "busy accounting" 0.005001
     (Cpu.busy_sec cpu ~node:0 ~stage:Cpu.Worker)
 
+(* -- pooled fan-out ≡ per-event scheduling ------------------------------- *)
+
+(* A fan-out case: engine shard count, whether the fan-out is issued
+   from inside an event on shard [cur] or from outside event execution,
+   the (destination shard, time offset) of each entry — offset -1 is a
+   time in the past for a shard the caller may schedule on directly —
+   and, on one-shard engines, a cyclic defer pattern for the
+   schedule-exploration hook. *)
+type fanout_case = {
+  fz : int;
+  inside : bool;
+  cur : int;
+  entries : (int * int) list;
+  defer : bool list;
+}
+
+let gen_fanout_case =
+  QCheck.Gen.(
+    let* fz = int_range 1 3 in
+    let* inside = bool in
+    let* cur = int_bound (fz - 1) in
+    let* entries = list_size (int_bound 12) (pair (int_bound (fz - 1)) (int_range (-1) 4)) in
+    let* defer = if fz = 1 then list_size (int_range 0 5) bool else return [] in
+    return { fz; inside; cur; entries; defer })
+
+let print_fanout_case c =
+  Printf.sprintf "z=%d %s cur=%d entries=[%s] defer=[%s]" c.fz
+    (if c.inside then "inside" else "outside")
+    c.cur
+    (String.concat "; " (List.map (fun (sh, o) -> Printf.sprintf "%d@%d" sh o) c.entries))
+    (String.concat "" (List.map (fun d -> if d then "1" else "0") c.defer))
+
+(* Run one case and return the executed order as (shard, time, tag):
+   entry [i] logs tag [i], background events log negative tags.
+   [pooled] issues the entries through [Engine.fanout]; otherwise
+   through one [schedule_at_shard] per entry, the reference. *)
+let run_fanout_case ~pooled c =
+  let lookahead = Time.ms 1 in
+  let e = Engine.create ~seed:1 ~shards:c.fz ~lookahead () in
+  (match c.defer with
+  | [] -> ()
+  | d ->
+      let d = Array.of_list d in
+      Engine.set_defer_hook e (Some (fun n -> d.(n mod Array.length d))));
+  let log = ref [] in
+  let note tag () = log := (Engine.current_shard_id e, Engine.now e, tag) :: !log in
+  let trigger = Time.ms 10 in
+  let at_off o = Time.add (Time.add trigger lookahead) (Time.us (500 * o)) in
+  (* Background events on every shard, tied with the entries' times. *)
+  for sh = 0 to c.fz - 1 do
+    for o = 0 to 3 do
+      ignore (Engine.schedule_at_shard e ~shard:sh ~at:(at_off o) (note (-1 - ((sh * 10) + o))))
+    done
+  done;
+  let direct sh = (not c.inside) || sh = c.cur in
+  let fire () =
+    let shards = Array.of_list (List.map fst c.entries) in
+    let times =
+      Array.of_list
+        (List.map
+           (fun (sh, o) -> if o < 0 && direct sh then Time.zero else at_off (max o 0))
+           c.entries)
+    in
+    let deliver i = note i () in
+    if pooled then Engine.fanout e ~shards ~times ~deliver
+    else
+      Array.iteri
+        (fun i sh ->
+          ignore (Engine.schedule_at_shard e ~shard:sh ~at:times.(i) (fun () -> deliver i)))
+        shards;
+    (* Schedules made after the fan-out must still sort behind it. *)
+    for sh = 0 to c.fz - 1 do
+      ignore (Engine.schedule_at_shard e ~shard:sh ~at:(at_off 1) (note (-100 - sh)))
+    done
+  in
+  if c.inside then ignore (Engine.schedule_at_shard e ~shard:c.cur ~at:trigger fire)
+  else begin
+    Engine.run_until e ~until:trigger;
+    fire ()
+  end;
+  Engine.run e;
+  List.rev !log
+
+let prop_fanout_matches_per_event =
+  QCheck.Test.make ~name:"Engine.fanout executes like per-event schedule_at_shard" ~count:300
+    (QCheck.make ~print:print_fanout_case gen_fanout_case)
+    (fun c -> run_fanout_case ~pooled:true c = run_fanout_case ~pooled:false c)
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let suite =
@@ -392,7 +480,7 @@ let suite =
     ("cpu stage serialization", `Quick, test_cpu_stage_serialization);
     ("cpu fast path", `Quick, test_cpu_fast_path_and_accounting);
   ]
-  @ qsuite [ prop_heap_sorted ]
+  @ qsuite [ prop_heap_sorted; prop_fanout_matches_per_event ]
 
 (* -- WAN egress cap ----------------------------------------------------- *)
 

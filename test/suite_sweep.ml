@@ -154,23 +154,33 @@ let test_report_json_round_trip () =
             true (r = r'))
     [ false; true ]
 
-let test_report_json_refuses_newer_schema () =
+(* A report's JSON document with its schema_version replaced. *)
+let report_json_at_version v =
   let s = Scenario.make ~windows:tiny_windows Scenario.Pbft (tiny_cfg ()) in
   let r = Runner.run s in
   match Json.of_string (Report.to_json_string r) with
   | Error msg -> Alcotest.failf "unparseable report JSON: %s" msg
   | Ok (Json.Obj fields) ->
-      let bumped =
-        Json.Obj
-          (List.map
-             (function
-               | "schema_version", _ -> ("schema_version", Json.Int (Report.schema_version + 1))
-               | kv -> kv)
-             fields)
-      in
-      Alcotest.(check bool) "newer schema refused" true
-        (Result.is_error (Report.of_json (Json.to_string bumped |> Json.of_string |> Result.get_ok)))
+      Json.Obj
+        (List.map
+           (function "schema_version", _ -> ("schema_version", Json.Int v) | kv -> kv)
+           fields)
   | Ok _ -> Alcotest.fail "report JSON is not an object"
+
+let test_report_json_refuses_newer_schema () =
+  Alcotest.(check bool) "newer schema refused" true
+    (Result.is_error (Report.of_json (report_json_at_version (Report.schema_version + 1))))
+
+let test_report_json_refuses_older_schema () =
+  (* Schema-2 documents lack the storage and read/scan fields; they are
+     refused outright rather than read with invented defaults. *)
+  match Report.of_json (report_json_at_version 2) with
+  | Ok _ -> Alcotest.fail "schema-2 document accepted"
+  | Error msg ->
+      Alcotest.(check string) "error names both versions"
+        (Printf.sprintf "Report.of_json: schema_version 2 is older than %d and no longer read"
+           Report.schema_version)
+        msg
 
 (* -- sweep determinism ----------------------------------------------------- *)
 
@@ -278,4 +288,5 @@ let suite =
     ("sweep progress callback", `Quick, test_progress_callback);
     ("sweep failure capture", `Quick, test_failure_capture);
     ("sweep document shape", `Quick, test_sweep_document_shape);
+    ("report JSON refuses older schema", `Quick, test_report_json_refuses_older_schema);
   ]

@@ -137,8 +137,7 @@ let mk_client_ctx () =
       keychain = Lazy.force kc;
       rng = Rdb_prng.Rng.create 1L;
       now = (fun () -> Engine.now engine);
-      send = (fun ~dst ~size:_ ~vcost:_ () -> sent := dst :: !sent);
-      bcast = (fun ~dsts ~size:_ ~vcost:_ () -> List.iter (fun dst -> sent := dst :: !sent) dsts);
+      send = (fun ~dsts ~size:_ ~vcost:_ () -> List.iter (fun dst -> sent := dst :: !sent) dsts);
       charge = (fun ~stage:_ ~cost:_ k -> k ());
       set_timer = (fun ~delay k -> Engine.schedule_after engine ~delay k);
       cancel_timer = Engine.cancel;
@@ -230,8 +229,7 @@ let test_ctx_map_send () =
       keychain = Lazy.force kc;
       rng = Rdb_prng.Rng.create 1L;
       now = (fun () -> Engine.now engine);
-      send = (fun ~dst ~size ~vcost m -> sent := (dst, size, vcost, m) :: !sent);
-      bcast =
+      send =
         (fun ~dsts ~size ~vcost m ->
           List.iter (fun dst -> sent := (dst, size, vcost, m) :: !sent) dsts);
       charge = (fun ~stage:_ ~cost:_ k -> k ());
@@ -248,7 +246,7 @@ let test_ctx_map_send () =
     }
   in
   let inner : int Ctx.t = Ctx.map_send string_of_int ctx in
-  inner.Ctx.send ~dst:3 ~size:99 ~vcost:(Time.us 7) 42;
+  Ctx.send inner ~dst:3 ~size:99 ~vcost:(Time.us 7) 42;
   (match !sent with
   | [ (3, 99, vc, "42") ] -> Alcotest.(check int64) "vcost preserved" (Time.us 7) vc
   | _ -> Alcotest.fail "map_send mangled the message");
