@@ -1,24 +1,41 @@
-(* SHA-256 (FIPS 180-4), implemented from scratch on native ints.
+(* SHA-256 (FIPS 180-4): the 64-byte block compression runs on the
+   x86-64 SHA extensions when the CPU has them, and on native OCaml ints
+   otherwise.
 
    ResilientDB uses SHA256 for all collision-resistant message digests
    (block hashes, request digests, checkpoint state digests); this module
    is the repo-wide digest primitive.  Verified against the NIST test
-   vectors in the test suite.
+   vectors in the test suite, on both compression paths.
 
-   All 32-bit words are carried in OCaml native ints (63-bit), masked
-   back to 32 bits after every addition.  An earlier [Int32]-based
-   version allocated a box for every message-schedule store and every
-   round-state update — hundreds of minor allocations per compressed
-   block — which made hashing the single largest line item in simulator
-   profiles.  Native-int words keep the whole compression function
-   allocation-free. *)
+   Padding, buffering and the streaming API are OCaml and shared by both
+   paths; only whole blocks go to the compression function.  The C
+   kernel (sha256_stubs.c) is chosen once, here at initialisation, from
+   a CPUID probe; nothing selects it afterwards and nothing can force
+   it.  The OCaml [compress_ocaml] below is the fallback on CPUs without
+   the extensions and the reference the tests hold the kernel to.
+
+   In the OCaml path all 32-bit words are carried in OCaml native ints
+   (63-bit), masked back to 32 bits after every addition, so the
+   compression function is allocation-free. *)
+
+external sha_ni_probe : unit -> bool = "rdb_sha256_ni_probe" [@@noalloc]
+
+(* [compress_ni h data off n] compresses the [n] whole blocks of [data]
+   at [off] into [h].  The caller checks the range. *)
+external compress_ni :
+  int array -> Bytes.t -> (int[@untagged]) -> (int[@untagged]) -> unit
+  = "rdb_sha256_ni_blocks_byte" "rdb_sha256_ni_blocks"
+[@@noalloc]
+
+let native = sha_ni_probe ()
 
 type ctx = {
   h : int array;               (* 8-word chaining state (32-bit values) *)
   buf : Bytes.t;               (* 64-byte block buffer *)
   mutable buf_len : int;       (* bytes currently in [buf] *)
   mutable total : int;         (* total message length in bytes *)
-  w : int array;               (* 64-word message schedule (scratch) *)
+  w : int array;               (* 64-word message schedule; empty when
+                                  the kernel compresses *)
 }
 
 let k =
@@ -34,15 +51,18 @@ let k =
      0x5b9cca4f; 0x682e6ff3; 0x748f82ee; 0x78a5636f; 0x84c87814; 0x8cc70208;
      0x90befffa; 0xa4506ceb; 0xbef9a3f7; 0xc67178f2 |]
 
-let init () =
+let make ~native =
   {
     h = [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a;
            0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |];
     buf = Bytes.create 64;
     buf_len = 0;
     total = 0;
-    w = Array.make 64 0;
+    w = (if native then [||] else Array.make 64 0);
   }
+
+let init () = make ~native
+let init_reference () = make ~native:false
 
 let mask = 0xFFFFFFFF
 
@@ -50,7 +70,7 @@ let mask = 0xFFFFFFFF
 let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
 
 (* Process one 64-byte block located at [off] in [data]. *)
-let compress ctx (data : Bytes.t) off =
+let compress_ocaml ctx (data : Bytes.t) off =
   let w = ctx.w in
   for t = 0 to 15 do
     let base = off + (4 * t) in
@@ -94,7 +114,16 @@ let compress ctx (data : Bytes.t) off =
   h.(6) <- (h.(6) + !g) land mask;
   h.(7) <- (h.(7) + !hh) land mask
 
+(* Compress the [n] whole blocks of [data] at [off]. *)
+let compress_blocks ctx data off n =
+  if Array.length ctx.w = 0 then compress_ni ctx.h data off n
+  else
+    for i = 0 to n - 1 do
+      compress_ocaml ctx data (off + (64 * i))
+    done
+
 let feed_bytes ctx (data : Bytes.t) off len =
+  if off < 0 || len < 0 || off > Bytes.length data - len then invalid_arg "Sha256.feed_bytes";
   ctx.total <- ctx.total + len;
   let off = ref off and len = ref len in
   (* Fill a partial buffer first. *)
@@ -105,16 +134,17 @@ let feed_bytes ctx (data : Bytes.t) off len =
     off := !off + take;
     len := !len - take;
     if ctx.buf_len = 64 then begin
-      compress ctx ctx.buf 0;
+      compress_blocks ctx ctx.buf 0 1;
       ctx.buf_len <- 0
     end
   end;
-  (* Whole blocks straight from the input. *)
-  while !len >= 64 do
-    compress ctx data !off;
-    off := !off + 64;
-    len := !len - 64
-  done;
+  (* Whole blocks straight from the input, in one call. *)
+  let blocks = !len / 64 in
+  if blocks > 0 then begin
+    compress_blocks ctx data !off blocks;
+    off := !off + (64 * blocks);
+    len := !len - (64 * blocks)
+  end;
   (* Stash the tail. *)
   if !len > 0 then begin
     Bytes.blit data !off ctx.buf ctx.buf_len !len;

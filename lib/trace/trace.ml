@@ -15,6 +15,7 @@
    this degenerates to exactly the pre-sharding digest. *)
 
 module Sha256 = Rdb_crypto.Sha256
+module Hex = Rdb_crypto.Hex
 
 type kind = Span | Instant
 
@@ -186,11 +187,6 @@ type summary = {
   digest_hex : string;
 }
 
-let hex raw =
-  let b = Buffer.create (2 * String.length raw) in
-  String.iter (fun c -> Buffer.add_string b (Printf.sprintf "%02x" (Char.code c))) raw;
-  Buffer.contents b
-
 let ms_of_ns ns = Int64.to_float ns /. 1e6
 
 let summary t =
@@ -199,14 +195,14 @@ let summary t =
     | Some d -> d
     | None ->
         let d =
-          if Array.length t.subs = 1 then hex (Sha256.finalize t.subs.(0).digest)
+          if Array.length t.subs = 1 then Hex.of_string (Sha256.finalize t.subs.(0).digest)
           else begin
             (* Digest-of-digests, in shard order: per-shard streams are
                deterministic, so this is too — and it never depends on
                the interleaving of shards within an epoch. *)
             let outer = Sha256.init () in
             Array.iter (fun s -> Sha256.feed_string outer (Sha256.finalize s.digest)) t.subs;
-            hex (Sha256.finalize outer)
+            Hex.of_string (Sha256.finalize outer)
           end
         in
         t.finalized <- Some d;

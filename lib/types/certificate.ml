@@ -45,8 +45,10 @@ type t = {
   mutable vmemo : memo option;    (* cached verdict; copies self-invalidate *)
 }
 
+(* Built on every commit sign and verify, so no [Printf]. *)
 let commit_payload ~cluster ~view ~seq ~digest =
-  Printf.sprintf "commit:%d:%d:%d:" cluster view seq ^ digest
+  String.concat ":"
+    [ "commit"; string_of_int cluster; string_of_int view; string_of_int seq; digest ]
 
 (* Number of signatures a verifier must check; drives the modeled CPU
    cost of certificate verification. *)

@@ -8,21 +8,34 @@ let check_hex msg expected actual = Alcotest.(check string) msg expected (Hex.of
 
 (* -- SHA-256: FIPS 180-4 / NIST CAVS vectors -------------------------------- *)
 
+(* Every vector runs through the OCaml reference and, when this CPU has
+   the SHA extensions, through the kernel. *)
+let nist_vectors =
+  [
+    ("", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+    ("abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+    ( "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+      "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1" );
+    ( "abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
+      "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1" );
+    ( String.make 1_000_000 'a',
+      "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0" );
+  ]
+
+let digest_with init msg =
+  let ctx = init () in
+  Sha256.feed_string ctx msg;
+  Sha256.finalize ctx
+
 let test_sha256_vectors () =
-  check_hex "empty" "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-    (Sha256.digest "");
-  check_hex "abc" "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-    (Sha256.digest "abc");
-  check_hex "448-bit"
-    "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
-    (Sha256.digest "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq");
-  check_hex "896-bit"
-    "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1"
-    (Sha256.digest
-       "abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu");
-  (* One million 'a' (NIST long test). *)
-  check_hex "million-a" "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-    (Sha256.digest (String.make 1_000_000 'a'))
+  if not Sha256.native then
+    print_endline "note: no SHA extensions on this CPU; the kernel leg is skipped";
+  List.iter
+    (fun (msg, expected) ->
+      let name = Printf.sprintf "%d bytes" (String.length msg) in
+      check_hex ("reference " ^ name) expected (digest_with Sha256.init_reference msg);
+      if Sha256.native then check_hex ("kernel " ^ name) expected (digest_with Sha256.init msg))
+    nist_vectors
 
 let test_sha256_incremental () =
   (* Incremental feeding across arbitrary chunk boundaries must equal
@@ -297,3 +310,68 @@ let suite =
       ("keychain seed separation", `Quick, test_keychains_with_different_seeds_disjoint);
     ]
   @ qsuite [ prop_int_core_matches_wrappers; prop_pow_laws ]
+
+(* -- SHA-256: the SHA-extension kernel against the OCaml reference --------- *)
+
+(* Feed [msg] through [feed_bytes] in the pieces that [cuts] (sorted
+   offsets into [msg]) delimit. *)
+let digest_split init msg cuts =
+  let ctx = init () in
+  let b = Bytes.of_string msg in
+  let last =
+    List.fold_left
+      (fun pos cut ->
+        Sha256.feed_bytes ctx b pos (cut - pos);
+        cut)
+      0 cuts
+  in
+  Sha256.feed_bytes ctx b last (Bytes.length b - last);
+  Sha256.finalize ctx
+
+let arb_split_message =
+  let open QCheck.Gen in
+  let len =
+    frequency
+      [ (1, oneofl [ 0; 55; 56; 63; 64; 65; 119; 120; 128; 4096 ]); (3, int_range 0 4096) ]
+  in
+  let gen =
+    len >>= fun n ->
+    pair (string_size ~gen:char (return n)) (list_size (int_bound 8) (int_bound n))
+    >|= fun (msg, cuts) -> (msg, List.sort compare cuts)
+  in
+  QCheck.make
+    ~print:(fun (msg, cuts) ->
+      Printf.sprintf "len=%d cuts=[%s]" (String.length msg)
+        (String.concat ";" (List.map string_of_int cuts)))
+    gen
+
+let prop_sha256_kernel_matches_reference =
+  QCheck.Test.make ~name:"sha256 kernel = OCaml reference" ~count:300 arb_split_message
+    (fun (msg, cuts) ->
+      let reference = digest_split Sha256.init_reference msg cuts in
+      String.equal reference (Sha256.digest msg)
+      && String.equal reference (digest_split Sha256.init msg cuts))
+
+let test_sha256_feed_bytes_range () =
+  let b = Bytes.make 100 'x' in
+  List.iter
+    (fun (off, len) ->
+      Alcotest.check_raises
+        (Printf.sprintf "off=%d len=%d" off len)
+        (Invalid_argument "Sha256.feed_bytes")
+        (fun () -> Sha256.feed_bytes (Sha256.init ()) b off len))
+    [ (-1, 10); (0, -1); (0, 101); (37, 64); (100, 1); (max_int, 1); (1, max_int) ];
+  (* The range is checked before any byte is absorbed. *)
+  let ctx = Sha256.init () in
+  (try Sha256.feed_bytes ctx b 90 64 with Invalid_argument _ -> ());
+  Sha256.feed_bytes ctx b 100 0;
+  Sha256.feed_bytes ctx b 0 100;
+  Alcotest.(check string)
+    "rejected range leaves the context untouched"
+    (Sha256.digest_hex (Bytes.to_string b))
+    (Hex.of_string (Sha256.finalize ctx))
+
+let suite =
+  suite
+  @ [ ("sha256 feed_bytes range check", `Quick, test_sha256_feed_bytes_range) ]
+  @ qsuite [ prop_sha256_kernel_matches_reference ]

@@ -284,3 +284,14 @@ let suite =
       ("noop id space", `Quick, test_noop_id_space);
       ("threshold cert costs", `Quick, test_threshold_cert_costs);
     ]
+
+(* Commit signatures are over these exact bytes: pinned so a rewrite of
+   the builder cannot move a single signed byte. *)
+let test_commit_payload_bytes () =
+  let digest = "\x00:\xffd" in
+  Alcotest.(check string) "payload" ("commit:3:12:4567:" ^ digest)
+    (Certificate.commit_payload ~cluster:3 ~view:12 ~seq:4567 ~digest);
+  Alcotest.(check string) "zero fields, empty digest" "commit:0:0:0:"
+    (Certificate.commit_payload ~cluster:0 ~view:0 ~seq:0 ~digest:"")
+
+let suite = suite @ [ ("commit payload bytes", `Quick, test_commit_payload_bytes) ]
