@@ -332,6 +332,19 @@ let micro_tests () =
   let zipf = Rdb_prng.Zipf.create Rdb_ycsb.Table.default_records in
   let zipf_rng = Rdb_prng.Rng.create 1L in
   let mk name f = Test.make ~name (Staged.stage f) in
+  (* One compaction of a paper-sized (600k-record) disk store, in a
+     temp dir removed at exit. *)
+  let store_dir = Filename.temp_file "rdb-micro-store" "" in
+  Sys.remove store_dir;
+  let store =
+    Rdb_storage.Blockstore.open_or_create ~dir:store_dir
+      ~n_records:Rdb_ycsb.Table.default_records ()
+  in
+  at_exit (fun () ->
+      Rdb_storage.Blockstore.close store;
+      Array.iter (fun f -> Sys.remove (Filename.concat store_dir f)) (Sys.readdir store_dir);
+      Sys.rmdir store_dir);
+  let state = Rdb_storage.Backend.init_records ~n_records:Rdb_ycsb.Table.default_records in
   [
     mk "sha256-5400B" (fun () -> ignore (Rdb_crypto.Sha256.digest sha_payload));
     mk "aes-cmac-250B" (fun () ->
@@ -345,6 +358,8 @@ let micro_tests () =
         done;
         Rdb_sim.Engine.run e);
     mk "zipf-sample-600k" (fun () -> ignore (Rdb_prng.Zipf.sample_scrambled zipf zipf_rng));
+    mk "snapshot-600k" (fun () -> Rdb_storage.Blockstore.note_restore store ~height:0);
+    mk "state-digest-600k" (fun () -> ignore (Rdb_storage.Backend.digest_records state));
   ]
   (* One deployment benchmark per protocol: the full cost of simulating
      half a second of a small geo deployment. *)

@@ -26,17 +26,26 @@
    persists an externally installed state snapshot ([note_restore]),
    which is how checkpoint-based state transfer lands on disk. *)
 
-module Splitmix64 = Rdb_prng.Splitmix64
-
 let snapshot_magic = 0x5244425F534E4150L (* "RDB_SNAP" *)
 
-(* Word-wise checksum: fold Splitmix64 mixing over the int64 words of
-   [s.(pos .. pos + 8*words)].  Not cryptographic — it guards against
-   torn writes and bit rot, not an adversary with filesystem access. *)
+(* Word-wise checksum: fold Splitmix64 mixing over little-endian int64
+   words.  Not cryptographic — it guards against torn writes and bit
+   rot, not an adversary with filesystem access.
+
+   [mix_in acc w] is [Splitmix64.mix (Int64.logxor acc w)] written out
+   so it inlines: a call would box [acc] once per word, while inlined
+   into a loop the fold stays in registers. *)
+let[@inline] mix_in acc w =
+  let z = Int64.add (Int64.logxor acc w) 0x9E3779B97F4A7C15L in
+  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
+  Int64.logxor z (Int64.shift_right_logical z 31)
+
+(* The checksum of the words [s.(pos .. pos + 8*words)]. *)
 let checksum (s : string) ~pos ~words =
   let acc = ref 0x436865636B73756DL in
   for k = 0 to words - 1 do
-    acc := Splitmix64.mix (Int64.logxor !acc (String.get_int64_le s (pos + (k * 8))))
+    acc := mix_in !acc (String.get_int64_le s (pos + (k * 8)))
   done;
   !acc
 
@@ -68,22 +77,33 @@ let read_file path =
 
 (* -- Snapshot file ----------------------------------------------------- *)
 
+(* Streams the records out through one reused chunk, folding the
+   checksum into each word as it is encoded, so no full image of the
+   state is ever built and the fold hides the encoding's cost. *)
 let write_snapshot t =
-  let b = Buffer.create ((t.n * 8) + 32) in
-  Buffer.add_int64_le b snapshot_magic;
-  Buffer.add_int64_le b (Int64.of_int t.height);
-  Buffer.add_int64_le b (Int64.of_int t.n);
-  for i = 0 to t.n - 1 do
-    Buffer.add_int64_le b (Bigarray.Array1.unsafe_get t.records i)
-  done;
-  let body = Buffer.contents b in
-  let chk = checksum body ~pos:0 ~words:(t.n + 3) in
+  let header = Bytes.create 24 in
+  Bytes.set_int64_le header 0 snapshot_magic;
+  Bytes.set_int64_le header 8 (Int64.of_int t.height);
+  Bytes.set_int64_le header 16 (Int64.of_int t.n);
+  let chunk = Bytes.create Backend.chunk_bytes in
   let tmp = snapshot_path t ^ ".tmp" in
   Out_channel.with_open_bin tmp (fun oc ->
-      Out_channel.output_string oc body;
-      let w = Bytes.create 8 in
-      Bytes.set_int64_le w 0 chk;
-      Out_channel.output_bytes oc w);
+      Out_channel.output_bytes oc header;
+      let acc = ref (checksum (Bytes.to_string header) ~pos:0 ~words:3) in
+      let base = ref 0 in
+      while !base < t.n do
+        let b = !base in
+        let m = min (Backend.chunk_bytes / 8) (t.n - b) in
+        for k = 0 to m - 1 do
+          let w = Bigarray.Array1.unsafe_get t.records (b + k) in
+          Bytes.set_int64_le chunk (k * 8) w;
+          acc := mix_in !acc w
+        done;
+        Out_channel.output oc chunk 0 (m * 8);
+        base := b + m
+      done;
+      Bytes.set_int64_le header 0 !acc;
+      Out_channel.output oc header 0 8);
   Sys.rename tmp (snapshot_path t);
   t.base <- t.height
 
@@ -182,10 +202,13 @@ let log_block t ~height ~keys ~values ~count =
     end
   end
 
+(* Like [log_block], a no-op once the store is closed. *)
 let note_restore t ~height =
-  t.height <- height;
-  write_snapshot t;
-  reset_log t
+  if not t.closed then begin
+    t.height <- height;
+    write_snapshot t;
+    reset_log t
+  end
 
 let close t =
   if not t.closed then begin

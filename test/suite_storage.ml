@@ -1,7 +1,9 @@
 (* Storage-engine tests: backend digest equivalence (the determinism
    contract of Storage.Backend), crash recovery of the persistent block
    store at every possible torn-write boundary, snapshot compaction and
-   re-anchoring, and mem-vs-disk deployment equivalence end to end. *)
+   re-anchoring, the snapshot file and checksum against the whole-image
+   writer they replaced, and mem-vs-disk deployment equivalence end to
+   end. *)
 
 module Config = Rdb_types.Config
 module Txn = Rdb_types.Txn
@@ -10,6 +12,10 @@ module App = Rdb_types.App
 module Time = Rdb_sim.Time
 module Keychain = Rdb_crypto.Keychain
 module Kv = Rdb_storage.Kv
+module Backend = Rdb_storage.Backend
+module Blockstore = Rdb_storage.Blockstore
+module Splitmix64 = Rdb_prng.Splitmix64
+module Sha256 = Rdb_crypto.Sha256
 module Ledger = Rdb_ledger.Ledger
 
 let kc = Keychain.create ~seed:"storage-suite" ~n_nodes:1
@@ -268,6 +274,118 @@ let test_installed_snapshot_persists () =
           Kv.close r;
           Kv.close src))
 
+(* -- snapshot file format ------------------------------------------------- *)
+
+(* The snapshot writer streams the records through one reused chunk
+   and folds the checksum as it goes.  The reference is the whole-image
+   writer it replaced: build the full file in a Buffer, then fold
+   [Splitmix64.mix] over every word. *)
+let reference_fold s ~pos ~words =
+  let acc = ref 0x436865636B73756DL in
+  for k = 0 to words - 1 do
+    acc := Splitmix64.mix (Int64.logxor !acc (String.get_int64_le s (pos + (k * 8))))
+  done;
+  !acc
+
+let reference_snapshot (r : Backend.records) ~height =
+  let n = Bigarray.Array1.dim r in
+  let b = Buffer.create ((n * 8) + 32) in
+  Buffer.add_int64_le b 0x5244425F534E4150L;
+  Buffer.add_int64_le b (Int64.of_int height);
+  Buffer.add_int64_le b (Int64.of_int n);
+  for i = 0 to n - 1 do
+    Buffer.add_int64_le b (Bigarray.Array1.get r i)
+  done;
+  let body = Buffer.contents b in
+  Buffer.add_int64_le b (reference_fold body ~pos:0 ~words:(n + 3));
+  Buffer.contents b
+
+let test_snapshot_spans_chunks () =
+  (* Two full chunks plus a three-word tail, with writes on both sides
+     of each chunk boundary and in the tail. *)
+  let words = Backend.chunk_bytes / 8 in
+  let n_records = (2 * words) + 3 in
+  with_dir (fun dir ->
+      let bs = Blockstore.open_or_create ~dir ~n_records () in
+      let r = Blockstore.records bs in
+      List.iter
+        (fun i -> Bigarray.Array1.set r i (Int64.of_int (-i)))
+        [ 0; words - 1; words; (2 * words) - 1; 2 * words; n_records - 1 ];
+      Blockstore.note_restore bs ~height:5;
+      Blockstore.close bs;
+      Alcotest.(check string) "snapshot.bin equals the whole-image reference"
+        (reference_snapshot r ~height:5)
+        (read_file (Filename.concat dir "snapshot.bin"));
+      Alcotest.(check string) "chunked state digest equals one-shot SHA-256"
+        (Sha256.digest (Backend.serialize_records r))
+        (Backend.digest_records r);
+      let kv = Kv.disk ~dir ~n_records () in
+      Alcotest.(check int) "reopened at the snapshot height" 5 (Kv.height kv);
+      Alcotest.(check string) "reopened state digest" (Backend.digest_records r)
+        (Kv.state_digest kv);
+      Kv.close kv)
+
+(* Random word strings read from random offsets, so [pos] need not be
+   word-aligned; pins the hand-inlined mixer to [Splitmix64.mix]. *)
+let prop_checksum_matches_reference =
+  let gen =
+    let open QCheck.Gen in
+    int_range 0 300 >>= fun len ->
+    string_size ~gen:char (return len) >>= fun s ->
+    int_bound len >>= fun pos ->
+    int_bound ((len - pos) / 8) >|= fun words -> (s, pos, words)
+  in
+  QCheck.Test.make ~name:"blockstore checksum = Splitmix64 fold" ~count:500
+    (QCheck.make
+       ~print:(fun (s, pos, words) ->
+         Printf.sprintf "len=%d pos=%d words=%d" (String.length s) pos words)
+       gen)
+    (fun (s, pos, words) ->
+      Int64.equal (reference_fold s ~pos ~words) (Blockstore.checksum s ~pos ~words))
+
+let test_corrupt_snapshot_falls_back_to_genesis () =
+  (* A snapshot that fails its checksum is rejected whole: with the
+     log above it unappliable, recovery lands on genesis, never on a
+     partly loaded state. *)
+  let refs = ref_digests ~blocks:10 in
+  with_dir (fun dir ->
+      let kv = Kv.disk ~snapshot_every:4 ~dir ~n_records () in
+      for i = 0 to 9 do
+        ignore (Kv.apply kv (write_batch i))
+      done;
+      let snap = read_file (Filename.concat dir "snapshot.bin") in
+      let flipped = Bytes.of_string snap in
+      let off = 24 + (8 * 5) + 3 in
+      Bytes.set flipped off (Char.chr (Char.code (Bytes.get flipped off) lxor 0x01));
+      List.iter
+        (fun (what, bad) ->
+          with_dir (fun dir2 ->
+              write_file (Filename.concat dir2 "snapshot.bin") bad;
+              write_file (Filename.concat dir2 "blocks.log")
+                (read_file (Filename.concat dir "blocks.log"));
+              let r = Kv.disk ~snapshot_every:4 ~dir:dir2 ~n_records () in
+              Alcotest.(check int) (what ^ ": snapshot rejected") 0 (Kv.height r);
+              Alcotest.(check string) (what ^ ": state is genesis") refs.(0)
+                (Kv.state_digest r);
+              Kv.close r))
+        [
+          ("byte flipped in the record body", Bytes.to_string flipped);
+          ("truncated by 8 bytes", String.sub snap 0 (String.length snap - 8));
+        ];
+      Kv.close kv)
+
+let test_closed_store_ignores_restore () =
+  with_dir (fun dir ->
+      let bs = Blockstore.open_or_create ~dir ~n_records () in
+      Blockstore.close bs;
+      let listing () =
+        Sys.readdir dir |> Array.to_list |> List.sort compare
+        |> List.map (fun f -> (f, read_file (Filename.concat dir f)))
+      in
+      let before = listing () in
+      Blockstore.note_restore bs ~height:3;
+      Alcotest.(check (list (pair string string))) "directory untouched" before (listing ()))
+
 (* -- end-to-end deployment equivalence ----------------------------------- *)
 
 module Dep = Rdb_fabric.Deployment.Make (Rdb_pbft.Replica)
@@ -331,4 +449,8 @@ let suite =
     ("recovery idempotent, re-anchored", `Quick, test_recovery_idempotent_and_reanchored);
     ("installed snapshot persists", `Quick, test_installed_snapshot_persists);
     ("mem vs disk deployments identical", `Quick, test_mem_vs_disk_deployment);
+    ("snapshot spanning chunks, same bytes", `Quick, test_snapshot_spans_chunks);
+    ("corrupt snapshot falls back to genesis", `Quick, test_corrupt_snapshot_falls_back_to_genesis);
+    ("closed store ignores note_restore", `Quick, test_closed_store_ignores_restore);
+    QCheck_alcotest.to_alcotest prop_checksum_matches_reference;
   ]
