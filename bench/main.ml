@@ -332,18 +332,32 @@ let micro_tests () =
   let zipf = Rdb_prng.Zipf.create Rdb_ycsb.Table.default_records in
   let zipf_rng = Rdb_prng.Rng.create 1L in
   let mk name f = Test.make ~name (Staged.stage f) in
-  (* One compaction of a paper-sized (600k-record) disk store, in a
-     temp dir removed at exit. *)
-  let store_dir = Filename.temp_file "rdb-micro-store" "" in
-  Sys.remove store_dir;
-  let store =
-    Rdb_storage.Blockstore.open_or_create ~dir:store_dir
-      ~n_records:Rdb_ycsb.Table.default_records ()
+  (* Paper-sized (600k-record) disk stores, each in a temp dir removed
+     at exit. *)
+  let micro_store ?snapshot_every () =
+    let dir = Filename.temp_file "rdb-micro-store" "" in
+    Sys.remove dir;
+    let store =
+      Rdb_storage.Blockstore.open_or_create ?snapshot_every ~dir
+        ~n_records:Rdb_ycsb.Table.default_records ()
+    in
+    at_exit (fun () ->
+        Rdb_storage.Blockstore.close store;
+        Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+        Sys.rmdir dir);
+    store
   in
-  at_exit (fun () ->
-      Rdb_storage.Blockstore.close store;
-      Array.iter (fun f -> Sys.remove (Filename.concat store_dir f)) (Sys.readdir store_dir);
-      Sys.rmdir store_dir);
+  (* One full-image compaction. *)
+  let store = micro_store () in
+  (* One delta compaction with 3,200 records dirty since the full image:
+     a store that compacts after every block, its dirty set seeded by
+     one 3,200-write block, then timed on one-write blocks to a key
+     already dirty. *)
+  let delta_store = micro_store ~snapshot_every:1 () in
+  let dirty_keys = Array.init 3_200 (fun i -> i * 187) in
+  Rdb_storage.Blockstore.log_block delta_store ~height:0 ~keys:dirty_keys
+    ~values:(Array.map Int64.of_int dirty_keys) ~count:3_200;
+  let delta_height = ref 1 in
   let state = Rdb_storage.Backend.init_records ~n_records:Rdb_ycsb.Table.default_records in
   [
     mk "sha256-5400B" (fun () -> ignore (Rdb_crypto.Sha256.digest sha_payload));
@@ -359,6 +373,10 @@ let micro_tests () =
         Rdb_sim.Engine.run e);
     mk "zipf-sample-600k" (fun () -> ignore (Rdb_prng.Zipf.sample_scrambled zipf zipf_rng));
     mk "snapshot-600k" (fun () -> Rdb_storage.Blockstore.note_restore store ~height:0);
+    mk "delta-compaction-600k" (fun () ->
+        Rdb_storage.Blockstore.log_block delta_store ~height:!delta_height ~keys:[| 0 |]
+          ~values:[| 0L |] ~count:1;
+        incr delta_height);
     mk "state-digest-600k" (fun () -> ignore (Rdb_storage.Backend.digest_records state));
   ]
   (* One deployment benchmark per protocol: the full cost of simulating

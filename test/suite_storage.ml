@@ -1,9 +1,9 @@
 (* Storage-engine tests: backend digest equivalence (the determinism
    contract of Storage.Backend), crash recovery of the persistent block
-   store at every possible torn-write boundary, snapshot compaction and
-   re-anchoring, the snapshot file and checksum against the whole-image
-   writer they replaced, and mem-vs-disk deployment equivalence end to
-   end. *)
+   store at every possible torn-write boundary, compaction to deltas and
+   full images and re-anchoring, corrupt and stale deltas, the snapshot
+   file and checksum against the whole-image writer they replaced, and
+   mem-vs-disk deployment equivalence end to end. *)
 
 module Config = Rdb_types.Config
 module Txn = Rdb_types.Txn
@@ -61,11 +61,15 @@ let rec rm_rf path =
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 let write_file path s = Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
 
-(* The snapshot file only exists once the store compacted or
-   re-anchored; copy it when present. *)
+(* The anchor files only exist once the store compacted or re-anchored:
+   [snapshot.bin] after a full image, [delta.bin] after a delta.  Copy
+   each one present. *)
 let copy_snapshot ~src ~dst =
-  let s = Filename.concat src "snapshot.bin" in
-  if Sys.file_exists s then write_file (Filename.concat dst "snapshot.bin") (read_file s)
+  List.iter
+    (fun f ->
+      let s = Filename.concat src f in
+      if Sys.file_exists s then write_file (Filename.concat dst f) (read_file s))
+    [ "snapshot.bin"; "delta.bin" ]
 
 let with_dir f =
   let dir = fresh_dir () in
@@ -131,13 +135,14 @@ let test_reads_leave_state_untouched () =
    blocks.log, reconstruct a crashed directory and reopen it.  The
    recovered store must land exactly on the reference digest for the
    number of complete frames it could replay. *)
-let crash_sweep ~snapshot_every ~blocks ~check_height =
+let crash_sweep ?(check_anchors = ignore) ~snapshot_every ~blocks ~check_height () =
   let refs = ref_digests ~blocks in
   with_dir (fun dir ->
       let kv = Kv.disk ~snapshot_every ~dir ~n_records () in
       for i = 0 to blocks - 1 do
         ignore (Kv.apply kv (write_batch i))
       done;
+      check_anchors dir;
       (* Simulate the crash: abandon [kv] without closing it; log_block
          flushes each frame, so the on-disk bytes are what a crash at
          this point would leave behind. *)
@@ -169,15 +174,17 @@ let test_crash_at_every_log_byte () =
       Alcotest.(check int)
         (Printf.sprintf "complete frames below byte %d" cut)
         (cut / frame_bytes) h)
+    ()
 
 let test_crash_after_compaction () =
-  (* snapshot_every=4 over 10 blocks: the store re-anchored at height 8,
+  (* snapshot_every=4 over 10 blocks: the store compacted at height 8,
      so any crash recovers to at least 8 and the log only adds the two
      post-snapshot frames. *)
   crash_sweep ~snapshot_every:4 ~blocks:10 ~check_height:(fun ~cut h ->
       Alcotest.(check int)
         (Printf.sprintf "snapshot base + complete frames at byte %d" cut)
         (8 + (cut / frame_bytes)) h)
+    ()
 
 let test_corrupt_frame_stops_replay () =
   let blocks = 6 in
@@ -346,11 +353,17 @@ let prop_checksum_matches_reference =
 let test_corrupt_snapshot_falls_back_to_genesis () =
   (* A snapshot that fails its checksum is rejected whole: with the
      log above it unappliable, recovery lands on genesis, never on a
-     partly loaded state. *)
+     partly loaded state.  The compactions at 4 and 8 write deltas, so
+     the full image at 8 comes from the re-anchor on reopen. *)
   let refs = ref_digests ~blocks:10 in
   with_dir (fun dir ->
       let kv = Kv.disk ~snapshot_every:4 ~dir ~n_records () in
-      for i = 0 to 9 do
+      for i = 0 to 7 do
+        ignore (Kv.apply kv (write_batch i))
+      done;
+      Kv.close kv;
+      let kv = Kv.disk ~snapshot_every:4 ~dir ~n_records () in
+      for i = 8 to 9 do
         ignore (Kv.apply kv (write_batch i))
       done;
       let snap = read_file (Filename.concat dir "snapshot.bin") in
@@ -429,14 +442,128 @@ let test_mem_vs_disk_deployment () =
       Dep.close dm;
       Dep.close dd;
       (* The disk deployment left recoverable per-replica stores behind:
-         reopening replica 0's store reproduces its final state. *)
-      let final = (Dep.app dm ~replica:0).App.state_digest () in
-      let r =
-        Kv.disk ~dir:(Filename.concat store_dir "r0") ~n_records:1000 ()
+         reopening each replica's store reproduces its final height and
+         state. *)
+      for i = 0 to 3 do
+        let app = Dep.app dm ~replica:i in
+        let r =
+          Kv.disk ~dir:(Filename.concat store_dir (Printf.sprintf "r%d" i)) ~n_records:1000 ()
+        in
+        Alcotest.(check int)
+          (Printf.sprintf "replica %d store recovers final height" i)
+          (app.App.height ()) (Kv.height r);
+        Alcotest.(check string)
+          (Printf.sprintf "replica %d store recovers final state" i)
+          (app.App.state_digest ()) (Kv.state_digest r);
+        Kv.close r
+      done)
+
+(* -- deltas between full images -------------------------------------------- *)
+
+(* With 64 records and 3 fresh keys a block, snapshot_every=4 dirties 12
+   records between compactions: deltas at heights 4 and 8 (12 and 24 of
+   64 records dirty), a full image at 12 (36 dirty), a delta at 16. *)
+let anchors dir =
+  List.filter (fun f -> Sys.file_exists (Filename.concat dir f)) [ "snapshot.bin"; "delta.bin" ]
+
+let image_height dir =
+  Int64.to_int (String.get_int64_le (read_file (Filename.concat dir "snapshot.bin")) 8)
+
+let test_crash_sweep_delta_then_image () =
+  List.iter
+    (fun (blocks, anchor, files, image) ->
+      crash_sweep ~snapshot_every:4 ~blocks
+        ~check_anchors:(fun dir ->
+          Alcotest.(check (list string))
+            (Printf.sprintf "anchor files after %d blocks" blocks)
+            files (anchors dir);
+          Option.iter
+            (fun h ->
+              Alcotest.(check int) (Printf.sprintf "image height after %d blocks" blocks) h
+                (image_height dir))
+            image)
+        ~check_height:(fun ~cut h ->
+          Alcotest.(check int)
+            (Printf.sprintf "%d blocks: anchor %d + complete frames at byte %d" blocks anchor cut)
+            (anchor + (cut / frame_bytes)) h)
+        ())
+    [
+      (10, 8, [ "delta.bin" ], None);
+      (14, 12, [ "snapshot.bin" ], Some 12);
+      (18, 16, [ "snapshot.bin"; "delta.bin" ], Some 12);
+    ]
+
+let test_corrupt_delta_stops_at_image () =
+  (* A delta that fails its checksum is rejected whole: recovery keeps
+     the full image at 12, and the log above the delta's height 16 is
+     a gap, so it stops there, never on a partly applied delta. *)
+  let refs = ref_digests ~blocks:18 in
+  with_dir (fun dir ->
+      let kv = Kv.disk ~snapshot_every:4 ~dir ~n_records () in
+      for i = 0 to 17 do
+        ignore (Kv.apply kv (write_batch i))
+      done;
+      let delta = read_file (Filename.concat dir "delta.bin") in
+      let flipped = Bytes.of_string delta in
+      let off = 40 + 16 + 11 in
+      Bytes.set flipped off (Char.chr (Char.code (Bytes.get flipped off) lxor 0x01));
+      List.iter
+        (fun (what, bad) ->
+          with_dir (fun dir2 ->
+              List.iter
+                (fun f -> write_file (Filename.concat dir2 f) (read_file (Filename.concat dir f)))
+                [ "snapshot.bin"; "blocks.log" ];
+              write_file (Filename.concat dir2 "delta.bin") bad;
+              let r = Kv.disk ~snapshot_every:4 ~dir:dir2 ~n_records () in
+              Alcotest.(check int) (what ^ ": delta rejected") 12 (Kv.height r);
+              Alcotest.(check string) (what ^ ": state is the image's") refs.(12)
+                (Kv.state_digest r);
+              Kv.close r))
+        [
+          ("byte flipped in an entry", Bytes.to_string flipped);
+          ("truncated by 8 bytes", String.sub delta 0 (String.length delta - 8));
+        ];
+      Kv.close kv)
+
+let test_stale_delta_ignored () =
+  (* A crash between a full image's rename and the delta's removal
+     leaves the old delta beside an image that supersedes it.  A delta
+     applies only on the image named by its base height and checksum. *)
+  let refs = ref_digests ~blocks:18 in
+  with_dir (fun dir ->
+      let kv = Kv.disk ~snapshot_every:4 ~dir ~n_records () in
+      let apply_upto n =
+        for i = Kv.height kv to n - 1 do
+          ignore (Kv.apply kv (write_batch i))
+        done
       in
-      Alcotest.(check string) "replica 0 store recovers final state" final
-        (Kv.state_digest r);
-      Kv.close r)
+      apply_upto 10;
+      let on_genesis = read_file (Filename.concat dir "delta.bin") in
+      apply_upto 14;
+      Alcotest.(check (list string)) "the image at 12 removed delta.bin" [ "snapshot.bin" ]
+        (anchors dir);
+      with_dir (fun dir2 ->
+          copy_snapshot ~src:dir ~dst:dir2;
+          write_file (Filename.concat dir2 "blocks.log")
+            (read_file (Filename.concat dir "blocks.log"));
+          write_file (Filename.concat dir2 "delta.bin") on_genesis;
+          let r = Kv.disk ~snapshot_every:4 ~dir:dir2 ~n_records () in
+          Alcotest.(check int) "base height mismatch: delta ignored" 14 (Kv.height r);
+          Alcotest.(check string) "state is image + log" refs.(14) (Kv.state_digest r);
+          Kv.close r);
+      apply_upto 18;
+      let on_image_12 = read_file (Filename.concat dir "delta.bin") in
+      with_dir (fun dir3 ->
+          (* Another image at the same height 12: genesis content. *)
+          let bs = Blockstore.open_or_create ~dir:dir3 ~n_records () in
+          Blockstore.note_restore bs ~height:12;
+          Blockstore.close bs;
+          write_file (Filename.concat dir3 "delta.bin") on_image_12;
+          let r = Kv.disk ~snapshot_every:4 ~dir:dir3 ~n_records () in
+          Alcotest.(check int) "base checksum mismatch: delta ignored" 12 (Kv.height r);
+          Alcotest.(check string) "state is that image's" refs.(0) (Kv.state_digest r);
+          Kv.close r);
+      Kv.close kv)
 
 let suite =
   [
@@ -453,4 +580,7 @@ let suite =
     ("corrupt snapshot falls back to genesis", `Quick, test_corrupt_snapshot_falls_back_to_genesis);
     ("closed store ignores note_restore", `Quick, test_closed_store_ignores_restore);
     QCheck_alcotest.to_alcotest prop_checksum_matches_reference;
+    ("crash sweep over delta and full compactions", `Quick, test_crash_sweep_delta_then_image);
+    ("corrupt delta stops at the image", `Quick, test_corrupt_delta_stops_at_image);
+    ("stale delta ignored", `Quick, test_stale_delta_ignored);
   ]
