@@ -29,8 +29,6 @@ module Config = Rdb_types.Config
 module Report = Rdb_fabric.Report
 open Runner
 
-let run_serial scenarios = List.map (fun s -> (s, Runner.run s)) scenarios
-
 let shape_error name =
   invalid_arg
     (Printf.sprintf "Ablations.%s.rows_of_reports: results do not match this ablation's grid" name)
@@ -69,8 +67,6 @@ module Fanout = struct
         :: rows_of_reports rest
     | _ -> shape_error "Fanout"
 
-  let run ?windows ?z ?n () = rows_of_reports (run_serial (scenarios ?windows ?z ?n ()))
-
   let print rows =
     Printf.printf "\nAblation A: GeoBFT global-sharing fan-out (z=4, n=7)\n";
     Printf.printf "%-18s %14s %14s %18s %14s\n" "fan-out" "txn/s" "global msgs/dec" "txn/s (1 crash)"
@@ -102,8 +98,6 @@ module Pipeline = struct
       (fun ((s : Scenario.t), report) ->
         { depth = s.Scenario.cfg.Config.pipeline_depth; report })
       results
-
-  let run ?windows ?z ?n () = rows_of_reports (run_serial (scenarios ?windows ?z ?n ()))
 
   let print rows =
     Printf.printf "\nAblation B: GeoBFT consensus pipelining depth (z=4, n=7)\n";
@@ -141,8 +135,6 @@ module Crypto_split = struct
         ]
     | _ -> shape_error "Crypto_split"
 
-  let run ?windows ?z ?n () = rows_of_reports (run_serial (scenarios ?windows ?z ?n ()))
-
   let print rows =
     Printf.printf "\nAblation C: authenticators in Pbft (z=4, n=7)\n";
     Printf.printf "%-28s %14s %14s\n" "scheme" "txn/s" "latency (ms)";
@@ -178,8 +170,6 @@ module Threshold_certs = struct
     | ((s : Scenario.t), plain) :: (_, threshold) :: rest ->
         { n = s.Scenario.cfg.Config.n; plain; threshold } :: rows_of_reports rest
     | _ -> shape_error "Threshold_certs"
-
-  let run ?windows ?z () = rows_of_reports (run_serial (scenarios ?windows ?z ()))
 
   let print rows =
     Printf.printf
@@ -233,6 +223,3 @@ let print rows =
   Pipeline.print rows.pipeline;
   Crypto_split.print rows.crypto_split;
   Threshold_certs.print rows.threshold_certs
-
-let run_all ?(windows = default_windows) () =
-  print (rows_of_reports ~windows (run_serial (scenarios ~windows ())))

@@ -6,7 +6,7 @@
     parameter grid) and [rows_of_reports] (fold the ordered results —
     serial or from the sweep engine — back into rows; positional, so
     pass exactly the (scenario, report) list for [scenarios]'s
-    output).  [run] is the serial convenience. *)
+    output). *)
 
 module Config = Rdb_types.Config
 module Report = Rdb_fabric.Report
@@ -19,7 +19,6 @@ module Fanout : sig
 
   val scenarios : ?windows:windows -> ?z:int -> ?n:int -> unit -> Scenario.t list
   val rows_of_reports : (Scenario.t * Report.t) list -> row list
-  val run : ?windows:windows -> ?z:int -> ?n:int -> unit -> row list
   val print : row list -> unit
 end
 
@@ -31,7 +30,6 @@ module Pipeline : sig
   val depths : int list
   val scenarios : ?windows:windows -> ?z:int -> ?n:int -> unit -> Scenario.t list
   val rows_of_reports : (Scenario.t * Report.t) list -> row list
-  val run : ?windows:windows -> ?z:int -> ?n:int -> unit -> row list
   val print : row list -> unit
 end
 
@@ -42,7 +40,6 @@ module Crypto_split : sig
 
   val scenarios : ?windows:windows -> ?z:int -> ?n:int -> unit -> Scenario.t list
   val rows_of_reports : (Scenario.t * Report.t) list -> row list
-  val run : ?windows:windows -> ?z:int -> ?n:int -> unit -> row list
   val print : row list -> unit
 end
 
@@ -54,7 +51,6 @@ module Threshold_certs : sig
   val ns : int list
   val scenarios : ?windows:windows -> ?z:int -> unit -> Scenario.t list
   val rows_of_reports : (Scenario.t * Report.t) list -> row list
-  val run : ?windows:windows -> ?z:int -> unit -> row list
   val print : row list -> unit
 end
 
@@ -75,6 +71,3 @@ val rows_of_reports : ?windows:windows -> (Scenario.t * Report.t) list -> rows
     [windows] must match the value passed to {!scenarios}. *)
 
 val print : rows -> unit
-
-val run_all : ?windows:windows -> unit -> unit
-(** Serial: run {!scenarios} and print all four tables. *)

@@ -6,7 +6,6 @@
      bench, the sweep engine and the CLI all enumerate through here);
    - [rows_of_reports] — fold ordered (scenario, report) pairs (from
      Runner.run or the sweep engine) back into plot rows;
-   - [run] — serial convenience: scenarios |> run each |> rows;
    - [print] — render the series the paper plots (EXPERIMENTS.md
      records the paper's values next to ours). *)
 
@@ -22,8 +21,6 @@ let grid ~protocols ~xs ~cfg_of ?(fault = No_fault) ~windows () =
   List.concat_map
     (fun p -> List.map (fun x -> Scenario.make ~windows ~fault p (cfg_of x)) xs)
     protocols
-
-let run_serial scenarios = List.map (fun s -> (s, Runner.run s)) scenarios
 
 let rows_of_reports ~x_of results =
   List.map
@@ -62,9 +59,6 @@ module Fig10 = struct
     grid ~protocols ~xs:zs ~cfg_of:(fun z -> cfg_of ?base z) ~windows ()
 
   let rows_of_reports results = rows_of_reports ~x_of:(fun s -> s.Scenario.cfg.Config.z) results
-
-  let run ?protocols ?windows ?base () =
-    rows_of_reports (run_serial (scenarios ?protocols ?windows ?base ()))
 
   let print rows =
     print_series ~title:"Figure 10 (left): throughput (txn/s) vs #clusters, zn = 60"
@@ -109,9 +103,6 @@ module Fig11 = struct
     @ grid ~protocols ~xs:scale_zs ~cfg_of:(fun z -> scale_cfg_of_z ?base z) ~windows ()
 
   let rows_of_reports results = rows_of_reports ~x_of:(fun s -> s.Scenario.cfg.Config.n) results
-
-  let run ?protocols ?windows ?base () =
-    rows_of_reports (run_serial (scenarios ?protocols ?windows ?base ()))
 
   let print rows =
     print_series ~title:"Figure 11 (left): throughput (txn/s) vs replicas per cluster, z = 4"
@@ -162,15 +153,6 @@ module Fig12 = struct
 
   let rows_of_reports results = rows_of_reports ~x_of:(fun s -> s.Scenario.cfg.Config.n) results
 
-  let run_one_failure ?protocols ?windows ?base () =
-    rows_of_reports (run_serial (scenarios_one_failure ?protocols ?windows ?base ()))
-
-  let run_f_failures ?protocols ?windows ?base () =
-    rows_of_reports (run_serial (scenarios_f_failures ?protocols ?windows ?base ()))
-
-  let run_primary_failure ?protocols ?windows ?base () =
-    rows_of_reports (run_serial (scenarios_primary_failure ?protocols ?windows ?base ()))
-
   let print ~one ~ff ~pf =
     print_series ~title:"Figure 12 (left): throughput (txn/s), one non-primary failure, z = 4"
       ~x_label:"replicas" ~rows:one
@@ -197,9 +179,6 @@ module Fig13 = struct
 
   let rows_of_reports results =
     rows_of_reports ~x_of:(fun s -> s.Scenario.cfg.Config.batch_size) results
-
-  let run ?protocols ?windows ?base () =
-    rows_of_reports (run_serial (scenarios ?protocols ?windows ?base ()))
 
   let print rows =
     print_series ~title:"Figure 13: throughput (txn/s) vs batch size, z = 4, n = 7"

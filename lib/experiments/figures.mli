@@ -3,9 +3,9 @@
     Every figure exposes the same shape: [scenarios] is the single
     source of truth for its parameter grid (bench, the sweep engine
     and the CLI all enumerate through it), [rows_of_reports] folds
-    ordered (scenario, report) pairs back into plot rows,
-    [run] is the serial convenience, and [print] renders the series
-    the paper plots (EXPERIMENTS.md compares the values). *)
+    ordered (scenario, report) pairs back into plot rows, and [print]
+    renders the series the paper plots (EXPERIMENTS.md compares the
+    values). *)
 
 module Config = Rdb_types.Config
 module Report = Rdb_fabric.Report
@@ -22,7 +22,6 @@ module Fig10 : sig
     ?protocols:proto list -> ?windows:windows -> ?base:Config.t -> unit -> Scenario.t list
 
   val rows_of_reports : (Scenario.t * Report.t) list -> row list
-  val run : ?protocols:proto list -> ?windows:windows -> ?base:Config.t -> unit -> row list
   val print : row list -> unit
 end
 
@@ -50,7 +49,6 @@ module Fig11 : sig
       claims; pass [~protocols] to widen. *)
 
   val rows_of_reports : (Scenario.t * Report.t) list -> row list
-  val run : ?protocols:proto list -> ?windows:windows -> ?base:Config.t -> unit -> row list
   val print : row list -> unit
 end
 
@@ -81,15 +79,6 @@ module Fig12 : sig
 
   val rows_of_reports : (Scenario.t * Report.t) list -> row list
 
-  val run_one_failure :
-    ?protocols:proto list -> ?windows:windows -> ?base:Config.t -> unit -> row list
-
-  val run_f_failures :
-    ?protocols:proto list -> ?windows:windows -> ?base:Config.t -> unit -> row list
-
-  val run_primary_failure :
-    ?protocols:proto list -> ?windows:windows -> ?base:Config.t -> unit -> row list
-
   val print : one:row list -> ff:row list -> pf:row list -> unit
 end
 
@@ -102,6 +91,5 @@ module Fig13 : sig
     ?protocols:proto list -> ?windows:windows -> ?base:Config.t -> unit -> Scenario.t list
 
   val rows_of_reports : (Scenario.t * Report.t) list -> row list
-  val run : ?protocols:proto list -> ?windows:windows -> ?base:Config.t -> unit -> row list
   val print : row list -> unit
 end

@@ -143,9 +143,6 @@ module Table2 = struct
   let rows_of_reports results =
     List.map (fun ((s : Scenario.t), report) -> (s.Scenario.proto, report)) results
 
-  let run ?windows ?cfg () =
-    rows_of_reports (List.map (fun s -> (s, Runner.run s)) (scenarios ?windows ?cfg ()))
-
   let print ?(cfg = Config.make ~z:4 ~n:7 ()) rows =
     let z = cfg.Config.z and n = cfg.Config.n in
     let f = Config.f cfg in

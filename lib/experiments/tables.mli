@@ -23,6 +23,5 @@ module Table2 : sig
   val formula : z:int -> n:int -> f:int -> proto -> string * string
   val scenarios : ?windows:windows -> ?cfg:Config.t -> unit -> Scenario.t list
   val rows_of_reports : (Scenario.t * Report.t) list -> (proto * Report.t) list
-  val run : ?windows:windows -> ?cfg:Config.t -> unit -> (proto * Report.t) list
   val print : ?cfg:Config.t -> (proto * Report.t) list -> unit
 end

@@ -85,8 +85,7 @@ type replica = {
   mutable issued : int;
   mutable appended : int;
   mutable recovering : bool;
-  stats : Recovery.Stats.t;
-  mutable task : Recovery.Task.t option;
+  recovery : Recovery.t;
 }
 
 (* Blocks per catch-up reply, so one message stays bounded. *)
@@ -495,10 +494,7 @@ let install_rounds r ~from ~eng_view ~state blocks =
         end)
       blocks;
     r.exec_busy <- false;
-    if !filled > 0 then begin
-      Recovery.Stats.note_holes r.stats !filled;
-      Recovery.Stats.note_state_transfer r.stats
-    end;
+    Recovery.note_installed r.recovery ~filled:!filled;
     (* [usable] ends on a round boundary, so the cursor division is
        exact; a dropped exec chain may have left exec_round ahead. *)
     r.exec_round <- max r.exec_round (r.issued / z);
@@ -605,8 +601,7 @@ let create_replica (ctx : msg Ctx.t) =
       issued = 0;
       appended = 0;
       recovering = false;
-      stats = Recovery.Stats.create ();
-      task = None;
+      recovery = Recovery.create ctx;
     }
   in
   r_ref := Some r;
@@ -620,23 +615,16 @@ let create_replica (ctx : msg Ctx.t) =
          match !r_ref with
          | Some r when not r.recovering ->
              r.recovering <- true;
-             Recovery.Stats.note_retransmit r.stats;
+             Recovery.note_retransmit r.recovery;
              send_catchup_fetch r ~attempt:0;
-             (match r.task with Some task -> Recovery.Task.start task | None -> ())
+             Recovery.start r.recovery
          | _ -> ()));
-  r.task <-
-    Some
-      (Recovery.Task.create
-         ~set_timer:(fun ~delay k -> ignore (ctx.Ctx.set_timer ~delay k))
-         ~rng:ctx.Ctx.rng
-         ~base:(Time.of_ms_f cfg.Config.local_timeout_ms)
-         ~cap:(Time.of_ms_f (8. *. cfg.Config.local_timeout_ms))
-         ~needed:(fun () -> r.recovering)
-         ~progress:(fun () -> r.issued)
-         ~fire:(fun ~attempt ->
-           Recovery.Stats.note_retransmit r.stats;
-           send_catchup_fetch r ~attempt)
-         ());
+  Recovery.watch r.recovery
+    ~needed:(fun () -> r.recovering)
+    ~progress:(fun () -> r.issued)
+    ~fire:(fun ~attempt ->
+      Recovery.note_retransmit r.recovery;
+      send_catchup_fetch r ~attempt);
   (* Failure detection is armed from the start of round 0. *)
   update_detection_timers r;
   r
@@ -689,22 +677,12 @@ let on_message (r : replica) ~src (m : msg) =
       if batch.Batch.cluster = r.my_cluster && Batch.verify ~keychain:r.ctx.Ctx.keychain batch
       then Engine.submit_batch r.engine batch
   | Read_request batch ->
-      (* Consensus-bypass read, served by the client's local cluster
-         from current replica state (f+1 matching digests at the
-         client prove a committed prefix). *)
-      if
-        batch.Batch.cluster = r.my_cluster
-        && Batch.verify ~keychain:r.ctx.Ctx.keychain batch
-        && Batch.read_only batch
-      then
-        r.ctx.Ctx.read_execute batch ~on_done:(fun res ->
+      (* Consensus-bypass read, served by the client's local cluster. *)
+      if batch.Batch.cluster = r.my_cluster then
+        Client_core.serve_read r.ctx batch ~reply:(fun result_digest ->
             send r ~dst:batch.Batch.origin
               (Reply
-                 {
-                   batch_id = batch.Batch.id;
-                   result_digest = res.Rdb_types.App.digest;
-                   primary = Engine.primary r.engine;
-                 }))
+                 { batch_id = batch.Batch.id; result_digest; primary = Engine.primary r.engine }))
   | Global_share { round; batch; cert } -> accept_share r ~src ~round batch cert
   | Drvc { failed_cluster; round; vc_count } ->
       if failed_cluster <> r.my_cluster
@@ -788,8 +766,8 @@ let on_recover (r : replica) =
     r.tracks;
   r.recovering <- true;
   send_catchup_fetch r ~attempt:0;
-  (match r.task with Some task -> Recovery.Task.start task | None -> ());
+  Recovery.start r.recovery;
   update_detection_timers r
 
-let recovery (r : replica) = Recovery.Stats.to_protocol r.stats
+let recovery (r : replica) = Recovery.stats r.recovery
 let disable_recovery (r : replica) = Engine.set_on_behind r.engine None

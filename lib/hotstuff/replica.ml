@@ -112,8 +112,7 @@ type replica = {
   quorum : int;
   insts : inst_state array;
   mutable decided_total : int;
-  stats : Recovery.Stats.t;
-  mutable task : Recovery.Task.t option;
+  recovery : Recovery.t;
 }
 
 (* Bulk catch-up tuning: switch from per-height [Fetch] to [Fetch_log]
@@ -218,7 +217,7 @@ let send_fetches r ~attempt =
           (* Deep hole starting right at our frontier: bulk ledger
              state transfer.  Chunk replies chain further [Fetch_log]s
              without waiting on this task's backoff. *)
-          Recovery.Stats.note_retransmit r.stats;
+          Recovery.note_retransmit r.recovery;
           inst.bulk_from <- inst.next_exec;
           target (Fetch_log { inst = inst.owner; from = inst.next_exec })
         end
@@ -230,17 +229,15 @@ let send_fetches r ~attempt =
              the decision rate of the healthy instances during a
              multi-second link outage, hence the generous limit. *)
           let heights =
-            Recovery.Gaps.missing ~limit:1024 ~have ~from:inst.next_exec ~upto:inst.max_seen ()
+            Recovery.missing ~limit:1024 ~have ~from:inst.next_exec ~upto:inst.max_seen ()
           in
           if heights <> [] then begin
-            Recovery.Stats.note_retransmit r.stats;
+            Recovery.note_retransmit r.recovery;
             target (Fetch { inst = inst.owner; heights })
           end
         end
       end)
     r.insts
-
-let ensure_task r = match r.task with Some t -> Recovery.Task.ensure t | None -> ()
 
 (* Event-driven bulk catch-up.  The first delivery after an outage
    heals is what reveals the hole (max_seen jumps past the pipeline
@@ -250,7 +247,7 @@ let ensure_task r = match r.task with Some t -> Recovery.Task.ensure t | None ->
    chaos monitor's slack.  [bulk_from] dedups to one in-flight chain
    per frontier; lost chains are re-requested by the task. *)
 let nudge_catch_up r inst =
-  ensure_task r;
+  Recovery.ensure r.recovery;
   let frontier_decided =
     match Hashtbl.find_opt inst.slots inst.next_exec with
     | Some s -> s.decided
@@ -261,7 +258,7 @@ let nudge_catch_up r inst =
     && (not frontier_decided)
     && inst.bulk_from <> inst.next_exec
   then begin
-    Recovery.Stats.note_retransmit r.stats;
+    Recovery.note_retransmit r.recovery;
     inst.bulk_from <- inst.next_exec;
     let m = Fetch_log { inst = inst.owner; from = inst.next_exec } in
     if inst.owner <> r.ctx.Ctx.id then send r ~dst:inst.owner m else broadcast r m
@@ -277,8 +274,7 @@ let create_replica (ctx : msg Ctx.t) =
       cfg;
       n;
       quorum = n - f;
-      stats = Recovery.Stats.create ();
-      task = None;
+      recovery = Recovery.create ctx;
       insts =
         Array.init n (fun owner ->
             {
@@ -296,17 +292,10 @@ let create_replica (ctx : msg Ctx.t) =
       decided_total = 0;
     }
   in
-  r.task <-
-    Some
-      (Recovery.Task.create
-         ~set_timer:(fun ~delay k -> ignore (ctx.Ctx.set_timer ~delay k))
-         ~rng:ctx.Ctx.rng
-         ~base:(Time.of_ms_f cfg.Config.local_timeout_ms)
-         ~cap:(Time.of_ms_f (8. *. cfg.Config.local_timeout_ms))
-         ~needed:(fun () -> any_stalled r)
-         ~progress:(fun () -> stall_token r)
-         ~fire:(fun ~attempt -> send_fetches r ~attempt)
-         ());
+  Recovery.watch r.recovery
+    ~needed:(fun () -> any_stalled r)
+    ~progress:(fun () -> stall_token r)
+    ~fire:(fun ~attempt -> send_fetches r ~attempt);
   r
 
 let view_changes (_ : replica) = 0
@@ -314,10 +303,9 @@ let decided_total r = r.decided_total
 
 (* Crash-recover: any stall task armed before the crash died with its
    timer; re-arm if there are holes to fill. *)
-let on_recover (r : replica) =
-  match r.task with Some t -> if any_stalled r then Recovery.Task.start t | None -> ()
+let on_recover (r : replica) = if any_stalled r then Recovery.start r.recovery
 
-let recovery (r : replica) = Recovery.Stats.to_protocol r.stats
+let recovery (r : replica) = Recovery.stats r.recovery
 
 (* HotStuff's only out-of-band machinery is the on_recover-armed stall
    task; nothing to turn off. *)
@@ -493,7 +481,7 @@ let on_message r ~src (m : msg) =
       if (not s.decided) && height >= inst.next_exec then begin
         if s.batch = None then s.batch <- Some batch;
         s.decided <- true;
-        Recovery.Stats.note_holes r.stats 1;
+        Recovery.note_holes r.recovery 1;
         exec_ready r inst
       end
   | Fetch_log { inst = i; from } ->
@@ -533,9 +521,8 @@ let on_message r ~src (m : msg) =
             incr installed
           end)
         batches;
+      Recovery.note_installed r.recovery ~filled:!installed;
       if !installed > 0 then begin
-        Recovery.Stats.note_state_transfer r.stats;
-        Recovery.Stats.note_holes r.stats !installed;
         exec_ready r inst;
         let next_from = from + List.length batches in
         if

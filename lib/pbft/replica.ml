@@ -70,8 +70,7 @@ type replica = {
     ( int,
       int * int * string * int * (Batch.t * Certificate.t option) list * App.snapshot option )
     Hashtbl.t;
-  stats : Recovery.Stats.t;
-  mutable task : Recovery.Task.t option;
+  recovery : Recovery.t;
   (* digest -> (batch id, result digest) of an executed batch: a
      retransmitted request for a batch we already executed (its reply
      was lost on the wire) is answered from this cache instead of
@@ -85,7 +84,13 @@ type client = { core : msg Client_core.t; primary_guess : int ref }
 (* All replicas of the deployment form one cluster. *)
 let members_of cfg = Array.init (Config.n_replicas cfg) (fun i -> i)
 
-let reply_size cfg = Wire.response_bytes ~batch_size:cfg.Config.batch_size
+(* Every reply carries the current primary so clients can retarget
+   after a view change. *)
+let send_reply (r : replica) ~dst ~batch_id ~result_digest =
+  let cfg = r.ctx.Ctx.config in
+  let size = Wire.response_bytes ~batch_size:cfg.Config.batch_size in
+  Ctx.send r.ctx ~dst ~size ~vcost:(Config.recv_floor_cost cfg ~bytes:size)
+    (Reply { batch_id; result_digest; primary = Engine.primary r.engine })
 
 (* -- state transfer ------------------------------------------------------ *)
 
@@ -153,10 +158,7 @@ let install (r : replica) ~from ~anchor_seq ~anchor_digest ~view ~blocks ~state 
         ignore (Engine.note_external_commit r.engine ~seq:h batch)
       end)
     blocks;
-  if !filled > 0 then begin
-    Recovery.Stats.note_holes r.stats !filled;
-    Recovery.Stats.note_state_transfer r.stats
-  end;
+  Recovery.note_installed r.recovery ~filled:!filled;
   Engine.install_checkpoint r.engine ~seq:anchor_seq ~digest:anchor_digest;
   Engine.adopt_view r.engine ~view
 
@@ -202,9 +204,9 @@ let begin_catchup (r : replica) =
   if not r.recovering then begin
     r.recovering <- true;
     Hashtbl.reset r.snap_replies;
-    Recovery.Stats.note_retransmit r.stats;
+    Recovery.note_retransmit r.recovery;
     broadcast_fetch r;
-    match r.task with Some task -> Recovery.Task.start task | None -> ()
+    Recovery.start r.recovery
   end
 
 let create_replica (ctx : msg Ctx.t) =
@@ -229,10 +231,8 @@ let create_replica (ctx : msg Ctx.t) =
                    replicas agreeing on what was executed. *)
                 Hashtbl.replace r.reply_cache batch.Batch.digest
                   (batch.Batch.id, res.App.digest);
-                let primary = Engine.primary r.engine in
-                Ctx.send ctx ~dst:batch.Batch.origin ~size:(reply_size cfg)
-                  ~vcost:(Config.recv_floor_cost cfg ~bytes:(reply_size cfg))
-                  (Reply { batch_id = batch.Batch.id; result_digest = res.App.digest; primary })
+                send_reply r ~dst:batch.Batch.origin ~batch_id:batch.Batch.id
+                  ~result_digest:res.App.digest
             | _ ->
                 (* Appended but not applied (App ahead after a state
                    install, or stripped payload): no result to report —
@@ -253,27 +253,19 @@ let create_replica (ctx : msg Ctx.t) =
       appended = 0;
       recovering = false;
       snap_replies = Hashtbl.create 8;
-      stats = Recovery.Stats.create ();
-      task = None;
+      recovery = Recovery.create ctx;
       reply_cache = Hashtbl.create 256;
     }
   in
   r_ref := Some r;
   Engine.set_on_behind engine
     (Some (fun ~seq:_ -> match !r_ref with Some r -> begin_catchup r | None -> ()));
-  let base = Time.of_ms_f cfg.Config.local_timeout_ms in
-  r.task <-
-    Some
-      (Recovery.Task.create
-         ~set_timer:(fun ~delay k -> ignore (ctx.Ctx.set_timer ~delay k))
-         ~rng:ctx.Ctx.rng ~base
-         ~cap:(Time.of_ms_f (8. *. cfg.Config.local_timeout_ms))
-         ~needed:(fun () -> r.recovering)
-         ~progress:(fun () -> r.issued)
-         ~fire:(fun ~attempt:_ ->
-           Recovery.Stats.note_retransmit r.stats;
-           broadcast_fetch r)
-         ());
+  Recovery.watch r.recovery
+    ~needed:(fun () -> r.recovering)
+    ~progress:(fun () -> r.issued)
+    ~fire:(fun ~attempt:_ ->
+      Recovery.note_retransmit r.recovery;
+      broadcast_fetch r);
   r
 
 let on_message (r : replica) ~src (m : msg) =
@@ -285,28 +277,11 @@ let on_message (r : replica) ~src (m : msg) =
         | Some (batch_id, result_digest) ->
             (* Already executed: the client's retransmission means the
                original reply was lost — answer from the cache. *)
-            let cfg = r.ctx.Ctx.config in
-            Ctx.send r.ctx ~dst:batch.Batch.origin ~size:(reply_size cfg)
-              ~vcost:(Config.recv_floor_cost cfg ~bytes:(reply_size cfg))
-              (Reply { batch_id; result_digest; primary = Engine.primary r.engine })
+            send_reply r ~dst:batch.Batch.origin ~batch_id ~result_digest
         | None -> Engine.submit_batch r.engine batch)
   | Read_request batch ->
-      (* Consensus-bypass read: serve the read-only batch from current
-         state.  Safe at f+1 matching digests because a non-faulty
-         reply reflects a prefix of the agreed order; a client that
-         cannot gather f+1 (replica states at different heights) times
-         out and re-orders the batch through consensus. *)
-      if Batch.verify ~keychain:r.ctx.Ctx.keychain batch && Batch.read_only batch then
-        r.ctx.Ctx.read_execute batch ~on_done:(fun res ->
-            let cfg = r.ctx.Ctx.config in
-            Ctx.send r.ctx ~dst:batch.Batch.origin ~size:(reply_size cfg)
-              ~vcost:(Config.recv_floor_cost cfg ~bytes:(reply_size cfg))
-              (Reply
-                 {
-                   batch_id = batch.Batch.id;
-                   result_digest = res.App.digest;
-                   primary = Engine.primary r.engine;
-                 }))
+      Client_core.serve_read r.ctx batch ~reply:(fun result_digest ->
+          send_reply r ~dst:batch.Batch.origin ~batch_id:batch.Batch.id ~result_digest)
   | Fetch_state { from } -> serve_fetch r ~src ~from
   | Snapshot { from; anchor_seq; anchor_digest; view; blocks; state } ->
       if r.recovering then begin
@@ -355,9 +330,9 @@ let on_recover (r : replica) =
   r.recovering <- true;
   Hashtbl.reset r.snap_replies;
   broadcast_fetch r;
-  match r.task with Some task -> Recovery.Task.start task | None -> ()
+  Recovery.start r.recovery
 
-let recovery (r : replica) = Recovery.Stats.to_protocol r.stats
+let recovery (r : replica) = Recovery.stats r.recovery
 let disable_recovery (r : replica) = Engine.set_on_behind r.engine None
 
 (* -- client agent -------------------------------------------------------- *)
@@ -369,21 +344,18 @@ let create_client (ctx : msg Ctx.t) ~cluster:_ =
   (* The view-0 primary lives in region 0; replies update the guess
      after view changes. *)
   let primary_guess = ref 0 in
+  let everyone = List.init (Config.n_replicas cfg) Fun.id in
   let transmit ~retry (batch : Batch.t) =
     if retry then
       (* Suspect the primary: broadcast so backups forward and start
          censorship timers (standard Pbft client fallback). *)
-      List.iter
-        (fun dst -> Ctx.send ctx ~dst ~size ~vcost (Request batch))
-        (List.init (Config.n_replicas cfg) Fun.id)
+      Ctx.multicast ctx ~dsts:everyone ~size ~vcost (Request batch)
     else Ctx.send ctx ~dst:!primary_guess ~size ~vcost (Request batch)
   in
   (* Read-only batches go straight to every replica; f+1 matching
      result digests prove the read reflects a committed prefix. *)
   let transmit_read (batch : Batch.t) =
-    List.iter
-      (fun dst -> Ctx.send ctx ~dst ~size ~vcost (Read_request batch))
-      (List.init (Config.n_replicas cfg) Fun.id)
+    Ctx.multicast ctx ~dsts:everyone ~size ~vcost (Read_request batch)
   in
   (* Global f for the flat group. *)
   let f_global = (Config.n_replicas cfg - 1) / 3 in

@@ -1,162 +1,126 @@
-(* Shared recovery machinery: counters, exponential backoff with
-   jitter, and a generic stall-watch task.
+(* Per-replica recovery handle: counters plus one stall-watch task with
+   exponential backoff and jitter (see recovery.mli and DESIGN.md §9).
 
-   Three mechanisms build on this (ISSUE 2 / DESIGN.md §8):
-   - checkpoint-certificate state transfer (PBFT crash-rejoin),
-   - hole-filling catch-up over the executed sequence space
-     (HotStuff, GeoBFT),
-   - timeout-retransmission for Steward's representative channel.
-
-   Determinism discipline: a task draws jitter from the node's own RNG
-   stream only when it actually fires a stalled retransmission, and
-   protocols arm tasks only when they detect lag or recover from a
-   crash — a fault-free run never touches the RNG and is bit-for-bit
-   identical to one without this library. *)
+   Determinism discipline: the task draws jitter from the node's own
+   RNG stream only when it actually fires a stalled retransmission, and
+   protocols arm it only when they detect lag or recover from a crash —
+   a fault-free run never touches the RNG. *)
 
 module Time = Rdb_sim.Time
 module Rng = Rdb_prng.Rng
+module Config = Rdb_types.Config
+module Ctx = Rdb_types.Ctx
 module Protocol = Rdb_types.Protocol
 
-(* ------------------------------------------------------------------ *)
-(* Counters *)
+(* Backoff: base is the local timeout, capped at 8×, stretched by up
+   to 25%. *)
+let cap_factor = 8.
+let jitter = 0.25
 
-module Stats = struct
-  type t = {
-    mutable state_transfers : int;   (* checkpoint snapshots installed *)
-    mutable holes_filled : int;      (* missing batches fetched + applied *)
-    mutable retransmissions : int;   (* timeout-driven resends *)
+type t = {
+  set_timer : delay:Time.t -> (unit -> unit) -> unit;
+  rng : Rng.t;
+  base : Time.t;
+  cap : Time.t;
+  mutable needed : unit -> bool;
+  mutable progress : unit -> int;
+  mutable fire : attempt:int -> unit;
+  mutable generation : int;
+  mutable running : bool;
+  mutable last_token : int;
+  mutable attempt : int;
+  mutable state_transfers : int;   (* checkpoint snapshots installed *)
+  mutable holes_filled : int;      (* missing batches fetched + applied *)
+  mutable retransmissions : int;   (* timeout-driven resends *)
+}
+
+let create (ctx : _ Ctx.t) =
+  let timeout_ms = ctx.Ctx.config.Config.local_timeout_ms in
+  {
+    set_timer = (fun ~delay k -> ignore (ctx.Ctx.set_timer ~delay k));
+    rng = ctx.Ctx.rng;
+    base = Time.of_ms_f timeout_ms;
+    cap = Time.of_ms_f (cap_factor *. timeout_ms);
+    needed = (fun () -> false);
+    progress = (fun () -> 0);
+    fire = (fun ~attempt:_ -> ());
+    generation = 0;
+    running = false;
+    last_token = min_int;
+    attempt = 0;
+    state_transfers = 0;
+    holes_filled = 0;
+    retransmissions = 0;
   }
 
-  let create () = { state_transfers = 0; holes_filled = 0; retransmissions = 0 }
-  let note_state_transfer t = t.state_transfers <- t.state_transfers + 1
-  let note_holes t n = t.holes_filled <- t.holes_filled + n
-  let note_retransmit t = t.retransmissions <- t.retransmissions + 1
+let watch t ~needed ~progress ~fire =
+  t.needed <- needed;
+  t.progress <- progress;
+  t.fire <- fire
 
-  let to_protocol t : Protocol.recovery_stats =
-    {
-      Protocol.state_transfers = t.state_transfers;
-      holes_filled = t.holes_filled;
-      retransmissions = t.retransmissions;
-    }
-end
+(* min cap (base * 2^attempt), attempt clamped to 16, then jittered:
+   called only after a stalled fire, so only then is the RNG drawn. *)
+let backoff t attempt =
+  let attempt = min attempt 16 in
+  let d = Time.to_ms_f t.base *. Float.of_int (1 lsl attempt) in
+  let d = Float.min d (Time.to_ms_f t.cap) in
+  Time.of_ms_f (d *. (1. +. (jitter *. Rng.float t.rng)))
 
-(* ------------------------------------------------------------------ *)
-(* Exponential backoff *)
+let rec arm t ~gen ~delay = t.set_timer ~delay (fun () -> tick t ~gen)
 
-module Backoff = struct
-  (* delay(attempt) = min cap (base * 2^attempt), optionally stretched
-     by up to [jitter] (a fraction) drawn from [rng].  The draw happens
-     only when the caller asks for a delay, i.e. only on an actual
-     stalled retransmission. *)
-  let delay ?(jitter = 0.) ?rng ~base ~cap attempt =
-    let attempt = min attempt 16 in
-    let d = Time.to_ms_f base *. Float.of_int (1 lsl attempt) in
-    let d = Float.min d (Time.to_ms_f cap) in
-    let d =
-      match rng with
-      | Some rng when jitter > 0. -> d *. (1. +. (jitter *. Rng.float rng))
-      | _ -> d
-    in
-    Time.of_ms_f d
-end
-
-(* ------------------------------------------------------------------ *)
-(* Gap detection *)
-
-module Gaps = struct
-  (* Sequence numbers in [from, upto] for which [have] is false —
-     the holes a catch-up task must fill.  [limit] bounds how many are
-     returned per fetch round so one request stays a small message. *)
-  let missing ?(limit = max_int) ~have ~from ~upto () =
-    let rec go acc k taken =
-      if k > upto || taken >= limit then List.rev acc
-      else if have k then go acc (k + 1) taken
-      else go (k :: acc) (k + 1) (taken + 1)
-    in
-    go [] from 0
-end
-
-(* ------------------------------------------------------------------ *)
-(* Stall-watch task *)
-
-module Task = struct
-  (* A self-rearming timer that watches a progress token and fires a
-     recovery action only while progress is stalled:
-
-     - [needed ()] false  -> the task retires (caught up / nothing to do);
-     - progress token changed since the last tick -> reset the backoff
-       and keep watching without firing (the protocol is healing on its
-       own; don't inject extra traffic);
-     - token unchanged -> [fire ~attempt], then re-arm with exponential
-       backoff + jitter.
-
-     Timers die silently while a node is crashed (the fabric drops the
-     callback), so a pending tick can be lost: [start] bumps a
-     generation counter, orphaning any zombie tick, and arms a fresh
-     timer.  Protocols call [ensure] whenever they notice lag and
-     [start] from their [on_recover] hook. *)
-
-  type t = {
-    set_timer : delay:Time.t -> (unit -> unit) -> unit;
-    rng : Rng.t;
-    base : Time.t;
-    cap : Time.t;
-    jitter : float;
-    needed : unit -> bool;
-    progress : unit -> int;
-    fire : attempt:int -> unit;
-    mutable generation : int;
-    mutable running : bool;
-    mutable last_token : int;
-    mutable attempt : int;
-  }
-
-  let create ~set_timer ~rng ?(base = Time.ms 200) ?(cap = Time.ms 3200)
-      ?(jitter = 0.25) ~needed ~progress ~fire () =
-    {
-      set_timer; rng; base; cap; jitter; needed; progress; fire;
-      generation = 0; running = false; last_token = min_int; attempt = 0;
-    }
-
-  let rec arm t ~gen ~delay =
-    t.set_timer ~delay (fun () -> tick t ~gen)
-
-  and tick t ~gen =
-    if gen = t.generation then begin
-      if not (t.needed ()) then t.running <- false
+and tick t ~gen =
+  if gen = t.generation then begin
+    if not (t.needed ()) then t.running <- false
+    else begin
+      let token = t.progress () in
+      if token <> t.last_token then begin
+        (* Progress on its own: reset backoff, watch quietly. *)
+        t.last_token <- token;
+        t.attempt <- 0;
+        arm t ~gen ~delay:t.base
+      end
       else begin
-        let token = t.progress () in
-        if token <> t.last_token then begin
-          (* Progress on its own: reset backoff, watch quietly. *)
-          t.last_token <- token;
-          t.attempt <- 0;
-          arm t ~gen ~delay:t.base
-        end
-        else begin
-          let attempt = t.attempt in
-          t.attempt <- attempt + 1;
-          t.fire ~attempt;
-          let delay =
-            Backoff.delay ~jitter:t.jitter ~rng:t.rng ~base:t.base ~cap:t.cap
-              t.attempt
-          in
-          arm t ~gen ~delay
-        end
+        let attempt = t.attempt in
+        t.attempt <- attempt + 1;
+        t.fire ~attempt;
+        arm t ~gen ~delay:(backoff t t.attempt)
       end
     end
+  end
 
-  (* (Re)start the task from scratch — orphans any pending tick. *)
-  let start t =
-    t.generation <- t.generation + 1;
-    t.running <- true;
-    t.last_token <- t.progress ();
-    t.attempt <- 0;
-    arm t ~gen:t.generation ~delay:t.base
+let start t =
+  t.generation <- t.generation + 1;
+  t.running <- true;
+  t.last_token <- t.progress ();
+  t.attempt <- 0;
+  arm t ~gen:t.generation ~delay:t.base
 
-  (* Arm only if not already watching. *)
-  let ensure t = if not t.running then start t
+let ensure t = if not t.running then start t
 
-  let stop t =
-    t.generation <- t.generation + 1;
-    t.running <- false
-end
+(* -- counters ------------------------------------------------------------- *)
+
+let note_retransmit t = t.retransmissions <- t.retransmissions + 1
+let note_holes t n = t.holes_filled <- t.holes_filled + n
+
+let note_installed t ~filled =
+  if filled > 0 then begin
+    note_holes t filled;
+    t.state_transfers <- t.state_transfers + 1
+  end
+
+let stats t : Protocol.recovery_stats =
+  {
+    Protocol.state_transfers = t.state_transfers;
+    holes_filled = t.holes_filled;
+    retransmissions = t.retransmissions;
+  }
+
+(* -- gap detection -------------------------------------------------------- *)
+
+let missing ?(limit = max_int) ~have ~from ~upto () =
+  let rec go acc k taken =
+    if k > upto || taken >= limit then List.rev acc
+    else if have k then go acc (k + 1) taken
+    else go (k :: acc) (k + 1) (taken + 1)
+  in
+  go [] from 0

@@ -1,94 +1,66 @@
-(** Shared recovery machinery (DESIGN.md §8): counters, exponential
-    backoff with jitter, gap detection, and a generic stall-watch task.
+(** Per-replica recovery handle (DESIGN.md §9): the recovery counters
+    plus one stall-watch task with exponential backoff and jitter.
 
-    Three mechanisms build on this:
-    - checkpoint-certificate state transfer (PBFT crash-rejoin),
-    - hole-filling catch-up over the executed sequence space
-      (HotStuff, GeoBFT),
-    - timeout-retransmission for Steward's representative channel.
+    The protocols build their catch-up paths on it:
+    - pbft: f+1-agreed checkpoint state transfer ([Fetch_state]);
+    - GeoBFT: round-aligned ledger chunks pulled from one local peer in
+      rotation ([Fetch_rounds]);
+    - HotStuff: per-height hole fills and bulk ledger suffixes;
+    - Steward: timeout retransmission of the representative channel
+      plus ledger catch-up ([Fetch_globals]).
 
-    Determinism discipline: a task draws jitter from the node's own RNG
-    stream only when it actually fires a stalled retransmission, and
-    protocols arm tasks only when they detect lag or recover from a
-    crash — a fault-free run never touches the RNG and is bit-for-bit
-    identical to one without this library. *)
-
-module Time = Rdb_sim.Time
-module Rng = Rdb_prng.Rng
-module Protocol = Rdb_types.Protocol
-
-(** Per-replica recovery counters, surfaced through
-    {!Protocol.recovery_stats} into reports. *)
-module Stats : sig
-  type t = {
-    mutable state_transfers : int;  (** checkpoint snapshots installed *)
-    mutable holes_filled : int;  (** missing batches fetched + applied *)
-    mutable retransmissions : int;  (** timeout-driven resends *)
-  }
-
-  val create : unit -> t
-  val note_state_transfer : t -> unit
-
-  val note_holes : t -> int -> unit
-  (** [note_holes t n] records [n] batches fetched and applied. *)
-
-  val note_retransmit : t -> unit
-  val to_protocol : t -> Protocol.recovery_stats
-end
-
-module Backoff : sig
-  val delay : ?jitter:float -> ?rng:Rng.t -> base:Time.t -> cap:Time.t -> int -> Time.t
-  (** [delay ~base ~cap attempt] is [min cap (base * 2^attempt)]
-      (attempt clamped to 16), optionally stretched by up to [jitter]
-      (a fraction, default 0) drawn from [rng].  The RNG is consulted
-      only when [jitter > 0] and [rng] is given — i.e. only on an
-      actual stalled retransmission. *)
-end
-
-module Gaps : sig
-  val missing : ?limit:int -> have:(int -> bool) -> from:int -> upto:int -> unit -> int list
-  (** Sequence numbers in [[from, upto]] for which [have] is false —
-      the holes a catch-up task must fill, in increasing order.
-      [limit] bounds how many are returned per call so one fetch stays
-      a small message. *)
-end
-
-(** A self-rearming timer that watches a progress token and fires a
-    recovery action only while progress is stalled:
-
+    The task watches a progress token and fires a recovery action only
+    while progress is stalled:
     - [needed ()] false: the task retires (caught up / nothing to do);
     - progress token changed since the last tick: reset the backoff and
       keep watching without firing (the protocol is healing on its own;
       don't inject extra traffic);
-    - token unchanged: [fire ~attempt], then re-arm with exponential
-      backoff + jitter.
+    - token unchanged: [fire ~attempt], then re-arm after
+      [min (8 × local_timeout) (local_timeout × 2^attempt)], stretched by
+      up to 25% jitter.
+
+    Determinism discipline: jitter is drawn from the node's own RNG
+    stream only after an actual stalled fire, and protocols arm the task
+    only when they detect lag or recover from a crash — a fault-free
+    run never touches the RNG.
 
     Timers die silently while a node is crashed (the fabric drops the
     callback), so a pending tick can be lost: {!start} bumps a
     generation counter, orphaning any zombie tick, and arms a fresh
     timer.  Protocols call {!ensure} whenever they notice lag and
     {!start} from their [on_recover] hook. *)
-module Task : sig
-  type t
 
-  val create :
-    set_timer:(delay:Time.t -> (unit -> unit) -> unit) ->
-    rng:Rng.t ->
-    ?base:Time.t ->
-    ?cap:Time.t ->
-    ?jitter:float ->
-    needed:(unit -> bool) ->
-    progress:(unit -> int) ->
-    fire:(attempt:int -> unit) ->
-    unit ->
-    t
-  (** Defaults: [base] 200 ms, [cap] 3200 ms, [jitter] 0.25. *)
+type t
 
-  val start : t -> unit
-  (** (Re)start from scratch — orphans any pending tick. *)
+val create : _ Rdb_types.Ctx.t -> t
+(** An idle handle on the node's timers and RNG, with backoff base
+    [config.local_timeout_ms].  Until {!watch} installs the callbacks
+    the task is never needed. *)
 
-  val ensure : t -> unit
-  (** Arm only if not already watching. *)
+val watch :
+  t -> needed:(unit -> bool) -> progress:(unit -> int) -> fire:(attempt:int -> unit) -> unit
+(** Install the task's callbacks, once the replica record exists. *)
 
-  val stop : t -> unit
-end
+val start : t -> unit
+(** (Re)start from scratch — orphans any pending tick. *)
+
+val ensure : t -> unit
+(** Arm only if not already watching. *)
+
+val note_retransmit : t -> unit
+(** One timeout- or lag-driven resend. *)
+
+val note_holes : t -> int -> unit
+(** [note_holes t n] records [n] batches fetched and applied. *)
+
+val note_installed : t -> filled:int -> unit
+(** One state transfer that filled [filled] batches; nothing when
+    [filled = 0]. *)
+
+val stats : t -> Rdb_types.Protocol.recovery_stats
+
+val missing : ?limit:int -> have:(int -> bool) -> from:int -> upto:int -> unit -> int list
+(** Sequence numbers in [[from, upto]] for which [have] is false —
+    the holes a catch-up fetch must fill, in increasing order.
+    [limit] bounds how many are returned per call so one fetch stays
+    a small message. *)

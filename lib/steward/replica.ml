@@ -102,8 +102,7 @@ type replica = {
      state-driven stall task with exponential backoff + jitter. *)
   mutable max_g_seen : int;             (* highest global seq heard of *)
   pending_forwards : (string, Batch.t) Hashtbl.t;  (* origin rep: unacked *)
-  stats : Recovery.Stats.t;
-  mutable task : Recovery.Task.t option;
+  recovery : Recovery.t;
 }
 
 (* Batches per catch-up reply. *)
@@ -139,6 +138,8 @@ let vcost_of cfg m =
   | m -> Config.recv_floor_cost cfg ~bytes:(size_of cfg m)
 
 let send r ~dst m = Ctx.send r.ctx ~dst ~size:(size_of r.cfg m) ~vcost:(vcost_of r.cfg m) m
+let multicast r ~dsts m =
+  Ctx.multicast r.ctx ~dsts ~size:(size_of r.cfg m) ~vcost:(vcost_of r.cfg m) m
 
 let rep_of cfg ~cluster = Config.replica_id cfg ~cluster ~index:0
 let is_rep r = r.my_local = 0
@@ -148,8 +149,7 @@ let is_leader_rep r = r.ctx.Ctx.id = leader_rep r
 let site_members r = Config.replicas_of_cluster r.cfg r.my_cluster
 
 let broadcast_site r m =
-  let dsts = List.filter (fun dst -> dst <> r.ctx.Ctx.id) (site_members r) in
-  Ctx.multicast r.ctx ~dsts ~size:(size_of r.cfg m) ~vcost:(vcost_of r.cfg m) m
+  multicast r ~dsts:(List.filter (fun dst -> dst <> r.ctx.Ctx.id) (site_members r)) m
 
 (* Pooled fan-out to every remote site's representative. *)
 let broadcast_reps r m =
@@ -157,7 +157,7 @@ let broadcast_reps r m =
   for c = r.cfg.Config.z - 1 downto 0 do
     if c <> r.my_cluster then dsts := rep_of r.cfg ~cluster:c :: !dsts
   done;
-  Ctx.multicast r.ctx ~dsts:!dsts ~size:(size_of r.cfg m) ~vcost:(vcost_of r.cfg m) m
+  multicast r ~dsts:!dsts m
 
 let majority_sites cfg = (cfg.Config.z / 2) + 1
 
@@ -166,13 +166,12 @@ let reps_except_self r =
     (fun id -> id <> r.ctx.Ctx.id)
     (List.init r.cfg.Config.z (fun c -> rep_of r.cfg ~cluster:c))
 
-(* Arm the stall task whenever there is outstanding work it may need
-   to push through; it retires on its own once nothing is pending. *)
-let ensure_task r = match r.task with Some t -> Recovery.Task.ensure t | None -> ()
-
+(* Callers arm the stall task whenever there is outstanding work it
+   may need to push through; it retires on its own once nothing is
+   pending. *)
 let note_g r g =
   if g > r.max_g_seen then r.max_g_seen <- g;
-  if g >= r.next_exec then ensure_task r
+  if g >= r.next_exec then Recovery.ensure r.recovery
 
 let view_changes (_ : replica) = 0
 
@@ -186,7 +185,7 @@ let rec start_certify r ~tag ~digest ?batch ~on_cert () =
       { c_digest = digest; c_batch = batch; partials = Hashtbl.create 8; c_done = false; on_cert }
     in
     Hashtbl.replace r.certifying tag round;
-    ensure_task r;
+    Recovery.ensure r.recovery;
     broadcast_site r (Certify_req { tag; digest; batch });
     (* Our own partial signature. *)
     r.ctx.Ctx.charge ~stage:Cpu.Worker ~cost:(Config.threshold_partial_cost r.cfg) (fun () ->
@@ -380,15 +379,12 @@ let install_globals r ~from batches =
         end
       end)
     batches;
-  if !filled > 0 then begin
-    Recovery.Stats.note_holes r.stats !filled;
-    Recovery.Stats.note_state_transfer r.stats
-  end;
+  Recovery.note_installed r.recovery ~filled:!filled;
   exec_ready r
 
 (* The backoff-task fire: push every kind of outstanding work once. *)
 let retransmit r ~attempt =
-  Recovery.Stats.note_retransmit r.stats;
+  Recovery.note_retransmit r.recovery;
   if stalled r then send_catchup_fetch r ~attempt;
   if is_rep r then begin
     (* Unfinished threshold-certification rounds: re-broadcast the
@@ -403,10 +399,8 @@ let retransmit r ~attempt =
       if not (Hashtbl.mem r.committed g) then
         match Hashtbl.find_opt r.accepts g with
         | Some tbl when Hashtbl.mem tbl r.my_cluster ->
-            let digest = Hashtbl.find r.accepted_digest g in
-            List.iter
-              (fun dst -> send r ~dst (Global_accept { g; site = r.my_cluster; digest }))
-              (reps_except_self r)
+            multicast r ~dsts:(reps_except_self r)
+              (Global_accept { g; site = r.my_cluster; digest = Hashtbl.find r.accepted_digest g })
         | _ -> ()
     done;
     (* Origin representative: certified requests the leader never
@@ -458,21 +452,13 @@ let create_replica (ctx : msg Ctx.t) =
       commit_sent = Hashtbl.create 64;
       max_g_seen = -1;
       pending_forwards = Hashtbl.create 16;
-      stats = Recovery.Stats.create ();
-      task = None;
+      recovery = Recovery.create ctx;
     }
   in
-  r.task <-
-    Some
-      (Recovery.Task.create
-         ~set_timer:(fun ~delay k -> ignore (ctx.Ctx.set_timer ~delay k))
-         ~rng:ctx.Ctx.rng
-         ~base:(Time.of_ms_f cfg.Config.local_timeout_ms)
-         ~cap:(Time.of_ms_f (8. *. cfg.Config.local_timeout_ms))
-         ~needed:(fun () -> needed r)
-         ~progress:(fun () -> progress r)
-         ~fire:(fun ~attempt -> retransmit r ~attempt)
-         ());
+  Recovery.watch r.recovery
+    ~needed:(fun () -> needed r)
+    ~progress:(fun () -> progress r)
+    ~fire:(fun ~attempt -> retransmit r ~attempt);
   r
 
 (* The crash dropped any in-flight execute's [on_done], so the busy
@@ -480,8 +466,8 @@ let create_replica (ctx : msg Ctx.t) =
    re-fetches and re-executes the interrupted sequence number. *)
 let on_recover (r : replica) =
   r.exec_busy <- false;
-  ensure_task r
-let recovery (r : replica) = Recovery.Stats.to_protocol r.stats
+  Recovery.ensure r.recovery
+let recovery (r : replica) = Recovery.stats r.recovery
 let disable_recovery (_ : replica) = ()
 
 (* -- dispatch ------------------------------------------------------------------ *)
@@ -506,7 +492,7 @@ let on_message r ~src (m : msg) =
             end
             else begin
               Hashtbl.replace r.pending_forwards batch.Batch.digest batch;
-              ensure_task r;
+              Recovery.ensure r.recovery;
               send r ~dst:(leader_rep r) (Site_forward { batch })
             end)
           ()
@@ -552,16 +538,10 @@ let on_message r ~src (m : msg) =
         exec_ready r
       end
   | Read_request batch ->
-      (* Any site member serves a read-only batch from current state;
-         f+1 matching digests at the client prove a committed prefix. *)
-      if
-        batch.Batch.cluster = r.my_cluster
-        && Batch.verify ~keychain:r.ctx.Ctx.keychain batch
-        && Batch.read_only batch
-      then
-        r.ctx.Ctx.read_execute batch ~on_done:(fun res ->
-            send r ~dst:batch.Batch.origin
-              (Reply { batch_id = batch.Batch.id; result_digest = res.Rdb_types.App.digest }))
+      (* Any site member serves a read-only batch from current state. *)
+      if batch.Batch.cluster = r.my_cluster then
+        Client_core.serve_read r.ctx batch ~reply:(fun result_digest ->
+            send r ~dst:batch.Batch.origin (Reply { batch_id = batch.Batch.id; result_digest }))
   | Fetch_globals { from } -> serve_globals r ~src ~from
   | Globals_data { from; batches } -> install_globals r ~from batches
   | Reply _ -> ()
@@ -581,9 +561,8 @@ let create_client (ctx : msg Ctx.t) ~cluster =
   (* Read-only batches skip global ordering entirely: every site
      member answers from its state. *)
   let transmit_read (batch : Batch.t) =
-    List.iter
-      (fun dst -> Ctx.send ctx ~dst ~size ~vcost (Read_request batch))
-      (Config.replicas_of_cluster cfg cluster)
+    Ctx.multicast ctx ~dsts:(Config.replicas_of_cluster cfg cluster) ~size ~vcost
+      (Read_request batch)
   in
   {
     core =

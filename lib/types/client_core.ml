@@ -116,3 +116,12 @@ let on_reply t ~src ~batch_id ~result_digest =
         t.completed <- t.completed + 1;
         t.ctx.Ctx.complete p.batch
       end
+
+(* The replica half of the consensus-bypass read: serve a verified
+   read-only batch from current state.  Safe at f+1 matching digests
+   because a non-faulty reply reflects a prefix of the agreed order; a
+   client that cannot gather f+1 (replica states at different heights)
+   times out and re-orders the batch through consensus. *)
+let serve_read (ctx : _ Ctx.t) (batch : Batch.t) ~reply =
+  if Batch.verify ~keychain:ctx.Ctx.keychain batch && Batch.read_only batch then
+    ctx.Ctx.read_execute batch ~on_done:(fun res -> reply res.App.digest)

@@ -34,3 +34,9 @@ val retransmits : 'm t -> int
 
 val read_fallbacks : 'm t -> int
 (** Bypass reads that timed out and were re-ordered through consensus. *)
+
+val serve_read : _ Ctx.t -> Batch.t -> reply:(string -> unit) -> unit
+(** Replica side of the bypass read: if [batch] verifies and is
+    read-only, execute it against current state (no consensus, no
+    ledger) and call [reply] with the result digest.  The protocol
+    keeps only its own routing guard and [Reply] constructor. *)

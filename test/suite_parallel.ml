@@ -226,6 +226,53 @@ let test_pinned_fault_digests () =
     (digest_of ~jobs:2
        (Scenario.make ~windows:chaos_windows ~fault:(Runner.Chaos 8) Scenario.Geobft chaos_cfg))
 
+(* -- pinned recovery and read-bypass digests ------------------------------ *)
+
+(* Trace digests and recovery counters of the catch-up path of every
+   protocol with a recovery task, and of the consensus-bypass read
+   server of pbft and steward.  The counters must be non-zero (and the
+   read runs must complete reads) so each pin keeps covering the path
+   it names; any change to when a replica fetches, installs or answers
+   a read moves one of them. *)
+let test_pinned_recovery_digests () =
+  let run id =
+    match Scenario.of_string id with
+    | None -> Alcotest.failf "bad scenario id %S" id
+    | Some s ->
+        let tracer = Trace.create () in
+        let r = Runner.run ~tracer s in
+        let digest =
+          match r.Report.trace with
+          | Some tr -> tr.Trace.digest_hex
+          | None -> Alcotest.fail "run produced no trace summary"
+        in
+        (r, digest)
+  in
+  let catchup id ~st ~holes ~rtx digest =
+    let r, d = run id in
+    Alcotest.(check string) (id ^ ": trace digest") digest d;
+    Alcotest.(check (list int)) (id ^ ": recovery counters") [ st; holes; rtx ]
+      [ r.Report.state_transfers; r.Report.holes_filled; r.Report.retransmissions ];
+    Alcotest.(check bool) (id ^ ": counters cover the path") true (st > 0 && holes > 0 && rtx > 0)
+  in
+  let reads id digest =
+    let r, d = run id in
+    Alcotest.(check string) (id ^ ": trace digest") digest d;
+    Alcotest.(check bool) (id ^ ": bypass reads completed") true (r.Report.read_txns > 0)
+  in
+  let base = "z2 n4 b20 i8 seed1" in
+  catchup (Printf.sprintf "pbft %s w1000+3000 fault=chaos:6" base) ~st:5 ~holes:188 ~rtx:3
+    "bafb8690e572e37a0ed5b4050f9e3871d944bff25da24522cc81061ae2185e81";
+  catchup (Printf.sprintf "geobft %s w1000+3000 fault=chaos:3" base) ~st:7 ~holes:648 ~rtx:3
+    "a59ebf1bfcd818bc8ee4836a20bb7583adbbdec245ce0078c492ef337aafac76";
+  catchup (Printf.sprintf "hotstuff %s w1000+5000 fault=chaos:1" base) ~st:4 ~holes:160 ~rtx:11
+    "ef618b5a8ba3bd099b17b74b09d400b23ecdcc481340d421f0a568c21bc4e589";
+  catchup (Printf.sprintf "steward %s w1000+5000 fault=chaos:13" base) ~st:2 ~holes:112 ~rtx:2
+    "f3f9b5159432929498cfd8bdfa48966f2eb7a966c8e08a94b464b33d49d05566";
+  let rw = "z2 n4 b50 i16 seed1 w1000+3000 reads=0.5 scans=0.1" in
+  reads ("pbft " ^ rw) "2b42eec5b0c3d7678c8722cd0a7e06e328ccce04aa696de8de4bdf3a29c23d26";
+  reads ("steward " ^ rw) "194bcc24bf63cee44a5d8e55ea24da4226ba0613d7d3443e2e0f5534950d69e3"
+
 let suite =
   [
     ("event pool reuse", `Quick, test_pool_reuse);
@@ -240,4 +287,5 @@ let suite =
     ("seq=par: HotStuff", `Slow, test_digest_equality Runner.Hotstuff);
     ("seq=par: Steward", `Slow, test_digest_equality Runner.Steward);
     ("pinned fault-path digests", `Slow, test_pinned_fault_digests);
+    ("pinned recovery and read digests", `Slow, test_pinned_recovery_digests);
   ]

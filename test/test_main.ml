@@ -22,6 +22,7 @@ let () =
       ("zyzzyva", Suite_zyzzyva.suite);
       ("hotstuff", Suite_hotstuff.suite);
       ("steward", Suite_steward.suite);
+      ("recovery", Suite_recovery.suite);
       ("fabric", Suite_fabric.suite);
       ("parallel", Suite_parallel.suite);
       ("scale", Suite_scale.suite);
