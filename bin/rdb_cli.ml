@@ -367,87 +367,68 @@ let matrix_cmd =
     (Cmd.info "matrix" ~doc:"Print the Table 1 latency/bandwidth calibration matrix.")
     Term.(const go $ const ())
 
-(* -- check ------------------------------------------------------------------ *)
+(* -- check and attack -------------------------------------------------------- *)
 
 module Check = Resilientdb.Check
 module Perturb = Resilientdb.Perturb
 module Mutation = Resilientdb.Mutation
+module Adversary = Resilientdb.Adversary
 
-let check_cmd =
-  let budget =
-    Arg.(value & opt int 64
-         & info [ "budget" ] ~docv:"N"
-             ~doc:"Schedules to explore per scenario (schedule 0 is unperturbed).")
-  in
-  let seed =
-    Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Perturbation seed.")
-  in
+(* One command body for both counterexample searches; the arguments are
+   what `check` and `attack` spell differently. *)
+let search_cmd (type a) (search : a Check.search) ~attempts ~searcher ~caught
+    ~(minimal : a list -> string) ~(replaying : a list -> string) ~artifact ~doc ~budget_doc
+    ~seed_doc ~scenario_doc ~mutate_doc ~mutants_doc ~replay_doc =
+  let cmd = search.Check.command and noun = search.Check.index_key in
+  let budget = Arg.(value & opt int 64 & info [ "budget" ] ~docv:"N" ~doc:budget_doc) in
+  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:seed_doc) in
   let scenario_ids =
-    Arg.(value & opt_all string []
-         & info [ "scenario"; "s" ] ~docv:"ID"
-             ~doc:
-               "Explore this scenario by its stable id (repeatable) instead of the default \
-                per-protocol matrix.")
+    Arg.(value & opt_all string [] & info [ "scenario"; "s" ] ~docv:"ID" ~doc:scenario_doc)
   in
   let mutate =
-    Arg.(value & opt (some string) None
-         & info [ "mutate" ] ~docv:"ID"
-             ~doc:
-               "Activate one test-only protocol mutation and verify the checker catches it \
-                (the scenario that exposes it is chosen automatically unless --scenario is \
-                given).")
+    Arg.(value & opt (some string) None & info [ "mutate" ] ~docv:"ID" ~doc:mutate_doc)
   in
-  let mutants_flag =
-    Arg.(value & flag
-         & info [ "mutants" ]
-             ~doc:
-               "Validation sweep: explore every known mutation in turn; each must be caught \
-                and shrunk within the budget.")
-  in
+  let mutants_flag = Arg.(value & flag & info [ "mutants" ] ~doc:mutants_doc) in
   let replay_file =
-    Arg.(value & opt (some string) None
-         & info [ "replay" ] ~docv:"FILE"
-             ~doc:"Replay a counterexample artifact and report whether it reproduces.")
+    Arg.(value & opt (some string) None & info [ "replay" ] ~docv:"FILE" ~doc:replay_doc)
   in
   let out =
     Arg.(value & opt (some string) None
          & info [ "out"; "o" ] ~docv:"DIR"
-             ~doc:"Write every counterexample artifact as \\$(docv)/check-<name>.json.")
+             ~doc:
+               (Printf.sprintf "Write every %s artifact as \\$(docv)/%s-<name>.json." artifact
+                  cmd))
   in
-  let write_artifact out name (ce : Check.counterexample) =
+  let write_artifact out name ce =
     match out with
     | None -> ()
     | Some dir ->
         (if not (Sys.file_exists dir) then Sys.mkdir dir 0o755);
-        let file = Filename.concat dir (Printf.sprintf "check-%s.json" name) in
+        let file = Filename.concat dir (Printf.sprintf "%s-%s.json" cmd name) in
         let oc = open_out file in
-        output_string oc (Check.counterexample_to_string ce);
+        output_string oc (Check.counterexample_to_string search ce);
         output_char oc '\n';
         close_out oc;
         Printf.printf "  wrote %s\n%!" file
   in
-  let describe (ce : Check.counterexample) =
-    Printf.printf "  VIOLATION %s at schedule %d (%d runs): %s\n" ce.Check.violation.invariant
-      ce.Check.schedule ce.Check.runs ce.Check.violation.detail;
-    Printf.printf "  minimal schedule (%d perturbations): [%s]\n"
-      (List.length ce.Check.perturbations)
-      (String.concat "; " (List.map Perturb.to_string ce.Check.perturbations));
-    match ce.Check.digest with
-    | Some d -> Printf.printf "  trace digest: %s\n%!" d
-    | None -> ()
+  let describe (ce : a Check.counterexample) =
+    Printf.printf "  VIOLATION %s at %s %d (%d runs): %s\n" ce.Check.violation.invariant noun
+      ce.Check.index ce.Check.runs ce.Check.violation.detail;
+    Printf.printf "  minimal %s\n" (minimal ce.Check.items);
+    Option.iter (Printf.printf "  trace digest: %s\n%!") ce.Check.digest
   in
   let explore_label ~budget ~seed ?mutation ?provoke ~name scenario =
-    Printf.printf "check %-24s %s%s\n%!" name
+    Printf.printf "%s %-24s %s%s\n%!" cmd name
       (Scenario.to_string scenario)
       (match mutation with None -> "" | Some m -> Printf.sprintf "  [mutation %s]" m);
     let last = ref (-1) in
-    let on_schedule ~schedule =
-      if schedule / 16 > !last then begin
-        last := schedule / 16;
-        Printf.printf "  ... schedule %d/%d\n%!" schedule budget
+    let on_attempt k =
+      if k / 16 > !last then begin
+        last := k / 16;
+        Printf.printf "  ... %s %d/%d\n%!" noun k budget
       end
     in
-    Check.explore ~budget ~seed ?mutation ?provoke ~on_schedule scenario
+    Check.explore search ~budget ~seed ?mutation ?provoke ~on_attempt scenario
   in
   let go budget seed scenario_ids mutate mutants_flag replay_file out =
     match replay_file with
@@ -458,13 +439,13 @@ let check_cmd =
           let s = really_input_string ic n in
           close_in ic; s
         in
-        match Check.counterexample_of_string contents with
+        match Check.counterexample_of_string search contents with
         | Error msg -> Printf.eprintf "cannot load %s: %s\n" file msg; exit 2
         | Ok ce ->
-            Printf.printf "replaying %s: %s (%d perturbations)\n%!" file
+            Printf.printf "replaying %s: %s%s\n%!" file
               (Scenario.to_string ce.Check.scenario)
-              (List.length ce.Check.perturbations);
-            let r = Check.replay ce in
+              (replaying ce.Check.items);
+            let r = Check.replay search ce in
             (match r.Check.observed with
             | Some v -> Printf.printf "observed: %s\n" (Check.violation_to_string v)
             | None -> Printf.printf "observed: no violation\n");
@@ -486,9 +467,12 @@ let check_cmd =
               | None -> Printf.eprintf "unparseable scenario id %S\n" id; exit 2)
             scenario_ids
         in
+        let escaped id =
+          Printf.printf "  ESCAPED: mutation %s survived %d %s\n%!" id budget attempts
+        in
         if mutants_flag then begin
-          (* Every mutation must be caught and shrunk within the budget. *)
-          let escaped = ref [] in
+          (* Every registered mutant must be caught and shrunk. *)
+          let escapes = ref [] in
           List.iter
             (fun (id, (scenario, provoke)) ->
               match explore_label ~budget ~seed ~mutation:id ?provoke ~name:id scenario with
@@ -496,36 +480,37 @@ let check_cmd =
                   describe ce;
                   write_artifact out id ce
               | None ->
-                  Printf.printf "  ESCAPED: mutation %s survived %d schedules\n%!" id budget;
-                  escaped := id :: !escaped)
-            Check.mutants;
-          if !escaped <> [] then begin
-            Printf.printf "%d mutation(s) escaped the checker: %s\n" (List.length !escaped)
-              (String.concat ", " (List.rev !escaped));
+                  escaped id;
+                  escapes := id :: !escapes)
+            search.Check.mutants;
+          if !escapes <> [] then begin
+            Printf.printf "%d mutation(s) escaped %s: %s\n" (List.length !escapes) searcher
+              (String.concat ", " (List.rev !escapes));
             exit 1
           end;
-          Printf.printf "all %d mutations caught and shrunk\n" (List.length Check.mutants)
+          Printf.printf "all %d mutations %s and shrunk\n" (List.length search.Check.mutants) caught
         end
         else
           match mutate with
           | Some id -> (
               if not (List.mem id Mutation.known) then begin
                 Printf.eprintf "unknown mutation %S (known: %s)\n" id
-                  (String.concat ", " (List.map fst Check.mutants));
+                  (String.concat ", " Mutation.known);
                 exit 2
               end;
               let scenario, provoke =
-                match (explicit, Check.mutant_scenario id) with
-                | s :: _, reg -> (s, Option.bind reg (fun (_, p) -> p))
+                match (explicit, Check.mutant_scenario search id) with
+                | s :: _, reg -> (s, Option.bind reg snd)
                 | [], Some (s, p) -> (s, p)
-                | [], None -> (Check.default_scenario Scenario.Geobft, None)
+                | [], None ->
+                    (Check.default_scenario ~measure:search.Check.measure Scenario.Geobft, None)
               in
               match explore_label ~budget ~seed ~mutation:id ?provoke ~name:id scenario with
               | Some ce ->
                   describe ce;
                   write_artifact out id ce
               | None ->
-                  Printf.printf "  ESCAPED: mutation %s survived %d schedules\n" id budget;
+                  escaped id;
                   exit 1)
           | None ->
               (* Bug hunt: the unmutated protocols must come out clean. *)
@@ -534,7 +519,9 @@ let check_cmd =
                   List.map (fun s -> (Scenario.proto_name s.Scenario.proto, s)) explicit
                 else
                   List.map
-                    (fun p -> (Scenario.proto_name p, Check.default_scenario ~seed p))
+                    (fun p ->
+                      ( Scenario.proto_name p,
+                        Check.default_scenario ~seed ~measure:search.Check.measure p ))
                     Scenario.all_protocols
               in
               let dirty = ref [] in
@@ -545,7 +532,7 @@ let check_cmd =
                       describe ce;
                       write_artifact out name ce;
                       dirty := name :: !dirty
-                  | None -> Printf.printf "  clean over %d schedules\n%!" budget)
+                  | None -> Printf.printf "  clean over %d %s\n%!" budget attempts)
                 scenarios;
               if !dirty <> [] then begin
                 Printf.printf "%d scenario(s) violated an invariant: %s\n" (List.length !dirty)
@@ -556,215 +543,55 @@ let check_cmd =
   let term =
     Term.(const go $ budget $ seed $ scenario_ids $ mutate $ mutants_flag $ replay_file $ out)
   in
-  Cmd.v
-    (Cmd.info "check"
-       ~doc:
-         "Explore seeded schedule perturbations (delivery delays, tie-break permutations, \
-          same-link reorders) of simulated deployments under an invariant oracle; shrink any \
-          violation to a minimal replayable counterexample.")
-    term
+  Cmd.v (Cmd.info cmd ~doc) term
 
-(* -- attack ----------------------------------------------------------------- *)
-
-module Adversary = Resilientdb.Adversary
+let check_cmd =
+  search_cmd Check.schedules ~attempts:"schedules" ~searcher:"the checker" ~caught:"caught"
+    ~minimal:(fun ps ->
+      Printf.sprintf "schedule (%d perturbations): [%s]" (List.length ps)
+        (String.concat "; " (List.map Perturb.to_string ps)))
+    ~replaying:(fun ps -> Printf.sprintf " (%d perturbations)" (List.length ps))
+    ~artifact:"counterexample"
+    ~doc:
+      "Explore seeded schedule perturbations (delivery delays, tie-break permutations, \
+       same-link reorders) of simulated deployments under an invariant oracle; shrink any \
+       violation to a minimal replayable counterexample."
+    ~budget_doc:"Schedules to explore per scenario (schedule 0 is unperturbed)."
+    ~seed_doc:"Perturbation seed."
+    ~scenario_doc:
+      "Explore this scenario by its stable id (repeatable) instead of the default \
+       per-protocol matrix."
+    ~mutate_doc:
+      "Activate one test-only protocol mutation and verify the checker catches it (the \
+       scenario that exposes it is chosen automatically unless --scenario is given)."
+    ~mutants_doc:
+      "Validation sweep: explore every known mutation in turn; each must be caught and shrunk \
+       within the budget."
+    ~replay_doc:"Replay a counterexample artifact and report whether it reproduces."
 
 let attack_cmd =
-  let budget =
-    Arg.(value & opt int 64
-         & info [ "budget" ] ~docv:"N"
-             ~doc:"Attack programs to try per scenario (attempt 0 is the empty attack).")
-  in
-  let seed =
-    Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Attack-sampler seed.")
-  in
-  let scenario_ids =
-    Arg.(value & opt_all string []
-         & info [ "scenario"; "s" ] ~docv:"ID"
-             ~doc:
-               "Search this scenario by its stable id (repeatable) instead of the default \
-                per-protocol matrix.  An attack=<id> token in the scenario pins attempt 0 to \
-                that program.")
-  in
-  let mutate =
-    Arg.(value & opt (some string) None
-         & info [ "mutate" ] ~docv:"ID"
-             ~doc:
-               "Activate one test-only protocol mutation and verify the attack search exposes \
-                it (the scenario is chosen automatically unless --scenario is given).")
-  in
-  let mutants_flag =
-    Arg.(value & flag
-         & info [ "mutants" ]
-             ~doc:
-               "Validation sweep: search every registered attack mutant in turn; each must be \
-                caught and shrunk within the budget.")
-  in
-  let replay_file =
-    Arg.(value & opt (some string) None
-         & info [ "replay" ] ~docv:"FILE"
-             ~doc:"Replay an attack artifact and report whether it reproduces.")
-  in
-  let out =
-    Arg.(value & opt (some string) None
-         & info [ "out"; "o" ] ~docv:"DIR"
-             ~doc:"Write every attack artifact as \\$(docv)/attack-<name>.json.")
-  in
-  let write_artifact out name (ce : Check.attack_counterexample) =
-    match out with
-    | None -> ()
-    | Some dir ->
-        (if not (Sys.file_exists dir) then Sys.mkdir dir 0o755);
-        let file = Filename.concat dir (Printf.sprintf "attack-%s.json" name) in
-        let oc = open_out file in
-        output_string oc (Check.attack_counterexample_to_string ce);
-        output_char oc '\n';
-        close_out oc;
-        Printf.printf "  wrote %s\n%!" file
-  in
-  let describe (ce : Check.attack_counterexample) =
-    Printf.printf "  VIOLATION %s at attempt %d (%d runs): %s\n"
-      ce.Check.atk_violation.invariant ce.Check.atk_attempt ce.Check.atk_runs
-      ce.Check.atk_violation.detail;
-    Printf.printf "  minimal attack (%d rules): %s\n"
-      (List.length ce.Check.atk_attack.Adversary.Attack.rules)
-      (Adversary.Attack.to_id ce.Check.atk_attack);
-    match ce.Check.atk_digest with
-    | Some d -> Printf.printf "  trace digest: %s\n%!" d
-    | None -> ()
-  in
-  let search_label ~budget ~seed ?mutation ~name scenario =
-    Printf.printf "attack %-24s %s%s\n%!" name
-      (Scenario.to_string scenario)
-      (match mutation with None -> "" | Some m -> Printf.sprintf "  [mutation %s]" m);
-    let last = ref (-1) in
-    let on_attempt ~attempt =
-      if attempt / 16 > !last then begin
-        last := attempt / 16;
-        Printf.printf "  ... attempt %d/%d\n%!" attempt budget
-      end
-    in
-    Check.explore_attacks ~budget ~seed ?mutation ~on_attempt scenario
-  in
-  let go budget seed scenario_ids mutate mutants_flag replay_file out =
-    match replay_file with
-    | Some file -> (
-        let contents =
-          let ic = open_in_bin file in
-          let n = in_channel_length ic in
-          let s = really_input_string ic n in
-          close_in ic; s
-        in
-        match Check.attack_counterexample_of_string contents with
-        | Error msg -> Printf.eprintf "cannot load %s: %s\n" file msg; exit 2
-        | Ok ce ->
-            Printf.printf "replaying %s: %s attack=%s\n%!" file
-              (Scenario.to_string ce.Check.atk_scenario)
-              (Adversary.Attack.to_id ce.Check.atk_attack);
-            let r = Check.replay_attack ce in
-            (match r.Check.observed with
-            | Some v -> Printf.printf "observed: %s\n" (Check.violation_to_string v)
-            | None -> Printf.printf "observed: no violation\n");
-            (match r.Check.digest_match with
-            | Some true -> Printf.printf "trace digest matches the artifact\n"
-            | Some false -> Printf.printf "trace digest DIFFERS from the artifact\n"
-            | None -> ());
-            if r.Check.reproduced then Printf.printf "reproduced\n"
-            else begin
-              Printf.printf "NOT reproduced\n";
-              exit 1
-            end)
-    | None ->
-        let explicit =
-          List.map
-            (fun id ->
-              match Scenario.of_string id with
-              | Some s -> s
-              | None -> Printf.eprintf "unparseable scenario id %S\n" id; exit 2)
-            scenario_ids
-        in
-        if mutants_flag then begin
-          (* Every registered attack mutant must be exposed and shrunk. *)
-          let escaped = ref [] in
-          List.iter
-            (fun (id, scenario) ->
-              match search_label ~budget ~seed ~mutation:id ~name:id scenario with
-              | Some ce ->
-                  describe ce;
-                  write_artifact out id ce
-              | None ->
-                  Printf.printf "  ESCAPED: mutation %s survived %d attack programs\n%!" id
-                    budget;
-                  escaped := id :: !escaped)
-            Check.attack_mutants;
-          if !escaped <> [] then begin
-            Printf.printf "%d mutation(s) escaped the attack search: %s\n"
-              (List.length !escaped)
-              (String.concat ", " (List.rev !escaped));
-            exit 1
-          end;
-          Printf.printf "all %d mutations exposed and shrunk\n"
-            (List.length Check.attack_mutants)
-        end
-        else
-          match mutate with
-          | Some id -> (
-              if not (List.mem id Mutation.known) then begin
-                Printf.eprintf "unknown mutation %S (known: %s)\n" id
-                  (String.concat ", " Mutation.known);
-                exit 2
-              end;
-              let scenario =
-                match (explicit, Check.attack_mutant_scenario id) with
-                | s :: _, _ -> s
-                | [], Some s -> s
-                | [], None -> Check.default_attack_scenario Scenario.Geobft
-              in
-              match search_label ~budget ~seed ~mutation:id ~name:id scenario with
-              | Some ce ->
-                  describe ce;
-                  write_artifact out id ce
-              | None ->
-                  Printf.printf "  ESCAPED: mutation %s survived %d attack programs\n" id
-                    budget;
-                  exit 1)
-          | None ->
-              (* Bug hunt: the unmutated protocols must absorb every
-                 in-envelope strategy. *)
-              let scenarios =
-                if explicit <> [] then
-                  List.map (fun s -> (Scenario.proto_name s.Scenario.proto, s)) explicit
-                else
-                  List.map
-                    (fun p -> (Scenario.proto_name p, Check.default_attack_scenario ~seed p))
-                    Scenario.all_protocols
-              in
-              let dirty = ref [] in
-              List.iter
-                (fun (name, scenario) ->
-                  match search_label ~budget ~seed ~name scenario with
-                  | Some ce ->
-                      describe ce;
-                      write_artifact out name ce;
-                      dirty := name :: !dirty
-                  | None -> Printf.printf "  clean over %d attack programs\n%!" budget)
-                scenarios;
-              if !dirty <> [] then begin
-                Printf.printf "%d scenario(s) violated an invariant: %s\n"
-                  (List.length !dirty)
-                  (String.concat ", " (List.rev !dirty));
-                exit 1
-              end
-  in
-  let term =
-    Term.(const go $ budget $ seed $ scenario_ids $ mutate $ mutants_flag $ replay_file $ out)
-  in
-  Cmd.v
-    (Cmd.info "attack"
-       ~doc:
-         "Search the Byzantine-strategy space (silence, equivocation, delays, stale shares, \
-          replays, deafness) of simulated deployments under the invariant oracle; shrink any \
-          violation to a 1-minimal replayable attack program.")
-    term
+  let id rules = Adversary.Attack.to_id { Adversary.Attack.rules } in
+  search_cmd Check.attacks ~attempts:"attack programs" ~searcher:"the attack search"
+    ~caught:"exposed"
+    ~minimal:(fun rules -> Printf.sprintf "attack (%d rules): %s" (List.length rules) (id rules))
+    ~replaying:(fun rules -> " attack=" ^ id rules)
+    ~artifact:"attack"
+    ~doc:
+      "Search the Byzantine-strategy space (silence, equivocation, delays, stale shares, \
+       replays, deafness) of simulated deployments under the invariant oracle; shrink any \
+       violation to a 1-minimal replayable attack program."
+    ~budget_doc:"Attack programs to try per scenario (attempt 0 is the empty attack)."
+    ~seed_doc:"Attack-sampler seed."
+    ~scenario_doc:
+      "Search this scenario by its stable id (repeatable) instead of the default per-protocol \
+       matrix.  An attack=<id> token in the scenario pins attempt 0 to that program."
+    ~mutate_doc:
+      "Activate one test-only protocol mutation and verify the attack search exposes it (the \
+       scenario is chosen automatically unless --scenario is given)."
+    ~mutants_doc:
+      "Validation sweep: search every registered attack mutant in turn; each must be caught \
+       and shrunk within the budget."
+    ~replay_doc:"Replay an attack artifact and report whether it reproduces."
 
 let main =
   Cmd.group

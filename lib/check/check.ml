@@ -1,7 +1,9 @@
-(* The schedule-exploration checker (DESIGN.md §13).
+(* Counterexample search (DESIGN.md §13, §14): one explore loop, one
+   shrinker, one artifact codec and one replay, with two instances —
+   [schedules] perturbs the schedule, [attacks] installs Byzantine
+   strategy programs from lib/adversary.
 
-   Replays a Scenario.t under seeded schedule perturbations while an
-   invariant oracle watches:
+   Every run is watched by the same invariant oracle:
 
    - the chaos safety monitor (prefix agreement, monotone execution,
      no duplicate execution, liveness) from lib/chaos, reused with an
@@ -17,12 +19,12 @@
      may sit still across the second half of the measurement window
      while the rest of the deployment keeps executing.
 
-   On a violation, a ddmin shrinker minimizes the perturbation list to
-   a 1-minimal failing schedule and the result is serialized as a
-   replayable JSON artifact.
+   On a violation, a ddmin shrinker minimizes the attempt's items
+   (perturbations or attack rules) to a 1-minimal failing list and the
+   result is serialized as a replayable JSON artifact.
 
    Runs are strictly sequential: the mutation/evidence hooks are plain
-   globals, so the checker never uses the multicore sweep engine. *)
+   globals, so the searches never use the multicore sweep engine. *)
 
 module Scenario = Rdb_experiments.Scenario
 module Runner = Rdb_experiments.Runner
@@ -295,240 +297,88 @@ let ddmin ~test items =
   in
   (result, !runs)
 
-(* -- exploration ---------------------------------------------------------- *)
+(* -- the two searches ----------------------------------------------------- *)
 
-type counterexample = {
-  scenario : Scenario.t;
-  mutation : string option;
-  provoke : string option;
-  seed : int;
-  schedule : int;  (** schedule index where the violation surfaced *)
-  perturbations : Perturb.t list;  (** shrunk, 1-minimal *)
-  violation : violation;
-  digest : string option;  (** trace digest of the minimal replay *)
-  runs : int;  (** simulations spent, exploration + shrinking *)
+type 'a search = {
+  kind : string;
+  command : string;
+  index_key : string;
+  provokes : bool;
+  measure : Time.t;
+  mutants : (string * (Scenario.t * string option)) list;
+  base : Scenario.t -> Scenario.t;
+  attempt : seed:int -> int -> Scenario.t -> provoke:string option -> 'a list * run_result;
+  run : Scenario.t -> provoke:string option -> 'a list -> run_result;
+  items_to_json : 'a list -> (string * Json.t) list;
+  items_of_json : Json.t -> ('a list, string) result;
 }
+
+let ( let* ) = Result.bind
+
+let field name conv j =
+  match Option.bind (Json.member name j) conv with
+  | Some v -> Ok v
+  | None -> Error (Printf.sprintf "artifact: missing or malformed %S" name)
+
+(* Small, fast deployments: the searches' power comes from schedule and
+   strategy diversity, not scale. *)
+let stock ~seed ~warmup ~measure (p : Scenario.proto) : Scenario.t =
+  let cfg = Config.make ~z:2 ~n:4 ~batch_size:20 ~client_inflight:8 ~seed () in
+  Scenario.make ~windows:{ Scenario.warmup; measure } ~trace:true p cfg
+
+let default_scenario ?(seed = 1) ~measure p = stock ~seed ~warmup:(Time.ms 500) ~measure p
+
+(* The weakened remote view-change honor quorum needs remote view-change
+   traffic: the schedule checker provokes it with a scripted
+   equivocation window, the attack search must generate it itself. *)
+let rvc_weak_scenario = stock ~seed:1 ~warmup:(Time.ms 1000) ~measure:(Time.ms 8000) Scenario.Geobft
 
 let schedule_rng ~seed ~schedule =
   Rng.create (Int64.of_int ((seed * 1_000_003) + schedule))
 
-let explore ?(budget = 64) ?(seed = 1) ?mutation ?provoke ?on_schedule (s : Scenario.t) :
-    counterexample option =
-  Mutation.set mutation;
-  let finish v =
-    Mutation.set None;
-    v
-  in
-  let runs = ref 0 in
-  let attempt k =
-    incr runs;
-    (match on_schedule with Some f -> f ~schedule:k | None -> ());
-    let hooks =
-      if k = 0 then Perturb.unperturbed
-      else
-        Perturb.explore
-          ~rng:(schedule_rng ~seed ~schedule:k)
-          ~tier:(Perturb.tier_for ~schedule:k)
-    in
-    run_one s ~hooks ~provoke
-  in
-  let rec loop k =
-    if k >= budget then finish None
-    else
-      let r = attempt k in
-      match r.violation with
-      | None -> loop (k + 1)
-      | Some _ ->
-          let test ps =
-            incr runs;
-            (run_one s ~hooks:(Perturb.replay ps) ~provoke).violation <> None
-          in
-          let minimal, _ = ddmin ~test r.applied in
-          (* One final replay of the minimal schedule: its violation and
-             digest are what the artifact pins. *)
-          incr runs;
-          let final = run_one s ~hooks:(Perturb.replay minimal) ~provoke in
-          let violation =
-            match final.violation with Some v -> v | None -> Option.get r.violation
-          in
-          finish
-            (Some
-               {
-                 scenario = s;
-                 mutation;
-                 provoke;
-                 seed;
-                 schedule = k;
-                 perturbations = minimal;
-                 violation;
-                 digest = final.digest;
-                 runs = !runs;
-               })
-  in
-  loop 0
-
-(* -- artifacts ------------------------------------------------------------ *)
-
-let schema_version = 1
-
-let counterexample_to_json (ce : counterexample) : Json.t =
-  let opt_str = function None -> Json.Null | Some s -> Json.String s in
-  Json.Obj
-    [
-      ("schema", Json.Int schema_version);
-      ("scenario", Json.String (Scenario.to_string ce.scenario));
-      ("mutation", opt_str ce.mutation);
-      ("provoke", opt_str ce.provoke);
-      ("seed", Json.Int ce.seed);
-      ("schedule", Json.Int ce.schedule);
-      ("perturbations", Json.List (List.map Perturb.to_json ce.perturbations));
-      ( "violation",
-        Json.Obj
-          [
-            ("invariant", Json.String ce.violation.invariant);
-            ("detail", Json.String ce.violation.detail);
-            ("at_ms", Json.Float (Time.to_ms_f ce.violation.at));
-          ] );
-      ("trace_digest", opt_str ce.digest);
-      ("runs", Json.Int ce.runs);
-    ]
-
-let counterexample_to_string ce = Json.to_string (counterexample_to_json ce)
-
-let counterexample_of_json (j : Json.t) : (counterexample, string) result =
-  let ( let* ) r f = match r with Ok v -> f v | Error e -> Error e in
-  let req name conv =
-    match Option.bind (Json.member name j) conv with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "artifact: missing or malformed %S" name)
-  in
-  let opt_str name =
-    match Json.member name j with Some (Json.String s) -> Some s | _ -> None
-  in
-  let* schema = req "schema" Json.to_int in
-  if schema <> schema_version then
-    Error (Printf.sprintf "artifact: unsupported schema %d" schema)
-  else
-    let* sid = req "scenario" Json.to_str in
-    let* scenario =
-      match Scenario.of_string sid with
-      | Some s -> Ok s
-      | None -> Error (Printf.sprintf "artifact: unparseable scenario id %S" sid)
-    in
-    let* seed = req "seed" Json.to_int in
-    let* schedule = req "schedule" Json.to_int in
-    let* pjs = req "perturbations" Json.to_list in
-    let* perturbations =
-      List.fold_left
-        (fun acc pj ->
-          let* acc = acc in
-          let* p = Perturb.of_json pj in
-          Ok (p :: acc))
-        (Ok []) pjs
-      |> fun r -> (match r with Ok l -> Ok (List.rev l) | Error e -> Error e)
-    in
-    let* vj = req "violation" (fun x -> Some x) in
-    let* invariant = match Option.bind (Json.member "invariant" vj) Json.to_str with
-      | Some s -> Ok s
-      | None -> Error "artifact: missing violation.invariant"
-    in
-    let* detail = match Option.bind (Json.member "detail" vj) Json.to_str with
-      | Some s -> Ok s
-      | None -> Error "artifact: missing violation.detail"
-    in
-    let at_ms =
-      match Option.bind (Json.member "at_ms" vj) Json.to_float with Some f -> f | None -> 0.
-    in
-    Ok
-      {
-        scenario;
-        mutation = opt_str "mutation";
-        provoke = opt_str "provoke";
-        seed;
-        schedule;
-        perturbations;
-        violation = { at = Time.of_ms_f at_ms; invariant; detail };
-        digest = opt_str "trace_digest";
-        runs = (match Option.bind (Json.member "runs" j) Json.to_int with Some r -> r | None -> 0);
-      }
-
-let counterexample_of_string s =
-  match Json.of_string s with Ok j -> counterexample_of_json j | Error e -> Error e
-
-(* -- replay --------------------------------------------------------------- *)
-
-type replay_outcome = {
-  reproduced : bool;  (** the replay violated the same invariant *)
-  observed : violation option;
-  digest_match : bool option;  (** None when either side lacks a digest *)
-}
-
-let replay (ce : counterexample) : replay_outcome =
-  Mutation.set ce.mutation;
-  let r = run_one ce.scenario ~hooks:(Perturb.replay ce.perturbations) ~provoke:ce.provoke in
-  Mutation.set None;
-  let reproduced =
-    match r.violation with
-    | Some v -> String.equal v.invariant ce.violation.invariant
-    | None -> false
-  in
-  let digest_match =
-    match (ce.digest, r.digest) with
-    | Some a, Some b -> Some (String.equal a b)
-    | _ -> None
-  in
-  { reproduced; observed = r.violation; digest_match }
-
-(* -- default matrices ----------------------------------------------------- *)
-
-(* Small, fast deployments: the checker's power comes from schedule
-   diversity, not scale. *)
-let default_scenario ?(seed = 1) (p : Scenario.proto) : Scenario.t =
-  let cfg = Config.make ~z:2 ~n:4 ~batch_size:20 ~client_inflight:8 ~seed () in
-  let windows = { Scenario.warmup = Time.ms 500; measure = Time.ms 2000 } in
-  Scenario.make ~windows ~trace:true p cfg
-
-(* Every mutation with the scenario (and provocation) that flushes it
-   out.  [geobft-rvc-weak] needs remote view-change traffic, which the
-   equivocation provocation generates inside the chaos envelope. *)
-let mutants : (string * (Scenario.t * string option)) list =
-  let plain p = (default_scenario p, None) in
-  [
-    ("pbft-prepare-quorum", plain Scenario.Pbft);
-    ("pbft-commit-quorum", plain Scenario.Pbft);
-    ("zyzzyva-spec-history", plain Scenario.Zyzzyva);
-    ("hotstuff-qc-quorum", plain Scenario.Hotstuff);
-    ("geobft-share-stale", plain Scenario.Geobft);
-    ( "geobft-rvc-weak",
-      let cfg = Config.make ~z:2 ~n:4 ~batch_size:20 ~client_inflight:8 ~seed:1 () in
-      let windows = { Scenario.warmup = Time.ms 1000; measure = Time.ms 8000 } in
-      (Scenario.make ~windows ~trace:true Scenario.Geobft cfg, Some "geobft-equivocate-c0") );
-    ("steward-certify-quorum", plain Scenario.Steward);
-  ]
-
-let mutant_scenario id = List.assoc_opt id mutants
-
-(* -- attack search (DESIGN.md §14) ---------------------------------------- *)
-
-(* The Byzantine-strategy search: instead of perturbing the schedule,
-   each attempt installs one sampled attack program (lib/adversary)
-   drawn from the protocol's adversary profile and runs it under the
-   same invariant oracle.  Attempt 0 is the empty attack — a violation
-   there means the configuration (usually a mutation) is broken without
-   any adversary, and the artifact honestly records an empty program.
-   On a violation the rule list is ddmin-shrunk to 1-minimality, so the
-   artifact names exactly the rules that matter. *)
-
-type attack_counterexample = {
-  atk_scenario : Scenario.t;  (** base scenario; [attack = None] *)
-  atk_mutation : string option;
-  atk_seed : int;
-  atk_attempt : int;  (** sampler attempt where the violation surfaced *)
-  atk_attack : Adversary.Attack.t;  (** shrunk, 1-minimal rule list *)
-  atk_violation : violation;
-  atk_digest : string option;  (** trace digest of the minimal replay *)
-  atk_runs : int;  (** simulations spent, search + shrinking *)
-}
+let schedules =
+  let measure = Time.ms 2000 in
+  let plain p = (default_scenario ~measure p, None) in
+  {
+    kind = "schedule";
+    command = "check";
+    index_key = "schedule";
+    provokes = true;
+    measure;
+    mutants =
+      [
+        ("pbft-prepare-quorum", plain Scenario.Pbft);
+        ("pbft-commit-quorum", plain Scenario.Pbft);
+        ("zyzzyva-spec-history", plain Scenario.Zyzzyva);
+        ("hotstuff-qc-quorum", plain Scenario.Hotstuff);
+        ("geobft-share-stale", plain Scenario.Geobft);
+        ("geobft-rvc-weak", (rvc_weak_scenario, Some "geobft-equivocate-c0"));
+        ("steward-certify-quorum", plain Scenario.Steward);
+      ];
+    base = Fun.id;
+    attempt =
+      (fun ~seed k s ~provoke ->
+        let hooks =
+          if k = 0 then Perturb.unperturbed
+          else
+            Perturb.explore
+              ~rng:(schedule_rng ~seed ~schedule:k)
+              ~tier:(Perturb.tier_for ~schedule:k)
+        in
+        let r = run_one s ~hooks ~provoke in
+        (r.applied, r));
+    run = (fun s ~provoke ps -> run_one s ~hooks:(Perturb.replay ps) ~provoke);
+    items_to_json = (fun ps -> [ ("perturbations", Json.List (List.map Perturb.to_json ps)) ]);
+    items_of_json =
+      (fun j ->
+        let* pjs = field "perturbations" Json.to_list j in
+        List.fold_right
+          (fun pj acc ->
+            let* p = Perturb.of_json pj in
+            let* ps = acc in
+            Ok (p :: ps))
+          pjs (Ok []));
+  }
 
 (* A different multiplier than {!schedule_rng} so attack streams never
    collide with schedule-perturbation streams for the same seed. *)
@@ -558,197 +408,206 @@ let run_attack (s : Scenario.t) (a : Adversary.Attack.t) : run_result =
   let attack = if a = Adversary.Attack.empty then None else Some a in
   run_one { s with Scenario.attack } ~hooks:Perturb.unperturbed ~provoke:None
 
-let explore_attacks ?(budget = 64) ?(seed = 1) ?mutation ?on_attempt (s : Scenario.t) :
-    attack_counterexample option =
+(* The attack search runs longer windows than the schedule checker:
+   attack windows (up to 2.5 s) must open after warmup and close
+   {!attack_tail_ms} before the horizon, and the horizon stays below
+   every protocol's liveness window so an in-envelope adversary can
+   never trip the liveness invariant.  Its mutants must be rediscovered
+   from generic primitives alone; the quorum mutants fire on any
+   decision path, so their 1-minimal attack is typically empty. *)
+let attacks =
+  let measure = Time.ms 4000 in
+  let plain p = (default_scenario ~measure p, None) in
+  {
+    kind = "attack";
+    command = "attack";
+    index_key = "attempt";
+    provokes = false;
+    measure;
+    mutants =
+      [
+        ("pbft-prepare-quorum", plain Scenario.Pbft);
+        ("pbft-commit-quorum", plain Scenario.Pbft);
+        ("hotstuff-qc-quorum", plain Scenario.Hotstuff);
+        ("steward-certify-quorum", plain Scenario.Steward);
+        ("geobft-rvc-weak", (rvc_weak_scenario, None));
+      ];
+    base = (fun s -> { s with Scenario.attack = None });
+    attempt =
+      (fun ~seed k s ~provoke:_ ->
+        let a = sample_attack ~seed ~attempt:k s in
+        (a.Adversary.Attack.rules, run_attack s a));
+    run = (fun s ~provoke:_ rules -> run_attack s { Adversary.Attack.rules });
+    items_to_json =
+      (fun rules ->
+        let a = { Adversary.Attack.rules } in
+        [
+          ("attack", Adversary.Attack.to_json a);
+          ("attack_id", Json.String (Adversary.Attack.to_id a));
+        ]);
+    items_of_json =
+      (fun j ->
+        let* aj = field "attack" Option.some j in
+        let* a = Adversary.Attack.of_json aj in
+        Ok a.Adversary.Attack.rules);
+  }
+
+let mutant_scenario search id = List.assoc_opt id search.mutants
+
+(* -- exploration ---------------------------------------------------------- *)
+
+type 'a counterexample = {
+  scenario : Scenario.t;
+  mutation : string option;
+  provoke : string option;
+  seed : int;
+  index : int;
+  items : 'a list;
+  violation : violation;
+  digest : string option;
+  runs : int;
+}
+
+let with_mutation mutation f =
   Mutation.set mutation;
-  let finish v =
-    Mutation.set None;
-    v
-  in
+  Fun.protect ~finally:(fun () -> Mutation.set None) f
+
+let explore search ?(budget = 64) ?(seed = 1) ?mutation ?provoke ?on_attempt (s : Scenario.t) =
+  if provoke <> None && not search.provokes then
+    invalid_arg (Printf.sprintf "Check.explore: %s artifacts record no provocation" search.kind);
   let runs = ref 0 in
-  let attempt k =
+  let run items =
     incr runs;
-    (match on_attempt with Some f -> f ~attempt:k | None -> ());
-    sample_attack ~seed ~attempt:k s
+    search.run s ~provoke items
   in
   let rec loop k =
-    if k >= budget then finish None
-    else
-      let a = attempt k in
-      let r = run_attack s a in
+    if k >= budget then None
+    else begin
+      incr runs;
+      Option.iter (fun f -> f k) on_attempt;
+      let items, r = search.attempt ~seed k s ~provoke in
       match r.violation with
       | None -> loop (k + 1)
-      | Some _ ->
-          let test rules =
-            incr runs;
-            (run_attack s Adversary.Attack.{ rules }).violation <> None
-          in
-          let minimal, _ = ddmin ~test a.Adversary.Attack.rules in
-          let minimal = Adversary.Attack.{ rules = minimal } in
-          (* One final replay of the minimal attack: its violation and
+      | Some v ->
+          let minimal, _ = ddmin ~test:(fun l -> (run l).violation <> None) items in
+          (* One final replay of the minimal items: its violation and
              digest are what the artifact pins. *)
-          incr runs;
-          let final = run_attack s minimal in
-          let violation =
-            match final.violation with Some v -> v | None -> Option.get r.violation
-          in
-          finish
-            (Some
-               {
-                 atk_scenario = { s with Scenario.attack = None };
-                 atk_mutation = mutation;
-                 atk_seed = seed;
-                 atk_attempt = k;
-                 atk_attack = minimal;
-                 atk_violation = violation;
-                 atk_digest = final.digest;
-                 atk_runs = !runs;
-               })
+          let final = run minimal in
+          Some
+            {
+              scenario = search.base s;
+              mutation;
+              provoke;
+              seed;
+              index = k;
+              items = minimal;
+              violation = Option.value final.violation ~default:v;
+              digest = final.digest;
+              runs = !runs;
+            }
+    end
   in
-  loop 0
+  with_mutation mutation (fun () -> loop 0)
 
-(* -- attack artifacts ------------------------------------------------------ *)
+(* -- artifacts ------------------------------------------------------------ *)
 
-let attack_schema_version = 1
+let schema_version = 1
 
-let attack_counterexample_to_json (ce : attack_counterexample) : Json.t =
+(* Schedule artifacts predate the [kind] field: an artifact without one
+   is a schedule artifact. *)
+let untagged_kind = schedules.kind
+
+let replayed_by kind =
+  List.assoc_opt kind [ (schedules.kind, schedules.command); (attacks.kind, attacks.command) ]
+
+let counterexample_to_json search (ce : _ counterexample) : Json.t =
   let opt_str = function None -> Json.Null | Some s -> Json.String s in
+  let kind = if search.kind = untagged_kind then [] else [ ("kind", Json.String search.kind) ] in
+  let provoke = if search.provokes then [ ("provoke", opt_str ce.provoke) ] else [] in
   Json.Obj
-    [
-      ("schema", Json.Int attack_schema_version);
-      ("kind", Json.String "attack");
-      ("scenario", Json.String (Scenario.to_string ce.atk_scenario));
-      ("mutation", opt_str ce.atk_mutation);
-      ("seed", Json.Int ce.atk_seed);
-      ("attempt", Json.Int ce.atk_attempt);
-      ("attack", Adversary.Attack.to_json ce.atk_attack);
-      ("attack_id", Json.String (Adversary.Attack.to_id ce.atk_attack));
-      ( "violation",
-        Json.Obj
-          [
-            ("invariant", Json.String ce.atk_violation.invariant);
-            ("detail", Json.String ce.atk_violation.detail);
-            ("at_ms", Json.Float (Time.to_ms_f ce.atk_violation.at));
-          ] );
-      ("trace_digest", opt_str ce.atk_digest);
-      ("runs", Json.Int ce.atk_runs);
-    ]
+    ((("schema", Json.Int schema_version) :: kind)
+    @ [
+        ("scenario", Json.String (Scenario.to_string ce.scenario));
+        ("mutation", opt_str ce.mutation);
+      ]
+    @ provoke
+    @ [ ("seed", Json.Int ce.seed); (search.index_key, Json.Int ce.index) ]
+    @ search.items_to_json ce.items
+    @ [
+        ( "violation",
+          Json.Obj
+            [
+              ("invariant", Json.String ce.violation.invariant);
+              ("detail", Json.String ce.violation.detail);
+              ("at_ms", Json.Float (Time.to_ms_f ce.violation.at));
+            ] );
+        ("trace_digest", opt_str ce.digest);
+        ("runs", Json.Int ce.runs);
+      ])
 
-let attack_counterexample_to_string ce = Json.to_string (attack_counterexample_to_json ce)
+let counterexample_to_string search ce = Json.to_string (counterexample_to_json search ce)
 
-let attack_counterexample_of_json (j : Json.t) : (attack_counterexample, string) result =
-  let ( let* ) r f = match r with Ok v -> f v | Error e -> Error e in
-  let req name conv =
-    match Option.bind (Json.member name j) conv with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "attack artifact: missing or malformed %S" name)
+let counterexample_of_json search (j : Json.t) =
+  let opt_str name = match Json.member name j with Some (Json.String s) -> Some s | _ -> None in
+  let* schema = field "schema" Json.to_int j in
+  let* kind =
+    match Json.member "kind" j with None -> Ok untagged_kind | Some _ -> field "kind" Json.to_str j
   in
-  let opt_str name =
-    match Json.member name j with Some (Json.String s) -> Some s | _ -> None
-  in
-  let* schema = req "schema" Json.to_int in
-  if schema <> attack_schema_version then
-    Error (Printf.sprintf "attack artifact: unsupported schema %d" schema)
+  if schema <> schema_version then Error (Printf.sprintf "artifact: unsupported schema %d" schema)
+  else if kind <> search.kind then
+    Error
+      (match replayed_by kind with
+      | Some cmd -> Printf.sprintf "artifact: kind %S; replay it with the %S subcommand" kind cmd
+      | None -> Printf.sprintf "artifact: unknown kind %S" kind)
   else
-    let* kind = req "kind" Json.to_str in
-    if not (String.equal kind "attack") then
-      Error (Printf.sprintf "attack artifact: kind %S is not \"attack\"" kind)
-    else
-      let* sid = req "scenario" Json.to_str in
-      let* scenario =
-        match Scenario.of_string sid with
-        | Some s -> Ok s
-        | None -> Error (Printf.sprintf "attack artifact: unparseable scenario id %S" sid)
-      in
-      let* seed = req "seed" Json.to_int in
-      let* attempt = req "attempt" Json.to_int in
-      let* attack =
-        match Json.member "attack" j with
-        | Some aj -> Adversary.Attack.of_json aj
-        | None -> Error "attack artifact: missing field \"attack\""
-      in
-      let* vj = req "violation" (fun x -> Some x) in
-      let* invariant =
-        match Option.bind (Json.member "invariant" vj) Json.to_str with
-        | Some s -> Ok s
-        | None -> Error "attack artifact: missing violation.invariant"
-      in
-      let* detail =
-        match Option.bind (Json.member "detail" vj) Json.to_str with
-        | Some s -> Ok s
-        | None -> Error "attack artifact: missing violation.detail"
-      in
-      let at_ms =
-        match Option.bind (Json.member "at_ms" vj) Json.to_float with
-        | Some f -> f
-        | None -> 0.
-      in
-      Ok
-        {
-          atk_scenario = { scenario with Scenario.attack = None };
-          atk_mutation = opt_str "mutation";
-          atk_seed = seed;
-          atk_attempt = attempt;
-          atk_attack = attack;
-          atk_violation = { at = Time.of_ms_f at_ms; invariant; detail };
-          atk_digest = opt_str "trace_digest";
-          atk_runs =
-            (match Option.bind (Json.member "runs" j) Json.to_int with
-            | Some r -> r
-            | None -> 0);
-        }
+    let* sid = field "scenario" Json.to_str j in
+    let* scenario =
+      match Scenario.of_string sid with
+      | Some s -> Ok s
+      | None -> Error (Printf.sprintf "artifact: unparseable scenario id %S" sid)
+    in
+    let* seed = field "seed" Json.to_int j in
+    let* index = field search.index_key Json.to_int j in
+    let* items = search.items_of_json j in
+    let* vj = field "violation" Option.some j in
+    let* invariant = field "invariant" Json.to_str vj in
+    let* detail = field "detail" Json.to_str vj in
+    let at_ms = Option.value ~default:0. (Option.bind (Json.member "at_ms" vj) Json.to_float) in
+    Ok
+      {
+        scenario = search.base scenario;
+        mutation = opt_str "mutation";
+        provoke = opt_str "provoke";
+        seed;
+        index;
+        items;
+        violation = { at = Time.of_ms_f at_ms; invariant; detail };
+        digest = opt_str "trace_digest";
+        runs = Option.value ~default:0 (Option.bind (Json.member "runs" j) Json.to_int);
+      }
 
-let attack_counterexample_of_string s =
-  match Json.of_string s with
-  | Ok j -> attack_counterexample_of_json j
-  | Error e -> Error e
+let counterexample_of_string search s =
+  let* j = Json.of_string s in
+  counterexample_of_json search j
 
-let replay_attack (ce : attack_counterexample) : replay_outcome =
-  Mutation.set ce.atk_mutation;
-  let r = run_attack ce.atk_scenario ce.atk_attack in
-  Mutation.set None;
+(* -- replay --------------------------------------------------------------- *)
+
+type replay_outcome = {
+  reproduced : bool;
+  observed : violation option;
+  digest_match : bool option;
+}
+
+let replay search (ce : _ counterexample) : replay_outcome =
+  let r =
+    with_mutation ce.mutation (fun () -> search.run ce.scenario ~provoke:ce.provoke ce.items)
+  in
   let reproduced =
     match r.violation with
-    | Some v -> String.equal v.invariant ce.atk_violation.invariant
+    | Some v -> String.equal v.invariant ce.violation.invariant
     | None -> false
   in
   let digest_match =
-    match (ce.atk_digest, r.digest) with
-    | Some a, Some b -> Some (String.equal a b)
-    | _ -> None
+    match (ce.digest, r.digest) with Some a, Some b -> Some (String.equal a b) | _ -> None
   in
   { reproduced; observed = r.violation; digest_match }
-
-(* -- attack default matrices ----------------------------------------------- *)
-
-(* Longer than {!default_scenario}: attack windows (up to 2.5 s) must
-   open after warmup and close {!attack_tail_ms} before the horizon,
-   and the horizon stays below every protocol's liveness window so an
-   in-envelope adversary can never trip the liveness invariant. *)
-let default_attack_scenario ?(seed = 1) (p : Scenario.proto) : Scenario.t =
-  let cfg = Config.make ~z:2 ~n:4 ~batch_size:20 ~client_inflight:8 ~seed () in
-  let windows = { Scenario.warmup = Time.ms 500; measure = Time.ms 4000 } in
-  Scenario.make ~windows ~trace:true p cfg
-
-(* Mutations the attack search must rediscover from generic primitives
-   alone, each with its base scenario.  [geobft-rvc-weak] is the
-   showcase: the mutation weakens the remote view-change honor
-   threshold, and only adversary-generated share starvation (silence,
-   deafness or equivocation from cluster 0) produces the RVC traffic
-   that exposes it — the search rediscovers the scripted equivocation
-   provocation as a found, shrunk attack program.  The quorum mutants
-   fire on any decision path, so their 1-minimal attack is typically
-   empty: the artifact records that the weakness needs no adversary. *)
-let attack_mutants : (string * Scenario.t) list =
-  [
-    ("pbft-prepare-quorum", default_attack_scenario Scenario.Pbft);
-    ("pbft-commit-quorum", default_attack_scenario Scenario.Pbft);
-    ("hotstuff-qc-quorum", default_attack_scenario Scenario.Hotstuff);
-    ("steward-certify-quorum", default_attack_scenario Scenario.Steward);
-    ( "geobft-rvc-weak",
-      let cfg = Config.make ~z:2 ~n:4 ~batch_size:20 ~client_inflight:8 ~seed:1 () in
-      let windows = { Scenario.warmup = Time.ms 1000; measure = Time.ms 8000 } in
-      Scenario.make ~windows ~trace:true Scenario.Geobft cfg );
-  ]
-
-let attack_mutant_scenario id = List.assoc_opt id attack_mutants

@@ -1,14 +1,15 @@
-(** Schedule-exploration checker (DESIGN.md §13): replay a
-    {!Scenario.t} under seeded schedule perturbations with an invariant
-    oracle — the chaos safety monitor, per-protocol certificate
-    invariants, quorum-evidence extraction, and an execution-frontier
-    check — then delta-debug any violation down to a 1-minimal
-    perturbation list serialized as a replayable artifact.
+(** Counterexample search (DESIGN.md §13, §14): run a {!Scenario.t}
+    attempt after attempt under an invariant oracle — the chaos safety
+    monitor, per-protocol certificate invariants, quorum-evidence
+    extraction, and an execution-frontier check — then delta-debug the
+    first violating attempt's items down to a 1-minimal list serialized
+    as a replayable artifact.
 
-    The same oracle and shrinker also drive the Byzantine-strategy
-    search (DESIGN.md §14): {!explore_attacks} samples attack programs
-    from lib/adversary instead of schedule perturbations, and shrinks a
-    violating program to a 1-minimal rule list. *)
+    One search, two instances: {!schedules} perturbs the schedule
+    (items are {!Perturb.t} edits), {!attacks} installs seeded
+    Byzantine strategy programs from lib/adversary (items are attack
+    rules).  Everything else — {!explore}, {!ddmin}, the artifact
+    codec and {!replay} — is shared. *)
 
 module Scenario = Rdb_experiments.Scenario
 module Chaos = Rdb_chaos.Chaos
@@ -40,49 +41,103 @@ val run_one : Scenario.t -> hooks:Perturb.hooks -> provoke:string option -> run_
     full oracle.  Sequential only: the mutation/evidence hooks are
     process-global. *)
 
+val sample_attack : seed:int -> attempt:int -> Scenario.t -> Adversary.Attack.t
+(** The attack program attempt [attempt] of [explore attacks ~seed]
+    would install: the scenario's own attack (empty if none) for
+    attempt 0, else a program sampled from
+    {!Rdb_experiments.Runner.adversary_profile} — sampling made
+    checkable without running anything. *)
+
+val run_attack : Scenario.t -> Adversary.Attack.t -> run_result
+(** One unperturbed run of the scenario with the attack installed,
+    checked by the full oracle.  Sequential only. *)
+
 (** {1 Shrinking} *)
 
-val ddmin : test:(Perturb.t list -> bool) -> Perturb.t list -> Perturb.t list * int
+val ddmin : test:('a list -> bool) -> 'a list -> 'a list * int
 (** Delta debugging to 1-minimality.  [test subset] must return
-    whether the subset still fails.  Returns the minimal list and the
-    number of tests spent. *)
+    whether the subset still fails.  Returns the minimal in-order
+    sublist and the number of tests spent. *)
+
+(** {1 The searches} *)
+
+type 'a search = {
+  kind : string;  (** the artifact's kind: ["schedule"] or ["attack"] *)
+  command : string;  (** the rdb_cli subcommand that runs and replays it *)
+  index_key : string;  (** what one attempt is called, in artifacts and output *)
+  provokes : bool;  (** runs under a named provocation, and records it *)
+  measure : Time.t;  (** measurement window of {!default_scenario} for this search *)
+  mutants : (string * (Scenario.t * string option)) list;
+      (** every mutation the search must catch, with the scenario (and
+          provocation) that exposes it *)
+  base : Scenario.t -> Scenario.t;  (** the scenario an artifact records *)
+  attempt : seed:int -> int -> Scenario.t -> provoke:string option -> 'a list * run_result;
+      (** run attempt [k]; returns the items it applied *)
+  run : Scenario.t -> provoke:string option -> 'a list -> run_result;
+      (** replay exactly an item list *)
+  items_to_json : 'a list -> (string * Json.t) list;
+  items_of_json : Json.t -> ('a list, string) result;
+}
+
+val schedules : Perturb.t search
+(** Attempt 0 runs unperturbed; attempt [k] perturbs with cycling
+    intensity tiers seeded from [(seed, k)].  Artifacts carry no
+    [kind] field and record the provocation. *)
+
+val attacks : Adversary.rule search
+(** Attempt [k] installs {!sample_attack} — attempt 0 the empty attack,
+    so a violation there records that the configuration is broken
+    without any adversary.  The recorded scenario carries no attack:
+    the items replace it.  Artifacts are [kind:"attack"] and carry no
+    provocation. *)
+
+val mutant_scenario : 'a search -> string -> (Scenario.t * string option) option
+
+val default_scenario : ?seed:int -> measure:Time.t -> Scenario.proto -> Scenario.t
+(** The searches' stock deployment: z=2 n=4, small batches, traced,
+    0.5 s warmup plus [measure]. *)
 
 (** {1 Exploration} *)
 
-type counterexample = {
+type 'a counterexample = {
   scenario : Scenario.t;
   mutation : string option;
   provoke : string option;
   seed : int;
-  schedule : int;  (** schedule index where the violation surfaced *)
-  perturbations : Perturb.t list;  (** shrunk, 1-minimal *)
+  index : int;  (** attempt where the violation surfaced *)
+  items : 'a list;  (** shrunk, 1-minimal *)
   violation : violation;
   digest : string option;  (** trace digest of the minimal replay *)
   runs : int;  (** simulations spent, exploration + shrinking *)
 }
 
 val explore :
+  'a search ->
   ?budget:int ->
   ?seed:int ->
   ?mutation:string ->
   ?provoke:string ->
-  ?on_schedule:(schedule:int -> unit) ->
+  ?on_attempt:(int -> unit) ->
   Scenario.t ->
-  counterexample option
-(** Run up to [budget] (default 64) schedules — schedule 0 unperturbed,
-    the rest perturbed with cycling intensity tiers seeded from
-    [(seed, schedule)] — and stop at the first violation, which is
-    shrunk and replayed once more to pin its digest.  [mutation]
-    activates a test-only protocol mutation for the whole exploration. *)
+  'a counterexample option
+(** Run up to [budget] (default 64) attempts and stop at the first
+    violation, which is shrunk and replayed once more to pin its
+    digest.  [mutation] activates a test-only protocol mutation for the
+    whole exploration.  Raises [Invalid_argument] when given [provoke]
+    for a search that does not provoke. *)
 
 (** {1 Replayable artifacts} *)
 
 val schema_version : int
 
-val counterexample_to_json : counterexample -> Json.t
-val counterexample_to_string : counterexample -> string
-val counterexample_of_json : Json.t -> (counterexample, string) result
-val counterexample_of_string : string -> (counterexample, string) result
+val counterexample_to_json : 'a search -> 'a counterexample -> Json.t
+val counterexample_to_string : 'a search -> 'a counterexample -> string
+
+val counterexample_of_json : 'a search -> Json.t -> ('a counterexample, string) result
+(** Fails, naming the artifact's kind and its subcommand, on an
+    artifact of another search. *)
+
+val counterexample_of_string : 'a search -> string -> ('a counterexample, string) result
 
 type replay_outcome = {
   reproduced : bool;  (** the replay violated the same invariant *)
@@ -90,84 +145,6 @@ type replay_outcome = {
   digest_match : bool option;  (** [None] when either side lacks a digest *)
 }
 
-val replay : counterexample -> replay_outcome
-(** Re-run the artifact's scenario under its recorded perturbation
-    list (and mutation/provocation, if any). *)
-
-(** {1 Default matrices} *)
-
-val default_scenario : ?seed:int -> Scenario.proto -> Scenario.t
-(** The checker's stock deployment: z=2 n=4, small batches, traced,
-    0.5 s + 2 s windows. *)
-
-val mutants : (string * (Scenario.t * string option)) list
-(** Every known test-only mutation paired with the scenario (and
-    optional provocation) that exposes it. *)
-
-val mutant_scenario : string -> (Scenario.t * string option) option
-
-(** {1 Attack search}
-
-    The Byzantine-strategy dimension: each attempt installs one seeded
-    attack program (lib/adversary) sampled from
-    {!Rdb_experiments.Runner.adversary_profile} and runs it —
-    unperturbed — under the full invariant oracle.  Attempt 0 is the
-    empty attack, so a violation there honestly records that the
-    configuration is broken without any adversary. *)
-
-type attack_counterexample = {
-  atk_scenario : Scenario.t;  (** base scenario; [attack = None] *)
-  atk_mutation : string option;
-  atk_seed : int;
-  atk_attempt : int;  (** sampler attempt where the violation surfaced *)
-  atk_attack : Adversary.Attack.t;  (** shrunk, 1-minimal rule list *)
-  atk_violation : violation;
-  atk_digest : string option;  (** trace digest of the minimal replay *)
-  atk_runs : int;  (** simulations spent, search + shrinking *)
-}
-
-val sample_attack : seed:int -> attempt:int -> Scenario.t -> Adversary.Attack.t
-(** The attack program attempt [attempt] of [explore_attacks ~seed]
-    would install (empty for attempt 0) — sampling made checkable
-    without running anything. *)
-
-val run_attack : Scenario.t -> Adversary.Attack.t -> run_result
-(** One unperturbed run of the scenario with the attack installed,
-    checked by the full oracle.  Sequential only. *)
-
-val explore_attacks :
-  ?budget:int ->
-  ?seed:int ->
-  ?mutation:string ->
-  ?on_attempt:(attempt:int -> unit) ->
-  Scenario.t ->
-  attack_counterexample option
-(** Run up to [budget] (default 64) attack programs and stop at the
-    first violation, ddmin-shrunk to a 1-minimal rule list and replayed
-    once more to pin its digest.  [mutation] activates a test-only
-    protocol mutation for the whole search. *)
-
-val attack_schema_version : int
-
-val attack_counterexample_to_json : attack_counterexample -> Json.t
-val attack_counterexample_to_string : attack_counterexample -> string
-val attack_counterexample_of_json : Json.t -> (attack_counterexample, string) result
-val attack_counterexample_of_string : string -> (attack_counterexample, string) result
-
-val replay_attack : attack_counterexample -> replay_outcome
-(** Re-run the artifact's scenario with its recorded minimal attack
-    (and mutation, if any). *)
-
-val default_attack_scenario : ?seed:int -> Scenario.proto -> Scenario.t
-(** The attack search's stock deployment: z=2 n=4, small batches,
-    traced, 0.5 s + 4 s windows — long enough for sampled windows to
-    open, act and heal, short enough that an in-envelope adversary can
-    never trip the liveness invariant. *)
-
-val attack_mutants : (string * Scenario.t) list
-(** Mutations the attack search must rediscover from generic
-    primitives, each with its base scenario — [geobft-rvc-weak] being
-    the showcase where only adversary-generated share starvation
-    produces the exposing traffic. *)
-
-val attack_mutant_scenario : string -> Scenario.t option
+val replay : 'a search -> 'a counterexample -> replay_outcome
+(** Re-run the artifact's scenario under its recorded items (and
+    mutation/provocation, if any). *)

@@ -428,11 +428,8 @@ and accept_share r ~src ~round (batch : Batch.t) (cert : Certificate.t) =
             try_execute r
           end)
     end
-    else if
-      (* Lagging peers ask via DRVC; sharing m directly (line 5-7)
-         happens in the Drvc handler.  Duplicates end here. *)
-      false
-    then ()
+    (* Lagging peers ask via DRVC; sharing m directly (line 5-7)
+       happens in the Drvc handler.  Duplicates end here. *)
   end
 
 (* -- crash-rejoin catch-up (lib/recovery) --------------------------------- *)

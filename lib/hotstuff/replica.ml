@@ -59,7 +59,7 @@ type msg =
      execution stalled behind the heights it can see fetches the
      missing decided batches; any replica that executed them serves
      the fill.  This is what heals instances after link outages, which
-     otherwise leave permanent holes (DESIGN.md Â§8). *)
+     otherwise leave permanent holes (DESIGN.md §8). *)
   | Fetch of { inst : int; heights : int list }
   | Filled of { inst : int; height : int; batch : Batch.t }
   (* Bulk ledger state transfer (lib/recovery), the same rejoin idiom

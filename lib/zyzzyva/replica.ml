@@ -103,7 +103,7 @@ let view_changes (_ : replica) = 0
 
 (* Zyzzyva ships no view change and, faithfully to the paper's
    implementation choice, no recovery machinery either: its chaos
-   envelope stays as-is (DESIGN.md Â§8). *)
+   envelope stays as-is (DESIGN.md §8). *)
 let on_recover (_ : replica) = ()
 let recovery (_ : replica) = Rdb_types.Protocol.no_recovery
 let disable_recovery (_ : replica) = ()

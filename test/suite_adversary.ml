@@ -328,7 +328,7 @@ let test_scenario_attack_token () =
 (* -- attack search -------------------------------------------------------- *)
 
 let test_sample_attack_attempt_zero () =
-  let s = Check.default_attack_scenario Scenario.Geobft in
+  let s = Check.default_scenario ~measure:Check.attacks.measure Scenario.Geobft in
   Alcotest.(check bool) "attempt 0 is the empty attack" true
     (Attack.equal Attack.empty (Check.sample_attack ~seed:1 ~attempt:0 s));
   let pinned = { Attack.rules = two_rules } in
@@ -346,32 +346,32 @@ let test_rvc_weak_rediscovered () =
      exposing traffic.  The search must find it, shrink it to one
      rule, replay it bit-identically — twice over, byte-identical. *)
   let explore () =
-    match Check.attack_mutant_scenario "geobft-rvc-weak" with
+    match Check.mutant_scenario Check.attacks "geobft-rvc-weak" with
     | None -> Alcotest.fail "geobft-rvc-weak not registered"
-    | Some s -> (
-        match Check.explore_attacks ~budget:16 ~seed:1 ~mutation:"geobft-rvc-weak" s with
+    | Some (s, _) -> (
+        match Check.explore Check.attacks ~budget:16 ~seed:1 ~mutation:"geobft-rvc-weak" s with
         | Some ce -> ce
         | None -> Alcotest.fail "geobft-rvc-weak escaped a 16-attempt budget")
   in
   let ce = explore () in
   Alcotest.(check bool) "a real adversary was needed" true
-    (ce.Check.atk_attack <> Attack.empty);
-  Alcotest.(check int) "shrunk to one rule" 1 (List.length ce.Check.atk_attack.Attack.rules);
+    ({ Attack.rules = ce.Check.items } <> Attack.empty);
+  Alcotest.(check int) "shrunk to one rule" 1 (List.length ce.Check.items);
   Alcotest.(check string) "quorum-evidence oracle fired" "quorum-evidence"
-    ce.Check.atk_violation.Check.invariant;
-  Alcotest.(check bool) "digest pinned" true (ce.Check.atk_digest <> None);
+    ce.Check.violation.Check.invariant;
+  Alcotest.(check bool) "digest pinned" true (ce.Check.digest <> None);
   (* Byte-identical across independent searches, and through the
      artifact parser. *)
-  let bytes = Check.attack_counterexample_to_string ce in
+  let bytes = Check.counterexample_to_string Check.attacks ce in
   Alcotest.(check string) "deterministic artifact bytes" bytes
-    (Check.attack_counterexample_to_string (explore ()));
-  (match Check.attack_counterexample_of_string bytes with
+    (Check.counterexample_to_string Check.attacks (explore ()));
+  (match Check.counterexample_of_string Check.attacks bytes with
   | Ok ce' ->
       Alcotest.(check string) "artifact round-trip" bytes
-        (Check.attack_counterexample_to_string ce')
+        (Check.counterexample_to_string Check.attacks ce')
   | Error e -> Alcotest.fail e);
   (* And the minimal artifact replays: same invariant, same digest. *)
-  let outcome = Check.replay_attack ce in
+  let outcome = Check.replay Check.attacks ce in
   Alcotest.(check bool) "replay reproduces" true outcome.Check.reproduced;
   Alcotest.(check bool) "replay digest matches" true
     (outcome.Check.digest_match = Some true)
@@ -386,7 +386,7 @@ let test_replay_saturation_clean () =
      can never double-execute, double-vote, or fork a quorum. *)
   List.iter
     (fun proto ->
-      let s = Check.default_attack_scenario proto in
+      let s = Check.default_scenario ~measure:Check.attacks.measure proto in
       let caps =
         Runner.adversary_profile proto s.Scenario.cfg
       in
@@ -411,15 +411,15 @@ let test_clean_sweep_small () =
      CI's `rdb_cli attack` run. *)
   List.iter
     (fun proto ->
-      let s = Check.default_attack_scenario proto in
-      match Check.explore_attacks ~budget:2 ~seed:1 s with
+      let s = Check.default_scenario ~measure:Check.attacks.measure proto in
+      match Check.explore Check.attacks ~budget:2 ~seed:1 s with
       | None -> ()
       | Some ce ->
           Alcotest.fail
             (Printf.sprintf "%s violated %s under %s"
                (Scenario.proto_name proto)
-               ce.Check.atk_violation.Check.invariant
-               (Attack.to_id ce.Check.atk_attack)))
+               ce.Check.violation.Check.invariant
+               (Attack.to_id { Attack.rules = ce.Check.items })))
     [ Scenario.Geobft; Scenario.Pbft ]
 
 let suite =

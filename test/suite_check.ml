@@ -15,19 +15,23 @@ let test_artifact_bytes_deterministic () =
   (* Same scenario, seed, and mutation: two independent explorations
      must produce byte-identical violation artifacts. *)
   let explore () =
-    match Check.mutant_scenario "pbft-prepare-quorum" with
+    match Check.mutant_scenario Check.schedules "pbft-prepare-quorum" with
     | None -> Alcotest.fail "pbft-prepare-quorum not registered"
     | Some (s, provoke) ->
-        (match Check.explore ~budget:2 ~seed:1 ~mutation:"pbft-prepare-quorum" ?provoke s with
-        | Some ce -> Check.counterexample_to_string ce
+        (match
+           Check.explore Check.schedules ~budget:2 ~seed:1 ~mutation:"pbft-prepare-quorum"
+             ?provoke s
+         with
+        | Some ce -> Check.counterexample_to_string Check.schedules ce
         | None -> Alcotest.fail "pbft-prepare-quorum escaped a 2-schedule budget")
   in
   let a = explore () and b = explore () in
   Alcotest.(check string) "identical artifact bytes" a b;
   (* And the artifact round-trips through its own parser. *)
-  match Check.counterexample_of_string a with
+  match Check.counterexample_of_string Check.schedules a with
   | Error e -> Alcotest.fail e
-  | Ok ce -> Alcotest.(check string) "round-trip" a (Check.counterexample_to_string ce)
+  | Ok ce ->
+      Alcotest.(check string) "round-trip" a (Check.counterexample_to_string Check.schedules ce)
 
 (* -- shrinker ------------------------------------------------------------- *)
 
@@ -71,6 +75,59 @@ let test_ddmin_single_cause () =
         (Printf.sprintf "expected the single cause, got [%s]"
            (String.concat "; " (List.map Perturb.to_string l)))
 
+(* ddmin is polymorphic: over any item list, with a "contains all of S"
+   failure predicate, its result is an in-order sublist of the input
+   that still fails and is 1-minimal — dropping any one element passes. *)
+let ddmin_one_minimal =
+  QCheck.Test.make ~name:"ddmin 1-minimal sublist" ~count:300
+    QCheck.(list (pair (int_bound 20) bool))
+    (fun marked ->
+      let items = List.map fst marked in
+      let s = List.filter_map (fun (x, keep) -> if keep then Some x else None) marked in
+      let test l = List.for_all (fun x -> List.mem x l) s in
+      let minimal, _ = Check.ddmin ~test items in
+      let rec sublist sub l =
+        match (sub, l) with
+        | [], _ -> true
+        | _, [] -> false
+        | x :: sub', y :: l' -> if x = y then sublist sub' l' else sublist sub l'
+      in
+      sublist minimal items
+      && test minimal
+      && List.for_all
+           (fun i -> not (test (List.filteri (fun j _ -> j <> i) minimal)))
+           (List.init (List.length minimal) Fun.id))
+
+(* -- artifact kinds ------------------------------------------------------- *)
+
+let test_cross_kind_rejected () =
+  (* Each codec refuses the other search's artifact, naming its kind and
+     the subcommand that replays it. *)
+  let ce () =
+    {
+      Check.scenario = Check.default_scenario ~measure:Check.schedules.measure Scenario.Pbft;
+      mutation = None;
+      provoke = None;
+      seed = 1;
+      index = 0;
+      items = [];
+      violation = { Check.at = Time.ms 2500; invariant = "quorum-evidence"; detail = "d" };
+      digest = None;
+      runs = 2;
+    }
+  in
+  let schedule_bytes = Check.counterexample_to_string Check.schedules (ce ())
+  and attack_bytes = Check.counterexample_to_string Check.attacks (ce ()) in
+  let error = function Ok _ -> "loaded" | Error e -> e in
+  Alcotest.(check string) "check refuses an attack artifact"
+    "artifact: kind \"attack\"; replay it with the \"attack\" subcommand"
+    (error (Check.counterexample_of_string Check.schedules attack_bytes));
+  Alcotest.(check string) "attack refuses a schedule artifact"
+    "artifact: kind \"schedule\"; replay it with the \"check\" subcommand"
+    (error (Check.counterexample_of_string Check.attacks schedule_bytes));
+  Alcotest.(check string) "own kind loads" "loaded"
+    (error (Check.counterexample_of_string Check.attacks attack_bytes))
+
 (* -- pinned mutant catches ------------------------------------------------ *)
 
 (* One mutation per protocol, each caught within a small budget and
@@ -78,24 +135,26 @@ let test_ddmin_single_cause () =
    schedule-independent) perturbation list.  The full seven-mutation
    matrix runs in CI via `rdb_cli check --mutants`. *)
 let catch mutation () =
-  match Check.mutant_scenario mutation with
+  match Check.mutant_scenario Check.schedules mutation with
   | None -> Alcotest.fail (mutation ^ " not registered")
   | Some (s, provoke) -> (
-      match Check.explore ~budget:4 ~seed:1 ~mutation ?provoke s with
+      match Check.explore Check.schedules ~budget:4 ~seed:1 ~mutation ?provoke s with
       | None -> Alcotest.fail (mutation ^ " escaped a 4-schedule budget")
       | Some ce ->
           Alcotest.(check bool) "violation reported" true (ce.Check.violation.invariant <> "");
-          Alcotest.(check int) "caught unperturbed (schedule 0)" 0 ce.Check.schedule;
-          Alcotest.(check int) "shrunk to empty" 0 (List.length ce.Check.perturbations))
+          Alcotest.(check int) "caught unperturbed (schedule 0)" 0 ce.Check.index;
+          Alcotest.(check int) "shrunk to empty" 0 (List.length ce.Check.items))
 
 let test_replay_reproduces () =
-  match Check.mutant_scenario "hotstuff-qc-quorum" with
+  match Check.mutant_scenario Check.schedules "hotstuff-qc-quorum" with
   | None -> Alcotest.fail "hotstuff-qc-quorum not registered"
   | Some (s, provoke) -> (
-      match Check.explore ~budget:4 ~seed:1 ~mutation:"hotstuff-qc-quorum" ?provoke s with
+      match
+        Check.explore Check.schedules ~budget:4 ~seed:1 ~mutation:"hotstuff-qc-quorum" ?provoke s
+      with
       | None -> Alcotest.fail "hotstuff-qc-quorum escaped"
       | Some ce ->
-          let outcome = Check.replay ce in
+          let outcome = Check.replay Check.schedules ce in
           Alcotest.(check bool) "replay reproduces" true outcome.Check.reproduced;
           Alcotest.(check (option bool)) "deterministic trace digest" (Some true)
             outcome.Check.digest_match)
@@ -105,8 +164,8 @@ let test_replay_reproduces () =
 let test_clean_sweep_small () =
   List.iter
     (fun p ->
-      let s = Check.default_scenario ~seed:1 p in
-      match Check.explore ~budget:2 ~seed:1 s with
+      let s = Check.default_scenario ~seed:1 ~measure:Check.schedules.measure p in
+      match Check.explore Check.schedules ~budget:2 ~seed:1 s with
       | None -> ()
       | Some ce ->
           Alcotest.fail
@@ -126,4 +185,6 @@ let suite =
     ("mutant catch steward", `Slow, catch "steward-certify-quorum");
     ("replay reproduces", `Slow, test_replay_reproduces);
     ("clean sweep small", `Slow, test_clean_sweep_small);
+    ("artifact cross-kind rejected", `Quick, test_cross_kind_rejected);
+    QCheck_alcotest.to_alcotest ddmin_one_minimal;
   ]
