@@ -359,6 +359,17 @@ let micro_tests () =
     ~values:(Array.map Int64.of_int dirty_keys) ~count:3_200;
   let delta_height = ref 1 in
   let state = Rdb_storage.Backend.init_records ~n_records:Rdb_ycsb.Table.default_records in
+  (* One 27-destination send from inside an event, plus its deliveries:
+     a 28-replica broadcast through the pooled fan-out. *)
+  let fan_engine = Rdb_sim.Engine.create () in
+  let fan_net =
+    Rdb_sim.Network.create ~engine:fan_engine ~topo:(Rdb_sim.Topology.clustered ~z:4 ~n:7)
+      ~jitter_ms:0.2
+      ~deliver:(fun ~src:_ ~dst:_ () -> ())
+      ()
+  in
+  let fan_dsts = List.init 27 (fun i -> i + 1) in
+  let fan_send () = Rdb_sim.Network.multicast fan_net ~src:0 ~dsts:fan_dsts ~size:250 () in
   [
     mk "sha256-5400B" (fun () -> ignore (Rdb_crypto.Sha256.digest sha_payload));
     mk "aes-cmac-250B" (fun () ->
@@ -368,9 +379,14 @@ let micro_tests () =
     mk "sim-10k-events" (fun () ->
         let e = Rdb_sim.Engine.create () in
         for i = 1 to 10_000 do
-          ignore (Rdb_sim.Engine.schedule_at e ~at:(Int64.of_int i) (fun () -> ()))
+          ignore (Rdb_sim.Engine.schedule_at e ~at:(Rdb_sim.Time.ns i) (fun () -> ()))
         done;
         Rdb_sim.Engine.run e);
+    mk "sim-fanout-27" (fun () ->
+        ignore (Rdb_sim.Engine.schedule_after fan_engine ~delay:Rdb_sim.Time.zero fan_send);
+        while Rdb_sim.Engine.step fan_engine do
+          ()
+        done);
     mk "zipf-sample-600k" (fun () -> ignore (Rdb_prng.Zipf.sample_scrambled zipf zipf_rng));
     mk "snapshot-600k" (fun () -> Rdb_storage.Blockstore.note_restore store ~height:0);
     mk "delta-compaction-600k" (fun () ->
@@ -393,25 +409,49 @@ let micro_tests () =
                ignore (Runner.run (Scenario.make ~windows p cfg)))))
       Runner.all_protocols
 
+(* Minor words allocated, read with [Gc.minor_words].  Bechamel's own
+   [minor_allocated] reads [Gc.quick_stat], which on OCaml 5.1 leaves
+   out the live minor heap, so a run that allocates less than a minor
+   heap between two samples reads as 0 words there. *)
+module Minor_words = struct
+  type witness = unit
+
+  let load () = ()
+  let unload () = ()
+  let make () = ()
+  let get () = Gc.minor_words ()
+  let label () = "minor-words"
+  let unit () = "w"
+end
+
+let minor_words = Bechamel.Measure.register (module Minor_words)
+
 let run_micro () =
   let open Bechamel in
   let open Toolkit in
   say "\n== Bechamel micro-benchmarks ==\n%!";
-  let instances = Instance.[ monotonic_clock ] in
+  let words_instance = Measure.instance (module Minor_words) minor_words in
+  let instances = [ Instance.monotonic_clock; words_instance ] in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None () in
   let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
+  let estimate o = match Analyze.OLS.estimates o with Some (est :: _) -> Some est | _ -> None in
   List.iter
     (fun test ->
       let raw = Benchmark.all cfg instances (Test.make_grouped ~name:"" ~fmt:"%s%s" [ test ]) in
-      let results = Analyze.all ols Instance.monotonic_clock raw in
+      let words = Analyze.all ols words_instance raw in
       Hashtbl.iter
         (fun name o ->
-          match Analyze.OLS.estimates o with
-          | Some (est :: _) ->
-              if est > 1e6 then say "  %-28s %12.3f ms/run\n%!" name (est /. 1e6)
-              else say "  %-28s %12.1f ns/run\n%!" name est
-          | _ -> say "  %-28s (no estimate)\n%!" name)
-        results)
+          let words =
+            match Option.bind (Hashtbl.find_opt words name) estimate with
+            | Some w -> Printf.sprintf " %12.1f words/run" w
+            | None -> ""
+          in
+          match estimate o with
+          | Some est ->
+              if est > 1e6 then say "  %-28s %12.3f ms/run%s\n%!" name (est /. 1e6) words
+              else say "  %-28s %12.1f ns/run%s\n%!" name est words
+          | None -> say "  %-28s (no estimate)\n%!" name)
+        (Analyze.all ols Instance.monotonic_clock raw))
     (micro_tests ())
 
 (* -- experiment artifacts ------------------------------------------------------ *)

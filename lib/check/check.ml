@@ -196,9 +196,7 @@ let run_one (s : Scenario.t) ~(hooks : Perturb.hooks) ~(provoke : string option)
     mon := Some (Chaos.monitor ~liveness_window_ms:i.Runner.inst_liveness_window_ms surface []);
     (match Option.bind provoke provocation with Some p -> p surface | None -> ());
     let windows = s.Scenario.windows in
-    let half =
-      Time.add windows.Scenario.warmup (Int64.div windows.Scenario.measure 2L)
-    in
+    let half = Time.add windows.Scenario.warmup (windows.Scenario.measure / 2) in
     if s.Scenario.fault = Scenario.No_fault && provoke = None && s.Scenario.attack = None
     then
       surface.Chaos.at half (fun () ->

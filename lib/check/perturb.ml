@@ -43,7 +43,7 @@ let to_json = function
         [
           ("kind", Json.String "delay");
           ("nth", Json.Int nth);
-          ("extra_ns", Json.Int (Int64.to_int extra));
+          ("extra_ns", Json.Int extra);
         ]
   | Defer { nth } -> Json.Obj [ ("kind", Json.String "defer"); ("nth", Json.Int nth) ]
   | Swap { nth } -> Json.Obj [ ("kind", Json.String "swap"); ("nth", Json.Int nth) ]
@@ -55,7 +55,7 @@ let of_json j =
   match kind with
   | "delay" ->
       let* ns = Option.bind (Json.member "extra_ns" j) Json.to_int in
-      Ok (Delay { nth; extra = Int64.of_int ns })
+      Ok (Delay { nth; extra = ns })
   | "defer" -> Ok (Defer { nth })
   | "swap" -> Ok (Swap { nth })
   | k -> Error (Printf.sprintf "unknown perturbation kind %S" k)
@@ -144,7 +144,7 @@ let explore ~rng ~(tier : tier) =
       let swap_target =
         if Rng.float rng < tier.swap_frac then
           match last with
-          | Some l when Time.( >= ) (Time.sub l 1L) floor -> Some (Time.sub l 1L)
+          | Some l when Time.( >= ) (Time.sub l 1) floor -> Some (Time.sub l 1)
           | _ -> None
         else None
       in
@@ -175,7 +175,7 @@ let replay (ps : t list) =
   let deliver ~src:_ ~dst:_ ~nth ~floor ~arrive ~last =
     if Hashtbl.mem swaps nth then
       match last with
-      | Some l when Time.( >= ) (Time.sub l 1L) floor -> Time.sub l 1L
+      | Some l when Time.( >= ) (Time.sub l 1) floor -> Time.sub l 1
       | _ -> arrive
     else
       match Hashtbl.find_opt delays nth with

@@ -76,7 +76,7 @@ let charge t ~node ~stage ~cost k =
   let start = Time.max now t.busy.(node).(s) in
   let finish = Time.add start cost in
   t.busy.(node).(s) <- finish;
-  t.busy_ns.(node).(s) <- t.busy_ns.(node).(s) +. Int64.to_float cost;
+  t.busy_ns.(node).(s) <- t.busy_ns.(node).(s) +. float_of_int cost;
   (match t.trace with
   | None -> ()
   | Some tr -> Rdb_trace.Trace.cpu_span tr ~node ~stage:(stage_name stage) ~start ~dur:cost);

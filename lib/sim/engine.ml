@@ -32,10 +32,11 @@
    with the same timestamp.
 
    Event records are pooled: a popped event's record returns to the
-   executing shard's freelist and is reused by later schedules, so the
-   steady-state scheduling path allocates only the caller's closure.  A
-   generation counter guards [cancel] against stale timer handles to
-   recycled records. *)
+   executing shard's freelist — a growable array stack, so returning a
+   record allocates nothing — and is reused by later schedules, so the
+   steady-state scheduling path allocates only the caller's closure and
+   its timer handle.  A generation counter guards [cancel] against stale
+   timer handles to recycled records. *)
 
 type event = {
   mutable run : unit -> unit;
@@ -66,7 +67,10 @@ type shard = {
      shard, most-recent first.  Written only by this (sending) shard, so
      parallel epochs never contend; drained at barriers. *)
   outboxes : staged list array;
-  mutable pool : event list; (* freelist of recycled event records *)
+  (* Freelist of recycled event records: a stack in [pool.(0 ..
+     pool_len - 1)], grown by doubling. *)
+  mutable pool : event array;
+  mutable pool_len : int;
 }
 
 type control = { ctime : Time.t; cseq : int; crun : unit -> unit }
@@ -108,7 +112,7 @@ let current_shard t =
   | Some (eid, s) when eid = t.eid -> s
   | _ -> None
 
-let create ?(seed = 42) ?(shards = 1) ?(lookahead = Int64.max_int) () =
+let create ?(seed = 42) ?(shards = 1) ?(lookahead = max_int) () =
   if shards < 1 then invalid_arg "Engine.create: shards must be >= 1";
   if shards > 1 && Time.( <= ) lookahead Time.zero then
     invalid_arg "Engine.create: multi-shard engines need a positive lookahead";
@@ -125,7 +129,8 @@ let create ?(seed = 42) ?(shards = 1) ?(lookahead = Int64.max_int) () =
         (if shards = 1 then root_rng else Rdb_prng.Rng.split root_rng ~index:sid);
       sexec = 0;
       outboxes = Array.make shards [];
-      pool = [];
+      pool = [||];
+      pool_len = 0;
     }
   in
   {
@@ -176,13 +181,14 @@ let schedule_calls t = t.sched_calls
 (* -- event records ------------------------------------------------------ *)
 
 let alloc_event s f =
-  match s.pool with
-  | e :: rest ->
-      s.pool <- rest;
-      e.run <- f;
-      e.cancelled <- false;
-      e
-  | [] -> { run = f; cancelled = false; gen = 0 }
+  if s.pool_len = 0 then { run = f; cancelled = false; gen = 0 }
+  else begin
+    let n = s.pool_len - 1 in
+    s.pool_len <- n;
+    let e = Array.unsafe_get s.pool n in
+    e.run <- f;
+    e
+  end
 
 (* Recycle into the pool of the shard that executed it (records may
    migrate pools via cross-shard scheduling; harmless).  The generation
@@ -191,9 +197,18 @@ let release_event s e =
   e.run <- noop_run;
   e.cancelled <- false;
   e.gen <- e.gen + 1;
-  s.pool <- e :: s.pool
+  let n = s.pool_len in
+  if n = Array.length s.pool then begin
+    (* The stack is full, so every slot holds a live record: the
+       doubled array is filled with [e] until pushes overwrite it. *)
+    let np = Array.make (max 64 (2 * n)) e in
+    Array.blit s.pool 0 np 0 n;
+    s.pool <- np
+  end;
+  Array.unsafe_set s.pool n e;
+  s.pool_len <- n + 1
 
-let pooled_events t = Array.fold_left (fun acc s -> acc + List.length s.pool) 0 t.shards
+let pooled_events t = Array.fold_left (fun acc s -> acc + s.pool_len) 0 t.shards
 
 (* -- scheduling --------------------------------------------------------- *)
 
@@ -400,7 +415,7 @@ let run_shard t s ~bound ~incl =
   while !continue do
     let mt = Heap.min_time s.heap in
     if
-      mt = Int64.max_int
+      mt = max_int
       || (if incl then Time.( > ) mt bound else Time.( >= ) mt bound)
     then continue := false
     else begin
@@ -461,8 +476,7 @@ let run_control_group t =
       in
       go ()
 
-let sat_add (a : Time.t) (b : Time.t) =
-  if Time.( > ) b (Int64.sub Int64.max_int a) then Int64.max_int else Int64.add a b
+let sat_add (a : Time.t) (b : Time.t) = if b > max_int - a then max_int else a + b
 
 (* The epoch loop shared by [run_until] and [run].  Executes every
    event and control with time <= [until]; when [advance], the clocks
@@ -473,13 +487,13 @@ let exec_until t ~until ~advance =
   while !continue do
     drain_outboxes t;
     let next_ev =
-      Array.fold_left (fun acc s -> Time.min acc (Heap.min_time s.heap)) Int64.max_int t.shards
+      Array.fold_left (fun acc s -> Time.min acc (Heap.min_time s.heap)) max_int t.shards
     in
-    let next_c = match t.controls with [] -> Int64.max_int | c :: _ -> c.ctime in
+    let next_c = match t.controls with [] -> max_int | c :: _ -> c.ctime in
     if Time.( <= ) next_c until && Time.( <= ) next_c next_ev then
       (* Control barrier: all shards stopped at the control time. *)
       run_control_group t
-    else if next_ev = Int64.max_int || Time.( > ) next_ev until then begin
+    else if next_ev = max_int || Time.( > ) next_ev until then begin
       if advance then advance_shards t until;
       continue := false
     end
@@ -506,11 +520,11 @@ let run_until t ~until = exec_until t ~until ~advance:true
 let run t =
   while pending_events t > 0 || t.controls <> [] do
     let next_ev =
-      Array.fold_left (fun acc s -> Time.min acc (Heap.min_time s.heap)) Int64.max_int t.shards
+      Array.fold_left (fun acc s -> Time.min acc (Heap.min_time s.heap)) max_int t.shards
     in
-    let next_c = match t.controls with [] -> Int64.max_int | c :: _ -> c.ctime in
+    let next_c = match t.controls with [] -> max_int | c :: _ -> c.ctime in
     let next = Time.min next_ev next_c in
-    if next = Int64.max_int then drain_outboxes t
+    if next = max_int then drain_outboxes t
     else exec_until t ~until:next ~advance:false
   done
 

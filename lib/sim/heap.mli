@@ -2,11 +2,12 @@
     number) so that ties break in insertion order — the property that
     makes the simulation deterministic.
 
-    Internally three parallel arrays (no boxed entry per element, no
-    boxed int64 key comparisons); the {!entry} record is materialized
-    only by {!peek}/{!pop}. *)
+    Payloads live in a slot table that never moves; the heap itself is
+    three int arrays (time, seq, slot), so a sift moves only immediates
+    and never runs the GC write barrier.  The {!entry} record is
+    materialised only by {!peek}/{!pop}. *)
 
-type 'a entry = { time : int64; seq : int; payload : 'a }
+type 'a entry = { time : int; seq : int; payload : 'a }
 
 type 'a t
 
@@ -15,13 +16,11 @@ val create : unit -> 'a t
 val length : 'a t -> int
 val is_empty : 'a t -> bool
 
-val push : 'a t -> time:int64 -> seq:int -> 'a -> unit
+val push : 'a t -> time:int -> seq:int -> 'a -> unit
+(** Allocates nothing once the heap has grown to its peak size. *)
 
-val min_time : 'a t -> int64
-(** Root timestamp without allocating; [Int64.max_int] when empty. *)
-
-val min_key : 'a t -> int
-(** Same as {!min_time} as a native int; [max_int] when empty. *)
+val min_time : 'a t -> int
+(** Root timestamp without allocating; [max_int] when empty. *)
 
 val peek : 'a t -> 'a entry option
 val pop : 'a t -> 'a entry option

@@ -177,7 +177,7 @@ let clear_link_rules t =
 let transmission_ns ~size_bytes ~bw_mbps =
   (* Mbit/s -> bytes/ns: bw * 1e6 / 8 bytes per second = bw / 8e-3 per ns *)
   let bytes_per_ns = bw_mbps *. 1e6 /. 8.0 /. 1e9 in
-  Int64.of_float (Float.of_int size_bytes /. bytes_per_ns)
+  int_of_float (Float.of_int size_bytes /. bytes_per_ns)
 
 (* [Hashtbl.length] guard: the common (healthy) case pays no tuple-key
    allocation and no hash lookup; the RNG is still only consumed when a

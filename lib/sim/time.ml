@@ -1,34 +1,46 @@
-(* Simulated time: int64 nanoseconds since the start of the run.
+(* Simulated time: nanoseconds since the start of the run, as a native
+   int.
 
    Nanosecond granularity keeps every quantity in the model (CPU costs
    of a few microseconds, WAN latencies of hundreds of milliseconds,
    runs of minutes) exactly representable, and integer time makes the
-   simulation bit-for-bit deterministic. *)
+   simulation bit-for-bit deterministic.  A native int is an immediate:
+   the engine stores times in arrays and records without boxing them,
+   and every comparison below is a single integer compare.  2^62 ns is
+   ~146 years, far beyond any run. *)
 
-type t = int64
+let () =
+  if Sys.int_size < 63 then
+    failwith
+      (Printf.sprintf
+         "Rdb_sim.Time: simulated time needs 63-bit native ints, but this platform has %d-bit \
+          ints"
+         Sys.int_size)
 
-let zero = 0L
-let ns n : t = Int64.of_int n
-let us n : t = Int64.of_int (n * 1_000)
-let ms n : t = Int64.of_int (n * 1_000_000)
-let sec n : t = Int64.of_int (n * 1_000_000_000)
+type t = int
 
-let of_us_f (x : float) : t = Int64.of_float (x *. 1e3)
-let of_ms_f (x : float) : t = Int64.of_float (x *. 1e6)
-let of_sec_f (x : float) : t = Int64.of_float (x *. 1e9)
+let zero = 0
+let ns n : t = n
+let us n : t = n * 1_000
+let ms n : t = n * 1_000_000
+let sec n : t = n * 1_000_000_000
 
-let to_us_f (t : t) : float = Int64.to_float t /. 1e3
-let to_ms_f (t : t) : float = Int64.to_float t /. 1e6
-let to_sec_f (t : t) : float = Int64.to_float t /. 1e9
+let of_us_f (x : float) : t = int_of_float (x *. 1e3)
+let of_ms_f (x : float) : t = int_of_float (x *. 1e6)
+let of_sec_f (x : float) : t = int_of_float (x *. 1e9)
 
-let add = Int64.add
-let sub = Int64.sub
-let compare = Int64.compare
-let ( < ) a b = Int64.compare a b < 0
-let ( <= ) a b = Int64.compare a b <= 0
-let ( > ) a b = Int64.compare a b > 0
-let ( >= ) a b = Int64.compare a b >= 0
-let max a b = if Stdlib.( >= ) (Int64.compare a b) 0 then a else b
-let min a b = if Stdlib.( <= ) (Int64.compare a b) 0 then a else b
+let to_us_f (t : t) : float = float_of_int t /. 1e3
+let to_ms_f (t : t) : float = float_of_int t /. 1e6
+let to_sec_f (t : t) : float = float_of_int t /. 1e9
+
+external add : t -> t -> t = "%addint"
+external sub : t -> t -> t = "%subint"
+external compare : t -> t -> int = "%compare"
+external ( < ) : t -> t -> bool = "%lessthan"
+external ( <= ) : t -> t -> bool = "%lessequal"
+external ( > ) : t -> t -> bool = "%greaterthan"
+external ( >= ) : t -> t -> bool = "%greaterequal"
+let max (a : t) (b : t) : t = if a >= b then a else b
+let min (a : t) (b : t) : t = if a <= b then a else b
 
 let pp fmt (t : t) = Format.fprintf fmt "%.3fms" (to_ms_f t)

@@ -24,12 +24,12 @@ type event = {
   cat : string;
   name : string;
   node : int;
-  ts : int64;  (* simulated ns *)
-  dur : int64;  (* 0 for instants *)
+  ts : int;  (* simulated ns *)
+  dur : int;  (* 0 for instants *)
   arg : string;  (* free-form detail, "" if none *)
 }
 
-type phase_acc = { mutable count : int; mutable total : int64; mutable max : int64 }
+type phase_acc = { mutable count : int; mutable total : int; mutable max : int }
 
 (* One per engine shard: the stream of events emitted while that shard
    was executing.  Phase chains live here too — a (node, key) chain is
@@ -39,7 +39,7 @@ type sub = {
   mutable n_events : int;
   digest : Sha256.ctx;
   (* phase chaining: (node, key) -> timestamp of the previous mark *)
-  open_chains : (int * int, int64) Hashtbl.t;
+  open_chains : (int * int, int) Hashtbl.t;
   phase_agg : (string, phase_acc) Hashtbl.t;
   mutable net_local : int;
   mutable net_global : int;
@@ -89,7 +89,7 @@ let set_shards t ~n ~shard_of_now =
    event is included; the format never changes silently (the digest is
    asserted byte-identical across same-seed runs in the test suite). *)
 let canonical e =
-  Printf.sprintf "%c|%s|%s|%d|%Ld|%Ld|%s\n"
+  Printf.sprintf "%c|%s|%s|%d|%d|%d|%s\n"
     (match e.kind with Span -> 'S' | Instant -> 'I')
     e.cat e.name e.node e.ts e.dur e.arg
 
@@ -109,7 +109,7 @@ let span t ~cat ~name ~node ~ts ~dur ?(arg = "") () =
   emit t { kind = Span; cat; name; node; ts; dur; arg }
 
 let instant t ~cat ~name ~node ~ts ?(arg = "") () =
-  emit t { kind = Instant; cat; name; node; ts; dur = 0L; arg }
+  emit t { kind = Instant; cat; name; node; ts; dur = 0; arg }
 
 (* -- network lifecycle ------------------------------------------------ *)
 
@@ -117,9 +117,8 @@ let net_send t ~src ~dst ~size ~local ~now ~start ~depart =
   let s = cur t in
   if local then s.net_local <- s.net_local + 1 else s.net_global <- s.net_global + 1;
   let arg = Printf.sprintf "dst=%d,size=%d,%s" dst size (if local then "local" else "global") in
-  if Int64.compare start now > 0 then
-    span t ~cat:"net" ~name:"queue" ~node:src ~ts:now ~dur:(Int64.sub start now) ~arg ();
-  span t ~cat:"net" ~name:"tx" ~node:src ~ts:start ~dur:(Int64.sub depart start) ~arg ()
+  if start > now then span t ~cat:"net" ~name:"queue" ~node:src ~ts:now ~dur:(start - now) ~arg ();
+  span t ~cat:"net" ~name:"tx" ~node:src ~ts:start ~dur:(depart - start) ~arg ()
 
 let net_deliver t ~src ~dst ~size ~at =
   instant t ~cat:"net" ~name:"deliver" ~node:dst ~ts:at
@@ -143,13 +142,13 @@ let phase_accum (s : sub) ~name ~dur =
     match Hashtbl.find_opt s.phase_agg name with
     | Some a -> a
     | None ->
-        let a = { count = 0; total = 0L; max = 0L } in
+        let a = { count = 0; total = 0; max = 0 } in
         Hashtbl.add s.phase_agg name a;
         a
   in
   acc.count <- acc.count + 1;
-  acc.total <- Int64.add acc.total dur;
-  if Int64.compare dur acc.max > 0 then acc.max <- dur
+  acc.total <- acc.total + dur;
+  if dur > acc.max then acc.max <- dur
 
 let phase_mark t ~node ~key ~name ~now =
   let s = cur t in
@@ -157,8 +156,7 @@ let phase_mark t ~node ~key ~name ~now =
   let k = (node, key) in
   (match Hashtbl.find_opt s.open_chains k with
   | Some prev ->
-      let dur = Int64.sub now prev in
-      let dur = if Int64.compare dur 0L < 0 then 0L else dur in
+      let dur = Stdlib.max 0 (now - prev) in
       phase_accum s ~name ~dur;
       span t ~cat:"phase" ~name ~node ~ts:prev ~dur ~arg:(Printf.sprintf "key=%d" key) ();
       if terminal then Hashtbl.remove s.open_chains k else Hashtbl.replace s.open_chains k now
@@ -166,7 +164,7 @@ let phase_mark t ~node ~key ~name ~now =
       (* First mark for this slot: an instant opens the chain.  A
          terminal first mark (e.g. a filled/skipped slot executing with
          no observed earlier phases) leaves nothing open. *)
-      phase_accum s ~name ~dur:0L;
+      phase_accum s ~name ~dur:0;
       instant t ~cat:"phase" ~name ~node ~ts:now ~arg:(Printf.sprintf "key=%d" key) ();
       if not terminal then Hashtbl.add s.open_chains k now)
 
@@ -187,7 +185,7 @@ type summary = {
   digest_hex : string;
 }
 
-let ms_of_ns ns = Int64.to_float ns /. 1e6
+let ms_of_ns ns = float_of_int ns /. 1e6
 
 let summary t =
   let digest_hex =
@@ -217,8 +215,8 @@ let summary t =
           match Hashtbl.find_opt merged phase with
           | Some m ->
               m.count <- m.count + a.count;
-              m.total <- Int64.add m.total a.total;
-              if Int64.compare a.max m.max > 0 then m.max <- a.max
+              m.total <- m.total + a.total;
+              if a.max > m.max then m.max <- a.max
           | None -> Hashtbl.add merged phase { count = a.count; total = a.total; max = a.max })
         s.phase_agg)
     t.subs;
@@ -280,7 +278,7 @@ let json_escape s =
     s;
   Buffer.contents b
 
-let us ns = Int64.to_float ns /. 1e3
+let us ns = float_of_int ns /. 1e3
 
 let write_chrome_json t oc =
   if not t.keep_events then

@@ -40,25 +40,25 @@ val set_shards : t -> n:int -> shard_of_now:(unit -> int) -> unit
 (** {1 Event emission (called by the instrumented subsystems)} *)
 
 val span :
-  t -> cat:string -> name:string -> node:int -> ts:int64 -> dur:int64 -> ?arg:string -> unit -> unit
+  t -> cat:string -> name:string -> node:int -> ts:int -> dur:int -> ?arg:string -> unit -> unit
 (** Complete span: [ts] start and [dur] duration in simulated ns. *)
 
-val instant : t -> cat:string -> name:string -> node:int -> ts:int64 -> ?arg:string -> unit -> unit
+val instant : t -> cat:string -> name:string -> node:int -> ts:int -> ?arg:string -> unit -> unit
 
 val net_send :
-  t -> src:int -> dst:int -> size:int -> local:bool -> now:int64 -> start:int64 -> depart:int64 -> unit
+  t -> src:int -> dst:int -> size:int -> local:bool -> now:int -> start:int -> depart:int -> unit
 (** Message admitted to the network at [now], starts transmitting at
     [start] (uplink/WAN queueing before that), fully serialized at
     [depart].  Emits a [queue] span ([now, start)) when there was any
     queueing and a [tx] span ([start, depart)), both on the sender's
     track, and bumps the local/global counters. *)
 
-val net_deliver : t -> src:int -> dst:int -> size:int -> at:int64 -> unit
-val net_drop : t -> src:int -> dst:int -> size:int -> at:int64 -> reason:string -> unit
+val net_deliver : t -> src:int -> dst:int -> size:int -> at:int -> unit
+val net_drop : t -> src:int -> dst:int -> size:int -> at:int -> reason:string -> unit
 
-val cpu_span : t -> node:int -> stage:string -> start:int64 -> dur:int64 -> unit
+val cpu_span : t -> node:int -> stage:string -> start:int -> dur:int -> unit
 
-val phase_mark : t -> node:int -> key:int -> name:string -> now:int64 -> unit
+val phase_mark : t -> node:int -> key:int -> name:string -> now:int -> unit
 (** Protocol-phase chaining, per (node, consensus-slot [key]) pair.
     The first mark for a key opens a chain with an instant; each
     subsequent mark emits a span from the previous mark's timestamp to

@@ -93,15 +93,14 @@ let test_defer_hook_under_pooling () =
 let test_heap_fifo_at_defer_offset () =
   let defer_offset = 1_000_000_000 in
   let h : string Heap.t = Heap.create () in
-  Alcotest.(check int64) "empty min_time" Int64.max_int (Heap.min_time h);
-  Alcotest.(check int) "empty min_key" max_int (Heap.min_key h);
-  Heap.push h ~time:5L ~seq:(defer_offset + 1) "d1";
-  Heap.push h ~time:5L ~seq:1 "a";
-  Heap.push h ~time:5L ~seq:(defer_offset + 2) "d2";
-  Heap.push h ~time:5L ~seq:2 "b";
-  Heap.push h ~time:4L ~seq:9 "early";
-  Heap.push h ~time:5L ~seq:3 "c";
-  Alcotest.(check int64) "min_time sees the root" 4L (Heap.min_time h);
+  Alcotest.(check int) "empty min_time" max_int (Heap.min_time h);
+  Heap.push h ~time:5 ~seq:(defer_offset + 1) "d1";
+  Heap.push h ~time:5 ~seq:1 "a";
+  Heap.push h ~time:5 ~seq:(defer_offset + 2) "d2";
+  Heap.push h ~time:5 ~seq:2 "b";
+  Heap.push h ~time:4 ~seq:9 "early";
+  Heap.push h ~time:5 ~seq:3 "c";
+  Alcotest.(check int) "min_time sees the root" 4 (Heap.min_time h);
   let pop () =
     match Heap.pop h with Some { Heap.payload; _ } -> payload | None -> "<empty>"
   in
@@ -273,6 +272,25 @@ let test_pinned_recovery_digests () =
   reads ("pbft " ^ rw) "2b42eec5b0c3d7678c8722cd0a7e06e328ccce04aa696de8de4bdf3a29c23d26";
   reads ("steward " ^ rw) "194bcc24bf63cee44a5d8e55ea24da4226ba0613d7d3443e2e0f5534950d69e3"
 
+(* -- pinned event count ----------------------------------------------------- *)
+
+module PbftDep = Rdb_fabric.Deployment.Make (Rdb_pbft.Replica)
+
+(* Events one short four-region pbft run executes, at --jobs 1 and 2.
+   The count is a pure function of the event schedule, so any change
+   that adds, removes or merges events fails here, not only in a
+   perfbench row. *)
+let test_pinned_executed_events () =
+  let executed ~jobs =
+    let cfg = Config.make ~z:4 ~n:7 ~batch_size:100 ~client_inflight:16 ~seed:1 () in
+    let d = PbftDep.create ~n_records:10_000 ~retain_payloads:false cfg in
+    ignore (PbftDep.run ~warmup:(Time.ms 200) ~measure:(Time.ms 300) ~jobs d);
+    PbftDep.close d;
+    Engine.executed_events (PbftDep.engine d)
+  in
+  Alcotest.(check int) "pbft z4 n7 --jobs 1" 475_907 (executed ~jobs:1);
+  Alcotest.(check int) "pbft z4 n7 --jobs 2" 475_907 (executed ~jobs:2)
+
 let suite =
   [
     ("event pool reuse", `Quick, test_pool_reuse);
@@ -288,4 +306,5 @@ let suite =
     ("seq=par: Steward", `Slow, test_digest_equality Runner.Steward);
     ("pinned fault-path digests", `Slow, test_pinned_fault_digests);
     ("pinned recovery and read digests", `Slow, test_pinned_recovery_digests);
+    ("pinned executed events", `Quick, test_pinned_executed_events);
   ]

@@ -58,7 +58,7 @@ let make_harness ~n =
   let engine_handle = Rdb_sim.Engine.create () in
   (* Array filler; never delivered ([bag_len] guards every slot). *)
   let filler =
-    (0, 0, Rdb_pbft.Messages.Forward (Batch.noop ~keychain:kc ~cluster:0 ~origin:0 ~created:0L ~nonce:0))
+    (0, 0, Rdb_pbft.Messages.Forward (Batch.noop ~keychain:kc ~cluster:0 ~origin:0 ~created:0 ~nonce:0))
   in
   let mailbag = ref (Array.make 64 filler) in
   let h_ref = ref None in
@@ -120,7 +120,7 @@ let mk_batch h id =
   in
   Batch.create ~keychain:h.kc ~id ~cluster:0
     ~origin:h.cfg.Config.n (* the extra key in the keychain *)
-    ~txns ~created:0L
+    ~txns ~created:0
 
 let check_agreement h ~expect =
   let n = Array.length h.engines in

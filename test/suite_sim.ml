@@ -13,7 +13,7 @@ let test_heap_ordering () =
   List.iter
     (fun t ->
       incr seq;
-      Heap.push h ~time:(Int64.of_int t) ~seq:!seq t)
+      Heap.push h ~time:t ~seq:!seq t)
     [ 5; 3; 9; 1; 7; 3; 0; 8 ];
   let out = ref [] in
   let rec drain () =
@@ -29,7 +29,7 @@ let test_heap_ordering () =
 let test_heap_fifo_ties () =
   let h = Heap.create () in
   for i = 1 to 100 do
-    Heap.push h ~time:42L ~seq:i i
+    Heap.push h ~time:42 ~seq:i i
   done;
   let prev = ref 0 in
   let rec drain () =
@@ -59,7 +59,7 @@ let test_heap_fifo_stress () =
   in
   let pop_phase count =
     (* Each contiguous drain must come out time-sorted. *)
-    let last = ref Int64.min_int in
+    let last = ref min_int in
     for _ = 1 to count do
       match Heap.pop h with
       | Some e ->
@@ -72,23 +72,23 @@ let test_heap_fifo_stress () =
   in
   (* Three equal-time cohorts interleaved with pops; cohort sizes push
      the backing array through its 64-entry initial capacity twice. *)
-  push_batch 10L 70;
+  push_batch 10 70;
   pop_phase 30;
-  push_batch 10L 100;
-  push_batch 5L 40;
+  push_batch 10 100;
+  push_batch 5 40;
   pop_phase 120;
-  push_batch 10L 50;
+  push_batch 10 50;
   pop_phase (Heap.length h);
   Alcotest.(check bool) "drained" true (Heap.is_empty h);
   (* Within each timestamp, pops must follow push order exactly — the
      FIFO stability the simulation's determinism rests on. *)
-  let last_seq : (int64, int) Hashtbl.t = Hashtbl.create 4 in
+  let last_seq : (int, int) Hashtbl.t = Hashtbl.create 4 in
   List.iter
     (fun (t, s) ->
       (match Hashtbl.find_opt last_seq t with
       | Some prev ->
           Alcotest.(check bool)
-            (Printf.sprintf "FIFO within t=%Ld: %d after %d" t s prev)
+            (Printf.sprintf "FIFO within t=%d: %d after %d" t s prev)
             true (s > prev)
       | None -> ());
       Hashtbl.replace last_seq t s)
@@ -99,7 +99,7 @@ let prop_heap_sorted =
     QCheck.(list (int_bound 10_000))
     (fun times ->
       let h = Heap.create () in
-      List.iteri (fun i t -> Heap.push h ~time:(Int64.of_int t) ~seq:i t) times;
+      List.iteri (fun i t -> Heap.push h ~time:t ~seq:i t) times;
       let rec drain last =
         match Heap.pop h with
         | None -> true
@@ -118,9 +118,9 @@ let test_engine_ordering_and_time () =
   Engine.run e;
   match List.rev !log with
   | [ (5, t5); (10, t10); (20, t20) ] ->
-      Alcotest.(check int64) "t5" (Time.ms 5) t5;
-      Alcotest.(check int64) "t10" (Time.ms 10) t10;
-      Alcotest.(check int64) "t20" (Time.ms 20) t20
+      Alcotest.(check int) "t5" (Time.ms 5) t5;
+      Alcotest.(check int) "t10" (Time.ms 10) t10;
+      Alcotest.(check int) "t20" (Time.ms 20) t20
   | _ -> Alcotest.fail "wrong event order"
 
 let test_engine_cancel () =
@@ -141,7 +141,7 @@ let test_engine_run_until () =
   ignore (Engine.schedule_after e ~delay:(Time.ms 10) tick);
   Engine.run_until e ~until:(Time.ms 105);
   Alcotest.(check int) "10 ticks in 105ms" 10 !count;
-  Alcotest.(check int64) "clock at horizon" (Time.ms 105) (Engine.now e);
+  Alcotest.(check int) "clock at horizon" (Time.ms 105) (Engine.now e);
   Engine.run_until e ~until:(Time.ms 205);
   Alcotest.(check int) "20 ticks in 205ms" 20 !count
 
@@ -349,10 +349,10 @@ let test_cpu_stage_serialization () =
       log := ("n1", Engine.now engine) :: !log);
   Engine.run engine;
   let at name = List.assoc name !log in
-  Alcotest.(check int64) "first exec at 10ms" (Time.ms 10) (at "a");
-  Alcotest.(check int64) "second exec serialized at 20ms" (Time.ms 20) (at "b");
-  Alcotest.(check int64) "other stage parallel" (Time.ms 10) (at "w");
-  Alcotest.(check int64) "other node parallel" (Time.ms 10) (at "n1")
+  Alcotest.(check int) "first exec at 10ms" (Time.ms 10) (at "a");
+  Alcotest.(check int) "second exec serialized at 20ms" (Time.ms 20) (at "b");
+  Alcotest.(check int) "other stage parallel" (Time.ms 10) (at "w");
+  Alcotest.(check int) "other node parallel" (Time.ms 10) (at "n1")
 
 let test_cpu_fast_path_and_accounting () =
   let engine = Engine.create () in
@@ -562,3 +562,216 @@ let suite =
       ("stats count_dropped", `Quick, test_stats_count_dropped);
       ("network dropped bytes", `Quick, test_network_dropped_bytes);
     ]
+
+(* -- event-core allocation pins ------------------------------------------ *)
+
+(* Minor words [f ()] allocates.  Exact on one domain: allocation is
+   deterministic, [Gc.minor_words] counts the live minor heap too, and
+   its unboxed result allocates nothing. *)
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  int_of_float (Gc.minor_words () -. w0)
+
+(* Words of a heap block, header included. *)
+let block_words v = Obj.size (Obj.repr v) + 1
+
+(* A warmed single-shard engine: scheduling a preallocated closure and
+   executing it allocates the timer handle and nothing else — the
+   record comes from the freelist, the heap moves only ints, returning
+   the record to the freelist allocates nothing. *)
+let test_schedule_execute_allocation () =
+  let e = Engine.create ~seed:1 () in
+  let f () = () in
+  let cycles n =
+    for i = 1 to n do
+      ignore (Engine.schedule_at e ~at:(Time.ns i) f);
+      ignore (Engine.step e)
+    done
+  in
+  (* Warm: grow the heap and the freelist, initialise the shard slot. *)
+  for _ = 1 to 200 do
+    ignore (Engine.schedule_at e ~at:Time.zero f)
+  done;
+  Engine.run e;
+  let timer_words = block_words (Engine.schedule_at e ~at:Time.zero f) in
+  Engine.run e;
+  List.iter
+    (fun n ->
+      Alcotest.(check int)
+        (Printf.sprintf "%d cycles allocate %d timer handles" n n)
+        (n * timer_words)
+        (minor_words (fun () -> cycles n)))
+    [ 1; 100; 10_000 ]
+
+(* Once the heap has grown to its peak size, push and pop_payload
+   allocate nothing, across free-slot reuse and any interleaving. *)
+let test_heap_allocation () =
+  let h = Heap.create () in
+  let payload = "payload" in
+  for i = 0 to 299 do
+    Heap.push h ~time:(i mod 7) ~seq:i payload
+  done;
+  while not (Heap.is_empty h) do
+    ignore (Heap.pop_payload h)
+  done;
+  let churn () =
+    for round = 0 to 9 do
+      for i = 0 to 299 do
+        Heap.push h ~time:((i * 31) mod 17) ~seq:((round * 1000) + i) payload;
+        if i mod 3 = 0 then ignore (Heap.pop_payload h)
+      done;
+      while Heap.min_time h < max_int do
+        ignore (Heap.pop_payload h)
+      done
+    done
+  in
+  Alcotest.(check int) "push/pop_payload after growth" 0 (minor_words churn)
+
+(* A pooled fan-out of m entries on one shard allocates its agenda (two
+   ints per entry) plus a per-group constant, and delivering the m
+   entries allocates nothing. *)
+let test_fanout_allocation () =
+  let e = Engine.create ~seed:1 () in
+  let deliver _ = () in
+  let fan m =
+    let shards = Array.make m 0 and times = Array.init m (fun i -> Time.us i) in
+    fun () ->
+      Engine.fanout e ~shards ~times ~deliver;
+      while Engine.step e do
+        ()
+      done
+  in
+  let words m =
+    let go = fan m in
+    go ();
+    minor_words go
+  in
+  let w1 = words 1 in
+  List.iter
+    (fun m ->
+      Alcotest.(check int)
+        (Printf.sprintf "%d-entry fan-out: the agenda's 2 words per extra entry" m)
+        (2 * (m - 1))
+        (words m - w1))
+    (* Past 127 entries the agenda exceeds Max_young_wosize (256 words)
+       and is allocated in the major heap, off this count. *)
+    [ 2; 27; 127 ]
+
+(* -- slot-table heap against a sorted reference ------------------------- *)
+
+let defer_offset = 1_000_000_000
+
+(* A run: heap sizes to walk to in turn (every growth boundary is among
+   the candidates), and a seed for the interleaving and the keys. *)
+let gen_heap_run =
+  QCheck.Gen.(
+    pair
+      (list_size (int_range 1 8)
+         (oneof [ oneofl [ 0; 1; 63; 64; 65; 127; 128; 129 ]; int_bound 300 ]))
+      int)
+
+let print_heap_run (targets, seed) =
+  Printf.sprintf "targets=[%s] seed=%d" (String.concat ";" (List.map string_of_int targets)) seed
+
+(* Walk to each target size, mostly pushing on the way up and popping
+   on the way down, with one step in five going the other way.  Times
+   are drawn from a small range so ties are common, and a quarter of
+   the sequence numbers sit above the defer offset.  After every step
+   the heap agrees with a sorted list of the same keys. *)
+let heap_matches_reference (targets, seed) =
+  let rng = Random.State.make [| seed |] in
+  let h = Heap.create () in
+  let model = ref [] in
+  let next_seq = ref 0 in
+  let ok = ref true in
+  let expect b = if not b then ok := false in
+  let check_top () =
+    expect (Heap.length h = List.length !model);
+    match !model with
+    | [] -> expect (Heap.min_time h = max_int && Heap.peek h = None)
+    | (t, s) :: _ -> (
+        expect (Heap.min_time h = t);
+        match Heap.peek h with
+        | Some { Heap.time; seq; payload } -> expect (time = t && seq = s && payload = (t, s))
+        | None -> expect false)
+  in
+  let push () =
+    incr next_seq;
+    let t = Random.State.int rng 6 in
+    let s = if Random.State.int rng 4 = 0 then !next_seq + defer_offset else !next_seq in
+    Heap.push h ~time:t ~seq:s (t, s);
+    model := List.merge compare [ (t, s) ] !model
+  in
+  let pop () =
+    match (!model, Heap.pop h) with
+    | k :: rest, Some { Heap.time; seq; payload } ->
+        expect ((time, seq) = k && payload = k);
+        model := rest
+    | [], None -> ()
+    | _ -> expect false
+  in
+  List.iter
+    (fun target ->
+      while List.length !model <> target do
+        let against = Random.State.int rng 5 = 0 in
+        if List.length !model < target then (if against && !model <> [] then pop () else push ())
+        else if against then push ()
+        else pop ();
+        check_top ()
+      done)
+    targets;
+  while !model <> [] do
+    pop ();
+    check_top ()
+  done;
+  !ok
+
+let prop_heap_model =
+  QCheck.Test.make ~name:"slot-table heap = sorted reference" ~count:200
+    (QCheck.make ~print:print_heap_run gen_heap_run)
+    heap_matches_reference
+
+let test_heap_empty () =
+  let h : string Heap.t = Heap.create () in
+  let check_empty what =
+    Alcotest.(check int) (what ^ ": min_time") max_int (Heap.min_time h);
+    Alcotest.(check bool) (what ^ ": peek") true (Heap.peek h = None);
+    Alcotest.(check bool) (what ^ ": pop") true (Heap.pop h = None);
+    Alcotest.check_raises (what ^ ": pop_payload") (Invalid_argument "Heap.pop_payload: empty heap")
+      (fun () -> ignore (Heap.pop_payload h))
+  in
+  check_empty "fresh";
+  for i = 0 to 64 do
+    Heap.push h ~time:0 ~seq:i "x"
+  done;
+  for _ = 0 to 64 do
+    ignore (Heap.pop_payload h)
+  done;
+  check_empty "drained after growth"
+
+(* A popped payload is not kept alive by its freed slot. *)
+let test_heap_drops_popped () =
+  let h = Heap.create () in
+  let w = Weak.create 1 in
+  Heap.push h ~time:0 ~seq:0 (Bytes.make 8 'a');
+  (let p = Bytes.make 8 'b' in
+   Weak.set w 0 (Some p);
+   Heap.push h ~time:1 ~seq:1 p);
+  ignore (Heap.pop_payload h);
+  ignore (Heap.pop_payload h);
+  Gc.full_major ();
+  Alcotest.(check bool) "collected after pop" false (Weak.check w 0);
+  (* [h] itself stays reachable up to here. *)
+  Alcotest.(check int) "heap empty" 0 (Heap.length h)
+
+let suite =
+  suite
+  @ [
+      ("event core allocation: schedule + execute", `Quick, test_schedule_execute_allocation);
+      ("event core allocation: heap", `Quick, test_heap_allocation);
+      ("event core allocation: fan-out", `Quick, test_fanout_allocation);
+      ("heap empty", `Quick, test_heap_empty);
+      ("heap drops popped payloads", `Quick, test_heap_drops_popped);
+    ]
+  @ qsuite [ prop_heap_model ]

@@ -31,7 +31,7 @@ let write_batch i =
     Array.init 3 (fun j ->
         Txn.make ~key:((i * 3) + j) ~value:(Int64.of_int ((i * 31) + j + 1)) ~client_id:0 ())
   in
-  Batch.create ~keychain:kc ~id:i ~cluster:0 ~origin:0 ~txns ~created:0L
+  Batch.create ~keychain:kc ~id:i ~cluster:0 ~origin:0 ~txns ~created:0
 
 let read_batch i =
   let txns =
@@ -40,7 +40,7 @@ let read_batch i =
       Txn.make ~op:Txn.Scan ~key:(i + 1) ~value:7L ~client_id:0 ();
     |]
   in
-  Batch.create ~keychain:kc ~id:(1000 + i) ~cluster:0 ~origin:0 ~txns ~created:0L
+  Batch.create ~keychain:kc ~id:(1000 + i) ~cluster:0 ~origin:0 ~txns ~created:0
 
 (* -- filesystem helpers -------------------------------------------------- *)
 

@@ -144,7 +144,7 @@ let test_mixed_batches_are_classed () =
     in
     Alcotest.(check bool) "one class per batch" true
       (classes = 1 || classes = 2 || classes = 4);
-    let b = Batch.create ~keychain:kc ~id:i ~cluster:0 ~origin:0 ~txns ~created:0L in
+    let b = Batch.create ~keychain:kc ~id:i ~cluster:0 ~origin:0 ~txns ~created:0 in
     if classes land 4 = 0 then
       Alcotest.(check bool) "read/scan batches are read-only" true (Batch.read_only b)
     else Alcotest.(check bool) "write batches are not read-only" false (Batch.read_only b)
