@@ -61,7 +61,9 @@ let run_cmd =
   let clusters =
     Arg.(value & opt int 4
          & info [ "z"; "clusters" ] ~docv:"Z"
-             ~doc:"Number of clusters/regions (1-6, placed in the paper's region order).")
+             ~doc:
+               "Number of clusters/regions, placed in the paper's region order.  Up to 6 use \
+                the paper's six regions; more tile that matrix (DESIGN.md \xc2\xa717).")
   in
   let replicas =
     Arg.(value & opt int 7 & info [ "n"; "replicas" ] ~docv:"N" ~doc:"Replicas per cluster.")
@@ -116,15 +118,7 @@ let run_cmd =
                 per-phase latency breakdown and the deterministic trace digest: same seed, \
                 same digest.")
   in
-  let jobs =
-    Arg.(value & opt int 1
-         & info [ "jobs" ] ~docv:"N"
-             ~doc:
-               "Executor domains for cluster-parallel conservative execution (DESIGN.md \
-                \xc2\xa715).  Results are byte-identical for every value — reports and trace \
-                digests never depend on $(docv) — only wall-clock changes.")
-  in
-  let go protocol z n batch inflight warmup measure seed reads scans storage fault trace_out jobs =
+  let go protocol z n batch inflight warmup measure seed reads scans storage fault trace_out =
     let cfg =
       Config.make ~z ~n ~batch_size:batch ~client_inflight:inflight ~seed
         ~read_fraction:reads ~scan_fraction:scans ~storage ()
@@ -138,7 +132,7 @@ let run_cmd =
       Option.map (fun _ -> Resilientdb.Trace.create ~keep_events:true ()) trace_out
     in
     let t0 = Unix.gettimeofday () in
-    let report = Runner.run ?tracer ~jobs scenario in
+    let report = Runner.run ?tracer scenario in
     Printf.printf "%s\n" (Report.to_string report);
     Printf.printf "%s\n" (Format.asprintf "%a" Report.pp_recovery report);
     (match (trace_out, tracer) with
@@ -158,7 +152,7 @@ let run_cmd =
   let term =
     Term.(
       const go $ protocol $ clusters $ replicas $ batch $ inflight $ warmup $ measure $ seed
-      $ reads $ scans $ storage $ fault $ trace_out $ jobs)
+      $ reads $ scans $ storage $ fault $ trace_out)
   in
   Cmd.v (Cmd.info "run" ~doc:"Run one simulated geo-scale deployment and report its metrics.") term
 

@@ -24,11 +24,8 @@ type t = {
      (signer, payload, signature) each time — so the first verdict is
      cached and replayed.  The key covers every verification input, so
      a tampered payload or forged signature can never hit a stale
-     entry.  Guarded by [vlock]: domain-parallel runs share one
-     keychain per deployment, and Hashtbl is not safe under concurrent
-     mutation. *)
+     entry. *)
   vcache : (int * string * int64 * int64, bool) Hashtbl.t;
-  vlock : Mutex.t;
 }
 
 let create ~seed ~n_nodes =
@@ -41,7 +38,6 @@ let create ~seed ~n_nodes =
     publics;
     channel_keys = Array.make (n_nodes * n_nodes) None;
     vcache = Hashtbl.create 4096;
-    vlock = Mutex.create ();
   }
 
 let n_nodes t = t.n_nodes
@@ -73,17 +69,11 @@ let verify t ~signer msg sg =
   signer >= 0 && signer < t.n_nodes
   &&
   let key = (signer, msg, sg.Schnorr.e, sg.Schnorr.s) in
-  Mutex.lock t.vlock;
   match Hashtbl.find_opt t.vcache key with
-  | Some ok ->
-      Mutex.unlock t.vlock;
-      ok
+  | Some ok -> ok
   | None ->
-      Mutex.unlock t.vlock;
       let ok = Schnorr.verify t.publics.(signer) msg sg in
-      Mutex.lock t.vlock;
       Hashtbl.replace t.vcache key ok;
-      Mutex.unlock t.vlock;
       ok
 
 let mac t ~src ~dst msg = Cmac.mac (channel_key t ~a:src ~b:dst) msg

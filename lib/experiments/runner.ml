@@ -305,7 +305,7 @@ type instrument = {
   inst_liveness_window_ms : float;
 }
 
-let exec ?instrument ?attack ?(sharded = true) ?(jobs = 1) (p : proto) ~(windows : windows)
+let exec ?instrument ?attack ?(sharded = true) (p : proto) ~(windows : windows)
     ~(fault : fault) ~tracer (cfg : Config.t) : Report.t =
   let go : type a m. (module DEP with type t = a and type msg = m) -> Report.t =
    fun (module D) ->
@@ -345,7 +345,7 @@ let exec ?instrument ?attack ?(sharded = true) ?(jobs = 1) (p : proto) ~(windows
         in
         Chaos.install surface timeline;
         let mon = Chaos.monitor ~liveness_window_ms surface timeline in
-        let report = D.run ~warmup:windows.warmup ~measure:windows.measure ~jobs d in
+        let report = D.run ~warmup:windows.warmup ~measure:windows.measure d in
         D.close d;
         Chaos.check_now mon;
         (match Chaos.first_violation mon with
@@ -360,7 +360,7 @@ let exec ?instrument ?attack ?(sharded = true) ?(jobs = 1) (p : proto) ~(windows
         | Primary_failure ->
             D.at d ~time:(Time.add windows.warmup (Time.ms 2000)) (fun () ->
                 D.crash_primary d ~cluster:0));
-        let report = D.run ~warmup:windows.warmup ~measure:windows.measure ~jobs d in
+        let report = D.run ~warmup:windows.warmup ~measure:windows.measure d in
         D.close d;
         report
   in
@@ -376,13 +376,13 @@ let exec ?instrument ?attack ?(sharded = true) ?(jobs = 1) (p : proto) ~(windows
    overrides the scenario's [trace] flag; otherwise [trace = true]
    creates a summary-only tracer so the report carries the per-phase
    breakdown and the deterministic digest. *)
-let run ?tracer ?jobs (s : Scenario.t) : Report.t =
+let run ?tracer (s : Scenario.t) : Report.t =
   let tracer =
     match tracer with
     | Some _ as t -> t
     | None -> if s.Scenario.trace then Some (Rdb_trace.Trace.create ()) else None
   in
-  exec ?attack:s.Scenario.attack ?jobs s.Scenario.proto ~windows:s.Scenario.windows
+  exec ?attack:s.Scenario.attack s.Scenario.proto ~windows:s.Scenario.windows
     ~fault:s.Scenario.fault ~tracer s.Scenario.cfg
 
 (* The checker's entry point: like {!run}, but [install] receives the

@@ -33,7 +33,7 @@ type windows = Scenario.windows = { warmup : Time.t; measure : Time.t }
 val default_windows : windows
 val full_windows : windows
 
-val run : ?tracer:Rdb_trace.Trace.t -> ?jobs:int -> Scenario.t -> Report.t
+val run : ?tracer:Rdb_trace.Trace.t -> Scenario.t -> Report.t
 (** Build the deployment (compact-ledger mode), inject the scenario's
     fault, run warm-up + measurement, return the report.
 
@@ -42,10 +42,6 @@ val run : ?tracer:Rdb_trace.Trace.t -> ?jobs:int -> Scenario.t -> Report.t
     plus the deterministic digest.  [tracer] overrides that with an
     externally owned tracer (e.g. one created with [~keep_events:true]
     for Chrome trace-event output).
-
-    [jobs] (default 1) is the domain count for cluster-parallel
-    execution (DESIGN.md §15).  It never changes results — reports and
-    trace digests are byte-identical for every value — only wall-clock.
 
     @raise Chaos.Violation under [Chaos _] if an invariant breaks. *)
 

@@ -72,9 +72,6 @@ module Make (P : Protocol.S) = struct
        co-located client group) = shard c on a sharded engine,
        everything on shard 0 otherwise. *)
     shard_of : int -> int;
-    (* An installed adversary interposer keeps unsynchronized state;
-       [run] forces sequential execution while one is active. *)
-    mutable interposed : bool;
     trace_enabled : bool;
     (* Structured consensus-path tracer (Rdb_trace); None = off, and
        every probe degrades to a no-op closure or a single match. *)
@@ -106,11 +103,6 @@ module Make (P : Protocol.S) = struct
   let adversary_view : P.msg Rdb_types.Interpose.view = P.adversary
 
   let set_interposer t (ip : P.msg Rdb_types.Interpose.t option) =
-    t.interposed <- Option.is_some ip;
-    (* Installed mid-run (a chaos equivocation window opening at a
-       control barrier): drop to one domain from the next epoch on.
-       Worker count never affects results, so this is invisible. *)
-    if t.interposed then Engine.set_jobs t.engine 1;
     match ip with
     | None -> Network.set_interposer t.net None
     | Some ip ->
@@ -305,8 +297,7 @@ module Make (P : Protocol.S) = struct
        each cluster and its co-located client group live in one region,
        so all cross-shard traffic is cross-region and the WAN's minimum
        one-way latency bounds how soon it can land.  The shard count is
-       fixed by the topology (never by the worker count), so results
-       are identical however many domains [run] uses. *)
+       fixed by the topology, and it fixes the event order. *)
     let lookahead_ms = Topology.min_cross_region_one_way_ms topo in
     let shards = if sharded && cfg.Config.z > 1 && lookahead_ms < infinity then cfg.Config.z else 1 in
     let engine =
@@ -321,13 +312,11 @@ module Make (P : Protocol.S) = struct
     let keychain = Keychain.create ~seed:(Printf.sprintf "rdb-%d" cfg.Config.seed) ~n_nodes in
     let cpu = Cpu.create ?trace:tracer ~shard_of ~engine ~n_nodes () in
     let metrics = Metrics.create () in
-    if shards > 1 then begin
-      let shard_of_now () = Engine.current_shard_id engine in
-      Metrics.set_shards metrics ~n:shards ~shard_of_now;
-      match tracer with
-      | None -> ()
-      | Some tr -> Rdb_trace.Trace.set_shards tr ~n:shards ~shard_of_now
-    end;
+    (match tracer with
+    | Some tr when shards > 1 ->
+        Rdb_trace.Trace.set_shards tr ~n:shards ~shard_of_now:(fun () ->
+            Engine.current_shard_id engine)
+    | _ -> ());
     let n_repl = Config.n_replicas cfg in
     let ledgers = Array.init n_repl (fun _ -> Ledger.create ()) in
     (* Identical initial state on every replica: derive the master
@@ -430,7 +419,6 @@ module Make (P : Protocol.S) = struct
         crashed = Array.make n_nodes false;
         stats_before = None;
         shard_of;
-        interposed = false;
         trace_enabled = trace;
         tracer;
         retain_payloads;
@@ -548,10 +536,8 @@ module Make (P : Protocol.S) = struct
       Protocol.no_recovery t.nodes
 
   let run ?(warmup = Time.sec 15) ?(measure = Time.sec 45) ?(jobs = 1) (t : t) : Report.t =
-    (* The adversary interposer mutates unsynchronized bookkeeping from
-       the send/recv path; with one installed, run the (identical)
-       schedule on a single domain. *)
-    Engine.set_jobs t.engine (if t.interposed then 1 else jobs);
+    (* [jobs] stays only for callers that still pass [~jobs:1]. *)
+    if jobs <> 1 then invalid_arg "Deployment.run: runs execute on one domain; jobs must be 1";
     start_clients t;
     Engine.run_until t.engine ~until:warmup;
     Metrics.open_window t.metrics ~now:(Engine.now t.engine);

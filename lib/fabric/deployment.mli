@@ -41,13 +41,16 @@ module Make (P : Rdb_types.Protocol.S) : sig
       (default 600k, as in §4).  [retain_payloads:false] drops batch
       payloads from ledger blocks (long sweeps); recovery then carries
       App state snapshots instead of replaying payloads.  [sharded]
-      enables the per-cluster engine sharding (results are identical
-      either way).  [store_dir] roots the persistent backend's
+      (default true) gives the engine one shard per cluster; the
+      partition fixes the event order, so an unsharded run is
+      deterministic but not byte-identical to the sharded one.  [store_dir] roots the persistent backend's
       per-replica directories when the config selects [Disk] storage
       (default: a fresh temp directory per deployment). *)
 
   val run : ?warmup:Time.t -> ?measure:Time.t -> ?jobs:int -> t -> Report.t
-  (** Drive clients, warm up, measure, and report (§4 methodology). *)
+  (** Drive clients, warm up, measure, and report (§4 methodology).
+      A run executes on one domain: [jobs] must be 1 (the default).
+      @raise Invalid_argument for any other [jobs]. *)
 
   val close : t -> unit
   (** Release storage-backend resources (open block-log channels of

@@ -4,18 +4,11 @@
    warm-up phase and a measurement window; throughput counts the
    transactions whose batches *completed at a client* inside the
    window, and latency is the client-observed request-to-f+1-replies
-   time of those batches.
-
-   Sharded runs (DESIGN.md §15): one accumulator per engine shard,
-   routed by the [shard_of_now] callback — each is touched only by its
-   own shard's executing domain, so recording needs no locks.  Totals
-   merge in shard order; latency percentiles sort the merged sample, so
-   every derived number is independent of the domain count.  Window
-   state is global: it only changes at epoch barriers. *)
+   time of those batches. *)
 
 module Time = Rdb_sim.Time
 
-type sub = {
+type t = {
   mutable completed_batches : int;
   mutable completed_txns : int;
   mutable latencies_ms : float list;      (* within the window only *)
@@ -28,17 +21,12 @@ type sub = {
   mutable scan_txns : int;
   mutable write_txns : int;
   mutable read_latencies_ms : float list;
-}
-
-type t = {
-  mutable subs : sub array;
-  mutable shard_of_now : unit -> int;
   mutable window_open : bool;
   mutable window_start : Time.t;
   mutable window_end : Time.t;
 }
 
-let mk_sub () =
+let create () =
   {
     completed_batches = 0;
     completed_txns = 0;
@@ -48,53 +36,35 @@ let mk_sub () =
     scan_txns = 0;
     write_txns = 0;
     read_latencies_ms = [];
-  }
-
-let create () =
-  {
-    subs = [| mk_sub () |];
-    shard_of_now = (fun () -> 0);
     window_open = false;
     window_start = Time.zero;
     window_end = Time.zero;
   }
-
-let set_shards t ~n ~shard_of_now =
-  if n < 1 then invalid_arg "Metrics.set_shards: n must be >= 1";
-  t.subs <- Array.init n (fun _ -> mk_sub ());
-  t.shard_of_now <- shard_of_now
 
 let open_window t ~now = t.window_open <- true; t.window_start <- now
 let close_window t ~now = t.window_open <- false; t.window_end <- now
 
 let record_completion t ~now:_ ~txns ?(reads = 0) ?(scans = 0) ?(writes = 0) ~latency () =
   if t.window_open then begin
-    let s = t.subs.(t.shard_of_now ()) in
-    s.completed_batches <- s.completed_batches + 1;
-    s.completed_txns <- s.completed_txns + txns;
+    t.completed_batches <- t.completed_batches + 1;
+    t.completed_txns <- t.completed_txns + txns;
     let ms = Time.to_ms_f latency in
-    s.latencies_ms <- ms :: s.latencies_ms;
-    s.read_txns <- s.read_txns + reads;
-    s.scan_txns <- s.scan_txns + scans;
-    s.write_txns <- s.write_txns + writes;
+    t.latencies_ms <- ms :: t.latencies_ms;
+    t.read_txns <- t.read_txns + reads;
+    t.scan_txns <- t.scan_txns + scans;
+    t.write_txns <- t.write_txns + writes;
     if writes = 0 && reads + scans > 0 then
-      s.read_latencies_ms <- ms :: s.read_latencies_ms
+      t.read_latencies_ms <- ms :: t.read_latencies_ms
   end
 
-let record_decision t =
-  if t.window_open then begin
-    let s = t.subs.(t.shard_of_now ()) in
-    s.decisions <- s.decisions + 1
-  end
+let record_decision t = if t.window_open then t.decisions <- t.decisions + 1
 
-let sum t f = Array.fold_left (fun acc s -> acc + f s) 0 t.subs
-
-let completed_batches t = sum t (fun s -> s.completed_batches)
-let completed_txns t = sum t (fun s -> s.completed_txns)
-let decisions t = sum t (fun s -> s.decisions)
-let read_txns t = sum t (fun s -> s.read_txns)
-let scan_txns t = sum t (fun s -> s.scan_txns)
-let write_txns t = sum t (fun s -> s.write_txns)
+let completed_batches t = t.completed_batches
+let completed_txns t = t.completed_txns
+let decisions t = t.decisions
+let read_txns t = t.read_txns
+let scan_txns t = t.scan_txns
+let write_txns t = t.write_txns
 
 let window_sec t = Time.to_sec_f (Time.sub t.window_end t.window_start)
 
@@ -122,12 +92,7 @@ let summarize arr =
       max_ms = arr.(n - 1);
     }
 
-let latency_summary t =
-  summarize
-    (Array.concat (Array.to_list (Array.map (fun s -> Array.of_list s.latencies_ms) t.subs)))
+let latency_summary t = summarize (Array.of_list t.latencies_ms)
 
 (* Latencies of read-only batches alone (point-read and scan batches). *)
-let read_latency_summary t =
-  summarize
-    (Array.concat
-       (Array.to_list (Array.map (fun s -> Array.of_list s.read_latencies_ms) t.subs)))
+let read_latency_summary t = summarize (Array.of_list t.read_latencies_ms)

@@ -1,22 +1,13 @@
 (** Run metrics with the paper's measurement methodology (§4): a
     warm-up phase, then a measurement window; throughput counts
     transactions whose batches completed at a client inside the window,
-    latency is client-observed submit-to-quorum-of-replies time.
-
-    Sharded runs keep one accumulator per engine shard (see
-    {!set_shards}); every reported number merges the shards
-    deterministically, so results are independent of the domain
-    count. *)
+    latency is client-observed submit-to-quorum-of-replies time. *)
 
 module Time = Rdb_sim.Time
 
 type t
 
 val create : unit -> t
-
-val set_shards : t -> n:int -> shard_of_now:(unit -> int) -> unit
-(** Split into [n] per-shard accumulators routed by [shard_of_now];
-    each is only touched by the domain executing its shard. *)
 
 val open_window : t -> now:Time.t -> unit
 val close_window : t -> now:Time.t -> unit

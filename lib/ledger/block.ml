@@ -35,7 +35,7 @@ let compute_hash ~height ~round ~cluster ~(batch : Batch.t) ~prev_hash =
    by height) returns the previously computed hash when {e all} inputs
    match — a pure-function memo, so a hit can never change a hash, and
    divergent replicas (different prev_hash or batch) simply miss.
-   Domain-local storage keeps parallel shard executors race-free.
+   Domain-local storage keeps parallel sweep workers race-free.
    [hash_valid] deliberately bypasses the memo and recomputes. *)
 type memo_entry = {
   m_height : int;

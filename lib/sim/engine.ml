@@ -1,5 +1,5 @@
 (* The discrete-event engine: a clock and an ordered queue of pending
-   events (closures) — now sharded for conservative parallel execution.
+   events (closures), partitioned into shards that run in epochs.
 
    Determinism contract: with the same seed and the same sequence of
    [schedule] calls, two runs execute identical event sequences.  This
@@ -18,11 +18,12 @@
    guarantees this because clusters only talk over global WAN links
    whose one-way latency floor is the lookahead.
 
-   Under this protocol the per-shard event sequences — and therefore
-   the per-shard trace streams — are a pure function of the seed and
-   the epoch schedule, *not* of which domain executes which shard or in
-   what order.  Running epochs sequentially or on N domains yields
-   byte-identical traces; the test suite asserts this.
+   Every epoch runs its shards one after another, in shard order, on
+   the calling domain.  The partition stays because it fixes the event
+   order: per-shard sequence numbers, RNG streams and the canonical
+   outbox drain decide which of two same-time events runs first, so the
+   per-shard event sequences — and the per-shard trace streams — are a
+   pure function of the seed and the epoch schedule (DESIGN.md §15).
 
    Control events ([schedule_control]) are global actions — fault
    injection, chaos timeline steps, monitors — that must observe and
@@ -64,8 +65,7 @@ type shard = {
   srng : Rdb_prng.Rng.t;
   mutable sexec : int;
   (* Cross-shard events staged during an epoch, indexed by destination
-     shard, most-recent first.  Written only by this (sending) shard, so
-     parallel epochs never contend; drained at barriers. *)
+     shard, most-recent first; drained at barriers. *)
   outboxes : staged list array;
   (* Freelist of recycled event records: a stack in [pool.(0 ..
      pool_len - 1)], grown by doubling. *)
@@ -76,14 +76,15 @@ type shard = {
 type control = { ctime : Time.t; cseq : int; crun : unit -> unit }
 
 type t = {
-  eid : int; (* engine identity, to validate the domain-local shard *)
   shards : shard array;
+  (* The shard whose events are executing; [None] between epochs, in
+     control actions and before the first run. *)
+  mutable cur : shard option;
   root_rng : Rdb_prng.Rng.t;
   lookahead : Time.t;
   mutable gnow : Time.t; (* authoritative clock between epochs *)
   mutable controls : control list; (* sorted by (ctime, cseq) *)
   mutable cseq : int;
-  mutable jobs : int; (* domains used per epoch (capped by shard count) *)
   (* Schedule-exploration hook (lib/check): when installed, the nth
      schedule call (0-based) may be pushed behind its equal-timestamp
      group — a legal permutation of simultaneous events.  [None] costs
@@ -96,21 +97,6 @@ type t = {
    events sort after every normally-sequenced event of the same
    timestamp while preserving their own relative order. *)
 let defer_offset = 1_000_000_000
-
-let next_eid = Atomic.make 0
-
-(* Which shard (of which engine) the current domain is executing.  Set
-   for the duration of one shard-epoch; consulted by [now]/[rng]/
-   [schedule_at] so all engine operations made from inside an event
-   resolve to the executing shard.  The shard is stored as the option
-   [current_shard] returns, so that lookup allocates nothing. *)
-let dls_shard : (int * shard option) option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let current_shard t =
-  match !(Domain.DLS.get dls_shard) with
-  | Some (eid, s) when eid = t.eid -> s
-  | _ -> None
 
 let create ?(seed = 42) ?(shards = 1) ?(lookahead = max_int) () =
   if shards < 1 then invalid_arg "Engine.create: shards must be >= 1";
@@ -134,26 +120,24 @@ let create ?(seed = 42) ?(shards = 1) ?(lookahead = max_int) () =
     }
   in
   {
-    eid = Atomic.fetch_and_add next_eid 1;
     shards = Array.init shards mk_shard;
+    cur = None;
     root_rng;
     lookahead;
     gnow = Time.zero;
     controls = [];
     cseq = 0;
-    jobs = 1;
     defer_hook = None;
     sched_calls = 0;
   }
 
 let n_shards t = Array.length t.shards
 
-let current_shard_id t = match current_shard t with Some s -> s.sid | None -> 0
-let set_jobs t jobs = t.jobs <- max 1 jobs
+let current_shard_id t = match t.cur with Some s -> s.sid | None -> 0
 let lookahead t = t.lookahead
 
-let now t = match current_shard t with Some s -> s.snow | None -> t.gnow
-let rng t = match current_shard t with Some s -> s.srng | None -> t.root_rng
+let now t = match t.cur with Some s -> s.snow | None -> t.gnow
+let rng t = match t.cur with Some s -> s.srng | None -> t.root_rng
 let rng_of_shard t ~shard = t.shards.(shard).srng
 
 let executed_events t = Array.fold_left (fun acc s -> acc + s.sexec) 0 t.shards
@@ -237,7 +221,7 @@ let schedule_local t s ~at f =
    (or shard 0 from outside event execution — the single-shard case and
    pre-run setup). *)
 let schedule_at t ~at f =
-  match current_shard t with
+  match t.cur with
   | Some s -> schedule_local t s ~at f
   | None -> schedule_local t t.shards.(0) ~at f
 
@@ -247,7 +231,7 @@ let schedule_after t ~delay f = schedule_at t ~at:(Time.add (now t) delay) f
    network (routing a delivery to the destination's shard) and by
    control actions re-arming per-node timers. *)
 let schedule_at_shard t ~shard ~at f =
-  match current_shard t with
+  match t.cur with
   | Some s when s.sid = shard -> schedule_local t s ~at f
   | Some s ->
       (* Cross-shard from inside an epoch: stage in the sender's outbox.
@@ -337,13 +321,12 @@ let push_group s ~floor ~times ~agenda:a ~deliver =
    Entries for another shard stage as one outbox group that the barrier
    expands into consecutive sequence numbers at the group's FIFO
    position.  Either way the executed schedule is the one [k]
-   individual schedules produce, at any [--jobs]. *)
+   individual schedules produce. *)
 let fanout t ~shards ~times ~deliver =
-  let cur = current_shard t in
   for sh = 0 to Array.length t.shards - 1 do
     let agenda = agenda_for ~shards sh in
     if Array.length agenda > 0 then
-      match cur with
+      match t.cur with
       | Some s when s.sid <> sh ->
           s.outboxes.(sh) <- Sgroup (times, agenda, deliver) :: s.outboxes.(sh)
       | _ ->
@@ -376,7 +359,8 @@ let cancel (tm : timer) = if tm.ev.gen = tm.tgen then tm.ev.cancelled <- true
 (* Drain staged cross-shard events into destination heaps.  Canonical
    order — destination shards ascending, then source shards ascending,
    then FIFO per source — with fresh destination sequence numbers, so
-   the merge is independent of how the previous epoch was executed. *)
+   the merge is independent of the order the previous epoch ran its
+   shards in. *)
 let drain_outboxes t =
   let z = Array.length t.shards in
   for dst = 0 to z - 1 do
@@ -406,11 +390,11 @@ let drain_outboxes t =
   done
 
 (* Execute [s]'s events with time < bound (or <= when [incl]).  Runs
-   with the domain-local current-shard set, so everything the events do
-   resolves to this shard. *)
+   with [s] as the executing shard, so everything the events do
+   resolves to it.  An event that raises leaves [s] executing, so the
+   caller still reads the failing event's clock from [now]. *)
 let run_shard t s ~bound ~incl =
-  let cur = Domain.DLS.get dls_shard in
-  cur := Some (t.eid, Some s);
+  t.cur <- Some s;
   let continue = ref true in
   while !continue do
     let mt = Heap.min_time s.heap in
@@ -430,31 +414,12 @@ let run_shard t s ~bound ~incl =
       end
     end
   done;
-  cur := None
+  t.cur <- None
 
-(* One epoch over all shards, sequentially or across domains.  Shard
-   event sequences are independent within an epoch (the conservative
-   invariant), so the executor assignment cannot affect outcomes. *)
-let run_epoch t ~bound ~incl =
-  let z = Array.length t.shards in
-  let jobs = min t.jobs z in
-  if jobs <= 1 then
-    for i = 0 to z - 1 do
-      run_shard t t.shards.(i) ~bound ~incl
-    done
-  else begin
-    let workers =
-      Array.init (jobs - 1) (fun w ->
-          Domain.spawn (fun () ->
-              for i = 0 to z - 1 do
-                if i mod jobs = w + 1 then run_shard t t.shards.(i) ~bound ~incl
-              done))
-    in
-    for i = 0 to z - 1 do
-      if i mod jobs = 0 then run_shard t t.shards.(i) ~bound ~incl
-    done;
-    Array.iter Domain.join workers
-  end
+(* One epoch: every shard in shard order.  Shard event sequences are
+   independent within an epoch (the conservative invariant), so the
+   order cannot affect outcomes. *)
+let run_epoch t ~bound ~incl = Array.iter (fun s -> run_shard t s ~bound ~incl) t.shards
 
 let advance_shards t at =
   Array.iter (fun s -> if Time.( < ) s.snow at then s.snow <- at) t.shards;

@@ -1,12 +1,12 @@
 (** The discrete-event engine: a clock plus an ordered queue of pending
-    events (closures), shardable for conservative parallel execution.
+    events (closures), partitioned into shards that run in conservative
+    epochs.
 
     Determinism contract: with the same seed and the same sequence of
     [schedule] calls, two runs execute identical event sequences — ties
-    in time break by scheduling order.  With [shards > 1], each shard's
-    event sequence is additionally independent of which domain executes
-    it (see DESIGN.md §15), so sequential and domain-parallel runs are
-    indistinguishable, trace digest included. *)
+    in time break by scheduling order.  With [shards > 1], every epoch
+    runs its shards in shard order on the calling domain; the partition
+    fixes the event order (see DESIGN.md §15). *)
 
 type t
 
@@ -25,12 +25,9 @@ val create : ?seed:int -> ?shards:int -> ?lookahead:Time.t -> unit -> t
 val n_shards : t -> int
 
 val current_shard_id : t -> int
-(** Shard the calling domain is executing (0 outside event
-    execution).  Lets per-shard sinks (the tracer) route records. *)
-
-val set_jobs : t -> int -> unit
-(** Domains used per epoch (default 1 = sequential; capped at the shard
-    count).  Changing it never changes results — only wall-clock. *)
+(** Shard whose events are executing (0 outside event execution and in
+    control actions).  Lets per-shard sinks (the tracer) route
+    records. *)
 
 val lookahead : t -> Time.t
 

@@ -1,51 +1,48 @@
 (* Network traffic counters, split local (intra-region) vs global
    (inter-region) — the distinction at the heart of the paper (Table 2
    counts exactly these two message classes per consensus decision).
-
-   Counters are [Atomic.t]: sends happen inside shard epochs, which may
-   run on parallel domains.  Totals are exact (atomic increments
-   commute); snapshots are taken only at epoch barriers, where all
-   shards are stopped. *)
+   Snapshots are taken at epoch barriers, where all shards are
+   stopped. *)
 
 type t = {
-  local_msgs : int Atomic.t;
-  global_msgs : int Atomic.t;
-  local_bytes : int Atomic.t;
-  global_bytes : int Atomic.t;
-  dropped_msgs : int Atomic.t;
-  dropped_bytes : int Atomic.t;
+  mutable local_msgs : int;
+  mutable global_msgs : int;
+  mutable local_bytes : int;
+  mutable global_bytes : int;
+  mutable dropped_msgs : int;
+  mutable dropped_bytes : int;
 }
 
 let create () =
   {
-    local_msgs = Atomic.make 0;
-    global_msgs = Atomic.make 0;
-    local_bytes = Atomic.make 0;
-    global_bytes = Atomic.make 0;
-    dropped_msgs = Atomic.make 0;
-    dropped_bytes = Atomic.make 0;
+    local_msgs = 0;
+    global_msgs = 0;
+    local_bytes = 0;
+    global_bytes = 0;
+    dropped_msgs = 0;
+    dropped_bytes = 0;
   }
 
 let count_sent t ~local ~size =
   if local then begin
-    ignore (Atomic.fetch_and_add t.local_msgs 1);
-    ignore (Atomic.fetch_and_add t.local_bytes size)
+    t.local_msgs <- t.local_msgs + 1;
+    t.local_bytes <- t.local_bytes + size
   end
   else begin
-    ignore (Atomic.fetch_and_add t.global_msgs 1);
-    ignore (Atomic.fetch_and_add t.global_bytes size)
+    t.global_msgs <- t.global_msgs + 1;
+    t.global_bytes <- t.global_bytes + size
   end
 
 let count_dropped t ~size =
-  ignore (Atomic.fetch_and_add t.dropped_msgs 1);
-  ignore (Atomic.fetch_and_add t.dropped_bytes size)
+  t.dropped_msgs <- t.dropped_msgs + 1;
+  t.dropped_bytes <- t.dropped_bytes + size
 
-let local_msgs t = Atomic.get t.local_msgs
-let global_msgs t = Atomic.get t.global_msgs
-let local_bytes t = Atomic.get t.local_bytes
-let global_bytes t = Atomic.get t.global_bytes
-let dropped_msgs t = Atomic.get t.dropped_msgs
-let dropped_bytes t = Atomic.get t.dropped_bytes
+let local_msgs t = t.local_msgs
+let global_msgs t = t.global_msgs
+let local_bytes t = t.local_bytes
+let global_bytes t = t.global_bytes
+let dropped_msgs t = t.dropped_msgs
+let dropped_bytes t = t.dropped_bytes
 
 type snapshot = {
   l_msgs : int;
@@ -58,12 +55,12 @@ type snapshot = {
 
 let snapshot t =
   {
-    l_msgs = Atomic.get t.local_msgs;
-    g_msgs = Atomic.get t.global_msgs;
-    l_bytes = Atomic.get t.local_bytes;
-    g_bytes = Atomic.get t.global_bytes;
-    d_msgs = Atomic.get t.dropped_msgs;
-    d_bytes = Atomic.get t.dropped_bytes;
+    l_msgs = t.local_msgs;
+    g_msgs = t.global_msgs;
+    l_bytes = t.local_bytes;
+    g_bytes = t.global_bytes;
+    d_msgs = t.dropped_msgs;
+    d_bytes = t.dropped_bytes;
   }
 
 (* Difference of two snapshots: traffic in the measurement window. *)

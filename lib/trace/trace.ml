@@ -7,10 +7,10 @@
    Sharded runs (DESIGN.md §15): the tracer keeps one sub-stream per
    engine shard and routes every event to the sub-stream of the shard
    that emitted it (via the [shard_of_now] callback installed by
-   [set_shards]).  Each sub-stream is touched only by its own shard's
-   executing domain, so no synchronization is needed, and each
-   sub-stream's content is a pure function of the seed — independent of
-   the domain count.  The summary digest is the SHA-256 over the
+   [set_shards]).  Each sub-stream's content is a pure function of the
+   seed, whatever order an epoch runs its shards in, and the sub-streams
+   fix the digest and the Chrome JSON event order of every sharded
+   run.  The summary digest is the SHA-256 over the
    concatenated per-shard raw digests (in shard order); with one shard
    this degenerates to exactly the pre-sharding digest. *)
 

@@ -29,10 +29,9 @@ val create : ?keep_events:bool -> unit -> t
 
 val set_shards : t -> n:int -> shard_of_now:(unit -> int) -> unit
 (** Split the tracer into [n] per-shard sub-streams; every subsequent
-    event is routed to sub-stream [shard_of_now ()].  Each sub-stream
-    is only ever touched by the domain executing its shard, so sharded
-    tracing needs no locks, and per-shard content is independent of the
-    domain count.  With [n = 1] (the default at creation) the digest is
+    event is routed to sub-stream [shard_of_now ()].  Per-shard content
+    is independent of the order an epoch runs its shards in.  With
+    [n = 1] (the default at creation) the digest is
     exactly the pre-sharding single-stream digest; with [n > 1] it is a
     SHA-256 over the concatenated per-shard digests, in shard order.
     Must be called before any event is emitted. *)

@@ -17,8 +17,7 @@ open Import
    fields, value equality for the scalars.  Any record copy with a field
    changed (tampering tests, payload stripping, forgeries) misses the
    memo and is verified from scratch, so the cache can never launder an
-   invalid batch.  Under domain-parallel runs concurrent writes are a
-   benign race: both domains store the same deterministic verdict. *)
+   invalid batch. *)
 type memo = {
   m_keychain : Keychain.t;
   m_txns : Txn.t array;

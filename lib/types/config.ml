@@ -210,8 +210,8 @@ let share_fanout t = if t.geobft_fanout <= 0 then weak_quorum t else min t.geobf
 (* The scalar (config-constant) costs are charged on every message hop,
    so the float->ns conversions are memoized per config.  The slot is
    domain-local: one config is in play per running deployment, and each
-   domain (sweep worker or shard executor) fills its own slot once, so
-   there is no cross-domain contention and no synchronization. *)
+   sweep worker domain fills its own slot once, so there is no
+   cross-domain contention and no synchronization. *)
 type cost_tab = {
   c_cfg : t; (* physical identity of the config this table was built for *)
   c_sign : Time.t;

@@ -1,8 +1,8 @@
 (* DESIGN.md §15: the sharded engine's moving parts — pooled event
-   records, tie-breaking at the defer offset, control barriers — and
-   the headline contract: a domain-parallel run is byte-identical to
-   the sequential run of the same scenario (report JSON and trace
-   digest), across every protocol, under chaos and under attack. *)
+   records, tie-breaking at the defer offset, control barriers, the
+   executing-shard lookup — and pinned bytes (report JSON and trace
+   digest) of sharded runs across every protocol, under chaos and under
+   attack. *)
 
 module Engine = Rdb_sim.Engine
 module Heap = Rdb_sim.Heap
@@ -128,28 +128,69 @@ let test_control_ordering () =
   Alcotest.(check (float 0.0001)) "clock advanced to until" 20.0
     (Time.to_ms_f (Engine.now e))
 
-(* -- sequential vs parallel byte-equality ------------------------------- *)
+(* -- executing-shard lookup ------------------------------------------------ *)
+
+(* Inside an event, [now], [rng] and [current_shard_id] resolve to the
+   shard executing it; in a control action, after [run_until] and
+   before the first run they resolve to the global clock, the root RNG
+   and shard 0, where [schedule_at] also lands. *)
+let test_executing_shard () =
+  let e = Engine.create ~seed:1 ~shards:3 ~lookahead:(Time.ms 5) () in
+  let root = Engine.rng e in
+  for sh = 0 to 2 do
+    Alcotest.(check bool) (Printf.sprintf "shard %d has its own stream" sh) false
+      (Engine.rng_of_shard e ~shard:sh == root)
+  done;
+  let seen = ref [] in
+  let observe tag () =
+    seen :=
+      (tag, Engine.current_shard_id e, Time.to_ms_f (Engine.now e), Engine.rng e) :: !seen
+  in
+  observe "before" ();
+  (* Same epoch, different clocks: shard 1 runs at 3 ms while shard 2
+     is still at 1 ms and the global clock at 0. *)
+  ignore (Engine.schedule_at_shard e ~shard:1 ~at:(Time.ms 3) (observe "ev1"));
+  ignore (Engine.schedule_at_shard e ~shard:2 ~at:(Time.ms 1) (observe "ev2"));
+  ignore (Engine.schedule_at e ~at:(Time.ms 2) (observe "outside"));
+  Engine.schedule_control e ~at:(Time.ms 8) (fun () ->
+      observe "control" ();
+      ignore (Engine.schedule_at e ~at:(Time.ms 9) (observe "from-control")));
+  Engine.run_until e ~until:(Time.ms 20);
+  observe "after" ();
+  let expect tag sh ms rng =
+    match List.find_opt (fun (t, _, _, _) -> t = tag) !seen with
+    | None -> Alcotest.failf "%s never ran" tag
+    | Some (_, sh', ms', rng') ->
+        Alcotest.(check int) (tag ^ ": shard") sh sh';
+        Alcotest.(check (float 1e-9)) (tag ^ ": clock") ms ms';
+        Alcotest.(check bool) (tag ^ ": rng") true (rng' == rng)
+  in
+  let shard_rng sh = Engine.rng_of_shard e ~shard:sh in
+  expect "before" 0 0.0 root;
+  expect "ev1" 1 3.0 (shard_rng 1);
+  expect "ev2" 2 1.0 (shard_rng 2);
+  expect "outside" 0 2.0 (shard_rng 0);
+  expect "control" 0 8.0 root;
+  expect "from-control" 0 9.0 (shard_rng 0);
+  expect "after" 0 20.0 root
+
+(* -- pinned bytes of sharded runs ----------------------------------------- *)
 
 let small_cfg seed =
   Config.make ~z:3 ~n:4 ~batch_size:50 ~client_inflight:8 ~seed ()
 
 let windows = { Scenario.warmup = Time.ms 500; measure = Time.ms 1500 }
 
-let run_to_bytes ~jobs s =
+(* Trace digest and SHA-256 of the report JSON of one traced run. *)
+let run_to_bytes s =
   let tracer = Trace.create () in
-  let r = Runner.run ~tracer ~jobs s in
+  let r = Runner.run ~tracer s in
   let digest =
     match r.Report.trace with
     | Some tr -> tr.Trace.digest_hex
     | None -> Alcotest.fail "run produced no trace summary"
   in
-  (Report.to_json_string r, digest)
-
-let check_equal name s =
-  let json1, dig1 = run_to_bytes ~jobs:1 s in
-  let json4, dig4 = run_to_bytes ~jobs:4 s in
-  Alcotest.(check string) (name ^ ": trace digest") dig1 dig4;
-  Alcotest.(check string) (name ^ ": report JSON") json1 json4
+  (digest, Rdb_crypto.Sha256.digest_hex (Report.to_json_string r))
 
 let sampled_attack proto cfg =
   let caps = Runner.adversary_profile proto cfg in
@@ -157,18 +198,83 @@ let sampled_attack proto cfg =
   Adversary.sample ~rng ~caps ~z:cfg.Config.z ~n:cfg.Config.n ~f:(Config.f cfg)
     ~horizon_ms:2000 ~tail_ms:400 ()
 
-let test_digest_equality proto () =
-  let name = Runner.proto_name proto in
-  (* Healthy run. *)
-  check_equal (name ^ " healthy") (Scenario.make ~windows proto (small_cfg 1));
-  (* Seeded chaos timeline (faults + liveness monitor). *)
-  check_equal (name ^ " chaos")
-    (Scenario.make ~windows ~fault:(Runner.Chaos 1) proto (small_cfg 2));
-  (* Sampled Byzantine attack (interposer installed: the run drops to
-     one domain internally — the jobs knob must still be a no-op). *)
-  let cfg = small_cfg 3 in
-  check_equal (name ^ " attack")
-    (Scenario.make ~windows ~attack:(sampled_attack proto cfg) proto cfg)
+(* Three-shard runs of every protocol: healthy (seed 1), under a seeded
+   chaos timeline (seed 2) and under a sampled Byzantine attack (seed
+   3).  Each pins its trace digest and report-JSON hash, so any change
+   to the epoch schedule, the outbox drain or a shard's RNG stream moves
+   one of them.  These are the bytes the sequential and the
+   domain-parallel executor both produced when the engine had two
+   ("seq=par"); the one remaining executor must still reproduce them. *)
+let pinned_runs =
+  [
+    (Runner.Geobft, `Healthy,
+     "d2793b7d0b9be6c3861a079c0e23c9f8c3bdaa3ab04af9053d0c055c3e70ef58",
+     "14298e4e8b0f017b990bbde93db17fa799afab162e52191adea6144d014d4780");
+    (Runner.Geobft, `Chaos,
+     "b863d95e95e6c8aaa320abcf5715d3d0b285361a88a1c6b4126757726ffba2c0",
+     "efe8171e0e3d52a47ec7983fff99152c3b8f651751e143b603950f203e228ee4");
+    (Runner.Geobft, `Attack,
+     "2ece019059d5a7a80742e65567ef0e2421bb774c6126bceec14f288cf98cb375",
+     "29b5816a9f8824c8f7fd4cf8dc4c99a8e0730b2be10adee1449f65a169df71bf");
+    (Runner.Pbft, `Healthy,
+     "125fc3e28596c531314ab1b196d48f81eba4f2043e7d4f57492be07391920dc4",
+     "f64738499a0645960fcb485ce46c8e3a852624fc75be233ba44922f4a3a38aca");
+    (Runner.Pbft, `Chaos,
+     "8e29d660b4cde1bf51f7ef12797faa83954a044360456b9ee7e7d1b5e996e161",
+     "2d86684acbccdee421264982de3dcd45062dc60efc7089f71192690f8aeb3c12");
+    (Runner.Pbft, `Attack,
+     "e3c0b4578c563a5a886901cc07dad9509f20312c06ce010d47a49ac0cc4c8f34",
+     "4e1bec51b454f7d37181d5267cf3ac30e1b69b635148f71521af6162e39f2b59");
+    (Runner.Zyzzyva, `Healthy,
+     "3ed60ae869181f8bdc6f5b7338c9b8ec34b4174352a3b2606ac66fc5ea945616",
+     "c33232c2a91be91bedde34b0df3ca7657b2647429e66a2f8973bb026dc2fcec1");
+    (Runner.Zyzzyva, `Chaos,
+     "660cb0038d02a3b35013f2826c61f08dcaae5f17eac380b20817f1d106827c50",
+     "69d332e6e320e6c0825d61e132bb35fddbe13923c8e335f96c1f8881e2652ca1");
+    (Runner.Zyzzyva, `Attack,
+     "4658e5dbad6d13ae1b2144c2ca94f4c3fb3c88ebdb0c445b52de3f612bb2911b",
+     "38466768e815052026f9b07f4d742c5c9692871acc885a644fae8eddfb232f43");
+    (Runner.Hotstuff, `Healthy,
+     "a90424a8a0aa3621f57ee571e732adf18605b4e4da4f7bacc9add948c70b74da",
+     "8f711647dce144ce69a8232ea1fb9adbe1df94680cdadf118a5128e3df874c27");
+    (Runner.Hotstuff, `Chaos,
+     "e8f126452fead44c3139c4f15a6c1ae0493b3216bd735cd9b1b154e6c214cadd",
+     "11d2be837c1806de7d1ae32bcb548f0d480037464235d4ba98e09f810ea835e7");
+    (Runner.Hotstuff, `Attack,
+     "94ef2dc53c3929d37759386852f9f77cdd569fcc78a53a1b562b62d0cd363b63",
+     "ad43ab28a975d10074fa2b76225047ab9dbfb119f8233a49b6af1bb1dfd309d2");
+    (Runner.Steward, `Healthy,
+     "a549ddf2bcdcbab522e760e9366c564855c1a7a98ad9d571e2e259ef5507e9ca",
+     "0b66a81a11f0d1c383a32b35353515cef266cbeab7a1ac0775c09950fa0c5590");
+    (Runner.Steward, `Chaos,
+     "c3b26dbeb268fc1ff7293bffeb6206fd6c1139d958b1332ef54c561c16544ce7",
+     "5ec6c0bcbb469cbb9c20d6a947736654793915ec68725fa39077c0c5c3ff5d33");
+    (Runner.Steward, `Attack,
+     "4096f437f4ccc0ea2a6a9148ddd24d015019273a408969a76e1a553b6cd81733",
+     "92caa14c9066c6288e2e6330aedb2b36cb168fd46eefd4a06e95532b8fc6ab62");
+  ]
+
+let test_pinned_protocol_digests proto () =
+  let runs = List.filter (fun (p, _, _, _) -> p = proto) pinned_runs in
+  Alcotest.(check int) "healthy, chaos and attack runs" 3 (List.length runs);
+  List.iter
+    (fun (_, kind, digest, report) ->
+      let s =
+        match kind with
+        | `Healthy -> Scenario.make ~windows proto (small_cfg 1)
+        | `Chaos -> Scenario.make ~windows ~fault:(Runner.Chaos 1) proto (small_cfg 2)
+        | `Attack ->
+            let cfg = small_cfg 3 in
+            Scenario.make ~windows ~attack:(sampled_attack proto cfg) proto cfg
+      in
+      let name =
+        Runner.proto_name proto
+        ^ match kind with `Healthy -> " healthy" | `Chaos -> " chaos" | `Attack -> " attack"
+      in
+      let d, h = run_to_bytes s in
+      Alcotest.(check string) (name ^ ": trace digest") digest d;
+      Alcotest.(check string) (name ^ ": report JSON hash") report h)
+    runs
 
 (* -- pinned fault-path digests -------------------------------------------- *)
 
@@ -181,7 +287,7 @@ let test_pinned_fault_digests () =
   let module A = Adversary in
   let module Check = Rdb_check.Check in
   let module Perturb = Rdb_check.Perturb in
-  let digest_of ~jobs s = snd (run_to_bytes ~jobs s) in
+  let digest_of s = fst (run_to_bytes s) in
   let cfg = Config.make ~z:2 ~n:4 ~batch_size:20 ~client_inflight:8 ~seed:1 () in
   let windows = { Scenario.warmup = Time.ms 500; measure = Time.ms 1000 } in
   (* Interposed emissions: a delayed sender (held emissions re-admitted
@@ -199,7 +305,7 @@ let test_pinned_fault_digests () =
   in
   Alcotest.(check string) "attack: delay + replay"
     "31a8ebf6d4086577c4b4d1002e71a5db8bb051af4e6e71878b046b0b3bfcb070"
-    (digest_of ~jobs:1 (Scenario.make ~windows ~attack Scenario.Pbft cfg));
+    (digest_of (Scenario.make ~windows ~attack Scenario.Pbft cfg));
   (* A checker schedule editing both counters: engine deferrals and
      delivery-hook delay/swap edits. *)
   let edits =
@@ -215,14 +321,13 @@ let test_pinned_fault_digests () =
   Alcotest.(check (option string)) "check: defer + delivery hook"
     (Some "abc51ab6926827b15b88fe8ba1e5cc9060b11b891f9ae51bfd2c38d723095eac")
     r.Check.digest;
-  (* Cross-shard staging with faults: three shards on two domains under
-     a timeline with a partition, link loss, duplication and a severed
-     link. *)
+  (* Cross-shard staging with faults: three shards under a timeline
+     with a partition, link loss, duplication and a severed link. *)
   let chaos_cfg = Config.make ~z:3 ~n:4 ~batch_size:20 ~client_inflight:4 ~seed:2 () in
   let chaos_windows = { Scenario.warmup = Time.ms 1000; measure = Time.ms 3000 } in
-  Alcotest.(check string) "chaos z3 --jobs 2"
+  Alcotest.(check string) "chaos z3"
     "e2e7c27b8e5a09e9abff3784db3cfe43159afc9cbac8a9d9dec8edacd7ee1e17"
-    (digest_of ~jobs:2
+    (digest_of
        (Scenario.make ~windows:chaos_windows ~fault:(Runner.Chaos 8) Scenario.Geobft chaos_cfg))
 
 (* -- pinned recovery and read-bypass digests ------------------------------ *)
@@ -276,20 +381,19 @@ let test_pinned_recovery_digests () =
 
 module PbftDep = Rdb_fabric.Deployment.Make (Rdb_pbft.Replica)
 
-(* Events one short four-region pbft run executes, at --jobs 1 and 2.
-   The count is a pure function of the event schedule, so any change
-   that adds, removes or merges events fails here, not only in a
-   perfbench row. *)
+(* Events one short four-region pbft run executes.  The count is a pure
+   function of the event schedule, so any change that adds, removes or
+   merges events fails here, not only in a perfbench row.  A run
+   executes on one domain, so [run] rejects any [jobs] but 1. *)
 let test_pinned_executed_events () =
-  let executed ~jobs =
-    let cfg = Config.make ~z:4 ~n:7 ~batch_size:100 ~client_inflight:16 ~seed:1 () in
-    let d = PbftDep.create ~n_records:10_000 ~retain_payloads:false cfg in
-    ignore (PbftDep.run ~warmup:(Time.ms 200) ~measure:(Time.ms 300) ~jobs d);
-    PbftDep.close d;
-    Engine.executed_events (PbftDep.engine d)
-  in
-  Alcotest.(check int) "pbft z4 n7 --jobs 1" 475_907 (executed ~jobs:1);
-  Alcotest.(check int) "pbft z4 n7 --jobs 2" 475_907 (executed ~jobs:2)
+  let cfg = Config.make ~z:4 ~n:7 ~batch_size:100 ~client_inflight:16 ~seed:1 () in
+  let d = PbftDep.create ~n_records:10_000 ~retain_payloads:false cfg in
+  Alcotest.check_raises "jobs 2 rejected"
+    (Invalid_argument "Deployment.run: runs execute on one domain; jobs must be 1") (fun () ->
+      ignore (PbftDep.run ~jobs:2 d));
+  ignore (PbftDep.run ~warmup:(Time.ms 200) ~measure:(Time.ms 300) d);
+  PbftDep.close d;
+  Alcotest.(check int) "pbft z4 n7" 475_907 (Engine.executed_events (PbftDep.engine d))
 
 let suite =
   [
@@ -299,12 +403,13 @@ let suite =
     ("defer hook under pooling", `Quick, test_defer_hook_under_pooling);
     ("heap FIFO at defer offset", `Quick, test_heap_fifo_at_defer_offset);
     ("control barrier ordering", `Quick, test_control_ordering);
-    ("seq=par: GeoBFT", `Slow, test_digest_equality Runner.Geobft);
-    ("seq=par: Pbft", `Slow, test_digest_equality Runner.Pbft);
-    ("seq=par: Zyzzyva", `Slow, test_digest_equality Runner.Zyzzyva);
-    ("seq=par: HotStuff", `Slow, test_digest_equality Runner.Hotstuff);
-    ("seq=par: Steward", `Slow, test_digest_equality Runner.Steward);
+    ("seq=par: GeoBFT", `Slow, test_pinned_protocol_digests Runner.Geobft);
+    ("seq=par: Pbft", `Slow, test_pinned_protocol_digests Runner.Pbft);
+    ("seq=par: Zyzzyva", `Slow, test_pinned_protocol_digests Runner.Zyzzyva);
+    ("seq=par: HotStuff", `Slow, test_pinned_protocol_digests Runner.Hotstuff);
+    ("seq=par: Steward", `Slow, test_pinned_protocol_digests Runner.Steward);
     ("pinned fault-path digests", `Slow, test_pinned_fault_digests);
     ("pinned recovery and read digests", `Slow, test_pinned_recovery_digests);
     ("pinned executed events", `Quick, test_pinned_executed_events);
+    ("executing shard lookup", `Quick, test_executing_shard);
   ]

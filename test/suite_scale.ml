@@ -6,8 +6,9 @@
      collapses to the legacy constants, and the reports are
      byte-identical;
    - tiled topologies (z > 6) keep a positive cross-region lookahead,
-     so cluster-parallel execution stays byte-identical to sequential
-     at the new scales (z = 8, n = 31, 160k aggregated clients);
+     so the per-cluster shards still run in conservative epochs at the
+     new scales (z = 8, n = 31, 16k aggregated clients), and the bytes
+     of that run are pinned;
    - the [clients=] scenario token and JSON field round-trip exactly. *)
 
 module Config = Rdb_types.Config
@@ -81,9 +82,9 @@ let test_clients_round_trip () =
 
 (* -- runs --------------------------------------------------------------- *)
 
-let run_to_bytes ~jobs s =
+let run_to_bytes s =
   let tracer = Trace.create () in
-  let r = Runner.run ~tracer ~jobs s in
+  let r = Runner.run ~tracer s in
   let digest =
     match r.Report.trace with
     | Some tr -> tr.Trace.digest_hex
@@ -100,10 +101,10 @@ let test_group_equivalence () =
   let legacy = Config.make ~z:2 ~n:4 ~seed:3 () in
   let grouped = Config.make ~base:legacy ~clients:2000 () in
   let _, json_l, dig_l =
-    run_to_bytes ~jobs:1 (Scenario.make ~windows Scenario.Geobft legacy)
+    run_to_bytes (Scenario.make ~windows Scenario.Geobft legacy)
   in
   let _, json_g, dig_g =
-    run_to_bytes ~jobs:1 (Scenario.make ~windows Scenario.Geobft grouped)
+    run_to_bytes (Scenario.make ~windows Scenario.Geobft grouped)
   in
   Alcotest.(check string) "digest equal" dig_l dig_g;
   (* The reports differ only in the scenario-independent fields — and
@@ -111,9 +112,9 @@ let test_group_equivalence () =
   Alcotest.(check string) "report JSON equal" json_l json_g
 
 (* Large-topology smoke doubling as the determinism witness: z = 8
-   tiled regions, 31 replicas per cluster, 160k aggregated clients —
-   sequential and 4-domain runs must agree to the byte, and the
-   deployment must make progress. *)
+   tiled regions, 31 replicas per cluster, 16k aggregated clients — the
+   deployment must make progress, and its trace digest and report JSON
+   hash are pinned. *)
 let test_large_topology_smoke () =
   (* 16k aggregated clients keep the group inflight at the legacy
      floor, so the tier-1 run stays cheap; the million-client load
@@ -121,11 +122,13 @@ let test_large_topology_smoke () =
   let windows = { Scenario.warmup = Time.ms 300; measure = Time.ms 700 } in
   let cfg = Config.make ~z:8 ~n:31 ~clients:16_000 ~seed:1 () in
   let s = Scenario.make ~windows Scenario.Geobft cfg in
-  let r1, json1, dig1 = run_to_bytes ~jobs:1 s in
-  let _, json4, dig4 = run_to_bytes ~jobs:4 s in
-  Alcotest.(check bool) "progress at scale" true (r1.Report.completed_txns > 0);
-  Alcotest.(check string) "seq=par trace digest at scale" dig1 dig4;
-  Alcotest.(check string) "seq=par report JSON at scale" json1 json4
+  let r, json, digest = run_to_bytes s in
+  Alcotest.(check bool) "progress at scale" true (r.Report.completed_txns > 0);
+  Alcotest.(check string) "trace digest at scale"
+    "a598e5ab737f9c422229cd0cb082be5a4b72b6fd2a0741650bc81c61fe26de37" digest;
+  Alcotest.(check string) "report JSON hash at scale"
+    "a1784eb5ca16270a198fb72d671fd04d68bfddba87b028bbb6227070f748f38c"
+    (Rdb_crypto.Sha256.digest_hex json)
 
 let suite =
   [
@@ -133,5 +136,5 @@ let suite =
     ("tiled topology (z = 8)", `Quick, test_tiled_topology);
     ("clients= round-trips", `Quick, test_clients_round_trip);
     ("group size 1000 == legacy bytes", `Slow, test_group_equivalence);
-    ("z=8 n=31 smoke, seq=par", `Slow, test_large_topology_smoke);
+    ("z=8 n=31 smoke", `Slow, test_large_topology_smoke);
   ]
