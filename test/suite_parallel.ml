@@ -199,10 +199,12 @@ let sampled_attack proto cfg =
     ~horizon_ms:2000 ~tail_ms:400 ()
 
 (* Three-shard runs of every protocol: healthy (seed 1), under a seeded
-   chaos timeline (seed 2) and under a sampled Byzantine attack (seed
-   3).  Each pins its trace digest and report-JSON hash, so any change
-   to the epoch schedule, the outbox drain or a shard's RNG stream moves
-   one of them.  These are the bytes the sequential and the
+   chaos timeline (seed 2), under a sampled Byzantine attack (seed 3)
+   and with half the batches point reads and a tenth range scans (seed
+   4: the consensus-bypass read path, where the protocol has one).
+   Each pins its trace digest and report-JSON hash, so any change to
+   the epoch schedule, the outbox drain, a shard's RNG stream or the
+   client agent's routing moves one of them.  These are the bytes the sequential and the
    domain-parallel executor both produced when the engine had two
    ("seq=par"); the one remaining executor must still reproduce them. *)
 let pinned_runs =
@@ -216,6 +218,9 @@ let pinned_runs =
     (Runner.Geobft, `Attack,
      "2ece019059d5a7a80742e65567ef0e2421bb774c6126bceec14f288cf98cb375",
      "29b5816a9f8824c8f7fd4cf8dc4c99a8e0730b2be10adee1449f65a169df71bf");
+    (Runner.Geobft, `Reads,
+     "b786a0af5d64ac9e47b0e37ec39cdf0ee7027dc58b2134dedc1c073a5408721c",
+     "45b5c5c47ea63e83d3a59afe71b4ba0183d82697b75be29e78cc4e01548420e3");
     (Runner.Pbft, `Healthy,
      "125fc3e28596c531314ab1b196d48f81eba4f2043e7d4f57492be07391920dc4",
      "f64738499a0645960fcb485ce46c8e3a852624fc75be233ba44922f4a3a38aca");
@@ -225,6 +230,9 @@ let pinned_runs =
     (Runner.Pbft, `Attack,
      "e3c0b4578c563a5a886901cc07dad9509f20312c06ce010d47a49ac0cc4c8f34",
      "4e1bec51b454f7d37181d5267cf3ac30e1b69b635148f71521af6162e39f2b59");
+    (Runner.Pbft, `Reads,
+     "758723513136db759908f4fc9ebda81709148ec6032f13a92836d58d6cb034e8",
+     "ce3ab6936dc0d9d50e5825223d7ac35e845f5bb554292da7e06991c114c6d4fc");
     (Runner.Zyzzyva, `Healthy,
      "3ed60ae869181f8bdc6f5b7338c9b8ec34b4174352a3b2606ac66fc5ea945616",
      "c33232c2a91be91bedde34b0df3ca7657b2647429e66a2f8973bb026dc2fcec1");
@@ -234,6 +242,9 @@ let pinned_runs =
     (Runner.Zyzzyva, `Attack,
      "4658e5dbad6d13ae1b2144c2ca94f4c3fb3c88ebdb0c445b52de3f612bb2911b",
      "38466768e815052026f9b07f4d742c5c9692871acc885a644fae8eddfb232f43");
+    (Runner.Zyzzyva, `Reads,
+     "8a847540266132b41ce6ad2f5bf297e792547dad6ee2870be7d5543e02fe0e8c",
+     "aa8fdaf6ef2ea9c9d128840c4e7b49923af9ed057a9acebeed723babb1c8e6b2");
     (Runner.Hotstuff, `Healthy,
      "a90424a8a0aa3621f57ee571e732adf18605b4e4da4f7bacc9add948c70b74da",
      "8f711647dce144ce69a8232ea1fb9adbe1df94680cdadf118a5128e3df874c27");
@@ -243,6 +254,9 @@ let pinned_runs =
     (Runner.Hotstuff, `Attack,
      "94ef2dc53c3929d37759386852f9f77cdd569fcc78a53a1b562b62d0cd363b63",
      "ad43ab28a975d10074fa2b76225047ab9dbfb119f8233a49b6af1bb1dfd309d2");
+    (Runner.Hotstuff, `Reads,
+     "212904d2078886675c3c4859c1b3c343b85eb8f87d98b39a98b10b676f508d2a",
+     "4caf41df3ce7e54cac871d21a5363d33f9c01f346bb9d9834a6c00e854358167");
     (Runner.Steward, `Healthy,
      "a549ddf2bcdcbab522e760e9366c564855c1a7a98ad9d571e2e259ef5507e9ca",
      "0b66a81a11f0d1c383a32b35353515cef266cbeab7a1ac0775c09950fa0c5590");
@@ -252,11 +266,14 @@ let pinned_runs =
     (Runner.Steward, `Attack,
      "4096f437f4ccc0ea2a6a9148ddd24d015019273a408969a76e1a553b6cd81733",
      "92caa14c9066c6288e2e6330aedb2b36cb168fd46eefd4a06e95532b8fc6ab62");
+    (Runner.Steward, `Reads,
+     "6d6686a91cb9ee1d0628866d3d595f1b56f28338e88f25122dbd88745fdd5936",
+     "377c472b0288d304c03d0c4d6a67b3c4340e80e758b3b3dd46d29ef9fc877444");
   ]
 
 let test_pinned_protocol_digests proto () =
   let runs = List.filter (fun (p, _, _, _) -> p = proto) pinned_runs in
-  Alcotest.(check int) "healthy, chaos and attack runs" 3 (List.length runs);
+  Alcotest.(check int) "healthy, chaos, attack and reads runs" 4 (List.length runs);
   List.iter
     (fun (_, kind, digest, report) ->
       let s =
@@ -266,10 +283,18 @@ let test_pinned_protocol_digests proto () =
         | `Attack ->
             let cfg = small_cfg 3 in
             Scenario.make ~windows ~attack:(sampled_attack proto cfg) proto cfg
+        | `Reads ->
+            Scenario.make ~windows proto
+              { (small_cfg 4) with Config.read_fraction = 0.5; scan_fraction = 0.1 }
       in
       let name =
         Runner.proto_name proto
-        ^ match kind with `Healthy -> " healthy" | `Chaos -> " chaos" | `Attack -> " attack"
+        ^
+        match kind with
+        | `Healthy -> " healthy"
+        | `Chaos -> " chaos"
+        | `Attack -> " attack"
+        | `Reads -> " reads"
       in
       let d, h = run_to_bytes s in
       Alcotest.(check string) (name ^ ": trace digest") digest d;
