@@ -204,9 +204,10 @@ let sampled_attack proto cfg =
    4: the consensus-bypass read path, where the protocol has one).
    Each pins its trace digest and report-JSON hash, so any change to
    the epoch schedule, the outbox drain, a shard's RNG stream or the
-   client agent's routing moves one of them.  These are the bytes the sequential and the
-   domain-parallel executor both produced when the engine had two
-   ("seq=par"); the one remaining executor must still reproduce them. *)
+   client agent's routing moves one of them.  The first three are the
+   bytes the sequential and the domain-parallel executor both produced
+   when the engine had two ("seq=par"); the one remaining executor must
+   still reproduce them. *)
 let pinned_runs =
   [
     (Runner.Geobft, `Healthy,
