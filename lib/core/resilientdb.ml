@@ -98,6 +98,7 @@ module Json = Rdb_fabric.Json
 (* Chaos fault injection + invariant monitoring *)
 module Chaos = Rdb_chaos.Chaos
 module Recovery = Rdb_recovery.Recovery
+module Catchup = Rdb_recovery.Catchup
 
 (* Byzantine-strategy subsystem: attack programs + the send/receive
    interposition vocabulary they compile into *)

@@ -21,7 +21,6 @@
 module Batch = Rdb_types.Batch
 module Certificate = Rdb_types.Certificate
 module Schnorr = Rdb_crypto.Schnorr
-module App = Rdb_types.App
 
 type rvc = {
   failed_cluster : int;     (* C1: the cluster asked to view-change *)
@@ -49,8 +48,7 @@ type msg =
   | Round_data of {
       from : int;
       eng_view : int;
-      blocks : (Batch.t * Certificate.t option) list;
-      state : App.snapshot option;
+      suffix : Rdb_recovery.Catchup.suffix;
     }
 
 let rvc_payload ~failed_cluster ~round ~vc_count ~requester =

@@ -6,7 +6,6 @@
 module Batch = Rdb_types.Batch
 module Certificate = Rdb_types.Certificate
 module Schnorr = Rdb_crypto.Schnorr
-module App = Rdb_types.App
 
 type rvc = {
   failed_cluster : int;  (** C1: the cluster asked to view-change *)
@@ -31,11 +30,10 @@ type msg =
   | Round_data of {
       from : int;
       eng_view : int;
-      blocks : (Batch.t * Certificate.t option) list;
-      state : App.snapshot option;
-          (** App state snapshot, attached to the final chunk when
-              ledger payloads are stripped and replay cannot rebuild
-              state. *)
+      suffix : Rdb_recovery.Catchup.suffix;
+          (** Up to one chunk of the ledger; the final (short) chunk
+              carries the App state when ledger payloads are stripped
+              and replay cannot rebuild state. *)
     }
 
 val rvc_payload : failed_cluster:int -> round:int -> vc_count:int -> requester:int -> string

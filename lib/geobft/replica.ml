@@ -41,6 +41,7 @@ module Cpu = Rdb_sim.Cpu
 module Keychain = Rdb_crypto.Keychain
 module Engine = Rdb_pbft.Engine
 module Recovery = Rdb_recovery.Recovery
+module Catchup = Rdb_recovery.Catchup
 module Mutation = Rdb_types.Mutation
 module Evidence = Rdb_types.Evidence
 open Messages
@@ -79,13 +80,9 @@ type replica = {
   mutable last_local_vc : Time.t;                (* for the "recent vc" guard *)
   mutable shares_sent : int;                     (* metrics *)
   mutable remote_vcs_triggered : int;
-  (* Crash-rejoin catch-up (lib/recovery): ledger appends issued /
-     completed, and the state-transfer task pulling the missing ledger
-     suffix from local peers. *)
-  mutable issued : int;
-  mutable appended : int;
-  mutable recovering : bool;
-  recovery : Recovery.t;
+  (* Crash-rejoin catch-up (lib/recovery): the ledger cursor and the
+     task pulling the missing ledger suffix from local peers. *)
+  catchup : Catchup.t;
 }
 
 (* Blocks per catch-up reply, so one message stays bounded. *)
@@ -98,15 +95,12 @@ let share_size cfg =
 
 let size_of cfg = function
   | Local _ -> assert false (* the engine sizes its own messages *)
-  | Request _ | Read_request _ -> Wire.batch_bytes ~batch_size:cfg.Config.batch_size
+  | Request _ | Read_request _ -> Client_core.request_bytes cfg
   | Global_share _ -> share_size cfg
   | Drvc _ | Rvc _ -> Wire.small
-  | Reply _ -> Wire.response_bytes ~batch_size:cfg.Config.batch_size
+  | Reply _ -> Client_core.reply_bytes cfg
   | Fetch_rounds _ -> Wire.fetch_bytes
-  | Round_data { blocks; state; _ } ->
-      Wire.snapshot_bytes ~batch_size:cfg.Config.batch_size
-        ~sigs:(Config.cert_wire_sigs cfg) ~blocks:(List.length blocks)
-      + (match state with Some s -> String.length s.Rdb_types.App.state | None -> 0)
+  | Round_data { suffix; _ } -> Catchup.bytes cfg suffix
 
 (* Receiver floor only: certificate signatures are verified once per
    *new* certificate on the certify thread (deduplication is a cheap
@@ -118,11 +112,7 @@ let vcost_of cfg m =
       Time.add
         (Config.recv_floor_cost cfg ~bytes:Wire.small)
         (Config.verify_cost cfg)
-  | Round_data { blocks; _ } ->
-      (* The requester verifies one certificate per block. *)
-      Time.add
-        (Config.recv_floor_cost cfg ~bytes:(size_of cfg m))
-        (Time.of_us_f (cfg.Config.costs.Config.verify_us *. float_of_int (max 1 (List.length blocks))))
+  | Round_data { suffix; _ } -> Catchup.vcost cfg suffix
   | m -> Config.recv_floor_cost cfg ~bytes:(size_of cfg m)
 
 let send r ~dst m = Ctx.send r.ctx ~dst ~size:(size_of r.cfg m) ~vcost:(vcost_of r.cfg m) m
@@ -141,6 +131,11 @@ let broadcast_local r m =
 let phase_key r ~cluster ~round =
   if cluster = r.my_cluster then round else ((cluster + 1) lsl 24) lor round
 
+(* Replies go to local clients only and name the local primary, so
+   clients can retarget after a view change. *)
+let reply r ~batch_id result_digest =
+  Reply { batch_id; result_digest; primary = Engine.primary r.engine }
+
 (* -- execution ----------------------------------------------------------- *)
 
 (* Execute rounds strictly in order; each round executes its z batches
@@ -151,7 +146,7 @@ let rec try_execute r =
      part of an exec chain); executing the next round would append at
      the wrong heights and diverge from honest ledgers.  Catch-up
      (install_rounds) re-aligns the cursor and clears the flag. *)
-  if (not r.exec_busy) && not r.recovering then begin
+  if (not r.exec_busy) && not r.catchup.recovering then begin
     let round = r.exec_round in
     let ready =
       Array.for_all (fun tr -> Hashtbl.mem tr.certified round) r.tracks
@@ -186,12 +181,12 @@ and exec_batches r round = function
         r.tracks;
       try_execute r
   | (batch, cert) :: rest ->
-      r.issued <- r.issued + 1;
+      r.catchup.issued <- r.catchup.issued + 1;
       r.ctx.Ctx.execute batch ~cert:(Some cert) ~on_done:(fun result ->
           r.ctx.Ctx.phase
             ~key:(phase_key r ~cluster:cert.Certificate.cluster ~round)
             ~name:"execute";
-          r.appended <- r.appended + 1;
+          r.catchup.appended <- r.catchup.appended + 1;
           (* Inform only local clients (§2.4), and only with a real
              execution result — [None] means this replica's state was
              already ahead (snapshot install) and up-to-date peers
@@ -199,13 +194,8 @@ and exec_batches r round = function
           (match result with
           | Some res
             when (not (Batch.is_noop batch)) && batch.Batch.cluster = r.my_cluster ->
-              send r ~dst:batch.Batch.origin
-                (Reply
-                   {
-                     batch_id = batch.Batch.id;
-                     result_digest = res.Rdb_types.App.digest;
-                     primary = Engine.primary r.engine;
-                   })
+              Client_core.reply r.ctx ~dst:batch.Batch.origin
+                (reply r ~batch_id:batch.Batch.id res.Rdb_types.App.digest)
           | _ -> ());
           exec_batches r round rest)
 
@@ -447,60 +437,41 @@ let send_catchup_fetch r ~attempt =
   | [] -> ()
   | peers ->
       let dst = List.nth peers (attempt mod List.length peers) in
-      send r ~dst (Fetch_rounds { from = r.issued })
+      send r ~dst (Fetch_rounds { from = r.catchup.issued })
 
+(* Always answer, even when empty: an empty reply tells the requester
+   it has reached our executed frontier. *)
 let serve_rounds r ~src ~from =
-  let blocks = r.ctx.Ctx.ledger_read ~height:from in
-  let blocks = List.filteri (fun i _ -> i < catchup_chunk) blocks in
-  (* The final chunk (less than a full chunk) carries the App state
-     snapshot when ledger payloads are stripped: the served blocks
-     cannot be replayed, so state must ship alongside the suffix. *)
-  let state =
-    if List.length blocks < catchup_chunk then r.ctx.Ctx.state_snapshot () else None
-  in
-  (* Always answer, even when empty: an empty reply tells the requester
-     it has reached our executed frontier. *)
-  send r ~dst:src (Round_data { from; eng_view = Engine.view r.engine; blocks; state })
+  let suffix = Catchup.read ~limit:catchup_chunk r.ctx ~from in
+  send r ~dst:src (Round_data { from; eng_view = Engine.view r.engine; suffix })
 
-let install_rounds r ~from ~eng_view ~state blocks =
-  if r.recovering && (not r.exec_busy) && from = r.issued then begin
-    (* Ratchet the App forward before replaying the suffix: with
-       stripped payloads the replayed blocks cannot rebuild state, so
-       the snapshot is the state and the appends just fill the ledger
-       (their [on_done] sees [None]). *)
-    Option.iter r.ctx.Ctx.app_restore state;
+let install_rounds r ~from ~eng_view suffix =
+  if r.catchup.recovering && (not r.exec_busy) && from = r.catchup.issued then begin
     let z = r.cfg.Config.z in
-    let len = List.length blocks in
-    (* Install only complete rounds: a partial round would collide with
-       the round-at-a-time normal path once the frontier resumes. *)
-    let usable = ((from + len) / z * z) - from in
-    let filled = ref 0 in
+    let len = List.length suffix.Catchup.blocks in
     (* note_external_commit can synchronously unblock queued local
        commits whose on_committed handler calls try_execute; hold
-       exec_busy so the normal path cannot interleave mid-install. *)
+       exec_busy so the normal path cannot interleave mid-install.
+       Install only complete rounds: a partial round would collide with
+       the round-at-a-time normal path once the frontier resumes. *)
     r.exec_busy <- true;
-    List.iteri
-      (fun i (batch, cert) ->
-        if i < usable then begin
-          let h = from + i in
-          r.issued <- r.issued + 1;
-          incr filled;
-          if h mod z = r.my_cluster then
-            ignore (Engine.note_external_commit r.engine ~seq:(h / z) batch);
-          r.ctx.Ctx.execute batch ~cert ~on_done:(fun _ -> r.appended <- r.appended + 1)
-        end)
-      blocks;
+    Catchup.install r.catchup r.ctx ~from suffix
+      ~count:(((from + len) / z * z) - from)
+      ~apply:(fun ~h batch cert ->
+        if h mod z = r.my_cluster then
+          ignore (Engine.note_external_commit r.engine ~seq:(h / z) batch);
+        r.ctx.Ctx.execute batch ~cert ~on_done:(fun _ ->
+            r.catchup.appended <- r.catchup.appended + 1));
     r.exec_busy <- false;
-    Recovery.note_installed r.recovery ~filled:!filled;
-    (* [usable] ends on a round boundary, so the cursor division is
+    (* The install ends on a round boundary, so the cursor division is
        exact; a dropped exec chain may have left exec_round ahead. *)
-    r.exec_round <- max r.exec_round (r.issued / z);
+    r.exec_round <- max r.exec_round (r.catchup.issued / z);
     Engine.adopt_view r.engine ~view:eng_view;
     if len < catchup_chunk then begin
       (* The peer's ledger is exhausted: we are at its executed
          frontier.  Resume the normal path; any residual gap to the
          live frontier heals via shares and DRVC re-serving. *)
-      r.recovering <- false;
+      r.catchup.recovering <- false;
       update_detection_timers r;
       try_execute r
     end
@@ -595,33 +566,16 @@ let create_replica (ctx : msg Ctx.t) =
       last_local_vc = Time.sub Time.zero (Time.sec 3600);
       shares_sent = 0;
       remote_vcs_triggered = 0;
-      issued = 0;
-      appended = 0;
-      recovering = false;
-      recovery = Recovery.create ctx;
+      catchup = Catchup.create ctx;
     }
   in
   r_ref := Some r;
+  Catchup.watch r.catchup ~fetch:(send_catchup_fetch r) ();
   (* A backup whose local engine dropped messages past its acceptance
      window (the cluster raced ahead while one delayed pre-prepare
      stalled its frontier) never crashed, so only this hook notices it
      is starving; the crash-rejoin fetch path brings it back. *)
-  Engine.set_on_behind engine
-    (Some
-       (fun ~seq:_ ->
-         match !r_ref with
-         | Some r when not r.recovering ->
-             r.recovering <- true;
-             Recovery.note_retransmit r.recovery;
-             send_catchup_fetch r ~attempt:0;
-             Recovery.start r.recovery
-         | _ -> ()));
-  Recovery.watch r.recovery
-    ~needed:(fun () -> r.recovering)
-    ~progress:(fun () -> r.issued)
-    ~fire:(fun ~attempt ->
-      Recovery.note_retransmit r.recovery;
-      send_catchup_fetch r ~attempt);
+  Engine.set_on_behind engine (Some (fun ~seq:_ -> Catchup.start r.catchup));
   (* Failure detection is armed from the start of round 0. *)
   update_detection_timers r;
   r
@@ -676,10 +630,7 @@ let on_message (r : replica) ~src (m : msg) =
   | Read_request batch ->
       (* Consensus-bypass read, served by the client's local cluster. *)
       if batch.Batch.cluster = r.my_cluster then
-        Client_core.serve_read r.ctx batch ~reply:(fun result_digest ->
-            send r ~dst:batch.Batch.origin
-              (Reply
-                 { batch_id = batch.Batch.id; result_digest; primary = Engine.primary r.engine }))
+        Client_core.serve_read r.ctx batch ~reply:(reply r ~batch_id:batch.Batch.id)
   | Global_share { round; batch; cert } -> accept_share r ~src ~round batch cert
   | Drvc { failed_cluster; round; vc_count } ->
       if failed_cluster <> r.my_cluster
@@ -694,51 +645,34 @@ let on_message (r : replica) ~src (m : msg) =
   | Rvc rvc -> handle_rvc r rvc ~src
   | Fetch_rounds { from } ->
       if Config.cluster_of_replica r.cfg src = r.my_cluster then serve_rounds r ~src ~from
-  | Round_data { from; eng_view; blocks; state } ->
-      install_rounds r ~from ~eng_view ~state blocks
+  | Round_data { from; eng_view; suffix } -> install_rounds r ~from ~eng_view suffix
   | Reply _ -> ()
 
 (* -- client agent --------------------------------------------------------------- *)
 
-type client = { core : msg Client_core.t; primary_guess : int ref }
+type client = msg Client_core.t
 
 let create_client (ctx : msg Ctx.t) ~cluster =
   let cfg = ctx.Ctx.config in
-  let size = Wire.batch_bytes ~batch_size:cfg.Config.batch_size in
-  let vcost = Config.recv_floor_cost cfg ~bytes:size in
+  let locals = Config.replicas_of_cluster cfg cluster in
   (* Clients are assigned to their local cluster (§2); requests go to
      its current primary — initially the view-0 primary, then whatever
-     the replies report after view changes. *)
-  let primary_guess = ref (Config.replica_id cfg ~cluster ~index:0) in
-  let transmit ~retry (batch : Batch.t) =
-    if retry then
-      (* Local broadcast: backups forward to the primary and arm the
-         censorship timer. *)
-      Ctx.multicast ctx
-        ~dsts:(Config.replicas_of_cluster cfg cluster)
-        ~size ~vcost (Request batch)
-    else Ctx.send ctx ~dst:!primary_guess ~size ~vcost (Request batch)
-  in
-  (* Read-only batches bypass consensus: every local replica answers
-     from its state, f+1 matching digests suffice. *)
-  let transmit_read (batch : Batch.t) =
-    Ctx.multicast ctx
-      ~dsts:(Config.replicas_of_cluster cfg cluster)
-      ~size ~vcost (Read_request batch)
-  in
-  {
-    core =
-      Client_core.create ~ctx ~threshold:(Config.weak_quorum cfg) ~transmit_read ~transmit ();
-    primary_guess;
-  }
+     the replies report after view changes.  A retry broadcasts
+     locally: backups forward to the primary and arm the censorship
+     timer.  Read-only batches bypass consensus: every local replica
+     answers from its state, f+1 matching digests suffice. *)
+  Client_core.create ~ctx ~threshold:(Config.weak_quorum cfg)
+    ~request:(fun b -> Request b)
+    ~read:((fun b -> Read_request b), locals)
+    ~route:(Primary { initial = Config.replica_id cfg ~cluster ~index:0; retry = locals })
+    ()
 
-let submit (c : client) batch = Client_core.submit c.core batch
+let submit = Client_core.submit
 
 let on_client_message (c : client) ~src (m : msg) =
   match m with
   | Reply { batch_id; result_digest; primary } ->
-      c.primary_guess := primary;
-      Client_core.on_reply c.core ~src ~batch_id ~result_digest
+      Client_core.on_reply ~primary c ~src ~batch_id ~result_digest
   | _ -> ()
 
 let view_changes (r : replica) = Engine.n_view_changes r.engine
@@ -752,7 +686,6 @@ let on_recover (r : replica) =
      timers hold dead handles, and in-flight executes lost their
      ledger appends. *)
   r.exec_busy <- false;
-  r.issued <- r.appended;
   Array.iter
     (fun tr ->
       (match tr.detect_timer with
@@ -761,10 +694,8 @@ let on_recover (r : replica) =
       tr.detect_timer <- None;
       tr.timeout <- Time.of_ms_f r.cfg.Config.remote_timeout_ms)
     r.tracks;
-  r.recovering <- true;
-  send_catchup_fetch r ~attempt:0;
-  Recovery.start r.recovery;
+  Catchup.recover r.catchup;
   update_detection_timers r
 
-let recovery (r : replica) = Recovery.stats r.recovery
+let recovery (r : replica) = Recovery.stats r.catchup.recovery
 let disable_recovery (r : replica) = Engine.set_on_behind r.engine None

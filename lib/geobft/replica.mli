@@ -21,7 +21,7 @@ val name : string
 type msg = Messages.msg
 
 type replica
-type client
+type client = msg Rdb_types.Client_core.t
 
 val create_replica : msg Ctx.t -> replica
 val on_message : replica -> src:int -> msg -> unit

@@ -131,11 +131,11 @@ let log_chunk = 256
 let result_digest (b : Batch.t) = Sha256.digest_list [ "result"; b.Batch.digest ]
 
 let size_of cfg = function
-  | Request _ -> Wire.batch_bytes ~batch_size:cfg.Config.batch_size
+  | Request _ -> Client_core.request_bytes cfg
   | Propose _ -> Wire.batch_bytes ~batch_size:cfg.Config.batch_size
   | Vote _ -> Wire.small
   | Qc _ -> Wire.small + (Wire.commit_entry_bytes * 4) (* n−f sigs, compacted *)
-  | Reply _ -> Wire.response_bytes ~batch_size:cfg.Config.batch_size
+  | Reply _ -> Client_core.reply_bytes cfg
   | Fetch _ -> Wire.fetch_bytes
   | Filled _ -> Wire.fill_bytes ~batch_size:cfg.Config.batch_size ~sigs:4
   | Fetch_log _ -> Wire.fetch_bytes
@@ -414,7 +414,7 @@ and exec_ready r inst =
           r.ctx.Ctx.execute batch ~cert:None ~on_done:(fun _ ->
               r.ctx.Ctx.phase ~key:(hs_key ~owner:inst.owner ~height:exec_height) ~name:"execute";
               (if not (Batch.is_noop batch) then
-                 send r ~dst:batch.Batch.origin
+                 Client_core.reply r.ctx ~dst:batch.Batch.origin
                    (Reply { batch_id = batch.Batch.id; result_digest = result_digest batch }));
               exec_ready r inst))
   | _ -> ()
@@ -541,33 +541,32 @@ let on_message r ~src (m : msg) =
 
 (* -- client ------------------------------------------------------------------ *)
 
-type client = { core : msg Client_core.t }
+type client = msg Client_core.t
 
 let create_client (ctx : msg Ctx.t) ~cluster =
   let cfg = ctx.Ctx.config in
   let locals = Array.of_list (Config.replicas_of_cluster cfg cluster) in
   let rr = ref 0 in
-  let size = Wire.batch_bytes ~batch_size:cfg.Config.batch_size in
-  let vcost = Config.recv_floor_cost cfg ~bytes:size in
-  let transmit ~retry:_ (batch : Batch.t) =
-    (* Round-robin over local replicas; a retry naturally rotates to
-       the next (live) leader. *)
+  (* Round-robin over local replicas; a retry naturally rotates to the
+     next (live) leader. *)
+  let pick () =
     let dst = locals.(!rr mod Array.length locals) in
     incr rr;
-    Ctx.send ctx ~dst ~size ~vcost (Request batch)
+    dst
   in
   let f_global = (Config.n_replicas cfg - 1) / 3 in
   (* No consensus-bypass reads: without a cross-instance global order,
      replica states legitimately diverge in interleaving, so read
      digests would not gather f+1 matches — reads go through an
      instance like any other batch. *)
-  { core = Client_core.create ~ctx ~threshold:(f_global + 1) ~transmit () }
+  Client_core.create ~ctx ~threshold:(f_global + 1)
+    ~request:(fun b -> Request b) ~route:(Pick pick) ()
 
-let submit (c : client) batch = Client_core.submit c.core batch
+let submit = Client_core.submit
 
 let on_client_message (c : client) ~src (m : msg) =
   match m with
-  | Reply { batch_id; result_digest } -> Client_core.on_reply c.core ~src ~batch_id ~result_digest
+  | Reply { batch_id; result_digest } -> Client_core.on_reply c ~src ~batch_id ~result_digest
   | _ -> ()
 
 (* -- adversarial view (lib/adversary) -------------------------------------- *)

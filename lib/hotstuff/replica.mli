@@ -34,7 +34,7 @@ type msg =
   | Log_suffix of { inst : int; from : int; batches : Batch.t list }
 
 type replica
-type client
+type client = msg Rdb_types.Client_core.t
 
 val create_replica : msg Ctx.t -> replica
 val on_message : replica -> src:int -> msg -> unit

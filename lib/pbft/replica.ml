@@ -22,15 +22,13 @@
    already-committed slots. *)
 
 module Batch = Rdb_types.Batch
-module Certificate = Rdb_types.Certificate
 module Config = Rdb_types.Config
 module Ctx = Rdb_types.Ctx
 module Wire = Rdb_types.Wire
 module Client_core = Rdb_types.Client_core
-module Protocol = Rdb_types.Protocol
 module App = Rdb_types.App
-module Time = Rdb_sim.Time
 module Recovery = Rdb_recovery.Recovery
+module Catchup = Rdb_recovery.Catchup
 
 let name = "Pbft"
 
@@ -47,30 +45,16 @@ type msg =
       anchor_seq : int;
       anchor_digest : string;
       view : int;
-      blocks : (Batch.t * Certificate.t option) list;
-      (* Full App state at the server: present only when ledger
-         payloads are stripped (replaying [blocks] cannot rebuild
-         state then). *)
-      state : App.snapshot option;
+      suffix : Catchup.suffix;
     }
 
 type replica = {
   ctx : msg Ctx.t;
   engine : Engine.t;
   f : int;
-  (* Ledger appends issued (execute calls) / completed (on_done).
-     [issued] runs ahead of [appended] by the in-flight executes;
-     after a crash the in-flight ones were dropped, so [on_recover]
-     resyncs [issued] to [appended]. *)
-  mutable issued : int;
-  mutable appended : int;
-  mutable recovering : bool;
-  (* src -> (from, anchor_seq, anchor_digest, view, blocks, state) *)
-  snap_replies :
-    ( int,
-      int * int * string * int * (Batch.t * Certificate.t option) list * App.snapshot option )
-    Hashtbl.t;
-  recovery : Recovery.t;
+  catchup : Catchup.t;
+  (* src -> (from, anchor_seq, anchor_digest, view, suffix) *)
+  snap_replies : (int, int * int * string * int * Catchup.suffix) Hashtbl.t;
   (* digest -> (batch id, result digest) of an executed batch: a
      retransmitted request for a batch we already executed (its reply
      was lost on the wire) is answered from this cache instead of
@@ -79,18 +63,33 @@ type replica = {
   reply_cache : (string, int * string) Hashtbl.t;
 }
 
-type client = { core : msg Client_core.t; primary_guess : int ref }
+type client = msg Client_core.t
 
 (* All replicas of the deployment form one cluster. *)
 let members_of cfg = Array.init (Config.n_replicas cfg) (fun i -> i)
 
 (* Every reply carries the current primary so clients can retarget
    after a view change. *)
-let send_reply (r : replica) ~dst ~batch_id ~result_digest =
-  let cfg = r.ctx.Ctx.config in
-  let size = Wire.response_bytes ~batch_size:cfg.Config.batch_size in
-  Ctx.send r.ctx ~dst ~size ~vcost:(Config.recv_floor_cost cfg ~bytes:size)
-    (Reply { batch_id; result_digest; primary = Engine.primary r.engine })
+let reply (r : replica) ~batch_id result_digest =
+  Reply { batch_id; result_digest; primary = Engine.primary r.engine }
+
+(* Execute the batch committed at [seq] and cache its result; a
+   normal-path commit also answers the client with the real result
+   digest (it accepts at f+1 matching digests, i.e. f+1 replicas
+   agreeing on what was executed).  Appended but not applied (App
+   ahead after a state install, or stripped payload): no result to
+   report — up-to-date replicas answer the client. *)
+let execute (r : replica) ~seq ~answer (batch : Batch.t) ~cert =
+  r.ctx.Ctx.execute batch ~cert ~on_done:(fun result ->
+      r.ctx.Ctx.phase ~key:seq ~name:"execute";
+      r.catchup.appended <- r.catchup.appended + 1;
+      match result with
+      | Some res when not (Batch.is_noop batch) ->
+          Hashtbl.replace r.reply_cache batch.Batch.digest (batch.Batch.id, res.App.digest);
+          if answer then
+            Client_core.reply r.ctx ~dst:batch.Batch.origin
+              (reply r ~batch_id:batch.Batch.id res.App.digest)
+      | _ -> ())
 
 (* -- state transfer ------------------------------------------------------ *)
 
@@ -99,66 +98,29 @@ let broadcast_fetch (r : replica) =
   let vcost = Config.recv_floor_cost cfg ~bytes:Wire.fetch_bytes in
   let me = r.ctx.Ctx.id in
   let dsts = List.filter (fun d -> d <> me) (List.init (Config.n_replicas cfg) Fun.id) in
-  Ctx.multicast r.ctx ~dsts ~size:Wire.fetch_bytes ~vcost (Fetch_state { from = r.issued })
+  Ctx.multicast r.ctx ~dsts ~size:Wire.fetch_bytes ~vcost
+    (Fetch_state { from = r.catchup.issued })
 
+(* The whole suffix, with the App state whenever payloads are stripped. *)
 let serve_fetch (r : replica) ~src ~from =
   let cfg = r.ctx.Ctx.config in
-  let blocks = r.ctx.Ctx.ledger_read ~height:from in
-  let nb = List.length blocks in
-  (* With stripped ledger payloads the served blocks cannot be
-     replayed; piggyback the full App state (None when payloads are
-     retained — replay is then cheaper than shipping state). *)
-  let state = r.ctx.Ctx.state_snapshot () in
-  let size =
-    Wire.snapshot_bytes ~batch_size:cfg.Config.batch_size ~sigs:(Config.cert_wire_sigs cfg)
-      ~blocks:nb
-    + (match state with Some s -> String.length s.App.state | None -> 0)
-  in
-  (* The requester verifies the anchor digest and one certificate per
-     block before installing. *)
-  let vcost =
-    Time.add
-      (Config.recv_floor_cost cfg ~bytes:size)
-      (Time.of_us_f (cfg.Config.costs.Config.verify_us *. float_of_int (max 1 nb)))
-  in
-  Ctx.send r.ctx ~dst:src ~size ~vcost
+  let suffix = Catchup.read r.ctx ~from in
+  Ctx.send r.ctx ~dst:src ~size:(Catchup.bytes cfg suffix) ~vcost:(Catchup.vcost cfg suffix)
     (Snapshot
        {
          from;
          anchor_seq = Engine.low_water r.engine;
          anchor_digest = Engine.stable_digest r.engine;
          view = Engine.view r.engine;
-         blocks;
-         state;
+         suffix;
        })
 
-let install (r : replica) ~from ~anchor_seq ~anchor_digest ~view ~blocks ~state =
-  (* Install the App snapshot first (forward-ratchet: a stale one is
-     ignored): served blocks may be payload-stripped, in which case the
-     state transfer — not replay — is what rebuilds the store. *)
-  Option.iter r.ctx.Ctx.app_restore state;
-  let filled = ref 0 in
-  List.iteri
-    (fun i (batch, cert) ->
-      let h = from + i in
-      (* [issued] may advance inside this loop: [note_external_commit]
-         unblocks queued commit quorums, whose emissions interleave at
-         the frontier in order. *)
-      if h = r.issued then begin
-        r.issued <- r.issued + 1;
-        incr filled;
-        r.ctx.Ctx.execute batch ~cert ~on_done:(fun result ->
-            r.ctx.Ctx.phase ~key:h ~name:"execute";
-            r.appended <- r.appended + 1;
-            match result with
-            | Some res when not (Batch.is_noop batch) ->
-                Hashtbl.replace r.reply_cache batch.Batch.digest
-                  (batch.Batch.id, res.App.digest)
-            | _ -> ());
-        ignore (Engine.note_external_commit r.engine ~seq:h batch)
-      end)
-    blocks;
-  Recovery.note_installed r.recovery ~filled:!filled;
+let install (r : replica) ~from ~anchor_seq ~anchor_digest ~view suffix =
+  Catchup.install r.catchup r.ctx ~from suffix ~apply:(fun ~h batch cert ->
+      execute r ~seq:h ~answer:false batch ~cert;
+      (* Unblocks queued commit quorums, whose executes advance
+         [issued] at the frontier in order. *)
+      ignore (Engine.note_external_commit r.engine ~seq:h batch));
   Engine.install_checkpoint r.engine ~seq:anchor_seq ~digest:anchor_digest;
   Engine.adopt_view r.engine ~view
 
@@ -167,10 +129,10 @@ let install (r : replica) ~from ~anchor_seq ~anchor_digest ~view ~blocks ~state 
 let try_install (r : replica) =
   let groups = Hashtbl.create 4 in
   Hashtbl.iter
-    (fun _ (from, aseq, adig, view, blocks, state) ->
+    (fun _ (from, aseq, adig, view, suffix) ->
       let k = (aseq, adig) in
       Hashtbl.replace groups k
-        ((from, view, blocks, state) :: Option.value ~default:[] (Hashtbl.find_opt groups k)))
+        ((from, view, suffix) :: Option.value ~default:[] (Hashtbl.find_opt groups k)))
     r.snap_replies;
   let chosen =
     Hashtbl.fold
@@ -183,31 +145,16 @@ let try_install (r : replica) =
   match chosen with
   | None -> ()
   | Some (aseq, adig, rs) ->
-      let from, view, blocks, state =
+      let reach (from, _, s) = from + List.length s.Catchup.blocks in
+      let from, view, suffix =
         List.fold_left
-          (fun (bf, bv, bb, bs) (f', v', b', s') ->
-            if f' + List.length b' > bf + List.length bb then (f', v', b', s')
-            else (bf, bv, bb, bs))
+          (fun best c -> if reach c > reach best then c else best)
           (List.hd rs) (List.tl rs)
       in
       Hashtbl.reset r.snap_replies;
-      install r ~from ~anchor_seq:aseq ~anchor_digest:adig ~view ~blocks ~state
+      install r ~from ~anchor_seq:aseq ~anchor_digest:adig ~view suffix
 
 (* -- replica ------------------------------------------------------------- *)
-
-(* Start the crash-rejoin state transfer for a replica that fell
-   behind the group's acceptance window without ever crashing (e.g. a
-   delayed pre-prepare stalled its frontier while the others raced
-   ahead): nobody retransmits the normal-path messages its window
-   dropped, so the fetch/snapshot path is the only way back. *)
-let begin_catchup (r : replica) =
-  if not r.recovering then begin
-    r.recovering <- true;
-    Hashtbl.reset r.snap_replies;
-    Recovery.note_retransmit r.recovery;
-    broadcast_fetch r;
-    Recovery.start r.recovery
-  end
 
 let create_replica (ctx : msg Ctx.t) =
   let cfg = ctx.Ctx.config in
@@ -217,27 +164,11 @@ let create_replica (ctx : msg Ctx.t) =
     match !r_ref with
     | None -> ()
     | Some r ->
-        r.issued <- r.issued + 1;
+        r.catchup.issued <- r.catchup.issued + 1;
         (* A normal-path commit means this replica is back at the live
            frontier: catch-up is done. *)
-        r.recovering <- false;
-        ctx.Ctx.execute batch ~cert:(Some cert) ~on_done:(fun result ->
-            ctx.Ctx.phase ~key:seq ~name:"execute";
-            r.appended <- r.appended + 1;
-            match result with
-            | Some res when not (Batch.is_noop batch) ->
-                (* Reply with the real execution-result digest; the
-                   client accepts at f+1 matching digests, i.e. f+1
-                   replicas agreeing on what was executed. *)
-                Hashtbl.replace r.reply_cache batch.Batch.digest
-                  (batch.Batch.id, res.App.digest);
-                send_reply r ~dst:batch.Batch.origin ~batch_id:batch.Batch.id
-                  ~result_digest:res.App.digest
-            | _ ->
-                (* Appended but not applied (App ahead after a state
-                   install, or stripped payload): no result to report —
-                   up-to-date replicas answer the client. *)
-                ())
+        r.catchup.recovering <- false;
+        execute r ~seq ~answer:true batch ~cert:(Some cert)
   in
   let engine =
     Engine.create ~ctx:engine_ctx ~members:(members_of cfg) ~cluster:0 ~on_committed
@@ -249,23 +180,22 @@ let create_replica (ctx : msg Ctx.t) =
       ctx;
       engine;
       f;
-      issued = 0;
-      appended = 0;
-      recovering = false;
+      catchup = Catchup.create ctx;
       snap_replies = Hashtbl.create 8;
-      recovery = Recovery.create ctx;
       reply_cache = Hashtbl.create 256;
     }
   in
   r_ref := Some r;
-  Engine.set_on_behind engine
-    (Some (fun ~seq:_ -> match !r_ref with Some r -> begin_catchup r | None -> ()));
-  Recovery.watch r.recovery
-    ~needed:(fun () -> r.recovering)
-    ~progress:(fun () -> r.issued)
-    ~fire:(fun ~attempt:_ ->
-      Recovery.note_retransmit r.recovery;
-      broadcast_fetch r);
+  Catchup.watch r.catchup
+    ~on_start:(fun () -> Hashtbl.reset r.snap_replies)
+    ~fetch:(fun ~attempt:_ -> broadcast_fetch r)
+    ();
+  (* A replica that fell behind the group's acceptance window without
+     ever crashing (e.g. a delayed pre-prepare stalled its frontier
+     while the others raced ahead) starts the crash-rejoin state
+     transfer: nobody retransmits the normal-path messages its window
+     dropped, so the fetch/snapshot path is the only way back. *)
+  Engine.set_on_behind engine (Some (fun ~seq:_ -> Catchup.start r.catchup));
   r
 
 let on_message (r : replica) ~src (m : msg) =
@@ -277,15 +207,14 @@ let on_message (r : replica) ~src (m : msg) =
         | Some (batch_id, result_digest) ->
             (* Already executed: the client's retransmission means the
                original reply was lost — answer from the cache. *)
-            send_reply r ~dst:batch.Batch.origin ~batch_id ~result_digest
+            Client_core.reply r.ctx ~dst:batch.Batch.origin (reply r ~batch_id result_digest)
         | None -> Engine.submit_batch r.engine batch)
   | Read_request batch ->
-      Client_core.serve_read r.ctx batch ~reply:(fun result_digest ->
-          send_reply r ~dst:batch.Batch.origin ~batch_id:batch.Batch.id ~result_digest)
+      Client_core.serve_read r.ctx batch ~reply:(reply r ~batch_id:batch.Batch.id)
   | Fetch_state { from } -> serve_fetch r ~src ~from
-  | Snapshot { from; anchor_seq; anchor_digest; view; blocks; state } ->
-      if r.recovering then begin
-        Hashtbl.replace r.snap_replies src (from, anchor_seq, anchor_digest, view, blocks, state);
+  | Snapshot { from; anchor_seq; anchor_digest; view; suffix } ->
+      if r.catchup.recovering then begin
+        Hashtbl.replace r.snap_replies src (from, anchor_seq, anchor_digest, view, suffix);
         try_install r
       end
   | Reply _ -> ()
@@ -324,55 +253,35 @@ let adversary : msg Rdb_types.Interpose.view =
 
 let on_recover (r : replica) =
   Engine.on_recover r.engine;
-  (* Executes in flight at crash time were dropped with their ledger
-     appends: resync the issue cursor to what actually landed. *)
-  r.issued <- r.appended;
-  r.recovering <- true;
-  Hashtbl.reset r.snap_replies;
-  broadcast_fetch r;
-  Recovery.start r.recovery
+  Catchup.recover r.catchup
 
-let recovery (r : replica) = Recovery.stats r.recovery
+let recovery (r : replica) = Recovery.stats r.catchup.recovery
 let disable_recovery (r : replica) = Engine.set_on_behind r.engine None
 
 (* -- client agent -------------------------------------------------------- *)
 
 let create_client (ctx : msg Ctx.t) ~cluster:_ =
   let cfg = ctx.Ctx.config in
-  let size = Wire.batch_bytes ~batch_size:cfg.Config.batch_size in
-  let vcost = Config.recv_floor_cost cfg ~bytes:size in
-  (* The view-0 primary lives in region 0; replies update the guess
-     after view changes. *)
-  let primary_guess = ref 0 in
   let everyone = List.init (Config.n_replicas cfg) Fun.id in
-  let transmit ~retry (batch : Batch.t) =
-    if retry then
-      (* Suspect the primary: broadcast so backups forward and start
-         censorship timers (standard Pbft client fallback). *)
-      Ctx.multicast ctx ~dsts:everyone ~size ~vcost (Request batch)
-    else Ctx.send ctx ~dst:!primary_guess ~size ~vcost (Request batch)
-  in
-  (* Read-only batches go straight to every replica; f+1 matching
+  (* Requests go to the primary, first the view-0 primary in region 0,
+     then whichever one the replies name after view changes; a retry
+     suspects the primary and broadcasts, so backups forward and start
+     censorship timers (standard Pbft client fallback).  Read-only
+     batches go straight to every replica; f+1 (global f) matching
      result digests prove the read reflects a committed prefix. *)
-  let transmit_read (batch : Batch.t) =
-    Ctx.multicast ctx ~dsts:everyone ~size ~vcost (Read_request batch)
-  in
-  (* Global f for the flat group. *)
-  let f_global = (Config.n_replicas cfg - 1) / 3 in
-  {
-    core = Client_core.create ~ctx ~threshold:(f_global + 1) ~transmit_read ~transmit ();
-    primary_guess;
-  }
+  Client_core.create ~ctx
+    ~threshold:(((Config.n_replicas cfg - 1) / 3) + 1)
+    ~request:(fun b -> Request b)
+    ~read:((fun b -> Read_request b), everyone)
+    ~route:(Primary { initial = 0; retry = everyone })
+    ()
 
-let submit (c : client) batch = Client_core.submit c.core batch
+let submit = Client_core.submit
 
 let on_client_message (c : client) ~src (m : msg) =
   match m with
   | Reply { batch_id; result_digest; primary } ->
-      c.primary_guess := primary;
-      Client_core.on_reply c.core ~src ~batch_id ~result_digest
+      Client_core.on_reply ~primary c ~src ~batch_id ~result_digest
   | _ -> ()
-
-let client_retransmits (c : client) = Client_core.retransmits c.core
 
 let view_changes (r : replica) = Engine.n_view_changes r.engine

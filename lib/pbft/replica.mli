@@ -4,9 +4,7 @@
     Satisfies {!Rdb_types.Protocol.S}. *)
 
 module Batch = Rdb_types.Batch
-module Certificate = Rdb_types.Certificate
 module Ctx = Rdb_types.Ctx
-module App = Rdb_types.App
 
 val name : string
 
@@ -25,14 +23,13 @@ type msg =
       anchor_seq : int;
       anchor_digest : string;
       view : int;
-      blocks : (Batch.t * Certificate.t option) list;
-      state : App.snapshot option;
-          (** App state snapshot, attached when ledger blocks are
-              payload-stripped and cannot be replayed. *)
+      suffix : Rdb_recovery.Catchup.suffix;
+          (** The whole ledger suffix from [from], with the App state
+              when ledger blocks are payload-stripped. *)
     }  (** State-transfer reply; installed after f+1 anchors match. *)
 
 type replica
-type client
+type client = msg Rdb_types.Client_core.t
 
 val create_replica : msg Ctx.t -> replica
 val on_message : replica -> src:int -> msg -> unit
@@ -58,6 +55,3 @@ val adversary : msg Rdb_types.Interpose.view
 val create_client : msg Ctx.t -> cluster:int -> client
 val submit : client -> Batch.t -> unit
 val on_client_message : client -> src:int -> msg -> unit
-
-val client_retransmits : client -> int
-(** The client core's retransmission counter (tests). *)

@@ -2,12 +2,15 @@
     plus one stall-watch task with exponential backoff and jitter.
 
     The protocols build their catch-up paths on it:
-    - pbft: f+1-agreed checkpoint state transfer ([Fetch_state]);
-    - GeoBFT: round-aligned ledger chunks pulled from one local peer in
-      rotation ([Fetch_rounds]);
-    - HotStuff: per-height hole fills and bulk ledger suffixes;
-    - Steward: timeout retransmission of the representative channel
-      plus ledger catch-up ([Fetch_globals]).
+    - pbft and GeoBFT through {!Catchup}, which adds the shared ledger
+      cursor, suffix and install on top of one handle: f+1-agreed
+      checkpoint state transfer ([Fetch_state]) and round-aligned
+      ledger chunks pulled from one local peer in rotation
+      ([Fetch_rounds]);
+    - HotStuff directly: per-height hole fills and bulk ledger
+      suffixes;
+    - Steward directly: timeout retransmission of the representative
+      channel plus ledger catch-up ([Fetch_globals]).
 
     The task watches a progress token and fires a recovery action only
     while progress is stalled:

@@ -111,7 +111,7 @@ let catchup_chunk = 64
 let cert_size cfg = Wire.certificate_bytes ~batch_size:cfg.Config.batch_size ~sigs:1
 
 let size_of cfg = function
-  | Request _ | Read_request _ -> Wire.batch_bytes ~batch_size:cfg.Config.batch_size
+  | Request _ | Read_request _ -> Client_core.request_bytes cfg
   | Certify_req { batch = Some _; _ } -> Wire.batch_bytes ~batch_size:cfg.Config.batch_size
   | Certify_req _ | Partial_sig _ | Local_commit _ | Global_accept _ | Fetch_globals _ ->
       Wire.small
@@ -119,7 +119,7 @@ let size_of cfg = function
       Wire.snapshot_bytes ~batch_size:cfg.Config.batch_size ~sigs:1
         ~blocks:(List.length batches)
   | Site_forward _ | Global_proposal _ | Local_bcast _ -> cert_size cfg
-  | Reply _ -> Wire.response_bytes ~batch_size:cfg.Config.batch_size
+  | Reply _ -> Client_core.reply_bytes cfg
 
 (* Threshold-signature verification is RSA-verify class; model it with
    the standard signature-verification cost. *)
@@ -239,7 +239,7 @@ let rec exec_ready r =
             (match result with
             | Some res
               when (not (Batch.is_noop batch)) && batch.Batch.cluster = r.my_cluster ->
-                send r ~dst:batch.Batch.origin
+                Client_core.reply r.ctx ~dst:batch.Batch.origin
                   (Reply
                      { batch_id = batch.Batch.id; result_digest = res.Rdb_types.App.digest })
             | _ -> ());
@@ -541,39 +541,31 @@ let on_message r ~src (m : msg) =
       (* Any site member serves a read-only batch from current state. *)
       if batch.Batch.cluster = r.my_cluster then
         Client_core.serve_read r.ctx batch ~reply:(fun result_digest ->
-            send r ~dst:batch.Batch.origin (Reply { batch_id = batch.Batch.id; result_digest }))
+            Reply { batch_id = batch.Batch.id; result_digest })
   | Fetch_globals { from } -> serve_globals r ~src ~from
   | Globals_data { from; batches } -> install_globals r ~from batches
   | Reply _ -> ()
 
 (* -- client ---------------------------------------------------------------------- *)
 
-type client = { core : msg Client_core.t }
+type client = msg Client_core.t
 
 let create_client (ctx : msg Ctx.t) ~cluster =
   let cfg = ctx.Ctx.config in
-  let size = Wire.batch_bytes ~batch_size:cfg.Config.batch_size in
-  let vcost = Config.recv_floor_cost cfg ~bytes:size in
-  let transmit ~retry:_ (batch : Batch.t) =
-    (* Clients talk to their site's representative. *)
-    Ctx.send ctx ~dst:(rep_of cfg ~cluster) ~size ~vcost (Request batch)
-  in
-  (* Read-only batches skip global ordering entirely: every site
-     member answers from its state. *)
-  let transmit_read (batch : Batch.t) =
-    Ctx.multicast ctx ~dsts:(Config.replicas_of_cluster cfg cluster) ~size ~vcost
-      (Read_request batch)
-  in
-  {
-    core =
-      Client_core.create ~ctx ~threshold:(Config.weak_quorum cfg) ~transmit_read ~transmit ();
-  }
+  let rep = rep_of cfg ~cluster in
+  (* Clients talk to their site's representative.  Read-only batches
+     skip global ordering entirely: every site member answers from its
+     state. *)
+  Client_core.create ~ctx ~threshold:(Config.weak_quorum cfg)
+    ~request:(fun b -> Request b)
+    ~read:((fun b -> Read_request b), Config.replicas_of_cluster cfg cluster)
+    ~route:(Pick (fun () -> rep)) ()
 
-let submit (c : client) batch = Client_core.submit c.core batch
+let submit = Client_core.submit
 
 let on_client_message (c : client) ~src (m : msg) =
   match m with
-  | Reply { batch_id; result_digest } -> Client_core.on_reply c.core ~src ~batch_id ~result_digest
+  | Reply { batch_id; result_digest } -> Client_core.on_reply c ~src ~batch_id ~result_digest
   | _ -> ()
 
 (* -- adversarial view (lib/adversary) -------------------------------------- *)

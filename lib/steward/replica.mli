@@ -33,7 +33,7 @@ type msg =
   | Reply of { batch_id : int; result_digest : string }
 
 type replica
-type client
+type client = msg Rdb_types.Client_core.t
 
 val create_replica : msg Ctx.t -> replica
 val on_message : replica -> src:int -> msg -> unit

@@ -1,16 +1,14 @@
 open Import
 
-(* Generic client agent logic: submit a batch, collect replies, accept
-   once [threshold] replicas sent matching results, retransmit on
-   timeout.
+(* The shared client agent and the replica half of the client
+   interface (client_core.mli).  The paper's argument for f+1 matching
+   responses (§2.4): at most f replicas per cluster are faulty and
+   faulty replicas cannot impersonate non-faulty ones, so among f+1
+   identical responses at least one is from a non-faulty replica. *)
 
-   The paper's argument for f+1 matching responses (§2.4): at most f
-   replicas per cluster are faulty and faulty replicas cannot
-   impersonate non-faulty ones, so among f+1 identical responses at
-   least one is from a non-faulty replica.  Zyzzyva needs richer client
-   behaviour (3f+1 fast path, commit-certificate recovery), so it layers
-   its own logic on top of this core rather than using the threshold
-   path. *)
+type route =
+  | Primary of { initial : int; retry : int list }
+  | Pick of (unit -> int)
 
 type pending = {
   batch : Batch.t;
@@ -23,42 +21,50 @@ type pending = {
 type 'm t = {
   ctx : 'm Ctx.t;
   threshold : int;
-  (* [transmit ~retry batch] actually sends the request; retry = true
-     on retransmission (protocols typically broadcast then). *)
-  transmit : retry:bool -> Batch.t -> unit;
-  (* Consensus-bypass path for read-only batches, when the protocol
-     offers one: the first transmission goes here; a timeout falls back
-     to [transmit ~retry:true] (ordered through consensus), so a read
-     whose result digests disagree across replicas still completes. *)
-  transmit_read : (Batch.t -> unit) option;
+  size : int;              (* of every request and read: one batch *)
+  vcost : Time.t;
+  request : Batch.t -> 'm;
+  route : route;
+  mutable primary : int;   (* latest primary hint, for [Primary] routes *)
+  read : ((Batch.t -> 'm) * int list) option;  (* consensus-bypass reads *)
   inflight : (int, pending) Hashtbl.t;
-  mutable submitted : int;
-  mutable completed : int;
   mutable retransmits : int;
   mutable read_fallbacks : int;  (* reads pushed back onto consensus *)
 }
 
-let create ~(ctx : 'm Ctx.t) ~threshold ?transmit_read ~transmit () =
+let request_bytes (cfg : Config.t) = Wire.batch_bytes ~batch_size:cfg.Config.batch_size
+let reply_bytes (cfg : Config.t) = Wire.response_bytes ~batch_size:cfg.Config.batch_size
+
+let create ~(ctx : 'm Ctx.t) ~threshold ~request ?read ~route () =
+  let size = request_bytes ctx.Ctx.config in
   {
     ctx;
     threshold;
-    transmit;
-    transmit_read;
+    size;
+    vcost = Config.recv_floor_cost ctx.Ctx.config ~bytes:size;
+    request;
+    route;
+    primary = (match route with Primary { initial; _ } -> initial | Pick _ -> 0);
+    read;
     inflight = Hashtbl.create 64;
-    submitted = 0;
-    completed = 0;
     retransmits = 0;
     read_fallbacks = 0;
   }
 
-let inflight_count t = Hashtbl.length t.inflight
-let submitted t = t.submitted
-let completed t = t.completed
 let retransmits t = t.retransmits
 let read_fallbacks t = t.read_fallbacks
 
-let takes_read_path t (batch : Batch.t) =
-  t.transmit_read <> None && Batch.read_only batch
+let send t ~dsts m = Ctx.multicast t.ctx ~dsts ~size:t.size ~vcost:t.vcost m
+
+(* An ordered request; [retry] on retransmission. *)
+let transmit t ~retry batch =
+  let dsts =
+    match t.route with
+    | Primary { retry = dsts; _ } when retry -> dsts
+    | Primary _ -> [ t.primary ]
+    | Pick pick -> [ pick () ]
+  in
+  send t ~dsts (t.request batch)
 
 (* Exponential backoff, capped at 8x the base timeout: a wedged system
    is probed persistently but not flooded. *)
@@ -77,10 +83,10 @@ let rec arm_timer t (p : pending) =
                 Accumulated bypass replies stay in [p.replies] — result
                 digests are state-deterministic, so a bypass reply that
                 matches the post-consensus digest still counts. *)
-             if p.attempts = 0 && takes_read_path t p.batch then
+             if p.attempts = 0 && t.read <> None && Batch.read_only p.batch then
                t.read_fallbacks <- t.read_fallbacks + 1;
              p.attempts <- p.attempts + 1;
-             t.transmit ~retry:true p.batch;
+             transmit t ~retry:true p.batch;
              arm_timer t p
            end))
 
@@ -90,15 +96,15 @@ let submit t (batch : Batch.t) =
       { batch; replies = Hashtbl.create 8; resolved = false; timer = None; attempts = 0 }
     in
     Hashtbl.replace t.inflight batch.Batch.id p;
-    t.submitted <- t.submitted + 1;
-    (match t.transmit_read with
-    | Some transmit_read when Batch.read_only batch -> transmit_read batch
-    | _ -> t.transmit ~retry:false batch);
+    (match t.read with
+    | Some (read, dsts) when Batch.read_only batch -> send t ~dsts (read batch)
+    | _ -> transmit t ~retry:false batch);
     arm_timer t p
   end
 
 (* Record a reply from [src]; fires [Ctx.complete] at the threshold. *)
-let on_reply t ~src ~batch_id ~result_digest =
+let on_reply ?primary t ~src ~batch_id ~result_digest =
+  (match primary with Some p -> t.primary <- p | None -> ());
   match Hashtbl.find_opt t.inflight batch_id with
   | None -> ()
   | Some p when p.resolved -> ()
@@ -113,15 +119,21 @@ let on_reply t ~src ~batch_id ~result_digest =
         p.resolved <- true;
         (match p.timer with Some h -> t.ctx.Ctx.cancel_timer h | None -> ());
         Hashtbl.remove t.inflight batch_id;
-        t.completed <- t.completed + 1;
         t.ctx.Ctx.complete p.batch
       end
+
+(* -- replica side ------------------------------------------------------ *)
+
+let reply (ctx : _ Ctx.t) ~dst m =
+  let size = reply_bytes ctx.Ctx.config in
+  Ctx.send ctx ~dst ~size ~vcost:(Config.recv_floor_cost ctx.Ctx.config ~bytes:size) m
 
 (* The replica half of the consensus-bypass read: serve a verified
    read-only batch from current state.  Safe at f+1 matching digests
    because a non-faulty reply reflects a prefix of the agreed order; a
    client that cannot gather f+1 (replica states at different heights)
    times out and re-orders the batch through consensus. *)
-let serve_read (ctx : _ Ctx.t) (batch : Batch.t) ~reply =
+let serve_read (ctx : _ Ctx.t) (batch : Batch.t) ~reply:msg =
   if Batch.verify ~keychain:ctx.Ctx.keychain batch && Batch.read_only batch then
-    ctx.Ctx.read_execute batch ~on_done:(fun res -> reply res.App.digest)
+    ctx.Ctx.read_execute batch ~on_done:(fun res ->
+        reply ctx ~dst:batch.Batch.origin (msg res.App.digest))

@@ -1,42 +1,55 @@
-(** Generic client-agent logic: submit a batch, collect replies, accept
-    at [threshold] matching results (f+1 per §2.4: at least one of f+1
-    identical responses is from a non-faulty replica), retransmit on
-    timeout.  Zyzzyva layers its richer client protocol on top of its
-    own state instead. *)
+(** The client agent of pbft, GeoBFT, Steward and HotStuff, and the
+    replica half of the client interface.  The agent submits a batch,
+    accepts at [threshold] matching results (f+1 per §2.4: one of f+1
+    identical responses is from a non-faulty replica) and retransmits
+    on timeout.  Protocols hand it constructors and destinations; it
+    sends each request or read as one {!request_bytes} message at the
+    receive floor.  Zyzzyva keeps its own agent. *)
+
+(** Where an ordered request goes. *)
+type route =
+  | Primary of { initial : int; retry : int list }
+      (** First transmissions to the primary guess ([initial], then
+          the latest [~primary] hint); retransmissions to [retry]. *)
+  | Pick of (unit -> int)  (** Every transmission to [pick ()]. *)
 
 type 'm t
 
 val create :
   ctx:'m Ctx.t ->
   threshold:int ->
-  ?transmit_read:(Batch.t -> unit) ->
-  transmit:(retry:bool -> Batch.t -> unit) ->
+  request:(Batch.t -> 'm) ->
+  ?read:(Batch.t -> 'm) * int list ->
+  route:route ->
   unit ->
   'm t
-(** [transmit ~retry batch] performs the actual send; [retry] is true
-    on retransmissions (protocols typically broadcast then).
-    [transmit_read], when given, carries the first transmission of a
-    read-only batch (the consensus-bypass read path); a timeout falls
-    back onto [transmit ~retry:true], so reads stay live even when
-    replica states disagree at the threshold. *)
+(** [read], when given, is the consensus-bypass path: a read-only
+    batch first goes as [fst read batch] to [snd read]; a timeout falls
+    back onto an ordered retry, so reads stay live when replica states
+    disagree. *)
 
 val submit : 'm t -> Batch.t -> unit
 (** Register and transmit; duplicate ids are ignored. *)
 
-val on_reply : 'm t -> src:int -> batch_id:int -> result_digest:string -> unit
-(** Record a reply; at [threshold] matching digests the batch completes
-    via [Ctx.complete] and its timer is cancelled. *)
+val on_reply :
+  ?primary:int -> 'm t -> src:int -> batch_id:int -> result_digest:string -> unit
+(** Record a reply, taking its [primary] hint first; at [threshold]
+    matching digests the batch completes via [Ctx.complete]. *)
 
-val inflight_count : 'm t -> int
-val submitted : 'm t -> int
-val completed : 'm t -> int
 val retransmits : 'm t -> int
 
 val read_fallbacks : 'm t -> int
 (** Bypass reads that timed out and were re-ordered through consensus. *)
 
-val serve_read : _ Ctx.t -> Batch.t -> reply:(string -> unit) -> unit
-(** Replica side of the bypass read: if [batch] verifies and is
-    read-only, execute it against current state (no consensus, no
-    ledger) and call [reply] with the result digest.  The protocol
-    keeps only its own routing guard and [Reply] constructor. *)
+val request_bytes : Config.t -> int
+val reply_bytes : Config.t -> int
+
+(** {2 Replica side} *)
+
+val reply : 'm Ctx.t -> dst:int -> 'm -> unit
+(** Send a client reply: {!reply_bytes} at the receive floor. *)
+
+val serve_read : 'm Ctx.t -> Batch.t -> reply:(string -> 'm) -> unit
+(** If [batch] verifies and is read-only, execute it against current
+    state (no consensus, no ledger) and {!reply} [reply digest] to its
+    origin. *)

@@ -4,9 +4,12 @@
    - the *replica* machine, instantiated at every replica node;
    - the *client agent* machine, instantiated at each cluster's client
      group node.  It submits batches, counts replies, and signals
-     completion via [Ctx.complete] (Zyzzyva's agent additionally drives
-     the commit-certificate recovery path, which is why client logic is
-     protocol-owned rather than fabric-owned).
+     completion via [Ctx.complete].  pbft, GeoBFT, Steward and HotStuff
+     build it from {!Client_core} by handing over their request and
+     read constructors and destinations ([type client = msg
+     Client_core.t]); Zyzzyva's agent additionally drives the
+     commit-certificate recovery path, which is why the agent is
+     protocol-owned rather than fabric-owned.
 
    Replicas and clients exchange values of the protocol's [msg] type;
    the fabric delivers them with [on_message] / [on_client_message]

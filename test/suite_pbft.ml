@@ -165,7 +165,7 @@ let test_client_retransmission_over_network () =
   let report = Dep.run ~warmup:(Time.sec 1) ~measure:(Time.sec 3) d in
   let c = Dep.client d ~cluster:0 in
   Alcotest.(check bool) "client retransmitted after timeout" true
-    (Rdb_pbft.Replica.client_retransmits c > 0);
+    (Rdb_types.Client_core.retransmits c > 0);
   Alcotest.(check bool) "batches complete once replies flow again" true
     (report.Rdb_fabric.Report.completed_txns > 0)
 

@@ -1,7 +1,8 @@
 (* lib/recovery: the per-replica handle's stall-watch task (backoff
    schedule, progress resets, retirement, generation orphaning, RNG
-   discipline), its counters, and gap detection — over a hand-built
-   Ctx on a bare engine. *)
+   discipline), its counters, gap detection, and the ledger suffix of
+   the shared catch-up (chunking, wire size and cost, install) — over a
+   hand-built Ctx on a bare engine. *)
 
 module Engine = Rdb_sim.Engine
 module Time = Rdb_sim.Time
@@ -9,6 +10,10 @@ module Config = Rdb_types.Config
 module Ctx = Rdb_types.Ctx
 module Rng = Rdb_prng.Rng
 module Recovery = Rdb_recovery.Recovery
+module Catchup = Rdb_recovery.Catchup
+module Batch = Rdb_types.Batch
+module App = Rdb_types.App
+module Wire = Rdb_types.Wire
 
 let timeout_ms = 100.
 
@@ -179,6 +184,96 @@ let test_missing () =
     (Recovery.missing ~limit:2 ~have ~from:0 ~upto:7 ());
   Alcotest.(check (list int)) "empty range" [] (Recovery.missing ~have ~from:5 ~upto:4 ())
 
+(* -- the ledger suffix (Catchup) ------------------------------------------- *)
+
+(* A ctx whose ledger holds [height] copies of one batch and whose App
+   snapshot is [state]. *)
+let mk_ledger_ctx ~height ~state =
+  let _, ctx, _ = mk_ctx () in
+  let batch =
+    Batch.noop ~keychain:ctx.Ctx.keychain ~cluster:0 ~origin:0 ~created:Time.zero ~nonce:1
+  in
+  {
+    ctx with
+    Ctx.ledger_read =
+      (fun ~height:from -> List.init (max 0 (height - from)) (fun _ -> (batch, None)));
+    state_snapshot = (fun () -> state);
+  }
+
+let snapshot = { App.height = 96; state = String.make 1000 's' }
+
+let test_suffix_wire () =
+  let _, ctx, _ = mk_ctx () in
+  let cfg = ctx.Ctx.config in
+  let batch =
+    Batch.noop ~keychain:ctx.Ctx.keychain ~cluster:0 ~origin:0 ~created:Time.zero ~nonce:1
+  in
+  List.iter
+    (fun (blocks, state) ->
+      let s = { Catchup.blocks = List.init blocks (fun _ -> (batch, None)); state } in
+      let name =
+        Printf.sprintf "%d blocks, %s" blocks (if state = None then "no state" else "state")
+      in
+      let bytes =
+        Wire.snapshot_bytes ~batch_size:cfg.Config.batch_size ~sigs:(Config.cert_wire_sigs cfg)
+          ~blocks
+        + match state with Some st -> String.length st.App.state | None -> 0
+      in
+      Alcotest.(check int) (name ^ ": bytes") bytes (Catchup.bytes cfg s);
+      Alcotest.(check int) (name ^ ": vcost")
+        (Time.add
+           (Config.recv_floor_cost cfg ~bytes)
+           (Time.of_us_f (cfg.Config.costs.Config.verify_us *. float_of_int (max 1 blocks))))
+        (Catchup.vcost cfg s))
+    [
+      (0, None); (1, None); (96, None); (0, Some snapshot); (1, Some snapshot); (96, Some snapshot);
+    ];
+  (* An empty suffix still pays one verification (the anchor). *)
+  let empty = { Catchup.blocks = []; state = None } in
+  let one = { Catchup.blocks = [ (batch, None) ]; state = None } in
+  let verify s =
+    Time.sub (Catchup.vcost cfg s) (Config.recv_floor_cost cfg ~bytes:(Catchup.bytes cfg s))
+  in
+  Alcotest.(check int) "0 and 1 blocks verify alike" (verify one) (verify empty)
+
+let test_suffix_chunks () =
+  let ctx = mk_ledger_ctx ~height:200 ~state:(Some snapshot) in
+  let full = Catchup.read ~limit:96 ctx ~from:0 in
+  Alcotest.(check int) "full chunk: limit blocks" 96 (List.length full.Catchup.blocks);
+  Alcotest.(check bool) "full chunk: no state" true (full.Catchup.state = None);
+  let last = Catchup.read ~limit:96 ctx ~from:150 in
+  Alcotest.(check int) "short chunk: the rest" 50 (List.length last.Catchup.blocks);
+  Alcotest.(check bool) "short chunk: the state" true (last.Catchup.state = Some snapshot);
+  let empty = Catchup.read ~limit:96 ctx ~from:200 in
+  Alcotest.(check int) "at the frontier: empty" 0 (List.length empty.Catchup.blocks);
+  Alcotest.(check bool) "at the frontier: the state" true (empty.Catchup.state = Some snapshot);
+  let whole = Catchup.read ctx ~from:0 in
+  Alcotest.(check int) "no limit: every block" 200 (List.length whole.Catchup.blocks);
+  Alcotest.(check bool) "no limit: always the state" true (whole.Catchup.state = Some snapshot);
+  let retained = Catchup.read (mk_ledger_ctx ~height:10 ~state:None) ~from:0 in
+  Alcotest.(check bool) "payloads retained: no state" true (retained.Catchup.state = None)
+
+let test_suffix_install () =
+  let ctx = mk_ledger_ctx ~height:10 ~state:None in
+  let restored = ref [] in
+  let ctx = { ctx with Ctx.app_restore = (fun s -> restored := s :: !restored) } in
+  let c = Catchup.create ctx in
+  c.Catchup.issued <- 4;
+  let applied = ref [] in
+  let apply ~h _ _ = applied := h :: !applied in
+  (* Only blocks at the frontier install, at most [count] of them. *)
+  Catchup.install c ctx ~from:2 ~count:5 (Catchup.read ctx ~from:2) ~apply;
+  Alcotest.(check (list int)) "from the frontier, within count" [ 4; 5; 6 ] (List.rev !applied);
+  Alcotest.(check int) "cursor advanced" 7 c.Catchup.issued;
+  Alcotest.(check (list int)) "one transfer of 3 blocks" [ 1; 3 ]
+    (let s = Recovery.stats c.Catchup.recovery in
+     [ s.Rdb_types.Protocol.state_transfers; s.holes_filled ]);
+  Alcotest.(check int) "no state restored" 0 (List.length !restored);
+  Catchup.install c ctx ~from:7 { Catchup.blocks = []; state = Some snapshot } ~apply;
+  Alcotest.(check bool) "state restored first" true (!restored = [ snapshot ]);
+  Alcotest.(check int) "empty install counts no transfer" 1
+    (Recovery.stats c.Catchup.recovery).Rdb_types.Protocol.state_transfers
+
 let suite =
   [
     ("backoff doubles to the 8x cap", `Quick, test_backoff_schedule);
@@ -188,4 +283,7 @@ let suite =
     ("no fire, no RNG draw", `Quick, test_no_fire_no_rng);
     ("counters", `Quick, test_counters);
     ("missing", `Quick, test_missing);
+    ("catch-up suffix size and cost", `Quick, test_suffix_wire);
+    ("catch-up suffix chunks", `Quick, test_suffix_chunks);
+    ("catch-up install at the frontier", `Quick, test_suffix_install);
   ]

@@ -15,8 +15,10 @@ module Time = Rdb_sim.Time
 
 let kc = lazy (Keychain.create ~seed:"types-test" ~n_nodes:10)
 
-let mk_batch ?(id = 1) ?(cluster = 0) ?(origin = 8) () =
-  let txns = Array.init 5 (fun i -> Txn.make ~key:i ~value:(Int64.of_int (i * i)) ~client_id:3 ()) in
+let mk_batch ?(id = 1) ?(cluster = 0) ?(origin = 8) ?op () =
+  let txns =
+    Array.init 5 (fun i -> Txn.make ?op ~key:i ~value:(Int64.of_int (i * i)) ~client_id:3 ())
+  in
   Batch.create ~keychain:(Lazy.force kc) ~id ~cluster ~origin ~txns ~created:Time.zero
 
 (* -- Txn / Batch ------------------------------------------------------------ *)
@@ -124,7 +126,8 @@ let test_config_f_values () =
 
 (* -- Client core ------------------------------------------------------------------ *)
 
-(* A minimal ctx over a bare engine for unit-testing the client core. *)
+(* A minimal ctx over a bare engine for unit-testing the client core;
+   [sent] records every (destination, message), newest first. *)
 let mk_client_ctx () =
   let engine = Engine.create () in
   let cfg = Config.make ~z:1 ~n:4 () in
@@ -137,7 +140,8 @@ let mk_client_ctx () =
       keychain = Lazy.force kc;
       rng = Rdb_prng.Rng.create 1L;
       now = (fun () -> Engine.now engine);
-      send = (fun ~dsts ~size:_ ~vcost:_ () -> List.iter (fun dst -> sent := dst :: !sent) dsts);
+      send =
+        (fun ~dsts ~size:_ ~vcost:_ m -> List.iter (fun dst -> sent := (dst, m) :: !sent) dsts);
       charge = (fun ~stage:_ ~cost:_ k -> k ());
       set_timer = (fun ~delay k -> Engine.schedule_after engine ~delay k);
       cancel_timer = Engine.cancel;
@@ -153,12 +157,19 @@ let mk_client_ctx () =
   in
   (engine, ctx, sent, completed)
 
+(* The messages the core under test sends. *)
+type client_msg = Req of int | Read of int
+
+let request (b : Batch.t) = Req b.Batch.id
+
 let test_client_core_threshold () =
   let engine, ctx, _sent, completed = mk_client_ctx () in
   let transmits = ref 0 in
-  let core =
-    Client_core.create ~ctx ~threshold:2 ~transmit:(fun ~retry:_ _ -> incr transmits) ()
+  let pick () =
+    incr transmits;
+    0
   in
+  let core = Client_core.create ~ctx ~threshold:2 ~request ~route:(Pick pick) () in
   let b = mk_batch ~id:42 () in
   Client_core.submit core b;
   Alcotest.(check int) "transmitted once" 1 !transmits;
@@ -176,30 +187,83 @@ let test_client_core_threshold () =
   Alcotest.(check int) "no retransmit after completion" 1 !transmits
 
 let test_client_core_retransmit () =
-  let engine, ctx, _sent, completed = mk_client_ctx () in
-  let retries = ref 0 in
+  let engine, ctx, sent, completed = mk_client_ctx () in
   let core =
-    Client_core.create ~ctx ~threshold:2 ~transmit:(fun ~retry _ -> if retry then incr retries) ()
+    Client_core.create ~ctx ~threshold:2 ~request
+      ~route:(Primary { initial = 0; retry = [ 1 ] }) ()
   in
+  (* Retries, and only retries, go to replica 1. *)
+  let retries () = List.length (List.filter (fun (dst, _) -> dst = 1) !sent) in
   Client_core.submit core (mk_batch ~id:1 ());
   (* Exponential backoff: retransmits land at 100, 300 (100+200) and
      700 (300+400) ms after submission. *)
   Engine.run_until engine ~until:(Time.ms 350);
-  Alcotest.(check int) "retransmits back off (100ms, then 200ms)" 2 !retries;
+  Alcotest.(check int) "retransmits back off (100ms, then 200ms)" 2 (retries ());
   Engine.run_until engine ~until:(Time.ms 750);
-  Alcotest.(check int) "third retransmit after a 400ms backoff" 3 !retries;
+  Alcotest.(check int) "third retransmit after a 400ms backoff" 3 (retries ());
   Alcotest.(check (list int)) "still incomplete" [] !completed
 
 let test_client_core_duplicate_submit () =
   let _, ctx, _, _ = mk_client_ctx () in
   let transmits = ref 0 in
-  let core =
-    Client_core.create ~ctx ~threshold:1 ~transmit:(fun ~retry:_ _ -> incr transmits) ()
+  let pick () =
+    incr transmits;
+    0
   in
+  let core = Client_core.create ~ctx ~threshold:1 ~request ~route:(Pick pick) () in
   let b = mk_batch ~id:5 () in
   Client_core.submit core b;
   Client_core.submit core b;
   Alcotest.(check int) "duplicate submit ignored" 1 !transmits
+
+(* A core with pbft's shape: requests to the primary, retries and
+   bypass reads to every replica. *)
+let mk_routed_core () =
+  let engine, ctx, sent, completed = mk_client_ctx () in
+  let core =
+    Client_core.create ~ctx ~threshold:2 ~request
+      ~read:((fun b -> Read b.Batch.id), [ 0; 1; 2; 3 ])
+      ~route:(Primary { initial = 0; retry = [ 0; 1; 2; 3 ] }) ()
+  in
+  (engine, core, sent, completed)
+
+let test_client_core_read_path () =
+  let engine, core, sent, _ = mk_routed_core () in
+  let b = mk_batch ~id:7 ~op:Txn.Read () in
+  Alcotest.(check bool) "batch is read-only" true (Batch.read_only b);
+  Client_core.submit core b;
+  Alcotest.(check (list (pair int bool))) "first transmission: read to the read destinations"
+    [ (0, true); (1, true); (2, true); (3, true) ]
+    (List.rev_map (fun (dst, m) -> (dst, m = Read 7)) !sent);
+  (* One timeout (100 ms): the read falls back onto an ordered retry. *)
+  sent := [];
+  Engine.run_until engine ~until:(Time.ms 150);
+  Alcotest.(check (list (pair int bool))) "timeout: ordered request to the retry route"
+    [ (0, true); (1, true); (2, true); (3, true) ]
+    (List.rev_map (fun (dst, m) -> (dst, m = Req 7)) !sent);
+  Alcotest.(check int) "one read fallback" 1 (Client_core.read_fallbacks core);
+  (* A second timeout retries again but is no new fallback. *)
+  Engine.run_until engine ~until:(Time.ms 350);
+  Alcotest.(check int) "two retransmits" 2 (Client_core.retransmits core);
+  Alcotest.(check int) "still one read fallback" 1 (Client_core.read_fallbacks core)
+
+let test_client_core_primary_hint () =
+  let _, core, sent, completed = mk_routed_core () in
+  Client_core.submit core (mk_batch ~id:1 ());
+  Alcotest.(check (list int)) "first request to the initial primary" [ 0 ]
+    (List.map fst !sent);
+  (* A reply naming primary 2 (for any batch) retargets the next first
+     transmission. *)
+  Client_core.on_reply ~primary:2 core ~src:3 ~batch_id:1 ~result_digest:"r";
+  sent := [];
+  Client_core.submit core (mk_batch ~id:2 ());
+  Alcotest.(check (list (pair int bool))) "next request to the hinted primary" [ (2, true) ]
+    (List.map (fun (dst, m) -> (dst, m = Req 2)) !sent);
+  Client_core.on_reply core ~src:0 ~batch_id:1 ~result_digest:"r";
+  Alcotest.(check (list int)) "replies without a hint still count" [ 1 ] !completed;
+  sent := [];
+  Client_core.submit core (mk_batch ~id:3 ());
+  Alcotest.(check (list int)) "no hint keeps the guess" [ 2 ] (List.map fst !sent)
 
 let suite =
   [
@@ -215,6 +279,8 @@ let suite =
     ("client core threshold", `Quick, test_client_core_threshold);
     ("client core retransmit", `Quick, test_client_core_retransmit);
     ("client core duplicate submit", `Quick, test_client_core_duplicate_submit);
+    ("client core read path and fallback", `Quick, test_client_core_read_path);
+    ("client core primary hint", `Quick, test_client_core_primary_hint);
   ]
 
 let test_ctx_map_send () =
