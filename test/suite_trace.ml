@@ -106,6 +106,128 @@ let test_keep_events_required () =
     (Invalid_argument "Trace.write_chrome_json: tracer was created without ~keep_events:true")
     (fun () -> Trace.write_chrome_json tracer stdout)
 
+(* -- encoding pin --------------------------------------------------------- *)
+
+(* The canonical line and the Chrome JSON record of every event kind,
+   pinned against [Printf] renderings of the documented formats: one
+   event of each kind goes through the public emitters into a
+   one-shard tracer, with edge values (zeros, a timestamp near
+   [max_int], a HotStuff-style slot key above 2^32), and the digest
+   must be the SHA-256 of exactly these lines. *)
+
+let big_ts = max_int - 7
+let big_key = (1 lsl 40) + 3
+
+let emit_every_kind tr =
+  Trace.set_track_name tr ~node:2 "r2";
+  (* net: local with no queueing, global with queueing, zeros *)
+  Trace.net_send tr ~src:0 ~dst:1 ~size:0 ~local:true ~now:0 ~start:0 ~depart:0;
+  Trace.net_send tr ~src:2 ~dst:9 ~size:1500 ~local:false ~now:10 ~start:25 ~depart:4_025;
+  Trace.net_send tr ~src:3 ~dst:4 ~size:77 ~local:true ~now:(big_ts - 100) ~start:(big_ts - 40)
+    ~depart:big_ts;
+  Trace.net_deliver tr ~src:9 ~dst:2 ~size:1500 ~at:big_ts;
+  Trace.net_deliver tr ~src:0 ~dst:0 ~size:0 ~at:0;
+  List.iteri
+    (fun i reason -> Trace.net_drop tr ~src:5 ~dst:i ~size:(64 * i) ~at:(1_000 * i) ~reason)
+    [ "rule"; "loss"; "adversary"; "dst-crashed"; "adversary-deaf" ];
+  Trace.cpu_span tr ~node:7 ~stage:"verify" ~start:123_456_789 ~dur:0;
+  Trace.cpu_span tr ~node:0 ~stage:"execute" ~start:0 ~dur:10_000;
+  (* phase chain: open -> continue -> continue backwards in time (the
+     span clamps at 0) -> execute closes; then a terminal first mark *)
+  Trace.phase_mark tr ~node:3 ~key:big_key ~name:"propose" ~now:100;
+  Trace.phase_mark tr ~node:3 ~key:big_key ~name:"prepare" ~now:250;
+  Trace.phase_mark tr ~node:3 ~key:big_key ~name:"commit" ~now:200;
+  Trace.phase_mark tr ~node:3 ~key:big_key ~name:"execute" ~now:1_000_200;
+  Trace.phase_mark tr ~node:1 ~key:0 ~name:"execute" ~now:0;
+  Trace.phase_mark tr ~node:3 ~key:big_key ~name:"propose" ~now:5;
+  Trace.note_decision tr
+
+(* (span?, cat, name, node, ts, dur, detail) in emission order. *)
+let expected_events =
+  let drops =
+    List.mapi
+      (fun i reason ->
+        let detail = Printf.sprintf "dst=%d,size=%d,%s" i (64 * i) reason in
+        (false, "net", "drop", 5, 1_000 * i, 0, detail))
+      [ "rule"; "loss"; "adversary"; "dst-crashed"; "adversary-deaf" ]
+  in
+  let key = Printf.sprintf "key=%d" big_key in
+  [
+    (true, "net", "tx", 0, 0, 0, "dst=1,size=0,local");
+    (true, "net", "queue", 2, 10, 15, "dst=9,size=1500,global");
+    (true, "net", "tx", 2, 25, 4_000, "dst=9,size=1500,global");
+    (true, "net", "queue", 3, big_ts - 100, 60, "dst=4,size=77,local");
+    (true, "net", "tx", 3, big_ts - 40, 40, "dst=4,size=77,local");
+    (false, "net", "deliver", 2, big_ts, 0, "src=9,size=1500");
+    (false, "net", "deliver", 0, 0, 0, "src=0,size=0");
+  ]
+  @ drops
+  @ [
+      (true, "cpu", "verify", 7, 123_456_789, 0, "");
+      (true, "cpu", "execute", 0, 0, 10_000, "");
+      (false, "phase", "propose", 3, 100, 0, key);
+      (true, "phase", "prepare", 3, 100, 150, key);
+      (true, "phase", "commit", 3, 250, 0, key);
+      (true, "phase", "execute", 3, 200, 1_000_000, key);
+      (false, "phase", "execute", 1, 0, 0, "key=0");
+      (false, "phase", "propose", 3, 5, 0, key);
+    ]
+
+let test_encoding_pin () =
+  let tr = Trace.create ~keep_events:true () in
+  emit_every_kind tr;
+  let lines =
+    List.map
+      (fun (span, cat, name, node, ts, dur, detail) ->
+        Printf.sprintf "%c|%s|%s|%d|%d|%d|%s\n" (if span then 'S' else 'I') cat name node ts dur
+          detail)
+      expected_events
+  in
+  let s = Trace.summary tr in
+  Alcotest.(check int) "event count" (List.length lines) s.Trace.events;
+  Alcotest.(check int) "events kept" (List.length lines) (Trace.events_kept tr);
+  Alcotest.check hex64 "digest of the canonical lines"
+    (Rdb_crypto.Sha256.digest_hex (String.concat "" lines))
+    s.Trace.digest_hex;
+  Alcotest.(check (list int)) "local / global / dropped / decisions" [ 2; 1; 5; 1 ]
+    [ s.Trace.net_local; s.Trace.net_global; s.Trace.net_dropped; s.Trace.decisions ];
+  Alcotest.(check (list (pair string (pair int int))))
+    "phase rows (count, total ns)"
+    [ ("commit", (1, 0)); ("execute", (2, 1_000_000)); ("prepare", (1, 150)); ("propose", (2, 0)) ]
+    (List.map
+       (fun (r : Trace.phase_row) ->
+         (r.Trace.phase, (r.Trace.count, int_of_float (Float.round (r.Trace.total_ms *. 1e6)))))
+       s.Trace.phases);
+  let us ns = float_of_int ns /. 1e3 in
+  let records =
+    "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":2,\"args\":{\"name\":\"r2\"}}"
+    :: List.map
+         (fun (span, cat, name, node, ts, dur, detail) ->
+           if span then
+             Printf.sprintf
+               "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"pid\":0,\"tid\":%d,\"ts\":%.3f,\"dur\":%.3f,\"args\":{\"detail\":\"%s\"}}"
+               name cat node (us ts) (us dur) detail
+           else
+             Printf.sprintf
+               "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":%d,\"ts\":%.3f,\"args\":{\"detail\":\"%s\"}}"
+               name cat node (us ts) detail)
+         expected_events
+  in
+  let expected_json =
+    "{\"traceEvents\":[\n"
+    ^ String.concat ",\n" (List.map (fun r -> "  " ^ r) records)
+    ^ "\n],\"displayTimeUnit\":\"ms\"}\n"
+  in
+  let path = Filename.temp_file "rdb_trace_pin" ".json" in
+  let oc = open_out path in
+  Trace.write_chrome_json tr oc;
+  close_out oc;
+  let ic = open_in path in
+  let json = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove path;
+  Alcotest.(check string) "chrome json, detail strings included" expected_json json
+
 let test_off_by_default () =
   (* No tracer: the deployment runs exactly as before (tier-1 behavior
      is the digest test's baseline; here just assert the report carries
@@ -125,5 +247,6 @@ let suite =
       ("phase breakdown sanity", `Quick, test_phase_breakdown);
       ("chrome trace-event json", `Quick, test_chrome_json);
       ("keep_events required for json", `Quick, test_keep_events_required);
+      ("encoding pin", `Quick, test_encoding_pin);
       ("tracing off by default", `Quick, test_off_by_default);
     ]
