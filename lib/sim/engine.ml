@@ -7,12 +7,12 @@
    every experiment in EXPERIMENTS.md be replayed bit-for-bit.
 
    Sharding (DESIGN.md §15).  A deployment may partition its nodes into
-   shards (one per cluster): each shard owns a private (clock, heap,
-   seq-counter, RNG) and executes its own events.  Shards interact only
+   shards (one per cluster): each shard owns a private heap, RNG stream
+   and outboxes, and executes its own events.  Shards interact only
    through [schedule_at_shard], which stages cross-shard events in the
    *sender's* outbox; outboxes are drained into the destination heaps at
    epoch barriers, in canonical (dst, src, FIFO) order with fresh
-   destination sequence numbers.  The conservative-DES invariant the
+   sequence numbers.  The conservative-DES invariant the
    caller must uphold: a cross-shard event scheduled during an epoch
    starting at T0 must not be earlier than T0 + lookahead.  The fabric
    guarantees this because clusters only talk over global WAN links
@@ -20,10 +20,17 @@
 
    Every epoch runs its shards one after another, in shard order, on
    the calling domain.  The partition stays because it fixes the event
-   order: per-shard sequence numbers, RNG streams and the canonical
-   outbox drain decide which of two same-time events runs first, so the
-   per-shard event sequences — and the per-shard trace streams — are a
-   pure function of the seed and the epoch schedule (DESIGN.md §15).
+   order: per-shard heaps, RNG streams and the canonical outbox drain
+   decide which of two same-time events runs first, so the per-shard
+   event sequences — and the per-shard trace streams — are a pure
+   function of the seed and the epoch schedule (DESIGN.md §15).
+
+   Everything else is one per engine.  One clock: the executing event
+   sets it, and every shard clock would equal it at each barrier.  One
+   sequence counter: [(time, seq)] is only ever compared within one
+   heap, and one monotone counter orders each heap's pushes exactly as
+   a per-heap counter would.  One executed-event counter and one
+   freelist of event records.
 
    Control events ([schedule_control]) are global actions — fault
    injection, chaos timeline steps, monitors — that must observe and
@@ -33,7 +40,7 @@
    with the same timestamp.
 
    Event records are pooled: a popped event's record returns to the
-   executing shard's freelist — a growable array stack, so returning a
+   engine's freelist — a growable array stack, so returning a
    record allocates nothing — and is reused by later schedules, so the
    steady-state scheduling path allocates only the caller's closure and
    its timer handle.  A generation counter guards [cancel] against stale
@@ -60,17 +67,10 @@ type staged =
 type shard = {
   sid : int;
   heap : event Heap.t;
-  mutable snow : Time.t;
-  mutable sseq : int;
   srng : Rdb_prng.Rng.t;
-  mutable sexec : int;
   (* Cross-shard events staged during an epoch, indexed by destination
      shard, most-recent first; drained at barriers. *)
   outboxes : staged list array;
-  (* Freelist of recycled event records: a stack in [pool.(0 ..
-     pool_len - 1)], grown by doubling. *)
-  mutable pool : event array;
-  mutable pool_len : int;
 }
 
 type control = { ctime : Time.t; cseq : int; crun : unit -> unit }
@@ -82,7 +82,13 @@ type t = {
   mutable cur : shard option;
   root_rng : Rdb_prng.Rng.t;
   lookahead : Time.t;
-  mutable gnow : Time.t; (* authoritative clock between epochs *)
+  mutable now : Time.t;
+  mutable seq : int; (* last sequence number handed to any heap *)
+  mutable executed : int;
+  (* Freelist of recycled event records: a stack in [pool.(0 ..
+     pool_len - 1)], grown by doubling. *)
+  mutable pool : event array;
+  mutable pool_len : int;
   mutable controls : control list; (* sorted by (ctime, cseq) *)
   mutable cseq : int;
   (* Schedule-exploration hook (lib/check): when installed, the nth
@@ -107,16 +113,11 @@ let create ?(seed = 42) ?(shards = 1) ?(lookahead = max_int) () =
     {
       sid;
       heap = Heap.create ();
-      snow = Time.zero;
-      sseq = 0;
       (* Single-shard engines keep the root RNG as the shard RNG — the
          pre-sharding behavior, relied on by direct Engine users. *)
       srng =
         (if shards = 1 then root_rng else Rdb_prng.Rng.split root_rng ~index:sid);
-      sexec = 0;
       outboxes = Array.make shards [];
-      pool = [||];
-      pool_len = 0;
     }
   in
   {
@@ -124,7 +125,11 @@ let create ?(seed = 42) ?(shards = 1) ?(lookahead = max_int) () =
     cur = None;
     root_rng;
     lookahead;
-    gnow = Time.zero;
+    now = Time.zero;
+    seq = 0;
+    executed = 0;
+    pool = [||];
+    pool_len = 0;
     controls = [];
     cseq = 0;
     defer_hook = None;
@@ -136,11 +141,11 @@ let n_shards t = Array.length t.shards
 let current_shard_id t = match t.cur with Some s -> s.sid | None -> 0
 let lookahead t = t.lookahead
 
-let now t = match t.cur with Some s -> s.snow | None -> t.gnow
+let now t = t.now
 let rng t = match t.cur with Some s -> s.srng | None -> t.root_rng
 let rng_of_shard t ~shard = t.shards.(shard).srng
 
-let executed_events t = Array.fold_left (fun acc s -> acc + s.sexec) 0 t.shards
+let executed_events t = t.executed
 
 let staged_count = function
   | Sone _ -> 1
@@ -164,56 +169,55 @@ let schedule_calls t = t.sched_calls
 
 (* -- event records ------------------------------------------------------ *)
 
-let alloc_event s f =
-  if s.pool_len = 0 then { run = f; cancelled = false; gen = 0 }
+let alloc_event t f =
+  if t.pool_len = 0 then { run = f; cancelled = false; gen = 0 }
   else begin
-    let n = s.pool_len - 1 in
-    s.pool_len <- n;
-    let e = Array.unsafe_get s.pool n in
+    let n = t.pool_len - 1 in
+    t.pool_len <- n;
+    let e = Array.unsafe_get t.pool n in
     e.run <- f;
     e
   end
 
-(* Recycle into the pool of the shard that executed it (records may
-   migrate pools via cross-shard scheduling; harmless).  The generation
-   bump invalidates any timer handle still pointing here. *)
-let release_event s e =
+(* Recycle into the freelist.  The generation bump invalidates any timer
+   handle still pointing here. *)
+let release_event t e =
   e.run <- noop_run;
   e.cancelled <- false;
   e.gen <- e.gen + 1;
-  let n = s.pool_len in
-  if n = Array.length s.pool then begin
+  let n = t.pool_len in
+  if n = Array.length t.pool then begin
     (* The stack is full, so every slot holds a live record: the
        doubled array is filled with [e] until pushes overwrite it. *)
     let np = Array.make (max 64 (2 * n)) e in
-    Array.blit s.pool 0 np 0 n;
-    s.pool <- np
+    Array.blit t.pool 0 np 0 n;
+    t.pool <- np
   end;
-  Array.unsafe_set s.pool n e;
-  s.pool_len <- n + 1
+  Array.unsafe_set t.pool n e;
+  t.pool_len <- n + 1
 
-let pooled_events t = Array.fold_left (fun acc s -> acc + s.pool_len) 0 t.shards
+let pooled_events t = t.pool_len
 
 (* -- scheduling --------------------------------------------------------- *)
 
-(* Reserve [s]'s next sequence number for one schedule call; under
+(* Reserve the next sequence number for one schedule call; under
    schedule exploration the defer hook may push it behind its
    equal-timestamp group. *)
-let next_seq t s =
-  s.sseq <- s.sseq + 1;
+let next_seq t =
+  t.seq <- t.seq + 1;
   match t.defer_hook with
-  | None -> s.sseq
+  | None -> t.seq
   | Some defer ->
       let n = t.sched_calls in
       t.sched_calls <- n + 1;
-      if defer n then s.sseq + defer_offset else s.sseq
+      if defer n then t.seq + defer_offset else t.seq
 
-(* Schedule onto [s]'s own heap (clamped to its clock: scheduling in
-   the past runs "immediately", preserving causality). *)
+(* Schedule onto [s]'s heap (clamped to the clock: scheduling in the
+   past runs "immediately", preserving causality). *)
 let schedule_local t s ~at f =
-  let at = Time.max at s.snow in
-  let seq = next_seq t s in
-  let ev = alloc_event s f in
+  let at = Time.max at t.now in
+  let seq = next_seq t in
+  let ev = alloc_event t f in
   Heap.push s.heap ~time:at ~seq ev;
   { ev; tgen = ev.gen }
 
@@ -237,7 +241,7 @@ let schedule_at_shard t ~shard ~at f =
       (* Cross-shard from inside an epoch: stage in the sender's outbox.
          Conservative lookahead means [at] can only land at or beyond
          the epoch horizon, so the destination cannot have passed it. *)
-      let ev = alloc_event s f in
+      let ev = alloc_event t f in
       s.outboxes.(shard) <- Sone (at, ev) :: s.outboxes.(shard);
       { ev; tgen = ev.gen }
   | None -> schedule_local t t.shards.(shard) ~at f
@@ -245,8 +249,8 @@ let schedule_at_shard t ~shard ~at f =
 (* -- pooled fan-out ----------------------------------------------------- *)
 
 (* Push a pre-sequenced event: [seq] was reserved up front by the
-   fan-out path, so the shard's counter is not consulted again. *)
-let push_at s ~at ~seq f = Heap.push s.heap ~time:at ~seq (alloc_event s f)
+   fan-out path, so the counter is not consulted again. *)
+let push_at t s ~at ~seq f = Heap.push s.heap ~time:at ~seq (alloc_event t f)
 
 (* A fan-out group's agenda is one int array: slot 0 is the walk
    position, and the group's p-th entry is entry [a.(1 + 2p)] of the
@@ -301,16 +305,16 @@ let sort_agenda ~floor ~times a =
    those m individual schedules would have used and the record always
    carries the least remaining one, so the engine's pop order — and
    every downstream effect — is unchanged (DESIGN.md §17). *)
-let push_group s ~floor ~times ~agenda:a ~deliver =
+let push_group t s ~floor ~times ~agenda:a ~deliver =
   sort_agenda ~floor ~times a;
   let rec run () =
     let p = a.(0) + 1 in
     a.(0) <- p;
     if (2 * p) + 1 < Array.length a then
-      push_at s ~at:(Time.max times.(a.(1 + (2 * p))) floor) ~seq:a.(2 + (2 * p)) run;
+      push_at t s ~at:(Time.max times.(a.(1 + (2 * p))) floor) ~seq:a.(2 + (2 * p)) run;
     deliver a.((2 * p) - 1)
   in
-  push_at s ~at:(Time.max times.(a.(1)) floor) ~seq:a.(2) run
+  push_at t s ~at:(Time.max times.(a.(1)) floor) ~seq:a.(2) run
 
 (* Schedule [deliver i] at [times.(i)] on shard [shards.(i)] for every
    entry [i], exactly as [k] separate [schedule_at_shard] calls would,
@@ -334,9 +338,9 @@ let fanout t ~shards ~times ~deliver =
              shard by shard is reserving in call order. *)
           let d = t.shards.(sh) in
           for p = 0 to (Array.length agenda / 2) - 1 do
-            agenda.(2 + (2 * p)) <- next_seq t d
+            agenda.(2 + (2 * p)) <- next_seq t
           done;
-          push_group d ~floor:d.snow ~times ~agenda ~deliver
+          push_group t d ~floor:t.now ~times ~agenda ~deliver
   done
 
 (* Global control action at absolute time [at]: runs at an epoch
@@ -358,9 +362,8 @@ let cancel (tm : timer) = if tm.ev.gen = tm.tgen then tm.ev.cancelled <- true
 
 (* Drain staged cross-shard events into destination heaps.  Canonical
    order — destination shards ascending, then source shards ascending,
-   then FIFO per source — with fresh destination sequence numbers, so
-   the merge is independent of the order the previous epoch ran its
-   shards in. *)
+   then FIFO per source — with fresh sequence numbers, so the merge is
+   independent of the order the previous epoch ran its shards in. *)
 let drain_outboxes t =
   let z = Array.length t.shards in
   for dst = 0 to z - 1 do
@@ -374,17 +377,17 @@ let drain_outboxes t =
             (fun entry ->
               match entry with
               | Sone (at, ev) ->
-                  d.sseq <- d.sseq + 1;
-                  Heap.push d.heap ~time:(Time.max at d.snow) ~seq:d.sseq ev
+                  t.seq <- t.seq + 1;
+                  Heap.push d.heap ~time:(Time.max at t.now) ~seq:t.seq ev
               | Sgroup (times, agenda, deliver) ->
                   (* Expand the group exactly where its entries would
                      have sat in the FIFO: fresh sequence numbers in
                      staging order. *)
                   for p = 0 to (Array.length agenda / 2) - 1 do
-                    d.sseq <- d.sseq + 1;
-                    agenda.(2 + (2 * p)) <- d.sseq
+                    t.seq <- t.seq + 1;
+                    agenda.(2 + (2 * p)) <- t.seq
                   done;
-                  push_group d ~floor:d.snow ~times ~agenda ~deliver)
+                  push_group t d ~floor:t.now ~times ~agenda ~deliver)
             (List.rev staged)
     done
   done
@@ -404,12 +407,12 @@ let run_shard t s ~bound ~incl =
     then continue := false
     else begin
       let ev = Heap.pop_payload s.heap in
-      if ev.cancelled then release_event s ev
+      if ev.cancelled then release_event t ev
       else begin
-        s.snow <- mt;
-        s.sexec <- s.sexec + 1;
+        t.now <- mt;
+        t.executed <- t.executed + 1;
         let f = ev.run in
-        release_event s ev;
+        release_event t ev;
         f ()
       end
     end
@@ -421,16 +424,14 @@ let run_shard t s ~bound ~incl =
    order cannot affect outcomes. *)
 let run_epoch t ~bound ~incl = Array.iter (fun s -> run_shard t s ~bound ~incl) t.shards
 
-let advance_shards t at =
-  Array.iter (fun s -> if Time.( < ) s.snow at then s.snow <- at) t.shards;
-  if Time.( < ) t.gnow at then t.gnow <- at
+let advance_clock t at = if Time.( < ) t.now at then t.now <- at
 
 (* Run due controls: the head group of equal scheduled times. *)
 let run_control_group t =
   match t.controls with
   | [] -> ()
   | c0 :: _ ->
-      advance_shards t c0.ctime;
+      advance_clock t c0.ctime;
       let rec go () =
         match t.controls with
         | c :: rest when Time.compare c.ctime c0.ctime = 0 ->
@@ -444,8 +445,8 @@ let run_control_group t =
 let sat_add (a : Time.t) (b : Time.t) = if b > max_int - a then max_int else a + b
 
 (* The epoch loop shared by [run_until] and [run].  Executes every
-   event and control with time <= [until]; when [advance], the clocks
-   end at [until] even if the queues drained early, so back-to-back
+   event and control with time <= [until]; when [advance], the clock
+   ends at [until] even if the queues drained early, so back-to-back
    calls observe monotone time. *)
 let exec_until t ~until ~advance =
   let continue = ref true in
@@ -459,7 +460,7 @@ let exec_until t ~until ~advance =
       (* Control barrier: all shards stopped at the control time. *)
       run_control_group t
     else if next_ev = max_int || Time.( > ) next_ev until then begin
-      if advance then advance_shards t until;
+      if advance then advance_clock t until;
       continue := false
     end
     else begin
@@ -469,12 +470,12 @@ let exec_until t ~until ~advance =
       if Time.( >= ) cap until && Time.( > ) next_c until then begin
         (* Final epoch: inclusive of [until] (the run_until contract). *)
         run_epoch t ~bound:until ~incl:true;
-        advance_shards t until
+        advance_clock t until
       end
       else begin
         let bound = Time.min cap next_c in
         run_epoch t ~bound ~incl:false;
-        advance_shards t bound
+        advance_clock t bound
       end
     end
   done
@@ -502,13 +503,12 @@ let step t =
   else begin
     let time = Heap.min_time s.heap in
     let ev = Heap.pop_payload s.heap in
-    if ev.cancelled then release_event s ev
+    if ev.cancelled then release_event t ev
     else begin
-      s.snow <- time;
-      t.gnow <- time;
-      s.sexec <- s.sexec + 1;
+      t.now <- time;
+      t.executed <- t.executed + 1;
       let f = ev.run in
-      release_event s ev;
+      release_event t ev;
       f ()
     end;
     true
