@@ -50,7 +50,6 @@ module type DEP = sig
   type msg
 
   val create :
-    ?trace:bool ->
     ?tracer:Rdb_trace.Trace.t ->
     ?n_records:int ->
     ?retain_payloads:bool ->

@@ -72,7 +72,6 @@ module Make (P : Protocol.S) = struct
        co-located client group) = shard c on a sharded engine,
        everything on shard 0 otherwise. *)
     shard_of : int -> int;
-    trace_enabled : bool;
     (* Structured consensus-path tracer (Rdb_trace); None = off, and
        every probe degrades to a no-op closure or a single match. *)
     tracer : Rdb_trace.Trace.t option;
@@ -232,11 +231,6 @@ module Make (P : Protocol.S) = struct
       d.outstanding <- d.outstanding - 1;
       refill t d
     in
-    let trace =
-      if t.trace_enabled then fun msg ->
-        Printf.eprintf "[%8.3fms] %s\n%!" (Time.to_ms_f (Engine.now t.engine)) (Lazy.force msg)
-      else fun _ -> ()
-    in
     let phase =
       match t.tracer with
       | None -> fun ~key:_ ~name:_ -> ()
@@ -260,7 +254,6 @@ module Make (P : Protocol.S) = struct
       app_restore;
       ledger_read;
       complete = (if is_replica then fun _ -> () else complete);
-      trace;
       phase;
     }
 
@@ -289,7 +282,7 @@ module Make (P : Protocol.S) = struct
 
   (* -- construction -------------------------------------------------------- *)
 
-  let create ?(trace = false) ?tracer ?(n_records = Table.default_records)
+  let create ?tracer ?(n_records = Table.default_records)
       ?(retain_payloads = true) ?(sharded = true) ?store_dir (cfg : Config.t) =
     if cfg.Config.z < 1 then invalid_arg "Deployment.create: z must be >= 1";
     let topo = Topology.clustered ~z:cfg.Config.z ~n:cfg.Config.n in
@@ -419,7 +412,6 @@ module Make (P : Protocol.S) = struct
         crashed = Array.make n_nodes false;
         stats_before = None;
         shard_of;
-        trace_enabled = trace;
         tracer;
         retain_payloads;
       }

@@ -29,7 +29,6 @@ module Make (P : Rdb_types.Protocol.S) : sig
   type t
 
   val create :
-    ?trace:bool ->
     ?tracer:Rdb_trace.Trace.t ->
     ?n_records:int ->
     ?retain_payloads:bool ->

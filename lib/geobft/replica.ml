@@ -240,9 +240,6 @@ and on_detect_timeout r tr ~armed_round =
 and send_drvc r tr ~round ~v =
   if not (Hashtbl.mem tr.drvc_sent (round, v)) then begin
     Hashtbl.replace tr.drvc_sent (round, v) ();
-    r.ctx.Ctx.trace
-      (lazy (Printf.sprintf "geobft[%d] drvc: cluster %d silent at round %d (v=%d)"
-               r.ctx.Ctx.id tr.cluster round v));
     broadcast_local r (Drvc { failed_cluster = tr.cluster; round; vc_count = v });
     record_drvc r tr ~src_local:r.my_local ~round ~v
   end
@@ -330,9 +327,6 @@ and handle_rvc r (m : rvc) ~src =
               ~count:(Hashtbl.length seen) ~need:(f + 1);
             Hashtbl.replace r.rvc_honored (req_cluster, m.vc_count) ();
             r.remote_vcs_triggered <- r.remote_vcs_triggered + 1;
-            r.ctx.Ctx.trace
-              (lazy (Printf.sprintf "geobft[%d] honoring remote vc from cluster %d (v=%d)"
-                       r.ctx.Ctx.id req_cluster m.vc_count));
             Engine.force_view_change r.engine
           end
         end

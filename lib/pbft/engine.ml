@@ -297,7 +297,6 @@ and start_view_change t ~target =
   if target > t.view || (match t.mode with `ViewChange tgt -> target > tgt | `Normal -> target > t.view)
   then begin
     t.mode <- `ViewChange target;
-    t.ctx.Ctx.trace (lazy (Printf.sprintf "pbft[c%d r%d] view-change -> %d" t.cluster t.me target));
     let vc = ViewChange { target; last_stable = t.low_water; prepared = prepared_proofs t } in
     (* Sign-ish cost of assembling the view-change message. *)
     t.ctx.Ctx.charge ~stage:Cpu.Worker ~cost:(Config.sign_cost (cfg t)) (fun () -> ());
@@ -385,8 +384,6 @@ and become_primary t ~target ~votes =
   t.view <- target;
   t.mode <- `Normal;
   t.next_seq <- max (max t.next_seq (!max_seq + 1)) t.next_emit;
-  t.ctx.Ctx.trace (lazy (Printf.sprintf "pbft[c%d r%d] new primary, view %d, reproposing %d"
-                           t.cluster t.me target (List.length !preprepares)));
   broadcast t (NewView { target; preprepares = !preprepares });
   t.on_view_change ~view:target;
   (* Process our own embedded preprepares (resetting stale vote state
@@ -415,7 +412,6 @@ and enter_new_view t ~target ~preprepares =
     t.n_view_changes <- t.n_view_changes + 1;
     t.view <- target;
     t.mode <- `Normal;
-    t.ctx.Ctx.trace (lazy (Printf.sprintf "pbft[c%d r%d] entering view %d" t.cluster t.me target));
     t.on_view_change ~view:target;
     List.iter
       (fun (seq, b) ->
@@ -727,7 +723,6 @@ let rec on_message t ~src (m : msg) =
           | Some d when not (String.equal d batch.Batch.digest) && s.sview = view ->
               (* Equivocation: two conflicting preprepares signed into
                  the same (view, seq) — provable primary fault. *)
-              t.ctx.Ctx.trace (lazy (Printf.sprintf "pbft[c%d r%d] equivocation at seq %d" t.cluster t.me seq));
               start_view_change t ~target:(t.view + 1)
           | Some _ when s.sview < view && (not s.emitted) && not s.committed ->
               (* Stale state from an older view (the slot never
@@ -840,8 +835,6 @@ let adopt_view t ~view =
   if view > t.view then begin
     t.view <- view;
     t.mode <- `Normal;
-    t.ctx.Ctx.trace
-      (lazy (Printf.sprintf "pbft[c%d r%d] adopting view %d via state transfer" t.cluster t.me view));
     Hashtbl.iter
       (fun _ s ->
         if (not s.emitted) && (not s.committed) && s.sview < view then begin

@@ -4,69 +4,120 @@
    determinism witness: the DES guarantees same seed => same event
    sequence, so same seed => same digest, byte for byte.
 
-   Sharded runs (DESIGN.md §15): the tracer keeps one sub-stream per
-   engine shard and routes every event to the sub-stream of the shard
-   that emitted it (via the [shard_of_now] callback installed by
-   [set_shards]).  Each sub-stream's content is a pure function of the
-   seed, whatever order an epoch runs its shards in, and the sub-streams
-   fix the digest and the Chrome JSON event order of every sharded
-   run.  The summary digest is the SHA-256 over the
-   concatenated per-shard raw digests (in shard order); with one shard
-   this degenerates to exactly the pre-sharding digest. *)
+   Every event is one closed record: a span or an instant, a name, a
+   node track, simulated start and duration, and a [detail] variant
+   whose constructor also fixes the category.  Its canonical line is
+   written into a byte buffer owned by the tracer — by hand, with no
+   [Printf] and no intermediate strings — and fed to the digest.  The
+   buffer lives in the tracer, not in the module, because sweeps run
+   tracers on several domains at once.
+
+   Sharded runs (DESIGN.md §15): the engine runs its shards one after
+   another on one domain, so only the digest and the kept events are
+   per shard.  Each event goes to the sub-stream of the shard that
+   emitted it (the [shard_of_now] callback installed by [set_shards]);
+   the summary digest is the SHA-256 over the concatenated per-shard raw
+   digests, in shard order, and with one shard it is exactly the
+   single-stream digest.  Counters and phase aggregates are sums and
+   maxima, which commute, so they are single fields. *)
 
 module Sha256 = Rdb_crypto.Sha256
 module Hex = Rdb_crypto.Hex
 
-type kind = Span | Instant
+type detail =
+  | Cpu
+  | Dst of { dst : int; size : int; tag : string }
+  | Src of { src : int; size : int }
+  | Key of int
 
-type event = {
-  kind : kind;
-  cat : string;
-  name : string;
-  node : int;
-  ts : int;  (* simulated ns *)
-  dur : int;  (* 0 for instants *)
-  arg : string;  (* free-form detail, "" if none *)
-}
+type event = { span : bool; name : string; node : int; ts : int; dur : int; detail : detail }
+
+let cat = function Cpu -> "cpu" | Dst _ | Src _ -> "net" | Key _ -> "phase"
+
+(* -- the line writer ---------------------------------------------------- *)
+
+type line = { mutable buf : Bytes.t; mutable pos : int }
+
+let reserve l n =
+  if l.pos + n > Bytes.length l.buf then begin
+    let b = Bytes.create (Stdlib.max (l.pos + n) (2 * Bytes.length l.buf)) in
+    Bytes.blit l.buf 0 b 0 l.pos;
+    l.buf <- b
+  end
+
+let put_char l c =
+  reserve l 1;
+  Bytes.unsafe_set l.buf l.pos c;
+  l.pos <- l.pos + 1
+
+let put_string l s =
+  let n = String.length s in
+  reserve l n;
+  Bytes.unsafe_blit_string s 0 l.buf l.pos n;
+  l.pos <- l.pos + n
+
+(* Decimal, as [%d] prints it.  Digits come from the non-positive
+   negation, so [min_int] needs no special case. *)
+let put_int l n =
+  if n < 0 then put_char l '-';
+  let m = if n < 0 then n else -n in
+  let digits = ref 1 and q = ref (m / 10) in
+  while !q <> 0 do
+    incr digits;
+    q := !q / 10
+  done;
+  reserve l !digits;
+  let r = ref m in
+  for i = l.pos + !digits - 1 downto l.pos do
+    Bytes.unsafe_set l.buf i (Char.unsafe_chr (48 - (!r mod 10)));
+    r := !r / 10
+  done;
+  l.pos <- l.pos + !digits
+
+(* The one detail renderer, shared by the digest and the Chrome JSON. *)
+let put_detail l = function
+  | Cpu -> ()
+  | Dst { dst; size; tag } ->
+      put_string l "dst=";
+      put_int l dst;
+      put_string l ",size=";
+      put_int l size;
+      put_char l ',';
+      put_string l tag
+  | Src { src; size } ->
+      put_string l "src=";
+      put_int l src;
+      put_string l ",size=";
+      put_int l size
+  | Key k ->
+      put_string l "key=";
+      put_int l k
+
+(* -- the tracer ----------------------------------------------------------- *)
+
+(* One per engine shard: what cannot be merged after the fact. *)
+type sub = { digest : Sha256.ctx; mutable rev_events : event list (* only when keep_events *) }
 
 type phase_acc = { mutable count : int; mutable total : int; mutable max : int }
-
-(* One per engine shard: the stream of events emitted while that shard
-   was executing.  Phase chains live here too — a (node, key) chain is
-   only ever marked from the node's own shard. *)
-type sub = {
-  mutable rev_events : event list;  (* only populated when keep_events *)
-  mutable n_events : int;
-  digest : Sha256.ctx;
-  (* phase chaining: (node, key) -> timestamp of the previous mark *)
-  open_chains : (int * int, int) Hashtbl.t;
-  phase_agg : (string, phase_acc) Hashtbl.t;
-  mutable net_local : int;
-  mutable net_global : int;
-  mutable net_dropped : int;
-  mutable decisions : int;
-}
 
 type t = {
   keep_events : bool;
   mutable subs : sub array;
   mutable shard_of_now : unit -> int;
   mutable finalized : string option;
+  line : line;
+  mutable n_events : int;
+  mutable net_local : int;
+  mutable net_global : int;
+  mutable net_dropped : int;
+  mutable decisions : int;
+  (* phase chaining: (node, key) -> timestamp of the previous mark *)
+  open_chains : (int * int, int) Hashtbl.t;
+  phase_agg : (string, phase_acc) Hashtbl.t;
   track_names : (int, string) Hashtbl.t;
 }
 
-let mk_sub () =
-  {
-    rev_events = [];
-    n_events = 0;
-    digest = Sha256.init ();
-    open_chains = Hashtbl.create 1024;
-    phase_agg = Hashtbl.create 16;
-    net_local = 0;
-    net_global = 0;
-    net_dropped = 0;
-    decisions = 0;
-  }
+let mk_sub () = { digest = Sha256.init (); rev_events = [] }
 
 let create ?(keep_events = false) () =
   {
@@ -74,76 +125,80 @@ let create ?(keep_events = false) () =
     subs = [| mk_sub () |];
     shard_of_now = (fun () -> 0);
     finalized = None;
+    line = { buf = Bytes.create 128; pos = 0 };
+    n_events = 0;
+    net_local = 0;
+    net_global = 0;
+    net_dropped = 0;
+    decisions = 0;
+    open_chains = Hashtbl.create 1024;
+    phase_agg = Hashtbl.create 16;
     track_names = Hashtbl.create 64;
   }
 
-let total_events t = Array.fold_left (fun acc s -> acc + s.n_events) 0 t.subs
-
 let set_shards t ~n ~shard_of_now =
   if n < 1 then invalid_arg "Trace.set_shards: n must be >= 1";
-  if total_events t > 0 then invalid_arg "Trace.set_shards: events already emitted";
+  if t.n_events > 0 then invalid_arg "Trace.set_shards: events already emitted";
   t.subs <- Array.init n (fun _ -> mk_sub ());
   t.shard_of_now <- shard_of_now
 
-(* Canonical line fed to the digest.  Everything that identifies the
-   event is included; the format never changes silently (the digest is
-   asserted byte-identical across same-seed runs in the test suite). *)
-let canonical e =
-  Printf.sprintf "%c|%s|%s|%d|%d|%d|%s\n"
-    (match e.kind with Span -> 'S' | Instant -> 'I')
-    e.cat e.name e.node e.ts e.dur e.arg
-
-let cur t = t.subs.(t.shard_of_now ())
-
-let emit_sub t (s : sub) e =
+(* Fold one event into its shard's digest as the canonical line
+   [K|cat|name|node|ts|dur|detail\n]; everything that identifies the
+   event is in it, and the format never changes silently (the test
+   suite pins it, and the digests built on it). *)
+let emit t ~span ~name ~node ~ts ~dur detail =
   (match t.finalized with
   | Some _ -> invalid_arg "Trace: event emitted after summary"
   | None -> ());
-  Sha256.feed_string s.digest (canonical e);
-  s.n_events <- s.n_events + 1;
-  if t.keep_events then s.rev_events <- e :: s.rev_events
-
-let emit t e = emit_sub t (cur t) e
-
-let span t ~cat ~name ~node ~ts ~dur ?(arg = "") () =
-  emit t { kind = Span; cat; name; node; ts; dur; arg }
-
-let instant t ~cat ~name ~node ~ts ?(arg = "") () =
-  emit t { kind = Instant; cat; name; node; ts; dur = 0; arg }
+  let l = t.line in
+  l.pos <- 0;
+  put_char l (if span then 'S' else 'I');
+  put_char l '|';
+  put_string l (cat detail);
+  put_char l '|';
+  put_string l name;
+  put_char l '|';
+  put_int l node;
+  put_char l '|';
+  put_int l ts;
+  put_char l '|';
+  put_int l dur;
+  put_char l '|';
+  put_detail l detail;
+  put_char l '\n';
+  let s = t.subs.(t.shard_of_now ()) in
+  Sha256.feed_bytes s.digest l.buf 0 l.pos;
+  t.n_events <- t.n_events + 1;
+  if t.keep_events then s.rev_events <- { span; name; node; ts; dur; detail } :: s.rev_events
 
 (* -- network lifecycle ------------------------------------------------ *)
 
 let net_send t ~src ~dst ~size ~local ~now ~start ~depart =
-  let s = cur t in
-  if local then s.net_local <- s.net_local + 1 else s.net_global <- s.net_global + 1;
-  let arg = Printf.sprintf "dst=%d,size=%d,%s" dst size (if local then "local" else "global") in
-  if start > now then span t ~cat:"net" ~name:"queue" ~node:src ~ts:now ~dur:(start - now) ~arg ();
-  span t ~cat:"net" ~name:"tx" ~node:src ~ts:start ~dur:(depart - start) ~arg ()
+  if local then t.net_local <- t.net_local + 1 else t.net_global <- t.net_global + 1;
+  let d = Dst { dst; size; tag = (if local then "local" else "global") } in
+  if start > now then emit t ~span:true ~name:"queue" ~node:src ~ts:now ~dur:(start - now) d;
+  emit t ~span:true ~name:"tx" ~node:src ~ts:start ~dur:(depart - start) d
 
 let net_deliver t ~src ~dst ~size ~at =
-  instant t ~cat:"net" ~name:"deliver" ~node:dst ~ts:at
-    ~arg:(Printf.sprintf "src=%d,size=%d" src size)
-    ()
+  emit t ~span:false ~name:"deliver" ~node:dst ~ts:at ~dur:0 (Src { src; size })
 
 let net_drop t ~src ~dst ~size ~at ~reason =
-  (cur t).net_dropped <- (cur t).net_dropped + 1;
-  instant t ~cat:"net" ~name:"drop" ~node:src ~ts:at
-    ~arg:(Printf.sprintf "dst=%d,size=%d,%s" dst size reason)
-    ()
+  t.net_dropped <- t.net_dropped + 1;
+  emit t ~span:false ~name:"drop" ~node:src ~ts:at ~dur:0 (Dst { dst; size; tag = reason })
 
 (* -- CPU spans -------------------------------------------------------- *)
 
-let cpu_span t ~node ~stage ~start ~dur = span t ~cat:"cpu" ~name:stage ~node ~ts:start ~dur ()
+let cpu_span t ~node ~stage ~start ~dur = emit t ~span:true ~name:stage ~node ~ts:start ~dur Cpu
 
 (* -- protocol phases -------------------------------------------------- *)
 
-let phase_accum (s : sub) ~name ~dur =
+let phase_accum t ~name ~dur =
   let acc =
-    match Hashtbl.find_opt s.phase_agg name with
+    match Hashtbl.find_opt t.phase_agg name with
     | Some a -> a
     | None ->
         let a = { count = 0; total = 0; max = 0 } in
-        Hashtbl.add s.phase_agg name a;
+        Hashtbl.add t.phase_agg name a;
         a
   in
   acc.count <- acc.count + 1;
@@ -151,24 +206,23 @@ let phase_accum (s : sub) ~name ~dur =
   if dur > acc.max then acc.max <- dur
 
 let phase_mark t ~node ~key ~name ~now =
-  let s = cur t in
   let terminal = String.equal name "execute" in
   let k = (node, key) in
-  (match Hashtbl.find_opt s.open_chains k with
+  match Hashtbl.find_opt t.open_chains k with
   | Some prev ->
       let dur = Stdlib.max 0 (now - prev) in
-      phase_accum s ~name ~dur;
-      span t ~cat:"phase" ~name ~node ~ts:prev ~dur ~arg:(Printf.sprintf "key=%d" key) ();
-      if terminal then Hashtbl.remove s.open_chains k else Hashtbl.replace s.open_chains k now
+      phase_accum t ~name ~dur;
+      emit t ~span:true ~name ~node ~ts:prev ~dur (Key key);
+      if terminal then Hashtbl.remove t.open_chains k else Hashtbl.replace t.open_chains k now
   | None ->
       (* First mark for this slot: an instant opens the chain.  A
          terminal first mark (e.g. a filled/skipped slot executing with
          no observed earlier phases) leaves nothing open. *)
-      phase_accum s ~name ~dur:0;
-      instant t ~cat:"phase" ~name ~node ~ts:now ~arg:(Printf.sprintf "key=%d" key) ();
-      if not terminal then Hashtbl.add s.open_chains k now)
+      phase_accum t ~name ~dur:0;
+      emit t ~span:false ~name ~node ~ts:now ~dur:0 (Key key);
+      if not terminal then Hashtbl.add t.open_chains k now
 
-let note_decision t = (cur t).decisions <- (cur t).decisions + 1
+let note_decision t = t.decisions <- t.decisions + 1
 let set_track_name t ~node name = Hashtbl.replace t.track_names node name
 
 (* -- results ---------------------------------------------------------- *)
@@ -195,9 +249,7 @@ let summary t =
         let d =
           if Array.length t.subs = 1 then Hex.of_string (Sha256.finalize t.subs.(0).digest)
           else begin
-            (* Digest-of-digests, in shard order: per-shard streams are
-               deterministic, so this is too — and it never depends on
-               the interleaving of shards within an epoch. *)
+            (* Digest-of-digests, in shard order. *)
             let outer = Sha256.init () in
             Array.iter (fun s -> Sha256.feed_string outer (Sha256.finalize s.digest)) t.subs;
             Hex.of_string (Sha256.finalize outer)
@@ -206,20 +258,6 @@ let summary t =
         t.finalized <- Some d;
         d
   in
-  (* Merge phase aggregates across shards (sum/max commute). *)
-  let merged : (string, phase_acc) Hashtbl.t = Hashtbl.create 16 in
-  Array.iter
-    (fun s ->
-      Hashtbl.iter
-        (fun phase (a : phase_acc) ->
-          match Hashtbl.find_opt merged phase with
-          | Some m ->
-              m.count <- m.count + a.count;
-              m.total <- m.total + a.total;
-              if a.max > m.max then m.max <- a.max
-          | None -> Hashtbl.add merged phase { count = a.count; total = a.total; max = a.max })
-        s.phase_agg)
-    t.subs;
   let phases =
     Hashtbl.fold
       (fun phase (a : phase_acc) rows ->
@@ -231,17 +269,16 @@ let summary t =
           max_ms = ms_of_ns a.max;
         }
         :: rows)
-      merged []
+      t.phase_agg []
     |> List.sort (fun a b -> String.compare a.phase b.phase)
   in
-  let sum f = Array.fold_left (fun acc s -> acc + f s) 0 t.subs in
   {
     phases;
-    net_local = sum (fun s -> s.net_local);
-    net_global = sum (fun s -> s.net_global);
-    net_dropped = sum (fun s -> s.net_dropped);
-    decisions = sum (fun s -> s.decisions);
-    events = total_events t;
+    net_local = t.net_local;
+    net_global = t.net_global;
+    net_dropped = t.net_dropped;
+    decisions = t.decisions;
+    events = t.n_events;
     digest_hex;
   }
 
@@ -288,6 +325,11 @@ let write_chrome_json t oc =
     if !first then first := false else output_string oc ",\n";
     output_string oc "  "
   in
+  let detail d =
+    t.line.pos <- 0;
+    put_detail t.line d;
+    json_escape (Bytes.sub_string t.line.buf 0 t.line.pos)
+  in
   output_string oc "{\"traceEvents\":[\n";
   (* Track-name metadata first, sorted by node for stable output. *)
   Hashtbl.fold (fun node name l -> (node, name) :: l) t.track_names []
@@ -304,16 +346,14 @@ let write_chrome_json t oc =
       List.rev s.rev_events
       |> List.iter (fun e ->
              sep ();
-             match e.kind with
-             | Span ->
-                 Printf.fprintf oc
-                   "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"pid\":0,\"tid\":%d,\"ts\":%.3f,\"dur\":%.3f,\"args\":{\"detail\":\"%s\"}}"
-                   (json_escape e.name) (json_escape e.cat) e.node (us e.ts) (us e.dur)
-                   (json_escape e.arg)
-             | Instant ->
-                 Printf.fprintf oc
-                   "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":%d,\"ts\":%.3f,\"args\":{\"detail\":\"%s\"}}"
-                   (json_escape e.name) (json_escape e.cat) e.node (us e.ts) (json_escape e.arg)))
+             if e.span then
+               Printf.fprintf oc
+                 "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"pid\":0,\"tid\":%d,\"ts\":%.3f,\"dur\":%.3f,\"args\":{\"detail\":\"%s\"}}"
+                 (json_escape e.name) (cat e.detail) e.node (us e.ts) (us e.dur) (detail e.detail)
+             else
+               Printf.fprintf oc
+                 "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":%d,\"ts\":%.3f,\"args\":{\"detail\":\"%s\"}}"
+                 (json_escape e.name) (cat e.detail) e.node (us e.ts) (detail e.detail)))
     t.subs;
   output_string oc "\n],\"displayTimeUnit\":\"ms\"}\n"
 

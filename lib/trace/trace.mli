@@ -11,11 +11,17 @@
       commit / certify-share / execute marks emitted by the replicas,
       chained per consensus slot (see {!phase_mark}).
 
+    The emitters below are the whole event vocabulary.  Each event is
+    one closed record whose detail is [dst=D,size=Z,TAG] (queue, tx and
+    drop; the tag is [local], [global] or the drop reason),
+    [src=S,size=Z] (deliver), [key=K] (phases) or empty (cpu).
+
     The tracer is *zero overhead when off*: subsystems hold a
     [Trace.t option] and skip all event construction when it is [None].
 
-    Every event is folded into a streaming SHA-256 over a canonical
-    textual encoding, so two runs with the same seed produce the same
+    Every event is folded into a streaming SHA-256 over its canonical
+    line [K|cat|name|node|ts|dur|detail\n] ([K] is [S] for a span, [I]
+    for an instant), so two runs with the same seed produce the same
     digest — the determinism contract of the DES extended to the full
     event stream.  Events themselves are only retained in memory when
     [keep_events] is set (required by {!write_chrome_json}); the
@@ -28,21 +34,15 @@ val create : ?keep_events:bool -> unit -> t
     {!write_chrome_json}; aggregation and the digest work either way. *)
 
 val set_shards : t -> n:int -> shard_of_now:(unit -> int) -> unit
-(** Split the tracer into [n] per-shard sub-streams; every subsequent
-    event is routed to sub-stream [shard_of_now ()].  Per-shard content
-    is independent of the order an epoch runs its shards in.  With
-    [n = 1] (the default at creation) the digest is
-    exactly the pre-sharding single-stream digest; with [n > 1] it is a
-    SHA-256 over the concatenated per-shard digests, in shard order.
-    Must be called before any event is emitted. *)
+(** Split the digest (and the kept events) into [n] per-shard
+    sub-streams; every subsequent event is routed to sub-stream
+    [shard_of_now ()].  With [n = 1] (the default at creation) the
+    digest is the single-stream digest; with [n > 1] it is a SHA-256
+    over the concatenated per-shard digests, in shard order.  Counters
+    and phase aggregates are not split.  Must be called before any
+    event is emitted. *)
 
 (** {1 Event emission (called by the instrumented subsystems)} *)
-
-val span :
-  t -> cat:string -> name:string -> node:int -> ts:int -> dur:int -> ?arg:string -> unit -> unit
-(** Complete span: [ts] start and [dur] duration in simulated ns. *)
-
-val instant : t -> cat:string -> name:string -> node:int -> ts:int -> ?arg:string -> unit -> unit
 
 val net_send :
   t -> src:int -> dst:int -> size:int -> local:bool -> now:int -> start:int -> depart:int -> unit

@@ -62,7 +62,6 @@ type 'm t = {
      Client agents have no ledger and always read []. *)
   ledger_read : height:int -> (Batch.t * Certificate.t option) list;
   complete : Batch.t -> unit;                (* client agents: batch done *)
-  trace : (string Lazy.t -> unit);           (* debug trace hook *)
   (* Structured phase probe: replicas mark consensus-phase transitions
      (propose / prepare / commit / certify-share / execute) per slot
      [key]; the fabric binds it to the run's tracer, or to a no-op when
@@ -93,6 +92,5 @@ let map_send (inject : 'a -> 'b) (t : 'b t) : 'a t =
     app_restore = t.app_restore;
     ledger_read = t.ledger_read;
     complete = t.complete;
-    trace = t.trace;
     phase = t.phase;
   }

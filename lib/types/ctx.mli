@@ -56,7 +56,6 @@ type 'm t = {
           peer serves during checkpoint state transfer.  [] at client
           agents. *)
   complete : Batch.t -> unit;
-  trace : string Lazy.t -> unit;   (** debug trace hook *)
   phase : key:int -> name:string -> unit;
       (** Structured phase probe: replicas mark consensus-phase
           transitions (propose / prepare / commit / certify-share /

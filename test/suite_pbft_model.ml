@@ -85,7 +85,6 @@ let make_harness ~n =
       app_restore = (fun _ -> ());
       ledger_read = (fun ~height:_ -> []);
       complete = (fun _ -> ());
-      trace = (fun _ -> ());
       phase = (fun ~key:_ ~name:_ -> ());
     }
   in

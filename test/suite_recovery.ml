@@ -38,7 +38,6 @@ let mk_ctx ?(seed = 42L) () =
       app_restore = (fun _ -> ());
       ledger_read = (fun ~height:_ -> []);
       complete = (fun _ -> ());
-      trace = (fun _ -> ());
       phase = (fun ~key:_ ~name:_ -> ());
     }
   in

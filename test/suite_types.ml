@@ -151,7 +151,6 @@ let mk_client_ctx () =
       app_restore = (fun _ -> ());
       ledger_read = (fun ~height:_ -> []);
       complete = (fun b -> completed := b.Batch.id :: !completed);
-      trace = (fun _ -> ());
       phase = (fun ~key:_ ~name:_ -> ());
     }
   in
@@ -307,7 +306,6 @@ let test_ctx_map_send () =
       app_restore = (fun _ -> ());
       ledger_read = (fun ~height:_ -> []);
       complete = (fun _ -> ());
-      trace = (fun _ -> ());
       phase = (fun ~key:_ ~name:_ -> ());
     }
   in
