@@ -1,7 +1,7 @@
 (* A first-class experiment scenario: everything one simulated
    deployment run depends on — protocol, configuration, fault,
    measurement windows, trace option — as a single value with a stable
-   human-readable id and a JSON round-trip.
+   human-readable id, which is also its only decoder.
 
    The id doubles as the key of bench baselines and sweep documents:
    it spells out the swept knobs (protocol, z, n, batch, inflight,
@@ -14,7 +14,8 @@
      geobft z4 n7 b100 i64 seed1 w1000+4000 fanout=1 trace
 
    [of_string] inverts [to_string] exactly (token order is free on
-   input); [of_json] inverts [to_json]. *)
+   input), and every Config field has a token.  [to_json] spells every
+   field out for the sweep documents that embed it. *)
 
 module Config = Rdb_types.Config
 module Time = Rdb_sim.Time
@@ -357,144 +358,6 @@ let to_json t : Json.t =
       ])
 
 let to_json_string t = Json.to_string_compact (to_json t)
-
-let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
-
-let field name conv j =
-  match Option.bind (Json.member name j) conv with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "Scenario.of_json: missing or ill-typed field %S" name)
-
-let costs_of_json j : (Config.costs, string) result =
-  let* sign_us = field "sign_us" Json.to_float j in
-  let* verify_us = field "verify_us" Json.to_float j in
-  let* mac_us = field "mac_us" Json.to_float j in
-  let* hash_us_per_kb = field "hash_us_per_kb" Json.to_float j in
-  let* exec_us_per_txn = field "exec_us_per_txn" Json.to_float j in
-  let* batch_asm_us = field "batch_asm_us" Json.to_float j in
-  let* threshold_partial_us = field "threshold_partial_us" Json.to_float j in
-  let* threshold_combine_us = field "threshold_combine_us" Json.to_float j in
-  Ok
-    {
-      Config.sign_us;
-      verify_us;
-      mac_us;
-      hash_us_per_kb;
-      exec_us_per_txn;
-      batch_asm_us;
-      threshold_partial_us;
-      threshold_combine_us;
-    }
-
-let config_of_json j : (Config.t, string) result =
-  let* z = field "z" Json.to_int j in
-  let* n = field "n" Json.to_int j in
-  let* batch_size = field "batch_size" Json.to_int j in
-  let* checkpoint_interval = field "checkpoint_interval" Json.to_int j in
-  let* pipeline_depth = field "pipeline_depth" Json.to_int j in
-  let* local_timeout_ms = field "local_timeout_ms" Json.to_float j in
-  let* remote_timeout_ms = field "remote_timeout_ms" Json.to_float j in
-  let* client_inflight = field "client_inflight" Json.to_int j in
-  let* client_timeout_ms = field "client_timeout_ms" Json.to_float j in
-  let* wan_egress_mbps = field "wan_egress_mbps" Json.to_float j in
-  let* geobft_fanout = field "geobft_fanout" Json.to_int j in
-  let* threshold_certs = field "threshold_certs" Json.to_bool j in
-  (* v3/v4 fields, defaulted so older documents load unchanged. *)
-  let clients =
-    Option.value ~default:0 (Option.bind (Json.member "clients" j) Json.to_int)
-  in
-  let read_fraction =
-    Option.value ~default:0.0 (Option.bind (Json.member "read_fraction" j) Json.to_float)
-  in
-  let scan_fraction =
-    Option.value ~default:0.0 (Option.bind (Json.member "scan_fraction" j) Json.to_float)
-  in
-  let* storage =
-    match Json.member "storage" j with
-    | None -> Ok Config.Memory
-    | Some sj -> (
-        match Option.bind (Json.to_str sj) Config.storage_of_string with
-        | Some s -> Ok s
-        | None -> Error "Scenario.of_json: ill-typed field \"storage\"")
-  in
-  let* costs =
-    match Json.member "costs" j with
-    | Some cj -> costs_of_json cj
-    | None -> Error "Scenario.of_json: missing field \"costs\""
-  in
-  let* seed = field "seed" Json.to_int j in
-  Ok
-    {
-      Config.z;
-      n;
-      batch_size;
-      checkpoint_interval;
-      pipeline_depth;
-      local_timeout_ms;
-      remote_timeout_ms;
-      client_inflight;
-      client_timeout_ms;
-      clients;
-      wan_egress_mbps;
-      geobft_fanout;
-      threshold_certs;
-      read_fraction;
-      scan_fraction;
-      storage;
-      costs;
-      seed;
-    }
-
-let of_json j : (t, string) result =
-  let* v = field "schema_version" Json.to_int j in
-  if v > schema_version then
-    Error (Printf.sprintf "Scenario.of_json: schema_version %d is newer than %d" v schema_version)
-  else
-    let* proto_s = field "proto" Json.to_str j in
-    let* proto =
-      match proto_of_string proto_s with
-      | Some p -> Ok p
-      | None -> Error (Printf.sprintf "Scenario.of_json: unknown protocol %S" proto_s)
-    in
-    let* fault_s = field "fault" Json.to_str j in
-    let* fault =
-      match fault_of_id fault_s with
-      | Some f -> Ok f
-      | None -> Error (Printf.sprintf "Scenario.of_json: unknown fault %S" fault_s)
-    in
-    let* wj =
-      match Json.member "windows" j with
-      | Some wj -> Ok wj
-      | None -> Error "Scenario.of_json: missing field \"windows\""
-    in
-    let* warmup_ms = field "warmup_ms" Json.to_float wj in
-    let* measure_ms = field "measure_ms" Json.to_float wj in
-    let* trace = field "trace" Json.to_bool j in
-    let* attack =
-      match Json.member "attack" j with
-      | None -> Ok None
-      | Some aj -> (
-          match Adversary.Attack.of_json aj with
-          | Ok a -> Ok (if a = Adversary.Attack.empty then None else Some a)
-          | Error msg -> Error ("Scenario.of_json: " ^ msg))
-    in
-    let* cfg =
-      match Json.member "config" j with
-      | Some cj -> config_of_json cj
-      | None -> Error "Scenario.of_json: missing field \"config\""
-    in
-    Ok
-      {
-        proto;
-        cfg;
-        fault;
-        windows = { warmup = Time.of_ms_f warmup_ms; measure = Time.of_ms_f measure_ms };
-        trace;
-        attack;
-      }
-
-let of_json_string s =
-  match Json.of_string s with Ok j -> of_json j | Error msg -> Error ("Scenario.of_json: " ^ msg)
 
 (* Relative single-domain cost of simulating a scenario — used by the
    sweep engine to dispatch long runs first (pure load-balance

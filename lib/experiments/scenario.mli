@@ -87,14 +87,13 @@ val equal : t -> t -> bool
 val to_string : t -> string
 val of_string : string -> t option
 
-(** {1 JSON round-trip} ([of_json (to_json t) = Ok t], all fields) *)
+(** {1 JSON} (every field, for the documents that embed a scenario;
+    decode a scenario from its id with {!of_string}) *)
 
 val schema_version : int
 
 val to_json : t -> Json.t
 val to_json_string : t -> string
-val of_json : Json.t -> (t, string) result
-val of_json_string : string -> (t, string) result
 
 val cost_estimate : t -> float
 (** Relative single-domain simulation cost (~ z·n²·seconds): the sweep

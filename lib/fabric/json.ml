@@ -2,9 +2,9 @@
 
    The container carries no JSON dependency, and the repo needs more
    than the ad-hoc scanners the bench harness used to carry: the
-   versioned report wire format (Report.to_json/of_json), scenario
-   round-trips (Scenario.to_json/of_json) and the sweep engine's
-   results documents all parse as well as print.  Scope is exactly
+   versioned report wire format (Report.to_json/of_json), the
+   scenario records embedded in sweep documents (Scenario.to_json) and
+   the sweep engine's results documents.  Scope is exactly
    RFC 8259 minus the freedoms we never exercise: numbers are OCaml
    ints or floats (no bignums), strings are OCaml strings with the
    standard escapes (\uXXXX accepted on input for the BMP, emitted

@@ -1,6 +1,8 @@
 (** The discrete-event engine: a clock plus an ordered queue of pending
     events (closures), partitioned into shards that run in conservative
-    epochs.
+    epochs.  A shard is a heap, an RNG stream and its outboxes; the
+    clock, the sequence counter, the executed-event count and the
+    freelist of event records are one per engine.
 
     Determinism contract: with the same seed and the same sequence of
     [schedule] calls, two runs execute identical event sequences — ties
@@ -32,8 +34,8 @@ val current_shard_id : t -> int
 val lookahead : t -> Time.t
 
 val now : t -> Time.t
-(** Inside event execution: the executing shard's clock.  Outside: the
-    global clock (all shard clocks agree at barriers). *)
+(** Inside event execution: the executing event's time.  Outside: the
+    time the engine has run to, which every shard has reached. *)
 
 val rng : t -> Rdb_prng.Rng.t
 (** The engine's deterministic randomness source: the executing shard's
@@ -49,7 +51,7 @@ val pending_events : t -> int
 (** Events waiting in shard heaps and staged outboxes (not controls). *)
 
 val pooled_events : t -> int
-(** Recycled event records currently in freelists (diagnostics). *)
+(** Recycled event records currently in the freelist (diagnostics). *)
 
 val set_defer_hook : t -> (int -> bool) option -> unit
 (** Schedule-exploration hook: when installed, each [schedule_at] call

@@ -317,10 +317,6 @@ let test_scenario_attack_token () =
       Alcotest.(check bool) "scenario id round-trip" true (Scenario.equal s s');
       Alcotest.(check string) "re-serialization identical" id (Scenario.to_string s')
   | None -> Alcotest.fail "scenario id with attack failed to parse");
-  (* JSON round-trip, and the attack field is absent when None. *)
-  (match Scenario.of_json (Scenario.to_json s) with
-  | Ok s' -> Alcotest.(check bool) "scenario json round-trip" true (Scenario.equal s s')
-  | Error e -> Alcotest.fail e);
   let plain = Scenario.make Scenario.Geobft cfg in
   Alcotest.(check bool) "no attack, no token" true
     (Scenario.of_string (Scenario.to_string plain) = Some plain)

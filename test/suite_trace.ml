@@ -228,6 +228,37 @@ let test_encoding_pin () =
   Sys.remove path;
   Alcotest.(check string) "chrome json, detail strings included" expected_json json
 
+(* -- traced allocation ------------------------------------------------- *)
+
+(* A warmed tracer folds an event into its digest without allocating:
+   the line is written into the tracer's own buffer.  What remains per
+   call is the detail record — [dst,size,tag] shared by a send's queue
+   and tx spans (4 words), [src,size] for a delivery (3 words) and
+   nothing for a cpu span.  Per-event formatting would cost tens of
+   words per event and fail these pins. *)
+let test_traced_allocation () =
+  let tr = Trace.create () in
+  let send ~start () =
+    Trace.net_send tr ~src:3 ~dst:17 ~size:1_234 ~local:false ~now:1_000_000 ~start
+      ~depart:(start + 777)
+  in
+  (* Words allocated by 1,000 calls after 100 warm-up calls. *)
+  let words f =
+    for _ = 1 to 100 do
+      f ()
+    done;
+    Suite_sim.minor_words (fun () ->
+        for _ = 1 to 1_000 do
+          f ()
+        done)
+  in
+  Alcotest.(check int) "net_send (tx only)" 4_000 (words (send ~start:1_000_000));
+  Alcotest.(check int) "net_send (queue + tx)" 4_000 (words (send ~start:1_500_000));
+  Alcotest.(check int) "net_deliver" 3_000
+    (words (fun () -> Trace.net_deliver tr ~src:17 ~dst:3 ~size:1_234 ~at:1_999_999));
+  Alcotest.(check int) "cpu_span" 0
+    (words (fun () -> Trace.cpu_span tr ~node:5 ~stage:"worker" ~start:2_000_000 ~dur:40_000))
+
 let test_off_by_default () =
   (* No tracer: the deployment runs exactly as before (tier-1 behavior
      is the digest test's baseline; here just assert the report carries
@@ -248,5 +279,6 @@ let suite =
       ("chrome trace-event json", `Quick, test_chrome_json);
       ("keep_events required for json", `Quick, test_keep_events_required);
       ("encoding pin", `Quick, test_encoding_pin);
+      ("traced allocation", `Quick, test_traced_allocation);
       ("tracing off by default", `Quick, test_off_by_default);
     ]
