@@ -4,22 +4,13 @@
    determinism witness: the DES guarantees same seed => same event
    sequence, so same seed => same digest, byte for byte.
 
-   Every event is one closed record: a span or an instant, a name, a
-   node track, simulated start and duration, and a [detail] variant
-   whose constructor also fixes the category.  Its canonical line is
-   written into a byte buffer owned by the tracer — by hand, with no
-   [Printf] and no intermediate strings — and fed to the digest.  The
-   buffer lives in the tracer, not in the module, because sweeps run
-   tracers on several domains at once.
-
-   Sharded runs (DESIGN.md §15): the engine runs its shards one after
-   another on one domain, so only the digest and the kept events are
-   per shard.  Each event goes to the sub-stream of the shard that
-   emitted it (the [shard_of_now] callback installed by [set_shards]);
-   the summary digest is the SHA-256 over the concatenated per-shard raw
-   digests, in shard order, and with one shard it is exactly the
-   single-stream digest.  Counters and phase aggregates are sums and
-   maxima, which commute, so they are single fields. *)
+   An event is one closed record; its [detail] constructor also fixes
+   its category.  The canonical line is written by hand into a byte
+   buffer owned by the tracer (not the module: sweeps run tracers on
+   several domains) and fed to the digest.  Shards run one after
+   another on one domain (DESIGN.md §15), so only the digest and the
+   kept events are per shard; counters and phase aggregates are sums
+   and maxima, which commute. *)
 
 module Sha256 = Rdb_crypto.Sha256
 module Hex = Rdb_crypto.Hex
@@ -45,58 +36,45 @@ let reserve l n =
     l.buf <- b
   end
 
-let put_char l c =
-  reserve l 1;
-  Bytes.unsafe_set l.buf l.pos c;
+let put_string l s =
+  reserve l (String.length s);
+  Bytes.unsafe_blit_string s 0 l.buf l.pos (String.length s);
+  l.pos <- l.pos + String.length s
+
+(* The digits of [-m] for [m <= 0], so [min_int] needs no special case;
+   the caller reserves room for them. *)
+let rec put_neg l m =
+  if m <= -10 then put_neg l (m / 10);
+  Bytes.unsafe_set l.buf l.pos (Char.unsafe_chr (48 - (m mod 10)));
   l.pos <- l.pos + 1
 
-let put_string l s =
-  let n = String.length s in
-  reserve l n;
-  Bytes.unsafe_blit_string s 0 l.buf l.pos n;
-  l.pos <- l.pos + n
-
-(* Decimal, as [%d] prints it.  Digits come from the non-positive
-   negation, so [min_int] needs no special case. *)
-let put_int l n =
-  if n < 0 then put_char l '-';
-  let m = if n < 0 then n else -n in
-  let digits = ref 1 and q = ref (m / 10) in
-  while !q <> 0 do
-    incr digits;
-    q := !q / 10
-  done;
-  reserve l !digits;
-  let r = ref m in
-  for i = l.pos + !digits - 1 downto l.pos do
-    Bytes.unsafe_set l.buf i (Char.unsafe_chr (48 - (!r mod 10)));
-    r := !r / 10
-  done;
-  l.pos <- l.pos + !digits
+(* [n] in decimal, as [%d] prints it (at most 20 chars), then [sep]. *)
+let put_int l n sep =
+  reserve l 20;
+  if n < 0 then put_string l "-";
+  put_neg l (if n < 0 then n else -n);
+  put_string l sep
 
 (* The one detail renderer, shared by the digest and the Chrome JSON. *)
 let put_detail l = function
   | Cpu -> ()
   | Dst { dst; size; tag } ->
       put_string l "dst=";
-      put_int l dst;
-      put_string l ",size=";
-      put_int l size;
-      put_char l ',';
+      put_int l dst ",size=";
+      put_int l size ",";
       put_string l tag
   | Src { src; size } ->
       put_string l "src=";
-      put_int l src;
-      put_string l ",size=";
-      put_int l size
+      put_int l src ",size=";
+      put_int l size ""
   | Key k ->
       put_string l "key=";
-      put_int l k
+      put_int l k ""
 
 (* -- the tracer ----------------------------------------------------------- *)
 
-(* One per engine shard: what cannot be merged after the fact. *)
-type sub = { digest : Sha256.ctx; mutable rev_events : event list (* only when keep_events *) }
+(* One per engine shard; [rev_events] only when keep_events. *)
+type sub = { digest : Sha256.ctx; mutable rev_events : event list }
 
 type phase_acc = { mutable count : int; mutable total : int; mutable max : int }
 
@@ -143,35 +121,27 @@ let set_shards t ~n ~shard_of_now =
   t.shard_of_now <- shard_of_now
 
 (* Fold one event into its shard's digest as the canonical line
-   [K|cat|name|node|ts|dur|detail\n]; everything that identifies the
-   event is in it, and the format never changes silently (the test
-   suite pins it, and the digests built on it). *)
+   [K|cat|name|node|ts|dur|detail\n]; the test suite pins the format. *)
 let emit t ~span ~name ~node ~ts ~dur detail =
-  (match t.finalized with
-  | Some _ -> invalid_arg "Trace: event emitted after summary"
-  | None -> ());
+  if Option.is_some t.finalized then invalid_arg "Trace: event emitted after summary";
   let l = t.line in
   l.pos <- 0;
-  put_char l (if span then 'S' else 'I');
-  put_char l '|';
+  put_string l (if span then "S|" else "I|");
   put_string l (cat detail);
-  put_char l '|';
+  put_string l "|";
   put_string l name;
-  put_char l '|';
-  put_int l node;
-  put_char l '|';
-  put_int l ts;
-  put_char l '|';
-  put_int l dur;
-  put_char l '|';
+  put_string l "|";
+  put_int l node "|";
+  put_int l ts "|";
+  put_int l dur "|";
   put_detail l detail;
-  put_char l '\n';
+  put_string l "\n";
   let s = t.subs.(t.shard_of_now ()) in
   Sha256.feed_bytes s.digest l.buf 0 l.pos;
   t.n_events <- t.n_events + 1;
   if t.keep_events then s.rev_events <- { span; name; node; ts; dur; detail } :: s.rev_events
 
-(* -- network lifecycle ------------------------------------------------ *)
+(* -- emitters: network lifecycle, CPU spans ----------------------------- *)
 
 let net_send t ~src ~dst ~size ~local ~now ~start ~depart =
   if local then t.net_local <- t.net_local + 1 else t.net_global <- t.net_global + 1;
@@ -185,8 +155,6 @@ let net_deliver t ~src ~dst ~size ~at =
 let net_drop t ~src ~dst ~size ~at ~reason =
   t.net_dropped <- t.net_dropped + 1;
   emit t ~span:false ~name:"drop" ~node:src ~ts:at ~dur:0 (Dst { dst; size; tag = reason })
-
-(* -- CPU spans -------------------------------------------------------- *)
 
 let cpu_span t ~node ~stage ~start ~dur = emit t ~span:true ~name:stage ~node ~ts:start ~dur Cpu
 
@@ -246,15 +214,9 @@ let summary t =
     match t.finalized with
     | Some d -> d
     | None ->
-        let d =
-          if Array.length t.subs = 1 then Hex.of_string (Sha256.finalize t.subs.(0).digest)
-          else begin
-            (* Digest-of-digests, in shard order. *)
-            let outer = Sha256.init () in
-            Array.iter (fun s -> Sha256.feed_string outer (Sha256.finalize s.digest)) t.subs;
-            Hex.of_string (Sha256.finalize outer)
-          end
-        in
+        let finals = List.map (fun s -> Sha256.finalize s.digest) (Array.to_list t.subs) in
+        (* One shard: its digest.  Several: the digest of their digests, in shard order. *)
+        let d = Hex.of_string (match finals with [ d ] -> d | _ -> Sha256.digest_list finals) in
         t.finalized <- Some d;
         d
   in

@@ -11,21 +11,19 @@
       commit / certify-share / execute marks emitted by the replicas,
       chained per consensus slot (see {!phase_mark}).
 
-    The emitters below are the whole event vocabulary.  Each event is
-    one closed record whose detail is [dst=D,size=Z,TAG] (queue, tx and
-    drop; the tag is [local], [global] or the drop reason),
-    [src=S,size=Z] (deliver), [key=K] (phases) or empty (cpu).
-
-    The tracer is *zero overhead when off*: subsystems hold a
-    [Trace.t option] and skip all event construction when it is [None].
+    The emitters below are the whole event vocabulary.  The tracer is
+    *zero overhead when off*: subsystems hold a [Trace.t option] and
+    skip all event construction when it is [None].
 
     Every event is folded into a streaming SHA-256 over its canonical
-    line [K|cat|name|node|ts|dur|detail\n] ([K] is [S] for a span, [I]
-    for an instant), so two runs with the same seed produce the same
-    digest — the determinism contract of the DES extended to the full
-    event stream.  Events themselves are only retained in memory when
-    [keep_events] is set (required by {!write_chrome_json}); the
-    aggregate summary and digest never need retention. *)
+    line [K|cat|name|node|ts|dur|detail\n]: [K] is [S] for a span, [I]
+    for an instant, and the detail is [dst=D,size=Z,TAG] (queue, tx and
+    drop; the tag is [local], [global] or the drop reason),
+    [src=S,size=Z] (deliver), [key=K] (phases) or empty (cpu).  Two runs
+    with the same seed produce the same digest — the determinism
+    contract of the DES extended to the full event stream.  Events are
+    only retained in memory when [keep_events] is set (required by
+    {!write_chrome_json}). *)
 
 type t
 

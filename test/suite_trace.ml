@@ -111,8 +111,8 @@ let test_keep_events_required () =
 (* The canonical line and the Chrome JSON record of every event kind,
    pinned against [Printf] renderings of the documented formats: one
    event of each kind goes through the public emitters into a
-   one-shard tracer, with edge values (zeros, a timestamp near
-   [max_int], a HotStuff-style slot key above 2^32), and the digest
+   one-shard tracer, with edge values (zeros, timestamps near [max_int]
+   and at [min_int], a HotStuff-style slot key above 2^32), and the digest
    must be the SHA-256 of exactly these lines. *)
 
 let big_ts = max_int - 7
@@ -132,6 +132,7 @@ let emit_every_kind tr =
     [ "rule"; "loss"; "adversary"; "dst-crashed"; "adversary-deaf" ];
   Trace.cpu_span tr ~node:7 ~stage:"verify" ~start:123_456_789 ~dur:0;
   Trace.cpu_span tr ~node:0 ~stage:"execute" ~start:0 ~dur:10_000;
+  Trace.cpu_span tr ~node:0 ~stage:"misc" ~start:min_int ~dur:(-1);
   (* phase chain: open -> continue -> continue backwards in time (the
      span clamps at 0) -> execute closes; then a terminal first mark *)
   Trace.phase_mark tr ~node:3 ~key:big_key ~name:"propose" ~now:100;
@@ -165,6 +166,7 @@ let expected_events =
   @ [
       (true, "cpu", "verify", 7, 123_456_789, 0, "");
       (true, "cpu", "execute", 0, 0, 10_000, "");
+      (true, "cpu", "misc", 0, min_int, -1, "");
       (false, "phase", "propose", 3, 100, 0, key);
       (true, "phase", "prepare", 3, 100, 150, key);
       (true, "phase", "commit", 3, 250, 0, key);
