@@ -221,13 +221,12 @@ let schedule_local t s ~at f =
   Heap.push s.heap ~time:at ~seq ev;
   { ev; tgen = ev.gen }
 
-(* Schedule [f] at absolute simulated time [at] on the current shard
-   (or shard 0 from outside event execution — the single-shard case and
-   pre-run setup). *)
-let schedule_at t ~at f =
-  match t.cur with
-  | Some s -> schedule_local t s ~at f
-  | None -> schedule_local t t.shards.(0) ~at f
+(* The executing shard, or shard 0 from outside event execution (the
+   single-shard case and pre-run setup). *)
+let executing t = match t.cur with Some s -> s | None -> t.shards.(0)
+
+(* Schedule [f] at absolute simulated time [at] on the current shard. *)
+let schedule_at t ~at f = schedule_local t (executing t) ~at f
 
 let schedule_after t ~delay f = schedule_at t ~at:(Time.add (now t) delay) f
 
@@ -304,14 +303,17 @@ let sort_agenda ~floor ~times a =
    group occupies one heap slot instead of m.  The keys are exactly
    those m individual schedules would have used and the record always
    carries the least remaining one, so the engine's pop order — and
-   every downstream effect — is unchanged (DESIGN.md §17). *)
+   every downstream effect — is unchanged (DESIGN.md §17).  The record
+   only ever runs on [s], so [run] finds [s] as the executing shard
+   rather than capturing it beside [t]. *)
 let push_group t s ~floor ~times ~agenda:a ~deliver =
   sort_agenda ~floor ~times a;
   let rec run () =
     let p = a.(0) + 1 in
     a.(0) <- p;
     if (2 * p) + 1 < Array.length a then
-      push_at t s ~at:(Time.max times.(a.(1 + (2 * p))) floor) ~seq:a.(2 + (2 * p)) run;
+      push_at t (executing t) ~at:(Time.max times.(a.(1 + (2 * p))) floor)
+        ~seq:a.(2 + (2 * p)) run;
     deliver a.((2 * p) - 1)
   in
   push_at t s ~at:(Time.max times.(a.(1)) floor) ~seq:a.(2) run
