@@ -362,10 +362,27 @@ let cancel (tm : timer) = if tm.ev.gen = tm.tgen then tm.ev.cancelled <- true
 
 (* -- execution ---------------------------------------------------------- *)
 
+(* Push [d]'s staged entries from one source, in FIFO order, under
+   fresh sequence numbers.  A group expands exactly where its entries
+   would have sat in the FIFO: consecutive numbers in staging order. *)
+let rec land_staged t d = function
+  | [] -> ()
+  | Sone (at, ev) :: rest ->
+      t.seq <- t.seq + 1;
+      Heap.push d.heap ~time:(Time.max at t.now) ~seq:t.seq ev;
+      land_staged t d rest
+  | Sgroup (times, agenda, deliver) :: rest ->
+      for p = 0 to (Array.length agenda / 2) - 1 do
+        t.seq <- t.seq + 1;
+        agenda.(2 + (2 * p)) <- t.seq
+      done;
+      push_group t d ~floor:t.now ~times ~agenda ~deliver;
+      land_staged t d rest
+
 (* Drain staged cross-shard events into destination heaps.  Canonical
    order — destination shards ascending, then source shards ascending,
-   then FIFO per source — with fresh sequence numbers, so the merge is
-   independent of the order the previous epoch ran its shards in. *)
+   then FIFO per source — so the merge is independent of the order the
+   previous epoch ran its shards in. *)
 let drain_outboxes t =
   let z = Array.length t.shards in
   for dst = 0 to z - 1 do
@@ -375,22 +392,7 @@ let drain_outboxes t =
       | [] -> ()
       | staged ->
           t.shards.(src).outboxes.(dst) <- [];
-          List.iter
-            (fun entry ->
-              match entry with
-              | Sone (at, ev) ->
-                  t.seq <- t.seq + 1;
-                  Heap.push d.heap ~time:(Time.max at t.now) ~seq:t.seq ev
-              | Sgroup (times, agenda, deliver) ->
-                  (* Expand the group exactly where its entries would
-                     have sat in the FIFO: fresh sequence numbers in
-                     staging order. *)
-                  for p = 0 to (Array.length agenda / 2) - 1 do
-                    t.seq <- t.seq + 1;
-                    agenda.(2 + (2 * p)) <- t.seq
-                  done;
-                  push_group t d ~floor:t.now ~times ~agenda ~deliver)
-            (List.rev staged)
+          land_staged t d (List.rev staged)
     done
   done
 
