@@ -345,7 +345,6 @@ let of_string s =
 let member key = function Obj fields -> List.assoc_opt key fields | _ -> None
 
 let to_int = function Int i -> Some i | _ -> None
-let to_bool = function Bool b -> Some b | _ -> None
 let to_str = function String s -> Some s | _ -> None
 let to_list = function List l -> Some l | _ -> None
 
