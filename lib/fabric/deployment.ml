@@ -282,8 +282,8 @@ module Make (P : Protocol.S) = struct
 
   (* -- construction -------------------------------------------------------- *)
 
-  let create ?tracer ?(n_records = Table.default_records)
-      ?(retain_payloads = true) ?(sharded = true) ?store_dir (cfg : Config.t) =
+  let create ?tracer ?(n_records = Table.default_records) ?(retain_payloads = true)
+      ?(sharded = true) ?store_dir (cfg : Config.t) =
     if cfg.Config.z < 1 then invalid_arg "Deployment.create: z must be >= 1";
     let topo = Topology.clustered ~z:cfg.Config.z ~n:cfg.Config.n in
     (* Conservative sharding (DESIGN.md §15): one shard per cluster —

@@ -312,8 +312,7 @@ let push_group t s ~floor ~times ~agenda:a ~deliver =
     let p = a.(0) + 1 in
     a.(0) <- p;
     if (2 * p) + 1 < Array.length a then
-      push_at t (executing t) ~at:(Time.max times.(a.(1 + (2 * p))) floor)
-        ~seq:a.(2 + (2 * p)) run;
+      push_at t (executing t) ~at:(Time.max times.(a.(1 + (2 * p))) floor) ~seq:a.(2 + (2 * p)) run;
     deliver a.((2 * p) - 1)
   in
   push_at t s ~at:(Time.max times.(a.(1)) floor) ~seq:a.(2) run
