@@ -271,10 +271,10 @@ let suite =
     ("scenario JSON is versioned", `Quick, test_scenario_json_versioned);
     ("report JSON round-trip", `Quick, test_report_json_round_trip);
     ("report JSON refuses newer schema", `Quick, test_report_json_refuses_newer_schema);
+    ("report JSON refuses older schema", `Quick, test_report_json_refuses_older_schema);
     ("sweep -j 4 = -j 1 (documents + digests)", `Slow, test_parallel_equals_serial);
     ("sweep canonical order", `Quick, test_canonical_order);
     ("sweep progress callback", `Quick, test_progress_callback);
     ("sweep failure capture", `Quick, test_failure_capture);
     ("sweep document shape", `Quick, test_sweep_document_shape);
-    ("report JSON refuses older schema", `Quick, test_report_json_refuses_older_schema);
   ]
