@@ -158,9 +158,10 @@ let run_cmd =
 
 (* -- sweep ----------------------------------------------------------------- *)
 
-(* The CI smoke matrix: one small fixed-seed traced run per protocol.
-   Kept aligned with the bench smoke so both artifacts exercise the
-   same deployments. *)
+(* The CI smoke matrix: one small fixed-seed traced run per protocol,
+   on the same z2 n4 deployment as the first five entries of the bench
+   smoke (bench/main.ml), which adds attack, read-heavy, z8 n31 and
+   chaos entries. *)
 let smoke_scenarios () =
   let windows = { Scenario.warmup = Time.ms 500; measure = Time.ms 1500 } in
   let cfg = Config.make ~z:2 ~n:4 ~batch_size:50 ~client_inflight:16 ~seed:1 () in

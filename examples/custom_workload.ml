@@ -67,9 +67,9 @@ let () =
   Printf.printf "replica 0 executed %d application batches (+%d no-op round fillers)\n" !real !noops;
 
   Printf.printf "\naccount state on replica 0 vs a replica in the other region:\n";
-  let t0 = Dep.table d ~replica:0 and t7 = Dep.table d ~replica:7 in
+  let r0 = Kv.records (Dep.kv d ~replica:0) and r7 = Kv.records (Dep.kv d ~replica:7) in
   for account = 0 to hot_accounts - 1 do
-    let v0 = Table.read t0 ~key:account and v7 = Table.read t7 ~key:account in
+    let v0 = Bigarray.Array1.get r0 account and v7 = Bigarray.Array1.get r7 account in
     Printf.printf "  account %d: %20Ld %s\n" account v0
       (if Int64.equal v0 v7 then "(agrees)" else "(DIVERGED!)")
   done;

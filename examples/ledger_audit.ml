@@ -98,8 +98,8 @@ let () =
   done;
   (match !pair with
   | Some (i, j) ->
-      let di = Table.state_digest (Dep.table d ~replica:i) in
-      let dj = Table.state_digest (Dep.table d ~replica:j) in
+      let di = Kv.state_digest (Dep.kv d ~replica:i) in
+      let dj = Kv.state_digest (Dep.kv d ~replica:j) in
       Printf.printf "YCSB state digests at height %d: replica %d %s..., replica %d %s...\n"
         heights.(i) i
         (String.sub (Hex.of_string di) 0 16)

@@ -75,9 +75,10 @@ module Client_core = Rdb_types.Client_core
 module Block = Rdb_ledger.Block
 module Ledger = Rdb_ledger.Ledger
 
-(* YCSB *)
+(* YCSB, and the state machine that executes it on every replica *)
 module Table = Rdb_ycsb.Table
 module Workload = Rdb_ycsb.Workload
+module Kv = Rdb_storage.Kv
 
 (* Consensus protocols (all satisfy {!Protocol.S}) *)
 module Geobft = Rdb_geobft.Replica

@@ -320,6 +320,7 @@ let exec ?instrument ?attack ?(sharded = true) (p : proto) ~(windows : windows)
       else max 10_000 (Rdb_ycsb.Table.default_records * 128 / nr)
     in
     let d = D.create ?tracer ~n_records ~retain_payloads:false ~sharded cfg in
+    Fun.protect ~finally:(fun () -> D.close d) @@ fun () ->
     let rt = adversary_runtime (module D) d cfg in
     (match attack with
     | None -> ()
@@ -345,7 +346,6 @@ let exec ?instrument ?attack ?(sharded = true) (p : proto) ~(windows : windows)
         Chaos.install surface timeline;
         let mon = Chaos.monitor ~liveness_window_ms surface timeline in
         let report = D.run ~warmup:windows.warmup ~measure:windows.measure d in
-        D.close d;
         Chaos.check_now mon;
         (match Chaos.first_violation mon with
         | Some violation ->
@@ -359,9 +359,7 @@ let exec ?instrument ?attack ?(sharded = true) (p : proto) ~(windows : windows)
         | Primary_failure ->
             D.at d ~time:(Time.add windows.warmup (Time.ms 2000)) (fun () ->
                 D.crash_primary d ~cluster:0));
-        let report = D.run ~warmup:windows.warmup ~measure:windows.measure d in
-        D.close d;
-        report
+        D.run ~warmup:windows.warmup ~measure:windows.measure d
   in
   match p with
   | Geobft -> go (module GeoDep)
@@ -412,11 +410,11 @@ let chaos_timeline (p : proto) ?(windows = default_windows) ~seed
        table population never touches the engine RNG, so a tiny table
        yields the identical timeline at a fraction of the setup cost. *)
     let d = D.create ~retain_payloads:false ~n_records:1000 cfg in
+    Fun.protect ~finally:(fun () -> D.close d) @@ fun () ->
     let rt = adversary_runtime (module D) d cfg in
     let _, _, timeline, _ =
       chaos_plan (module D) d p ~windows ~seed cfg ~equiv:(chaos_equiv rt cfg)
     in
-    D.close d;
     timeline
   in
   match p with

@@ -6,7 +6,8 @@
    - the Table-1-calibrated WAN ([Rdb_sim.Topology.clustered]);
    - the per-node CPU pipeline ([Rdb_sim.Cpu], Figure 9's threads);
    - keys for all nodes ([Rdb_crypto.Keychain]);
-   - a ledger and a YCSB table per replica;
+   - a ledger and a Kv state machine (the replica's YCSB table) per
+     replica, over memory or a persistent block store;
    - protocol replicas and client agents, each handed a [Ctx.t];
    - closed-loop YCSB client drivers per cluster, keeping
      [client_inflight] batches outstanding (modeling the paper's 160 k
@@ -31,15 +32,21 @@ module Txn = Rdb_types.Txn
 module Protocol = Rdb_types.Protocol
 module Wire = Rdb_types.Wire
 module Ledger = Rdb_ledger.Ledger
-module Table = Rdb_ycsb.Table
 module Workload = Rdb_ycsb.Workload
-module App = Rdb_types.App
 module Kv = Rdb_storage.Kv
 module Backend = Rdb_storage.Backend
 
 (* What travels on the simulated wire: the protocol payload plus the
    receiver-side verification cost declared by the sender. *)
 type 'm packet = { payload : 'm; vcost : Time.t }
+
+let rec rm_rf path =
+  if Sys.file_exists path then
+    if Sys.is_directory path then begin
+      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
 
 module Make (P : Protocol.S) = struct
   type msg = P.msg
@@ -56,18 +63,16 @@ module Make (P : Protocol.S) = struct
   type t = {
     cfg : Config.t;
     engine : Engine.t;
-    topo : Topology.t;
     net : P.msg packet Network.t;
     cpu : Cpu.t;
     keychain : Keychain.t;
     metrics : Metrics.t;
     ledgers : Ledger.t array;            (* per replica *)
-    apps : Kv.t array;                   (* App state machine per replica *)
-    tables : Table.t array;              (* zero-copy views over the apps' records *)
+    kvs : Kv.t array;                    (* state machine per replica *)
+    scratch_root : string option;        (* store root this deployment created *)
     mutable nodes : node_kind array;
     drivers : client_driver array;
     mutable crashed : bool array;
-    mutable stats_before : Stats.snapshot option;
     (* Engine shard owning each node: cluster c (replicas and its
        co-located client group) = shard c on a sharded engine,
        everything on shard 0 otherwise. *)
@@ -86,14 +91,16 @@ module Make (P : Protocol.S) = struct
   let network t = t.net
   let metrics t = t.metrics
   let ledger t ~replica = t.ledgers.(replica)
-  let table t ~replica = t.tables.(replica)
-  let app t ~replica = Kv.app t.apps.(replica)
+  let kv t ~replica = t.kvs.(replica)
   let keychain t = t.keychain
   let set_delivery_hook t h = Network.set_delivery_hook t.net h
 
-  (* Release backend resources (the persistent backend holds an open
-     log channel per replica).  Idempotent; a no-op for Memory. *)
-  let close t = Array.iter Kv.close t.apps
+  (* Release the block stores' open log channels, and remove the store
+     root if this deployment created it (a caller's [store_dir] stays).
+     Idempotent; a no-op for Memory. *)
+  let close t =
+    Array.iter Kv.close t.kvs;
+    Option.iter rm_rf t.scratch_root
 
   (* Adversarial interposition: adapt the protocol-payload hooks of
      lib/adversary to the packet-level hooks of the network.  Forged or
@@ -154,16 +161,16 @@ module Make (P : Protocol.S) = struct
             let ledger = t.ledgers.(node) in
             let height = Ledger.length ledger in
             let apply =
-              (* Apply to the App iff it sits exactly at the append
+              (* Apply to the Kv iff it sits exactly at the append
                  height with an intact payload.  A stripped batch (its
                  payload was dropped for ledger compactness) cannot
-                 reproduce state, and an App already past this height
+                 reproduce state, and a Kv already past this height
                  (a state snapshot was installed while this execute was
                  in flight) must not re-apply — either way the block is
                  appended ledger-only and the protocol skips its reply. *)
-              Kv.height t.apps.(node) = height && not (Batch.stripped batch)
+              Kv.height t.kvs.(node) = height && not (Batch.stripped batch)
             in
-            let result = if apply then Some (Kv.apply t.apps.(node) batch) else None in
+            let result = if apply then Some (Kv.apply t.kvs.(node) batch) else None in
             let stored =
               if t.retain_payloads then batch else { batch with Batch.txns = [||] }
             in
@@ -182,23 +189,23 @@ module Make (P : Protocol.S) = struct
     (* The consensus-bypass read path: serve a read-only batch from
        current state, charged at the execute stage like any execution,
        but without consensus, without the ledger, and without moving
-       the App height. *)
+       the Kv height. *)
     let read_execute (batch : Batch.t) ~on_done =
       let txns = Array.length batch.Batch.txns in
       let cost =
         Time.add (Config.exec_cost cfg ~txns) (Config.hash_cost cfg ~bytes:Wire.small)
       in
       Cpu.charge t.cpu ~node ~stage:Cpu.Execute ~cost (fun () ->
-          if not t.crashed.(node) then on_done (Kv.read t.apps.(node) batch))
+          if not t.crashed.(node) then on_done (Kv.read t.kvs.(node) batch))
     in
     let state_snapshot () =
       (* With payloads retained, ledger replay rebuilds state for free;
          only the stripped configuration needs the state piggyback. *)
       if (not is_replica) || t.retain_payloads then None
-      else Some (Kv.snapshot t.apps.(node))
+      else Some (Kv.snapshot t.kvs.(node))
     in
     let app_restore snap =
-      if is_replica then Kv.restore t.apps.(node) snap
+      if is_replica then Kv.restore t.kvs.(node) snap
     in
     let ledger_read ~height =
       if is_replica then begin
@@ -282,7 +289,7 @@ module Make (P : Protocol.S) = struct
 
   (* -- construction -------------------------------------------------------- *)
 
-  let create ?tracer ?(n_records = Table.default_records) ?(retain_payloads = true)
+  let create ?tracer ?(n_records = Rdb_ycsb.Table.default_records) ?(retain_payloads = true)
       ?(sharded = true) ?store_dir (cfg : Config.t) =
     if cfg.Config.z < 1 then invalid_arg "Deployment.create: z must be >= 1";
     let topo = Topology.clustered ~z:cfg.Config.z ~n:cfg.Config.n in
@@ -314,9 +321,10 @@ module Make (P : Protocol.S) = struct
     let ledgers = Array.init n_repl (fun _ -> Ledger.create ()) in
     (* Identical initial state on every replica: derive the master
        image once and memcpy, instead of re-mixing 600 k records per
-       node.  Each replica's App is a Kv state machine over the
-       configured backend; replica 0 of the Memory configuration
-       adopts the master directly (no extra copy). *)
+       node.  Each replica's Kv keeps its state in memory, over a
+       block store under [store_root] for Disk; replica 0 of the
+       Memory configuration adopts the master directly (no extra
+       copy). *)
     let master = Backend.init_records ~n_records in
     let store_root =
       match (cfg.Config.storage, store_dir) with
@@ -329,7 +337,9 @@ module Make (P : Protocol.S) = struct
           Sys.remove stamp;
           Some stamp
     in
-    let apps =
+    (* [close] removes the root only if it is ours. *)
+    let scratch_root = if Option.is_none store_dir then store_root else None in
+    let kvs =
       Array.init n_repl (fun i ->
           match store_root with
           | None -> if i = 0 then Kv.of_records master else Kv.of_master master
@@ -338,7 +348,6 @@ module Make (P : Protocol.S) = struct
                 ~dir:(Filename.concat root (Printf.sprintf "r%d" i))
                 ~n_records ())
     in
-    let tables = Array.map (fun kv -> Table.of_records (Kv.records kv)) apps in
     let drivers =
       Array.init cfg.Config.z (fun cluster ->
           {
@@ -399,18 +408,16 @@ module Make (P : Protocol.S) = struct
       {
         cfg;
         engine;
-        topo;
         net;
         cpu;
         keychain;
         metrics;
         ledgers;
-        apps;
-        tables;
+        kvs;
+        scratch_root;
         nodes = [||];
         drivers;
         crashed = Array.make n_nodes false;
-        stats_before = None;
         shard_of;
         tracer;
         retain_payloads;

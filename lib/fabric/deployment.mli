@@ -4,10 +4,9 @@
     [Make (P)] builds, for a {!Rdb_types.Config.t} (z clusters × n
     replicas, one client group per cluster): the Table-1-calibrated
     WAN, the per-node CPU pipeline (Figure 9's threads), keys for all
-    nodes, a ledger and an App state machine per replica (over the
-    configured storage backend — in-memory or the persistent block
-    store), protocol replicas and client agents, and closed-loop YCSB
-    client drivers.  Construction internals (node contexts, driver
+    nodes, a ledger and a {!Rdb_storage.Kv} state machine per replica
+    (in memory, or backed by the persistent block store), protocol
+    replicas and client agents, and closed-loop YCSB client drivers.  Construction internals (node contexts, driver
     refill, packet delivery) are private to the implementation. *)
 
 module Time = Rdb_sim.Time
@@ -16,7 +15,7 @@ module Network = Rdb_sim.Network
 module Keychain = Rdb_crypto.Keychain
 module Config = Rdb_types.Config
 module Ledger = Rdb_ledger.Ledger
-module Table = Rdb_ycsb.Table
+module Kv = Rdb_storage.Kv
 
 (** What travels on the simulated wire: the protocol payload plus the
     receiver-side verification cost declared by the sender.
@@ -39,12 +38,13 @@ module Make (P : Rdb_types.Protocol.S) : sig
   (** Build a deployment.  [n_records] sizes the replicated store
       (default 600k, as in §4).  [retain_payloads:false] drops batch
       payloads from ledger blocks (long sweeps); recovery then carries
-      App state snapshots instead of replaying payloads.  [sharded]
+      state snapshots instead of replaying payloads.  [sharded]
       (default true) gives the engine one shard per cluster; the
       partition fixes the event order, so an unsharded run is
-      deterministic but not byte-identical to the sharded one.  [store_dir] roots the persistent backend's
-      per-replica directories when the config selects [Disk] storage
-      (default: a fresh temp directory per deployment). *)
+      deterministic but not byte-identical to the sharded one.
+      [store_dir] roots the per-replica block stores when the config
+      selects [Disk] storage (default: a fresh temp directory per
+      deployment, removed by {!close}). *)
 
   val run : ?warmup:Time.t -> ?measure:Time.t -> ?jobs:int -> t -> Report.t
   (** Drive clients, warm up, measure, and report (§4 methodology).
@@ -52,8 +52,10 @@ module Make (P : Rdb_types.Protocol.S) : sig
       @raise Invalid_argument for any other [jobs]. *)
 
   val close : t -> unit
-  (** Release storage-backend resources (open block-log channels of
-      [Disk] deployments).  Idempotent; a no-op for [Memory]. *)
+  (** Release the block stores of a [Disk] deployment: close their
+      log channels and, when [create] made the store root itself (no
+      [store_dir]), remove it.  A caller's [store_dir] stays, so its
+      stores can be reopened.  Idempotent; a no-op for [Memory]. *)
 
   (** {1 Accessors} *)
 
@@ -64,13 +66,11 @@ module Make (P : Rdb_types.Protocol.S) : sig
   val keychain : t -> Keychain.t
   val ledger : t -> replica:int -> Ledger.t
 
-  val table : t -> replica:int -> Table.t
-  (** Zero-copy read view over [replica]'s live store (digests,
-      fingerprints); do not write through it. *)
-
-  val app : t -> replica:int -> Rdb_types.App.t
-  (** [replica]'s App state machine (the execution seam the protocols
-      drive via their [Ctx.t]). *)
+  val kv : t -> replica:int -> Kv.t
+  (** [replica]'s state machine, which executes what the protocol
+      orders through its [Ctx.t].  Read it ([Kv.state_digest],
+      [Kv.height], [Kv.records]); applying batches through it
+      diverges the replica from its ledger. *)
 
   val replica : t -> int -> P.replica
   val client : t -> cluster:int -> P.client

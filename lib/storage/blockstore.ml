@@ -308,17 +308,23 @@ let replay_log t =
           end
       done
 
-(* -- Backend interface -------------------------------------------------- *)
+(* -- Kv interface ------------------------------------------------------- *)
 
+(* The live state mirror: {!Kv} reads and writes it directly, and the
+   store never reallocates it. *)
 let records t = t.records
+
+(* Blocks durably applied: the recovered height right after opening. *)
 let height t = t.height
-let wants_writes (_ : t) = true
 
 (* The delta unless it would be at least as large as the full image. *)
 let compact t =
   if 2 * t.n_dirty >= t.n then write_image t else write_delta t;
   reset_log t
 
+(* One executed block: the first [count] entries of [keys]/[values]
+   are the post-write record values, in application order, already
+   applied to [records]. *)
 let log_block t ~height ~keys ~values ~count =
   if not t.closed then begin
     let oc = match t.log with Some oc -> oc | None -> invalid_arg "Blockstore: closed" in
@@ -347,7 +353,9 @@ let log_block t ~height ~keys ~values ~count =
     if t.height - t.base >= t.snapshot_every then compact t
   end
 
-(* Like [log_block], a no-op once the store is closed. *)
+(* The Kv installed a full-state snapshot at [height] over [records]:
+   re-anchor on it.  Like [log_block], a no-op once the store is
+   closed. *)
 let note_restore t ~height =
   if not t.closed then begin
     t.height <- height;
@@ -406,14 +414,3 @@ let open_or_create ?(snapshot_every = 64) ?init ~dir ~n_records () =
   if had_state then write_image t;
   reset_log t;
   t
-
-let packed (t : t) = Backend.Packed ((module struct
-  type nonrec t = t
-
-  let records = records
-  let height = height
-  let wants_writes = wants_writes
-  let log_block = log_block
-  let note_restore = note_restore
-  let close = close
-end), t)

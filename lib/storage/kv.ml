@@ -1,17 +1,19 @@
-(* The deterministic KV state machine over a pluggable backend.
+(* The deterministic KV state machine: the one executor of YCSB
+   transactions, and the one seam between the fabric and the records.
 
-   This is the App implementation the fabric installs under every
-   replica: it executes ordered batches against the backend's record
-   mirror, produces per-batch execution results (digest + op counts)
-   for client replies, serves read-only batches without advancing the
-   height, and snapshots/restores full state for checkpoint-based
-   state transfer.
+   The fabric installs one under every replica: it executes ordered
+   batches against the records, produces per-batch execution results
+   (digest + op counts) for client replies, serves read-only batches
+   without advancing the height, and snapshots/restores full state for
+   checkpoint-based state transfer.  The records live in memory; with
+   a {!Blockstore} attached every executed block's write set is also
+   logged to disk, and an installed snapshot re-anchors the store.
 
    Determinism: execution touches only the records array, the batch
    contents, and fixed mixing constants — no time, no randomness, no
    host state — so every non-faulty replica applying the same batch
    sequence produces byte-identical results, state digests, and
-   snapshots, regardless of backend. *)
+   snapshots, with or without a store. *)
 
 module Txn = Rdb_types.Txn
 module Batch = Rdb_types.Batch
@@ -22,46 +24,38 @@ module Splitmix64 = Rdb_prng.Splitmix64
 type t = {
   records : Backend.records;
   n : int;
-  collect_writes : bool; (* backend wants per-block write sets *)
-  log_block : height:int -> keys:int array -> values:int64 array -> count:int -> unit;
-  note_restore : height:int -> unit;
-  backend_close : unit -> unit;
+  store : Blockstore.t option; (* None: the state lives in memory only *)
   mutable height : int; (* batches applied; equals the ledger height it mirrors *)
-  mutable reads : int; (* cumulative op counters (apply + read path) *)
-  mutable writes : int;
-  mutable scans : int;
-  mutable scanned_rows : int;
   scratch : Buffer.t; (* per-batch result serialization, reused *)
-  mutable wkeys : int array; (* write-set collection, reused *)
+  mutable wkeys : int array; (* write-set collection for the store, reused *)
   mutable wvals : int64 array;
 }
 
-let create (Backend.Packed ((module B), b)) =
-  let records = B.records b in
+let create ?store records =
   {
     records;
     n = Bigarray.Array1.dim records;
-    collect_writes = B.wants_writes b;
-    log_block = (fun ~height ~keys ~values ~count -> B.log_block b ~height ~keys ~values ~count);
-    note_restore = (fun ~height -> B.note_restore b ~height);
-    backend_close = (fun () -> B.close b);
-    height = B.height b;
-    reads = 0;
-    writes = 0;
-    scans = 0;
-    scanned_rows = 0;
+    store;
+    height = (match store with Some s -> Blockstore.height s | None -> 0);
     scratch = Buffer.create 1024;
     wkeys = [||];
     wvals = [||];
   }
 
-(* Convenience constructors for the two in-tree backends. *)
-let memory ?(n_records = 600_000) () = create (Memory.packed (Memory.create ~n_records))
-let of_master master = create (Memory.packed (Memory.of_copy master))
-let of_records records = create (Memory.packed (Memory.of_records records))
+let memory ?(n_records = Rdb_ycsb.Table.default_records) () =
+  create (Backend.init_records ~n_records)
+
+(* Clone of a master image: deployments initialize one table and blit
+   per replica rather than re-deriving 600k records n times. *)
+let of_master master = create (Backend.copy_records master)
+
+(* Adopt an existing records array without copying (the caller gives
+   up ownership — this Kv becomes the only writer). *)
+let of_records records = create records
 
 let disk ?snapshot_every ?init ~dir ~n_records () =
-  create (Blockstore.packed (Blockstore.open_or_create ?snapshot_every ?init ~dir ~n_records ()))
+  let store = Blockstore.open_or_create ?snapshot_every ?init ~dir ~n_records () in
+  create ~store (Blockstore.records store)
 
 let records t = t.records
 let height t = t.height
@@ -69,19 +63,19 @@ let height t = t.height
 (* Execute every transaction of [b] against current state, appending
    each result value to the scratch buffer (8 bytes LE per txn, after
    the batch digest).  With [mutate] writes land in [records] (and in
-   the write-set arrays when the backend wants them); without it the
+   the write-set arrays when a store is attached); without it the
    batch is served read-only against a frozen state.  Returns the
-   write-set size.  The write path keeps the historical table
-   semantics — new = splitmix64_mix(old) + txn.value, mixer
-   hand-inlined so the load-mix-store chain stays in unboxed int64
-   registers (see lib/prng/splitmix64.ml). *)
+   write-set size.  The write rule is
+   new = splitmix64_mix(old) + txn.value, mixer hand-inlined so the
+   load-mix-store chain stays in unboxed int64 registers (see
+   lib/prng/splitmix64.ml). *)
 let exec_into t (b : Batch.t) ~mutate ~reads ~writes ~scans ~rows : int =
   let txns = b.Batch.txns in
   let records = t.records in
   let n = t.n in
   Buffer.clear t.scratch;
   Buffer.add_string t.scratch b.Batch.digest;
-  let collect = mutate && t.collect_writes in
+  let collect = mutate && Option.is_some t.store in
   if collect && Array.length t.wkeys < Array.length txns then begin
     t.wkeys <- Array.make (Array.length txns) 0;
     t.wvals <- Array.make (Array.length txns) 0L
@@ -100,16 +94,18 @@ let exec_into t (b : Batch.t) ~mutate ~reads ~writes ~scans ~rows : int =
         let len = Txn.scan_len txn in
         rows := !rows + len;
         (* Fold the scanned rows through the mixer so the scan result
-           witnesses every row it touched. *)
-        let acc = ref 0L in
-        for j = 0 to len - 1 do
-          let k = key + j in
-          let k = if k >= n then k - n else k in
-          acc := Splitmix64.mix (Int64.logxor !acc (Bigarray.Array1.unsafe_get records k))
+           witnesses every row it touched.  The rows wrap past the last
+           record, as often as a scan longer than the table needs. *)
+        let acc = ref 0L and k = ref key in
+        for _ = 1 to len do
+          acc := Splitmix64.mix (Int64.logxor !acc (Bigarray.Array1.unsafe_get records !k));
+          k := if !k + 1 = n then 0 else !k + 1
         done;
         Buffer.add_int64_le t.scratch !acc
     | Txn.Write ->
         incr writes;
+        (* Mix in the old value so state depends on execution order
+           (ordering bugs corrupt digests). *)
         let z = Int64.add (Bigarray.Array1.unsafe_get records key) 0x9E3779B97F4A7C15L in
         let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
         let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
@@ -131,14 +127,11 @@ let run t (b : Batch.t) ~mutate : App.result =
   let reads = ref 0 and writes = ref 0 and scans = ref 0 and rows = ref 0 in
   let wc = exec_into t b ~mutate ~reads ~writes ~scans ~rows in
   if mutate then begin
-    if t.collect_writes then
-      t.log_block ~height:t.height ~keys:t.wkeys ~values:t.wvals ~count:wc;
+    (match t.store with
+    | Some s -> Blockstore.log_block s ~height:t.height ~keys:t.wkeys ~values:t.wvals ~count:wc
+    | None -> ());
     t.height <- t.height + 1
   end;
-  t.reads <- t.reads + !reads;
-  t.writes <- t.writes + !writes;
-  t.scans <- t.scans + !scans;
-  t.scanned_rows <- t.scanned_rows + !rows;
   {
     App.digest = Sha256.digest (Buffer.contents t.scratch);
     reads = !reads;
@@ -147,9 +140,15 @@ let run t (b : Batch.t) ~mutate : App.result =
     scanned_rows = !rows;
   }
 
+(* Execute the next ordered batch, advancing the height by one.  Must
+   be called in ledger order. *)
 let apply t b = run t b ~mutate:true
+
+(* Execute a read-only batch against current state without advancing
+   the height (the consensus-bypass read path). *)
 let read t b = run t b ~mutate:false
 
+(* SHA-256 over the full state; O(n). *)
 let state_digest t = Backend.digest_records t.records
 
 let snapshot t : App.snapshot =
@@ -161,21 +160,8 @@ let restore t (s : App.snapshot) =
   if s.App.height > t.height then begin
     Backend.restore_records t.records s.App.state;
     t.height <- s.App.height;
-    t.note_restore ~height:s.App.height
+    Option.iter (fun store -> Blockstore.note_restore store ~height:s.App.height) t.store
   end
 
-let close t = t.backend_close ()
-
-let app (t : t) : App.t =
-  {
-    App.apply = apply t;
-    read = read t;
-    height = (fun () -> t.height);
-    state_digest = (fun () -> state_digest t);
-    snapshot = (fun () -> snapshot t);
-    restore = restore t;
-    reads = (fun () -> t.reads);
-    writes = (fun () -> t.writes);
-    scans = (fun () -> t.scans);
-    close = (fun () -> close t);
-  }
+(* Release the store's open log channel.  Idempotent. *)
+let close t = Option.iter Blockstore.close t.store

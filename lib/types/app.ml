@@ -1,16 +1,11 @@
-(* The state-machine execution interface (the App).
+(* The types of the execution seam between consensus and storage.
 
-   This is the seam between consensus and storage: protocols order
-   batches, the fabric hands each ordered batch to the replica's App,
-   and the App returns a per-batch execution result whose digest the
-   replica puts in its client reply.  Clients then require f+1
-   *matching result digests* — agreement on what was executed, not
-   just on how many replicas replied.
-
-   The record-of-closures shape (rather than a functor) keeps the
-   fabric and the five protocol libraries independent of any concrete
-   storage backend: `lib/storage` builds these records over its
-   pluggable backends, and tests can build stub Apps directly. *)
+   Protocols order batches, the fabric hands each ordered batch to the
+   replica's state machine ({!Rdb_storage.Kv}, which the protocol
+   libraries never see), and the state machine returns a per-batch
+   execution result whose digest the replica puts in its client reply.
+   Clients then require f+1 *matching result digests* — agreement on
+   what was executed, not just on how many replicas replied. *)
 
 type result = {
   digest : string;  (* SHA-256 over the batch digest + every txn's result value *)
@@ -24,25 +19,5 @@ type result = {
    reproduces the store exactly as it was after applying blocks
    [0, height).  Carried by the recovery protocols' state-transfer
    messages when ledger payloads are stripped, and written to disk by
-   the persistent backend at checkpoint boundaries. *)
+   the persistent block store at checkpoint boundaries. *)
 type snapshot = { height : int; state : string }
-
-type t = {
-  apply : Batch.t -> result;
-      (* Execute the next ordered batch, advancing the state machine by
-         one height.  Must be called in ledger order. *)
-  read : Batch.t -> result;
-      (* Execute a read-only batch against current state without
-         advancing the height (the consensus-bypass read path). *)
-  height : unit -> int;  (* batches applied so far *)
-  state_digest : unit -> string;  (* SHA-256 over the full state; O(n) *)
-  snapshot : unit -> snapshot;
-  restore : snapshot -> unit;
-      (* Install a snapshot.  Restores only ratchet forward: a snapshot
-         at or below the current height is ignored, so a late-arriving
-         state transfer can never rewind a replica that progressed. *)
-  reads : unit -> int;   (* cumulative op counters, all batches *)
-  writes : unit -> int;
-  scans : unit -> int;
-  close : unit -> unit;  (* release backend resources (files) *)
-}

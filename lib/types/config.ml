@@ -36,10 +36,10 @@ let default_costs =
     threshold_combine_us = 9_000.0;
   }
 
-(* Storage backend under each replica's App state machine: the
-   in-memory Bigarray table, or the append-only persistent block store
-   (file-backed log + periodic state snapshots, recovery-on-restart).
-   Both are deterministic: same batch sequence, same state digest. *)
+(* Where each replica's state lives: in memory only, or in memory
+   backed by the append-only persistent block store (file-backed log +
+   periodic state snapshots, recovery-on-restart).  Both are
+   deterministic: same batch sequence, same state digest. *)
 type storage = Memory | Disk
 
 type t = {

@@ -22,21 +22,22 @@ open Import
      when the stage completes.
    - [execute] is the single entry point for "this batch is ordered":
      the fabric charges the execute thread, applies the transactions to
-     the node's App state machine, appends a ledger block, and then
+     the node's state machine, appends a ledger block, and then
      calls [on_done] with the execution result so the protocol can put
      the result digest in its client reply.  [on_done None] means the
      batch was appended to the ledger but not applied to state — the
-     App was already past this height (a state snapshot was installed)
+     state machine was already past this height (a state snapshot was installed)
      or the payload was stripped; the protocol then skips its reply and
      lets up-to-date replicas answer.
    - [read_execute] serves a read-only batch from current replica state
      without consensus and without touching the ledger.
    - [state_snapshot]/[app_restore] are the recovery seam: a serving
-     replica attaches its App snapshot to state-transfer messages when
-     ledger payloads are stripped (replay alone cannot rebuild state),
-     and the recovering replica installs it.  Restores only ratchet
-     forward (App.restore), so any interleaving with in-flight
-     executes is safe. *)
+     replica attaches its state snapshot to state-transfer messages
+     when ledger payloads are stripped (replay alone cannot rebuild
+     state), and the recovering replica installs it.  Restores only
+     ratchet forward (Kv.restore ignores a snapshot at or below the
+     current height), so any interleaving with in-flight executes is
+     safe. *)
 
 type timer = Engine.timer
 

@@ -16,7 +16,7 @@ open Import
       assembly) is charged explicitly with [charge];
     - [execute] is the single "this batch is ordered" entry point: the
       fabric charges the execute thread, applies the transactions to
-      the node's {!App} state machine, appends a ledger block, then
+      the node's state machine, appends a ledger block, then
       calls [on_done] with the execution result so the protocol can put
       the result digest in its client reply ([None]: appended but not
       applied — snapshot already past this height, or payload

@@ -4,7 +4,7 @@
 module Config = Rdb_types.Config
 module Time = Rdb_sim.Time
 module Ledger = Rdb_ledger.Ledger
-module Table = Rdb_ycsb.Table
+module Kv = Rdb_storage.Kv
 module Block = Rdb_ledger.Block
 module Batch = Rdb_types.Batch
 
@@ -42,14 +42,16 @@ let check_ledger_prefixes ?(min_len = 1) ~ledgers () =
     Alcotest.failf "expected every ledger to reach %d blocks, shortest has %d" min_len min_length
 
 (* Replicas whose ledgers have equal length must have identical YCSB
-   state (deterministic execution). *)
-let check_state_agreement ~ledgers ~tables () =
+   state (deterministic execution): the full state digest, computed
+   once per replica. *)
+let check_state_agreement ~ledgers ~kvs () =
   let n = Array.length ledgers in
+  let digests = Array.map Kv.state_digest kvs in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
       if Ledger.length ledgers.(i) = Ledger.length ledgers.(j) then
-        if not (Int64.equal (Table.quick_fingerprint tables.(i)) (Table.quick_fingerprint tables.(j)))
-        then Alcotest.failf "replicas %d and %d executed same height but diverged in state" i j
+        if not (String.equal digests.(i) digests.(j)) then
+          Alcotest.failf "replicas %d and %d executed same height but diverged in state" i j
     done
   done
 

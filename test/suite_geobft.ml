@@ -21,7 +21,7 @@ let run_small ?(cfg = Itest.small_cfg ()) ?(sim_sec = 4) ?(prepare = fun _ -> ()
   (d, report)
 
 let ledgers_of d cfg = Array.init (Config.n_replicas cfg) (fun i -> Dep.ledger d ~replica:i)
-let tables_of d cfg = Array.init (Config.n_replicas cfg) (fun i -> Dep.table d ~replica:i)
+let kvs_of d cfg = Array.init (Config.n_replicas cfg) (fun i -> Dep.kv d ~replica:i)
 
 let test_normal_case () =
   let cfg = Itest.small_cfg ~z:2 ~n:4 () in
@@ -29,7 +29,7 @@ let test_normal_case () =
   Alcotest.(check bool) "progress" true (report.Rdb_fabric.Report.completed_txns > 0);
   Alcotest.(check int) "no view changes" 0 (Dep.view_changes d);
   Itest.check_ledger_prefixes ~min_len:10 ~ledgers:(ledgers_of d cfg) ();
-  Itest.check_state_agreement ~ledgers:(ledgers_of d cfg) ~tables:(tables_of d cfg) ()
+  Itest.check_state_agreement ~ledgers:(ledgers_of d cfg) ~kvs:(kvs_of d cfg) ()
 
 let test_round_structure () =
   (* §2.4: each round executes one batch per cluster, in cluster order:
@@ -50,7 +50,7 @@ let test_three_clusters () =
   let d, report = run_small ~cfg () in
   Alcotest.(check bool) "progress" true (report.Rdb_fabric.Report.completed_txns > 0);
   Itest.check_ledger_prefixes ~min_len:9 ~ledgers:(ledgers_of d cfg) ();
-  Itest.check_state_agreement ~ledgers:(ledgers_of d cfg) ~tables:(tables_of d cfg) ()
+  Itest.check_state_agreement ~ledgers:(ledgers_of d cfg) ~kvs:(kvs_of d cfg) ()
 
 let test_certified_ledger () =
   let cfg = Itest.small_cfg ~z:2 ~n:4 () in

@@ -17,7 +17,7 @@ let run_small ?(cfg = Itest.small_cfg ()) ?(sim_sec = 4) ?(prepare = fun _ -> ()
   (d, report)
 
 let ledgers_of d cfg = Array.init (Config.n_replicas cfg) (fun i -> Dep.ledger d ~replica:i)
-let tables_of d cfg = Array.init (Config.n_replicas cfg) (fun i -> Dep.table d ~replica:i)
+let kvs_of d cfg = Array.init (Config.n_replicas cfg) (fun i -> Dep.kv d ~replica:i)
 
 let test_normal_case_progress () =
   let cfg = Itest.small_cfg () in
@@ -25,7 +25,7 @@ let test_normal_case_progress () =
   Alcotest.(check bool) "committed transactions" true (report.Rdb_fabric.Report.completed_txns > 0);
   Alcotest.(check int) "no view changes" 0 report.Rdb_fabric.Report.view_changes;
   Itest.check_ledger_prefixes ~min_len:10 ~ledgers:(ledgers_of d cfg) ();
-  Itest.check_state_agreement ~ledgers:(ledgers_of d cfg) ~tables:(tables_of d cfg) ()
+  Itest.check_state_agreement ~ledgers:(ledgers_of d cfg) ~kvs:(kvs_of d cfg) ()
 
 let test_ledger_certified () =
   let cfg = Itest.small_cfg () in

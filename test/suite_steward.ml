@@ -25,14 +25,14 @@ let run_small ?(cfg = fast_cfg ()) ?(sim_sec = 5) ?(prepare = fun _ -> ()) () =
   (d, report)
 
 let ledgers_of d cfg = Array.init (Config.n_replicas cfg) (fun i -> Dep.ledger d ~replica:i)
-let tables_of d cfg = Array.init (Config.n_replicas cfg) (fun i -> Dep.table d ~replica:i)
+let kvs_of d cfg = Array.init (Config.n_replicas cfg) (fun i -> Dep.kv d ~replica:i)
 
 let test_normal_case () =
   let cfg = fast_cfg () in
   let d, report = run_small ~cfg () in
   Alcotest.(check bool) "progress" true (report.Rdb_fabric.Report.completed_txns > 0);
   Itest.check_ledger_prefixes ~min_len:5 ~ledgers:(ledgers_of d cfg) ();
-  Itest.check_state_agreement ~ledgers:(ledgers_of d cfg) ~tables:(tables_of d cfg) ()
+  Itest.check_state_agreement ~ledgers:(ledgers_of d cfg) ~kvs:(kvs_of d cfg) ()
 
 let test_both_sites_served () =
   (* Requests from the non-primary site must flow through the primary

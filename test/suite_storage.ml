@@ -404,22 +404,22 @@ let test_closed_store_ignores_restore () =
 module Dep = Rdb_fabric.Deployment.Make (Rdb_pbft.Replica)
 module Report = Rdb_fabric.Report
 
-let test_mem_vs_disk_deployment () =
-  let cfg storage =
-    let base =
-      {
-        Config.default with
-        Config.local_timeout_ms = 500.0;
-        remote_timeout_ms = 1_000.0;
-        client_timeout_ms = 1_500.0;
-        checkpoint_interval = 60;
-      }
-    in
-    Config.make ~base ~z:1 ~n:4 ~batch_size:5 ~client_inflight:4 ~seed:1 ~storage ()
+let dep_cfg storage =
+  let base =
+    {
+      Config.default with
+      Config.local_timeout_ms = 500.0;
+      remote_timeout_ms = 1_000.0;
+      client_timeout_ms = 1_500.0;
+      checkpoint_interval = 60;
+    }
   in
+  Config.make ~base ~z:1 ~n:4 ~batch_size:5 ~client_inflight:4 ~seed:1 ~storage ()
+
+let test_mem_vs_disk_deployment () =
   with_dir (fun store_dir ->
-      let dm = Dep.create ~n_records:1000 (cfg Config.Memory) in
-      let dd = Dep.create ~n_records:1000 ~store_dir (cfg Config.Disk) in
+      let dm = Dep.create ~n_records:1000 (dep_cfg Config.Memory) in
+      let dd = Dep.create ~n_records:1000 ~store_dir (dep_cfg Config.Disk) in
       let rm = Dep.run ~warmup:(Time.sec 1) ~measure:(Time.sec 2) dm in
       let rd = Dep.run ~warmup:(Time.sec 1) ~measure:(Time.sec 2) dd in
       (* The backend is invisible to consensus and to the metrics: the
@@ -436,8 +436,8 @@ let test_mem_vs_disk_deployment () =
           (Ledger.tip_hash (Dep.ledger dd ~replica:i));
         Alcotest.(check string)
           (Printf.sprintf "replica %d state digest" i)
-          ((Dep.app dm ~replica:i).App.state_digest ())
-          ((Dep.app dd ~replica:i).App.state_digest ())
+          (Kv.state_digest (Dep.kv dm ~replica:i))
+          (Kv.state_digest (Dep.kv dd ~replica:i))
       done;
       Dep.close dm;
       Dep.close dd;
@@ -445,16 +445,16 @@ let test_mem_vs_disk_deployment () =
          reopening each replica's store reproduces its final height and
          state. *)
       for i = 0 to 3 do
-        let app = Dep.app dm ~replica:i in
+        let kv = Dep.kv dm ~replica:i in
         let r =
           Kv.disk ~dir:(Filename.concat store_dir (Printf.sprintf "r%d" i)) ~n_records:1000 ()
         in
         Alcotest.(check int)
           (Printf.sprintf "replica %d store recovers final height" i)
-          (app.App.height ()) (Kv.height r);
+          (Kv.height kv) (Kv.height r);
         Alcotest.(check string)
           (Printf.sprintf "replica %d store recovers final state" i)
-          (app.App.state_digest ()) (Kv.state_digest r);
+          (Kv.state_digest kv) (Kv.state_digest r);
         Kv.close r
       done)
 
@@ -565,6 +565,114 @@ let test_stale_delta_ignored () =
           Kv.close r);
       Kv.close kv)
 
+(* -- scratch stores ----------------------------------------------------------- *)
+
+(* A Disk deployment without [store_dir] roots its stores in a fresh
+   temp directory; [close] must remove it, and stay idempotent. *)
+let test_disk_deployment_removes_scratch_store () =
+  let saved = Filename.get_temp_dir_name () in
+  with_dir (fun tmp ->
+      Filename.set_temp_dir_name tmp;
+      Fun.protect
+        ~finally:(fun () -> Filename.set_temp_dir_name saved)
+        (fun () ->
+          let d = Dep.create ~n_records:1000 (dep_cfg Config.Disk) in
+          ignore (Dep.run ~warmup:(Time.sec 1) ~measure:(Time.sec 1) d);
+          Alcotest.(check int) "one store root while open" 1 (Array.length (Sys.readdir tmp));
+          Dep.close d;
+          Dep.close d;
+          Alcotest.(check (array string)) "nothing left behind" [||] (Sys.readdir tmp)))
+
+(* -- Kv against a reference ---------------------------------------------- *)
+
+(* The transaction semantics, restated on a plain array: the key wraps
+   into the table (negative keys too), a write stores
+   [Splitmix64.mix old + value] and returns it, a read returns the
+   record, and a scan folds [Splitmix64.mix] over the [scan_len] rows
+   from the key, wrapping past the last record.  [mutate:false] is the
+   read-only path: writes compute their value but store nothing. *)
+let reference_exec (model : int64 array) (b : Batch.t) ~mutate =
+  let n = Array.length model in
+  let buf = Buffer.create 256 in
+  Buffer.add_string buf b.Batch.digest;
+  Array.iter
+    (fun (txn : Txn.t) ->
+      let key = ((txn.Txn.key mod n) + n) mod n in
+      let v =
+        match txn.Txn.op with
+        | Txn.Read -> model.(key)
+        | Txn.Scan ->
+            let acc = ref 0L in
+            for j = 0 to Txn.scan_len txn - 1 do
+              acc := Splitmix64.mix (Int64.logxor !acc model.((key + j) mod n))
+            done;
+            !acc
+        | Txn.Write ->
+            let nv = Int64.add (Splitmix64.mix model.(key)) txn.Txn.value in
+            if mutate then model.(key) <- nv;
+            nv
+      in
+      Buffer.add_int64_le buf v)
+    b.Batch.txns;
+  Sha256.digest (Buffer.contents buf)
+
+(* Random tables (1 to 100 records, so scans often wrap, some more than
+   once) and random batches of reads, scans and writes with negative
+   and out-of-range keys, each applied or served read-only. *)
+let prop_kv_matches_reference =
+  let open QCheck in
+  let txn =
+    Gen.(
+      map3
+        (fun op key value -> Txn.make ~op ~key ~value ~client_id:0 ())
+        (oneofl [ Txn.Read; Txn.Scan; Txn.Write ])
+        (int_range (-1_000) 1_000) ui64)
+  in
+  let batch = Gen.(pair bool (array_size (int_range 1 8) txn)) in
+  let gen = Gen.(pair (int_range 1 100) (list_size (int_range 1 12) batch)) in
+  let print (n, bs) =
+    Printf.sprintf "n_records=%d batches=[%s]" n
+      (String.concat "; "
+         (List.map
+            (fun (apply, txns) ->
+              Printf.sprintf "%s %s" (if apply then "apply" else "read")
+                (String.concat ","
+                   (Array.to_list
+                      (Array.map
+                         (fun (t : Txn.t) ->
+                           Printf.sprintf "%s:%d:%Ld"
+                             (match t.Txn.op with
+                             | Txn.Read -> "r"
+                             | Txn.Scan -> "s"
+                             | Txn.Write -> "w")
+                             t.Txn.key t.Txn.value)
+                         txns))))
+            bs))
+  in
+  Test.make ~name:"kv executes like the reference" ~count:300 (make ~print gen)
+    (fun (n_records, batches) ->
+      let kv = Kv.memory ~n_records () in
+      let model = Array.init n_records (Bigarray.Array1.get (Kv.records kv)) in
+      List.iteri
+        (fun i (apply, txns) ->
+          let b = Batch.create ~keychain:kc ~id:i ~cluster:0 ~origin:0 ~txns ~created:0 in
+          let expected = reference_exec model b ~mutate:apply in
+          let height = Kv.height kv and digest = Kv.state_digest kv in
+          let r = if apply then Kv.apply kv b else Kv.read kv b in
+          if r.App.digest <> expected then Test.fail_reportf "batch %d: result digest" i;
+          if apply then begin
+            if Kv.height kv <> height + 1 then Test.fail_reportf "batch %d: height" i
+          end
+          else if Kv.height kv <> height || Kv.state_digest kv <> digest then
+            Test.fail_reportf "batch %d: read moved the state" i;
+          Array.iteri
+            (fun k v ->
+              if not (Int64.equal v (Bigarray.Array1.get (Kv.records kv) k)) then
+                Test.fail_reportf "batch %d: record %d" i k)
+            model)
+        batches;
+      true)
+
 let suite =
   [
     ("backend digest equivalence", `Quick, test_backend_digest_equivalence);
@@ -583,4 +691,7 @@ let suite =
     ("crash sweep over delta and full compactions", `Quick, test_crash_sweep_delta_then_image);
     ("corrupt delta stops at the image", `Quick, test_corrupt_delta_stops_at_image);
     ("stale delta ignored", `Quick, test_stale_delta_ignored);
+    ("disk deployment removes its scratch store", `Quick,
+      test_disk_deployment_removes_scratch_store);
+    QCheck_alcotest.to_alcotest prop_kv_matches_reference;
   ]

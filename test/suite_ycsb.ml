@@ -1,58 +1,76 @@
 (* YCSB substrate tests: identical initialization, deterministic
    execution, state digests, and workload generation (§4's setup: 600 k
-   records, Zipfian, write queries). *)
+   records, Zipfian, write queries).  Execution goes through each
+   replica's state machine, Rdb_storage.Kv, here one-transaction
+   batches at a time. *)
 
 module Txn = Rdb_types.Txn
 module Batch = Rdb_types.Batch
+module App = Rdb_types.App
 module Table = Rdb_ycsb.Table
 module Workload = Rdb_ycsb.Workload
+module Kv = Rdb_storage.Kv
+
+let kc = Rdb_crypto.Keychain.create ~seed:"ycsb-suite" ~n_nodes:1
+let batch_of ?(id = 0) txns = Batch.create ~keychain:kc ~id ~cluster:0 ~origin:0 ~txns ~created:0
+let one ?id txn = batch_of ?id [| txn |]
+let record kv key = Bigarray.Array1.get (Kv.records kv) key
+
+(* The result digest of [b] when its transactions return [values]. *)
+let result_digest (b : Batch.t) values =
+  let buf = Buffer.create 64 in
+  Buffer.add_string buf b.Batch.digest;
+  List.iter (Buffer.add_int64_le buf) values;
+  Rdb_crypto.Sha256.digest (Buffer.contents buf)
 
 let test_identical_initialization () =
-  let a = Table.create ~n_records:10_000 () in
-  let b = Table.create ~n_records:10_000 () in
-  Alcotest.(check string) "same initial digest" (Rdb_crypto.Hex.of_string (Table.state_digest a))
-    (Rdb_crypto.Hex.of_string (Table.state_digest b));
-  Alcotest.(check int64) "same fingerprint" (Table.quick_fingerprint a) (Table.quick_fingerprint b)
+  let a = Kv.memory ~n_records:10_000 () in
+  let b = Kv.memory ~n_records:10_000 () in
+  Alcotest.(check string) "same initial digest" (Rdb_crypto.Hex.of_string (Kv.state_digest a))
+    (Rdb_crypto.Hex.of_string (Kv.state_digest b))
 
 let test_default_size () =
-  let t = Table.create () in
-  Alcotest.(check int) "600k records (paper)" 600_000 (Table.n_records t)
+  let t = Kv.memory () in
+  Alcotest.(check int) "600k records (paper)" 600_000 (Bigarray.Array1.dim (Kv.records t));
+  Alcotest.(check int) "one constant" Table.default_records (Bigarray.Array1.dim (Kv.records t))
 
 let test_apply_read_write () =
-  let t = Table.create ~n_records:100 () in
-  let before = Table.read t ~key:5 in
-  let r = Table.apply t (Txn.make ~op:Txn.Read ~key:5 ~value:0L ~client_id:1 ()) in
-  Alcotest.(check int64) "read returns value" before r;
-  let w = Table.apply t (Txn.make ~key:5 ~value:42L ~client_id:1 ()) in
-  Alcotest.(check int64) "write updates" w (Table.read t ~key:5);
-  Alcotest.(check bool) "write changed value" true (not (Int64.equal before (Table.read t ~key:5)));
-  Alcotest.(check int) "write counted" 1 (Table.writes t);
-  Alcotest.(check int) "read counted" 1 (Table.reads t)
+  let t = Kv.memory ~n_records:100 () in
+  let before = record t 5 in
+  let rb = one (Txn.make ~op:Txn.Read ~key:5 ~value:0L ~client_id:1 ()) in
+  let r = Kv.read t rb in
+  Alcotest.(check string) "read returns value" (result_digest rb [ before ]) r.App.digest;
+  let wb = one ~id:1 (Txn.make ~key:5 ~value:42L ~client_id:1 ()) in
+  let w = Kv.apply t wb in
+  Alcotest.(check string) "write updates" (result_digest wb [ record t 5 ]) w.App.digest;
+  Alcotest.(check bool) "write changed value" true (not (Int64.equal before (record t 5)));
+  Alcotest.(check int) "write counted" 1 w.App.writes;
+  Alcotest.(check int) "read counted" 1 r.App.reads
 
 let test_order_sensitivity () =
   (* Execution order must be visible in the state: replicas that apply
      the same batches in different orders diverge (this is what the
      safety tests detect). *)
-  let t1 = Table.create ~n_records:100 () in
-  let t2 = Table.create ~n_records:100 () in
-  let a = Txn.make ~key:7 ~value:1L ~client_id:1 () in
-  let b = Txn.make ~key:7 ~value:2L ~client_id:1 () in
-  ignore (Table.apply t1 a);
-  ignore (Table.apply t1 b);
-  ignore (Table.apply t2 b);
-  ignore (Table.apply t2 a);
-  Alcotest.(check bool) "order matters" true
-    (not (Int64.equal (Table.read t1 ~key:7) (Table.read t2 ~key:7)))
+  let t1 = Kv.memory ~n_records:100 () in
+  let t2 = Kv.memory ~n_records:100 () in
+  let a = one ~id:1 (Txn.make ~key:7 ~value:1L ~client_id:1 ()) in
+  let b = one ~id:2 (Txn.make ~key:7 ~value:2L ~client_id:1 ()) in
+  ignore (Kv.apply t1 a);
+  ignore (Kv.apply t1 b);
+  ignore (Kv.apply t2 b);
+  ignore (Kv.apply t2 a);
+  Alcotest.(check bool) "order matters" true (not (Int64.equal (record t1 7) (record t2 7)))
 
 let test_deterministic_replay () =
-  let t1 = Table.create ~n_records:1000 () in
-  let t2 = Table.create ~n_records:1000 () in
+  let t1 = Kv.memory ~n_records:1000 () in
+  let t2 = Kv.memory ~n_records:1000 () in
   let w = Workload.create ~n_records:1000 ~seed:9 ~client_base:0 () in
-  let batches = Array.init 20 (fun _ -> Workload.next_batch_txns w ~batch_size:10) in
-  Array.iter (fun b -> ignore (Table.apply_batch t1 b)) batches;
-  Array.iter (fun b -> ignore (Table.apply_batch t2 b)) batches;
-  Alcotest.(check int64) "identical state after replay" (Table.quick_fingerprint t1)
-    (Table.quick_fingerprint t2)
+  let txns = Array.concat (List.init 20 (fun _ -> Workload.next_batch_txns w ~batch_size:10)) in
+  let batches = Array.mapi (fun id txn -> one ~id txn) txns in
+  Array.iter (fun b -> ignore (Kv.apply t1 b)) batches;
+  Array.iter (fun b -> ignore (Kv.apply t2 b)) batches;
+  Alcotest.(check string) "identical state after replay" (Kv.state_digest t1)
+    (Kv.state_digest t2)
 
 let test_workload_determinism () =
   let w1 = Workload.create ~n_records:1000 ~seed:5 ~client_base:0 () in
@@ -178,10 +196,10 @@ let prop_digest_changes_on_write =
   QCheck.Test.make ~name:"state digest changes on every write" ~count:30
     QCheck.(pair (int_bound 999) small_int)
     (fun (key, v) ->
-      let t = Table.create ~n_records:1000 () in
-      let d0 = Table.state_digest t in
-      ignore (Table.apply t (Txn.make ~key ~value:(Int64.of_int (v + 1)) ~client_id:0 ()));
-      not (String.equal d0 (Table.state_digest t)))
+      let t = Kv.memory ~n_records:1000 () in
+      let d0 = Kv.state_digest t in
+      ignore (Kv.apply t (one (Txn.make ~key ~value:(Int64.of_int (v + 1)) ~client_id:0 ())));
+      not (String.equal d0 (Kv.state_digest t)))
 
 let suite =
   [

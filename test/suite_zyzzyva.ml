@@ -42,7 +42,7 @@ let test_speculative_state_agreement () =
   let d, _ = run_small ~cfg () in
   Itest.check_state_agreement
     ~ledgers:(Array.init 8 (fun i -> Dep.ledger d ~replica:i))
-    ~tables:(Array.init 8 (fun i -> Dep.table d ~replica:i))
+    ~kvs:(Array.init 8 (fun i -> Dep.kv d ~replica:i))
     ()
 
 let test_slow_path_under_failure () =
