@@ -19,7 +19,10 @@ val channel_key : t -> a:int -> b:int -> Cmac.key
 val sign : t -> signer:int -> string -> Schnorr.signature
 
 val verify : t -> signer:int -> string -> Schnorr.signature -> bool
-(** False (rather than an exception) for out-of-range signer ids. *)
+(** False (rather than an exception) for out-of-range signer ids.
+    Recent verdicts are kept in a fixed-size table and replayed only
+    for the same signer, signature and payload bytes; a replay
+    allocates nothing. *)
 
 val mac : t -> src:int -> dst:int -> string -> string
 val verify_mac : t -> src:int -> dst:int -> string -> tag:string -> bool

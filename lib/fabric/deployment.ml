@@ -29,6 +29,7 @@ module Config = Rdb_types.Config
 module Ctx = Rdb_types.Ctx
 module Batch = Rdb_types.Batch
 module Txn = Rdb_types.Txn
+module App = Rdb_types.App
 module Protocol = Rdb_types.Protocol
 module Wire = Rdb_types.Wire
 module Ledger = Rdb_ledger.Ledger
@@ -84,6 +85,12 @@ module Make (P : Protocol.S) = struct
        payloads — the memory-friendly mode for long benchmark sweeps
        (a 60-replica run otherwise retains every batch 60 times). *)
     retain_payloads : bool;
+    (* The last state snapshot a replica served.  The serving replicas
+       of one state transfer mostly sit at one height with identical
+       state, so [Kv.snapshot ~share] hands each of them this string
+       instead of a fresh n_records * 8 byte copy.  Per deployment, not
+       global: sweeps run deployments on parallel domains. *)
+    mutable served : App.snapshot option;
   }
 
   let cfg t = t.cfg
@@ -171,9 +178,7 @@ module Make (P : Protocol.S) = struct
               Kv.height t.kvs.(node) = height && not (Batch.stripped batch)
             in
             let result = if apply then Some (Kv.apply t.kvs.(node) batch) else None in
-            let stored =
-              if t.retain_payloads then batch else { batch with Batch.txns = [||] }
-            in
+            let stored = if t.retain_payloads then batch else Batch.strip batch in
             ignore
               (Ledger.append ledger ~round:height ~cluster:batch.Batch.cluster ~batch:stored
                  ~cert);
@@ -202,7 +207,11 @@ module Make (P : Protocol.S) = struct
       (* With payloads retained, ledger replay rebuilds state for free;
          only the stripped configuration needs the state piggyback. *)
       if (not is_replica) || t.retain_payloads then None
-      else Some (Kv.snapshot t.kvs.(node))
+      else begin
+        let s = Kv.snapshot ?share:t.served t.kvs.(node) in
+        t.served <- Some s;
+        Some s
+      end
     in
     let app_restore snap =
       if is_replica then Kv.restore t.kvs.(node) snap
@@ -421,6 +430,7 @@ module Make (P : Protocol.S) = struct
         shard_of;
         tracer;
         retain_payloads;
+        served = None;
       }
     in
     t_ref := Some t;

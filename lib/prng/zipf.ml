@@ -5,9 +5,9 @@
    we expose the constant so both skewed and near-uniform workloads can
    be produced.
 
-   The sampler is O(1) per draw after O(n)-free closed-form setup (the
-   harmonic sums are computed incrementally with the standard zeta
-   approximation used by YCSB when n is large). *)
+   The sampler is O(1) per draw with YCSB's closed-form approximation.
+   Setting it up sums the n-term harmonic series exactly, which is O(n);
+   a sampler is immutable, so generators over one key space share it. *)
 
 type t = {
   n : int;
@@ -26,8 +26,8 @@ type t = {
 let exact_max_n = 64
 
 (* zeta(k, theta) = sum_{i=1..k} 1/i^theta.  Exact summation; for the
-   sizes we use (<= 600k records, computed once per workload) this is
-   fast enough and avoids approximation drift. *)
+   sizes we use (<= 600k records, built once per key space and domain)
+   this is fast enough and avoids approximation drift. *)
 let zeta k theta =
   let acc = ref 0. in
   for i = 1 to k do
@@ -35,7 +35,7 @@ let zeta k theta =
   done;
   !acc
 
-let create ?(theta = 0.99) n =
+let build ~theta n =
   if n <= 0 then invalid_arg "Zipf.create: n must be positive";
   if theta < 0. || theta >= 1. then invalid_arg "Zipf.create: theta must be in [0,1)";
   let zetan = zeta n theta in
@@ -61,6 +61,21 @@ let create ?(theta = 0.99) n =
     end
   in
   { n; theta; alpha; zetan; eta; zeta2theta; cum }
+
+(* The last sampler built on this domain.  Every client group of a
+   deployment asks for the same (n, theta), and building one sums n
+   powers; a sampler is immutable, so they all share it.  Per domain:
+   sweeps build deployments on parallel domains. *)
+let last : t option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
+
+let create ?(theta = 0.99) n =
+  let slot = Domain.DLS.get last in
+  match !slot with
+  | Some z when z.n = n && Float.equal z.theta theta -> z
+  | _ ->
+      let z = build ~theta n in
+      slot := Some z;
+      z
 
 let cardinality t = t.n
 

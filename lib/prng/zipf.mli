@@ -11,7 +11,9 @@ val create : ?theta:float -> int -> t
     For [n <= 64] the sampler uses an exact inverse-CDF table (the YCSB
     closed-form approximation drifts by up to ~13% per rank at those
     sizes); larger [n] keeps the O(1) approximation.  Both paths
-    consume exactly one RNG draw per sample.
+    consume exactly one RNG draw per sample.  Samplers are immutable;
+    a call with the same [n] and [theta] as the domain's previous one
+    returns that sampler instead of building another.
     @raise Invalid_argument unless [n > 0] and [0 <= theta < 1]. *)
 
 val cardinality : t -> int

@@ -40,6 +40,20 @@ let serialize_records (r : records) : string =
   done;
   Bytes.unsafe_to_string b
 
+(* [serialize_records r = state], decided in place: no allocation, and
+   the scan stops at the first record that differs. *)
+let records_match (r : records) (state : string) : bool =
+  let n = Bigarray.Array1.dim r in
+  String.length state = n * 8
+  &&
+  let i = ref 0 in
+  while
+    !i < n && Int64.equal (Bigarray.Array1.unsafe_get r !i) (String.get_int64_le state (!i * 8))
+  do
+    incr i
+  done;
+  !i = n
+
 let restore_records (r : records) (state : string) : unit =
   let n = Bigarray.Array1.dim r in
   if String.length state <> n * 8 then

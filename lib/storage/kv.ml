@@ -151,8 +151,18 @@ let read t b = run t b ~mutate:false
 (* SHA-256 over the full state; O(n). *)
 let state_digest t = Backend.digest_records t.records
 
-let snapshot t : App.snapshot =
-  { App.height = t.height; state = Backend.serialize_records t.records }
+(* With [share], a snapshot this Kv would serialize byte for byte (same
+   height, same records) is returned itself rather than rebuilt: the
+   serving replicas of one state transfer sit at the same height with
+   identical state, and each copy is n_records * 8 bytes.  The check is
+   one allocation-free pass that stops at the first differing record;
+   a diverged replica still ships its own state. *)
+let snapshot ?share t : App.snapshot =
+  match share with
+  | Some (s : App.snapshot)
+    when s.App.height = t.height && Backend.records_match t.records s.App.state ->
+      s
+  | _ -> { App.height = t.height; state = Backend.serialize_records t.records }
 
 (* Forward-ratchet only: a snapshot at or below the current height is
    ignored (a late state transfer must never rewind progress). *)

@@ -85,6 +85,11 @@ let read_only t =
    it cannot reproduce state transitions. *)
 let stripped t = t.id >= 0 && Array.length t.txns = 0
 
+(* The ledger copy of a batch under [retain_payloads:false].  The memo
+   goes too: it holds the original [txns] (and the keychain), so a
+   copy that kept it would pin the payload it was built to drop. *)
+let strip t = { t with txns = [||]; vmemo = None }
+
 (* Verify the client signature and digest integrity.  Replicas discard
    batches that fail this check (§2.1: "Replicas will discard any
    messages that are not well-formed ... or have invalid signatures"). *)

@@ -52,6 +52,11 @@ val stripped : t -> bool
 (** True iff this is a non-noop batch whose payload was dropped for
     ledger compactness: replaying it cannot reproduce state. *)
 
+val strip : t -> t
+(** A copy without transactions and without the verification memo, so
+    nothing in it keeps the original payload reachable.  For a non-noop
+    batch, {!stripped} holds of the result. *)
+
 val digest_of : id:int -> cluster:int -> origin:int -> txns:Txn.t array -> string
 (** The canonical digest (what {!create} signs). *)
 

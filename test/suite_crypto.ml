@@ -375,3 +375,51 @@ let suite =
   suite
   @ [ ("sha256 feed_bytes range check", `Quick, test_sha256_feed_bytes_range) ]
   @ qsuite [ prop_sha256_kernel_matches_reference ]
+
+(* The keychain's verification memo is bounded, allocates nothing on a
+   hit, and answers only for the exact (signer, payload, signature) it
+   verified: a tampered payload, signer or signature word is verified
+   afresh, however the memo is filled. *)
+let test_keychain_memo_exact () =
+  let kc = Keychain.create ~seed:"memo" ~n_nodes:4 in
+  let msg = "commit:0:1:2:digest" in
+  let sg : Schnorr.signature = Keychain.sign kc ~signer:1 msg in
+  let verify ?(signer = 1) ?(msg = msg) sg = Keychain.verify kc ~signer msg sg in
+  Alcotest.(check bool) "valid" true (verify sg);
+  Alcotest.(check bool) "valid, from the memo" true (verify sg);
+  Alcotest.(check bool) "valid, payload an equal copy" true
+    (verify ~msg:(Bytes.to_string (Bytes.of_string msg)) sg);
+  let tampered =
+    [
+      ("payload", fun () -> verify ~msg:"commit:0:1:3:digest" sg);
+      ("payload prefix", fun () -> verify ~msg:"commit:0:1:2:diges" sg);
+      ("signer", fun () -> verify ~signer:2 sg);
+      ("e", fun () -> verify { sg with e = Int64.succ sg.e });
+      ("s", fun () -> verify { sg with s = Int64.succ sg.s });
+      ("e sign bit", fun () -> verify { sg with e = Int64.logxor sg.e Int64.min_int });
+      ("s sign bit", fun () -> verify { sg with s = Int64.logxor sg.s Int64.min_int });
+    ]
+  in
+  List.iter (fun (what, f) -> Alcotest.(check bool) ("tampered " ^ what) false (f ())) tampered;
+  List.iter (fun (what, f) -> Alcotest.(check bool) ("again: " ^ what) false (f ())) tampered;
+  Alcotest.(check bool) "valid after the rejections" true (verify sg);
+  let warm = Sys.opaque_identity sg in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 100 do
+    ignore (Sys.opaque_identity (Keychain.verify kc ~signer:1 msg warm))
+  done;
+  Alcotest.(check int) "hits allocate nothing" 0 (int_of_float (Gc.minor_words () -. w0));
+  (* Far more distinct signatures than the memo holds, each with a
+     tampered twin, and each verdict still exact. *)
+  for i = 0 to 40_000 do
+    let m = Printf.sprintf "vote:%d" i in
+    let signer = i mod 4 in
+    let sg = Keychain.sign kc ~signer m in
+    if not (Keychain.verify kc ~signer m sg) then Alcotest.failf "vote %d rejected" i;
+    if Keychain.verify kc ~signer:((signer + 1) mod 4) m sg then
+      Alcotest.failf "vote %d accepted for another signer" i;
+    if Keychain.verify kc ~signer (m ^ "!") sg then Alcotest.failf "vote %d accepted tampered" i
+  done
+
+let suite =
+  suite @ [ ("keychain memo answers exact inputs only", `Quick, test_keychain_memo_exact) ]

@@ -8,6 +8,7 @@ module Report = Rdb_fabric.Report
 module Ledger = Rdb_ledger.Ledger
 module Block = Rdb_ledger.Block
 module Batch = Rdb_types.Batch
+module Kv = Rdb_storage.Kv
 module Dep = Rdb_fabric.Deployment.Make (Rdb_pbft.Replica)
 
 (* -- Metrics ---------------------------------------------------------------- *)
@@ -182,3 +183,47 @@ let suite =
     ("reproducibility", `Quick, test_cross_run_reproducibility_across_protocols);
     ("seed sensitivity", `Quick, test_different_seeds_differ);
   ]
+
+(* -- shared state-transfer snapshots ---------------------------------------- *)
+
+module App = Rdb_types.App
+module Interpose = Rdb_types.Interpose
+module Catchup = Rdb_recovery.Catchup
+
+(* A crashed replica rejoins a payload-stripped deployment by state
+   transfer.  The deployment keeps the last snapshot it served, so a
+   server at the same height as the previous one ships that physical
+   string, not a copy of its own. *)
+let test_state_transfer_shares_snapshots () =
+  let cfg = Config.make ~z:1 ~n:4 ~batch_size:20 ~client_inflight:8 ~seed:1 () in
+  let d = Dep.create ~n_records:10_000 ~retain_payloads:false cfg in
+  let served = ref [] in
+  let obtrude ~src:_ ~dst:_ m =
+    (match m with
+    | Rdb_pbft.Replica.Snapshot { suffix = { Catchup.state = Some s; _ }; _ } ->
+        served := s :: !served
+    | _ -> ());
+    Interpose.pass m
+  in
+  Dep.set_interposer d (Some { Interpose.obtrude; admit = (fun ~src:_ ~dst:_ _ -> true) });
+  Dep.at d ~time:(Time.ms 1200) (fun () -> Dep.crash_replica d 2);
+  Dep.at d ~time:(Time.ms 2400) (fun () -> Dep.recover_replica d 2);
+  ignore (Dep.run ~warmup:(Time.sec 1) ~measure:(Time.sec 3) d);
+  let served = List.rev !served in
+  let rec shared n = function
+    | (a : App.snapshot) :: (b :: _ as rest) ->
+        if a.height = b.height then begin
+          Alcotest.(check bool) (Printf.sprintf "height %d: the previous string" b.height) true
+            (a == b);
+          shared (n + 1) rest
+        end
+        else shared n rest
+    | _ -> n
+  in
+  Alcotest.(check bool) "some snapshot followed one at its height" true (shared 0 served > 0);
+  let top = List.fold_left (fun h (s : App.snapshot) -> max h s.height) 0 served in
+  Alcotest.(check bool) "the rejoined replica installed it" true
+    (Kv.height (Dep.kv d ~replica:2) >= top)
+
+let suite =
+  suite @ [ ("state transfer shares snapshots", `Quick, test_state_transfer_shares_snapshots) ]

@@ -695,3 +695,78 @@ let suite =
       test_disk_deployment_removes_scratch_store);
     QCheck_alcotest.to_alcotest prop_kv_matches_reference;
   ]
+
+(* -- shared snapshots ---------------------------------------------------------- *)
+
+(* Words [f ()] allocates, minor and major heap together.  The second
+   [Gc.counters] reads the counters before allocating its own result,
+   so the first call's result is the only overhead, the same on every
+   call: [allocated_words ignore] measures it. *)
+let allocated_words f =
+  let mi0, pr0, ma0 = Gc.counters () in
+  f ();
+  let mi1, pr1, ma1 = Gc.counters () in
+  int_of_float (mi1 -. mi0 +. (ma1 -. ma0) -. (pr1 -. pr0))
+
+(* Two replicas that applied the same blocks. *)
+let twin_kvs ~blocks =
+  let a = Kv.memory ~n_records () and b = Kv.memory ~n_records () in
+  for i = 0 to blocks - 1 do
+    ignore (Kv.apply a (write_batch i));
+    ignore (Kv.apply b (write_batch i))
+  done;
+  (a, b)
+
+let test_snapshot_share_only_identical () =
+  let a, b = twin_kvs ~blocks:4 in
+  let sa = Kv.snapshot a in
+  Alcotest.(check bool) "same height and records: the shared snapshot itself" true
+    (Kv.snapshot ~share:sa b == sa);
+  (* One record differs, at the first, a middle and the last index: a
+     fresh snapshot of this Kv's own state. *)
+  List.iter
+    (fun key ->
+      let _, c = twin_kvs ~blocks:4 in
+      let records = Kv.records c in
+      Bigarray.Array1.set records key (Int64.succ (Bigarray.Array1.get records key));
+      let sc = Kv.snapshot ~share:sa c in
+      let label = Printf.sprintf "record %d differs" key in
+      Alcotest.(check bool) (label ^ ": not shared") false (sc == sa);
+      Alcotest.(check int) (label ^ ": height") (Kv.height c) sc.App.height;
+      Alcotest.(check string) (label ^ ": own state") (Kv.snapshot c).App.state sc.App.state;
+      Alcotest.(check bool) (label ^ ": differs from the offer") false
+        (String.equal sc.App.state sa.App.state))
+    [ 0; n_records / 2; n_records - 1 ];
+  (* Same records, another height: fresh, at this Kv's height. *)
+  let d = Kv.memory ~n_records () in
+  Kv.restore d { sa with App.height = sa.App.height + 3 };
+  let sd = Kv.snapshot ~share:sa d in
+  Alcotest.(check bool) "height differs: not shared" false (sd == sa);
+  Alcotest.(check int) "height differs: own height" (sa.App.height + 3) sd.App.height;
+  Alcotest.(check string) "height differs: same records" sa.App.state sd.App.state;
+  (* An offer of another record count never matches. *)
+  let big = Kv.memory ~n_records:(n_records * 2) () in
+  let short = Kv.snapshot (Kv.memory ~n_records ()) in
+  Alcotest.(check int) "record count differs: own state"
+    (n_records * 2 * 8) (String.length (Kv.snapshot ~share:short big).App.state)
+
+let test_snapshot_share_allocates_nothing () =
+  (* 4096 records: the image (32 KiB) is allocated in the major heap,
+     so only a count over both heaps can see it. *)
+  let n_records = 4096 in
+  let a = Kv.memory ~n_records () and b = Kv.memory ~n_records () in
+  let share = Some (Kv.snapshot a) in
+  let overhead = allocated_words ignore in
+  Alcotest.(check int) "a sharing call" 0
+    (allocated_words (fun () -> ignore (Sys.opaque_identity (Kv.snapshot ?share b))) - overhead);
+  ignore (Kv.apply b (write_batch 0));
+  Alcotest.(check bool) "a call that cannot share builds the image" true
+    (allocated_words (fun () -> ignore (Sys.opaque_identity (Kv.snapshot ?share b))) - overhead
+    >= n_records)
+
+let suite =
+  suite
+  @ [
+      ("snapshot ~share only when identical", `Quick, test_snapshot_share_only_identical);
+      ("snapshot ~share allocates nothing", `Quick, test_snapshot_share_allocates_nothing);
+    ]

@@ -359,3 +359,22 @@ let test_commit_payload_bytes () =
     (Certificate.commit_payload ~cluster:0 ~view:0 ~seq:0 ~digest:"")
 
 let suite = suite @ [ ("commit payload bytes", `Quick, test_commit_payload_bytes) ]
+
+(* A stripped batch keeps nothing of its payload reachable: neither
+   through [txns] nor through the verification memo of the batch it
+   was copied from. *)
+let test_strip_releases_payload () =
+  let w = Weak.create 1 in
+  let strip_verified () =
+    let b = mk_batch () in
+    Alcotest.(check bool) "source verifies" true (Batch.verify ~keychain:(Lazy.force kc) b);
+    Weak.set w 0 (Some b.Batch.txns);
+    (Batch.strip b, b.Batch.digest)
+  in
+  let s, digest = (Sys.opaque_identity strip_verified) () in
+  Gc.full_major ();
+  Alcotest.(check bool) "source txns collected" false (Weak.check w 0);
+  Alcotest.(check bool) "stripped" true (Batch.stripped s);
+  Alcotest.(check string) "digest kept" digest s.Batch.digest
+
+let suite = suite @ [ ("strip releases the payload", `Quick, test_strip_releases_payload) ]

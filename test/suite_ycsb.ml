@@ -218,3 +218,41 @@ let suite =
     ("mixed workload determinism", `Quick, test_mixed_workload_determinism);
   ]
   @ List.map QCheck_alcotest.to_alcotest [ prop_digest_changes_on_write ]
+
+(* Client groups of one deployment share one Zipf sampler (the last
+   one built on the domain): every generator's stream is the same as
+   with a freshly built sampler of its own, however the groups
+   interleave. *)
+let test_shared_zipf_same_stream () =
+  let module Zipf = Rdb_prng.Zipf in
+  let z = Zipf.create 1000 in
+  Alcotest.(check bool) "same key space: the same sampler" true (z == Zipf.create 1000);
+  Alcotest.(check bool) "another constant: another sampler" false
+    (z == Zipf.create ~theta:0.5 1000);
+  Alcotest.(check bool) "another key count: another sampler" false (z == Zipf.create 999);
+  List.iter
+    (fun (read_fraction, scan_fraction) ->
+      let mk seed =
+        Workload.create ~n_records:1000 ~read_fraction ~scan_fraction ~seed
+          ~client_base:(seed * 10) ()
+      in
+      (* Building a sampler over another key count first forces a
+         fresh one for each of these. *)
+      let own =
+        Array.init 3 (fun g ->
+            ignore (Zipf.create 999);
+            mk (40 + g))
+      in
+      let shared = Array.init 3 (fun g -> mk (40 + g)) in
+      for round = 0 to 49 do
+        for g = 2 downto 0 do
+          let a = Workload.next_batch_txns own.(g) ~batch_size:7 in
+          let b = Workload.next_batch_txns shared.(g) ~batch_size:7 in
+          Alcotest.(check (array string))
+            (Printf.sprintf "r=%.1f s=%.1f group %d batch %d" read_fraction scan_fraction g round)
+            (Array.map Txn.serialize a) (Array.map Txn.serialize b)
+        done
+      done)
+    [ (0.0, 0.0); (0.5, 0.1) ]
+
+let suite = suite @ [ ("shared zipf, same stream", `Quick, test_shared_zipf_same_stream) ]
