@@ -1,26 +1,17 @@
-(* The benchmark harness: regenerates every table and figure of the
-   paper's evaluation (§4) and runs Bechamel micro-benchmarks of the
-   substrates.  All experiment grids are enumerated as Scenario.t
-   lists (the same lists `rdb_cli sweep` uses) and executed through
-   the multicore sweep engine.
+(* The bench harness: the exact regression gate over a fixed-seed
+   smoke matrix, and Bechamel micro-benchmarks of the substrates.  The
+   paper's tables and figures are run and printed by `rdb_cli sweep`
+   (and Table 1 by `rdb_cli matrix`).
 
    Usage:
-     dune exec bench/main.exe                 # everything (default windows)
-     dune exec bench/main.exe -- fig10        # one artifact
-     dune exec bench/main.exe -- fig12 fig13
-     dune exec bench/main.exe -- -j 8 all     # 8 worker domains
-     dune exec bench/main.exe -- --full all   # paper-length windows
-     dune exec bench/main.exe -- micro        # Bechamel micro-benchmarks
-
-   Artifacts: table1 table2 fig10 fig11 fig12 fig13 ablations micro.
-   EXPERIMENTS.md records the paper's reported values next to the
-   numbers these runs produce. *)
+     dune exec bench/main.exe -- --check bench/baseline.json   # the CI gate
+     dune exec bench/main.exe -- -j 2 --reps 1 --check bench/baseline.json
+     dune exec bench/main.exe -- --write-baseline bench/baseline.json
+     dune exec bench/main.exe -- micro        # Bechamel micro-benchmarks *)
 
 module Runner = Rdb_experiments.Runner
 module Scenario = Rdb_experiments.Scenario
-module Figures = Rdb_experiments.Figures
-module Tables = Rdb_experiments.Tables
-module Ablations = Rdb_experiments.Ablations
+module Matrices = Rdb_experiments.Matrices
 module Sweep = Rdb_sweep.Sweep
 module Config = Rdb_types.Config
 module Adversary = Rdb_adversary.Adversary
@@ -29,40 +20,21 @@ module Json = Rdb_fabric.Json
 
 let say fmt = Printf.printf fmt
 
-let jobs_ref = ref (Sweep.default_jobs ())
-
-(* Run one scenario grid through the sweep engine, failing loudly if
-   any scenario failed (bench grids contain no chaos faults, so a
-   failure is always a bug). *)
-let sweep scenarios = Sweep.reports_exn (Sweep.run ~jobs:!jobs_ref scenarios)
-
 (* -- machine-readable results (BENCH_results.json) ------------------------ *)
 
-(* Every artifact run is recorded as its wall time plus the labeled
-   deployment reports it produced, and the whole session is written to
+(* Each gate repetition is recorded as its wall time plus the labeled
+   deployment reports it produced, and the session is written to
    BENCH_results.json so the perf trajectory is diffable across PRs. *)
 type artifact = { a_name : string; a_wall_s : float; a_runs : (string * Report.t) list }
 
-let artifacts : artifact list ref = ref []
-
-let record name wall runs =
-  artifacts := { a_name = name; a_wall_s = wall; a_runs = runs } :: !artifacts
-
-let timed name ?(runs = fun _ -> []) f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  let wall = Unix.gettimeofday () -. t0 in
-  say "[%s done in %.1fs]\n%!" name wall;
-  record name wall (runs r);
-  r
-
-let write_results ~windows () =
+let write_results ~jobs artifacts =
+  let windows = Matrices.smoke_windows in
   let doc =
     Json.Obj
       [
         ("schema", Json.Int 2);
         ("generated_unix", Json.Float (Float.round (Unix.time ())));
-        ("jobs", Json.Int !jobs_ref);
+        ("jobs", Json.Int jobs);
         ( "windows",
           Json.Obj
             [
@@ -71,7 +43,7 @@ let write_results ~windows () =
             ] );
         ( "artifacts",
           Json.List
-            (List.rev_map
+            (List.map
                (fun a ->
                  Json.Obj
                    [
@@ -85,23 +57,21 @@ let write_results ~windows () =
                                 [ ("label", Json.String label); ("report", Report.to_json r) ])
                             a.a_runs) );
                    ])
-               !artifacts) );
+               artifacts) );
       ]
   in
   let oc = open_out "BENCH_results.json" in
   output_string oc (Json.to_string doc);
   close_out oc;
-  say "wrote BENCH_results.json (%d artifacts)\n%!" (List.length !artifacts)
+  say "wrote BENCH_results.json (%d artifacts)\n%!" (List.length artifacts)
 
-(* -- bench smoke + regression gate ----------------------------------------- *)
+(* -- regression gate --------------------------------------------------------- *)
 
-(* One small fixed-seed run per protocol.  The simulator is
-   deterministic, so for a given binary these numbers are exactly
-   reproducible, and the CI gate compares them against
+(* The gate's matrix: the z2 n4 smoke (Matrices.smoke, one small
+   fixed-seed run per protocol) plus four entries of its own.  The
+   simulator is deterministic, so for a given binary these numbers are
+   exactly reproducible, and the CI gate compares them against
    bench/baseline.json exactly. *)
-let smoke_windows = { Runner.warmup = Rdb_sim.Time.ms 500; measure = Rdb_sim.Time.ms 1500 }
-let smoke_cfg () = Config.make ~z:2 ~n:4 ~batch_size:50 ~client_inflight:16 ~seed:1 ()
-
 (* One adversary scenario rides along in the smoke matrix: a corrupted
    cluster-0 primary silencing its global shares toward remote
    clusters for most of the measured window.  GeoBFT absorbs it (f=1
@@ -115,15 +85,16 @@ let smoke_attack () =
   | None -> failwith "bench: unparseable smoke attack id"
 
 let smoke_scenarios () =
-  List.map (fun p -> Scenario.make ~windows:smoke_windows p (smoke_cfg ())) Runner.all_protocols
-  @ [ Scenario.make ~windows:smoke_windows ~attack:(smoke_attack ()) Scenario.Geobft (smoke_cfg ());
+  Matrices.smoke
+  @ [ Scenario.make ~windows:Matrices.smoke_windows ~attack:(smoke_attack ()) Scenario.Geobft
+        Matrices.smoke_cfg;
       (* The read-heavy entry pins the read-path consensus bypass: 50%
          of batches are point reads and 10% scans, served from replica
          state at f+1 matching result digests, so its throughput and
          latency move whenever the bypass (or the storage seam under
          it) changes cost. *)
-      Scenario.make ~windows:smoke_windows Scenario.Geobft
-        { (smoke_cfg ()) with Config.read_fraction = 0.5; scan_fraction = 0.1 };
+      Scenario.make ~windows:Matrices.smoke_windows Scenario.Geobft
+        { Matrices.smoke_cfg with Config.read_fraction = 0.5; scan_fraction = 0.1 };
       (* The large-topology entry pins the scaling work of DESIGN.md
          §17: 8 tiled regions, 31 replicas each, 16k aggregated
          clients — so pooled multicast fan-out, client-group ticks and
@@ -142,21 +113,7 @@ let smoke_scenarios () =
          that leave the planner room for faults. *)
       Scenario.make
         ~windows:{ Runner.warmup = Rdb_sim.Time.ms 1000; measure = Rdb_sim.Time.ms 4000 }
-        ~fault:(Scenario.Chaos 10) Scenario.Pbft (smoke_cfg ()) ]
-
-let smoke_runs () =
-  List.map
-    (fun ((s : Scenario.t), r) ->
-      say "  %s\n%!" (Report.to_string r);
-      (s, r))
-    (sweep (smoke_scenarios ()))
-
-let run_smoke () =
-  timed "smoke"
-    ~runs:(List.map (fun ((s : Scenario.t), r) -> (Scenario.proto_name s.Scenario.proto, r)))
-    (fun () ->
-      say "== bench smoke (z=2 n=4 batch=50, 0.5s + 1.5s) ==\n%!";
-      smoke_runs ())
+        ~fault:(Scenario.Chaos 10) Scenario.Pbft Matrices.smoke_cfg ]
 
 (* Baseline file: written by --write-baseline, committed as
    bench/baseline.json, checked by --check (the CI regression gate).
@@ -173,8 +130,9 @@ let digest_of (r : Report.t) =
 
 (* Traced runs: the digest is part of the baseline.  Tracing is
    observational — it never perturbs the simulated schedule. *)
-let traced_sweep scenarios =
-  sweep (List.map (fun (s : Scenario.t) -> { s with Scenario.trace = true }) scenarios)
+let traced_sweep ~jobs scenarios =
+  let traced = List.map (fun (s : Scenario.t) -> { s with Scenario.trace = true }) scenarios in
+  Sweep.reports_exn (Sweep.run ~jobs traced)
 
 let write_baseline path runs =
   let doc =
@@ -246,7 +204,7 @@ let parse_baseline path =
    (BENCH_results.json); they cannot disagree on simulated values.
    Re-baseline with:
      dune exec bench/main.exe -- --write-baseline bench/baseline.json *)
-let run_check ?(reps = 3) path =
+let run_check ~jobs ~reps path =
   let baseline = parse_baseline path in
   if baseline = [] then begin
     say "bench --check: no runs found in %s\n" path;
@@ -266,12 +224,17 @@ let run_check ?(reps = 3) path =
   let rep_runs =
     List.init reps (fun i ->
         let t0 = Unix.gettimeofday () in
-        let runs = traced_sweep (List.map (fun b -> b.b_scenario) baseline) in
-        say "  [rep %d/%d done in %.1fs]\n%!" (i + 1) reps (Unix.gettimeofday () -. t0);
-        record (Printf.sprintf "check-rep-%d" (i + 1)) (Unix.gettimeofday () -. t0)
-          (List.map (fun ((s : Scenario.t), r) -> (Scenario.to_string s, r)) runs);
-        runs)
+        let runs = traced_sweep ~jobs (List.map (fun b -> b.b_scenario) baseline) in
+        let wall = Unix.gettimeofday () -. t0 in
+        say "  [rep %d/%d done in %.1fs]\n%!" (i + 1) reps wall;
+        ( runs,
+          {
+            a_name = Printf.sprintf "check-rep-%d" (i + 1);
+            a_wall_s = wall;
+            a_runs = List.map (fun ((s : Scenario.t), r) -> (Scenario.to_string s, r)) runs;
+          } ))
   in
+  let artifacts = List.map snd rep_runs and rep_runs = List.map fst rep_runs in
   (* Trace digests, one line per scenario — uploaded as a CI artifact
      next to BENCH_results.json so digests are diffable across PRs. *)
   (match rep_runs with
@@ -307,7 +270,7 @@ let run_check ?(reps = 3) path =
           check id "digest_hex" ~base:b.b_digest ~got:digest ~same:(String.equal b.b_digest digest))
         rep_runs)
     baseline;
-  write_results ~windows:smoke_windows ();
+  write_results ~jobs artifacts;
   if !failures > 0 || missing <> [] then begin
     if !failures > 0 then say "bench --check: %d value(s) differ from the baseline\n" !failures;
     if missing <> [] then
@@ -454,113 +417,6 @@ let run_micro () =
         (Analyze.all ols Instance.monotonic_clock raw))
     (micro_tests ())
 
-(* -- experiment artifacts ------------------------------------------------------ *)
-
-let windows_ref = ref Runner.default_windows
-
-let figure_runs prefix rows =
-  List.map
-    (fun (r : Figures.row) ->
-      (Printf.sprintf "%s%s@%d" prefix (Runner.proto_name r.Figures.proto) r.Figures.x,
-       r.Figures.report))
-    rows
-
-let run_table1 () = timed "table1" (fun () -> Tables.Table1.print ())
-
-let run_table2 () =
-  timed "table2"
-    ~runs:(List.map (fun (p, report) -> (Runner.proto_name p, report)))
-    (fun () ->
-      let rows = Tables.Table2.rows_of_reports (sweep (Tables.Table2.scenarios ~windows:!windows_ref ())) in
-      Tables.Table2.print rows;
-      rows)
-
-let run_fig10 () =
-  timed "fig10" ~runs:(figure_runs "") (fun () ->
-      let rows = Figures.Fig10.rows_of_reports (sweep (Figures.Fig10.scenarios ~windows:!windows_ref ())) in
-      Figures.Fig10.print rows;
-      rows)
-
-let run_fig11 () =
-  timed "fig11" ~runs:(figure_runs "") (fun () ->
-      let rows = Figures.Fig11.rows_of_reports (sweep (Figures.Fig11.scenarios ~windows:!windows_ref ())) in
-      Figures.Fig11.print rows;
-      rows)
-
-let run_fig12 () =
-  timed "fig12"
-    ~runs:(fun (one, ff, pf) ->
-      figure_runs "one-failure:" one
-      @ figure_runs "f-failures:" ff
-      @ figure_runs "primary-failure:" pf)
-    (fun () ->
-      (* One sweep over all three panels: the engine interleaves them
-         across domains instead of three serial barriers. *)
-      let windows = !windows_ref in
-      let s_one = Figures.Fig12.scenarios_one_failure ~windows () in
-      let s_ff = Figures.Fig12.scenarios_f_failures ~windows () in
-      let s_pf = Figures.Fig12.scenarios_primary_failure ~windows () in
-      let results = sweep (s_one @ s_ff @ s_pf) in
-      let rec split k l =
-        if k = 0 then ([], l)
-        else
-          match l with
-          | [] -> invalid_arg "fig12 split"
-          | x :: rest ->
-              let a, b = split (k - 1) rest in
-              (x :: a, b)
-      in
-      let r_one, rest = split (List.length s_one) results in
-      let r_ff, r_pf = split (List.length s_ff) rest in
-      let one = Figures.Fig12.rows_of_reports r_one in
-      let ff = Figures.Fig12.rows_of_reports r_ff in
-      let pf = Figures.Fig12.rows_of_reports r_pf in
-      Figures.Fig12.print ~one ~ff ~pf;
-      (one, ff, pf))
-
-let run_ablations () =
-  timed "ablations"
-    ~runs:(fun (rows : Ablations.rows) ->
-      List.concat_map
-        (fun (r : Ablations.Fanout.row) ->
-          [
-            (Printf.sprintf "fanout:%s:healthy" r.Ablations.Fanout.label,
-             r.Ablations.Fanout.healthy);
-            (Printf.sprintf "fanout:%s:one-receiver-down" r.Ablations.Fanout.label,
-             r.Ablations.Fanout.one_receiver_down);
-          ])
-        rows.Ablations.fanout
-      @ List.map
-          (fun (r : Ablations.Pipeline.row) ->
-            (Printf.sprintf "pipeline:depth=%d" r.Ablations.Pipeline.depth,
-             r.Ablations.Pipeline.report))
-          rows.Ablations.pipeline
-      @ List.map
-          (fun (r : Ablations.Crypto_split.row) ->
-            (Printf.sprintf "crypto:%s" r.Ablations.Crypto_split.label,
-             r.Ablations.Crypto_split.report))
-          rows.Ablations.crypto_split
-      @ List.concat_map
-          (fun (r : Ablations.Threshold_certs.row) ->
-            [
-              (Printf.sprintf "certs:n=%d:plain" r.Ablations.Threshold_certs.n,
-               r.Ablations.Threshold_certs.plain);
-              (Printf.sprintf "certs:n=%d:threshold" r.Ablations.Threshold_certs.n,
-               r.Ablations.Threshold_certs.threshold);
-            ])
-          rows.Ablations.threshold_certs)
-    (fun () ->
-      let windows = !windows_ref in
-      let rows = Ablations.rows_of_reports ~windows (sweep (Ablations.scenarios ~windows ())) in
-      Ablations.print rows;
-      rows)
-
-let run_fig13 () =
-  timed "fig13" ~runs:(figure_runs "") (fun () ->
-      let rows = Figures.Fig13.rows_of_reports (sweep (Figures.Fig13.scenarios ~windows:!windows_ref ())) in
-      Figures.Fig13.print rows;
-      rows)
-
 (* Pull "--flag PATH" out of an argument list; returns (value, rest). *)
 let rec take_flag flag = function
   | [] -> (None, [])
@@ -569,65 +425,35 @@ let rec take_flag flag = function
       let v, rest = take_flag flag rest in
       (v, a :: rest)
 
+let usage () =
+  say
+    "usage: main.exe [-j N] [--reps N] --check BASELINE | [-j N] --write-baseline BASELINE | \
+     micro\n\
+     (the paper's tables and figures: resilientdb-cli sweep MATRIX, resilientdb-cli matrix)\n";
+  exit 2
+
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
-  let full = List.mem "--full" args in
-  if full then windows_ref := Runner.full_windows;
-  let args = List.filter (fun a -> a <> "--full") args in
-  (match take_flag "-j" args with
-  | Some j, _ -> (
-      match int_of_string_opt j with
-      | Some j when j >= 1 -> jobs_ref := j
-      | _ ->
-          say "-j expects a positive integer\n";
-          exit 2)
-  | None, _ -> ());
-  let _, args = take_flag "-j" args in
-  let reps_flag, args = take_flag "--reps" args in
-  let reps =
-    match reps_flag with
-    | None -> 3
-    | Some r -> (
-        match int_of_string_opt r with
-        | Some r when r >= 1 -> r
+  let positive flag = function
+    | None -> None
+    | Some v -> (
+        match int_of_string_opt v with
+        | Some v when v >= 1 -> Some v
         | _ ->
-            say "--reps expects a positive integer\n";
+            say "%s expects a positive integer\n" flag;
             exit 2)
   in
+  let jobs, args = take_flag "-j" args in
+  let jobs = Option.value (positive "-j" jobs) ~default:(Sweep.default_jobs ()) in
+  let reps, args = take_flag "--reps" args in
+  let reps = Option.value (positive "--reps" reps) ~default:3 in
   let check_path, args = take_flag "--check" args in
   let baseline_path, args = take_flag "--write-baseline" args in
-  (match (check_path, baseline_path) with
-  | Some path, _ ->
+  match (check_path, baseline_path, args) with
+  | Some path, None, [] ->
       (* CI regression gate: [reps] fresh runs of the baseline's
          scenarios must reproduce the committed values exactly. *)
-      run_check ~reps path;
-      exit 0
-  | None, Some path ->
-      write_baseline path (traced_sweep (smoke_scenarios ()));
-      exit 0
-  | None, None -> ());
-  let targets =
-    if args = [] || List.mem "all" args then
-      [ "table1"; "table2"; "fig10"; "fig11"; "fig12"; "fig13"; "ablations"; "micro" ]
-    else args
-  in
-  say "ResilientDB/GeoBFT evaluation harness (windows: warmup %.0fs + measure %.0fs, %d worker domain%s)\n%!"
-    (Rdb_sim.Time.to_sec_f !windows_ref.Runner.warmup)
-    (Rdb_sim.Time.to_sec_f !windows_ref.Runner.measure)
-    !jobs_ref
-    (if !jobs_ref = 1 then "" else "s")
-  ;
-  List.iter
-    (function
-      | "table1" -> run_table1 ()
-      | "table2" -> ignore (run_table2 ())
-      | "fig10" -> ignore (run_fig10 ())
-      | "fig11" -> ignore (run_fig11 ())
-      | "fig12" -> ignore (run_fig12 ())
-      | "fig13" -> ignore (run_fig13 ())
-      | "ablations" -> ignore (run_ablations ())
-      | "micro" -> timed "micro" run_micro
-      | "smoke" -> ignore (run_smoke ())
-      | other -> say "unknown target %S (expected table1 table2 fig10..fig13 smoke micro)\n" other)
-    targets;
-  write_results ~windows:!windows_ref ()
+      run_check ~jobs ~reps path
+  | None, Some path, [] -> write_baseline path (traced_sweep ~jobs (smoke_scenarios ()))
+  | None, None, [ "micro" ] -> run_micro ()
+  | _ -> usage ()

@@ -4,18 +4,18 @@
      resilientdb-cli run --protocol geobft --clusters 4 --replicas 7
      resilientdb-cli run -p pbft -z 6 -n 10 --batch 200 --measure 30
      resilientdb-cli run -p geobft -z 2 -n 4 --fault primary
-     resilientdb-cli sweep fig10 fig11 -j 8 --out results.json
+     resilientdb-cli sweep fig13 -j 8             # run and print Figure 13
+     resilientdb-cli sweep table2 fig10 --out results.json
      resilientdb-cli sweep --smoke -j 2           # the CI smoke matrix
      resilientdb-cli sweep all --full -j 16       # paper-length windows
      resilientdb-cli sweep --scenario "geobft z4 n7 b100 i64 seed1 w1000+4000"
-     resilientdb-cli matrix            # print the Table 1 calibration *)
+     resilientdb-cli matrix            # print Table 1 *)
 
 open Cmdliner
 module Runner = Resilientdb.Experiments.Runner
 module Scenario = Resilientdb.Scenario
 module Sweep = Resilientdb.Sweep
-module Figures = Resilientdb.Experiments.Figures
-module Ablations = Resilientdb.Experiments.Ablations
+module Matrices = Resilientdb.Experiments.Matrices
 module Config = Resilientdb.Config
 module Time = Resilientdb.Time
 module Report = Resilientdb.Report
@@ -158,63 +158,15 @@ let run_cmd =
 
 (* -- sweep ----------------------------------------------------------------- *)
 
-(* The CI smoke matrix: one small fixed-seed traced run per protocol,
-   on the same z2 n4 deployment as the first five entries of the bench
-   smoke (bench/main.ml), which adds attack, read-heavy, z8 n31 and
-   chaos entries. *)
-let smoke_scenarios () =
-  let windows = { Scenario.warmup = Time.ms 500; measure = Time.ms 1500 } in
-  let cfg = Config.make ~z:2 ~n:4 ~batch_size:50 ~client_inflight:16 ~seed:1 () in
-  List.map (fun p -> Scenario.make ~windows ~trace:true p cfg) Scenario.all_protocols
-
-(* The chaos validation matrix: every protocol absorbs its seeded
-   fault envelope with the invariant monitor armed (same deployments
-   as test/chaos_sweep.ml). *)
-let chaos_scenarios ~seeds () =
-  let windows = { Scenario.warmup = Time.sec 1; measure = Time.sec 11 } in
-  let cfg = Config.make ~z:2 ~n:4 ~batch_size:20 ~client_inflight:8 ~seed:1 () in
-  List.concat_map
-    (fun p -> List.map (fun seed -> Scenario.make ~windows ~fault:(Scenario.Chaos seed) p cfg) seeds)
-    Scenario.all_protocols
-
-let matrix_names = [ "smoke"; "fig10"; "fig11"; "fig12"; "fig13"; "ablations"; "table2"; "chaos"; "all" ]
-
-let rec matrix_scenarios ~windows ~seeds = function
-  | "smoke" -> Ok (smoke_scenarios ())
-  | "fig10" -> Ok (Figures.Fig10.scenarios ~windows ())
-  | "fig11" ->
-      (* Paper grid first, then the scale extension (n to 100+, z to 32
-         tiled regions with 1.6M aggregated clients). *)
-      Ok (Figures.Fig11.scenarios ~windows () @ Figures.Fig11.scale_scenarios ~windows ())
-  | "fig12" ->
-      Ok
-        (Figures.Fig12.scenarios_one_failure ~windows ()
-        @ Figures.Fig12.scenarios_f_failures ~windows ()
-        @ Figures.Fig12.scenarios_primary_failure ~windows ()
-        @ Figures.Fig12.scale_scenarios ~windows ())
-  | "fig13" -> Ok (Figures.Fig13.scenarios ~windows ())
-  | "ablations" -> Ok (Ablations.scenarios ~windows ())
-  | "table2" -> Ok (Resilientdb.Experiments.Tables.Table2.scenarios ~windows ())
-  | "chaos" -> Ok (chaos_scenarios ~seeds ())
-  | "all" ->
-      Ok
-        (List.concat_map
-           (fun m ->
-             match matrix_scenarios ~windows ~seeds m with Ok l -> l | Error _ -> [])
-           [ "fig10"; "fig11"; "fig12"; "fig13"; "ablations"; "table2" ])
-  | other ->
-      Error
-        (Printf.sprintf "unknown matrix %S (expected one of: %s, or --scenario ID)" other
-           (String.concat " " matrix_names))
-
 let sweep_cmd =
   let matrices =
     Arg.(value & pos_all string []
          & info [] ~docv:"MATRIX"
              ~doc:
                (Printf.sprintf
-                  "Scenario matrices to sweep: %s.  Combine freely with --scenario."
-                  (String.concat ", " matrix_names)))
+                  "Scenario matrices to sweep: %s.  After the sweep, each matrix that has a \
+                   paper table prints it.  Combine freely with --scenario."
+                  (String.concat ", " Matrices.names)))
   in
   let smoke =
     Arg.(value & flag
@@ -263,28 +215,28 @@ let sweep_cmd =
   let go matrices smoke jobs full trace out scenario_ids seeds =
     let windows = if full then Scenario.full_windows else Scenario.default_windows in
     let seeds =
-      match String.split_on_char '-' (String.trim seeds) with
-      | [ one ] when int_of_string_opt one <> None -> [ int_of_string one ]
-      | [ lo; hi ] -> (
-          match (int_of_string_opt lo, int_of_string_opt hi) with
-          | Some lo, Some hi when lo <= hi -> List.init (hi - lo + 1) (fun i -> lo + i)
-          | _ -> prerr_endline "--seeds must be LO-HI"; exit 2)
-      | _ -> prerr_endline "--seeds must be LO-HI"; exit 2
+      match Matrices.seed_range seeds with
+      | Some seeds -> seeds
+      | None -> prerr_endline "--seeds must be LO-HI"; exit 2
     in
     let matrices = if smoke then "smoke" :: matrices else matrices in
     if matrices = [] && scenario_ids = [] then begin
       Printf.eprintf "nothing to sweep: name a matrix (%s) or pass --scenario ID\n"
-        (String.concat ", " matrix_names);
+        (String.concat ", " Matrices.names);
       exit 2
     end;
-    let from_matrices =
+    let matrices =
       List.concat_map
         (fun m ->
-          match matrix_scenarios ~windows ~seeds m with
-          | Ok l -> l
-          | Error msg -> prerr_endline msg; exit 2)
+          match Matrices.expand ~windows ~seeds m with
+          | Some ms -> ms
+          | None ->
+              Printf.eprintf "unknown matrix %S (expected one of: %s, or --scenario ID)\n" m
+                (String.concat " " Matrices.names);
+              exit 2)
         matrices
     in
+    let from_matrices = List.concat_map (fun (m : Matrices.t) -> m.Matrices.scenarios) matrices in
     let explicit =
       List.map
         (fun id ->
@@ -314,6 +266,21 @@ let sweep_cmd =
     in
     let results = Sweep.run ~jobs ~on_done scenarios in
     let wall = Unix.gettimeofday () -. t0 in
+    (* Each matrix's paper table, from its slice of the ordered
+       results; a slice with a failed run prints none. *)
+    let rec print_tables results = function
+      | [] -> ()
+      | (m : Matrices.t) :: ms ->
+          let k = List.length m.Matrices.scenarios in
+          let slice = List.filteri (fun i _ -> i < k) results in
+          (match m.Matrices.print with
+          | Some print
+            when List.for_all (fun (r : Sweep.result) -> Result.is_ok r.Sweep.outcome) slice ->
+              print (Sweep.reports_exn slice)
+          | _ -> ());
+          print_tables (List.filteri (fun i _ -> i >= k) results) ms
+    in
+    print_tables results matrices;
     let failures =
       List.filter_map
         (fun (r : Sweep.result) ->
@@ -357,9 +324,12 @@ let sweep_cmd =
     term
 
 let matrix_cmd =
-  let go () = Resilientdb.Experiments.Tables.Table1.print_configured () in
+  let go () = Resilientdb.Experiments.Tables.Table1.print () in
   Cmd.v
-    (Cmd.info "matrix" ~doc:"Print the Table 1 latency/bandwidth calibration matrix.")
+    (Cmd.info "matrix"
+       ~doc:
+         "Print Table 1: the configured inter-region RTT and bandwidth matrices, then the \
+          same two measured inside the simulator.")
     Term.(const go $ const ())
 
 (* -- check and attack -------------------------------------------------------- *)

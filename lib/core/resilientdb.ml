@@ -121,4 +121,5 @@ module Experiments = struct
   module Figures = Rdb_experiments.Figures
   module Tables = Rdb_experiments.Tables
   module Ablations = Rdb_experiments.Ablations
+  module Matrices = Rdb_experiments.Matrices
 end

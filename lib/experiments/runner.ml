@@ -12,12 +12,13 @@ module Report = Rdb_fabric.Report
 module Ledger = Rdb_ledger.Ledger
 module Chaos = Rdb_chaos.Chaos
 module Adversary = Rdb_adversary.Adversary
+module Deployment = Rdb_fabric.Deployment
 
-module GeoDep = Rdb_fabric.Deployment.Make (Rdb_geobft.Replica)
-module PbftDep = Rdb_fabric.Deployment.Make (Rdb_pbft.Replica)
-module ZyzDep = Rdb_fabric.Deployment.Make (Rdb_zyzzyva.Replica)
-module HsDep = Rdb_fabric.Deployment.Make (Rdb_hotstuff.Replica)
-module StwDep = Rdb_fabric.Deployment.Make (Rdb_steward.Replica)
+module GeoDep = Deployment.Make (Rdb_geobft.Replica)
+module PbftDep = Deployment.Make (Rdb_pbft.Replica)
+module ZyzDep = Deployment.Make (Rdb_zyzzyva.Replica)
+module HsDep = Deployment.Make (Rdb_hotstuff.Replica)
+module StwDep = Deployment.Make (Rdb_steward.Replica)
 
 (* The scenario vocabulary (protocols, faults, windows) lives in
    {!Scenario}; re-exported here with type equations so existing code
@@ -42,42 +43,6 @@ type windows = Scenario.windows = { warmup : Time.t; measure : Time.t }
 
 let default_windows = Scenario.default_windows
 let full_windows = Scenario.full_windows
-
-(* The slice of the deployment interface the runner needs, as a named
-   module type so the protocol dispatch can use first-class modules. *)
-module type DEP = sig
-  type t
-  type msg
-
-  val create :
-    ?tracer:Rdb_trace.Trace.t ->
-    ?n_records:int ->
-    ?retain_payloads:bool ->
-    ?sharded:bool ->
-    ?store_dir:string ->
-    Config.t ->
-    t
-
-  val close : t -> unit
-  val run : ?warmup:Time.t -> ?measure:Time.t -> ?jobs:int -> t -> Report.t
-  val crash_replica : t -> int -> unit
-  val recover_replica : t -> int -> unit
-  val crash_primary : t -> cluster:int -> unit
-  val crash_f_per_cluster : t -> unit
-  val partition_clusters : t -> ca:int -> cb:int -> unit
-  val heal_clusters : t -> ca:int -> cb:int -> unit
-  val sever_link : t -> src:int -> dst:int -> unit
-  val restore_link : t -> src:int -> dst:int -> unit
-  val set_link_loss : t -> src:int -> dst:int -> p:float -> unit
-  val set_link_dup : t -> src:int -> dst:int -> p:float -> unit
-  val ledger : t -> replica:int -> Ledger.t
-  val engine : t -> Engine.t
-  val at : t -> time:Time.t -> (unit -> unit) -> unit
-  val set_delivery_hook : t -> Rdb_sim.Network.delivery_hook option -> unit
-  val keychain : t -> Keychain.t
-  val adversary_view : msg Interpose.view
-  val set_interposer : t -> msg Interpose.t option -> unit
-end
 
 (* -- chaos wiring ------------------------------------------------------ *)
 
@@ -229,7 +194,7 @@ let adversary_profile (p : proto) (cfg : Config.t) : Adversary.caps =
    the fault; healing must come through Figure 7's remote view change
    or the lib/recovery round-fetch path once the window closes. *)
 let adversary_runtime (type a m)
-    (module D : DEP with type t = a and type msg = m) (d : a)
+    (module D : Deployment.S with type t = a and type msg = m) (d : a)
     (cfg : Config.t) : m Adversary.Runtime.t =
   Adversary.Runtime.create ~view:D.adversary_view ~keychain:(D.keychain d)
     ~now:(fun () -> Engine.now (D.engine d))
@@ -251,7 +216,7 @@ let chaos_equiv rt (cfg : Config.t) =
       Adversary.Runtime.clear rt ~name:("chaos-equiv-" ^ string_of_int cluster)
   )
 
-let chaos_surface (type a) (module D : DEP with type t = a) (d : a)
+let chaos_surface (type a) (module D : Deployment.S with type t = a) (d : a)
     (cfg : Config.t) ~caps ~agreement ~equiv : Chaos.surface =
   {
     Chaos.z = cfg.Config.z;
@@ -279,7 +244,7 @@ let chaos_surface (type a) (module D : DEP with type t = a) (d : a)
    timeline is a pure function of (cfg, protocol, seed) and the
    simulation itself consumes exactly the stream it would without
    chaos. *)
-let chaos_plan (type a) (module D : DEP with type t = a) (d : a) (p : proto)
+let chaos_plan (type a) (module D : Deployment.S with type t = a) (d : a) (p : proto)
     ~(windows : windows) ~seed (cfg : Config.t) ~equiv =
   let seed = if seed >= 0 then seed else cfg.Config.seed in
   let caps, agreement, liveness_window_ms = chaos_profile p cfg in
@@ -306,7 +271,7 @@ type instrument = {
 
 let exec ?instrument ?attack ?(sharded = true) (p : proto) ~(windows : windows)
     ~(fault : fault) ~tracer (cfg : Config.t) : Report.t =
-  let go : type a m. (module DEP with type t = a and type msg = m) -> Report.t =
+  let go : type a m. (module Deployment.S with type t = a and type msg = m) -> Report.t =
    fun (module D) ->
     (* Experiments sweep many large deployments: keep ledgers compact,
        and shrink the per-replica YCSB table once the topology is large
@@ -404,7 +369,7 @@ let run_instrumented ?tracer ~install (s : Scenario.t) : Report.t =
 let chaos_timeline (p : proto) ?(windows = default_windows) ~seed
     (cfg : Config.t) : Chaos.timeline =
   let go : type a m.
-      (module DEP with type t = a and type msg = m) -> Chaos.timeline =
+      (module Deployment.S with type t = a and type msg = m) -> Chaos.timeline =
    fun (module D) ->
     (* Planning happens before the first simulated event, and YCSB
        table population never touches the engine RNG, so a tiny table

@@ -39,7 +39,9 @@ module Backend = Rdb_storage.Backend
 
 (* What travels on the simulated wire: the protocol payload plus the
    receiver-side verification cost declared by the sender. *)
-type 'm packet = { payload : 'm; vcost : Time.t }
+type 'm packet = 'm Deployment_intf.packet = { payload : 'm; vcost : Time.t }
+
+module type S = Deployment_intf.S
 
 let rec rm_rf path =
   if Sys.file_exists path then
@@ -51,6 +53,8 @@ let rec rm_rf path =
 
 module Make (P : Protocol.S) = struct
   type msg = P.msg
+  type replica = P.replica
+  type client = P.client
   type node_kind = Replica of P.replica | Client of P.client
 
   type client_driver = {

@@ -19,10 +19,7 @@
      and time it out if it censors them);
    - no-op proposals for GeoBFT rounds (§2.5);
    - an externally-triggered view change, the hook GeoBFT's remote
-     view-change protocol needs (§2.3, Figure 7, line 17);
-   - Byzantine hooks for tests: a tamper function can drop or rewrite
-     any outgoing message (silent primaries, equivocation, partial
-     sends — Example 2.4's faulty-primary cases).
+     view-change protocol needs (§2.3, Figure 7, line 17).
 
    In-order delivery: [on_committed] fires in strictly increasing
    sequence order regardless of commit arrival order. *)
@@ -89,7 +86,6 @@ type t = {
       (* fired when a commit arrives so far past [next_emit] that the
          acceptance window already dropped it: the group has moved on
          and only a state transfer can bring this replica back *)
-  mutable tamper : (dst:int -> msg -> msg option) option;
   mutable n_view_changes : int;            (* completed view changes (metric) *)
   mutable deferred : (int * msg) list;     (* messages from views ahead of ours *)
 }
@@ -141,12 +137,10 @@ let create ~(ctx : msg Ctx.t) ~members ~cluster ?window ?checkpoint_every
     on_committed;
     on_view_change;
     on_behind = None;
-    tamper = None;
     n_view_changes = 0;
     deferred = [];
   }
 
-let set_tamper t fn = t.tamper <- fn
 let set_on_behind t fn = t.on_behind <- fn
 
 (* -- basic accessors --------------------------------------------------- *)
@@ -220,11 +214,7 @@ let vcost_of t m =
 (* -- sending ------------------------------------------------------------ *)
 
 let send_to t ~dst_local m =
-  let m' = match t.tamper with None -> Some m | Some fn -> fn ~dst:dst_local m in
-  match m' with
-  | None -> ()
-  | Some m ->
-      Ctx.send t.ctx ~dst:t.members.(dst_local) ~size:(size_of t m) ~vcost:(vcost_of t m) m
+  Ctx.send t.ctx ~dst:t.members.(dst_local) ~size:(size_of t m) ~vcost:(vcost_of t m) m
 
 (* Broadcast to all other members; the caller handles its own copy
    directly (self-delivery never crosses the network). *)
@@ -235,19 +225,11 @@ let broadcast t m =
   t.ctx.Ctx.charge ~stage:Cpu.Misc
     ~cost:(Time.of_us_f ((cfg t).Config.costs.Config.mac_us *. float_of_int (t.n - 1)))
     (fun () -> ());
-  match t.tamper with
-  | Some _ ->
-      (* Byzantine senders rewrite per destination: the pooled path
-         cannot represent that, so fall back to one send per member. *)
-      for i = 0 to t.n - 1 do
-        if i <> t.me then send_to t ~dst_local:i m
-      done
-  | None ->
-      let dsts = ref [] in
-      for i = t.n - 1 downto 0 do
-        if i <> t.me then dsts := t.members.(i) :: !dsts
-      done;
-      Ctx.multicast t.ctx ~dsts:!dsts ~size:(size_of t m) ~vcost:(vcost_of t m) m
+  let dsts = ref [] in
+  for i = t.n - 1 downto 0 do
+    if i <> t.me then dsts := t.members.(i) :: !dsts
+  done;
+  Ctx.multicast t.ctx ~dsts:!dsts ~size:(size_of t m) ~vcost:(vcost_of t m) m
 
 (* -- progress timer ------------------------------------------------------ *)
 

@@ -96,13 +96,6 @@ val on_recover : t -> unit
 (** After a crash-recover: revive the (silently dropped) progress
     timer and reset the censorship back-off. *)
 
-(** {1 Byzantine test hooks} *)
-
-val set_tamper : t -> (dst:int -> Messages.msg -> Messages.msg option) option -> unit
-(** Intercept every outgoing message: [None] drops it, [Some m']
-    replaces it — silent primaries, equivocation, partial sends
-    (Example 2.4's faulty primaries). *)
-
 val set_on_behind : t -> (seq:int -> unit) option -> unit
 (** [set_on_behind t (Some f)] — call [f ~seq] whenever a commit
     message arrives for a sequence number so far past this replica's

@@ -12,14 +12,10 @@
    CHAOS_SEEDS=1-16) for the wider validation sweep, and CHAOS_JOBS=N
    to override the worker-domain count. *)
 
-module Config = Rdb_types.Config
-module Time = Rdb_sim.Time
 module Scenario = Rdb_experiments.Scenario
+module Matrices = Rdb_experiments.Matrices
 module Sweep = Rdb_sweep.Sweep
 module Report = Rdb_fabric.Report
-
-let cfg () = Config.make ~z:2 ~n:4 ~batch_size:20 ~client_inflight:8 ~seed:1 ()
-let windows = { Scenario.warmup = Time.sec 1; measure = Time.sec 11 }
 
 (* Seeds every protocol runs.  HotStuff additionally runs
    [hotstuff_extra]: the seeds whose crash/link-outage timelines used
@@ -33,13 +29,9 @@ let seeds () =
   match Sys.getenv_opt "CHAOS_SEEDS" with
   | None -> [ 1; 2; 3; 4 ]
   | Some s -> (
-      match String.split_on_char '-' (String.trim s) with
-      | [ lo; hi ] -> (
-          match (int_of_string_opt lo, int_of_string_opt hi) with
-          | Some lo, Some hi when lo <= hi -> List.init (hi - lo + 1) (fun i -> lo + i)
-          | _ -> failwith "CHAOS_SEEDS must be LO-HI")
-      | [ one ] -> [ int_of_string one ]
-      | _ -> failwith "CHAOS_SEEDS must be LO-HI")
+      match Matrices.seed_range s with
+      | Some seeds -> seeds
+      | None -> failwith "CHAOS_SEEDS must be LO-HI")
 
 let () =
   let seeds = seeds () in
@@ -48,14 +40,7 @@ let () =
     if (not explicit_range) && proto = Scenario.Hotstuff then seeds @ hotstuff_extra
     else seeds
   in
-  let scenarios =
-    List.concat_map
-      (fun proto ->
-        List.map
-          (fun seed -> Scenario.make ~windows ~fault:(Scenario.Chaos seed) proto (cfg ()))
-          (seeds_for proto))
-      Scenario.all_protocols
-  in
+  let scenarios = Matrices.chaos ~seeds:seeds_for in
   let jobs =
     match Option.bind (Sys.getenv_opt "CHAOS_JOBS") int_of_string_opt with
     | Some j when j >= 1 -> j

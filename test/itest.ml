@@ -55,6 +55,18 @@ let check_state_agreement ~ledgers ~kvs () =
     done
   done
 
+(* Corrupt replica [actor] of deployment [d] for the whole run: one
+   adversary rule, installed at the deployment's send/receive
+   interposition hook like every attack and chaos equivocation. *)
+let corrupt (type d m) (module D : Rdb_fabric.Deployment.S with type t = d and type msg = m)
+    (d : d) ~actor prim =
+  let rt =
+    Rdb_adversary.Adversary.Runtime.create ~view:D.adversary_view ~keychain:(D.keychain d)
+      ~now:(fun () -> Rdb_sim.Engine.now (D.engine d))
+      ~n:(D.cfg d).Config.n ~install:(D.set_interposer d)
+  in
+  Rdb_adversary.Adversary.(Runtime.set rt ~name:"test" [ always ~actor prim ])
+
 (* -- the failure drill, with teeth -------------------------------------- *)
 
 module GeoDep = Rdb_fabric.Deployment.Make (Rdb_geobft.Replica)

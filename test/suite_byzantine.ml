@@ -4,7 +4,7 @@
    - a full inter-cluster partition stalls GeoBFT's round execution
      (safety over liveness) and recovery is immediate once the
      partition heals — CAP in action (§2.1's bounded-delay caveat);
-   - a primary that garbles batches (equivocation via tampering) in the
+   - a primary that equivocates (conflicting pre-prepares) in the
      *first* cluster of a GeoBFT deployment is deposed locally without
      remote help;
    - Pbft survives cascading primary failures (two crashes in a row);
@@ -14,8 +14,6 @@
 module Config = Rdb_types.Config
 module Time = Rdb_sim.Time
 module Ledger = Rdb_ledger.Ledger
-module Batch = Rdb_types.Batch
-module Engine = Rdb_pbft.Engine
 module PbftMsg = Rdb_pbft.Messages
 module GeoDep = Rdb_fabric.Deployment.Make (Rdb_geobft.Replica)
 module PbftDep = Rdb_fabric.Deployment.Make (Rdb_pbft.Replica)
@@ -60,26 +58,7 @@ let test_geobft_local_equivocation_deposed () =
      continue. *)
   let cfg = Itest.small_cfg ~z:2 ~n:4 ~inflight:2 () in
   let d = GeoDep.create ~n_records:Itest.records cfg in
-  let e0 = Rdb_geobft.Replica.engine (GeoDep.replica d 0) in
-  let forged = ref None in
-  Engine.set_tamper e0
-    (Some
-       (fun ~dst m ->
-         match m with
-         | PbftMsg.Preprepare { view; seq; batch = _ } when dst mod 2 = 1 ->
-             let b =
-               match !forged with
-               | Some b -> b
-               | None ->
-                   let b =
-                     Batch.noop ~keychain:(GeoDep.keychain d) ~cluster:0 ~origin:0
-                       ~created:Time.zero ~nonce:991
-                   in
-                   forged := Some b;
-                   b
-             in
-             Some (PbftMsg.Preprepare { view; seq; batch = b })
-         | m -> Some m));
+  Itest.corrupt (module GeoDep) d ~actor:0 Rdb_adversary.Adversary.Equivocate;
   let report = GeoDep.run ~warmup:(Time.sec 1) ~measure:(Time.sec 8) d in
   Alcotest.(check bool) "equivocator deposed" true (GeoDep.view_changes d > 0);
   Alcotest.(check bool) "rounds continue" true (report.Rdb_fabric.Report.completed_txns > 0);
@@ -110,14 +89,21 @@ let test_pbft_byzantine_prepare_flood () =
      normally. *)
   let cfg = Itest.small_cfg ~z:1 ~n:8 () in
   let d = PbftDep.create ~n_records:Itest.records cfg in
-  let e = Rdb_pbft.Replica.engine (PbftDep.replica d 7) in
-  Engine.set_tamper e
+  (* No adversary primitive rewrites a vote, so the test installs its
+     own interposer: replica 7's prepares leave with a bogus digest. *)
+  let bogus = function
+    | Rdb_pbft.Replica.Engine_msg (PbftMsg.Prepare { view; seq; digest = _ }) ->
+        Rdb_pbft.Replica.Engine_msg
+          (PbftMsg.Prepare { view; seq; digest = "bogus-digest-of-32-bytes........" })
+    | m -> m
+  in
+  PbftDep.set_interposer d
     (Some
-       (fun ~dst:_ m ->
-         match m with
-         | PbftMsg.Prepare { view; seq; digest = _ } ->
-             Some (PbftMsg.Prepare { view; seq; digest = "bogus-digest-of-32-bytes........" })
-         | m -> Some m));
+       {
+         Rdb_types.Interpose.obtrude =
+           (fun ~src ~dst:_ m -> Rdb_types.Interpose.pass (if src = 7 then bogus m else m));
+         admit = (fun ~src:_ ~dst:_ _ -> true);
+       });
   let report = PbftDep.run ~warmup:(Time.sec 1) ~measure:(Time.sec 3) d in
   Alcotest.(check bool) "commits despite bogus votes" true
     (report.Rdb_fabric.Report.completed_txns > 0);

@@ -78,6 +78,37 @@ let test_geobft_global_traffic_scales_with_fanout () =
   Alcotest.(check bool) "broadcast fan-out costs more global traffic" true
     (Report.global_msgs_per_decision broadcast > Report.global_msgs_per_decision paper +. 0.5)
 
+(* The matrix registry behind `rdb_cli sweep`: every listed name
+   expands, "all" is exactly its eight evaluation matrices in order
+   (the nightly and EXPERIMENTS.md rely on that order), and the paper
+   grids carry no scale rows. *)
+let test_named_matrices () =
+  let module M = Rdb_experiments.Matrices in
+  let expand name =
+    match M.expand ~windows:tiny ~seeds:[ 1; 2 ] name with
+    | Some ms -> ms
+    | None -> Alcotest.failf "matrix %s does not expand" name
+  in
+  let ids ms =
+    List.concat_map (fun (m : M.t) -> List.map Scenario.to_string m.M.scenarios) ms
+  in
+  List.iter
+    (fun name ->
+      if ids (expand name) = [] then Alcotest.failf "matrix %s is empty" name)
+    M.names;
+  let members =
+    [ "fig10"; "fig11"; "fig11-scale"; "fig12"; "fig12-scale"; "fig13"; "ablations"; "table2" ]
+  in
+  Alcotest.(check (list string)) "all = their scenarios in order"
+    (ids (List.concat_map expand members)) (ids (expand "all"));
+  Alcotest.(check (list string)) "fig11 is the paper grid"
+    (List.map Scenario.to_string (Figures.Fig11.scenarios ~windows:tiny ()))
+    (ids (expand "fig11"));
+  Alcotest.(check bool) "unknown matrix" true (M.expand ~windows:tiny ~seeds:[] "fig9" = None);
+  Alcotest.(check int) "chaos = protocols x seeds" 10 (List.length (ids (expand "chaos")));
+  Alcotest.(check (option (list int))) "seed range" (Some [ 3; 4; 5 ]) (M.seed_range "3-5");
+  Alcotest.(check (option (list int))) "bad seed range" None (M.seed_range "5-3")
+
 let suite =
   [
     ("protocol parsing", `Quick, test_proto_parsing);
@@ -87,4 +118,5 @@ let suite =
     ("runner fault dispatch", `Slow, test_runner_fault_dispatch);
     ("geobft >= pbft at small scale", `Quick, test_geobft_vs_pbft_at_small_scale);
     ("fan-out ablation mechanism", `Quick, test_geobft_global_traffic_scales_with_fanout);
+    ("named matrices", `Quick, test_named_matrices);
   ]

@@ -105,35 +105,15 @@ let test_too_many_failures_halt () =
 
 let test_equivocating_primary_detected () =
   (* The primary sends conflicting preprepares to odd and even
-     replicas: backups must detect the equivocation (conflicting
-     digests in one view/seq slot) and depose it. *)
+     replicas (a validly signed no-op in the same slot): backups must
+     detect the equivocation (conflicting digests in one view/seq
+     slot) and depose it. *)
   let cfg = Itest.small_cfg ~z:1 ~n:4 ~inflight:2 () in
   let d = Dep.create ~n_records:Itest.records cfg in
-  let primary_engine = Rdb_pbft.Replica.engine (Dep.replica d 0) in
-  let forged = ref None in
-  Engine.set_tamper primary_engine
-    (Some
-       (fun ~dst m ->
-         match m with
-         | Messages.Preprepare { view; seq; batch = _ } when dst mod 2 = 1 ->
-             (* Replace the batch for odd-indexed replicas. *)
-             let b =
-               match !forged with
-               | Some b -> b
-               | None ->
-                   let b =
-                     Batch.noop ~keychain:(Dep.keychain d) ~cluster:0 ~origin:0
-                       ~created:Time.zero ~nonce:4242
-                   in
-                   forged := Some b;
-                   b
-             in
-             Some (Messages.Preprepare { view; seq; batch = b })
-         | m -> Some m));
+  Itest.corrupt (module Dep) d ~actor:0 Rdb_adversary.Adversary.Equivocate;
   let _report = Dep.run ~warmup:(Time.sec 1) ~measure:(Time.sec 5) d in
   (* The view change deposes the equivocator, after which progress
-     resumes under the new primary (which stops tampering since only
-     replica 0's engine is wrapped). *)
+     resumes under the new primary (only replica 0 is corrupt). *)
   Alcotest.(check bool) "view change deposed equivocator" true (Dep.view_changes d > 0);
   let ledgers = Array.init 4 (fun i -> Dep.ledger d ~replica:i) in
   Itest.check_ledger_prefixes ~min_len:1 ~ledgers ()
@@ -143,9 +123,9 @@ let test_censoring_primary_recovers () =
      replaced by the censorship timers. *)
   let cfg = Itest.small_cfg ~z:1 ~n:4 ~inflight:2 () in
   let d = Dep.create ~n_records:Itest.records cfg in
-  let primary_engine = Rdb_pbft.Replica.engine (Dep.replica d 0) in
-  Engine.set_tamper primary_engine
-    (Some (fun ~dst:_ m -> match m with Messages.Preprepare _ -> None | m -> Some m));
+  Itest.corrupt (module Dep) d ~actor:0
+    (Rdb_adversary.Adversary.Silence
+       { cls = Some Rdb_types.Interpose.Proposal; dst = Rdb_adversary.Adversary.Everyone });
   let report = Dep.run ~warmup:(Time.sec 1) ~measure:(Time.sec 6) d in
   Alcotest.(check bool) "silent primary deposed" true (Dep.view_changes d > 0);
   Alcotest.(check bool) "progress after deposition" true
