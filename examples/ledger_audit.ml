@@ -15,10 +15,18 @@
    4. replicas compare YCSB state digests, demonstrating deterministic
       execution.
 
+   Exits 1 if any verdict is not the expected one, so it doubles as an
+   end-to-end check of the ledger and its certificates.
+
      dune exec examples/ledger_audit.exe *)
 
 open Resilientdb
 module Dep = Deployment.Make (Geobft)
+
+let unexpected = ref []
+
+(* Record [what] as unexpected unless [got] is [want]. *)
+let expect what ~want got = if got <> want then unexpected := what :: !unexpected
 
 let () =
   print_endline "== Ledger audit & recovery ==\n";
@@ -33,8 +41,10 @@ let () =
   Printf.printf "replica 0 ledger: %d blocks, %d txns, tip %s...\n" (Ledger.length ledger)
     (Ledger.txn_count ledger)
     (String.sub (Hex.of_string (Ledger.tip_hash ledger)) 0 16);
+  let audit = Ledger.verify_certified ledger ~keychain ~quorum in
+  expect "full audit" ~want:true audit;
   Printf.printf "full audit (hash links + client sigs + %d-signature certificates): %b\n\n" quorum
-    (Ledger.verify_certified ledger ~keychain ~quorum);
+    audit;
 
   (* 2. A malicious replica rewrites history. *)
   let victim = Dep.ledger d ~replica:1 in
@@ -47,7 +57,9 @@ let () =
   in
   Printf.printf "replica 1 maliciously replaces block 3 with a forged batch...\n";
   Ledger.tamper_for_test victim ~height:3 ~batch:forged;
-  Printf.printf "structural audit of replica 1 now fails: %b\n" (Ledger.verify victim);
+  let tampered = Ledger.verify victim in
+  expect "tampered chain audit" ~want:false tampered;
+  Printf.printf "structural audit of replica 1 now fails: %b\n" tampered;
   (* Find exactly where the chain breaks. *)
   let break_at = ref (-1) in
   (try
@@ -58,6 +70,7 @@ let () =
        end
      done
    with Exit -> ());
+  expect "first invalid height" ~want:3 !break_at;
   Printf.printf "first invalid block: height %d (the tampered one)\n\n" !break_at;
 
   (* 3. Recovery: replica 1 discards its corrupt suffix and re-reads it
@@ -79,9 +92,12 @@ let () =
         (Ledger.append rebuilt ~round:b.Block.height ~cluster:b.Block.cluster ~batch:b.Block.batch
            ~cert:b.Block.cert))
     suffix;
-  Printf.printf "rebuilt ledger verifies: %b; matches replica 0's chain: %b\n\n"
-    (Ledger.verify_certified rebuilt ~keychain ~quorum)
-    (Ledger.is_prefix_of rebuilt ledger || Ledger.is_prefix_of ledger rebuilt);
+  let rebuilt_ok = Ledger.verify_certified rebuilt ~keychain ~quorum in
+  let matches = Ledger.is_prefix_of rebuilt ledger || Ledger.is_prefix_of ledger rebuilt in
+  expect "rebuilt ledger audit" ~want:true rebuilt_ok;
+  expect "rebuilt ledger matches replica 0" ~want:true matches;
+  Printf.printf "rebuilt ledger verifies: %b; matches replica 0's chain: %b\n\n" rebuilt_ok
+    matches;
 
   (* 4. Deterministic execution: identical state digests wherever the
      same prefix was executed.  The run was stopped mid-flight, so one
@@ -105,5 +121,12 @@ let () =
         (String.sub (Hex.of_string di) 0 16)
         j
         (String.sub (Hex.of_string dj) 0 16);
+      expect "state digests identical" ~want:true (String.equal di dj);
       Printf.printf "identical: %b (deterministic execution)\n" (String.equal di dj)
-  | None -> print_endline "no two replicas stopped at the same height (all within a block of each other)")
+  | None ->
+      print_endline
+        "no two replicas stopped at the same height (all within a block of each other)");
+  if !unexpected <> [] then begin
+    Printf.printf "\nunexpected verdicts: %s\n" (String.concat ", " (List.rev !unexpected));
+    exit 1
+  end

@@ -100,10 +100,6 @@ let scan_certificates (s : Scenario.t) (surface : Chaos.surface) : violation opt
          match (Ledger.get led h).Block.cert with
          | None -> ()
          | Some c ->
-             let signers =
-               List.sort_uniq compare
-                 (List.map (fun cs -> cs.Certificate.replica) c.Certificate.commits)
-             in
              (match quorum with
              | Some q when Certificate.n_signatures c < q ->
                  record "certificate-quorum"
@@ -112,7 +108,7 @@ let scan_certificates (s : Scenario.t) (surface : Chaos.surface) : violation opt
                        signatures, quorum is %d"
                       r h c.Certificate.cluster c.Certificate.seq (Certificate.n_signatures c) q)
              | _ -> ());
-             if List.length signers <> Certificate.n_signatures c then
+             if not (Certificate.distinct_signers c) then
                record "certificate-signers"
                  (Printf.sprintf
                     "replica %d height %d: certificate for (cluster %d, round %d) has duplicate \

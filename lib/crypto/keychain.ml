@@ -30,9 +30,11 @@ type t = {
      other and 3-5% more signatures are verified again.)  A hit
      compares every verification input (signer, both signature words,
      the payload bytes) without allocating, so a tampered payload or a
-     forged signature is never answered from the table. *)
+     forged signature is never answered from the table.  The signature
+     words are copied into [v_sig] rather than the record kept, so the
+     table pins no signature record (nor its two boxed words). *)
   v_signer : int array; (* -1: empty slot *)
-  v_sig : Schnorr.signature array;
+  v_sig : Bytes.t; (* per slot: [e], [s] as little-endian int64s *)
   v_msg : string array;
   v_ok : bool array;
   v_next : int array; (* per set: the way the next miss replaces *)
@@ -52,7 +54,7 @@ let create ~seed ~n_nodes =
     publics;
     channel_keys = Array.make (n_nodes * n_nodes) None;
     v_signer = Array.make vcache_slots (-1);
-    v_sig = Array.make vcache_slots { Schnorr.e = 0L; s = 0L };
+    v_sig = Bytes.make (16 * vcache_slots) '\000';
     v_msg = Array.make vcache_slots "";
     v_ok = Array.make vcache_slots false;
     v_next = Array.make vcache_sets 0;
@@ -92,9 +94,10 @@ let verify t ~signer msg (sg : Schnorr.signature) =
   let hit = ref (-1) and w = ref 0 in
   while !hit < 0 && !w < vcache_ways do
     let i = base + !w in
-    let c = t.v_sig.(i) in
     if
-      t.v_signer.(i) = signer && Int64.equal c.e sg.e && Int64.equal c.s sg.s
+      t.v_signer.(i) = signer
+      && Int64.equal (Bytes.get_int64_le t.v_sig (16 * i)) sg.e
+      && Int64.equal (Bytes.get_int64_le t.v_sig ((16 * i) + 8)) sg.s
       && String.equal t.v_msg.(i) msg
     then hit := i;
     incr w
@@ -107,7 +110,8 @@ let verify t ~signer msg (sg : Schnorr.signature) =
     t.v_next.(set) <- (way + 1) land (vcache_ways - 1);
     let i = base + way in
     t.v_signer.(i) <- signer;
-    t.v_sig.(i) <- sg;
+    Bytes.set_int64_le t.v_sig (16 * i) sg.e;
+    Bytes.set_int64_le t.v_sig ((16 * i) + 8) sg.s;
     t.v_msg.(i) <- msg;
     t.v_ok.(i) <- ok;
     ok

@@ -95,18 +95,22 @@ let verify (pk : public_key) (msg : string) (sg : signature) : bool =
     challenge ~r:r' ~msg = e
   end
 
-(* Wire encoding: 16 bytes (e, s as little-endian int64s). *)
+(* Wire encoding: 16 bytes, [e] then [s], each a little-endian int64
+   written whole, so a forged word (out of range, sign bit set) reads
+   back exactly. *)
+let signature_bytes = 16
+
+let write_signature (b : Bytes.t) off (sg : signature) =
+  Bytes.set_int64_le b off sg.e;
+  Bytes.set_int64_le b (off + 8) sg.s
+
+let read_signature (s : string) off : signature =
+  { e = String.get_int64_le s off; s = String.get_int64_le s (off + 8) }
+
 let signature_to_string (sg : signature) : string =
-  int_to_le_bytes (Int64.to_int sg.e) ^ int_to_le_bytes (Int64.to_int sg.s)
+  let b = Bytes.create signature_bytes in
+  write_signature b 0 sg;
+  Bytes.unsafe_to_string b
 
 let signature_of_string (s : string) : signature option =
-  if String.length s <> 16 then None
-  else
-    let rd off =
-      let acc = ref 0L in
-      for i = 7 downto 0 do
-        acc := Int64.logor (Int64.shift_left !acc 8) (Int64.of_int (Char.code s.[off + i]))
-      done;
-      !acc
-    in
-    Some { e = rd 0; s = rd 8 }
+  if String.length s <> signature_bytes then None else Some (read_signature s 0)

@@ -23,7 +23,21 @@ val sign : secret_key -> string -> signature
 
 val verify : public_key -> string -> signature -> bool
 
+val signature_bytes : int
+(** Length of the wire encoding: 16. *)
+
 val signature_to_string : signature -> string
-(** 16-byte wire encoding. *)
+(** 16-byte wire encoding: [e] then [s], each a little-endian int64.
+    Every word round-trips exactly, including out-of-range words and
+    words with the sign bit set. *)
 
 val signature_of_string : string -> signature option
+(** [None] unless the string is exactly {!signature_bytes} long. *)
+
+val write_signature : Bytes.t -> int -> signature -> unit
+(** [write_signature b off sg] writes the wire encoding of [sg] at
+    [b.[off]] .. [b.[off + 15]]. *)
+
+val read_signature : string -> int -> signature
+(** [read_signature s off] decodes the wire encoding at [s.[off]].
+    @raise Invalid_argument if fewer than 16 bytes remain. *)

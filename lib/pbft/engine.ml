@@ -55,6 +55,7 @@ type vc_vote = { v_last_stable : int; v_prepared : prepared_proof list }
 type t = {
   ctx : msg Ctx.t;
   members : int array;                     (* global node ids; index = local id *)
+  by_signer : int array;                   (* local ids in ascending global id *)
   cluster : int;
   me : int;                                (* local index into members *)
   n : int;
@@ -109,6 +110,10 @@ let create ~(ctx : msg Ctx.t) ~members ~cluster ?window ?checkpoint_every
   {
     ctx;
     members;
+    by_signer =
+      (let ids = Array.init n Fun.id in
+       Array.sort (fun a b -> Int.compare members.(a) members.(b)) ids;
+       ids);
     cluster;
     me = local_index_of members ctx.Ctx.id;
     n;
@@ -230,6 +235,12 @@ let broadcast t m =
     if i <> t.me then dsts := t.members.(i) :: !dsts
   done;
   Ctx.multicast t.ctx ~dsts:!dsts ~size:(size_of t m) ~vcost:(vcost_of t m) m
+
+(* Garbage-collect every slot and checkpoint vote at or below a stable
+   checkpoint [seq]. *)
+let collect_below t ~seq =
+  Hashtbl.filter_map_inplace (fun s slot -> if s <= seq then None else Some slot) t.slots;
+  Hashtbl.filter_map_inplace (fun s votes -> if s <= seq then None else Some votes) t.checkpoints
 
 (* -- progress timer ------------------------------------------------------ *)
 
@@ -510,21 +521,18 @@ and emit_ready t =
             s.emitted <- true;
             t.ctx.Ctx.phase ~key:s.seq ~name:"commit";
             t.chain <- Rdb_crypto.Sha256.digest_list [ t.chain; d ];
-            (* Assemble the commit certificate: n − f matching signed
-               commits, deterministically ordered. *)
-            let entries =
-              Hashtbl.fold
-                (fun local (v, d', sg) acc ->
-                  if String.equal d d' && v = s.sview then
-                    { Certificate.replica = t.members.(local); signature = sg } :: acc
-                  else acc)
-                s.commits []
-              |> List.sort (fun a b -> compare a.Certificate.replica b.Certificate.replica)
-            in
-            let entries = List.filteri (fun i _ -> i < t.quorum) entries in
+            (* Assemble the commit certificate: the n − f lowest
+               signers among the matching signed commits. *)
             let cert =
-              Certificate.make ~cluster:t.cluster ~view:s.sview ~seq:s.seq ~digest:d
-                ~commits:entries
+              Certificate.collect ~cluster:t.cluster ~view:s.sview ~seq:s.seq ~digest:d
+                ~max:t.quorum (fun add ->
+                  Array.iter
+                    (fun local ->
+                      match Hashtbl.find_opt s.commits local with
+                      | Some (v, d', sg) when v = s.sview && String.equal d d' ->
+                          add ~replica:t.members.(local) sg
+                      | _ -> ())
+                    t.by_signer)
             in
             Hashtbl.remove t.forwarded d;
             Hashtbl.remove t.pending_digests d;
@@ -571,11 +579,7 @@ and handle_checkpoint t ~src_local ~seq ~state_digest =
       (* Record the quorum digest: the anchor a checkpoint state
          transfer serves and verifies against. *)
       Hashtbl.iter (fun d c -> if c >= t.quorum then t.stable_digest <- d) counts;
-      (* Garbage-collect everything at or below the stable checkpoint. *)
-      Hashtbl.iter (fun s _ -> if s <= seq then Hashtbl.remove t.slots s) (Hashtbl.copy t.slots);
-      Hashtbl.iter
-        (fun s _ -> if s <= seq then Hashtbl.remove t.checkpoints s)
-        (Hashtbl.copy t.checkpoints)
+      collect_below t ~seq
     end
   end
 
@@ -802,10 +806,7 @@ let install_checkpoint t ~seq ~digest =
   if seq > t.low_water && seq < t.next_emit then begin
     t.low_water <- seq;
     t.stable_digest <- digest;
-    Hashtbl.iter (fun s _ -> if s <= seq then Hashtbl.remove t.slots s) (Hashtbl.copy t.slots);
-    Hashtbl.iter
-      (fun s _ -> if s <= seq then Hashtbl.remove t.checkpoints s)
-      (Hashtbl.copy t.checkpoints)
+    collect_below t ~seq
   end
 
 (* Adopt the view the rest of the group is in, learned from f+1

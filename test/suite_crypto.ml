@@ -423,3 +423,25 @@ let test_keychain_memo_exact () =
 
 let suite =
   suite @ [ ("keychain memo answers exact inputs only", `Quick, test_keychain_memo_exact) ]
+
+(* The keychain's verdict table copies the two signature words, so a
+   signature it verified is not kept alive by the table.  The keychain
+   itself stays live: it is used again after the collection. *)
+let test_keychain_memo_releases_signatures () =
+  let kc = Keychain.create ~seed:"weak" ~n_nodes:4 in
+  let w = Weak.create 1 in
+  let verify_fresh () =
+    let sg = Keychain.sign kc ~signer:2 "commit:0:0:9:d" in
+    Alcotest.(check bool) "verifies" true (Keychain.verify kc ~signer:2 "commit:0:0:9:d" sg);
+    Weak.set w 0 (Some sg)
+  in
+  (Sys.opaque_identity verify_fresh) ();
+  Gc.full_major ();
+  Alcotest.(check bool) "signature collected" false (Weak.check w 0);
+  let sg = Keychain.sign kc ~signer:2 "commit:0:0:9:d" in
+  Alcotest.(check bool) "an equal signature still verifies" true
+    (Keychain.verify kc ~signer:2 "commit:0:0:9:d" sg)
+
+let suite =
+  suite
+  @ [ ("keychain memo releases signatures", `Quick, test_keychain_memo_releases_signatures) ]

@@ -227,3 +227,24 @@ let test_state_transfer_shares_snapshots () =
 
 let suite =
   suite @ [ ("state transfer shares snapshots", `Quick, test_state_transfer_shares_snapshots) ]
+
+(* -- ledger memory ------------------------------------------------------------ *)
+
+(* The exact live size of every replica's ledger on a small
+   payload-stripped deployment.  A stripped block is its record, its
+   batch's identity and its commit certificate, so this pins the
+   certificate layout; the words move only when what a ledger keeps
+   does. *)
+let test_ledger_words_pinned () =
+  let cfg = Config.make ~z:1 ~n:4 ~batch_size:20 ~client_inflight:8 ~seed:1 () in
+  let d = Dep.create ~n_records:10_000 ~retain_payloads:false cfg in
+  ignore (Dep.run ~warmup:(Time.ms 300) ~measure:(Time.ms 500) d);
+  let ledgers = Array.init (Config.n_replicas cfg) (fun replica -> Dep.ledger d ~replica) in
+  let blocks = Array.fold_left (fun acc l -> acc + Ledger.length l) 0 ledgers in
+  let words = Obj.reachable_words (Obj.repr ledgers) in
+  Alcotest.(check int) "blocks" 9911 blocks;
+  (* 43.9 words per block; 593,746 (59.9 per block) with a
+     [commit_sig list] per certificate. *)
+  Alcotest.(check int) "reachable words" 435_161 words
+
+let suite = suite @ [ ("ledger words pinned", `Quick, test_ledger_words_pinned) ]

@@ -10,6 +10,7 @@ module Ctx = Rdb_types.Ctx
 module Wire = Rdb_types.Wire
 module Client_core = Rdb_types.Client_core
 module Keychain = Rdb_crypto.Keychain
+module Schnorr = Rdb_crypto.Schnorr
 module Engine = Rdb_sim.Engine
 module Time = Rdb_sim.Time
 
@@ -378,3 +379,89 @@ let test_strip_releases_payload () =
   Alcotest.(check string) "digest kept" digest s.Batch.digest
 
 let suite = suite @ [ ("strip releases the payload", `Quick, test_strip_releases_payload) ]
+
+(* -- Flat certificates --------------------------------------------------------- *)
+
+(* Signature words a forger can put on the wire: the sign bit, values
+   at and above the group order, both extremes. *)
+let odd_words =
+  [ Int64.min_int; -1L; Int64.max_int; 0L; 0x2000_0000_0000_0000L; 0x1fff_ffff_ffff_ffffL ]
+
+let test_certificate_round_trip () =
+  let commits =
+    List.concat
+      (List.mapi
+         (fun i e ->
+           List.mapi
+             (fun j s ->
+               { Certificate.replica = (i * 100) + j - 3; signature = { Schnorr.e; s } })
+             odd_words)
+         odd_words)
+  in
+  let cert = Certificate.make ~cluster:1 ~view:2 ~seq:3 ~digest:"d" ~commits in
+  Alcotest.(check int) "n_signatures" (List.length commits) (Certificate.n_signatures cert);
+  let same (a : Certificate.commit_sig) (b : Certificate.commit_sig) =
+    a.replica = b.replica && Int64.equal a.signature.e b.signature.e
+    && Int64.equal a.signature.s b.signature.s
+  in
+  Alcotest.(check bool) "every signer and word back exactly" true
+    (List.for_all2 same commits (Certificate.commits cert));
+  let sg = { Schnorr.e = Int64.min_int; s = -1L } in
+  Alcotest.(check bool) "wire encoding round-trips the sign bit" true
+    (Schnorr.signature_of_string (Schnorr.signature_to_string sg) = Some sg)
+
+let test_certificate_verdicts () =
+  let kc = Lazy.force kc in
+  let cert = mk_cert ~signers:[ 4; 0; 3; 1; 2 ] "d" in
+  Alcotest.(check bool) "valid, any input order" true
+    (Certificate.verify ~keychain:kc ~quorum:5 cert);
+  let base = Certificate.commits cert in
+  let edit k f =
+    Certificate.make ~cluster:0 ~view:0 ~seq:7 ~digest:"d"
+      ~commits:(List.mapi (fun i c -> if i = k then f c else c) base)
+  in
+  let forge k f = edit k (fun c -> { c with Certificate.signature = f c.Certificate.signature }) in
+  let rejected =
+    [
+      ("tampered signer", edit 2 (fun c -> { c with Certificate.replica = 7 }));
+      ("tampered e", forge 1 (fun sg -> { sg with Schnorr.e = Int64.succ sg.e }));
+      ("tampered s", forge 3 (fun sg -> { sg with Schnorr.s = Int64.succ sg.s }));
+      ("e sign bit", forge 0 (fun sg -> { sg with Schnorr.e = Int64.logxor sg.e Int64.min_int }));
+      ("s sign bit", forge 4 (fun sg -> { sg with Schnorr.s = Int64.logxor sg.s Int64.min_int }));
+      ("duplicate signer", edit 4 (fun _ -> List.nth base 3));
+      ( "below quorum",
+        Certificate.make ~cluster:0 ~view:0 ~seq:7 ~digest:"d"
+          ~commits:(List.filteri (fun i _ -> i < 4) base) );
+    ]
+  in
+  List.iter
+    (fun (what, c) ->
+      Alcotest.(check bool) what false (Certificate.verify ~keychain:kc ~quorum:5 c);
+      Alcotest.(check bool) (what ^ ", again") false (Certificate.verify ~keychain:kc ~quorum:5 c))
+    rejected;
+  Alcotest.(check bool) "original still valid" true (Certificate.verify ~keychain:kc ~quorum:5 cert)
+
+(* 3 words per signer plus the record and the string header: a
+   19-signer certificate, as a 28-replica Pbft ledger block holds. *)
+let test_certificate_size () =
+  let kc19 = Keychain.create ~seed:"size" ~n_nodes:28 in
+  let payload = Certificate.commit_payload ~cluster:0 ~view:0 ~seq:1 ~digest:"dd" in
+  let commits =
+    List.init 19 (fun r ->
+        { Certificate.replica = r; signature = Keychain.sign kc19 ~signer:r payload })
+  in
+  let digest = String.make 32 'x' in
+  let cert = Certificate.make ~cluster:0 ~view:0 ~seq:1 ~digest ~commits in
+  let words = Obj.reachable_words (Obj.repr cert) - Obj.reachable_words (Obj.repr digest) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d words <= 3 x 19 + 10" words)
+    true
+    (words <= (3 * 19) + 10)
+
+let suite =
+  suite
+  @ [
+      ("certificate round trip", `Quick, test_certificate_round_trip);
+      ("certificate verdicts", `Quick, test_certificate_verdicts);
+      ("certificate size", `Quick, test_certificate_size);
+    ]
