@@ -273,10 +273,10 @@ let sweep_cmd =
       | (m : Matrices.t) :: ms ->
           let k = List.length m.Matrices.scenarios in
           let slice = List.filteri (fun i _ -> i < k) results in
-          (match m.Matrices.print with
-          | Some print
+          (match m.Matrices.render with
+          | Some render
             when List.for_all (fun (r : Sweep.result) -> Result.is_ok r.Sweep.outcome) slice ->
-              print (Sweep.reports_exn slice)
+              print_string (render (Sweep.reports_exn slice))
           | _ -> ());
           print_tables (List.filteri (fun i _ -> i >= k) results) ms
     in
@@ -324,7 +324,7 @@ let sweep_cmd =
     term
 
 let matrix_cmd =
-  let go () = Resilientdb.Experiments.Tables.Table1.print () in
+  let go () = print_string (Matrices.table1 ()) in
   Cmd.v
     (Cmd.info "matrix"
        ~doc:

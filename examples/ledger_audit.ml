@@ -28,6 +28,13 @@ let unexpected = ref []
 (* Record [what] as unexpected unless [got] is [want]. *)
 let expect what ~want got = if got <> want then unexpected := what :: !unexpected
 
+(* Exit 1 naming every unexpected verdict so far, if there is one. *)
+let finish () =
+  if !unexpected <> [] then begin
+    Printf.printf "\nunexpected verdicts: %s\n" (String.concat ", " (List.rev !unexpected));
+    exit 1
+  end
+
 let () =
   print_endline "== Ledger audit & recovery ==\n";
   let cfg = Config.make ~z:2 ~n:4 ~batch_size:20 ~client_inflight:8 () in
@@ -45,6 +52,11 @@ let () =
   expect "full audit" ~want:true audit;
   Printf.printf "full audit (hash links + client sigs + %d-signature certificates): %b\n\n" quorum
     audit;
+  (* An empty or short chain verifies too, but leaves no block 3 to
+     tamper with: a run that committed that little is itself a failed
+     audit. *)
+  expect "ledger longer than 3 blocks" ~want:true (Ledger.length ledger > 3);
+  finish ();
 
   (* 2. A malicious replica rewrites history. *)
   let victim = Dep.ledger d ~replica:1 in
@@ -126,7 +138,4 @@ let () =
   | None ->
       print_endline
         "no two replicas stopped at the same height (all within a block of each other)");
-  if !unexpected <> [] then begin
-    Printf.printf "\nunexpected verdicts: %s\n" (String.concat ", " (List.rev !unexpected));
-    exit 1
-  end
+  finish ()

@@ -118,8 +118,5 @@ module Sweep = Rdb_sweep.Sweep
 module Experiments = struct
   module Scenario = Rdb_experiments.Scenario
   module Runner = Rdb_experiments.Runner
-  module Figures = Rdb_experiments.Figures
-  module Tables = Rdb_experiments.Tables
-  module Ablations = Rdb_experiments.Ablations
   module Matrices = Rdb_experiments.Matrices
 end

@@ -1,7 +1,9 @@
-(** The named scenario matrices of the evaluation: what
-    [rdb_cli sweep NAME] runs, and the paper table it prints from the
-    results.  Also the two small fixed deployments several drivers
-    share: the z2 n4 smoke and the chaos validation deployment. *)
+(** The paper's evaluation (§4): each artifact — Figures 10-13, the
+    ablations and Table 2 — is one named matrix, its scenario grid plus
+    the renderer that prints its paper table from the grid's results
+    ([rdb_cli sweep NAME]); Table 1 is {!table1} ([rdb_cli matrix]).
+    Also the two small fixed deployments several drivers share: the
+    z2 n4 smoke and the chaos validation deployment. *)
 
 module Config = Rdb_types.Config
 module Report = Rdb_fabric.Report
@@ -34,10 +36,12 @@ val seed_range : string -> int list option
 
 type t = {
   scenarios : Scenario.t list;
-  print : ((Scenario.t * Report.t) list -> unit) option;
-      (** Print the paper table from the ordered results of exactly
-          [scenarios]; [None] for a matrix without one (the smoke,
-          chaos and scale matrices). *)
+  render : ((Scenario.t * Report.t) list -> string) option;
+      (** The paper table, from the results of [scenarios] in any
+          order: each cell is found by its scenario's protocol, fault
+          and configuration.  [None] for a matrix without one (the
+          smoke, chaos and scale matrices).
+          @raise Invalid_argument if a cell has no result. *)
 }
 
 val names : string list
@@ -49,3 +53,14 @@ val expand : windows:windows -> seeds:int list -> string -> t list option
     fig12, fig12-scale, fig13, ablations and table2, in that order.
     [seeds] are the chaos matrix's planner seeds.  [None] for an
     unknown name. *)
+
+(** {1 Table 1} *)
+
+val table1_configured : unit -> string
+(** The inter-region RTT and bandwidth matrices the simulator is
+    configured with (the paper's values). *)
+
+val table1 : unit -> string
+(** {!table1_configured}, then the same two matrices measured inside
+    the simulator (ping echo and a 64 MB bulk transfer per region
+    pair), confirming the network model reproduces its calibration. *)

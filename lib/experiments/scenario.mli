@@ -2,10 +2,11 @@
     and measurement windows as one value with a stable human-readable
     id and a JSON round-trip.
 
-    Scenarios are what the whole evaluation stack now exchanges:
-    {!Figures} and {!Ablations} enumerate them, {!Runner.run} executes
-    one, the sweep engine schedules lists of them across domains, and
-    bench baselines are keyed by {!to_string} ids. *)
+    Scenarios are what the whole evaluation stack exchanges:
+    {!Matrices} enumerates the paper's grids of them (and renders each
+    artifact from their reports), {!Runner.run} executes one, the
+    sweep engine schedules lists of them across domains, and bench
+    baselines and perfbench workloads are keyed by {!to_string} ids. *)
 
 module Config = Rdb_types.Config
 module Time = Rdb_sim.Time
