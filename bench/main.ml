@@ -333,6 +333,65 @@ let micro_tests () =
   in
   let fan_dsts = List.init 27 (fun i -> i + 1) in
   let fan_send () = Rdb_sim.Network.multicast fan_net ~src:0 ~dsts:fan_dsts ~size:250 () in
+  (* One n = 28 Pbft decision at a backup: a fresh engine at replica 1
+     receives the primary's preprepare, then a prepare and a signed
+     commit from each of the 27 other members, through a loopback Ctx
+     (sends dropped, CPU charges run inline, timers inert).  The
+     commits are signed once, up front. *)
+  let decision =
+    let module M = Rdb_pbft.Messages in
+    let kc = Rdb_crypto.Keychain.create ~seed:"bench-decision" ~n_nodes:29 in
+    let clock = Rdb_sim.Engine.create () in
+    let inert = Rdb_sim.Engine.schedule_after clock ~delay:Rdb_sim.Time.zero ignore in
+    let ctx : M.msg Rdb_types.Ctx.t =
+      {
+        Rdb_types.Ctx.id = 1;
+        config = Config.make ~z:4 ~n:7 ~batch_size:100 ();
+        keychain = kc;
+        rng = Rdb_prng.Rng.create 1L;
+        now = (fun () -> Rdb_sim.Time.zero);
+        send = (fun ~dsts:_ ~size:_ ~vcost:_ _ -> ());
+        charge = (fun ~stage:_ ~cost:_ k -> k ());
+        set_timer = (fun ~delay:_ _ -> inert);
+        cancel_timer = ignore;
+        execute = (fun _ ~cert:_ ~on_done -> on_done None);
+        read_execute = (fun _ ~on_done:_ -> ());
+        state_snapshot = (fun () -> None);
+        app_restore = ignore;
+        ledger_read = (fun ~height:_ -> []);
+        complete = ignore;
+        phase = (fun ~key:_ ~name:_ -> ());
+      }
+    in
+    let batch =
+      Rdb_types.Batch.create ~keychain:kc ~id:0 ~cluster:0 ~origin:28 ~created:Rdb_sim.Time.zero
+        ~txns:(Array.init 100 (fun key -> Rdb_types.Txn.make ~key ~value:1L ~client_id:0 ()))
+    in
+    let digest = batch.Rdb_types.Batch.digest in
+    let payload = Rdb_types.Certificate.commit_payload ~cluster:0 ~view:0 ~seq:0 ~digest in
+    let others = List.filter (fun i -> i <> 1) (List.init 28 Fun.id) in
+    let votes =
+      List.map (fun src -> (src, M.Prepare { view = 0; seq = 0; digest })) others
+      @ List.map
+          (fun src ->
+            let signature = Rdb_crypto.Keychain.sign kc ~signer:src payload in
+            (src, M.Commit { view = 0; seq = 0; digest; signature }))
+          others
+    in
+    let preprepare = M.Preprepare { view = 0; seq = 0; batch } in
+    let members = Array.init 28 Fun.id in
+    fun () ->
+      let decided = ref false in
+      let e =
+        Rdb_pbft.Engine.create ~ctx ~members ~cluster:0
+          ~on_committed:(fun ~seq:_ _ _ -> decided := true)
+          ~on_view_change:(fun ~view:_ -> ())
+          ()
+      in
+      Rdb_pbft.Engine.on_message e ~src:0 preprepare;
+      List.iter (fun (src, m) -> Rdb_pbft.Engine.on_message e ~src m) votes;
+      if not !decided then failwith "pbft-decision-n28: no decision"
+  in
   [
     mk "sha256-5400B" (fun () -> ignore (Rdb_crypto.Sha256.digest sha_payload));
     mk "aes-cmac-250B" (fun () ->
@@ -350,6 +409,7 @@ let micro_tests () =
         while Rdb_sim.Engine.step fan_engine do
           ()
         done);
+    mk "pbft-decision-n28" decision;
     mk "zipf-sample-600k" (fun () -> ignore (Rdb_prng.Zipf.sample_scrambled zipf zipf_rng));
     mk "snapshot-600k" (fun () -> Rdb_storage.Blockstore.note_restore store ~height:0);
     mk "delta-compaction-600k" (fun () ->

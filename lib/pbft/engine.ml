@@ -36,14 +36,28 @@ module Mutation = Rdb_types.Mutation
 module Evidence = Rdb_types.Evidence
 open Messages
 
+(* A slot's votes are arrays indexed by local member: [absent] (compared
+   physically, so no wire digest can alias it) marks a member not yet
+   heard from.  The two tallies count the votes matching the slot's
+   accepted (view, digest); they are recomputed whenever that changes
+   and adjusted on every recorded vote, so a quorum check is O(1). *)
 type slot = {
   seq : int;
   mutable sview : int;                     (* view of the accepted preprepare *)
   mutable batch : Batch.t option;
   mutable digest : string option;
-  prepares : (int, string) Hashtbl.t;      (* local replica idx -> digest *)
-  (* local replica idx -> (view, digest, signature) of its commit *)
-  commits : (int, int * string * Rdb_crypto.Schnorr.signature) Hashtbl.t;
+  prepares : string array;                 (* local idx -> digest, or [absent] *)
+  (* local idx -> (view, digest, signature) of its commit; digest [absent]
+     when none *)
+  commit_views : int array;
+  commit_digests : string array;
+  commit_sigs : Rdb_crypto.Schnorr.signature array;
+  mutable prepared_votes : int;            (* prepares matching [digest] *)
+  mutable committed_votes : int;           (* commits matching (sview, digest) *)
+  (* The last commit payload built for this slot and its (view, digest). *)
+  mutable payload_view : int;
+  mutable payload_digest : string;
+  mutable payload : string;
   mutable sent_prepare : bool;
   mutable sent_commit : bool;
   mutable committed : bool;
@@ -64,6 +78,7 @@ type t = {
   mutable view : int;
   mutable mode : [ `Normal | `ViewChange of int ];
   slots : (int, slot) Hashtbl.t;
+  mutable unemitted : int;                 (* slots holding a batch not yet emitted *)
   mutable next_seq : int;
   mutable next_emit : int;
   mutable low_water : int;                 (* last stable checkpoint seq *)
@@ -75,7 +90,7 @@ type t = {
   executed_digests : (string, unit) Hashtbl.t; (* duplicate-proposal guard *)
   mutable chain : string;                  (* rolling digest of emitted batches *)
   checkpoint_every : int;                  (* in sequence numbers *)
-  checkpoints : (int, (int, string) Hashtbl.t) Hashtbl.t;
+  checkpoints : (int, string array) Hashtbl.t; (* seq -> local idx -> digest *)
   vc_votes : (int, (int, vc_vote) Hashtbl.t) Hashtbl.t;
   mutable vc_timer : Ctx.timer option;
   mutable timeout : Time.t;
@@ -93,14 +108,26 @@ type t = {
 
 (* -- construction ----------------------------------------------------- *)
 
-let local_index_of members global =
-  let rec go i = if members.(i) = global then i else go (i + 1) in
-  go 0
+let absent = String.make 1 '\000'
+let no_signature = { Rdb_crypto.Schnorr.e = 0L; s = 0L }
+
+(* Members are contiguous global ids (pbft: 0..z·n−1; a GeoBFT cluster:
+   [Config.replica_id ~cluster ~index]), so a sender's local index is
+   one subtraction; -1 for a non-member. *)
+let local_of members src =
+  let i = src - members.(0) in
+  if i >= 0 && i < Array.length members then i else -1
 
 let create ~(ctx : msg Ctx.t) ~members ~cluster ?window ?checkpoint_every
     ~on_committed ~on_view_change () =
   let cfg = ctx.Ctx.config in
   let n = Array.length members in
+  Array.iteri
+    (fun i m ->
+      if m <> members.(0) + i then invalid_arg "Engine.create: members must be contiguous")
+    members;
+  let me = local_of members ctx.Ctx.id in
+  if me < 0 then invalid_arg "Engine.create: this node is not a member";
   let f = (n - 1) / 3 in
   let checkpoint_every =
     match checkpoint_every with
@@ -115,13 +142,14 @@ let create ~(ctx : msg Ctx.t) ~members ~cluster ?window ?checkpoint_every
        Array.sort (fun a b -> Int.compare members.(a) members.(b)) ids;
        ids);
     cluster;
-    me = local_index_of members ctx.Ctx.id;
+    me;
     n;
     f;
     quorum = n - f;
     view = 0;
     mode = `Normal;
     slots = Hashtbl.create 64;
+    unemitted = 0;
     next_seq = 0;
     next_emit = 0;
     low_water = -1;
@@ -170,8 +198,15 @@ let slot t seq =
           sview = -1;
           batch = None;
           digest = None;
-          prepares = Hashtbl.create 8;
-          commits = Hashtbl.create 8;
+          prepares = Array.make t.n absent;
+          commit_views = Array.make t.n 0;
+          commit_digests = Array.make t.n absent;
+          commit_sigs = Array.make t.n no_signature;
+          prepared_votes = 0;
+          committed_votes = 0;
+          payload_view = -1;
+          payload_digest = absent;
+          payload = "";
           sent_prepare = false;
           sent_commit = false;
           committed = false;
@@ -180,6 +215,77 @@ let slot t seq =
       in
       Hashtbl.replace t.slots seq s;
       s
+
+(* -- votes ---------------------------------------------------------------- *)
+
+let matches s d = match s.digest with Some x -> String.equal x d | None -> false
+
+(* Member [i] committed over [d] in the slot's accepted view. *)
+let commit_matches s i d =
+  let d' = s.commit_digests.(i) in
+  d' != absent && s.commit_views.(i) = s.sview && String.equal d d'
+
+(* Recount both tallies against the slot's current (sview, digest). *)
+let retally s =
+  let p = ref 0 and c = ref 0 in
+  (match s.digest with
+  | Some d ->
+      for i = 0 to Array.length s.prepares - 1 do
+        let d' = s.prepares.(i) in
+        if d' != absent && String.equal d d' then incr p;
+        if commit_matches s i d then incr c
+      done
+  | None -> ());
+  s.prepared_votes <- !p;
+  s.committed_votes <- !c
+
+(* Record (or overwrite) member [i]'s prepare. *)
+let set_prepare s i d =
+  let old = s.prepares.(i) in
+  if old != absent && matches s old then s.prepared_votes <- s.prepared_votes - 1;
+  s.prepares.(i) <- d;
+  if matches s d then s.prepared_votes <- s.prepared_votes + 1
+
+(* Record member [i]'s commit; its first one wins. *)
+let add_commit s i ~view ~digest ~signature =
+  if s.commit_digests.(i) == absent then begin
+    s.commit_views.(i) <- view;
+    s.commit_digests.(i) <- digest;
+    s.commit_sigs.(i) <- signature;
+    if view = s.sview && matches s digest then s.committed_votes <- s.committed_votes + 1
+  end
+
+(* A slot leaving the live set while it still holds an unemitted batch. *)
+let forget t s = if s.batch <> None && not s.emitted then t.unemitted <- t.unemitted - 1
+
+(* Drop a slot's state from an older view; never applied to an emitted
+   or committed slot. *)
+let clear_slot t s =
+  forget t s;
+  Array.fill s.prepares 0 t.n absent;
+  Array.fill s.commit_digests 0 t.n absent;
+  s.prepared_votes <- 0;
+  s.committed_votes <- 0;
+  s.sview <- -1;
+  s.batch <- None;
+  s.digest <- None;
+  s.sent_prepare <- false;
+  s.sent_commit <- false;
+  s.committed <- false
+
+(* The payload a commit for this slot in [view] over [digest] signs,
+   rebuilt only when (view, digest) differs from the last one asked. *)
+let commit_payload t s ~view ~digest =
+  if
+    not
+      (view = s.payload_view && s.payload_digest != absent
+      && String.equal digest s.payload_digest)
+  then begin
+    s.payload_view <- view;
+    s.payload_digest <- digest;
+    s.payload <- Certificate.commit_payload ~cluster:t.cluster ~view ~seq:s.seq ~digest
+  end;
+  s.payload
 
 (* -- message costs ----------------------------------------------------- *)
 
@@ -239,17 +345,20 @@ let broadcast t m =
 (* Garbage-collect every slot and checkpoint vote at or below a stable
    checkpoint [seq]. *)
 let collect_below t ~seq =
-  Hashtbl.filter_map_inplace (fun s slot -> if s <= seq then None else Some slot) t.slots;
+  Hashtbl.filter_map_inplace
+    (fun s slot ->
+      if s <= seq then begin
+        forget t slot;
+        None
+      end
+      else Some slot)
+    t.slots;
   Hashtbl.filter_map_inplace (fun s votes -> if s <= seq then None else Some votes) t.checkpoints
 
 (* -- progress timer ------------------------------------------------------ *)
 
 let has_outstanding t =
-  (not (Queue.is_empty t.pending))
-  || Hashtbl.length t.forwarded > 0
-  || (let any = ref false in
-      Hashtbl.iter (fun _ s -> if s.batch <> None && not s.emitted then any := true) t.slots;
-      !any)
+  (not (Queue.is_empty t.pending)) || Hashtbl.length t.forwarded > 0 || t.unemitted > 0
 
 let rec update_timer t =
   match t.vc_timer with
@@ -279,8 +388,7 @@ and prepared_proofs t : prepared_proof list =
         match (s.batch, s.digest) with
         | Some b, Some d ->
             (* Prepared: accepted preprepare + n − f matching prepares. *)
-            let matching = Hashtbl.fold (fun _ d' acc -> if String.equal d d' then acc + 1 else acc) s.prepares 0 in
-            if matching >= t.quorum then
+            if s.prepared_votes >= t.quorum then
               acc := { pp_seq = s.seq; pp_view = s.sview; pp_digest = d; pp_batch = b } :: !acc
         | _ -> ())
     t.slots;
@@ -290,12 +398,12 @@ and start_view_change t ~target =
   if target > t.view || (match t.mode with `ViewChange tgt -> target > tgt | `Normal -> target > t.view)
   then begin
     t.mode <- `ViewChange target;
-    let vc = ViewChange { target; last_stable = t.low_water; prepared = prepared_proofs t } in
+    let prepared = prepared_proofs t in
+    let vc = ViewChange { target; last_stable = t.low_water; prepared } in
     (* Sign-ish cost of assembling the view-change message. *)
     t.ctx.Ctx.charge ~stage:Cpu.Worker ~cost:(Config.sign_cost (cfg t)) (fun () -> ());
     broadcast t vc;
-    handle_view_change t ~src_local:t.me ~target ~last_stable:t.low_water
-      ~prepared:(prepared_proofs t);
+    handle_view_change t ~src_local:t.me ~target ~last_stable:t.low_water ~prepared;
     (* If this view change stalls (next primary also faulty), escalate. *)
     t.timeout <- Time.add t.timeout t.timeout;
     reset_timer t
@@ -384,14 +492,7 @@ and become_primary t ~target ~votes =
   List.iter
     (fun (seq, b) ->
       (match Hashtbl.find_opt t.slots seq with
-      | Some s when (not s.emitted) && not s.committed ->
-          Hashtbl.reset s.prepares;
-          Hashtbl.reset s.commits;
-          s.sview <- -1;
-          s.batch <- None;
-          s.digest <- None;
-          s.sent_prepare <- false;
-          s.sent_commit <- false
+      | Some s when (not s.emitted) && not s.committed -> clear_slot t s
       | _ -> ());
       accept_preprepare t ~view:target ~seq ~batch:b)
     !preprepares;
@@ -413,14 +514,7 @@ and enter_new_view t ~target ~preprepares =
              already committed are decided and left untouched. *)
           let s = slot t seq in
           if (not s.emitted) && not s.committed then begin
-            Hashtbl.reset s.prepares;
-            Hashtbl.reset s.commits;
-            s.sview <- -1;
-            s.batch <- None;
-            s.digest <- None;
-            s.sent_prepare <- false;
-            s.sent_commit <- false;
-            s.committed <- false;
+            clear_slot t s;
             accept_preprepare t ~view:target ~seq ~batch:b
           end
         end)
@@ -436,16 +530,18 @@ and accept_preprepare t ~view ~seq ~batch =
   if s.emitted then ()
   else begin
     t.ctx.Ctx.phase ~key:seq ~name:"propose";
+    if s.batch = None then t.unemitted <- t.unemitted + 1;
     s.sview <- view;
     s.batch <- Some batch;
     s.digest <- Some batch.Batch.digest;
+    retally s;
     (* The primary's preprepare doubles as its prepare vote. *)
-    Hashtbl.replace s.prepares (view mod t.n) batch.Batch.digest;
+    set_prepare s (view mod t.n) batch.Batch.digest;
     if not s.sent_prepare then begin
       s.sent_prepare <- true;
       if t.me <> view mod t.n then begin
         broadcast t (Prepare { view; seq; digest = batch.Batch.digest });
-        Hashtbl.replace s.prepares t.me batch.Batch.digest
+        set_prepare s t.me batch.Batch.digest
       end
     end;
     update_timer t;
@@ -457,17 +553,13 @@ and accept_preprepare t ~view ~seq ~batch =
 and check_prepared t s =
   match (s.digest, s.batch) with
   | Some d, Some _ when not s.sent_commit ->
-      let matching =
-        Hashtbl.fold (fun _ d' acc -> if String.equal d d' then acc + 1 else acc) s.prepares 0
-      in
+      let matching = s.prepared_votes in
       let gate = if Mutation.is "pbft-prepare-quorum" then t.quorum - 1 else t.quorum in
       if matching >= gate then begin
         Evidence.note ~point:"pbft.prepared" ~node:t.ctx.Ctx.id ~count:matching ~need:t.quorum;
         s.sent_commit <- true;
         t.ctx.Ctx.phase ~key:s.seq ~name:"prepare";
-        let payload =
-          Certificate.commit_payload ~cluster:t.cluster ~view:s.sview ~seq:s.seq ~digest:d
-        in
+        let payload = commit_payload t s ~view:s.sview ~digest:d in
         let signature = Keychain.sign t.ctx.Ctx.keychain ~signer:t.ctx.Ctx.id payload in
         let m = Commit { view = s.sview; seq = s.seq; digest = d; signature } in
         (* Commit messages are signed (they form the certificate). *)
@@ -483,11 +575,10 @@ and handle_commit t ~src_local ~view ~seq ~digest ~signature =
     if not s.committed then begin
       (* Verify the commit signature before counting it (the modeled
          CPU cost was already charged by the fabric via vcost). *)
-      let payload = Certificate.commit_payload ~cluster:t.cluster ~view ~seq ~digest in
+      let payload = commit_payload t s ~view ~digest in
       let signer = t.members.(src_local) in
       if Keychain.verify t.ctx.Ctx.keychain ~signer payload signature then begin
-        (if not (Hashtbl.mem s.commits src_local) then
-           Hashtbl.replace s.commits src_local (view, digest, signature));
+        add_commit s src_local ~view ~digest ~signature;
         check_committed t s
       end
     end
@@ -495,14 +586,10 @@ and handle_commit t ~src_local ~view ~seq ~digest ~signature =
 
 and check_committed t s =
   match (s.digest, s.batch) with
-  | Some d, Some _ when not s.committed && s.sview >= 0 ->
+  | Some _, Some _ when not s.committed && s.sview >= 0 ->
       (* Count commits matching the accepted (view, digest): the
          certificate must carry signatures over one payload. *)
-      let matching =
-        Hashtbl.fold
-          (fun _ (v, d', _) acc -> if String.equal d d' && v = s.sview then acc + 1 else acc)
-          s.commits 0
-      in
+      let matching = s.committed_votes in
       let gate = if Mutation.is "pbft-commit-quorum" then t.quorum - 1 else t.quorum in
       if matching >= gate then begin
         Evidence.note ~point:"pbft.committed" ~node:t.ctx.Ctx.id ~count:matching ~need:t.quorum;
@@ -519,6 +606,7 @@ and emit_ready t =
         match (s.batch, s.digest) with
         | Some b, Some d ->
             s.emitted <- true;
+            t.unemitted <- t.unemitted - 1;
             t.ctx.Ctx.phase ~key:s.seq ~name:"commit";
             t.chain <- Rdb_crypto.Sha256.digest_list [ t.chain; d ];
             (* Assemble the commit certificate: the n − f lowest
@@ -528,10 +616,8 @@ and emit_ready t =
                 ~max:t.quorum (fun add ->
                   Array.iter
                     (fun local ->
-                      match Hashtbl.find_opt s.commits local with
-                      | Some (v, d', sg) when v = s.sview && String.equal d d' ->
-                          add ~replica:t.members.(local) sg
-                      | _ -> ())
+                      if commit_matches s local d then
+                        add ~replica:t.members.(local) s.commit_sigs.(local))
                     t.by_signer)
             in
             Hashtbl.remove t.forwarded d;
@@ -557,28 +643,41 @@ and maybe_checkpoint t ~seq =
     handle_checkpoint t ~src_local:t.me ~seq ~state_digest:t.chain
   end
 
+(* A quorum is n − f > n/2 votes, so only a strict majority of the
+   recorded digests can reach it: find the one majority candidate
+   (Boyer–Moore) and count its votes. *)
 and handle_checkpoint t ~src_local ~seq ~state_digest =
   if seq > t.low_water then begin
-    let tbl =
+    let votes =
       match Hashtbl.find_opt t.checkpoints seq with
-      | Some tbl -> tbl
+      | Some votes -> votes
       | None ->
-          let tbl = Hashtbl.create 8 in
-          Hashtbl.replace t.checkpoints seq tbl;
-          tbl
+          let votes = Array.make t.n absent in
+          Hashtbl.replace t.checkpoints seq votes;
+          votes
     in
-    Hashtbl.replace tbl src_local state_digest;
-    let counts = Hashtbl.create 4 in
-    Hashtbl.iter
-      (fun _ d ->
-        Hashtbl.replace counts d (1 + Option.value ~default:0 (Hashtbl.find_opt counts d)))
-      tbl;
-    let stable = Hashtbl.fold (fun _ c acc -> acc || c >= t.quorum) counts false in
-    if stable && seq > t.low_water && seq < t.next_emit then begin
+    votes.(src_local) <- state_digest;
+    let cand = ref absent and lead = ref 0 in
+    for i = 0 to t.n - 1 do
+      let d = votes.(i) in
+      if d != absent then
+        if !lead = 0 then begin
+          cand := d;
+          lead := 1
+        end
+        else if String.equal d !cand then incr lead
+        else decr lead
+    done;
+    let count = ref 0 in
+    for i = 0 to t.n - 1 do
+      let d = votes.(i) in
+      if d != absent && String.equal d !cand then incr count
+    done;
+    if !count >= t.quorum && seq > t.low_water && seq < t.next_emit then begin
       t.low_water <- seq;
       (* Record the quorum digest: the anchor a checkpoint state
          transfer serves and verifies against. *)
-      Hashtbl.iter (fun d c -> if c >= t.quorum then t.stable_digest <- d) counts;
+      t.stable_digest <- !cand;
       collect_below t ~seq
     end
   end
@@ -687,12 +786,7 @@ let force_view_change t =
 (* -- dispatch ---------------------------------------------------------------- *)
 
 let rec on_message t ~src (m : msg) =
-  let src_local =
-    let rec find i =
-      if i >= t.n then -1 else if t.members.(i) = src then i else find (i + 1)
-    in
-    find 0
-  in
+  let src_local = local_of t.members src in
   if src_local < 0 then () (* not a member of this cluster: ignore *)
   else
     match m with
@@ -714,13 +808,7 @@ let rec on_message t ~src (m : msg) =
               (* Stale state from an older view (the slot never
                  prepared, or the new-view message did not cover it):
                  the newer view's proposal supersedes it. *)
-              Hashtbl.reset s.prepares;
-              Hashtbl.reset s.commits;
-              s.sent_prepare <- false;
-              s.sent_commit <- false;
-              s.committed <- false;
-              s.batch <- None;
-              s.digest <- None;
+              clear_slot t s;
               accept_preprepare t ~view ~seq ~batch
           | Some _ -> () (* duplicate *)
           | None -> accept_preprepare t ~view ~seq ~batch
@@ -731,8 +819,8 @@ let rec on_message t ~src (m : msg) =
         if view = t.view && t.mode = `Normal && seq > t.low_water
            && seq < t.next_emit + (4 * t.window) then begin
           let s = slot t seq in
-          if not (Hashtbl.mem s.prepares src_local) then begin
-            Hashtbl.replace s.prepares src_local digest;
+          if s.prepares.(src_local) == absent then begin
+            set_prepare s src_local digest;
             check_prepared t s
           end
         end
@@ -790,6 +878,7 @@ let note_external_commit t ~seq (batch : Batch.t) =
     Hashtbl.replace t.executed_digests d ();
     Hashtbl.remove t.pending_digests d;
     Hashtbl.remove t.forwarded d;
+    Option.iter (forget t) (Hashtbl.find_opt t.slots seq);
     Hashtbl.remove t.slots seq;
     t.next_emit <- t.next_emit + 1;
     if t.next_seq < t.next_emit then t.next_seq <- t.next_emit;
@@ -819,16 +908,7 @@ let adopt_view t ~view =
     t.view <- view;
     t.mode <- `Normal;
     Hashtbl.iter
-      (fun _ s ->
-        if (not s.emitted) && (not s.committed) && s.sview < view then begin
-          Hashtbl.reset s.prepares;
-          Hashtbl.reset s.commits;
-          s.sview <- -1;
-          s.batch <- None;
-          s.digest <- None;
-          s.sent_prepare <- false;
-          s.sent_commit <- false
-        end)
+      (fun _ s -> if (not s.emitted) && (not s.committed) && s.sview < view then clear_slot t s)
       t.slots;
     reset_timer t;
     replay_deferred t

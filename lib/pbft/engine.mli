@@ -30,7 +30,8 @@ val create :
   unit ->
   t
 (** [members] are the global node ids of this cluster (index = local
-    id); [window] bounds in-flight sequence numbers (default: the
+    id): contiguous ids [m, m+1, ...] that include [ctx.id], else
+    [Invalid_argument]; [window] bounds in-flight sequence numbers (default: the
     config's pipeline depth); [checkpoint_every] is in sequence numbers
     (default: checkpoint_interval / batch_size).  [on_view_change]
     fires at every replica when it enters a new view. *)

@@ -61,9 +61,14 @@ type 'm t = {
   (* uplink_busy.(node).(dst_region): time the pipe frees up *)
   uplink_busy : Time.t array array;
   (* Aggregate cross-region egress of each node (all WAN flows of a
-     node serialize through this before their per-region pipe); 0 or
-     negative disables the cap. *)
-  wan_egress_mbps : float;
+     node serialize through this before their per-region pipe), in
+     bytes per ns; 0 or negative disables the cap. *)
+  wan_bytes_per_ns : float;
+  (* Per directed region pair [src_region * n_regions + dst_region]:
+     the pipe's bytes per ns and the one-way latency, computed once
+     from the topology. *)
+  pair_bytes_per_ns : float array;
+  pair_one_way : Time.t array;
   wan_busy : Time.t array;
   crashed : bool array;
   (* drop_rules: if any returns true the message is silently dropped;
@@ -94,16 +99,23 @@ type 'm t = {
   shard_of : int -> int;
 }
 
+(* Mbit/s -> bytes/ns: bw * 1e6 / 8 bytes per second = bw / 8e-3 per ns *)
+let bytes_per_ns bw_mbps = bw_mbps *. 1e6 /. 8.0 /. 1e9
+
 let create ?(wan_egress_mbps = 0.) ?trace ?(shard_of = fun _ -> 0) ~engine ~topo ~jitter_ms
     ~deliver () =
   let n = Topology.n_nodes topo in
   let r = Topology.n_regions topo in
+  let per_pair f = Array.init (r * r) (fun i -> f ~ra:(i / r) ~rb:(i mod r)) in
   {
     engine;
     topo;
     deliver;
     uplink_busy = Array.init n (fun _ -> Array.make r Time.zero);
-    wan_egress_mbps;
+    wan_bytes_per_ns = bytes_per_ns wan_egress_mbps;
+    pair_bytes_per_ns =
+      per_pair (fun ~ra ~rb -> bytes_per_ns (Topology.region_bw_mbps topo ~ra ~rb));
+    pair_one_way = per_pair (fun ~ra ~rb -> Time.of_ms_f (Topology.region_one_way_ms topo ~ra ~rb));
     wan_busy = Array.make n Time.zero;
     crashed = Array.make n false;
     drop_rules = [];
@@ -174,9 +186,7 @@ let clear_link_rules t =
   Hashtbl.reset t.link_loss;
   Hashtbl.reset t.link_dup
 
-let transmission_ns ~size_bytes ~bw_mbps =
-  (* Mbit/s -> bytes/ns: bw * 1e6 / 8 bytes per second = bw / 8e-3 per ns *)
-  let bytes_per_ns = bw_mbps *. 1e6 /. 8.0 /. 1e9 in
+let transmission_ns ~size_bytes ~bytes_per_ns =
   int_of_float (Float.of_int size_bytes /. bytes_per_ns)
 
 (* [Hashtbl.length] guard: the common (healthy) case pays no tuple-key
@@ -200,18 +210,19 @@ let trace_drop t ~src ~dst ~size ~reason =
 let wire_floor t ~src ~dst ~size =
   let now = Engine.now t.engine in
   let admitted = now in
-  let local = Topology.same_region t.topo src dst in
-  Stats.count_sent t.stats ~local ~size;
+  let src_region = Topology.region_of t.topo src in
   let dst_region = Topology.region_of t.topo dst in
-  let bw = Topology.bw_mbps t.topo ~a:src ~b:dst in
+  let local = src_region = dst_region in
+  Stats.count_sent t.stats ~local ~size;
+  let pair = (src_region * Topology.n_regions t.topo) + dst_region in
   (* Cross-region traffic first serializes through the node's
      aggregate WAN egress, then through the per-region-pair pipe. *)
   let now =
-    if (not local) && t.wan_egress_mbps > 0. then begin
+    if (not local) && t.wan_bytes_per_ns > 0. then begin
       let out =
         Time.add
           (Time.max now t.wan_busy.(src))
-          (transmission_ns ~size_bytes:size ~bw_mbps:t.wan_egress_mbps)
+          (transmission_ns ~size_bytes:size ~bytes_per_ns:t.wan_bytes_per_ns)
       in
       t.wan_busy.(src) <- out;
       out
@@ -220,7 +231,9 @@ let wire_floor t ~src ~dst ~size =
   in
   let busy = t.uplink_busy.(src).(dst_region) in
   let start = Time.max now busy in
-  let depart = Time.add start (transmission_ns ~size_bytes:size ~bw_mbps:bw) in
+  let depart =
+    Time.add start (transmission_ns ~size_bytes:size ~bytes_per_ns:t.pair_bytes_per_ns.(pair))
+  in
   t.uplink_busy.(src).(dst_region) <- depart;
   (match t.trace with
   | None -> ()
@@ -228,7 +241,7 @@ let wire_floor t ~src ~dst ~size =
       (* [admitted] is when the caller handed us the message; any WAN
          egress serialization shows up as queueing before [start]. *)
       Rdb_trace.Trace.net_send tr ~src ~dst ~size ~local ~now:admitted ~start ~depart);
-  Time.add depart (Time.of_ms_f (Topology.one_way_ms t.topo ~a:src ~b:dst))
+  Time.add depart t.pair_one_way.(pair)
 
 (* The arrival the latency model draws above [floor].  Jitter is
    non-negative, so any time >= the floor is one the model could

@@ -59,8 +59,9 @@ let region_of t node = t.node_region.(node)
 let same_region t a b = t.node_region.(a) = t.node_region.(b)
 
 let rtt_ms t ~a ~b = t.rtt_ms.(t.node_region.(a)).(t.node_region.(b))
-let one_way_ms t ~a ~b = rtt_ms t ~a ~b /. 2.0
 let bw_mbps t ~a ~b = t.bw_mbps.(t.node_region.(a)).(t.node_region.(b))
+let region_one_way_ms t ~ra ~rb = t.rtt_ms.(ra).(rb) /. 2.0
+let region_bw_mbps t ~ra ~rb = t.bw_mbps.(ra).(rb)
 
 (* The smallest one-way latency between two distinct regions: the
    conservative-DES lookahead for cluster-per-region sharding (no

@@ -23,8 +23,13 @@ val region_of : t -> int -> int
 val same_region : t -> int -> int -> bool
 
 val rtt_ms : t -> a:int -> b:int -> float
-val one_way_ms : t -> a:int -> b:int -> float
 val bw_mbps : t -> a:int -> b:int -> float
+(** Between the regions of nodes [a] and [b]. *)
+
+val region_one_way_ms : t -> ra:int -> rb:int -> float
+(** Half the round-trip time between two regions. *)
+
+val region_bw_mbps : t -> ra:int -> rb:int -> float
 
 val min_cross_region_one_way_ms : t -> float
 (** Smallest one-way latency between two distinct regions — the

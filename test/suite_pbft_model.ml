@@ -171,9 +171,104 @@ let prop_agreement_under_async =
       run_model ~seed ~batches ~n:4;
       true)
 
+(* Checkpoint stability under a divergent minority: the f lowest members
+   vote distinct wrong digests first (so a majority-candidate scan
+   starts on a wrong one), then the rest vote the quorum digest.  The
+   watermark must move exactly at the (n − f)-th matching vote, to the
+   quorum digest. *)
+let test_checkpoint_divergent_minority () =
+  List.iter
+    (fun n ->
+      let h = make_harness ~n in
+      let rng = Rng.create 7L in
+      List.iter (fun b -> Engine.submit_batch h.engines.(0) (mk_batch h b)) [ 0; 1 ];
+      run_to_quiescence h rng;
+      let e = h.engines.(n - 1) in
+      let f = (n - 1) / 3 in
+      let seq = 1 in
+      Alcotest.(check int) "emitted past the checkpoint" 2 (Engine.next_emit e);
+      Alcotest.(check int) "no checkpoint yet" (-1) (Engine.low_water e);
+      let good = Rdb_crypto.Sha256.digest "quorum-state" in
+      for src = 0 to f - 1 do
+        let wrong = Rdb_crypto.Sha256.digest (Printf.sprintf "minority-%d" src) in
+        Engine.on_message e ~src (Rdb_pbft.Messages.Checkpoint { seq; state_digest = wrong })
+      done;
+      for src = f to n - 1 do
+        Engine.on_message e ~src (Rdb_pbft.Messages.Checkpoint { seq; state_digest = good });
+        let matching = src - f + 1 in
+        let expect = if matching >= n - f then seq else -1 in
+        Alcotest.(check int)
+          (Printf.sprintf "n=%d low_water after %d matching votes" n matching)
+          expect (Engine.low_water e)
+      done;
+      Alcotest.(check string) "stable digest is the quorum digest" good (Engine.stable_digest e))
+    [ 4; 7 ]
+
+(* An engine ignores every sender outside its member range.  The engine
+   is replica 1 of GeoBFT cluster 1 (members 4..7 of z=2, n=4), so a
+   preprepare its primary (4) sends makes it broadcast a prepare, and
+   three view-change votes would make it join a view change: the same
+   messages from a client, from replicas of cluster 0 (including 3,
+   just below the range) and from 8 (just past it) must change
+   nothing and send nothing. *)
+let test_ignores_non_members () =
+  let cfg = Config.make ~z:2 ~n:4 ~batch_size:2 () in
+  let kc = Keychain.create ~seed:"members" ~n_nodes:10 in
+  let engine_handle = Rdb_sim.Engine.create () in
+  let sends = ref 0 in
+  let ctx : Rdb_pbft.Messages.msg Ctx.t =
+    {
+      Ctx.id = 5;
+      config = cfg;
+      keychain = kc;
+      rng = Rng.create 5L;
+      now = (fun () -> Rdb_sim.Engine.now engine_handle);
+      send = (fun ~dsts:_ ~size:_ ~vcost:_ _ -> incr sends);
+      charge = (fun ~stage:_ ~cost:_ k -> k ());
+      set_timer = (fun ~delay k -> Rdb_sim.Engine.schedule_after engine_handle ~delay k);
+      cancel_timer = Rdb_sim.Engine.cancel;
+      execute = (fun _ ~cert:_ ~on_done -> on_done None);
+      read_execute = (fun _ ~on_done:_ -> ());
+      state_snapshot = (fun () -> None);
+      app_restore = (fun _ -> ());
+      ledger_read = (fun ~height:_ -> []);
+      complete = (fun _ -> ());
+      phase = (fun ~key:_ ~name:_ -> ());
+    }
+  in
+  let members = Array.init 4 (fun index -> Config.replica_id cfg ~cluster:1 ~index) in
+  let e =
+    Engine.create ~ctx ~members ~cluster:1
+      ~on_committed:(fun ~seq:_ _ _ -> ())
+      ~on_view_change:(fun ~view:_ -> ())
+      ()
+  in
+  let batch =
+    Batch.create ~keychain:kc ~id:0 ~cluster:1 ~origin:9
+      ~txns:[| Rdb_types.Txn.make ~key:0 ~value:0L ~client_id:0 () |]
+      ~created:0
+  in
+  let probe src =
+    Engine.on_message e ~src (Rdb_pbft.Messages.Preprepare { view = 0; seq = 0; batch });
+    Engine.on_message e ~src
+      (Rdb_pbft.Messages.ViewChange { target = 1; last_stable = -1; prepared = [] })
+  in
+  List.iter probe [ 9; 0; 3; 8 ];
+  Alcotest.(check int) "no sends for non-members" 0 !sends;
+  Alcotest.(check int) "still view 0" 0 (Engine.view e);
+  Alcotest.(check int) "no slot accepted" 0 (Engine.retained_slots e);
+  (* Control: the real primary's preprepare is accepted and answered. *)
+  Engine.on_message e ~src:4 (Rdb_pbft.Messages.Preprepare { view = 0; seq = 0; batch });
+  Alcotest.(check bool) "member preprepare answered" true (!sends > 0);
+  Alcotest.(check int) "member slot accepted" 1 (Engine.retained_slots e)
+
 let suite =
   [
     ("random delivery orders", `Quick, test_random_delivery_orders);
     ("larger group (n=7)", `Quick, test_larger_group);
   ]
   @ List.map QCheck_alcotest.to_alcotest [ prop_agreement_under_async ]
+  @ [
+      ("checkpoint quorum under a divergent minority", `Quick, test_checkpoint_divergent_minority);
+      ("non-member senders ignored", `Quick, test_ignores_non_members);
+    ]
