@@ -288,12 +288,12 @@ let run_check ~jobs ~reps path =
 let micro_tests () =
   let open Bechamel in
   let sha_payload = String.make 5400 'x' in
-  let cmac_key = Rdb_crypto.Cmac.of_key (String.make 16 'k') in
   let sk = Rdb_crypto.Schnorr.keygen ~seed:"bench" ~key_id:0 in
   let pk = Rdb_crypto.Schnorr.public_key sk in
   let sg = Rdb_crypto.Schnorr.sign sk "payload" in
   let zipf = Rdb_prng.Zipf.create Rdb_ycsb.Table.default_records in
   let zipf_rng = Rdb_prng.Rng.create 1L in
+  let jitter_rng = Rdb_prng.Rng.create 1L in
   let mk name f = Test.make ~name (Staged.stage f) in
   (* Paper-sized (600k-record) disk stores, each in a temp dir removed
      at exit. *)
@@ -394,8 +394,6 @@ let micro_tests () =
   in
   [
     mk "sha256-5400B" (fun () -> ignore (Rdb_crypto.Sha256.digest sha_payload));
-    mk "aes-cmac-250B" (fun () ->
-        ignore (Rdb_crypto.Cmac.mac cmac_key (String.sub sha_payload 0 250)));
     mk "schnorr-sign" (fun () -> ignore (Rdb_crypto.Schnorr.sign sk "payload"));
     mk "schnorr-verify" (fun () -> ignore (Rdb_crypto.Schnorr.verify pk "payload" sg));
     mk "sim-10k-events" (fun () ->
@@ -410,6 +408,11 @@ let micro_tests () =
           ()
         done);
     mk "pbft-decision-n28" decision;
+    (* The jitter draw [Network] takes per delivered message. *)
+    mk "rng-float-1k" (fun () ->
+        for _ = 1 to 1000 do
+          ignore (Sys.opaque_identity (Rdb_prng.Rng.float jitter_rng))
+        done);
     mk "zipf-sample-600k" (fun () -> ignore (Rdb_prng.Zipf.sample_scrambled zipf zipf_rng));
     mk "snapshot-600k" (fun () -> Rdb_storage.Blockstore.note_restore store ~height:0);
     mk "delta-compaction-600k" (fun () ->

@@ -18,8 +18,9 @@
 
    Layers, bottom-up:
    - {!Rng}, {!Zipf}: deterministic randomness and the YCSB Zipfian law;
-   - {!Sha256}, {!Aes128}, {!Cmac}, {!Hmac}, {!Schnorr}, {!Keychain}:
-     the cryptographic primitives of §3 (all implemented in-repo);
+   - {!Sha256}, {!Schnorr}, {!Keychain}: the hashes and signatures of
+     §3 (implemented in-repo; its MACs are modelled by the network,
+     which delivers the true sender and charges their cost);
    - {!Time}, {!Engine}, {!Topology}, {!Network}, {!Cpu}: the
      discrete-event simulation substrate, calibrated from Table 1;
    - {!Txn}, {!Batch}, {!Certificate}, {!Wire}, {!Config}, {!Ctx},
@@ -42,9 +43,6 @@ module Zipf = Rdb_prng.Zipf
 (* Cryptography *)
 module Hex = Rdb_crypto.Hex
 module Sha256 = Rdb_crypto.Sha256
-module Aes128 = Rdb_crypto.Aes128
-module Cmac = Rdb_crypto.Cmac
-module Hmac = Rdb_crypto.Hmac
 module Field61 = Rdb_crypto.Field61
 module Schnorr = Rdb_crypto.Schnorr
 module Keychain = Rdb_crypto.Keychain

@@ -11,22 +11,12 @@
    below 2^62 (products are split into 31/30-bit halves), so nothing
    overflows and — unlike Int64 — nothing allocates.  The simulator
    verifies millions of signatures per run; boxing made this module the
-   hottest allocation site in early profiles.  The public interface
-   speaks int64 for stable wire encoding. *)
+   hottest allocation site in early profiles. *)
 
 let p = 0x1FFF_FFFF_FFFF_FFFF (* 2^61 - 1 *)
 
 (* Group order of Z_p^*: p - 1. *)
 let order_int = p - 1
-
-let p64 = 2305843009213693951L
-let order = 2305843009213693950L
-
-(* -- native-int core ---------------------------------------------------- *)
-
-let reduce_int x =
-  let r = x mod p in
-  if r < 0 then r + p else r
 
 (* a + b mod m; safe for m < 2^62 (sums stay below max_int = 2^62-1). *)
 let add_mod_int m a b =
@@ -34,8 +24,6 @@ let add_mod_int m a b =
   if s >= m then s - m else s
 
 let add_int a b = add_mod_int p a b
-
-let sub_int a b = if a >= b then a - b else a - b + p
 
 (* a * b mod p for a, b in [0, p): split both into 31/30-bit halves so
    every partial product fits 62 bits, then fold with 2^61 = 1 mod p. *)
@@ -67,16 +55,6 @@ let mul_mod_int m a b =
     !acc
   end
 
-let pow_mod_int m a e =
-  let a = ref (a mod m) and e = ref e in
-  let acc = ref 1 in
-  while !e > 0 do
-    if !e land 1 = 1 then acc := mul_mod_int m !acc !a;
-    a := mul_mod_int m !a !a;
-    e := !e lsr 1
-  done;
-  !acc
-
 let pow_int a e =
   let a = ref (a mod p) and e = ref e in
   let acc = ref 1 in
@@ -90,20 +68,3 @@ let pow_int a e =
 let inv_int a =
   if a = 0 then invalid_arg "Field61.inv: zero has no inverse";
   pow_int a (p - 2)
-
-(* -- int64 compatibility surface ---------------------------------------- *)
-
-let to_i = Int64.to_int   (* all field values fit in 62 bits *)
-let of_i = Int64.of_int
-
-let reduce x = of_i (reduce_int (to_i (Int64.rem x p64)))
-let add a b = of_i (add_int (to_i a) (to_i b))
-let sub a b = of_i (sub_int (to_i a) (to_i b))
-let mul a b = of_i (mul_int (reduce_int (to_i (Int64.rem a p64))) (reduce_int (to_i (Int64.rem b p64))))
-let add_mod m a b = of_i (add_mod_int (to_i m) (to_i a) (to_i b))
-let mul_mod m a b = of_i (mul_mod_int (to_i m) (to_i a) (to_i b))
-let pow_mod m a e = of_i (pow_mod_int (to_i m) (to_i a) (to_i e))
-let pow a e = of_i (pow_int (to_i (Int64.rem a p64)) (to_i e))
-let inv a = of_i (inv_int (to_i (Int64.rem a p64)))
-
-let p = p64

@@ -1,20 +1,18 @@
 (** Modular arithmetic over the 61-bit Mersenne prime p = 2^61 - 1:
     the substrate for {!Schnorr}.
 
-    Two surfaces: a native-int core (allocation-free; everything stays
-    below 2^62 so nothing overflows 63-bit OCaml ints) used on the hot
-    verification path, and int64 wrappers for wire-stable callers and
-    tests. *)
+    Native ints throughout: every quantity stays below 2^62, so nothing
+    overflows 63-bit OCaml ints and nothing allocates on the hot
+    verification path. *)
 
-(** {1 Native-int core} *)
+val p : int
+(** 2^61 - 1. *)
 
 val order_int : int
-(** |Z_p^*| = p - 1 as a native int. *)
+(** |Z_p^*| = p - 1. *)
 
-val reduce_int : int -> int
 val add_mod_int : int -> int -> int -> int
-val add_int : int -> int -> int
-val sub_int : int -> int -> int
+(** [add_mod_int m a b] is [a + b mod m] for [a, b] in [0, m), m < 2^62. *)
 
 val mul_int : int -> int -> int
 (** [mul_int a b] for [a, b] in [0, p): ~20 integer ops, no allocation. *)
@@ -22,27 +20,8 @@ val mul_int : int -> int -> int
 val mul_mod_int : int -> int -> int -> int
 (** General-modulus multiply (double-and-add) for moduli < 2^61. *)
 
-val pow_mod_int : int -> int -> int -> int
 val pow_int : int -> int -> int
 
 val inv_int : int -> int
 (** Multiplicative inverse via Fermat.
     @raise Invalid_argument on zero. *)
-
-(** {1 Int64 wrappers} *)
-
-val p : int64
-(** 2^61 - 1. *)
-
-val order : int64
-(** p - 1. *)
-
-val reduce : int64 -> int64
-val add : int64 -> int64 -> int64
-val sub : int64 -> int64 -> int64
-val mul : int64 -> int64 -> int64
-val add_mod : int64 -> int64 -> int64 -> int64
-val mul_mod : int64 -> int64 -> int64 -> int64
-val pow_mod : int64 -> int64 -> int64 -> int64
-val pow : int64 -> int64 -> int64
-val inv : int64 -> int64

@@ -6,39 +6,42 @@
    it only uses 64-bit integer arithmetic.  State is seeded from
    SplitMix64 as recommended by the authors. *)
 
-type t = {
-  mutable s0 : int64;
-  mutable s1 : int64;
-  mutable s2 : int64;
-  mutable s3 : int64;
-}
+(* The four state words s0..s3, little-endian at byte offsets 0, 8, 16
+   and 24: unboxed, so a draw reads and writes them without allocating
+   (the network takes one draw per delivered message). *)
+type t = Bytes.t
 
 let rotl x k =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
 let create seed =
   let sm = Splitmix64.create seed in
-  let s0 = Splitmix64.next sm in
-  let s1 = Splitmix64.next sm in
-  let s2 = Splitmix64.next sm in
-  let s3 = Splitmix64.next sm in
-  { s0; s1; s2; s3 }
+  let t = Bytes.create 32 in
+  for i = 0 to 3 do
+    Bytes.set_int64_le t (8 * i) (Splitmix64.next sm)
+  done;
+  t
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let copy = Bytes.copy
 
 (* Derive a decorrelated child stream, e.g. one per replica. *)
 let split t ~index =
-  create (Splitmix64.split_seed ~seed:(Int64.logxor t.s0 t.s3) ~index)
+  create
+    (Splitmix64.split_seed
+       ~seed:(Int64.logxor (Bytes.get_int64_le t 0) (Bytes.get_int64_le t 24))
+       ~index)
 
-let next_int64 t =
-  let result = Int64.mul (rotl (Int64.mul t.s1 5L) 7) 9L in
-  let tt = Int64.shift_left t.s1 17 in
-  t.s2 <- Int64.logxor t.s2 t.s0;
-  t.s3 <- Int64.logxor t.s3 t.s1;
-  t.s1 <- Int64.logxor t.s1 t.s2;
-  t.s0 <- Int64.logxor t.s0 t.s3;
-  t.s2 <- Int64.logxor t.s2 tt;
-  t.s3 <- rotl t.s3 45;
+let[@inline] next_int64 t =
+  let s0 = Bytes.get_int64_le t 0 and s1 = Bytes.get_int64_le t 8 in
+  let s2 = Bytes.get_int64_le t 16 and s3 = Bytes.get_int64_le t 24 in
+  let result = Int64.mul (rotl (Int64.mul s1 5L) 7) 9L in
+  let tt = Int64.shift_left s1 17 in
+  let s2 = Int64.logxor s2 s0 in
+  let s3 = Int64.logxor s3 s1 in
+  Bytes.set_int64_le t 8 (Int64.logxor s1 s2);
+  Bytes.set_int64_le t 0 (Int64.logxor s0 s3);
+  Bytes.set_int64_le t 16 (Int64.logxor s2 tt);
+  Bytes.set_int64_le t 24 (rotl s3 45);
   result
 
 (* Uniform float in [0, 1): use the top 53 bits, the standard trick for
@@ -78,17 +81,3 @@ let shuffle t arr =
 let choose t arr =
   if Array.length arr = 0 then invalid_arg "Rng.choose: empty array";
   arr.(int t (Array.length arr))
-
-let bytes t n =
-  let b = Bytes.create n in
-  let i = ref 0 in
-  while !i < n do
-    let v = ref (next_int64 t) in
-    let k = min 8 (n - !i) in
-    for j = 0 to k - 1 do
-      Bytes.set b (!i + j) (Char.chr (Int64.to_int (Int64.logand !v 0xFFL)));
-      v := Int64.shift_right_logical !v 8
-    done;
-    i := !i + k
-  done;
-  b

@@ -40,6 +40,3 @@ val shuffle : t -> 'a array -> unit
 val choose : t -> 'a array -> 'a
 (** Uniformly random element.
     @raise Invalid_argument on an empty array. *)
-
-val bytes : t -> int -> Bytes.t
-(** [bytes t n] returns [n] pseudo-random bytes. *)

@@ -9,6 +9,5 @@ module Topology = Rdb_sim.Topology
 module Sha256 = Rdb_crypto.Sha256
 module Schnorr = Rdb_crypto.Schnorr
 module Keychain = Rdb_crypto.Keychain
-module Cmac = Rdb_crypto.Cmac
 module Rng = Rdb_prng.Rng
 module Zipf = Rdb_prng.Zipf

@@ -1,6 +1,6 @@
-(* Crypto substrate tests: standard test vectors for the real
-   primitives (SHA-256, AES-128, AES-CMAC, HMAC-SHA256) and functional
-   + property tests for the Schnorr signatures and field arithmetic. *)
+(* Crypto substrate tests: the NIST vectors for SHA-256, functional and
+   property tests for the Schnorr signatures and their field arithmetic,
+   and the keychain's verification memo and size. *)
 
 open Rdb_crypto
 
@@ -63,106 +63,6 @@ let test_sha256_digest_list () =
     (Sha256.digest_hex "foobarbaz")
     (Hex.of_string (Sha256.digest_list [ "foo"; "bar"; "baz" ]))
 
-(* -- AES-128: FIPS-197 appendix and SP 800-38B vectors ----------------------- *)
-
-let test_aes128_fips197 () =
-  let key = Hex.to_string "000102030405060708090a0b0c0d0e0f" in
-  let pt = Hex.to_string "00112233445566778899aabbccddeeff" in
-  let ks = Aes128.expand_key key in
-  check_hex "FIPS-197 C.1" "69c4e0d86a7b0430d8cdb78070b4c55a" (Aes128.encrypt_block ks pt)
-
-let test_aes128_sp800_38b_key () =
-  (* The CMAC subkey-generation vector's AES step: AES-128(K, 0^128). *)
-  let key = Hex.to_string "2b7e151628aed2a6abf7158809cf4f3c" in
-  let ks = Aes128.expand_key key in
-  check_hex "L = AES(K, 0)" "7df76b0c1ab899b33e42f047b91b546f"
-    (Aes128.encrypt_block ks (String.make 16 '\x00'))
-
-(* -- AES-CMAC: RFC 4493 test vectors ------------------------------------------ *)
-
-let cmac_key = lazy (Cmac.of_key (Hex.to_string "2b7e151628aed2a6abf7158809cf4f3c"))
-
-let rfc4493_m =
-  lazy
-    (Hex.to_string
-       ("6bc1bee22e409f96e93d7e117393172a" ^ "ae2d8a571e03ac9c9eb76fac45af8e51"
-      ^ "30c81c46a35ce411e5fbc1191a0a52ef" ^ "f69f2445df4f9b17ad2b417be66c3710"))
-
-let test_cmac_vectors () =
-  let key = Lazy.force cmac_key in
-  let m = Lazy.force rfc4493_m in
-  check_hex "len=0" "bb1d6929e95937287fa37d129b756746" (Cmac.mac key "");
-  check_hex "len=16" "070a16b46b4d4144f79bdd9dd04a287c" (Cmac.mac key (String.sub m 0 16));
-  check_hex "len=40" "dfa66747de9ae63030ca32611497c827" (Cmac.mac key (String.sub m 0 40));
-  check_hex "len=64" "51f0bebf7e3b9d92fc49741779363cfe" (Cmac.mac key m)
-
-let test_cmac_verify () =
-  let key = Lazy.force cmac_key in
-  let tag = Cmac.mac key "hello" in
-  Alcotest.(check bool) "valid tag accepted" true (Cmac.verify key "hello" ~tag);
-  Alcotest.(check bool) "wrong msg rejected" false (Cmac.verify key "hellp" ~tag);
-  let bad = String.mapi (fun i c -> if i = 3 then Char.chr (Char.code c lxor 1) else c) tag in
-  Alcotest.(check bool) "flipped tag rejected" false (Cmac.verify key "hello" ~tag:bad)
-
-(* -- HMAC-SHA256: RFC 4231 ------------------------------------------------------ *)
-
-let test_hmac_vectors () =
-  (* RFC 4231 test case 1 *)
-  Alcotest.(check string)
-    "tc1" "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
-    (Hmac.mac_hex ~key:(String.make 20 '\x0b') "Hi There");
-  (* test case 2: key "Jefe" *)
-  Alcotest.(check string)
-    "tc2" "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
-    (Hmac.mac_hex ~key:"Jefe" "what do ya want for nothing?");
-  (* test case 3: 20x 0xaa key, 50x 0xdd data *)
-  Alcotest.(check string)
-    "tc3" "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"
-    (Hmac.mac_hex ~key:(String.make 20 '\xaa') (String.make 50 '\xdd'));
-  (* test case 6: oversized key (131 bytes) forces key hashing *)
-  Alcotest.(check string)
-    "tc6" "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
-    (Hmac.mac_hex
-       ~key:(String.make 131 '\xaa')
-       "Test Using Larger Than Block-Size Key - Hash Key First")
-
-(* -- Field61 --------------------------------------------------------------------- *)
-
-(* Reference multiplication via the generic double-and-add ladder. *)
-let slow_mul a b =
-  let m = Field61.p in
-  let a = ref (Int64.rem a m) and b = ref (Int64.rem b m) in
-  let acc = ref 0L in
-  while Int64.compare !b 0L > 0 do
-    if Int64.logand !b 1L = 1L then acc := Field61.add_mod m !acc !a;
-    a := Field61.add_mod m !a !a;
-    b := Int64.shift_right_logical !b 1
-  done;
-  !acc
-
-let arb_field_elt =
-  QCheck.map
-    (fun (a, b) ->
-      Int64.rem
-        (Int64.logand (Int64.logor (Int64.shift_left (Int64.of_int a) 31) (Int64.of_int b)) Int64.max_int)
-        Field61.p)
-    QCheck.(pair (int_bound 0x3FFFFFFF) (int_bound 0x3FFFFFFF))
-
-let prop_mul_matches_reference =
-  QCheck.Test.make ~name:"field61 fast mul = reference mul" ~count:500
-    QCheck.(pair arb_field_elt arb_field_elt)
-    (fun (a, b) -> Int64.equal (Field61.mul a b) (slow_mul a b))
-
-let prop_mul_inverse =
-  QCheck.Test.make ~name:"field61 a * a^-1 = 1" ~count:200 arb_field_elt (fun a ->
-      QCheck.assume (not (Int64.equal a 0L));
-      Int64.equal (Field61.mul a (Field61.inv a)) 1L)
-
-let prop_fermat =
-  QCheck.Test.make ~name:"field61 a^(p-1) = 1 (Fermat)" ~count:100 arb_field_elt (fun a ->
-      QCheck.assume (not (Int64.equal a 0L));
-      Int64.equal (Field61.pow a (Int64.sub Field61.p 1L)) 1L)
-
 (* -- Schnorr ----------------------------------------------------------------------- *)
 
 let test_schnorr_roundtrip () =
@@ -190,26 +90,6 @@ let test_schnorr_encoding () =
   | Some sg' -> Alcotest.(check bool) "roundtrip" true (sg = sg')
   | None -> Alcotest.fail "decode failed"
 
-let prop_schnorr_sign_verify =
-  QCheck.Test.make ~name:"schnorr sign/verify roundtrip" ~count:100
-    QCheck.(pair small_nat string)
-    (fun (id, msg) ->
-      let sk = Schnorr.keygen ~seed:"prop" ~key_id:id in
-      Schnorr.verify (Schnorr.public_key sk) msg (Schnorr.sign sk msg))
-
-let prop_schnorr_tamper_rejected =
-  QCheck.Test.make ~name:"schnorr tampered signature rejected" ~count:100
-    QCheck.(triple small_nat string (pair small_nat small_nat))
-    (fun (id, msg, (de, ds)) ->
-      QCheck.assume (de + ds > 0);
-      let sk = Schnorr.keygen ~seed:"prop" ~key_id:id in
-      let sg = Schnorr.sign sk msg in
-      let sg' =
-        Schnorr.
-          { e = Int64.add sg.e (Int64.of_int de); s = Int64.add sg.s (Int64.of_int ds) }
-      in
-      not (Schnorr.verify (Schnorr.public_key sk) msg sg'))
-
 (* -- Keychain ------------------------------------------------------------------------ *)
 
 let test_keychain () =
@@ -217,15 +97,7 @@ let test_keychain () =
   let sg = Keychain.sign kc ~signer:2 "hello" in
   Alcotest.(check bool) "sign/verify" true (Keychain.verify kc ~signer:2 "hello" sg);
   Alcotest.(check bool) "wrong signer" false (Keychain.verify kc ~signer:3 "hello" sg);
-  Alcotest.(check bool) "out of range" false (Keychain.verify kc ~signer:9 "hello" sg);
-  let tag = Keychain.mac kc ~src:0 ~dst:4 "payload" in
-  Alcotest.(check bool) "mac verifies" true (Keychain.verify_mac kc ~src:0 ~dst:4 "payload" ~tag);
-  Alcotest.(check bool)
-    "mac symmetric" true
-    (Keychain.verify_mac kc ~src:4 ~dst:0 "payload" ~tag);
-  Alcotest.(check bool)
-    "mac other channel fails" false
-    (Keychain.verify_mac kc ~src:0 ~dst:3 "payload" ~tag)
+  Alcotest.(check bool) "out of range" false (Keychain.verify kc ~signer:9 "hello" sg)
 
 (* -- Hex -------------------------------------------------------------------------------- *)
 
@@ -243,11 +115,6 @@ let suite =
     ("sha256 NIST vectors", `Quick, test_sha256_vectors);
     ("sha256 incremental", `Quick, test_sha256_incremental);
     ("sha256 digest_list", `Quick, test_sha256_digest_list);
-    ("aes128 FIPS-197", `Quick, test_aes128_fips197);
-    ("aes128 SP800-38B subkey step", `Quick, test_aes128_sp800_38b_key);
-    ("cmac RFC4493 vectors", `Quick, test_cmac_vectors);
-    ("cmac verify", `Quick, test_cmac_verify);
-    ("hmac RFC4231 vectors", `Quick, test_hmac_vectors);
     ("schnorr roundtrip", `Quick, test_schnorr_roundtrip);
     ("schnorr wrong key", `Quick, test_schnorr_wrong_key);
     ("schnorr deterministic", `Quick, test_schnorr_deterministic);
@@ -255,46 +122,6 @@ let suite =
     ("keychain", `Quick, test_keychain);
     ("hex", `Quick, test_hex_roundtrip);
   ]
-  @ qsuite
-      [
-        prop_mul_matches_reference;
-        prop_mul_inverse;
-        prop_fermat;
-        prop_schnorr_sign_verify;
-        prop_schnorr_tamper_rejected;
-      ]
-
-(* -- Field61: int core vs int64 wrappers ---------------------------------- *)
-
-let prop_int_core_matches_wrappers =
-  QCheck.Test.make ~name:"field61 int core = int64 wrappers" ~count:300
-    QCheck.(pair arb_field_elt arb_field_elt)
-    (fun (a, b) ->
-      let ai = Int64.to_int a and bi = Int64.to_int b in
-      Int64.to_int (Field61.mul a b) = Field61.mul_int ai bi
-      && Int64.to_int (Field61.add a b) = Field61.add_int ai bi
-      && (ai = 0 || Int64.to_int (Field61.inv a) = Field61.inv_int ai))
-
-let prop_pow_laws =
-  QCheck.Test.make ~name:"field61 a^(e1+e2) = a^e1 * a^e2" ~count:100
-    QCheck.(triple arb_field_elt (int_bound 100_000) (int_bound 100_000))
-    (fun (a, e1, e2) ->
-      QCheck.assume (not (Int64.equal a 0L));
-      let ai = Int64.to_int a in
-      Field61.pow_int ai (e1 + e2)
-      = Field61.mul_int (Field61.pow_int ai e1) (Field61.pow_int ai e2))
-
-(* -- Keychain channel-key independence -------------------------------------- *)
-
-let test_channel_keys_distinct () =
-  let kc = Keychain.create ~seed:"chan" ~n_nodes:6 in
-  (* Tags from distinct channels never validate on other channels. *)
-  let t01 = Keychain.mac kc ~src:0 ~dst:1 "m" in
-  let t02 = Keychain.mac kc ~src:0 ~dst:2 "m" in
-  Alcotest.(check bool) "distinct channels, distinct tags" true (t01 <> t02);
-  (* Caching: same channel gives the same key object behaviour. *)
-  Alcotest.(check string) "cached key stable" (Rdb_crypto.Hex.of_string t01)
-    (Rdb_crypto.Hex.of_string (Keychain.mac kc ~src:1 ~dst:0 "m"))
 
 let test_keychains_with_different_seeds_disjoint () =
   let a = Keychain.create ~seed:"A" ~n_nodes:3 in
@@ -306,10 +133,8 @@ let test_keychains_with_different_seeds_disjoint () =
 let suite =
   suite
   @ [
-      ("keychain channel keys", `Quick, test_channel_keys_distinct);
       ("keychain seed separation", `Quick, test_keychains_with_different_seeds_disjoint);
     ]
-  @ qsuite [ prop_int_core_matches_wrappers; prop_pow_laws ]
 
 (* -- SHA-256: the SHA-extension kernel against the OCaml reference --------- *)
 
@@ -445,3 +270,90 @@ let test_keychain_memo_releases_signatures () =
 let suite =
   suite
   @ [ ("keychain memo releases signatures", `Quick, test_keychain_memo_releases_signatures) ]
+
+(* -- Field61 --------------------------------------------------------------------- *)
+
+(* Reference multiplication via the generic double-and-add ladder. *)
+let slow_mul a b =
+  let a = ref a and b = ref b and acc = ref 0 in
+  while !b > 0 do
+    if !b land 1 = 1 then acc := Field61.add_mod_int Field61.p !acc !a;
+    a := Field61.add_mod_int Field61.p !a !a;
+    b := !b lsr 1
+  done;
+  !acc
+
+let arb_field_elt =
+  QCheck.map
+    (fun (a, b) -> ((a lsl 31) lor b) mod Field61.p)
+    QCheck.(pair (int_bound 0x3FFFFFFF) (int_bound 0x3FFFFFFF))
+
+let prop_mul_matches_reference =
+  QCheck.Test.make ~name:"field61 fast mul = reference mul" ~count:500
+    QCheck.(pair arb_field_elt arb_field_elt)
+    (fun (a, b) -> Field61.mul_int a b = slow_mul a b)
+
+let prop_mul_inverse =
+  QCheck.Test.make ~name:"field61 a * a^-1 = 1" ~count:200 arb_field_elt (fun a ->
+      QCheck.assume (a <> 0);
+      Field61.mul_int a (Field61.inv_int a) = 1)
+
+let prop_fermat =
+  QCheck.Test.make ~name:"field61 a^(p-1) = 1 (Fermat)" ~count:100 arb_field_elt (fun a ->
+      QCheck.assume (a <> 0);
+      Field61.pow_int a (Field61.p - 1) = 1)
+
+let prop_pow_laws =
+  QCheck.Test.make ~name:"field61 a^(e1+e2) = a^e1 * a^e2" ~count:100
+    QCheck.(triple arb_field_elt (int_bound 100_000) (int_bound 100_000))
+    (fun (a, e1, e2) ->
+      QCheck.assume (a <> 0);
+      Field61.pow_int a (e1 + e2) = Field61.mul_int (Field61.pow_int a e1) (Field61.pow_int a e2))
+
+(* -- Schnorr properties ---------------------------------------------------------- *)
+
+let prop_schnorr_sign_verify =
+  QCheck.Test.make ~name:"schnorr sign/verify roundtrip" ~count:100
+    QCheck.(pair small_nat string)
+    (fun (id, msg) ->
+      let sk = Schnorr.keygen ~seed:"prop" ~key_id:id in
+      Schnorr.verify (Schnorr.public_key sk) msg (Schnorr.sign sk msg))
+
+let prop_schnorr_tamper_rejected =
+  QCheck.Test.make ~name:"schnorr tampered signature rejected" ~count:100
+    QCheck.(triple small_nat string (pair small_nat small_nat))
+    (fun (id, msg, (de, ds)) ->
+      QCheck.assume (de + ds > 0);
+      let sk = Schnorr.keygen ~seed:"prop" ~key_id:id in
+      let sg = Schnorr.sign sk msg in
+      let sg' =
+        Schnorr.
+          { e = Int64.add sg.e (Int64.of_int de); s = Int64.add sg.s (Int64.of_int ds) }
+      in
+      not (Schnorr.verify (Schnorr.public_key sk) msg sg'))
+
+(* After the memo tests, so that each property keeps the suite index a
+   run names it by (e.g. `test crypto 16`). *)
+let suite =
+  suite
+  @ qsuite
+      [
+        prop_mul_matches_reference;
+        prop_mul_inverse;
+        prop_fermat;
+        prop_pow_laws;
+        prop_schnorr_sign_verify;
+        prop_schnorr_tamper_rejected;
+      ]
+
+(* A keychain holds per-node key pairs and a fixed-size verdict table,
+   nothing per node pair: doubling the deployment adds a few words per
+   node (two array slots and the two key records). *)
+let test_keychain_linear_size () =
+  let words n = Obj.reachable_words (Obj.repr (Keychain.create ~seed:"size" ~n_nodes:n)) in
+  let added = words 2048 - words 1024 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d words for 1024 more nodes" added)
+    true (added < 16 * 1024)
+
+let suite = suite @ [ ("keychain size is linear in nodes", `Quick, test_keychain_linear_size) ]

@@ -189,3 +189,43 @@ let suite =
     ("zipf exact small-n cdf", `Quick, test_zipf_exact_matches_closed_form_cdf);
   ]
   @ List.map QCheck_alcotest.to_alcotest [ prop_zipf_theta_zero_near_uniform ]
+
+(* Pinned draws of the xoshiro256** stream: any change to how the state
+   is kept or advanced must leave every simulated draw the same. *)
+let test_rng_reference_stream () =
+  let g = Rng.create 7L in
+  let child = Rng.split g ~index:3 in
+  let draws r = List.init 8 (fun _ -> Rng.next_int64 r) in
+  Alcotest.(check (list int64))
+    "create 7"
+    [
+      -5523389002881075622L;
+      5142052590334782674L;
+      -2958351167216911978L;
+      -348685429060373952L;
+      -168598097271454952L;
+      -2346906591474643895L;
+      1120678062349637716L;
+      1926500276298015196L;
+    ]
+    (draws g);
+  Alcotest.(check (list int64))
+    "split ~index:3"
+    [
+      -2365042969591073183L;
+      2571233971002783972L;
+      3649748825558090695L;
+      -8838558810019270379L;
+      6532461091039327355L;
+      -884283671672341795L;
+      1641824156877539192L;
+      1496013411557016933L;
+    ]
+    (draws child);
+  Alcotest.(check (list (float 0.)))
+    "float" [ 0x1.9d653e5b2b22p-2; 0x1.36eb5d000c7p-3; 0x1.152e2245ac3ecp-1 ]
+    (List.init 3 (fun _ -> Rng.float g));
+  Alcotest.(check (list int)) "int 1000" [ 948; 848; 875; 965 ]
+    (List.init 4 (fun _ -> Rng.int g 1000))
+
+let suite = suite @ [ ("rng xoshiro256** reference stream", `Quick, test_rng_reference_stream) ]
