@@ -203,7 +203,7 @@ let run_one (s : Scenario.t) ~(hooks : Perturb.hooks) ~(provoke : string option)
                  (fun r -> Ledger.length (surface.Chaos.ledger r))))
   in
   let outcome =
-    try Ok (Runner.run_instrumented ~install s)
+    try Ok (Runner.run ~install s)
     with
     | Chaos.Violation msg -> Error ("chaos", msg)
     | e -> Error ("exception", Printexc.to_string e)

@@ -269,8 +269,20 @@ type instrument = {
   inst_liveness_window_ms : float;
 }
 
-let exec ?instrument ?attack ?(sharded = true) (p : proto) ~(windows : windows)
-    ~(fault : fault) ~tracer (cfg : Config.t) : Report.t =
+(* The scenario-first entry point, shared by the figures and the
+   searches.  [tracer] (an externally owned tracer, e.g. the CLI's
+   keep_events one for Chrome JSON output) overrides the scenario's
+   [trace] flag; otherwise [trace = true] creates a summary-only tracer
+   so the report carries the per-phase breakdown and the deterministic
+   digest.  [install] receives the deployment's instrument record after
+   construction and before the first simulated event. *)
+let run ?tracer ?install (s : Scenario.t) : Report.t =
+  let tracer =
+    match tracer with
+    | Some _ as t -> t
+    | None -> if s.Scenario.trace then Some (Rdb_trace.Trace.create ()) else None
+  in
+  let { Scenario.proto = p; cfg; fault; windows; attack; trace = _ } = s in
   let go : type a m. (module Deployment.S with type t = a and type msg = m) -> Report.t =
    fun (module D) ->
     (* Experiments sweep many large deployments: keep ledgers compact,
@@ -284,14 +296,14 @@ let exec ?instrument ?attack ?(sharded = true) (p : proto) ~(windows : windows)
       if nr <= 128 then Rdb_ycsb.Table.default_records
       else max 10_000 (Rdb_ycsb.Table.default_records * 128 / nr)
     in
-    let d = D.create ?tracer ~n_records ~retain_payloads:false ~sharded cfg in
+    let d = D.create ?tracer ~n_records ~retain_payloads:false cfg in
     Fun.protect ~finally:(fun () -> D.close d) @@ fun () ->
     let rt = adversary_runtime (module D) d cfg in
     (match attack with
     | None -> ()
     | Some a -> Adversary.Runtime.set_attack rt a);
     let equiv = chaos_equiv rt cfg in
-    (match instrument with
+    (match install with
     | None -> ()
     | Some install ->
         let caps, agreement, liveness_window_ms = chaos_profile p cfg in
@@ -332,36 +344,6 @@ let exec ?instrument ?attack ?(sharded = true) (p : proto) ~(windows : windows)
   | Zyzzyva -> go (module ZyzDep)
   | Hotstuff -> go (module HsDep)
   | Steward -> go (module StwDep)
-
-(* The scenario-first entry point.  [tracer] (an externally owned
-   tracer, e.g. the CLI's keep_events one for Chrome JSON output)
-   overrides the scenario's [trace] flag; otherwise [trace = true]
-   creates a summary-only tracer so the report carries the per-phase
-   breakdown and the deterministic digest. *)
-let run ?tracer (s : Scenario.t) : Report.t =
-  let tracer =
-    match tracer with
-    | Some _ as t -> t
-    | None -> if s.Scenario.trace then Some (Rdb_trace.Trace.create ()) else None
-  in
-  exec ?attack:s.Scenario.attack s.Scenario.proto ~windows:s.Scenario.windows
-    ~fault:s.Scenario.fault ~tracer s.Scenario.cfg
-
-(* The checker's entry point: like {!run}, but [install] receives the
-   deployment's instrument record after construction and before the
-   first simulated event, so exploration hooks and extra monitors can
-   be armed on the very deployment about to run. *)
-let run_instrumented ?tracer ~install (s : Scenario.t) : Report.t =
-  let tracer =
-    match tracer with
-    | Some _ as t -> t
-    | None -> if s.Scenario.trace then Some (Rdb_trace.Trace.create ()) else None
-  in
-  (* Schedule exploration needs globally sequenced schedule calls and
-     network sends (the defer / delivery hooks), so the checker always
-     gets an unsharded deployment. *)
-  exec ~instrument:install ?attack:s.Scenario.attack ~sharded:false s.Scenario.proto
-    ~windows:s.Scenario.windows ~fault:s.Scenario.fault ~tracer s.Scenario.cfg
 
 (* The fault timeline a chaos run with this seed would execute, without
    running it — lets tests (and curious users) verify event-for-event

@@ -33,18 +33,6 @@ type windows = Scenario.windows = { warmup : Time.t; measure : Time.t }
 val default_windows : windows
 val full_windows : windows
 
-val run : ?tracer:Rdb_trace.Trace.t -> Scenario.t -> Report.t
-(** Build the deployment (compact-ledger mode), inject the scenario's
-    fault, run warm-up + measurement, return the report.
-
-    When the scenario has [trace = true], a summary-only tracer is
-    created internally and the report carries the per-phase breakdown
-    plus the deterministic digest.  [tracer] overrides that with an
-    externally owned tracer (e.g. one created with [~keep_events:true]
-    for Chrome trace-event output).
-
-    @raise Chaos.Violation under [Chaos _] if an invariant breaks. *)
-
 type instrument = {
   inst_surface : Chaos.surface;
   inst_engine : Rdb_sim.Engine.t;
@@ -56,10 +44,21 @@ type instrument = {
     actions), the engine, the network delivery-hook installer, and the
     protocol's liveness envelope (ms). *)
 
-val run_instrumented : ?tracer:Rdb_trace.Trace.t -> install:(instrument -> unit) -> Scenario.t -> Report.t
-(** Like {!run}, but calls [install] after the deployment is built and
-    before the first simulated event, so perturbation hooks and extra
-    monitors can be armed on the very deployment about to run.
+val run :
+  ?tracer:Rdb_trace.Trace.t -> ?install:(instrument -> unit) -> Scenario.t -> Report.t
+(** Build the deployment (compact-ledger mode), inject the scenario's
+    fault, run warm-up + measurement, return the report.  The one entry
+    point of the figures, the checker and the attack search: a search's
+    unperturbed run is the figure run, byte for byte.
+
+    When the scenario has [trace = true], a summary-only tracer is
+    created internally and the report carries the per-phase breakdown
+    plus the deterministic digest.  [tracer] overrides that with an
+    externally owned tracer (e.g. one created with [~keep_events:true]
+    for Chrome trace-event output).  [install] is called after the
+    deployment is built and before the first simulated event, so
+    perturbation hooks and extra monitors can be armed on the very
+    deployment about to run.
 
     @raise Chaos.Violation under [Chaos _] if an invariant breaks. *)
 

@@ -79,8 +79,8 @@ module Make (P : Protocol.S) = struct
     drivers : client_driver array;
     mutable crashed : bool array;
     (* Engine shard owning each node: cluster c (replicas and its
-       co-located client group) = shard c on a sharded engine,
-       everything on shard 0 otherwise. *)
+       co-located client group) = shard c when z > 1, everything on
+       shard 0 otherwise. *)
     shard_of : int -> int;
     (* Structured consensus-path tracer (Rdb_trace); None = off, and
        every probe degrades to a no-op closure or a single match. *)
@@ -303,7 +303,7 @@ module Make (P : Protocol.S) = struct
   (* -- construction -------------------------------------------------------- *)
 
   let create ?tracer ?(n_records = Rdb_ycsb.Table.default_records) ?(retain_payloads = true)
-      ?(sharded = true) ?store_dir (cfg : Config.t) =
+      ?store_dir (cfg : Config.t) =
     if cfg.Config.z < 1 then invalid_arg "Deployment.create: z must be >= 1";
     let topo = Topology.clustered ~z:cfg.Config.z ~n:cfg.Config.n in
     (* Conservative sharding (DESIGN.md §15): one shard per cluster —
@@ -312,7 +312,7 @@ module Make (P : Protocol.S) = struct
        one-way latency bounds how soon it can land.  The shard count is
        fixed by the topology, and it fixes the event order. *)
     let lookahead_ms = Topology.min_cross_region_one_way_ms topo in
-    let shards = if sharded && cfg.Config.z > 1 && lookahead_ms < infinity then cfg.Config.z else 1 in
+    let shards = if cfg.Config.z > 1 && lookahead_ms < infinity then cfg.Config.z else 1 in
     let engine =
       if shards > 1 then
         Engine.create ~seed:cfg.Config.seed ~shards ~lookahead:(Time.of_ms_f lookahead_ms) ()

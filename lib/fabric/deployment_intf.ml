@@ -24,18 +24,17 @@ module type S = sig
     ?tracer:Rdb_trace.Trace.t ->
     ?n_records:int ->
     ?retain_payloads:bool ->
-    ?sharded:bool ->
     ?store_dir:string ->
     Config.t ->
     t
   (** Build a deployment.  [n_records] sizes the replicated store
       (default 600k, as in §4).  [retain_payloads:false] drops batch
       payloads from ledger blocks (long sweeps); recovery then carries
-      state snapshots instead of replaying payloads.  [sharded]
-      (default true) gives the engine one shard per cluster; the
-      partition fixes the event order, so an unsharded run is
-      deterministic but not byte-identical to the sharded one.
-      [store_dir] roots the per-replica block stores when the config
+      state snapshots instead of replaying payloads.  The engine gets
+      one shard per cluster whenever z > 1 (DESIGN.md §15); the
+      partition fixes the event order, so every deployment of a
+      config — a figure's, the checker's, the attack search's — runs
+      the same schedule.  [store_dir] roots the per-replica block stores when the config
       selects [Disk] storage (default: a fresh temp directory per
       deployment, removed by {!close}). *)
 

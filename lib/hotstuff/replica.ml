@@ -112,6 +112,10 @@ type replica = {
   quorum : int;
   insts : inst_state array;
   mutable decided_total : int;
+  (* Digests of the batches this replica has executed, in any instance:
+     a client retry rotates to another leader, so two instances can
+     order the same batch. *)
+  executed_digests : (string, unit) Hashtbl.t;
   recovery : Recovery.t;
 }
 
@@ -290,6 +294,7 @@ let create_replica (ctx : msg Ctx.t) =
               bulk_from = -1;
             });
       decided_total = 0;
+      executed_digests = Hashtbl.create 256;
     }
   in
   Recovery.watch r.recovery
@@ -411,12 +416,18 @@ and exec_ready r inst =
           Hashtbl.remove inst.slots (inst.next_exec - 64);
           r.decided_total <- r.decided_total + 1;
           let exec_height = inst.next_exec - 1 in
-          r.ctx.Ctx.execute batch ~cert:None ~on_done:(fun _ ->
-              r.ctx.Ctx.phase ~key:(hs_key ~owner:inst.owner ~height:exec_height) ~name:"execute";
-              (if not (Batch.is_noop batch) then
-                 Client_core.reply r.ctx ~dst:batch.Batch.origin
-                   (Reply { batch_id = batch.Batch.id; result_digest = result_digest batch }));
-              exec_ready r inst))
+          (* A later decided copy of an executed batch only advances
+             this instance's frontier. *)
+          if Hashtbl.mem r.executed_digests batch.Batch.digest then exec_ready r inst
+          else begin
+            Hashtbl.replace r.executed_digests batch.Batch.digest ();
+            r.ctx.Ctx.execute batch ~cert:None ~on_done:(fun _ ->
+                r.ctx.Ctx.phase ~key:(hs_key ~owner:inst.owner ~height:exec_height) ~name:"execute";
+                (if not (Batch.is_noop batch) then
+                   Client_core.reply r.ctx ~dst:batch.Batch.origin
+                     (Reply { batch_id = batch.Batch.id; result_digest = result_digest batch }));
+                exec_ready r inst)
+          end)
   | _ -> ()
 
 (* -- dispatch --------------------------------------------------------------- *)

@@ -50,7 +50,6 @@ let stage_name = function
 type t = {
   engine : Engine.t;
   busy : Time.t array array;        (* busy.(node).(stage) = busy-until *)
-  busy_ns : float array array;      (* accumulated busy time *)
   sync_threshold : Time.t;          (* run continuations inline below this cost *)
   trace : Rdb_trace.Trace.t option; (* per-charge spans; None = no overhead *)
   shard_of : int -> int;            (* engine shard owning each node *)
@@ -60,7 +59,6 @@ let create ?(sync_threshold = Time.us 5) ?trace ?(shard_of = fun _ -> 0) ~engine
   {
     engine;
     busy = Array.init n_nodes (fun _ -> Array.make n_stages Time.zero);
-    busy_ns = Array.init n_nodes (fun _ -> Array.make n_stages 0.);
     sync_threshold;
     trace;
     shard_of;
@@ -76,15 +74,8 @@ let charge t ~node ~stage ~cost k =
   let start = Time.max now t.busy.(node).(s) in
   let finish = Time.add start cost in
   t.busy.(node).(s) <- finish;
-  t.busy_ns.(node).(s) <- t.busy_ns.(node).(s) +. float_of_int cost;
   (match t.trace with
   | None -> ()
   | Some tr -> Rdb_trace.Trace.cpu_span tr ~node ~stage:(stage_name stage) ~start ~dur:cost);
   if Time.( <= ) finish (Time.add now t.sync_threshold) && Time.compare start now = 0 then k ()
   else ignore (Engine.schedule_at_shard t.engine ~shard:(t.shard_of node) ~at:finish k)
-
-(* Stage-busy seconds accumulated by [node] on [stage]. *)
-let busy_sec t ~node ~stage = t.busy_ns.(node).(stage_index stage) /. 1e9
-
-let total_busy_sec t ~node =
-  Array.fold_left (fun acc ns -> acc +. (ns /. 1e9)) 0. t.busy_ns.(node)

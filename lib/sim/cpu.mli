@@ -36,8 +36,3 @@ val create :
 
 val charge : t -> node:int -> stage:stage -> cost:Time.t -> (unit -> unit) -> unit
 (** [charge t ~node ~stage ~cost k] runs [k] when the work completes. *)
-
-val busy_sec : t -> node:int -> stage:stage -> float
-(** Accumulated busy seconds of one stage (utilization metrics). *)
-
-val total_busy_sec : t -> node:int -> float

@@ -94,7 +94,8 @@ type t = {
   (* Schedule-exploration hook (lib/check): when installed, the nth
      schedule call (0-based) may be pushed behind its equal-timestamp
      group — a legal permutation of simultaneous events.  [None] costs
-     one match per schedule.  Single-shard engines only. *)
+     one match per schedule.  Shards run one after another on one
+     domain, so the calls are globally ordered on any shard count. *)
   mutable defer_hook : (int -> bool) option;
   mutable sched_calls : int;
 }
@@ -160,8 +161,6 @@ let pending_events t =
     0 t.shards
 
 let set_defer_hook t h =
-  if Array.length t.shards > 1 && h <> None then
-    invalid_arg "Engine.set_defer_hook: schedule exploration requires a single-shard engine";
   t.defer_hook <- h;
   t.sched_calls <- 0
 
@@ -321,13 +320,24 @@ let push_group t s ~floor ~times ~agenda:a ~deliver =
    entry [i], exactly as [k] separate [schedule_at_shard] calls would,
    as one pooled record per destination shard.  Entries for a shard
    the caller may push to directly — the executing shard, or any shard
-   from outside event execution — reserve their sequence numbers now,
-   in call order and through the defer hook like any schedule call.
+   from outside event execution — reserve their sequence numbers in
+   call order and through the defer hook like any schedule call.
    Entries for another shard stage as one outbox group that the barrier
    expands into consecutive sequence numbers at the group's FIFO
    position.  Either way the executed schedule is the one [k]
    individual schedules produce. *)
 let fanout t ~shards ~times ~deliver =
+  (* Inside an epoch only the executing shard's entries are direct, so
+     shard by shard is call order.  Outside, every entry is direct and
+     they may span shards: under a defer hook, reserve them all up
+     front so the hook sees the calls in order.  Without one, shard by
+     shard gives each heap the same relative order and allocates
+     nothing. *)
+  let upfront =
+    match (t.cur, t.defer_hook) with
+    | None, Some _ -> Array.init (Array.length shards) (fun _ -> next_seq t)
+    | _ -> [||]
+  in
   for sh = 0 to Array.length t.shards - 1 do
     let agenda = agenda_for ~shards sh in
     if Array.length agenda > 0 then
@@ -335,13 +345,11 @@ let fanout t ~shards ~times ~deliver =
       | Some s when s.sid <> sh ->
           s.outboxes.(sh) <- Sgroup (times, agenda, deliver) :: s.outboxes.(sh)
       | _ ->
-          (* Only one-shard engines take a defer hook, so reserving
-             shard by shard is reserving in call order. *)
-          let d = t.shards.(sh) in
           for p = 0 to (Array.length agenda / 2) - 1 do
-            agenda.(2 + (2 * p)) <- next_seq t
+            agenda.(2 + (2 * p)) <-
+              (if Array.length upfront = 0 then next_seq t else upfront.(agenda.(1 + (2 * p))))
           done;
-          push_group t d ~floor:t.now ~times ~agenda ~deliver
+          push_group t t.shards.(sh) ~floor:t.now ~times ~agenda ~deliver
   done
 
 (* Global control action at absolute time [at]: runs at an epoch

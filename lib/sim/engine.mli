@@ -59,8 +59,10 @@ val set_defer_hook : t -> (int -> bool) option -> unit
     whether the event should be pushed {e behind} its equal-timestamp
     group.  Deferred events keep their relative order.  This permutes
     only ties in simulated time — a legal reordering of simultaneous
-    events — and is off ([None]) in every normal run.  Single-shard
-    engines only. *)
+    events — and is off ([None]) in every normal run.  Any shard count:
+    shards run one after another, so the calls are globally ordered,
+    and with no perturbation an explored run executes the schedule of
+    the same run without the hook. *)
 
 val schedule_calls : t -> int
 (** Schedule calls observed since the defer hook was installed. *)

@@ -8,6 +8,8 @@ module Check = Rdb_check.Check
 module Perturb = Rdb_check.Perturb
 module Scenario = Rdb_experiments.Scenario
 module Time = Rdb_sim.Time
+module Runner = Rdb_experiments.Runner
+module Adversary = Rdb_adversary.Adversary
 
 (* -- artifact determinism ------------------------------------------------- *)
 
@@ -173,6 +175,41 @@ let test_clean_sweep_small () =
                ce.Check.violation.invariant ce.Check.violation.detail))
     Scenario.all_protocols
 
+(* -- search runs are figure runs ----------------------------------------- *)
+
+(* With no perturbation a checker run is the figure run: its trace
+   digest equals [Runner.run]'s for the same scenario, for every
+   protocol, under a chaos timeline and under an attack. *)
+let test_unperturbed_is_figure_run () =
+  let parity name s =
+    let figure =
+      Option.map (fun t -> t.Rdb_trace.Trace.digest_hex) (Runner.run s).Rdb_fabric.Report.trace
+    in
+    let search = Check.run_one s ~hooks:(Perturb.replay []) ~provoke:None in
+    Alcotest.(check bool) (name ^ ": traced") true (figure <> None);
+    Alcotest.(check (option string)) (name ^ ": digest") figure search.Check.digest
+  in
+  let stock p = Check.default_scenario ~measure:(Time.ms 1000) p in
+  List.iter (fun p -> parity (Scenario.proto_name p) (stock p)) Scenario.all_protocols;
+  parity "chaos" { (stock Scenario.Geobft) with Scenario.fault = Scenario.Chaos 3 };
+  let attacked = stock Scenario.Pbft in
+  parity "attack"
+    { attacked with Scenario.attack = Some (Check.sample_attack ~seed:1 ~attempt:1 attacked) }
+
+(* -- regressions ---------------------------------------------------------- *)
+
+(* A client retry rotates to another HotStuff leader, so two instances
+   order the same batch; the replica must execute it once.  The rule is
+   the attack search's shrunk counterexample (attempt 7, seed 1). *)
+let test_hotstuff_executes_batch_once () =
+  let s = Check.default_scenario ~measure:Check.attacks.measure Scenario.Hotstuff in
+  match Adversary.rule_of_id "2@588:3063!lag784.c0" with
+  | None -> Alcotest.fail "rule id does not parse"
+  | Some rule -> (
+      match (Check.run_attack s { Adversary.Attack.rules = [ rule ] }).Check.violation with
+      | None -> ()
+      | Some v -> Alcotest.failf "%s: %s" v.Check.invariant v.Check.detail)
+
 let suite =
   [
     ("ddmin idempotent", `Quick, test_ddmin_idempotent);
@@ -186,5 +223,7 @@ let suite =
     ("replay reproduces", `Slow, test_replay_reproduces);
     ("clean sweep small", `Slow, test_clean_sweep_small);
     ("artifact cross-kind rejected", `Quick, test_cross_kind_rejected);
+    ("unperturbed run is the figure run", `Slow, test_unperturbed_is_figure_run);
+    ("hotstuff executes a batch once", `Slow, test_hotstuff_executes_batch_once);
     QCheck_alcotest.to_alcotest ddmin_one_minimal;
   ]
