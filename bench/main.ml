@@ -1,287 +1,16 @@
-(* The bench harness: the exact regression gate over a fixed-seed
-   smoke matrix, and Bechamel micro-benchmarks of the substrates.  The
-   paper's tables and figures are run and printed by `rdb_cli sweep`
-   (and Table 1 by `rdb_cli matrix`).
+(* Bechamel micro-benchmarks of the substrates.  The regression gate is
+   `dune build @bench/bench-check` (see bench/dune); the paper's tables
+   and figures are run and printed by `rdb_cli sweep` (and Table 1 by
+   `rdb_cli matrix`).
 
    Usage:
-     dune exec bench/main.exe -- --check bench/baseline.json   # the CI gate
-     dune exec bench/main.exe -- -j 2 --reps 1 --check bench/baseline.json
-     dune exec bench/main.exe -- --write-baseline bench/baseline.json
-     dune exec bench/main.exe -- micro        # Bechamel micro-benchmarks *)
+     dune exec bench/main.exe -- micro *)
 
 module Runner = Rdb_experiments.Runner
 module Scenario = Rdb_experiments.Scenario
-module Matrices = Rdb_experiments.Matrices
-module Sweep = Rdb_sweep.Sweep
 module Config = Rdb_types.Config
-module Adversary = Rdb_adversary.Adversary
-module Report = Rdb_fabric.Report
-module Json = Rdb_fabric.Json
 
 let say fmt = Printf.printf fmt
-
-(* -- machine-readable results (BENCH_results.json) ------------------------ *)
-
-(* Each gate repetition is recorded as its wall time plus the labeled
-   deployment reports it produced, and the session is written to
-   BENCH_results.json so the perf trajectory is diffable across PRs. *)
-type artifact = { a_name : string; a_wall_s : float; a_runs : (string * Report.t) list }
-
-let write_results ~jobs artifacts =
-  let windows = Matrices.smoke_windows in
-  let doc =
-    Json.Obj
-      [
-        ("schema", Json.Int 2);
-        ("generated_unix", Json.Float (Float.round (Unix.time ())));
-        ("jobs", Json.Int jobs);
-        ( "windows",
-          Json.Obj
-            [
-              ("warmup_s", Json.Float (Rdb_sim.Time.to_sec_f windows.Runner.warmup));
-              ("measure_s", Json.Float (Rdb_sim.Time.to_sec_f windows.Runner.measure));
-            ] );
-        ( "artifacts",
-          Json.List
-            (List.map
-               (fun a ->
-                 Json.Obj
-                   [
-                     ("name", Json.String a.a_name);
-                     ("wall_s", Json.Float a.a_wall_s);
-                     ( "runs",
-                       Json.List
-                         (List.map
-                            (fun (label, r) ->
-                              Json.Obj
-                                [ ("label", Json.String label); ("report", Report.to_json r) ])
-                            a.a_runs) );
-                   ])
-               artifacts) );
-      ]
-  in
-  let oc = open_out "BENCH_results.json" in
-  output_string oc (Json.to_string doc);
-  close_out oc;
-  say "wrote BENCH_results.json (%d artifacts)\n%!" (List.length artifacts)
-
-(* -- regression gate --------------------------------------------------------- *)
-
-(* The gate's matrix: the z2 n4 smoke (Matrices.smoke, one small
-   fixed-seed run per protocol) plus four entries of its own.  The
-   simulator is deterministic, so for a given binary these numbers are
-   exactly reproducible, and the CI gate compares them against
-   bench/baseline.json exactly. *)
-(* One adversary scenario rides along in the smoke matrix: a corrupted
-   cluster-0 primary silencing its global shares toward remote
-   clusters for most of the measured window.  GeoBFT absorbs it (f=1
-   per cluster; the f+1 fan-out and local rebroadcast route around the
-   muted sender), so the entry pins the cost of a *live* interposition
-   hook — the other five entries keep pinning the hook's disabled
-   path, which must stay at its pre-adversary numbers. *)
-let smoke_attack () =
-  match Adversary.Attack.of_id "0@600:1400!mute.share.rem" with
-  | Some a -> a
-  | None -> failwith "bench: unparseable smoke attack id"
-
-let smoke_scenarios () =
-  Matrices.smoke
-  @ [ Scenario.make ~windows:Matrices.smoke_windows ~attack:(smoke_attack ()) Scenario.Geobft
-        Matrices.smoke_cfg;
-      (* The read-heavy entry pins the read-path consensus bypass: 50%
-         of batches are point reads and 10% scans, served from replica
-         state at f+1 matching result digests, so its throughput and
-         latency move whenever the bypass (or the storage seam under
-         it) changes cost. *)
-      Scenario.make ~windows:Matrices.smoke_windows Scenario.Geobft
-        { Matrices.smoke_cfg with Config.read_fraction = 0.5; scan_fraction = 0.1 };
-      (* The large-topology entry pins the scaling work of DESIGN.md
-         §17: 8 tiled regions, 31 replicas each, 16k aggregated
-         clients — so pooled multicast fan-out, client-group ticks and
-         tiled-topology routing all sit on its critical path.  A short
-         window keeps the entry's share of the gate under ~10 s. *)
-      Scenario.make
-        ~windows:{ Runner.warmup = Rdb_sim.Time.ms 300; measure = Rdb_sim.Time.ms 700 }
-        Scenario.Geobft
-        (Config.make ~z:8 ~n:31 ~clients:16_000 ~seed:1 ());
-      (* The faulted-wire entry: chaos seed 10's timeline severs a link
-         (a drop rule), degrades another with 13% loss and duplicates
-         a third, with a replica crash on top, so drop rules, loss and
-         dup draws, and state transfer all sit in the gated schedule.
-         Pbft's chaos envelope has no partitions; the severed link is
-         the same drop-rule mechanism.  The windows are the shortest
-         that leave the planner room for faults. *)
-      Scenario.make
-        ~windows:{ Runner.warmup = Rdb_sim.Time.ms 1000; measure = Rdb_sim.Time.ms 4000 }
-        ~fault:(Scenario.Chaos 10) Scenario.Pbft Matrices.smoke_cfg ]
-
-(* Baseline file: written by --write-baseline, committed as
-   bench/baseline.json, checked by --check (the CI regression gate).
-   Runs are keyed by Scenario.to_string ids, so the gate re-derives its
-   matrix from the baseline file itself.  The simulator is
-   deterministic, so every gated value is exact (schema 4): simulated
-   throughput and average latency compare as floats, the trace digest
-   byte for byte.  Any change to the simulated schedule shows up here;
-   an intentional one is re-baselined and its diff reviewed. *)
-let baseline_schema = 4
-
-let digest_of (r : Report.t) =
-  match r.Report.trace with Some tr -> tr.Rdb_trace.Trace.digest_hex | None -> "-"
-
-(* Traced runs: the digest is part of the baseline.  Tracing is
-   observational — it never perturbs the simulated schedule. *)
-let traced_sweep ~jobs scenarios =
-  let traced = List.map (fun (s : Scenario.t) -> { s with Scenario.trace = true }) scenarios in
-  Sweep.reports_exn (Sweep.run ~jobs traced)
-
-let write_baseline path runs =
-  let doc =
-    Json.Obj
-      [
-        ("schema", Json.Int baseline_schema);
-        ( "runs",
-          Json.List
-            (List.map
-               (fun ((s : Scenario.t), (r : Report.t)) ->
-                 Json.Obj
-                   [
-                     ( "scenario",
-                       Json.String (Scenario.to_string { s with Scenario.trace = false }) );
-                     ("throughput_txn_s", Json.Float r.Report.throughput_txn_s);
-                     ("avg_latency_ms", Json.Float r.Report.avg_latency_ms);
-                     ("digest_hex", Json.String (digest_of r));
-                   ])
-               runs) );
-      ]
-  in
-  let oc = open_out path in
-  output_string oc (Json.to_string doc);
-  close_out oc;
-  say "wrote %s (%d scenarios)\n%!" path (List.length runs)
-
-type baseline_run = { b_scenario : Scenario.t; b_thr : float; b_lat : float; b_digest : string }
-
-let parse_baseline path =
-  let ic = open_in path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  let fail fmt = Printf.ksprintf (fun m -> say "bench --check: %s\n" m; exit 2) fmt in
-  match Json.of_string s with
-  | Error msg -> fail "cannot parse %s: %s" path msg
-  | Ok doc ->
-      (match Option.bind (Json.member "schema" doc) Json.to_int with
-      | Some v when v = baseline_schema -> ()
-      | Some v ->
-          fail
-            "%s has schema %d, expected %d (re-baseline with: dune exec bench/main.exe -- \
-             --write-baseline %s)"
-            path v baseline_schema path
-      | None -> fail "%s carries no schema field" path);
-      let runs =
-        match Option.bind (Json.member "runs" doc) Json.to_list with
-        | Some runs -> runs
-        | None -> fail "%s has no runs" path
-      in
-      let parse_run rj =
-        let str name = Option.bind (Json.member name rj) Json.to_str in
-        let num name = Option.bind (Json.member name rj) Json.to_float in
-        match (str "scenario", num "throughput_txn_s", num "avg_latency_ms", str "digest_hex") with
-        | Some id, Some b_thr, Some b_lat, Some b_digest -> (
-            match Scenario.of_string id with
-            | Some b_scenario -> { b_scenario; b_thr; b_lat; b_digest }
-            | None -> fail "unparseable scenario id %S" id)
-        | _ -> fail "ill-formed baseline run entry"
-      in
-      List.map parse_run runs
-
-(* The CI regression gate: rerun every baseline scenario (through the
-   sweep engine, traced) [reps] times and require every repetition to
-   reproduce the committed throughput, average latency and trace
-   digest exactly.  The current run matrix is cross-checked against
-   the baseline's coverage: a matrix scenario with no baseline entry
-   is a MISSING failure (otherwise newly added scenarios would
-   silently escape the gate).  The repetitions time the simulator
-   (BENCH_results.json); they cannot disagree on simulated values.
-   Re-baseline with:
-     dune exec bench/main.exe -- --write-baseline bench/baseline.json *)
-let run_check ~jobs ~reps path =
-  let baseline = parse_baseline path in
-  if baseline = [] then begin
-    say "bench --check: no runs found in %s\n" path;
-    exit 2
-  end;
-  say "== bench regression check against %s (%d rep%s, exact) ==\n%!" path reps
-    (if reps = 1 then "" else "s");
-  let covered = List.map (fun b -> Scenario.to_string b.b_scenario) baseline in
-  let missing =
-    List.filter
-      (fun s -> not (List.mem (Scenario.to_string s) covered))
-      (smoke_scenarios ())
-  in
-  List.iter
-    (fun s -> say "  MISSING  %s has no baseline entry\n%!" (Scenario.to_string s))
-    missing;
-  let rep_runs =
-    List.init reps (fun i ->
-        let t0 = Unix.gettimeofday () in
-        let runs = traced_sweep ~jobs (List.map (fun b -> b.b_scenario) baseline) in
-        let wall = Unix.gettimeofday () -. t0 in
-        say "  [rep %d/%d done in %.1fs]\n%!" (i + 1) reps wall;
-        ( runs,
-          {
-            a_name = Printf.sprintf "check-rep-%d" (i + 1);
-            a_wall_s = wall;
-            a_runs = List.map (fun ((s : Scenario.t), r) -> (Scenario.to_string s, r)) runs;
-          } ))
-  in
-  let artifacts = List.map snd rep_runs and rep_runs = List.map fst rep_runs in
-  (* Trace digests, one line per scenario — uploaded as a CI artifact
-     next to BENCH_results.json so digests are diffable across PRs. *)
-  (match rep_runs with
-  | first :: _ ->
-      let oc = open_out "BENCH_digests.txt" in
-      List.iter
-        (fun ((s : Scenario.t), r) ->
-          Printf.fprintf oc "%s %s\n" (digest_of r)
-            (Scenario.to_string { s with Scenario.trace = false }))
-        first;
-      close_out oc;
-      say "wrote BENCH_digests.txt (%d scenarios)\n%!" (List.length first)
-  | [] -> ());
-  let failures = ref 0 in
-  let check id metric ~base ~got ~same =
-    say "  %-40s %-18s baseline %s  got %s  %s\n%!" id metric base got
-      (if same then "ok" else "FAIL");
-    if not same then incr failures
-  in
-  List.iteri
-    (fun i b ->
-      let id = Scenario.to_string b.b_scenario in
-      List.iter
-        (fun runs ->
-          let r = snd (List.nth runs i) in
-          let num metric base got =
-            check id metric ~base:(Json.float_to_string base) ~got:(Json.float_to_string got)
-              ~same:(Float.equal base got)
-          in
-          num "throughput_txn_s" b.b_thr r.Report.throughput_txn_s;
-          num "avg_latency_ms" b.b_lat r.Report.avg_latency_ms;
-          let digest = digest_of r in
-          check id "digest_hex" ~base:b.b_digest ~got:digest ~same:(String.equal b.b_digest digest))
-        rep_runs)
-    baseline;
-  write_results ~jobs artifacts;
-  if !failures > 0 || missing <> [] then begin
-    if !failures > 0 then say "bench --check: %d value(s) differ from the baseline\n" !failures;
-    if missing <> [] then
-      say
-        "bench --check: %d run-matrix scenario(s) missing from %s (re-baseline with: dune exec \
-         bench/main.exe -- --write-baseline %s)\n"
-        (List.length missing) path path;
-    exit 1
-  end;
-  say "bench --check: all %d scenarios reproduce the baseline exactly (%d rep%s)\n"
-    (List.length baseline) reps (if reps = 1 then "" else "s")
 
 (* -- Bechamel micro-benchmarks ----------------------------------------------- *)
 
@@ -480,43 +209,12 @@ let run_micro () =
         (Analyze.all ols Instance.monotonic_clock raw))
     (micro_tests ())
 
-(* Pull "--flag PATH" out of an argument list; returns (value, rest). *)
-let rec take_flag flag = function
-  | [] -> (None, [])
-  | f :: value :: rest when f = flag -> (Some value, rest)
-  | a :: rest ->
-      let v, rest = take_flag flag rest in
-      (v, a :: rest)
-
-let usage () =
-  say
-    "usage: main.exe [-j N] [--reps N] --check BASELINE | [-j N] --write-baseline BASELINE | \
-     micro\n\
-     (the paper's tables and figures: resilientdb-cli sweep MATRIX, resilientdb-cli matrix)\n";
-  exit 2
-
 let () =
-  let args = Array.to_list Sys.argv |> List.tl in
-  let positive flag = function
-    | None -> None
-    | Some v -> (
-        match int_of_string_opt v with
-        | Some v when v >= 1 -> Some v
-        | _ ->
-            say "%s expects a positive integer\n" flag;
-            exit 2)
-  in
-  let jobs, args = take_flag "-j" args in
-  let jobs = Option.value (positive "-j" jobs) ~default:(Sweep.default_jobs ()) in
-  let reps, args = take_flag "--reps" args in
-  let reps = Option.value (positive "--reps" reps) ~default:3 in
-  let check_path, args = take_flag "--check" args in
-  let baseline_path, args = take_flag "--write-baseline" args in
-  match (check_path, baseline_path, args) with
-  | Some path, None, [] ->
-      (* CI regression gate: [reps] fresh runs of the baseline's
-         scenarios must reproduce the committed values exactly. *)
-      run_check ~jobs ~reps path
-  | None, Some path, [] -> write_baseline path (traced_sweep ~jobs (smoke_scenarios ()))
-  | None, None, [ "micro" ] -> run_micro ()
-  | _ -> usage ()
+  match List.tl (Array.to_list Sys.argv) with
+  | [ "micro" ] -> run_micro ()
+  | _ ->
+      say
+        "usage: main.exe micro\n\
+         (the regression gate: dune build @bench/bench-check; the paper's tables and figures: \
+         resilientdb-cli sweep MATRIX, resilientdb-cli matrix)\n";
+      exit 2

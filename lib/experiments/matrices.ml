@@ -14,11 +14,7 @@ module Topology = Rdb_sim.Topology
 module Time = Rdb_sim.Time
 open Runner
 
-(* -- shared deployments ---------------------------------------------------- *)
-
-let smoke_windows = { warmup = Time.ms 500; measure = Time.ms 1500 }
-let smoke_cfg = Config.make ~z:2 ~n:4 ~batch_size:50 ~client_inflight:16 ~seed:1 ()
-let smoke = List.map (fun p -> Scenario.make ~windows:smoke_windows p smoke_cfg) all_protocols
+(* -- the chaos validation deployment --------------------------------------- *)
 
 let chaos ~seeds =
   let windows = { warmup = Time.sec 1; measure = Time.sec 11 } in
@@ -332,7 +328,11 @@ let matrix ~windows ~seeds name =
   let plain scenarios = Some { scenarios; render = None } in
   let grid ?fault protocols xs cfg_of = grid ~windows ?fault protocols xs cfg_of in
   match name with
-  | "smoke" -> plain (List.map (fun s -> { s with Scenario.trace = true }) smoke)
+  | "smoke" ->
+      (* One small traced run per protocol: z2 n4, 0.5 s + 1.5 s. *)
+      let windows = { warmup = Time.ms 500; measure = Time.ms 1500 } in
+      let cfg = Config.make ~z:2 ~n:4 ~batch_size:50 ~client_inflight:16 ~seed:1 () in
+      plain (List.map (fun p -> Scenario.make ~windows ~trace:true p cfg) all_protocols)
   | "fig10" ->
       table
         (grid all_protocols [ 1; 2; 3; 4; 5; 6 ] (fun z -> Config.make ~z ~n:(60 / z) ()))

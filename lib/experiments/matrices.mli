@@ -2,26 +2,13 @@
     ablations and Table 2 — is one named matrix, its scenario grid plus
     the renderer that prints its paper table from the grid's results
     ([rdb_cli sweep NAME]); Table 1 is {!table1} ([rdb_cli matrix]).
-    Also the two small fixed deployments several drivers share: the
-    z2 n4 smoke and the chaos validation deployment. *)
+    Also the chaos validation deployment the chaos sweeps share. *)
 
 module Config = Rdb_types.Config
 module Report = Rdb_fabric.Report
 open Runner
 
-(** {1 Shared deployments} *)
-
-val smoke_windows : windows
-(** 0.5 s + 1.5 s. *)
-
-val smoke_cfg : Config.t
-(** z2 n4, batch 50, 16 batches in flight per client group, seed 1. *)
-
-val smoke : Scenario.t list
-(** One untraced run of {!smoke_cfg} per protocol, in
-    {!Runner.all_protocols} order.  The ["smoke"] matrix runs it
-    traced; the bench regression gate runs it followed by four entries
-    of its own. *)
+(** {1 The chaos validation deployment} *)
 
 val chaos : seeds:(proto -> int list) -> Scenario.t list
 (** Every protocol under each of its chaos planner seeds on the chaos

@@ -590,25 +590,15 @@ let remote_vcs_triggered r = r.remote_vcs_triggered
 let adversary : msg Rdb_types.Interpose.view =
   let open Rdb_types.Interpose in
   let classify = function
-    | Messages.Local em -> (
-        match em with
-        | Rdb_pbft.Messages.Preprepare _ -> Proposal
-        | Rdb_pbft.Messages.Prepare _ | Rdb_pbft.Messages.Commit _ -> Vote
-        | Rdb_pbft.Messages.Checkpoint _ -> Sync
-        | Rdb_pbft.Messages.ViewChange _ | Rdb_pbft.Messages.NewView _ -> View_change
-        | Rdb_pbft.Messages.Forward _ -> Client)
+    | Messages.Local em -> Rdb_pbft.Messages.classify em
     | Messages.Request _ | Messages.Read_request _ | Messages.Reply _ -> Client
     | Messages.Global_share _ -> Share
     | Messages.Drvc _ | Messages.Rvc _ -> View_change
     | Messages.Fetch_rounds _ | Messages.Round_data _ -> Sync
   in
   let conflict ~keychain ~nonce = function
-    | Messages.Local (Rdb_pbft.Messages.Preprepare { view; seq; batch }) ->
-        let forged =
-          Batch.noop ~keychain ~cluster:batch.Batch.cluster ~origin:batch.Batch.origin
-            ~created:batch.Batch.created ~nonce
-        in
-        Some (Messages.Local (Rdb_pbft.Messages.Preprepare { view; seq; batch = forged }))
+    | Messages.Local em ->
+        Option.map (fun em -> Messages.Local em) (Rdb_pbft.Messages.conflict ~keychain ~nonce em)
     | _ -> None
   in
   { classify; conflict }

@@ -41,3 +41,25 @@ let kind = function
   | Checkpoint _ -> "checkpoint"
   | ViewChange _ -> "view-change"
   | NewView _ -> "new-view"
+
+(* The adversary's view of engine messages (lib/adversary), shared by
+   every protocol that wraps this engine.  Equivocation is modelled on
+   pre-prepares only: the forged payload is a validly signed no-op
+   batch in the same (view, seq) slot, so it passes backup-side batch
+   verification — the classic two-faced primary that prepare/commit
+   vote counting must contain. *)
+let classify : msg -> Rdb_types.Interpose.cls = function
+  | Preprepare _ -> Proposal
+  | Prepare _ | Commit _ -> Vote
+  | Checkpoint _ -> Sync
+  | ViewChange _ | NewView _ -> View_change
+  | Forward _ -> Client
+
+let conflict ~keychain ~nonce = function
+  | Preprepare { view; seq; batch } ->
+      let forged =
+        Batch.noop ~keychain ~cluster:batch.Batch.cluster ~origin:batch.Batch.origin
+          ~created:batch.Batch.created ~nonce
+      in
+      Some (Preprepare { view; seq; batch = forged })
+  | _ -> None

@@ -29,3 +29,10 @@ type msg =
   | NewView of { target : int; preprepares : (int * Batch.t) list }
 
 val kind : msg -> string
+
+val classify : msg -> Rdb_types.Interpose.cls
+(** The adversary's class of each engine message (DESIGN.md §14). *)
+
+val conflict : keychain:Rdb_crypto.Keychain.t -> nonce:int -> msg -> msg option
+(** A pre-prepare's equivocating twin: a validly signed no-op batch in
+    the same (view, seq) slot; [None] for every other message. *)

@@ -223,30 +223,15 @@ let engine (r : replica) = r.engine
 
 (* -- adversarial view (lib/adversary) ------------------------------------ *)
 
-(* Equivocation is modelled on pre-prepares only: the forged payload is
-   a validly signed no-op batch in the same (view, seq) slot, so it
-   passes backup-side batch verification — the classic two-faced
-   primary that prepare/commit vote counting must contain. *)
 let adversary : msg Rdb_types.Interpose.view =
   let open Rdb_types.Interpose in
   let classify = function
-    | Engine_msg em -> (
-        match em with
-        | Messages.Preprepare _ -> Proposal
-        | Messages.Prepare _ | Messages.Commit _ -> Vote
-        | Messages.Checkpoint _ -> Sync
-        | Messages.ViewChange _ | Messages.NewView _ -> View_change
-        | Messages.Forward _ -> Client)
+    | Engine_msg em -> Messages.classify em
     | Request _ | Read_request _ | Reply _ -> Client
     | Fetch_state _ | Snapshot _ -> Sync
   in
   let conflict ~keychain ~nonce = function
-    | Engine_msg (Messages.Preprepare { view; seq; batch }) ->
-        let forged =
-          Batch.noop ~keychain ~cluster:batch.Batch.cluster ~origin:batch.Batch.origin
-            ~created:batch.Batch.created ~nonce
-        in
-        Some (Engine_msg (Messages.Preprepare { view; seq; batch = forged }))
+    | Engine_msg em -> Option.map (fun em -> Engine_msg em) (Messages.conflict ~keychain ~nonce em)
     | _ -> None
   in
   { classify; conflict }

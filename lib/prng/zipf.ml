@@ -77,8 +77,6 @@ let create ?(theta = 0.99) n =
       slot := Some z;
       z
 
-let cardinality t = t.n
-
 (* One draw; returns a rank in [0, n), rank 0 being the most popular.
    Exactly one [Rng.float] call on every path, so workload streams stay
    byte-identical regardless of which branch serves a given n. *)

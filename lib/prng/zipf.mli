@@ -16,8 +16,6 @@ val create : ?theta:float -> int -> t
     returns that sampler instead of building another.
     @raise Invalid_argument unless [n > 0] and [0 <= theta < 1]. *)
 
-val cardinality : t -> int
-
 val sample : t -> Rng.t -> int
 (** One draw; rank 0 is the most popular. *)
 

@@ -137,8 +137,6 @@ let create ?(seed = 42) ?(shards = 1) ?(lookahead = max_int) () =
     sched_calls = 0;
   }
 
-let n_shards t = Array.length t.shards
-
 let current_shard_id t = match t.cur with Some s -> s.sid | None -> 0
 let lookahead t = t.lookahead
 
@@ -370,18 +368,17 @@ let cancel (tm : timer) = if tm.ev.gen = tm.tgen then tm.ev.cancelled <- true
 (* -- execution ---------------------------------------------------------- *)
 
 (* Push [d]'s staged entries from one source, in FIFO order, under
-   fresh sequence numbers.  A group expands exactly where its entries
-   would have sat in the FIFO: consecutive numbers in staging order. *)
+   fresh sequence numbers, each through the defer hook like any
+   schedule call.  A group expands exactly where its entries would
+   have sat in the FIFO: consecutive numbers in staging order. *)
 let rec land_staged t d = function
   | [] -> ()
   | Sone (at, ev) :: rest ->
-      t.seq <- t.seq + 1;
-      Heap.push d.heap ~time:(Time.max at t.now) ~seq:t.seq ev;
+      Heap.push d.heap ~time:(Time.max at t.now) ~seq:(next_seq t) ev;
       land_staged t d rest
   | Sgroup (times, agenda, deliver) :: rest ->
       for p = 0 to (Array.length agenda / 2) - 1 do
-        t.seq <- t.seq + 1;
-        agenda.(2 + (2 * p)) <- t.seq
+        agenda.(2 + (2 * p)) <- next_seq t
       done;
       push_group t d ~floor:t.now ~times ~agenda ~deliver;
       land_staged t d rest

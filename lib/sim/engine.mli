@@ -24,8 +24,6 @@ val create : ?seed:int -> ?shards:int -> ?lookahead:Time.t -> unit -> t
     be earlier than T0 + lookahead).  Single-shard engines behave
     exactly like the pre-sharding engine. *)
 
-val n_shards : t -> int
-
 val current_shard_id : t -> int
 (** Shard whose events are executing (0 outside event execution and in
     control actions).  Lets per-shard sinks (the tracer) route
@@ -55,10 +53,11 @@ val pooled_events : t -> int
 
 val set_defer_hook : t -> (int -> bool) option -> unit
 (** Schedule-exploration hook: when installed, each [schedule_at] call
-    asks the hook (with a 0-based call counter, reset by this setter)
-    whether the event should be pushed {e behind} its equal-timestamp
-    group.  Deferred events keep their relative order.  This permutes
-    only ties in simulated time — a legal reordering of simultaneous
+    (and each cross-shard event, when the barrier lands it) asks the
+    hook (with a 0-based call counter, reset by this setter) whether
+    the event should be pushed {e behind} its equal-timestamp group.
+    Deferred events keep their relative order.  This permutes only
+    ties in simulated time — a legal reordering of simultaneous
     events — and is off ([None]) in every normal run.  Any shard count:
     shards run one after another, so the calls are globally ordered,
     and with no perturbation an explored run executes the schedule of

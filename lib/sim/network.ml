@@ -145,7 +145,8 @@ let crash t node = t.crashed.(node) <- true
 let recover t node = t.crashed.(node) <- false
 let is_crashed t node = t.crashed.(node)
 
-let add_drop_rule ?label t rule = t.drop_rules <- (label, rule) :: t.drop_rules
+let add_rule ?label t rule = t.drop_rules <- (label, rule) :: t.drop_rules
+let add_drop_rule t rule = add_rule t rule
 
 let remove_drop_rules t ~label =
   t.drop_rules <- List.filter (fun (l, _) -> l <> Some label) t.drop_rules
@@ -157,7 +158,7 @@ let partition_label ~ra ~rb = Printf.sprintf "partition:%d:%d" (min ra rb) (max 
 (* Sever all communication between two regions (both directions);
    reversed by [heal_regions] on the same pair. *)
 let partition_regions t ~ra ~rb =
-  add_drop_rule ~label:(partition_label ~ra ~rb) t (fun ~src ~dst ->
+  add_rule ~label:(partition_label ~ra ~rb) t (fun ~src ~dst ->
       let rs = Topology.region_of t.topo src and rd = Topology.region_of t.topo dst in
       (rs = ra && rd = rb) || (rs = rb && rd = ra))
 
@@ -169,7 +170,7 @@ let link_label ~src ~dst = Printf.sprintf "link:%d:%d" src dst
    [restore_link]. *)
 let sever_link t ~src ~dst =
   let s = src and d = dst in
-  add_drop_rule ~label:(link_label ~src ~dst) t (fun ~src ~dst -> src = s && dst = d)
+  add_rule ~label:(link_label ~src ~dst) t (fun ~src ~dst -> src = s && dst = d)
 
 let restore_link t ~src ~dst = remove_drop_rules t ~label:(link_label ~src ~dst)
 
@@ -181,10 +182,6 @@ let set_link_loss t ~src ~dst ~p =
 let set_link_dup t ~src ~dst ~p =
   if p <= 0. then Hashtbl.remove t.link_dup (src, dst)
   else Hashtbl.replace t.link_dup (src, dst) (Float.min p 1.)
-
-let clear_link_rules t =
-  Hashtbl.reset t.link_loss;
-  Hashtbl.reset t.link_dup
 
 let transmission_ns ~size_bytes ~bytes_per_ns =
   int_of_float (Float.of_int size_bytes /. bytes_per_ns)

@@ -70,12 +70,8 @@ val crash : 'm t -> int -> unit
 val recover : 'm t -> int -> unit
 val is_crashed : 'm t -> int -> bool
 
-val add_drop_rule : ?label:string -> 'm t -> (src:int -> dst:int -> bool) -> unit
-(** Install a rule that silently discards matching traffic.  A [label]
-    makes the rule individually removable with {!remove_drop_rules}. *)
-
-val remove_drop_rules : 'm t -> label:string -> unit
-(** Remove every drop rule carrying [label]; unlabeled rules stay. *)
+val add_drop_rule : 'm t -> (src:int -> dst:int -> bool) -> unit
+(** Install a rule that silently discards matching traffic. *)
 
 val clear_drop_rules : 'm t -> unit
 
@@ -99,9 +95,6 @@ val set_link_loss : 'm t -> src:int -> dst:int -> p:float -> unit
 
 val set_link_dup : 'm t -> src:int -> dst:int -> p:float -> unit
 (** Deliver a duplicate copy with probability [p]; [p <= 0] heals. *)
-
-val clear_link_rules : 'm t -> unit
-(** Drop every per-link loss/duplication rate. *)
 
 type 'm interposer = {
   on_send : src:int -> dst:int -> 'm -> ('m * Time.t) list;

@@ -27,9 +27,7 @@ let sec n : t = n * 1_000_000_000
 
 let of_us_f (x : float) : t = int_of_float (x *. 1e3)
 let of_ms_f (x : float) : t = int_of_float (x *. 1e6)
-let of_sec_f (x : float) : t = int_of_float (x *. 1e9)
 
-let to_us_f (t : t) : float = float_of_int t /. 1e3
 let to_ms_f (t : t) : float = float_of_int t /. 1e6
 let to_sec_f (t : t) : float = float_of_int t /. 1e9
 

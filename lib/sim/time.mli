@@ -19,10 +19,8 @@ val sec : int -> t
 
 val of_us_f : float -> t
 val of_ms_f : float -> t
-val of_sec_f : float -> t
 (** Truncate toward zero. *)
 
-val to_us_f : t -> float
 val to_ms_f : t -> float
 val to_sec_f : t -> float
 

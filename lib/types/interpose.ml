@@ -47,8 +47,6 @@ let cls_of_string = function
   | "other" -> Some Other
   | _ -> None
 
-let all_classes = [ Proposal; Vote; Share; View_change; Sync; Client; Other ]
-
 (* The per-protocol adversarial view.  [conflict] returns a payload
    that *conflicts* with [m] (same slot, different content, validly
    signed via [keychain]) for protocols where the equivocation

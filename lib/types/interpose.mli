@@ -22,7 +22,6 @@ type cls =
 
 val cls_to_string : cls -> string
 val cls_of_string : string -> cls option
-val all_classes : cls list
 
 type 'm view = {
   classify : 'm -> cls;

@@ -283,7 +283,7 @@ let test_network_recover_and_clear_rules () =
   Engine.run engine;
   Network.recover net 1;
   Network.send net ~src:0 ~dst:1 ~size:100 ();   (* delivered again *)
-  Network.add_drop_rule net ~label:"blackout" (fun ~src ~dst:_ -> src = 0);
+  Network.add_drop_rule net (fun ~src ~dst:_ -> src = 0);
   Network.send net ~src:0 ~dst:2 ~size:100 ();   (* dropped by rule *)
   Network.clear_drop_rules net;
   Network.send net ~src:0 ~dst:2 ~size:100 ();   (* delivered again *)
@@ -454,6 +454,33 @@ let prop_fanout_matches_per_event =
     (QCheck.make ~print:print_fanout_case gen_fanout_case)
     (fun c -> run_fanout_case ~pooled:true c = run_fanout_case ~pooled:false c)
 
+(* A cross-shard event takes its sequence number when the barrier lands
+   it, through the defer hook: deferring that landing moves it behind
+   a same-time event its destination shard scheduled later. *)
+let test_defer_landed_cross_shard () =
+  let order defer =
+    let e = Engine.create ~seed:1 ~shards:2 ~lookahead:(Time.ms 1) () in
+    Engine.set_defer_hook e (Some defer);
+    let log = ref [] in
+    let note tag () = log := tag :: !log in
+    (* Calls 0 and 1.  The 10 ms event stages "remote" for shard 1,
+       landed (call 2) at the barrier before 11.5 ms; the 11.5 ms event
+       then schedules "local" (call 3) for the same time. *)
+    ignore
+      (Engine.schedule_at_shard e ~shard:0 ~at:(Time.ms 10) (fun () ->
+           ignore (Engine.schedule_at_shard e ~shard:1 ~at:(Time.ms 12) (note "remote"))));
+    ignore
+      (Engine.schedule_at_shard e ~shard:1 ~at:(Time.us 11_500) (fun () ->
+           ignore (Engine.schedule_at_shard e ~shard:1 ~at:(Time.ms 12) (note "local"))));
+    Engine.run e;
+    Alcotest.(check int) "every call numbered" 4 (Engine.schedule_calls e);
+    List.rev !log
+  in
+  Alcotest.(check (list string)) "unperturbed: landed first" [ "remote"; "local" ]
+    (order (fun _ -> false));
+  Alcotest.(check (list string)) "deferred landing runs last" [ "local"; "remote" ]
+    (order (fun n -> n = 2))
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let suite =
@@ -479,6 +506,7 @@ let suite =
     ("network stats", `Quick, test_network_stats_local_global);
     ("cpu stage serialization", `Quick, test_cpu_stage_serialization);
     ("cpu fast path", `Quick, test_cpu_fast_path);
+    ("defer reaches landed cross-shard events", `Quick, test_defer_landed_cross_shard);
   ]
   @ qsuite [ prop_heap_sorted; prop_fanout_matches_per_event ]
 

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Non-blank source lines per library directory under lib/, plus the
-lib/ + bin/ total.
+bin/ and bench/ totals and the lib/ + bin/ total.
 
 Usage (from the root of a source checkout):
 
@@ -40,6 +40,7 @@ def main():
     bin_total = non_blank_lines("bin")
     print(f"  lib/ total     {lib_total:6d}")
     print(f"  bin/ total     {bin_total:6d}")
+    print(f"  bench/ total   {non_blank_lines('bench'):6d}")
     print(f"  lib/ + bin/    {lib_total + bin_total:6d}")
 
 
