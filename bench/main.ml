@@ -155,14 +155,14 @@ let micro_tests () =
   @ List.map
       (fun p ->
         Test.make
-          ~name:(Printf.sprintf "sim-0.5s-%s" (Runner.proto_name p))
+          ~name:(Printf.sprintf "sim-0.5s-%s" (Scenario.proto_name p))
           (Staged.stage (fun () ->
                let cfg = Config.make ~z:2 ~n:4 ~batch_size:10 ~client_inflight:4 () in
                let windows =
                  { Runner.warmup = Rdb_sim.Time.ms 100; measure = Rdb_sim.Time.ms 400 }
                in
                ignore (Runner.run (Scenario.make ~windows p cfg)))))
-      Runner.all_protocols
+      Scenario.all_protocols
 
 (* Minor words allocated, read with [Gc.minor_words].  Bechamel's own
    [minor_allocated] reads [Gc.quick_stat], which on OCaml 5.1 leaves

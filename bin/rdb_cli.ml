@@ -1,9 +1,11 @@
 (* resilientdb-cli: run simulated deployments from the command line.
+   Every command names a run by its scenario id (lib/experiments/
+   scenario.mli); an omitted token takes its default.
 
    Examples:
-     resilientdb-cli run --protocol geobft --clusters 4 --replicas 7
-     resilientdb-cli run -p pbft -z 6 -n 10 --batch 200 --measure 30
-     resilientdb-cli run -p geobft -z 2 -n 4 --fault primary
+     resilientdb-cli run geobft                   # z4 n7 b100 i64 seed1 w1000+4000
+     resilientdb-cli run "pbft z6 n10 b200 w3000+30000"
+     resilientdb-cli run "geobft z2 n4 fault=primary" --trace out.json
      resilientdb-cli sweep fig13 -j 8             # run and print Figure 13
      resilientdb-cli sweep table2 fig10 --out results.json
      resilientdb-cli sweep --smoke -j 2           # the CI smoke matrix
@@ -16,116 +18,42 @@ module Runner = Resilientdb.Experiments.Runner
 module Scenario = Resilientdb.Scenario
 module Sweep = Resilientdb.Sweep
 module Matrices = Resilientdb.Experiments.Matrices
-module Config = Resilientdb.Config
 module Time = Resilientdb.Time
 module Report = Resilientdb.Report
 
-let protocol_arg =
-  let parse s =
-    match Runner.proto_of_string s with
-    | Some p -> Ok p
-    | None ->
-        Error (`Msg (Printf.sprintf "unknown protocol %S (geobft|pbft|zyzzyva|hotstuff|steward)" s))
-  in
-  let print fmt p = Format.pp_print_string fmt (String.lowercase_ascii (Runner.proto_name p)) in
-  Arg.conv (parse, print)
-
-let fault_arg =
-  let parse s =
-    match Scenario.fault_of_id (String.lowercase_ascii s) with
-    | Some f -> Ok f
-    | None -> (
-        match String.lowercase_ascii s with
-        | "one-nonprimary" -> Ok Runner.One_nonprimary
-        | "f-nonprimary" -> Ok Runner.F_nonprimary
-        | _ -> Error (`Msg "fault must be one of: none, one, f, primary, chaos[:SEED]"))
-  in
-  let print fmt f = Format.pp_print_string fmt (Runner.fault_name f) in
-  Arg.conv (parse, print)
-
-let storage_arg =
-  let parse s =
-    match Config.storage_of_string (String.lowercase_ascii s) with
-    | Some st -> Ok st
-    | None -> Error (`Msg (Printf.sprintf "unknown storage backend %S (mem|disk)" s))
-  in
-  let print fmt st = Format.pp_print_string fmt (Config.storage_name st) in
-  Arg.conv (parse, print)
+let scenario_of_id id =
+  match Scenario.of_string id with
+  | Some s -> s
+  | None ->
+      Printf.eprintf "unparseable scenario id %S\n" id;
+      exit 2
 
 let run_cmd =
-  let protocol =
-    Arg.(value & opt protocol_arg Runner.Geobft
-         & info [ "p"; "protocol" ] ~docv:"PROTO"
-             ~doc:"Consensus protocol: geobft, pbft, zyzzyva, hotstuff or steward.")
-  in
-  let clusters =
-    Arg.(value & opt int 4
-         & info [ "z"; "clusters" ] ~docv:"Z"
+  let id =
+    Arg.(required & pos 0 (some string) None
+         & info [] ~docv:"ID"
              ~doc:
-               "Number of clusters/regions, placed in the paper's region order.  Up to 6 use \
-                the paper's six regions; more tile that matrix (DESIGN.md \xc2\xa717).")
-  in
-  let replicas =
-    Arg.(value & opt int 7 & info [ "n"; "replicas" ] ~docv:"N" ~doc:"Replicas per cluster.")
-  in
-  let batch = Arg.(value & opt int 100 & info [ "b"; "batch" ] ~docv:"TXNS" ~doc:"Batch size.") in
-  let inflight =
-    Arg.(value & opt int 64
-         & info [ "inflight" ] ~docv:"BATCHES"
-             ~doc:"Outstanding batches per cluster's client group (closed loop).")
-  in
-  let warmup =
-    Arg.(value & opt int 3 & info [ "warmup" ] ~docv:"SEC" ~doc:"Warm-up seconds (simulated).")
-  in
-  let measure =
-    Arg.(value & opt int 9 & info [ "measure" ] ~docv:"SEC" ~doc:"Measurement seconds (simulated).")
-  in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Simulation seed.") in
-  let reads =
-    Arg.(value & opt float 0.0
-         & info [ "reads" ] ~docv:"FRAC"
-             ~doc:
-               "Fraction of batches that are read-only point reads, served from replica state \
-                without consensus (clients wait for f+1 matching result digests).")
-  in
-  let scans =
-    Arg.(value & opt float 0.0
-         & info [ "scans" ] ~docv:"FRAC"
-             ~doc:"Fraction of batches that are read-only range scans (also bypass consensus).")
-  in
-  let storage =
-    Arg.(value & opt storage_arg Config.Memory
-         & info [ "storage" ] ~docv:"BACKEND"
-             ~doc:
-               "Storage backend under every replica's state machine: mem (in-memory records) \
-                or disk (append-only persistent block store with snapshot compaction and \
-                crash recovery).  Consensus results are byte-identical either way.")
-  in
-  let fault =
-    Arg.(value & opt fault_arg Runner.No_fault
-         & info [ "fault" ] ~docv:"FAULT"
-             ~doc:
-               "Failure scenario: none, one (non-primary crash), f (f crashes per cluster), \
-                primary (mid-run primary crash), chaos or chaos:SEED (seeded fault timeline \
-                with continuous safety-invariant checking; same seed, same faults).")
+               "The scenario to run, by its stable id, as $(b,sweep --scenario) takes it: a \
+                protocol (geobft, pbft, zyzzyva, hotstuff or steward), then any of \
+                z<clusters> n<replicas> b<batch> i<inflight> seed<seed> \
+                w<warmup ms>+<measure ms>, fault=none|one|f|primary|chaos[:SEED], \
+                attack=<program>, trace and knob=value tokens (reads=, scans=, storage=mem|disk, \
+                ckpt=, cost.sign=, ...), e.g. \"pbft z2 n4 b50 w1000+3000 fault=chaos:6\".  \
+                An omitted token takes its default: z4 n7 b100 i64 seed1 w1000+4000.")
   in
   let trace_out =
     Arg.(value & opt (some string) None
          & info [ "trace" ] ~docv:"FILE"
              ~doc:
                "Record a consensus-path trace and write it as Chrome trace-event JSON to \
-                \\$(docv) (load it at ui.perfetto.dev or chrome://tracing).  Also prints the \
+                $(docv) (load it at ui.perfetto.dev or chrome://tracing).  Also prints the \
                 per-phase latency breakdown and the deterministic trace digest: same seed, \
                 same digest.")
   in
-  let go protocol z n batch inflight warmup measure seed reads scans storage fault trace_out =
-    let cfg =
-      Config.make ~z ~n ~batch_size:batch ~client_inflight:inflight ~seed
-        ~read_fraction:reads ~scan_fraction:scans ~storage ()
-    in
-    let windows = { Scenario.warmup = Time.sec warmup; measure = Time.sec measure } in
+  let go id trace_out =
+    let scenario = scenario_of_id id in
     let scenario =
-      Scenario.make ~windows ~fault ~trace:(Option.is_some trace_out) protocol cfg
+      if Option.is_some trace_out then { scenario with Scenario.trace = true } else scenario
     in
     Printf.printf "scenario: %s\n%!" (Scenario.to_string scenario);
     let tracer =
@@ -135,26 +63,26 @@ let run_cmd =
     let report = Runner.run ?tracer scenario in
     Printf.printf "%s\n" (Report.to_string report);
     Printf.printf "%s\n" (Format.asprintf "%a" Report.pp_recovery report);
+    (match report.Report.trace with
+    | Some s ->
+        Printf.printf "%s" (Format.asprintf "%a" Report.pp_trace report);
+        Printf.printf "trace digest: %s\n" s.Resilientdb.Trace.digest_hex
+    | None -> ());
     (match (trace_out, tracer) with
     | Some file, Some tr ->
         let oc = open_out file in
         Resilientdb.Trace.write_chrome_json tr oc;
         close_out oc;
-        Printf.printf "%s" (Format.asprintf "%a" Report.pp_trace report);
-        (match report.Report.trace with
-        | Some s -> Printf.printf "trace digest: %s\n" s.Resilientdb.Trace.digest_hex
-        | None -> ());
         Printf.printf "wrote %s (%d events)\n" file (Resilientdb.Trace.events_kept tr)
     | _ -> ());
-    Printf.printf "(simulated %ds in %.1fs of wall-clock time)\n" (warmup + measure)
+    let w = scenario.Scenario.windows in
+    Printf.printf "(simulated %gs in %.1fs of wall-clock time)\n"
+      (Time.to_sec_f (Time.add w.Scenario.warmup w.Scenario.measure))
       (Unix.gettimeofday () -. t0)
   in
-  let term =
-    Term.(
-      const go $ protocol $ clusters $ replicas $ batch $ inflight $ warmup $ measure $ seed
-      $ reads $ scans $ storage $ fault $ trace_out)
-  in
-  Cmd.v (Cmd.info "run" ~doc:"Run one simulated geo-scale deployment and report its metrics.") term
+  Cmd.v
+    (Cmd.info "run" ~doc:"Run one simulated geo-scale deployment and report its metrics.")
+    Term.(const go $ id $ trace_out)
 
 (* -- sweep ----------------------------------------------------------------- *)
 
@@ -237,17 +165,7 @@ let sweep_cmd =
         matrices
     in
     let from_matrices = List.concat_map (fun (m : Matrices.t) -> m.Matrices.scenarios) matrices in
-    let explicit =
-      List.map
-        (fun id ->
-          match Scenario.of_string id with
-          | Some s -> s
-          | None ->
-              Printf.eprintf "unparseable scenario id %S\n" id;
-              exit 2)
-        scenario_ids
-    in
-    let scenarios = from_matrices @ explicit in
+    let scenarios = from_matrices @ List.map scenario_of_id scenario_ids in
     let scenarios =
       if trace then List.map (fun s -> { s with Scenario.trace = true }) scenarios else scenarios
     in
@@ -424,14 +342,7 @@ let search_cmd (type a) (search : a Check.search) ~attempts ~searcher ~caught
               exit 1
             end)
     | None ->
-        let explicit =
-          List.map
-            (fun id ->
-              match Scenario.of_string id with
-              | Some s -> s
-              | None -> Printf.eprintf "unparseable scenario id %S\n" id; exit 2)
-            scenario_ids
-        in
+        let explicit = List.map scenario_of_id scenario_ids in
         let escaped id =
           Printf.printf "  ESCAPED: mutation %s survived %d %s\n%!" id budget attempts
         in

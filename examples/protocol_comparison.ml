@@ -21,13 +21,13 @@ let () =
   let results =
     List.map
       (fun p ->
-        let r = Runner.run (Rdb_experiments.Scenario.make p cfg) in
-        Printf.printf "%-10s %12.0f %9.0f ms %7.0f ms %16.1f %16.1f\n%!" (Runner.proto_name p)
+        let r = Runner.run (Scenario.make p cfg) in
+        Printf.printf "%-10s %12.0f %9.0f ms %7.0f ms %16.1f %16.1f\n%!" (Scenario.proto_name p)
           r.Report.throughput_txn_s r.Report.avg_latency_ms r.Report.p99_latency_ms
           (Report.local_msgs_per_decision r)
           (Report.global_msgs_per_decision r);
         (p, r))
-      Runner.all_protocols
+      Scenario.all_protocols
   in
   let find p = List.assoc p results in
   let geo = (find Runner.Geobft).Report.throughput_txn_s in

@@ -477,7 +477,7 @@ let fail ~protocol ~seed ~timeline ~violation =
        (Printf.sprintf
           "chaos: safety invariant violated under %s (seed %d)\n\
           \  first violation: %s\n\
-          \  fault timeline (reproduce with --fault chaos:%d):\n\
+          \  fault timeline (reproduce with the token fault=chaos:%d):\n\
            %s"
           protocol seed
           (violation_to_string violation)

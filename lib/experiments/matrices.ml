@@ -12,7 +12,7 @@ module Config = Rdb_types.Config
 module Report = Rdb_fabric.Report
 module Topology = Rdb_sim.Topology
 module Time = Rdb_sim.Time
-open Runner
+open Scenario
 
 (* -- the chaos validation deployment --------------------------------------- *)
 

@@ -21,14 +21,12 @@ module HsDep = Deployment.Make (Rdb_hotstuff.Replica)
 module StwDep = Deployment.Make (Rdb_steward.Replica)
 
 (* The scenario vocabulary (protocols, faults, windows) lives in
-   {!Scenario}; re-exported here with type equations so existing code
-   written against Runner keeps compiling. *)
+   {!Scenario}.  Its types are re-exported here with type equations
+   because perfbench/bench.ml, which is frozen with the benchmark,
+   matches [Runner.Geobft] and [Runner.No_fault] and reads
+   [Runner.warmup]. *)
 
 type proto = Scenario.proto = Geobft | Pbft | Zyzzyva | Hotstuff | Steward
-
-let all_protocols = Scenario.all_protocols
-let proto_name = Scenario.proto_name
-let proto_of_string = Scenario.proto_of_string
 
 type fault = Scenario.fault =
   | No_fault
@@ -37,12 +35,16 @@ type fault = Scenario.fault =
   | Primary_failure
   | Chaos of int
 
-let fault_name = Scenario.fault_name
-
 type windows = Scenario.windows = { warmup : Time.t; measure : Time.t }
 
-let default_windows = Scenario.default_windows
-let full_windows = Scenario.full_windows
+(* The deployment module of each protocol: [run] and [chaos_timeline]
+   unpack it. *)
+let deployment : proto -> (module Deployment.S) = function
+  | Geobft -> (module GeoDep)
+  | Pbft -> (module PbftDep)
+  | Zyzzyva -> (module ZyzDep)
+  | Hotstuff -> (module HsDep)
+  | Steward -> (module StwDep)
 
 (* -- chaos wiring ------------------------------------------------------ *)
 
@@ -283,90 +285,73 @@ let run ?tracer ?install (s : Scenario.t) : Report.t =
     | None -> if s.Scenario.trace then Some (Rdb_trace.Trace.create ()) else None
   in
   let { Scenario.proto = p; cfg; fault; windows; attack; trace = _ } = s in
-  let go : type a m. (module Deployment.S with type t = a and type msg = m) -> Report.t =
-   fun (module D) ->
-    (* Experiments sweep many large deployments: keep ledgers compact,
-       and shrink the per-replica YCSB table once the topology is large
-       enough that full tables would dominate memory (every replica
-       holds its own record array; the cap keeps a fleet's total near
-       what a 128-replica full-table run uses).  The record count is a
-       pure function of the config, so reports stay deterministic. *)
-    let n_records =
-      let nr = Config.n_replicas cfg in
-      if nr <= 128 then Rdb_ycsb.Table.default_records
-      else max 10_000 (Rdb_ycsb.Table.default_records * 128 / nr)
-    in
-    let d = D.create ?tracer ~n_records ~retain_payloads:false cfg in
-    Fun.protect ~finally:(fun () -> D.close d) @@ fun () ->
-    let rt = adversary_runtime (module D) d cfg in
-    (match attack with
-    | None -> ()
-    | Some a -> Adversary.Runtime.set_attack rt a);
-    let equiv = chaos_equiv rt cfg in
-    (match install with
-    | None -> ()
-    | Some install ->
-        let caps, agreement, liveness_window_ms = chaos_profile p cfg in
-        let surface = chaos_surface (module D) d cfg ~caps ~agreement ~equiv in
-        install
-          {
-            inst_surface = surface;
-            inst_engine = D.engine d;
-            inst_set_delivery_hook = (fun h -> D.set_delivery_hook d h);
-            inst_liveness_window_ms = liveness_window_ms;
-          });
-    match fault with
-    | Chaos s ->
-        let seed, surface, timeline, liveness_window_ms =
-          chaos_plan (module D) d p ~windows ~seed:s cfg ~equiv
-        in
-        Chaos.install surface timeline;
-        let mon = Chaos.monitor ~liveness_window_ms surface timeline in
-        let report = D.run ~warmup:windows.warmup ~measure:windows.measure d in
-        Chaos.check_now mon;
-        (match Chaos.first_violation mon with
-        | Some violation ->
-            Chaos.fail ~protocol:(proto_name p) ~seed ~timeline ~violation
-        | None -> report)
-    | _ ->
-        (match fault with
-        | No_fault | Chaos _ -> ()
-        | One_nonprimary -> D.crash_replica d (cfg.Config.n - 1)
-        | F_nonprimary -> D.crash_f_per_cluster d
-        | Primary_failure ->
-            D.at d ~time:(Time.add windows.warmup (Time.ms 2000)) (fun () ->
-                D.crash_primary d ~cluster:0));
-        D.run ~warmup:windows.warmup ~measure:windows.measure d
+  let (module D) = deployment p in
+  (* Experiments sweep many large deployments: keep ledgers compact,
+     and shrink the per-replica YCSB table once the topology is large
+     enough that full tables would dominate memory (every replica
+     holds its own record array; the cap keeps a fleet's total near
+     what a 128-replica full-table run uses).  The record count is a
+     pure function of the config, so reports stay deterministic. *)
+  let n_records =
+    let nr = Config.n_replicas cfg in
+    if nr <= 128 then Rdb_ycsb.Table.default_records
+    else max 10_000 (Rdb_ycsb.Table.default_records * 128 / nr)
   in
-  match p with
-  | Geobft -> go (module GeoDep)
-  | Pbft -> go (module PbftDep)
-  | Zyzzyva -> go (module ZyzDep)
-  | Hotstuff -> go (module HsDep)
-  | Steward -> go (module StwDep)
+  let d = D.create ?tracer ~n_records ~retain_payloads:false cfg in
+  Fun.protect ~finally:(fun () -> D.close d) @@ fun () ->
+  let rt = adversary_runtime (module D) d cfg in
+  (match attack with
+  | None -> ()
+  | Some a -> Adversary.Runtime.set_attack rt a);
+  let equiv = chaos_equiv rt cfg in
+  (match install with
+  | None -> ()
+  | Some install ->
+      let caps, agreement, liveness_window_ms = chaos_profile p cfg in
+      let surface = chaos_surface (module D) d cfg ~caps ~agreement ~equiv in
+      install
+        {
+          inst_surface = surface;
+          inst_engine = D.engine d;
+          inst_set_delivery_hook = (fun h -> D.set_delivery_hook d h);
+          inst_liveness_window_ms = liveness_window_ms;
+        });
+  match fault with
+  | Chaos s ->
+      let seed, surface, timeline, liveness_window_ms =
+        chaos_plan (module D) d p ~windows ~seed:s cfg ~equiv
+      in
+      Chaos.install surface timeline;
+      let mon = Chaos.monitor ~liveness_window_ms surface timeline in
+      let report = D.run ~warmup:windows.warmup ~measure:windows.measure d in
+      Chaos.check_now mon;
+      (match Chaos.first_violation mon with
+      | Some violation ->
+          Chaos.fail ~protocol:(Scenario.proto_name p) ~seed ~timeline ~violation
+      | None -> report)
+  | _ ->
+      (match fault with
+      | No_fault | Chaos _ -> ()
+      | One_nonprimary -> D.crash_replica d (cfg.Config.n - 1)
+      | F_nonprimary -> D.crash_f_per_cluster d
+      | Primary_failure ->
+          D.at d ~time:(Time.add windows.warmup (Time.ms 2000)) (fun () ->
+              D.crash_primary d ~cluster:0));
+      D.run ~warmup:windows.warmup ~measure:windows.measure d
 
 (* The fault timeline a chaos run with this seed would execute, without
    running it — lets tests (and curious users) verify event-for-event
    reproducibility cheaply. *)
-let chaos_timeline (p : proto) ?(windows = default_windows) ~seed
+let chaos_timeline (p : proto) ?(windows = Scenario.default_windows) ~seed
     (cfg : Config.t) : Chaos.timeline =
-  let go : type a m.
-      (module Deployment.S with type t = a and type msg = m) -> Chaos.timeline =
-   fun (module D) ->
-    (* Planning happens before the first simulated event, and YCSB
-       table population never touches the engine RNG, so a tiny table
-       yields the identical timeline at a fraction of the setup cost. *)
-    let d = D.create ~retain_payloads:false ~n_records:1000 cfg in
-    Fun.protect ~finally:(fun () -> D.close d) @@ fun () ->
-    let rt = adversary_runtime (module D) d cfg in
-    let _, _, timeline, _ =
-      chaos_plan (module D) d p ~windows ~seed cfg ~equiv:(chaos_equiv rt cfg)
-    in
-    timeline
+  let (module D) = deployment p in
+  (* Planning happens before the first simulated event, and YCSB
+     table population never touches the engine RNG, so a tiny table
+     yields the identical timeline at a fraction of the setup cost. *)
+  let d = D.create ~retain_payloads:false ~n_records:1000 cfg in
+  Fun.protect ~finally:(fun () -> D.close d) @@ fun () ->
+  let rt = adversary_runtime (module D) d cfg in
+  let _, _, timeline, _ =
+    chaos_plan (module D) d p ~windows ~seed cfg ~equiv:(chaos_equiv rt cfg)
   in
-  match p with
-  | Geobft -> go (module GeoDep)
-  | Pbft -> go (module PbftDep)
-  | Zyzzyva -> go (module ZyzDep)
-  | Hotstuff -> go (module HsDep)
-  | Steward -> go (module StwDep)
+  timeline

@@ -2,9 +2,10 @@
     get the deployment's {!Report.t}.
 
     The scenario vocabulary (protocols, faults, windows) lives in
-    {!Scenario} and is re-exported here with type equations, so
-    [Runner.Geobft], [Runner.Chaos 3] and [{ Runner.warmup; measure }]
-    keep working. *)
+    {!Scenario}.  Its types are re-exported here with type equations
+    because perfbench/bench.ml, which is frozen with the benchmark,
+    matches [Runner.Geobft] and [Runner.No_fault] and reads
+    [Runner.warmup]. *)
 
 module Config = Rdb_types.Config
 module Time = Rdb_sim.Time
@@ -12,10 +13,6 @@ module Report = Rdb_fabric.Report
 module Chaos = Rdb_chaos.Chaos
 
 type proto = Scenario.proto = Geobft | Pbft | Zyzzyva | Hotstuff | Steward
-
-val all_protocols : proto list
-val proto_name : proto -> string
-val proto_of_string : string -> proto option
 
 (** The §4.3 failure scenarios, plus seeded chaos injection (see
     {!Scenario.fault}). *)
@@ -26,12 +23,7 @@ type fault = Scenario.fault =
   | Primary_failure
   | Chaos of int
 
-val fault_name : fault -> string
-
 type windows = Scenario.windows = { warmup : Time.t; measure : Time.t }
-
-val default_windows : windows
-val full_windows : windows
 
 type instrument = {
   inst_surface : Chaos.surface;

@@ -14,8 +14,9 @@
      geobft z4 n7 b100 i64 seed1 w1000+4000 fanout=1 trace
 
    [of_string] inverts [to_string] exactly (token order is free on
-   input), and every Config field has a token.  [to_json] spells every
-   field out for the sweep documents that embed it. *)
+   input).  [knobs] below is the only list of Config fields: it spells
+   each one in the id and in the JSON [config] object that [to_json]
+   writes for the sweep documents. *)
 
 module Config = Rdb_types.Config
 module Time = Rdb_sim.Time
@@ -51,14 +52,7 @@ type fault =
   | Chaos of int             (* seeded fault timeline + invariant monitor;
                                 a negative seed means "use cfg.seed" *)
 
-let fault_name = function
-  | No_fault -> "none"
-  | One_nonprimary -> "one non-primary"
-  | F_nonprimary -> "f non-primary per cluster"
-  | Primary_failure -> "primary"
-  | Chaos s -> if s < 0 then "chaos" else Printf.sprintf "chaos (seed %d)" s
-
-(* Compact spelling used in ids and on the CLI. *)
+(* Compact spelling used in ids. *)
 let fault_id = function
   | No_fault -> "none"
   | One_nonprimary -> "one"
@@ -105,9 +99,129 @@ let make ?(windows = default_windows) ?(fault = No_fault) ?(trace = false) ?atta
 
 let equal (a : t) (b : t) = a = b
 
-(* -- the id ------------------------------------------------------------- *)
+(* -- the knob table ---------------------------------------------------------- *)
 
 let fmt_f = Json.float_to_string
+
+(* How a knob's value is spelled: in the id after its token and [sep],
+   and in JSON, where a cost is nested under "costs".  A flag is its
+   bare token when set. *)
+type 'a kind = {
+  sep : string;
+  show : 'a -> string;
+  parse : string -> 'a option;
+  json : 'a -> Json.t;
+  cost : bool;
+}
+
+let kind ?(sep = "=") show parse json = { sep; show; parse; json; cost = false }
+let int = kind string_of_int int_of_string_opt (fun v -> Json.Int v)
+let float = kind fmt_f float_of_string_opt (fun v -> Json.Float v)
+let flag = kind ~sep:"" (fun _ -> "") (function "" -> Some true | _ -> None) (fun v -> Json.Bool v)
+
+let storage =
+  kind Config.storage_name Config.storage_of_string (fun v -> Json.String (Config.storage_name v))
+
+(* One Config knob: its id token, its JSON key and how to read and
+   write it.  A header knob is glued to its token in every id ([z4]);
+   the others appear only when they differ from Config.default, as
+   [token=value]. *)
+type knob =
+  | Knob : {
+      token : string;
+      key : string;
+      header : bool;
+      kind : 'a kind;
+      get : Config.t -> 'a;
+      set : Config.t -> 'a -> Config.t;
+    }
+      -> knob
+
+let knob ?(header = false) token key kind get set = Knob { token; key; header; kind; get; set }
+
+let cost token key get set =
+  knob ("cost." ^ token) key { float with cost = true }
+    (fun c -> get c.Config.costs)
+    (fun c v -> { c with Config.costs = set c.Config.costs v })
+
+(* Every Config knob, in the order of the JSON config object; the id
+   prints the header knobs in this order, then the changed others. *)
+let knobs =
+  Config.
+    [
+      knob ~header:true "z" "z" int (fun c -> c.z) (fun c v -> { c with z = v });
+      knob ~header:true "n" "n" int (fun c -> c.n) (fun c v -> { c with n = v });
+      knob ~header:true "b" "batch_size" int
+        (fun c -> c.batch_size)
+        (fun c v -> { c with batch_size = v });
+      knob "ckpt" "checkpoint_interval" int
+        (fun c -> c.checkpoint_interval)
+        (fun c v -> { c with checkpoint_interval = v });
+      knob "pd" "pipeline_depth" int
+        (fun c -> c.pipeline_depth)
+        (fun c v -> { c with pipeline_depth = v });
+      knob "ltms" "local_timeout_ms" float
+        (fun c -> c.local_timeout_ms)
+        (fun c v -> { c with local_timeout_ms = v });
+      knob "rtms" "remote_timeout_ms" float
+        (fun c -> c.remote_timeout_ms)
+        (fun c v -> { c with remote_timeout_ms = v });
+      knob ~header:true "i" "client_inflight" int
+        (fun c -> c.client_inflight)
+        (fun c v -> { c with client_inflight = v });
+      knob "ctms" "client_timeout_ms" float
+        (fun c -> c.client_timeout_ms)
+        (fun c v -> { c with client_timeout_ms = v });
+      knob "clients" "clients" int (fun c -> c.clients) (fun c v -> { c with clients = v });
+      knob "wan" "wan_egress_mbps" float
+        (fun c -> c.wan_egress_mbps)
+        (fun c v -> { c with wan_egress_mbps = v });
+      knob "fanout" "geobft_fanout" int
+        (fun c -> c.geobft_fanout)
+        (fun c v -> { c with geobft_fanout = v });
+      knob "tcerts" "threshold_certs" flag
+        (fun c -> c.threshold_certs)
+        (fun c v -> { c with threshold_certs = v });
+      knob "reads" "read_fraction" float
+        (fun c -> c.read_fraction)
+        (fun c v -> { c with read_fraction = v });
+      knob "scans" "scan_fraction" float
+        (fun c -> c.scan_fraction)
+        (fun c v -> { c with scan_fraction = v });
+      knob "storage" "storage" storage (fun c -> c.storage) (fun c v -> { c with storage = v });
+      cost "sign" "sign_us" (fun k -> k.sign_us) (fun k v -> { k with sign_us = v });
+      cost "verify" "verify_us" (fun k -> k.verify_us) (fun k v -> { k with verify_us = v });
+      cost "mac" "mac_us" (fun k -> k.mac_us) (fun k v -> { k with mac_us = v });
+      cost "hashkb" "hash_us_per_kb"
+        (fun k -> k.hash_us_per_kb)
+        (fun k v -> { k with hash_us_per_kb = v });
+      cost "exec" "exec_us_per_txn"
+        (fun k -> k.exec_us_per_txn)
+        (fun k v -> { k with exec_us_per_txn = v });
+      cost "asm" "batch_asm_us" (fun k -> k.batch_asm_us) (fun k v -> { k with batch_asm_us = v });
+      cost "tpart" "threshold_partial_us"
+        (fun k -> k.threshold_partial_us)
+        (fun k v -> { k with threshold_partial_us = v });
+      cost "tcomb" "threshold_combine_us"
+        (fun k -> k.threshold_combine_us)
+        (fun k v -> { k with threshold_combine_us = v });
+      knob ~header:true "seed" "seed" int (fun c -> c.seed) (fun c v -> { c with seed = v });
+    ]
+
+(* [Some rest] when [tok] is [prefix ^ rest]. *)
+let after prefix tok =
+  if String.starts_with ~prefix tok then
+    Some (String.sub tok (String.length prefix) (String.length tok - String.length prefix))
+  else None
+
+let prefix (Knob k) = if k.header then k.token else k.token ^ k.kind.sep
+let spell cfg (Knob k as kn) = prefix kn ^ k.kind.show (k.get cfg)
+
+(* [cfg] with the knob set from [tok], if [tok] spells it. *)
+let read cfg tok (Knob k as kn) =
+  Option.map (k.set cfg) (Option.bind (after (prefix kn) tok) k.kind.parse)
+
+(* -- the id ------------------------------------------------------------- *)
 
 (* Drop the ".0" float_to_string puts on integral values: ids read
    better as w1000+4000 than w1000.0+4000.0. *)
@@ -117,178 +231,44 @@ let fmt_ms t =
   if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f else s
 
 let to_string t =
-  let c = t.cfg and d = Config.default in
-  let dc = d.Config.costs and cc = t.cfg.Config.costs in
-  let buf = Buffer.create 64 in
-  let add fmt = Printf.ksprintf (fun s -> Buffer.add_string buf s) fmt in
-  add "%s z%d n%d b%d i%d seed%d w%s+%s"
-    (String.lowercase_ascii (proto_name t.proto))
-    c.Config.z c.Config.n c.Config.batch_size c.Config.client_inflight c.Config.seed
-    (fmt_ms t.windows.warmup) (fmt_ms t.windows.measure);
-  if t.fault <> No_fault then add " fault=%s" (fault_id t.fault);
-  (match t.attack with
-  | None -> ()
-  | Some a -> add " attack=%s" (Adversary.Attack.to_id a));
-  if t.trace then add " trace";
-  (* Non-default knobs, fixed order so equal scenarios print equally. *)
-  if c.Config.checkpoint_interval <> d.Config.checkpoint_interval then
-    add " ckpt=%d" c.Config.checkpoint_interval;
-  if c.Config.pipeline_depth <> d.Config.pipeline_depth then add " pd=%d" c.Config.pipeline_depth;
-  if c.Config.local_timeout_ms <> d.Config.local_timeout_ms then
-    add " ltms=%s" (fmt_f c.Config.local_timeout_ms);
-  if c.Config.remote_timeout_ms <> d.Config.remote_timeout_ms then
-    add " rtms=%s" (fmt_f c.Config.remote_timeout_ms);
-  if c.Config.client_timeout_ms <> d.Config.client_timeout_ms then
-    add " ctms=%s" (fmt_f c.Config.client_timeout_ms);
-  if c.Config.clients <> d.Config.clients then add " clients=%d" c.Config.clients;
-  if c.Config.wan_egress_mbps <> d.Config.wan_egress_mbps then
-    add " wan=%s" (fmt_f c.Config.wan_egress_mbps);
-  if c.Config.geobft_fanout <> d.Config.geobft_fanout then add " fanout=%d" c.Config.geobft_fanout;
-  if c.Config.threshold_certs then add " tcerts";
-  if c.Config.read_fraction <> d.Config.read_fraction then
-    add " reads=%s" (fmt_f c.Config.read_fraction);
-  if c.Config.scan_fraction <> d.Config.scan_fraction then
-    add " scans=%s" (fmt_f c.Config.scan_fraction);
-  if c.Config.storage <> d.Config.storage then
-    add " storage=%s" (Config.storage_name c.Config.storage);
-  if cc.Config.sign_us <> dc.Config.sign_us then add " cost.sign=%s" (fmt_f cc.Config.sign_us);
-  if cc.Config.verify_us <> dc.Config.verify_us then
-    add " cost.verify=%s" (fmt_f cc.Config.verify_us);
-  if cc.Config.mac_us <> dc.Config.mac_us then add " cost.mac=%s" (fmt_f cc.Config.mac_us);
-  if cc.Config.hash_us_per_kb <> dc.Config.hash_us_per_kb then
-    add " cost.hashkb=%s" (fmt_f cc.Config.hash_us_per_kb);
-  if cc.Config.exec_us_per_txn <> dc.Config.exec_us_per_txn then
-    add " cost.exec=%s" (fmt_f cc.Config.exec_us_per_txn);
-  if cc.Config.batch_asm_us <> dc.Config.batch_asm_us then
-    add " cost.asm=%s" (fmt_f cc.Config.batch_asm_us);
-  if cc.Config.threshold_partial_us <> dc.Config.threshold_partial_us then
-    add " cost.tpart=%s" (fmt_f cc.Config.threshold_partial_us);
-  if cc.Config.threshold_combine_us <> dc.Config.threshold_combine_us then
-    add " cost.tcomb=%s" (fmt_f cc.Config.threshold_combine_us);
-  Buffer.contents buf
+  let header, others = List.partition (fun (Knob k) -> k.header) knobs in
+  let changed (Knob k) = k.get t.cfg <> k.get Config.default in
+  String.concat " "
+    ((String.lowercase_ascii (proto_name t.proto) :: List.map (spell t.cfg) header)
+    @ [ Printf.sprintf "w%s+%s" (fmt_ms t.windows.warmup) (fmt_ms t.windows.measure) ]
+    @ (if t.fault <> No_fault then [ "fault=" ^ fault_id t.fault ] else [])
+    @ (match t.attack with None -> [] | Some a -> [ "attack=" ^ Adversary.Attack.to_id a ])
+    @ (if t.trace then [ "trace" ] else [])
+    @ List.map (spell t.cfg) (List.filter changed others))
 
 let of_string s =
   let ( let* ) = Option.bind in
-  let tokens = String.split_on_char ' ' s |> List.filter (fun t -> t <> "") in
-  match tokens with
+  let token t tok =
+    match (tok, after "fault=" tok, after "attack=" tok, after "w" tok) with
+    | "trace", _, _, _ -> Some { t with trace = true }
+    | _, Some f, _, _ ->
+        let* fault = fault_of_id f in
+        Some { t with fault }
+    | _, _, Some a, _ ->
+        let* a = Adversary.Attack.of_id a in
+        Some { t with attack = (if a = Adversary.Attack.empty then None else Some a) }
+    | _, _, _, Some w when String.contains w '+' -> (
+        match String.split_on_char '+' w with
+        | [ wu; me ] ->
+            let* wu = float_of_string_opt wu in
+            let* me = float_of_string_opt me in
+            Some { t with windows = { warmup = Time.of_ms_f wu; measure = Time.of_ms_f me } }
+        | _ -> None)
+    | _ -> Option.map (fun cfg -> { t with cfg }) (List.find_map (read t.cfg tok) knobs)
+  in
+  match String.split_on_char ' ' s |> List.filter (fun t -> t <> "") with
   | [] -> None
-  | proto_tok :: rest ->
-      let* proto = proto_of_string proto_tok in
-      let prefixed prefix tok =
-        let lp = String.length prefix in
-        if String.length tok > lp && String.sub tok 0 lp = prefix then
-          Some (String.sub tok lp (String.length tok - lp))
-        else None
-      in
-      let int_field prefix tok = Option.bind (prefixed prefix tok) int_of_string_opt in
-      let float_field prefix tok = Option.bind (prefixed prefix tok) float_of_string_opt in
-      let rec go acc = function
-        | [] -> Some acc
-        | tok :: rest -> (
-            let t, cfg, w = acc in
-            let c k = Some ((t, k, w) : t * Config.t * windows) in
-            let costs k = c { cfg with Config.costs = k } in
-            let next =
-              match tok with
-              | "trace" -> Some (({ t with trace = true } : t), cfg, w)
-              | "tcerts" -> c { cfg with Config.threshold_certs = true }
-              | tok when prefixed "fault=" tok <> None ->
-                  let* f = Option.bind (prefixed "fault=" tok) fault_of_id in
-                  Some ({ t with fault = f }, cfg, w)
-              | tok when prefixed "attack=" tok <> None ->
-                  let* a = Option.bind (prefixed "attack=" tok) Adversary.Attack.of_id in
-                  let attack = if a = Adversary.Attack.empty then None else Some a in
-                  Some ({ t with attack }, cfg, w)
-              | tok when prefixed "w" tok <> None && String.contains tok '+' -> (
-                  let* body = prefixed "w" tok in
-                  match String.split_on_char '+' body with
-                  | [ wu; me ] ->
-                      let* wu = float_of_string_opt wu in
-                      let* me = float_of_string_opt me in
-                      Some (t, cfg, { warmup = Time.of_ms_f wu; measure = Time.of_ms_f me })
-                  | _ -> None)
-              | tok when int_field "seed" tok <> None ->
-                  let* v = int_field "seed" tok in
-                  c { cfg with Config.seed = v }
-              | tok when int_field "ckpt=" tok <> None ->
-                  let* v = int_field "ckpt=" tok in
-                  c { cfg with Config.checkpoint_interval = v }
-              | tok when int_field "pd=" tok <> None ->
-                  let* v = int_field "pd=" tok in
-                  c { cfg with Config.pipeline_depth = v }
-              | tok when int_field "fanout=" tok <> None ->
-                  let* v = int_field "fanout=" tok in
-                  c { cfg with Config.geobft_fanout = v }
-              | tok when float_field "ltms=" tok <> None ->
-                  let* v = float_field "ltms=" tok in
-                  c { cfg with Config.local_timeout_ms = v }
-              | tok when float_field "rtms=" tok <> None ->
-                  let* v = float_field "rtms=" tok in
-                  c { cfg with Config.remote_timeout_ms = v }
-              | tok when float_field "ctms=" tok <> None ->
-                  let* v = float_field "ctms=" tok in
-                  c { cfg with Config.client_timeout_ms = v }
-              | tok when int_field "clients=" tok <> None ->
-                  let* v = int_field "clients=" tok in
-                  c { cfg with Config.clients = v }
-              | tok when float_field "wan=" tok <> None ->
-                  let* v = float_field "wan=" tok in
-                  c { cfg with Config.wan_egress_mbps = v }
-              | tok when float_field "reads=" tok <> None ->
-                  let* v = float_field "reads=" tok in
-                  c { cfg with Config.read_fraction = v }
-              | tok when float_field "scans=" tok <> None ->
-                  let* v = float_field "scans=" tok in
-                  c { cfg with Config.scan_fraction = v }
-              | tok when prefixed "storage=" tok <> None ->
-                  let* v = Option.bind (prefixed "storage=" tok) Config.storage_of_string in
-                  c { cfg with Config.storage = v }
-              | tok when float_field "cost.sign=" tok <> None ->
-                  let* v = float_field "cost.sign=" tok in
-                  costs { cfg.Config.costs with Config.sign_us = v }
-              | tok when float_field "cost.verify=" tok <> None ->
-                  let* v = float_field "cost.verify=" tok in
-                  costs { cfg.Config.costs with Config.verify_us = v }
-              | tok when float_field "cost.mac=" tok <> None ->
-                  let* v = float_field "cost.mac=" tok in
-                  costs { cfg.Config.costs with Config.mac_us = v }
-              | tok when float_field "cost.hashkb=" tok <> None ->
-                  let* v = float_field "cost.hashkb=" tok in
-                  costs { cfg.Config.costs with Config.hash_us_per_kb = v }
-              | tok when float_field "cost.exec=" tok <> None ->
-                  let* v = float_field "cost.exec=" tok in
-                  costs { cfg.Config.costs with Config.exec_us_per_txn = v }
-              | tok when float_field "cost.asm=" tok <> None ->
-                  let* v = float_field "cost.asm=" tok in
-                  costs { cfg.Config.costs with Config.batch_asm_us = v }
-              | tok when float_field "cost.tpart=" tok <> None ->
-                  let* v = float_field "cost.tpart=" tok in
-                  costs { cfg.Config.costs with Config.threshold_partial_us = v }
-              | tok when float_field "cost.tcomb=" tok <> None ->
-                  let* v = float_field "cost.tcomb=" tok in
-                  costs { cfg.Config.costs with Config.threshold_combine_us = v }
-              | tok when int_field "z" tok <> None ->
-                  let* v = int_field "z" tok in
-                  c { cfg with Config.z = v }
-              | tok when int_field "n" tok <> None ->
-                  let* v = int_field "n" tok in
-                  c { cfg with Config.n = v }
-              | tok when int_field "b" tok <> None ->
-                  let* v = int_field "b" tok in
-                  c { cfg with Config.batch_size = v }
-              | tok when int_field "i" tok <> None ->
-                  let* v = int_field "i" tok in
-                  c { cfg with Config.client_inflight = v }
-              | _ -> None
-            in
-            match next with
-            | Some (t, cfg, w) -> go (t, cfg, w) rest
-            | None -> None)
-      in
-      let seed = { proto; cfg = Config.default; fault = No_fault; windows = default_windows;
-                   trace = false; attack = None } in
-      let* t, cfg, windows = go (seed, Config.default, default_windows) rest in
-      Some { t with cfg; windows }
+  | proto :: tokens ->
+      let* proto = proto_of_string proto in
+      List.fold_left
+        (fun t tok -> Option.bind t (fun t -> token t tok))
+        (Some (make proto Config.default))
+        tokens
 
 (* -- JSON round-trip ----------------------------------------------------- *)
 
@@ -299,41 +279,19 @@ let of_string s =
    load. *)
 let schema_version = 4
 
-let json_of_costs (c : Config.costs) : Json.t =
-  Json.Obj
-    [
-      ("sign_us", Json.Float c.Config.sign_us);
-      ("verify_us", Json.Float c.Config.verify_us);
-      ("mac_us", Json.Float c.Config.mac_us);
-      ("hash_us_per_kb", Json.Float c.Config.hash_us_per_kb);
-      ("exec_us_per_txn", Json.Float c.Config.exec_us_per_txn);
-      ("batch_asm_us", Json.Float c.Config.batch_asm_us);
-      ("threshold_partial_us", Json.Float c.Config.threshold_partial_us);
-      ("threshold_combine_us", Json.Float c.Config.threshold_combine_us);
-    ]
-
+(* The knobs in table order, the costs gathered into one "costs"
+   object where the first of them stands. *)
 let json_of_config (c : Config.t) : Json.t =
-  Json.Obj
-    [
-      ("z", Json.Int c.Config.z);
-      ("n", Json.Int c.Config.n);
-      ("batch_size", Json.Int c.Config.batch_size);
-      ("checkpoint_interval", Json.Int c.Config.checkpoint_interval);
-      ("pipeline_depth", Json.Int c.Config.pipeline_depth);
-      ("local_timeout_ms", Json.Float c.Config.local_timeout_ms);
-      ("remote_timeout_ms", Json.Float c.Config.remote_timeout_ms);
-      ("client_inflight", Json.Int c.Config.client_inflight);
-      ("client_timeout_ms", Json.Float c.Config.client_timeout_ms);
-      ("clients", Json.Int c.Config.clients);
-      ("wan_egress_mbps", Json.Float c.Config.wan_egress_mbps);
-      ("geobft_fanout", Json.Int c.Config.geobft_fanout);
-      ("threshold_certs", Json.Bool c.Config.threshold_certs);
-      ("read_fraction", Json.Float c.Config.read_fraction);
-      ("scan_fraction", Json.Float c.Config.scan_fraction);
-      ("storage", Json.String (Config.storage_name c.Config.storage));
-      ("costs", json_of_costs c.Config.costs);
-      ("seed", Json.Int c.Config.seed);
-    ]
+  let field (Knob k) = (k.key, k.kind.json (k.get c)) in
+  let is_cost (Knob k) = k.kind.cost in
+  let rec fields = function
+    | [] -> []
+    | kn :: _ as ks when is_cost kn ->
+        ("costs", Json.Obj (List.map field (List.filter is_cost ks)))
+        :: fields (List.filter (fun kn -> not (is_cost kn)) ks)
+    | kn :: ks -> field kn :: fields ks
+  in
+  Json.Obj (fields knobs)
 
 let to_json t : Json.t =
   Json.Obj

@@ -30,12 +30,8 @@ type fault =
           [cfg.seed]) and run it under the continuous invariant
           monitor *)
 
-val fault_name : fault -> string
-(** Human-readable ("one non-primary"). *)
-
 val fault_id : fault -> string
-(** Compact id spelling ("one", "chaos:3") — used in scenario ids and
-    accepted by the CLI. *)
+(** Compact id spelling ("one", "chaos:3"), as in [fault=] tokens. *)
 
 val fault_of_id : string -> fault option
 
@@ -83,7 +79,9 @@ val equal : t -> t -> bool
     w1000+4000]) and appends every [Config] field that differs from
     [Config.default] ([fanout=1], [tcerts], [cost.mac=120], ...), so
     distinct scenarios have distinct ids.  [of_string] inverts it
-    exactly; token order is free on input. *)
+    exactly; token order is free on input, and an omitted token takes
+    its default ([geobft] alone is a valid id).  One table of [Config]
+    knobs drives the id and the JSON [config] object. *)
 
 val to_string : t -> string
 val of_string : string -> t option

@@ -2,7 +2,8 @@
    across a range of planner seeds with the continuous invariant
    monitor armed.  Any violation raises Chaos.Violation with the
    offending seed and timeline in the payload, so a red run is always
-   reproducible with `resilientdb-cli run --fault chaos:SEED`.
+   reproducible with the failing scenario's id, e.g.
+   `resilientdb-cli run "pbft z2 n4 b20 i8 seed1 w1000+11000 fault=chaos:SEED"`.
 
    The protocol x seed grid is submitted through the multicore sweep
    engine (the Chaos.Violation of a failing run surfaces as that

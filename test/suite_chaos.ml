@@ -40,12 +40,12 @@ let test_timeline_reproducible () =
       let a = Runner.chaos_timeline proto ~windows ~seed cfg in
       let b = Runner.chaos_timeline proto ~windows ~seed cfg in
       Alcotest.(check string)
-        (Runner.proto_name proto ^ " same seed, same timeline")
+        (Scenario.proto_name proto ^ " same seed, same timeline")
         (Chaos.describe a) (Chaos.describe b);
       Alcotest.(check bool)
-        (Runner.proto_name proto ^ " event-for-event equal")
+        (Scenario.proto_name proto ^ " event-for-event equal")
         true (a = b))
-    Runner.all_protocols
+    Scenario.all_protocols
 
 let test_timeline_respects_budget () =
   (* Sampled crash windows never put a cluster beyond its f tolerance:

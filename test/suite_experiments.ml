@@ -15,12 +15,12 @@ let tiny = { Runner.warmup = Time.sec 1; measure = Time.sec 2 }
 let test_proto_parsing () =
   List.iter
     (fun (s, expect) ->
-      match Runner.proto_of_string s with
-      | Some p -> Alcotest.(check string) s expect (Runner.proto_name p)
+      match Scenario.proto_of_string s with
+      | Some p -> Alcotest.(check string) s expect (Scenario.proto_name p)
       | None -> Alcotest.failf "failed to parse %s" s)
     [ ("geobft", "GeoBFT"); ("PBFT", "Pbft"); ("Zyzzyva", "Zyzzyva"); ("hotstuff", "HotStuff");
       ("STEWARD", "Steward") ];
-  Alcotest.(check bool) "garbage rejected" true (Runner.proto_of_string "paxos" = None)
+  Alcotest.(check bool) "garbage rejected" true (Scenario.proto_of_string "paxos" = None)
 
 let paper_matrix name =
   match Matrices.expand ~windows:tiny ~seeds:[] name with

@@ -289,7 +289,7 @@ let test_pinned_protocol_digests proto () =
               { (small_cfg 4) with Config.read_fraction = 0.5; scan_fraction = 0.1 }
       in
       let name =
-        Runner.proto_name proto
+        Scenario.proto_name proto
         ^
         match kind with
         | `Healthy -> " healthy"

@@ -114,6 +114,79 @@ let test_id_rejects_garbage () =
   Alcotest.(check bool) "bare protocol id accepted with defaults" true
     (Scenario.of_string "geobft" = Some (Scenario.make Scenario.Geobft (Config.make ())))
 
+(* Every Config field and every cost set away from its default, as a
+   record literal without [with]: a new Config field fails to compile
+   here until it is named, and then fails the test until the id grammar
+   spells it. *)
+let test_knobs_complete () =
+  let cfg =
+    {
+      Config.z = 3;
+      n = 5;
+      batch_size = 30;
+      checkpoint_interval = 50;
+      pipeline_depth = 8;
+      local_timeout_ms = 250.5;
+      remote_timeout_ms = 900.25;
+      client_inflight = 12;
+      client_timeout_ms = 1500.75;
+      clients = 3000;
+      wan_egress_mbps = 500.5;
+      geobft_fanout = 2;
+      threshold_certs = true;
+      read_fraction = 0.25;
+      scan_fraction = 0.125;
+      storage = Config.Disk;
+      costs =
+        {
+          Config.sign_us = 55.25;
+          verify_us = 77.125;
+          mac_us = 2.5;
+          hash_us_per_kb = 4.75;
+          exec_us_per_txn = 3.25;
+          batch_asm_us = 130.5;
+          threshold_partial_us = 4100.5;
+          threshold_combine_us = 9100.25;
+        };
+      seed = 7;
+    }
+  in
+  let s = Scenario.make Scenario.Hotstuff cfg in
+  let id = Scenario.to_string s in
+  Alcotest.(check bool) "id round-trips" true (Scenario.of_string id = Some s);
+  (* Header: protocol, z, n, b, i, seed, windows; then one token for
+     each of the 12 other top-level fields and the 8 costs. *)
+  let keys =
+    String.split_on_char ' ' id |> List.map (fun t -> List.hd (String.split_on_char '=' t))
+  in
+  Alcotest.(check int) "one token per knob" (7 + 12 + 8) (List.length keys);
+  Alcotest.(check int) "no knob twice" (List.length keys)
+    (List.length (List.sort_uniq compare keys));
+  let pinned =
+    "hotstuff z3 n5 b30 i12 seed7 w1000+4000 ckpt=50 pd=8 ltms=250.5 rtms=900.25 ctms=1500.75 \
+     clients=3000 wan=500.5 fanout=2 tcerts reads=0.25 scans=0.125 storage=disk \
+     cost.sign=55.25 cost.verify=77.125 cost.mac=2.5 cost.hashkb=4.75 cost.exec=3.25 \
+     cost.asm=130.5 cost.tpart=4100.5 cost.tcomb=9100.25"
+  in
+  Alcotest.(check string) "id" pinned id;
+  Alcotest.(check string) "json"
+    (String.concat ""
+       [
+         {|{"schema_version":4,"id":"|};
+         pinned;
+         {|","proto":"hotstuff","fault":"none",|};
+         {|"windows":{"warmup_ms":1000.0,"measure_ms":4000.0},|};
+         {|"trace":false,"config":{"z":3,"n":5,"batch_size":30,"checkpoint_interval":50,|};
+         {|"pipeline_depth":8,"local_timeout_ms":250.5,"remote_timeout_ms":900.25,|};
+         {|"client_inflight":12,"client_timeout_ms":1500.75,"clients":3000,|};
+         {|"wan_egress_mbps":500.5,"geobft_fanout":2,"threshold_certs":true,|};
+         {|"read_fraction":0.25,"scan_fraction":0.125,"storage":"disk",|};
+         {|"costs":{"sign_us":55.25,"verify_us":77.125,"mac_us":2.5,"hash_us_per_kb":4.75,|};
+         {|"exec_us_per_txn":3.25,"batch_asm_us":130.5,"threshold_partial_us":4100.5,|};
+         {|"threshold_combine_us":9100.25},"seed":7}}|};
+       ])
+    (Scenario.to_json_string s)
+
 let test_scenario_json_versioned () =
   let s = List.hd (smoke_matrix ()) in
   match Json.of_string (Scenario.to_json_string s) with
@@ -277,4 +350,5 @@ let suite =
     ("sweep progress callback", `Quick, test_progress_callback);
     ("sweep failure capture", `Quick, test_failure_capture);
     ("sweep document shape", `Quick, test_sweep_document_shape);
+    ("scenario knobs complete and pinned", `Quick, test_knobs_complete);
   ]

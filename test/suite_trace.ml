@@ -7,6 +7,7 @@
    injection. *)
 
 module Runner = Rdb_experiments.Runner
+module Scenario = Rdb_experiments.Scenario
 module Config = Rdb_types.Config
 module Report = Rdb_fabric.Report
 module Trace = Rdb_trace.Trace
@@ -271,10 +272,10 @@ let test_off_by_default () =
 let suite =
   List.map
     (fun p ->
-      ( Printf.sprintf "digest deterministic (%s)" (Runner.proto_name p),
+      ( Printf.sprintf "digest deterministic (%s)" (Scenario.proto_name p),
         `Quick,
         test_digest_deterministic p ))
-    Runner.all_protocols
+    Scenario.all_protocols
   @ [
       ("chaos seed changes digest", `Slow, test_chaos_seed_changes_digest);
       ("phase breakdown sanity", `Quick, test_phase_breakdown);
