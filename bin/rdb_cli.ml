@@ -124,7 +124,7 @@ let sweep_cmd =
     Arg.(value & opt (some string) None
          & info [ "out"; "o" ] ~docv:"FILE"
              ~doc:
-               "Write the aggregated results document to \\$(docv): CSV if it ends in .csv, \
+               "Write the aggregated results document to $(docv): CSV if it ends in .csv, \
                 versioned JSON otherwise.  The document is a pure function of the scenario \
                 list — no wall-clock times or job counts — so -j 1 and -j 8 write identical \
                 bytes.")
@@ -279,7 +279,7 @@ let search_cmd (type a) (search : a Check.search) ~attempts ~searcher ~caught
     Arg.(value & opt (some string) None
          & info [ "out"; "o" ] ~docv:"DIR"
              ~doc:
-               (Printf.sprintf "Write every %s artifact as \\$(docv)/%s-<name>.json." artifact
+               (Printf.sprintf "Write every %s artifact as $(docv)/%s-<name>.json." artifact
                   cmd))
   in
   let write_artifact out name ce =
@@ -300,7 +300,7 @@ let search_cmd (type a) (search : a Check.search) ~attempts ~searcher ~caught
     Printf.printf "  minimal %s\n" (minimal ce.Check.items);
     Option.iter (Printf.printf "  trace digest: %s\n%!") ce.Check.digest
   in
-  let explore_label ~budget ~seed ?mutation ?provoke ~name scenario =
+  let explore_label ~budget ~seed ?mutation ~name scenario =
     Printf.printf "%s %-24s %s%s\n%!" cmd name
       (Scenario.to_string scenario)
       (match mutation with None -> "" | Some m -> Printf.sprintf "  [mutation %s]" m);
@@ -311,7 +311,7 @@ let search_cmd (type a) (search : a Check.search) ~attempts ~searcher ~caught
         Printf.printf "  ... %s %d/%d\n%!" noun k budget
       end
     in
-    Check.explore search ~budget ~seed ?mutation ?provoke ~on_attempt scenario
+    Check.explore search ~budget ~seed ?mutation ~on_attempt scenario
   in
   let go budget seed scenario_ids mutate mutants_flag replay_file out =
     match replay_file with
@@ -350,8 +350,8 @@ let search_cmd (type a) (search : a Check.search) ~attempts ~searcher ~caught
           (* Every registered mutant must be caught and shrunk. *)
           let escapes = ref [] in
           List.iter
-            (fun (id, (scenario, provoke)) ->
-              match explore_label ~budget ~seed ~mutation:id ?provoke ~name:id scenario with
+            (fun (id, scenario) ->
+              match explore_label ~budget ~seed ~mutation:id ~name:id scenario with
               | Some ce ->
                   describe ce;
                   write_artifact out id ce
@@ -374,14 +374,12 @@ let search_cmd (type a) (search : a Check.search) ~attempts ~searcher ~caught
                   (String.concat ", " Mutation.known);
                 exit 2
               end;
-              let scenario, provoke =
+              let scenario =
                 match (explicit, Check.mutant_scenario search id) with
-                | s :: _, reg -> (s, Option.bind reg snd)
-                | [], Some (s, p) -> (s, p)
-                | [], None ->
-                    (Check.default_scenario ~measure:search.Check.measure Scenario.Geobft, None)
+                | s :: _, _ | [], Some s -> s
+                | [], None -> Check.default_scenario ~measure:search.Check.measure Scenario.Geobft
               in
-              match explore_label ~budget ~seed ~mutation:id ?provoke ~name:id scenario with
+              match explore_label ~budget ~seed ~mutation:id ~name:id scenario with
               | Some ce ->
                   describe ce;
                   write_artifact out id ce

@@ -46,31 +46,6 @@ type violation = Chaos.violation = { at : Time.t; invariant : string; detail : s
 
 let violation_to_string = Chaos.violation_to_string
 
-(* -- provocations --------------------------------------------------------- *)
-
-(* A provocation schedules an in-envelope fault through the chaos
-   surface so that rarely-exercised machinery (e.g. GeoBFT's remote
-   view change) runs inside a short deterministic window.  Named, so
-   replay artifacts can reference them. *)
-let provocations : (string * (Chaos.surface -> unit)) list =
-  [
-    ( "geobft-equivocate-c0",
-      fun s ->
-        (* Cluster 0 withholds its shares from every remote cluster
-           between 1.5 s and 6.5 s: remote clusters starve, detect the
-           silence, and drive the Figure-7 remote view change.  The
-           protocol is required to absorb exactly this (the chaos
-           envelope grants GeoBFT equivocation), so the unmutated run
-           stays clean. *)
-        let skip = List.init (s.Chaos.z - 1) (fun i -> i + 1) in
-        s.Chaos.at (Time.of_ms_f 1500.) (fun () ->
-            s.Chaos.equivocate ~cluster:0 ~skip);
-        s.Chaos.at (Time.of_ms_f 6500.) (fun () ->
-            s.Chaos.stop_equivocate ~cluster:0) );
-  ]
-
-let provocation name = List.assoc_opt name provocations
-
 (* -- certificate invariants ----------------------------------------------- *)
 
 (* Expected certificate quorum per protocol; None when the protocol's
@@ -138,9 +113,8 @@ let scan_certificates (s : Scenario.t) (surface : Chaos.surface) : violation opt
    (e.g. a primary whose shares are systematically rejected) or a
    deployment-wide pipeline stall, not slow start.  Perturbation delays
    are capped well below the half-window, so a delayed-but-correct
-   replica always lands some block in it.  Skipped when a provocation
-   is active: provocations starve replicas on purpose, inside the
-   chaos envelope. *)
+   replica always lands some block in it.  Skipped under a fault or an
+   attack: those starve replicas on purpose, inside the envelope. *)
 let min_global_total = 8
 
 let frontier_check (surface : Chaos.surface) ~mid : violation option =
@@ -179,7 +153,7 @@ type run_result = {
   digest : string option;
 }
 
-let run_one (s : Scenario.t) ~(hooks : Perturb.hooks) ~(provoke : string option) : run_result =
+let run_one (s : Scenario.t) ~(hooks : Perturb.hooks) : run_result =
   Evidence.arm ();
   let surface_ref = ref None in
   let mon = ref None in
@@ -190,11 +164,9 @@ let run_one (s : Scenario.t) ~(hooks : Perturb.hooks) ~(provoke : string option)
     Engine.set_defer_hook i.Runner.inst_engine (Some hooks.Perturb.defer);
     i.Runner.inst_set_delivery_hook (Some hooks.Perturb.deliver);
     mon := Some (Chaos.monitor ~liveness_window_ms:i.Runner.inst_liveness_window_ms surface []);
-    (match Option.bind provoke provocation with Some p -> p surface | None -> ());
     let windows = s.Scenario.windows in
     let half = Time.add windows.Scenario.warmup (windows.Scenario.measure / 2) in
-    if s.Scenario.fault = Scenario.No_fault && provoke = None && s.Scenario.attack = None
-    then
+    if s.Scenario.fault = Scenario.No_fault && s.Scenario.attack = None then
       surface.Chaos.at half (fun () ->
           mid :=
             Some
@@ -297,12 +269,11 @@ type 'a search = {
   kind : string;
   command : string;
   index_key : string;
-  provokes : bool;
   measure : Time.t;
-  mutants : (string * (Scenario.t * string option)) list;
+  mutants : (string * Scenario.t) list;
   base : Scenario.t -> Scenario.t;
-  attempt : seed:int -> int -> Scenario.t -> provoke:string option -> 'a list * run_result;
-  run : Scenario.t -> provoke:string option -> 'a list -> run_result;
+  attempt : seed:int -> int -> Scenario.t -> 'a list * run_result;
+  run : Scenario.t -> 'a list -> run_result;
   items_to_json : 'a list -> (string * Json.t) list;
   items_of_json : Json.t -> ('a list, string) result;
 }
@@ -323,21 +294,28 @@ let stock ~seed ~warmup ~measure (p : Scenario.proto) : Scenario.t =
 let default_scenario ?(seed = 1) ~measure p = stock ~seed ~warmup:(Time.ms 500) ~measure p
 
 (* The weakened remote view-change honor quorum needs remote view-change
-   traffic: the schedule checker provokes it with a scripted
-   equivocation window, the attack search must generate it itself. *)
+   traffic: the attack search must generate it itself.  The schedule
+   checker scripts it in [rvc_window]: all of cluster 0 (cluster-wide,
+   like the chaos equivocation action, so no local view change cures
+   it) mutes its shares to cluster 1 over [1.5 s, 6.5 s), and cluster 1
+   drives the Figure-7 remote view change. *)
 let rvc_weak_scenario = stock ~seed:1 ~warmup:(Time.ms 1000) ~measure:(Time.ms 8000) Scenario.Geobft
+
+let rvc_window =
+  let mute r = Printf.sprintf "%d@1500:6500!mute.share.c1" r in
+  let rules = List.init rvc_weak_scenario.Scenario.cfg.Config.n mute in
+  { rvc_weak_scenario with Scenario.attack = Adversary.Attack.of_id (String.concat "+" rules) }
 
 let schedule_rng ~seed ~schedule =
   Rng.create (Int64.of_int ((seed * 1_000_003) + schedule))
 
 let schedules =
   let measure = Time.ms 2000 in
-  let plain p = (default_scenario ~measure p, None) in
+  let plain p = default_scenario ~measure p in
   {
     kind = "schedule";
     command = "check";
     index_key = "schedule";
-    provokes = true;
     measure;
     mutants =
       [
@@ -346,12 +324,12 @@ let schedules =
         ("zyzzyva-spec-history", plain Scenario.Zyzzyva);
         ("hotstuff-qc-quorum", plain Scenario.Hotstuff);
         ("geobft-share-stale", plain Scenario.Geobft);
-        ("geobft-rvc-weak", (rvc_weak_scenario, Some "geobft-equivocate-c0"));
+        ("geobft-rvc-weak", rvc_window);
         ("steward-certify-quorum", plain Scenario.Steward);
       ];
     base = Fun.id;
     attempt =
-      (fun ~seed k s ~provoke ->
+      (fun ~seed k s ->
         let hooks =
           if k = 0 then Perturb.unperturbed
           else
@@ -359,9 +337,9 @@ let schedules =
               ~rng:(schedule_rng ~seed ~schedule:k)
               ~tier:(Perturb.tier_for ~schedule:k)
         in
-        let r = run_one s ~hooks ~provoke in
+        let r = run_one s ~hooks in
         (r.applied, r));
-    run = (fun s ~provoke ps -> run_one s ~hooks:(Perturb.replay ps) ~provoke);
+    run = (fun s ps -> run_one s ~hooks:(Perturb.replay ps));
     items_to_json = (fun ps -> [ ("perturbations", Json.List (List.map Perturb.to_json ps)) ]);
     items_of_json =
       (fun j ->
@@ -400,7 +378,7 @@ let sample_attack ~seed ~attempt (s : Scenario.t) : Adversary.Attack.t =
 
 let run_attack (s : Scenario.t) (a : Adversary.Attack.t) : run_result =
   let attack = if a = Adversary.Attack.empty then None else Some a in
-  run_one { s with Scenario.attack } ~hooks:Perturb.unperturbed ~provoke:None
+  run_one { s with Scenario.attack } ~hooks:Perturb.unperturbed
 
 (* The attack search runs longer windows than the schedule checker:
    attack windows (up to 2.5 s) must open after warmup and close
@@ -411,12 +389,11 @@ let run_attack (s : Scenario.t) (a : Adversary.Attack.t) : run_result =
    decision path, so their 1-minimal attack is typically empty. *)
 let attacks =
   let measure = Time.ms 4000 in
-  let plain p = (default_scenario ~measure p, None) in
+  let plain p = default_scenario ~measure p in
   {
     kind = "attack";
     command = "attack";
     index_key = "attempt";
-    provokes = false;
     measure;
     mutants =
       [
@@ -424,14 +401,14 @@ let attacks =
         ("pbft-commit-quorum", plain Scenario.Pbft);
         ("hotstuff-qc-quorum", plain Scenario.Hotstuff);
         ("steward-certify-quorum", plain Scenario.Steward);
-        ("geobft-rvc-weak", (rvc_weak_scenario, None));
+        ("geobft-rvc-weak", rvc_weak_scenario);
       ];
     base = (fun s -> { s with Scenario.attack = None });
     attempt =
-      (fun ~seed k s ~provoke:_ ->
+      (fun ~seed k s ->
         let a = sample_attack ~seed ~attempt:k s in
         (a.Adversary.Attack.rules, run_attack s a));
-    run = (fun s ~provoke:_ rules -> run_attack s { Adversary.Attack.rules });
+    run = (fun s rules -> run_attack s { Adversary.Attack.rules });
     items_to_json =
       (fun rules ->
         let a = { Adversary.Attack.rules } in
@@ -453,7 +430,6 @@ let mutant_scenario search id = List.assoc_opt id search.mutants
 type 'a counterexample = {
   scenario : Scenario.t;
   mutation : string option;
-  provoke : string option;
   seed : int;
   index : int;
   items : 'a list;
@@ -466,20 +442,18 @@ let with_mutation mutation f =
   Mutation.set mutation;
   Fun.protect ~finally:(fun () -> Mutation.set None) f
 
-let explore search ?(budget = 64) ?(seed = 1) ?mutation ?provoke ?on_attempt (s : Scenario.t) =
-  if provoke <> None && not search.provokes then
-    invalid_arg (Printf.sprintf "Check.explore: %s artifacts record no provocation" search.kind);
+let explore search ?(budget = 64) ?(seed = 1) ?mutation ?on_attempt (s : Scenario.t) =
   let runs = ref 0 in
   let run items =
     incr runs;
-    search.run s ~provoke items
+    search.run s items
   in
   let rec loop k =
     if k >= budget then None
     else begin
       incr runs;
       Option.iter (fun f -> f k) on_attempt;
-      let items, r = search.attempt ~seed k s ~provoke in
+      let items, r = search.attempt ~seed k s in
       match r.violation with
       | None -> loop (k + 1)
       | Some v ->
@@ -491,7 +465,6 @@ let explore search ?(budget = 64) ?(seed = 1) ?mutation ?provoke ?on_attempt (s 
             {
               scenario = search.base s;
               mutation;
-              provoke;
               seed;
               index = k;
               items = minimal;
@@ -517,15 +490,14 @@ let replayed_by kind =
 let counterexample_to_json search (ce : _ counterexample) : Json.t =
   let opt_str = function None -> Json.Null | Some s -> Json.String s in
   let kind = if search.kind = untagged_kind then [] else [ ("kind", Json.String search.kind) ] in
-  let provoke = if search.provokes then [ ("provoke", opt_str ce.provoke) ] else [] in
   Json.Obj
     ((("schema", Json.Int schema_version) :: kind)
     @ [
         ("scenario", Json.String (Scenario.to_string ce.scenario));
         ("mutation", opt_str ce.mutation);
+        ("seed", Json.Int ce.seed);
+        (search.index_key, Json.Int ce.index);
       ]
-    @ provoke
-    @ [ ("seed", Json.Int ce.seed); (search.index_key, Json.Int ce.index) ]
     @ search.items_to_json ce.items
     @ [
         ( "violation",
@@ -541,6 +513,20 @@ let counterexample_to_json search (ce : _ counterexample) : Json.t =
 
 let counterexample_to_string search ce = Json.to_string (counterexample_to_json search ce)
 
+(* A key the codec does not read must be absent or null: an artifact
+   recording a run input it cannot replay (older schedule artifacts
+   named a scripted fault window) is refused, not replayed without it. *)
+let replayable search = function
+  | Json.Obj fields -> (
+      let known = [ "schema"; "kind"; "scenario"; "mutation"; "seed"; "violation"; "runs" ] in
+      let known = search.index_key :: "trace_digest" :: known in
+      let known = known @ List.map fst (search.items_to_json []) in
+      match List.find_opt (fun (k, v) -> v <> Json.Null && not (List.mem k known)) fields with
+      | Some (k, _) ->
+          Error (Printf.sprintf "artifact: cannot replay %S; script it as an attack=<id> token" k)
+      | None -> Ok ())
+  | _ -> Ok ()
+
 let counterexample_of_json search (j : Json.t) =
   let opt_str name = match Json.member name j with Some (Json.String s) -> Some s | _ -> None in
   let* schema = field "schema" Json.to_int j in
@@ -554,6 +540,7 @@ let counterexample_of_json search (j : Json.t) =
       | Some cmd -> Printf.sprintf "artifact: kind %S; replay it with the %S subcommand" kind cmd
       | None -> Printf.sprintf "artifact: unknown kind %S" kind)
   else
+    let* () = replayable search j in
     let* sid = field "scenario" Json.to_str j in
     let* scenario =
       match Scenario.of_string sid with
@@ -571,7 +558,6 @@ let counterexample_of_json search (j : Json.t) =
       {
         scenario = search.base scenario;
         mutation = opt_str "mutation";
-        provoke = opt_str "provoke";
         seed;
         index;
         items;
@@ -593,9 +579,7 @@ type replay_outcome = {
 }
 
 let replay search (ce : _ counterexample) : replay_outcome =
-  let r =
-    with_mutation ce.mutation (fun () -> search.run ce.scenario ~provoke:ce.provoke ce.items)
-  in
+  let r = with_mutation ce.mutation (fun () -> search.run ce.scenario ce.items) in
   let reproduced =
     match r.violation with
     | Some v -> String.equal v.invariant ce.violation.invariant

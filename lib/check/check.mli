@@ -21,13 +21,6 @@ type violation = Chaos.violation = { at : Time.t; invariant : string; detail : s
 
 val violation_to_string : violation -> string
 
-val provocations : (string * (Chaos.surface -> unit)) list
-(** Named in-envelope fault windows (scheduled through the chaos
-    surface) that flush out rarely-exercised machinery; artifacts
-    reference them by name so replays reapply them. *)
-
-val provocation : string -> (Chaos.surface -> unit) option
-
 (** {1 Single runs} *)
 
 type run_result = {
@@ -36,7 +29,7 @@ type run_result = {
   digest : string option;  (** trace digest, when the scenario traces *)
 }
 
-val run_one : Scenario.t -> hooks:Perturb.hooks -> provoke:string option -> run_result
+val run_one : Scenario.t -> hooks:Perturb.hooks -> run_result
 (** One simulation under the given perturbation hooks, checked by the
     full oracle.  Sequential only: the mutation/evidence hooks are
     process-global. *)
@@ -65,15 +58,14 @@ type 'a search = {
   kind : string;  (** the artifact's kind: ["schedule"] or ["attack"] *)
   command : string;  (** the rdb_cli subcommand that runs and replays it *)
   index_key : string;  (** what one attempt is called, in artifacts and output *)
-  provokes : bool;  (** runs under a named provocation, and records it *)
   measure : Time.t;  (** measurement window of {!default_scenario} for this search *)
-  mutants : (string * (Scenario.t * string option)) list;
+  mutants : (string * Scenario.t) list;
       (** every mutation the search must catch, with the scenario (and
-          provocation) that exposes it *)
+          its attack, if the mutation needs one) that exposes it *)
   base : Scenario.t -> Scenario.t;  (** the scenario an artifact records *)
-  attempt : seed:int -> int -> Scenario.t -> provoke:string option -> 'a list * run_result;
+  attempt : seed:int -> int -> Scenario.t -> 'a list * run_result;
       (** run attempt [k]; returns the items it applied *)
-  run : Scenario.t -> provoke:string option -> 'a list -> run_result;
+  run : Scenario.t -> 'a list -> run_result;
       (** replay exactly an item list *)
   items_to_json : 'a list -> (string * Json.t) list;
   items_of_json : Json.t -> ('a list, string) result;
@@ -82,16 +74,15 @@ type 'a search = {
 val schedules : Perturb.t search
 (** Attempt 0 runs unperturbed; attempt [k] perturbs with cycling
     intensity tiers seeded from [(seed, k)].  Artifacts carry no
-    [kind] field and record the provocation. *)
+    [kind] field; the recorded scenario keeps its attack. *)
 
 val attacks : Adversary.rule search
 (** Attempt [k] installs {!sample_attack} — attempt 0 the empty attack,
     so a violation there records that the configuration is broken
     without any adversary.  The recorded scenario carries no attack:
-    the items replace it.  Artifacts are [kind:"attack"] and carry no
-    provocation. *)
+    the items replace it.  Artifacts are [kind:"attack"]. *)
 
-val mutant_scenario : 'a search -> string -> (Scenario.t * string option) option
+val mutant_scenario : 'a search -> string -> Scenario.t option
 
 val default_scenario : ?seed:int -> measure:Time.t -> Scenario.proto -> Scenario.t
 (** The searches' stock deployment: z=2 n=4, small batches, traced,
@@ -102,7 +93,6 @@ val default_scenario : ?seed:int -> measure:Time.t -> Scenario.proto -> Scenario
 type 'a counterexample = {
   scenario : Scenario.t;
   mutation : string option;
-  provoke : string option;
   seed : int;
   index : int;  (** attempt where the violation surfaced *)
   items : 'a list;  (** shrunk, 1-minimal *)
@@ -116,15 +106,13 @@ val explore :
   ?budget:int ->
   ?seed:int ->
   ?mutation:string ->
-  ?provoke:string ->
   ?on_attempt:(int -> unit) ->
   Scenario.t ->
   'a counterexample option
 (** Run up to [budget] (default 64) attempts and stop at the first
     violation, which is shrunk and replayed once more to pin its
     digest.  [mutation] activates a test-only protocol mutation for the
-    whole exploration.  Raises [Invalid_argument] when given [provoke]
-    for a search that does not provoke. *)
+    whole exploration. *)
 
 (** {1 Replayable artifacts} *)
 
@@ -133,11 +121,10 @@ val schema_version : int
 val counterexample_to_json : 'a search -> 'a counterexample -> Json.t
 val counterexample_to_string : 'a search -> 'a counterexample -> string
 
-val counterexample_of_json : 'a search -> Json.t -> ('a counterexample, string) result
-(** Fails, naming the artifact's kind and its subcommand, on an
-    artifact of another search. *)
-
 val counterexample_of_string : 'a search -> string -> ('a counterexample, string) result
+(** Fails, naming the artifact's kind and its subcommand, on an
+    artifact of another search, and on a non-null key the codec does
+    not read (a run input it could not replay). *)
 
 type replay_outcome = {
   reproduced : bool;  (** the replay violated the same invariant *)
@@ -147,4 +134,4 @@ type replay_outcome = {
 
 val replay : 'a search -> 'a counterexample -> replay_outcome
 (** Re-run the artifact's scenario under its recorded items (and
-    mutation/provocation, if any). *)
+    mutation, if any). *)

@@ -27,10 +27,6 @@ type tier = {
   max_defer : int;
 }
 
-val light : tier
-val medium : tier
-val heavy : tier
-
 val tier_for : schedule:int -> tier
 (** Intensity for the k-th schedule of a budget (k >= 1; schedule 0
     runs unperturbed). *)

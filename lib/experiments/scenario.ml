@@ -217,9 +217,9 @@ let after prefix tok =
 let prefix (Knob k) = if k.header then k.token else k.token ^ k.kind.sep
 let spell cfg (Knob k as kn) = prefix kn ^ k.kind.show (k.get cfg)
 
-(* [cfg] with the knob set from [tok], if [tok] spells it. *)
+(* The knob's token and [cfg] with the knob set from [tok], if [tok] spells it. *)
 let read cfg tok (Knob k as kn) =
-  Option.map (k.set cfg) (Option.bind (after (prefix kn) tok) k.kind.parse)
+  Option.map (fun v -> (k.token, k.set cfg v)) (Option.bind (after (prefix kn) tok) k.kind.parse)
 
 (* -- the id ------------------------------------------------------------- *)
 
@@ -241,42 +241,45 @@ let to_string t =
     @ (if t.trace then [ "trace" ] else [])
     @ List.map (spell t.cfg) (List.filter changed others))
 
+(* Each token sets one thing, named by the first component of its
+   result; a second token for the same thing makes the id invalid. *)
 let of_string s =
   let ( let* ) = Option.bind in
   let token t tok =
     match (tok, after "fault=" tok, after "attack=" tok, after "w" tok) with
-    | "trace", _, _, _ -> Some { t with trace = true }
+    | "trace", _, _, _ -> Some ("trace", { t with trace = true })
     | _, Some f, _, _ ->
         let* fault = fault_of_id f in
-        Some { t with fault }
+        Some ("fault", { t with fault })
     | _, _, Some a, _ ->
         let* a = Adversary.Attack.of_id a in
-        Some { t with attack = (if a = Adversary.Attack.empty then None else Some a) }
+        Some ("attack", { t with attack = (if a = Adversary.Attack.empty then None else Some a) })
     | _, _, _, Some w when String.contains w '+' -> (
         match String.split_on_char '+' w with
         | [ wu; me ] ->
             let* wu = float_of_string_opt wu in
             let* me = float_of_string_opt me in
-            Some { t with windows = { warmup = Time.of_ms_f wu; measure = Time.of_ms_f me } }
+            Some ("w", { t with windows = { warmup = Time.of_ms_f wu; measure = Time.of_ms_f me } })
         | _ -> None)
-    | _ -> Option.map (fun cfg -> { t with cfg }) (List.find_map (read t.cfg tok) knobs)
+    | _ -> Option.map (fun (k, cfg) -> (k, { t with cfg })) (List.find_map (read t.cfg tok) knobs)
+  in
+  let step acc tok =
+    let* seen, t = acc in
+    let* key, t = token t tok in
+    if List.mem key seen then None else Some (key :: seen, t)
   in
   match String.split_on_char ' ' s |> List.filter (fun t -> t <> "") with
   | [] -> None
   | proto :: tokens ->
       let* proto = proto_of_string proto in
-      List.fold_left
-        (fun t tok -> Option.bind t (fun t -> token t tok))
-        (Some (make proto Config.default))
-        tokens
+      Option.map snd (List.fold_left step (Some ([], make proto Config.default)) tokens)
 
 (* -- JSON round-trip ----------------------------------------------------- *)
 
 (* v2 added the optional "attack" field (absent when None); v3 added
    the workload-mix and storage config fields (read_fraction,
    scan_fraction, storage); v4 added the aggregated client population
-   ("clients") — absent fields default, so older documents still
-   load. *)
+   ("clients"). *)
 let schema_version = 4
 
 (* The knobs in table order, the costs gathered into one "costs"

@@ -33,8 +33,6 @@ type fault =
 val fault_id : fault -> string
 (** Compact id spelling ("one", "chaos:3"), as in [fault=] tokens. *)
 
-val fault_of_id : string -> fault option
-
 type windows = { warmup : Time.t; measure : Time.t }
 
 val default_windows : windows

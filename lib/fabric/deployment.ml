@@ -472,23 +472,12 @@ module Make (P : Protocol.S) = struct
     | Replica r -> P.on_recover r
     | Client _ -> ()
 
-  (* Test hook: rejoin WITHOUT the protocol's [on_recover] and with
-     its out-of-band recovery machinery (behind-the-window catch-up)
-     turned off — the pre-recovery-subsystem behaviour, kept so the
-     chaos monitor can be shown to still catch a recovery-disabled
-     run. *)
+  (* Test hook: rejoin WITHOUT the protocol's [on_recover] — the
+     pre-recovery-subsystem behaviour, kept so the chaos monitor can be
+     shown to still catch a recovery-disabled run. *)
   let uncrash_replica_no_recovery t node =
     t.crashed.(node) <- false;
-    Network.recover t.net node;
-    match t.nodes.(node) with
-    | Replica r -> P.disable_recovery r
-    | Client _ -> ()
-
-  (* Test hook: the fully recovery-less build — no behind-the-window
-     catch-up anywhere, not just at rejoin time (a lossy-but-alive
-     replica would otherwise rescue itself mid-run). *)
-  let disable_all_recovery t =
-    Array.iter (function Replica r -> P.disable_recovery r | Client _ -> ()) t.nodes
+    Network.recover t.net node
 
   let is_crashed t node = t.crashed.(node)
 

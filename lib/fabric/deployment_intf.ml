@@ -87,10 +87,7 @@ module type S = sig
   val crash_f_per_cluster : t -> unit
 
   val uncrash_replica_no_recovery : t -> int -> unit
-  (** Test hook: rejoin without the protocol's recovery machinery. *)
-
-  val disable_all_recovery : t -> unit
-  (** Test hook: the fully recovery-less build. *)
+  (** Test hook: rejoin without the protocol's [on_recover]. *)
 
   val add_drop_rule : t -> (src:int -> dst:int -> bool) -> unit
   val clear_drop_rules : t -> unit
@@ -114,6 +111,5 @@ module type S = sig
   (** {1 Counters} *)
 
   val view_changes : t -> int
-  val recovery_totals : t -> Rdb_types.Protocol.recovery_stats
 end
 

@@ -682,4 +682,3 @@ let on_recover (r : replica) =
   update_detection_timers r
 
 let recovery (r : replica) = Recovery.stats r.catchup.recovery
-let disable_recovery (r : replica) = Engine.set_on_behind r.engine None

@@ -312,9 +312,6 @@ let on_recover (r : replica) = if any_stalled r then Recovery.start r.recovery
 
 let recovery (r : replica) = Recovery.stats r.recovery
 
-(* HotStuff's only out-of-band machinery is the on_recover-armed stall
-   task; nothing to turn off. *)
-let disable_recovery (_ : replica) = ()
 
 
 (* -- leader side ---------------------------------------------------------- *)

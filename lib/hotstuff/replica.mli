@@ -48,9 +48,6 @@ val on_recover : replica -> unit
 
 val recovery : replica -> Rdb_types.Protocol.recovery_stats
 
-val disable_recovery : replica -> unit
-(** Test hook: permanently turn off recovery machinery running outside
-    [on_recover] (the chaos suite's recovery-disabled mode). *)
 
 val create_client : msg Ctx.t -> cluster:int -> client
 val submit : client -> Batch.t -> unit

@@ -69,7 +69,6 @@ type vc_vote = { v_last_stable : int; v_prepared : prepared_proof list }
 type t = {
   ctx : msg Ctx.t;
   members : int array;                     (* global node ids; index = local id *)
-  by_signer : int array;                   (* local ids in ascending global id *)
   cluster : int;
   me : int;                                (* local index into members *)
   n : int;
@@ -118,8 +117,7 @@ let local_of members src =
   let i = src - members.(0) in
   if i >= 0 && i < Array.length members then i else -1
 
-let create ~(ctx : msg Ctx.t) ~members ~cluster ?window ?checkpoint_every
-    ~on_committed ~on_view_change () =
+let create ~(ctx : msg Ctx.t) ~members ~cluster ~on_committed ~on_view_change () =
   let cfg = ctx.Ctx.config in
   let n = Array.length members in
   Array.iteri
@@ -129,18 +127,9 @@ let create ~(ctx : msg Ctx.t) ~members ~cluster ?window ?checkpoint_every
   let me = local_of members ctx.Ctx.id in
   if me < 0 then invalid_arg "Engine.create: this node is not a member";
   let f = (n - 1) / 3 in
-  let checkpoint_every =
-    match checkpoint_every with
-    | Some k -> k
-    | None -> max 1 (cfg.Config.checkpoint_interval / max 1 cfg.Config.batch_size)
-  in
   {
     ctx;
     members;
-    by_signer =
-      (let ids = Array.init n Fun.id in
-       Array.sort (fun a b -> Int.compare members.(a) members.(b)) ids;
-       ids);
     cluster;
     me;
     n;
@@ -154,13 +143,13 @@ let create ~(ctx : msg Ctx.t) ~members ~cluster ?window ?checkpoint_every
     next_emit = 0;
     low_water = -1;
     stable_digest = Rdb_crypto.Sha256.digest "pbft-chain-genesis";
-    window = (match window with Some w -> w | None -> cfg.Config.pipeline_depth);
+    window = cfg.Config.pipeline_depth;
     pending = Queue.create ();
     pending_digests = Hashtbl.create 64;
     forwarded = Hashtbl.create 64;
     executed_digests = Hashtbl.create 256;
     chain = Rdb_crypto.Sha256.digest "pbft-chain-genesis";
-    checkpoint_every;
+    checkpoint_every = max 1 (cfg.Config.checkpoint_interval / max 1 cfg.Config.batch_size);
     checkpoints = Hashtbl.create 16;
     vc_votes = Hashtbl.create 4;
     vc_timer = None;
@@ -610,15 +599,15 @@ and emit_ready t =
             t.ctx.Ctx.phase ~key:s.seq ~name:"commit";
             t.chain <- Rdb_crypto.Sha256.digest_list [ t.chain; d ];
             (* Assemble the commit certificate: the n − f lowest
-               signers among the matching signed commits. *)
+               signers among the matching signed commits (members are
+               contiguous, so local order is global order). *)
             let cert =
               Certificate.collect ~cluster:t.cluster ~view:s.sview ~seq:s.seq ~digest:d
                 ~max:t.quorum (fun add ->
-                  Array.iter
-                    (fun local ->
-                      if commit_matches s local d then
-                        add ~replica:t.members.(local) s.commit_sigs.(local))
-                    t.by_signer)
+                  for local = 0 to t.n - 1 do
+                    if commit_matches s local d then
+                      add ~replica:t.members.(local) s.commit_sigs.(local)
+                  done)
             in
             Hashtbl.remove t.forwarded d;
             Hashtbl.remove t.pending_digests d;

@@ -23,17 +23,15 @@ val create :
   ctx:Messages.msg Ctx.t ->
   members:int array ->
   cluster:int ->
-  ?window:int ->
-  ?checkpoint_every:int ->
   on_committed:(seq:int -> Batch.t -> Certificate.t -> unit) ->
   on_view_change:(view:int -> unit) ->
   unit ->
   t
 (** [members] are the global node ids of this cluster (index = local
     id): contiguous ids [m, m+1, ...] that include [ctx.id], else
-    [Invalid_argument]; [window] bounds in-flight sequence numbers (default: the
-    config's pipeline depth); [checkpoint_every] is in sequence numbers
-    (default: checkpoint_interval / batch_size).  [on_view_change]
+    [Invalid_argument].  In-flight sequence numbers are bounded by the
+    config's pipeline depth, and a checkpoint is taken every
+    checkpoint_interval / batch_size sequence numbers.  [on_view_change]
     fires at every replica when it enters a new view. *)
 
 (** {1 Operation} *)

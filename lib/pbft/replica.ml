@@ -241,7 +241,6 @@ let on_recover (r : replica) =
   Catchup.recover r.catchup
 
 let recovery (r : replica) = Recovery.stats r.catchup.recovery
-let disable_recovery (r : replica) = Engine.set_on_behind r.engine None
 
 (* -- client agent -------------------------------------------------------- *)
 

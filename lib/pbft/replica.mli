@@ -41,9 +41,6 @@ val on_recover : replica -> unit
 
 val recovery : replica -> Rdb_types.Protocol.recovery_stats
 
-val disable_recovery : replica -> unit
-(** Test hook: permanently turn off recovery machinery running outside
-    [on_recover] (the chaos suite's recovery-disabled mode). *)
 
 val engine : replica -> Engine.t
 (** The underlying Pbft engine (tests and Byzantine hooks). *)

@@ -468,7 +468,6 @@ let on_recover (r : replica) =
   r.exec_busy <- false;
   Recovery.ensure r.recovery
 let recovery (r : replica) = Recovery.stats r.recovery
-let disable_recovery (_ : replica) = ()
 
 (* -- dispatch ------------------------------------------------------------------ *)
 

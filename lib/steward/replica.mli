@@ -43,9 +43,6 @@ val on_recover : replica -> unit
 (** Re-arm the stall-retransmission task (Steward replicas are not
     crash-injected; the task is state-driven and ack-free). *)
 
-val disable_recovery : replica -> unit
-(** Test hook: no out-of-band recovery machinery here; no-op. *)
-
 val recovery : replica -> Rdb_types.Protocol.recovery_stats
 
 val create_client : msg Ctx.t -> cluster:int -> client

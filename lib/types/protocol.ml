@@ -62,14 +62,6 @@ module type S = sig
 
   val recovery : replica -> recovery_stats
 
-  (* Test hook: permanently turn off this replica's recovery machinery
-     that runs *outside* [on_recover] (e.g. the behind-the-window
-     catch-up trigger).  The chaos suite models the
-     pre-recovery-subsystem behaviour by rejoining without [on_recover]
-     AND with this disabled, proving the safety monitor still has
-     teeth against a recovery-less build. *)
-  val disable_recovery : replica -> unit
-
   val create_client : msg Ctx.t -> cluster:int -> client
   val submit : client -> Batch.t -> unit
   val on_client_message : client -> src:int -> msg -> unit

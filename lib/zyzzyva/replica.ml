@@ -106,7 +106,6 @@ let view_changes (_ : replica) = 0
    envelope stays as-is (DESIGN.md §8). *)
 let on_recover (_ : replica) = ()
 let recovery (_ : replica) = Rdb_types.Protocol.no_recovery
-let disable_recovery (_ : replica) = ()
 let is_primary r = r.ctx.Ctx.id = r.view mod r.n
 
 (* Execute in sequence order; speculative replies go to the client. *)

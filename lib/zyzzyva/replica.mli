@@ -34,9 +34,6 @@ val view_changes : replica -> int
 val on_recover : replica -> unit
 (** No-op: Zyzzyva keeps its envelope as-is (no recovery machinery). *)
 
-val disable_recovery : replica -> unit
-(** Test hook: no recovery machinery to turn off; no-op. *)
-
 val recovery : replica -> Rdb_types.Protocol.recovery_stats
 
 val create_client : msg Ctx.t -> cluster:int -> client

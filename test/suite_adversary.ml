@@ -344,7 +344,7 @@ let test_rvc_weak_rediscovered () =
   let explore () =
     match Check.mutant_scenario Check.attacks "geobft-rvc-weak" with
     | None -> Alcotest.fail "geobft-rvc-weak not registered"
-    | Some (s, _) -> (
+    | Some s -> (
         match Check.explore Check.attacks ~budget:16 ~seed:1 ~mutation:"geobft-rvc-weak" s with
         | Some ce -> ce
         | None -> Alcotest.fail "geobft-rvc-weak escaped a 16-attempt budget")

@@ -171,8 +171,11 @@ let run_stale_rejoin ~with_recovery =
     if with_recovery then surface
     else begin
       (* The pre-recovery-subsystem behaviour: rejoin without
-         [on_recover], and no behind-the-window catch-up anywhere. *)
-      PbftDep.disable_all_recovery d;
+         [on_recover], and no behind-the-window catch-up anywhere (a
+         lossy-but-alive replica would otherwise rescue itself). *)
+      for i = 0 to Config.n_replicas cfg - 1 do
+        Rdb_pbft.Engine.set_on_behind (Rdb_pbft.Replica.engine (PbftDep.replica d i)) None
+      done;
       { surface with Chaos.recover = (fun v -> PbftDep.uncrash_replica_no_recovery d v) }
     end
   in

@@ -19,10 +19,9 @@ let test_artifact_bytes_deterministic () =
   let explore () =
     match Check.mutant_scenario Check.schedules "pbft-prepare-quorum" with
     | None -> Alcotest.fail "pbft-prepare-quorum not registered"
-    | Some (s, provoke) ->
+    | Some s ->
         (match
-           Check.explore Check.schedules ~budget:2 ~seed:1 ~mutation:"pbft-prepare-quorum"
-             ?provoke s
+           Check.explore Check.schedules ~budget:2 ~seed:1 ~mutation:"pbft-prepare-quorum" s
          with
         | Some ce -> Check.counterexample_to_string Check.schedules ce
         | None -> Alcotest.fail "pbft-prepare-quorum escaped a 2-schedule budget")
@@ -109,7 +108,6 @@ let test_cross_kind_rejected () =
     {
       Check.scenario = Check.default_scenario ~measure:Check.schedules.measure Scenario.Pbft;
       mutation = None;
-      provoke = None;
       seed = 1;
       index = 0;
       items = [];
@@ -130,30 +128,85 @@ let test_cross_kind_rejected () =
   Alcotest.(check string) "own kind loads" "loaded"
     (error (Check.counterexample_of_string Check.attacks attack_bytes))
 
+(* A key the codec does not read must be absent or null: a null one
+   (what older schedule artifacts wrote for an unused input) loads, a
+   non-null one is a run input the replay could not reinstall and is
+   refused. *)
+let test_unknown_fields () =
+  let ce =
+    {
+      Check.scenario = Check.default_scenario ~measure:Check.schedules.measure Scenario.Pbft;
+      mutation = None;
+      seed = 1;
+      index = 0;
+      items = [];
+      violation = { Check.at = Time.ms 2500; invariant = "quorum-evidence"; detail = "d" };
+      digest = None;
+      runs = 2;
+    }
+  in
+  let with_field v =
+    match Check.counterexample_to_json Check.schedules ce with
+    | Rdb_fabric.Json.Obj fields ->
+        Rdb_fabric.Json.to_string (Rdb_fabric.Json.Obj (fields @ [ ("window", v) ]))
+    | _ -> Alcotest.fail "artifact is not an object"
+  in
+  let bytes = Check.counterexample_to_string Check.schedules ce in
+  (match Check.counterexample_of_string Check.schedules (with_field Rdb_fabric.Json.Null) with
+  | Ok ce' ->
+      Alcotest.(check string) "null field loads" bytes
+        (Check.counterexample_to_string Check.schedules ce')
+  | Error e -> Alcotest.fail e);
+  let refused = with_field (Rdb_fabric.Json.String "w") in
+  match Check.counterexample_of_string Check.schedules refused with
+  | Ok _ -> Alcotest.fail "an artifact with an unreadable input loaded"
+  | Error e ->
+      Alcotest.(check string) "refused, pointing at the attack token"
+        "artifact: cannot replay \"window\"; script it as an attack=<id> token" e
+
 (* -- pinned mutant catches ------------------------------------------------ *)
 
 (* One mutation per protocol, each caught within a small budget and
    shrunk to a 1-minimal (here: empty — the violation is
    schedule-independent) perturbation list.  The full seven-mutation
    matrix runs in CI via `rdb_cli check --mutants`. *)
-let catch mutation () =
+let caught mutation =
   match Check.mutant_scenario Check.schedules mutation with
   | None -> Alcotest.fail (mutation ^ " not registered")
-  | Some (s, provoke) -> (
-      match Check.explore Check.schedules ~budget:4 ~seed:1 ~mutation ?provoke s with
+  | Some s -> (
+      match Check.explore Check.schedules ~budget:4 ~seed:1 ~mutation s with
       | None -> Alcotest.fail (mutation ^ " escaped a 4-schedule budget")
       | Some ce ->
           Alcotest.(check bool) "violation reported" true (ce.Check.violation.invariant <> "");
           Alcotest.(check int) "caught unperturbed (schedule 0)" 0 ce.Check.index;
-          Alcotest.(check int) "shrunk to empty" 0 (List.length ce.Check.items))
+          Alcotest.(check int) "shrunk to empty" 0 (List.length ce.Check.items);
+          ce)
+
+let catch mutation () = ignore (caught mutation)
+
+(* The weakened remote view-change honor quorum needs a scripted window
+   of share silence: its scenario carries it as an attack, which the
+   artifact's scenario id records and the replay reinstalls. *)
+let test_rvc_weak_window () =
+  let ce = caught "geobft-rvc-weak" in
+  Alcotest.(check bool) "scenario scripts the window" true
+    (ce.Check.scenario.Scenario.attack <> None);
+  let bytes = Check.counterexample_to_string Check.schedules ce in
+  match Check.counterexample_of_string Check.schedules bytes with
+  | Error e -> Alcotest.fail e
+  | Ok ce' ->
+      Alcotest.(check bool) "artifact records the attack" true
+        (Scenario.equal ce.Check.scenario ce'.Check.scenario);
+      let outcome = Check.replay Check.schedules ce' in
+      Alcotest.(check bool) "replay reproduces" true outcome.Check.reproduced;
+      Alcotest.(check (option bool)) "deterministic trace digest" (Some true)
+        outcome.Check.digest_match
 
 let test_replay_reproduces () =
   match Check.mutant_scenario Check.schedules "hotstuff-qc-quorum" with
   | None -> Alcotest.fail "hotstuff-qc-quorum not registered"
-  | Some (s, provoke) -> (
-      match
-        Check.explore Check.schedules ~budget:4 ~seed:1 ~mutation:"hotstuff-qc-quorum" ?provoke s
-      with
+  | Some s -> (
+      match Check.explore Check.schedules ~budget:4 ~seed:1 ~mutation:"hotstuff-qc-quorum" s with
       | None -> Alcotest.fail "hotstuff-qc-quorum escaped"
       | Some ce ->
           let outcome = Check.replay Check.schedules ce in
@@ -185,7 +238,7 @@ let test_unperturbed_is_figure_run () =
     let figure =
       Option.map (fun t -> t.Rdb_trace.Trace.digest_hex) (Runner.run s).Rdb_fabric.Report.trace
     in
-    let search = Check.run_one s ~hooks:(Perturb.replay []) ~provoke:None in
+    let search = Check.run_one s ~hooks:(Perturb.replay []) in
     Alcotest.(check bool) (name ^ ": traced") true (figure <> None);
     Alcotest.(check (option string)) (name ^ ": digest") figure search.Check.digest
   in
@@ -226,4 +279,6 @@ let suite =
     ("unperturbed run is the figure run", `Slow, test_unperturbed_is_figure_run);
     ("hotstuff executes a batch once", `Slow, test_hotstuff_executes_batch_once);
     QCheck_alcotest.to_alcotest ddmin_one_minimal;
+    ("artifact unknown fields", `Quick, test_unknown_fields);
+    ("mutant catch geobft rvc window", `Slow, test_rvc_weak_window);
   ]

@@ -341,7 +341,7 @@ let test_pinned_fault_digests () =
   in
   let r =
     Check.run_one (Scenario.make ~windows ~trace:true Scenario.Pbft cfg)
-      ~hooks:(Perturb.replay edits) ~provoke:None
+      ~hooks:(Perturb.replay edits)
   in
   Alcotest.(check (list string)) "every edit landed" (List.map Perturb.to_string edits)
     (List.map Perturb.to_string r.Check.applied);

@@ -336,6 +336,53 @@ let test_sweep_document_shape () =
             (Json.to_string_compact decoded) (Json.to_string_compact embedded))
         (Option.value ~default:[] entries)
 
+(* A token may set each thing once: a second token for the same knob,
+   fault, attack, windows or trace flag is a typo, not an override.
+   Every id the gate (bench/dune), the perfbench workloads and the
+   pinned tests use still parses. *)
+let test_id_rejects_repeats () =
+  List.iter
+    (fun id ->
+      Alcotest.(check bool) (Printf.sprintf "%S rejected" id) true (Scenario.of_string id = None))
+    [
+      "geobft z2 z4 n4 fault=one fault=none"; "geobft z2 n4 n4"; "pbft z2 n4 trace trace";
+      "pbft z2 n4 w500+1500 w1000+4000"; "pbft z2 n4 seed1 seed2";
+      "geobft z2 n4 attack=none attack=0@600:1400!mute.share.rem";
+      "pbft z2 n4 reads=0.5 reads=0.5"; "pbft z2 n4 tcerts tcerts";
+      "pbft z2 n4 cost.sign=1 cost.sign=2"; "pbft z2 n4 storage=disk storage=mem";
+    ];
+  List.iter
+    (fun id ->
+      Alcotest.(check bool) (Printf.sprintf "%S parses" id) true (Scenario.of_string id <> None))
+    [
+      (* bench/dune's gate scenarios *)
+      "geobft z2 n4 b50 i16 seed1 w500+1500 attack=0@600:1400!mute.share.rem";
+      "geobft z2 n4 b50 i16 seed1 w500+1500 reads=0.5 scans=0.1";
+      "geobft z8 n31 b100 i64 seed1 w300+700 clients=16000";
+      "pbft z2 n4 b50 i16 seed1 w1000+4000 fault=chaos:10";
+      "geobft z32 n7 b100 i64 seed1 w200+400 clients=320000";
+      "pbft z1 n4 b50 i16 seed1 w500+1500 reads=0.5 scans=0.1 storage=disk";
+      "geobft z2 n4 b50 i16 seed1 w500+1500 reads=0.5 scans=0.1 storage=disk";
+      "steward z2 n4 b50 i16 seed1 w500+1500 reads=0.5 scans=0.1";
+      "hotstuff z1 n4 b50 i16 seed1 w500+1500 reads=0.5 storage=disk";
+      "pbft z2 n4 b50 i16 seed1 w500+1500 trace";
+      (* perfbench workloads *)
+      "geobft z4 n7 b100 i64 seed1 w500+1500"; "pbft z4 n7 b100 i64 seed1 w1000+3000";
+      "pbft z2 n4 b50 i16 seed1 w300+1500 reads=0.5 scans=0.1 storage=disk";
+      "pbft z4 n4 b50 i16 seed1 w1000+5000 fault=chaos:1";
+      (* ids pinned in the test suites *)
+      "geobft z4 n7 b100 i64 seed1 w1000+4000";
+      "pbft z2 n4 b20 i8 seed1 w1000+4000 fault=chaos:7 trace";
+      "pbft z2 n4 b20 i8 seed1 w1000+4000 reads=0.5 scans=0.25 storage=disk";
+      "pbft z2 n4 b20 i8 seed1 w1000+11000 fault=chaos:1";
+      "pbft z2 n4 b20 i8 seed1 w1000+3000 fault=chaos:6";
+      "geobft z2 n4 b20 i8 seed1 w1000+3000 fault=chaos:3";
+      "hotstuff z2 n4 b20 i8 seed1 w1000+5000 fault=chaos:1";
+      "steward z2 n4 b20 i8 seed1 w1000+5000 fault=chaos:13";
+      "pbft z2 n4 b50 i16 seed1 w1000+3000 reads=0.5 scans=0.1";
+      "steward z2 n4 b50 i16 seed1 w1000+3000 reads=0.5 scans=0.1";
+    ]
+
 let suite =
   [
     ("scenario id round-trip", `Quick, test_id_round_trip);
@@ -351,4 +398,5 @@ let suite =
     ("sweep failure capture", `Quick, test_failure_capture);
     ("sweep document shape", `Quick, test_sweep_document_shape);
     ("scenario knobs complete and pinned", `Quick, test_knobs_complete);
+    ("scenario id rejects repeated tokens", `Quick, test_id_rejects_repeats);
   ]
