@@ -51,8 +51,6 @@ type event = { at : Time.t; until : Time.t; action : action }
 
 type timeline = event list
 
-val action_to_string : action -> string
-
 val describe : timeline -> string
 (** Human-readable timeline, one fault window per line — printed on
     violation so any run reproduces from its seed. *)

@@ -50,10 +50,18 @@ let name = "GeoBFT"
 
 type msg = Messages.msg
 
+(* Copies of one remote round waiting behind its verification: (src,
+   batch, certificate). *)
+type parked = (int * Batch.t * Certificate.t) Queue.t
+
 (* Per-remote-cluster bookkeeping for sharing and failure detection. *)
 type cluster_track = {
   cluster : int;
   certified : (int, Batch.t * Certificate.t) Hashtbl.t;  (* round -> m *)
+  (* Rounds whose certificate is being verified -> the copies that
+     arrived meanwhile, in arrival order; one is verified only if the
+     verification in flight fails. *)
+  verifying : (int, parked) Hashtbl.t;
   mutable vc_count : int;                      (* v1 of Figure 7 *)
   mutable detect_timer : Ctx.timer option;
   mutable timeout : Time.t;                    (* exponential back-off *)
@@ -79,6 +87,7 @@ type replica = {
   mutable rvc_rounds : (int * int) list;         (* (cluster, round) to re-serve *)
   mutable last_local_vc : Time.t;                (* for the "recent vc" guard *)
   mutable shares_sent : int;                     (* metrics *)
+  mutable cert_verifications : int;              (* certify charges issued *)
   mutable remote_vcs_triggered : int;
   (* Crash-rejoin catch-up (lib/recovery): the ledger cursor and the
      task pulling the missing ledger suffix from local peers. *)
@@ -102,9 +111,9 @@ let size_of cfg = function
   | Fetch_rounds _ -> Wire.fetch_bytes
   | Round_data { suffix; _ } -> Catchup.bytes cfg suffix
 
-(* Receiver floor only: certificate signatures are verified once per
-   *new* certificate on the certify thread (deduplication is a cheap
-   digest lookup and precedes verification), not per received copy. *)
+(* Receiver floor only: a share's certificate is verified on the
+   certify thread by [accept_share], at most once per (cluster, round)
+   unless a copy fails, not per received copy. *)
 let vcost_of cfg m =
   match m with
   | Local _ -> assert false
@@ -175,7 +184,8 @@ and exec_batches r round = function
             (* Remote rounds below the execution frontier are no longer
                needed; our own are kept for a window so a new primary
                can re-serve remote view-change requests. *)
-            Hashtbl.remove tr.certified round
+            Hashtbl.remove tr.certified round;
+            Hashtbl.remove tr.verifying round
           end
           else Hashtbl.remove tr.certified (round - 256))
         r.tracks;
@@ -372,49 +382,74 @@ and share_round r ~round (batch : Batch.t) (cert : Certificate.t) =
       done;
       Ctx.multicast r.ctx ~dsts:!dsts ~size:(size_of cfg m) ~vcost:(vcost_of cfg m) m)
 
-(* Accept a certified batch for (cluster, round); returns true if new. *)
+(* Accept a certified batch for (cluster, round).  Each copy reaches
+   us once from the sender and once per local rebroadcast.  The first
+   copy of a round is verified; copies arriving while that
+   verification is in flight are parked at no cost and verified in
+   arrival order only if it fails, so a forged copy that arrives first
+   neither starves the round nor costs more than its own
+   verification. *)
 and accept_share r ~src ~round (batch : Batch.t) (cert : Certificate.t) =
   let c = cert.Certificate.cluster in
   if c < 0 || c >= r.cfg.Config.z || c = r.my_cluster then ()
   else begin
     let tr = r.tracks.(c) in
-    if (not (Hashtbl.mem tr.certified round)) && round >= r.exec_round then begin
-      (* Verify once, on the certify thread, then adopt. *)
-      r.ctx.Ctx.charge ~stage:Cpu.Certify ~cost:(Config.cert_verify_cost r.cfg) (fun () ->
-          if
-            (not (Hashtbl.mem tr.certified round))
-            && round >= r.exec_round
-            && cert.Certificate.seq = round
-            && String.equal cert.Certificate.digest batch.Batch.digest
-            && Certificate.verify ~keychain:r.ctx.Ctx.keychain ~quorum:(Config.quorum r.cfg) cert
-            && Batch.verify ~keychain:r.ctx.Ctx.keychain batch
-          then begin
-            r.ctx.Ctx.phase ~key:(phase_key r ~cluster:c ~round) ~name:"certify-share";
-            Hashtbl.replace tr.certified round (batch, cert);
-            (* Local phase: receipts from outside the cluster are
-               rebroadcast to all local replicas (Figure 5, line 3-4). *)
-            if Config.cluster_of_replica r.cfg src <> r.my_cluster then
-              broadcast_local r (Global_share { round; batch; cert });
-            (* A primary that sees remote clusters running ahead while
-               it has nothing to propose fills its rounds with no-ops
-               (§2.5). *)
-            if Engine.is_primary r.engine then begin
-              let guard = ref 0 in
-              while
-                Engine.next_seq r.engine <= round
-                && Engine.pending_count r.engine = 0
-                && !guard < 4096
-              do
-                incr guard;
-                Engine.propose_noop r.engine
-              done
-            end;
-            try_execute r
-          end)
-    end
+    if (not (Hashtbl.mem tr.certified round)) && round >= r.exec_round then
+      match Hashtbl.find_opt tr.verifying round with
+      | Some parked -> Queue.push (src, batch, cert) parked
+      | None ->
+          let parked = Queue.create () in
+          Hashtbl.replace tr.verifying round parked;
+          verify_share r tr parked ~src ~round batch cert
     (* Lagging peers ask via DRVC; sharing m directly (line 5-7)
        happens in the Drvc handler.  Duplicates end here. *)
   end
+
+(* Verify one copy on the certify thread, then adopt it or fall back to
+   the next parked copy.  [parked] names this verification's entry: a
+   continuation that outlived a crash finds the entry cleared (or
+   replaced) by [on_recover] and leaves it alone. *)
+and verify_share r tr parked ~src ~round (batch : Batch.t) (cert : Certificate.t) =
+  r.cert_verifications <- r.cert_verifications + 1;
+  r.ctx.Ctx.charge ~stage:Cpu.Certify ~cost:(Config.cert_verify_cost r.cfg) (fun () ->
+      let owned =
+        match Hashtbl.find_opt tr.verifying round with Some q -> q == parked | None -> false
+      in
+      let live = (not (Hashtbl.mem tr.certified round)) && round >= r.exec_round in
+      if
+        live
+        && cert.Certificate.seq = round
+        && String.equal cert.Certificate.digest batch.Batch.digest
+        && Certificate.verify ~keychain:r.ctx.Ctx.keychain ~quorum:(Config.quorum r.cfg) cert
+        && Batch.verify ~keychain:r.ctx.Ctx.keychain batch
+      then begin
+        if owned then Hashtbl.remove tr.verifying round;
+        r.ctx.Ctx.phase ~key:(phase_key r ~cluster:tr.cluster ~round) ~name:"certify-share";
+        Hashtbl.replace tr.certified round (batch, cert);
+        (* Local phase: receipts from outside the cluster are
+           rebroadcast to all local replicas (Figure 5, line 3-4). *)
+        if Config.cluster_of_replica r.cfg src <> r.my_cluster then
+          broadcast_local r (Global_share { round; batch; cert });
+        (* A primary that sees remote clusters running ahead while
+           it has nothing to propose fills its rounds with no-ops
+           (§2.5). *)
+        if Engine.is_primary r.engine then begin
+          let guard = ref 0 in
+          while
+            Engine.next_seq r.engine <= round
+            && Engine.pending_count r.engine = 0
+            && !guard < 4096
+          do
+            incr guard;
+            Engine.propose_noop r.engine
+          done
+        end;
+        try_execute r
+      end
+      else if owned then
+        match Queue.take_opt parked with
+        | Some (src, batch, cert) when live -> verify_share r tr parked ~src ~round batch cert
+        | _ -> Hashtbl.remove tr.verifying round)
 
 (* -- crash-rejoin catch-up (lib/recovery) --------------------------------- *)
 
@@ -483,6 +518,7 @@ let create_replica (ctx : msg Ctx.t) =
         {
           cluster;
           certified = Hashtbl.create 128;
+          verifying = Hashtbl.create 8;
           vc_count = 0;
           detect_timer = None;
           timeout = Time.of_ms_f cfg.Config.remote_timeout_ms;
@@ -559,6 +595,7 @@ let create_replica (ctx : msg Ctx.t) =
       rvc_rounds = [];
       last_local_vc = Time.sub Time.zero (Time.sec 3600);
       shares_sent = 0;
+      cert_verifications = 0;
       remote_vcs_triggered = 0;
       catchup = Catchup.create ctx;
     }
@@ -575,8 +612,8 @@ let create_replica (ctx : msg Ctx.t) =
   r
 
 let engine r = r.engine
-let exec_round r = r.exec_round
 let remote_vcs_triggered r = r.remote_vcs_triggered
+let cert_verifications r = r.cert_verifications
 
 (* -- adversarial view (lib/adversary) -------------------------------------- *)
 
@@ -586,7 +623,8 @@ let remote_vcs_triggered r = r.remote_vcs_triggered
    repair.  Equivocation with conflicting *content* is modelled on the
    local pre-prepare (a signed no-op in the same slot); forging a
    conflicting [Global_share] is not modelled because its certificate
-   binds the batch digest, so receivers reject any tampering. *)
+   binds the batch digest, so receivers reject any tampering (at the
+   cost of one verification: `test geobft` "forged copy first"). *)
 let adversary : msg Rdb_types.Interpose.view =
   let open Rdb_types.Interpose in
   let classify = function
@@ -668,10 +706,12 @@ let on_recover (r : replica) =
   (* Timer callbacks and exec continuations were dropped at fire time
      while crashed: the exec chain wedges exec_busy, the detection
      timers hold dead handles, and in-flight executes lost their
-     ledger appends. *)
+     ledger appends.  A certificate verification charged while crashed
+     was dropped too, so its round would park every later copy. *)
   r.exec_busy <- false;
   Array.iter
     (fun tr ->
+      Hashtbl.reset tr.verifying;
       (match tr.detect_timer with
       | Some h -> r.ctx.Ctx.cancel_timer h
       | None -> ());

@@ -39,12 +39,15 @@ val recovery : replica -> Rdb_types.Protocol.recovery_stats
 val engine : replica -> Engine.t
 (** This replica's local-replication Pbft engine. *)
 
-val exec_round : replica -> int
-(** Next global round to execute (all below are executed). *)
-
 val remote_vcs_triggered : replica -> int
 (** Remote view-change requests this replica honored as a member of
     the suspected cluster (Figure 7, line 16-17). *)
+
+val cert_verifications : replica -> int
+(** Remote certificate verifications this replica has charged to its
+    certify thread: one per remote (cluster, round) it adopts, plus
+    one per copy that failed verification before the round's first
+    valid copy. *)
 
 val adversary : msg Rdb_types.Interpose.view
 (** Adversarial message classification ([Share] = the certified

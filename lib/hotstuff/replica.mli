@@ -2,20 +2,16 @@
     implemented (§3): the four-phase basic protocol, no threshold
     signatures, and every replica acting as a primary in parallel
     without pacemaker synchronization — replica i orders the batches
-    submitted to it in instance i (a pipeline of depth
-    {!instance_window} heights, as in chained HotStuff).  Clients
-    submit round-robin to their local region's replicas and rotate
-    away from a crashed leader on retransmission.
+    submitted to it in instance i (a pipeline four heights deep, as
+    in chained HotStuff).  Clients submit round-robin to their local
+    region's replicas and rotate away from a crashed leader on
+    retransmission.
     Satisfies {!Rdb_types.Protocol.S}. *)
 
 module Batch = Rdb_types.Batch
 module Ctx = Rdb_types.Ctx
 
 val name : string
-
-val instance_window : int
-(** Heights a leader keeps in flight per instance (chained-HotStuff
-    pipeline depth: 4). *)
 
 type phase = Prepare | Precommit | Commit
 

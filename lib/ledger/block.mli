@@ -17,9 +17,6 @@ type t = {
 
 val genesis_hash : string
 
-val compute_hash :
-  height:int -> round:int -> cluster:int -> batch:Batch.t -> prev_hash:string -> string
-
 val create :
   height:int ->
   round:int ->

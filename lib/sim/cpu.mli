@@ -14,8 +14,6 @@ type stage =
   | Execute     (** strictly-sequential transaction execution *)
   | Misc        (** clients, output threads, everything else *)
 
-val stage_name : stage -> string
-
 type t
 
 val create :

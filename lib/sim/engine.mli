@@ -45,9 +45,6 @@ val rng_of_shard : t -> shard:int -> Rdb_prng.Rng.t
 val executed_events : t -> int
 (** Events executed so far (diagnostics). *)
 
-val pending_events : t -> int
-(** Events waiting in shard heaps and staged outboxes (not controls). *)
-
 val pooled_events : t -> int
 (** Recycled event records currently in the freelist (diagnostics). *)
 

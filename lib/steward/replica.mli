@@ -12,9 +12,6 @@ module Ctx = Rdb_types.Ctx
 
 val name : string
 
-val global_window : int
-(** Outstanding global proposals the primary site keeps in flight. *)
-
 type msg =
   | Request of Batch.t
   | Read_request of Batch.t

@@ -128,7 +128,6 @@ val primary : t -> cluster:int -> view:int -> int
 
 val sign_cost : t -> Time.t
 val verify_cost : t -> Time.t
-val mac_cost : t -> Time.t
 val hash_cost : t -> bytes:int -> Time.t
 val exec_cost : t -> txns:int -> Time.t
 val batch_asm_cost : t -> Time.t

@@ -4,11 +4,7 @@
     (other messages)".  Payloads travel as OCaml values inside the
     simulator; these sizes are what enters the bandwidth model. *)
 
-val header_bytes : int
-val per_txn_bytes : int
 val commit_entry_bytes : int
-val per_result_bytes : int
-val small_bytes : int
 
 val batch_bytes : batch_size:int -> int
 (** A client request / batch carrying [batch_size] transactions

@@ -23,10 +23,6 @@ type msg =
 type replica
 type client
 
-val commit_timer_ms : float
-(** The client-side τ1: how long a client waits for the full-n fast
-    path before driving the commit-certificate recovery. *)
-
 val create_replica : msg Ctx.t -> replica
 val on_message : replica -> src:int -> msg -> unit
 val view_changes : replica -> int

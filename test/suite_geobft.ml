@@ -308,3 +308,173 @@ let suite =
       ("fan-out 1 + crashed receiver recovers", `Slow, test_fanout_one_with_crashed_receiver_recovers);
       ("behind-window commit arms catch-up", `Quick, test_on_behind_arms_catchup);
     ]
+
+(* -- one certificate verification per remote round ---------------------- *)
+
+module Certificate = Rdb_types.Certificate
+
+(* A copy of [cert] relabelled into another view: its commits are
+   genuine signatures over a different payload, so [Certificate.verify]
+   rejects it while its cluster, round and digest still match.  The
+   view offset marks forgeries for the tests' observers. *)
+let forged_view = 1_000
+
+let forge (cert : Certificate.t) =
+  Certificate.make ~cluster:cert.Certificate.cluster ~view:(cert.Certificate.view + forged_view)
+    ~seq:cert.Certificate.seq ~digest:cert.Certificate.digest ~commits:(Certificate.commits cert)
+
+(* Pause every client at [pause] so the rounds in flight drain before
+   the run ends.  The run must end less than [small_cfg]'s 1 s remote
+   timeout after the last round, or idle detection timers send DRVCs. *)
+let drain d cfg ~pause =
+  for cluster = 0 to cfg.Config.z - 1 do
+    Dep.at d ~time:pause (fun () -> Dep.pause_client d ~cluster)
+  done
+
+(* Count certificate verifications, not their time: once the rounds in
+   flight drain, each replica has charged its certify thread exactly
+   once per remote (cluster, round) it adopted, i.e. z - 1 times per
+   executed round, although each remote certificate reached it once
+   from the sender and once per local forwarder. *)
+let test_one_verification_per_remote_round () =
+  List.iter
+    (fun (z, n) ->
+      let cfg = Itest.small_cfg ~z ~n () in
+      let d = Dep.create ~n_records:Itest.records cfg in
+      drain d cfg ~pause:(Time.sec 2);
+      let _ = Dep.run ~warmup:(Time.sec 1) ~measure:(Time.ms 1800) d in
+      let height = Ledger.length (Dep.ledger d ~replica:0) in
+      Alcotest.(check bool) "several rounds" true (height >= 100 * z);
+      for i = 0 to Config.n_replicas cfg - 1 do
+        let label = Printf.sprintf "z%d n%d replica %d" z n i in
+        Alcotest.(check int) (label ^ " drained") height (Ledger.length (Dep.ledger d ~replica:i));
+        Alcotest.(check int) (label ^ " verifications") ((z - 1) * (height / z))
+          (Geo.cert_verifications (Dep.replica d i))
+      done)
+    [ (2, 4); (4, 7) ]
+
+(* One corrupted forwarder per cluster (local index 1) forwards a forged
+   copy of every share it receives from a remote primary the moment it
+   arrives, before verifying it, and never forwards the genuine copy.
+   A forgery that reaches an honest peer first costs that peer exactly
+   one extra verification: the genuine copies parked behind it are
+   verified next, so every round executes and no peer ever suspects
+   the remote cluster (no DRVC). *)
+let test_forged_copy_first () =
+  let cfg = Itest.small_cfg ~z:3 ~n:4 () in
+  let z = cfg.Config.z in
+  let d = Dep.create ~n_records:Itest.records cfg in
+  let forgers = List.init z (fun c -> Config.replica_id cfg ~cluster:c ~index:1) in
+  let cluster = Config.cluster_of_replica cfg in
+  let size = Rdb_types.Wire.certificate_bytes ~batch_size:cfg.Config.batch_size
+      ~sigs:(Config.cert_wire_sigs cfg) in
+  let vcost = Config.recv_floor_cost cfg ~bytes:size in
+  let first = Hashtbl.create 256 in
+  let forged_first = Array.make (Config.n_replicas cfg) 0 in
+  let drvcs = ref 0 in
+  let obtrude ~src ~dst (m : Messages.msg) =
+    match m with
+    | Messages.Global_share { cert; _ }
+      when List.mem src forgers && cluster src = cluster dst
+           && cert.Certificate.view < forged_view -> []
+    | Messages.Drvc _ ->
+        incr drvcs;
+        Rdb_types.Interpose.pass m
+    | m -> Rdb_types.Interpose.pass m
+  in
+  let admit ~src ~dst (m : Messages.msg) =
+    (match m with
+    | Messages.Global_share { round; batch; cert } ->
+        let key = (dst, cert.Certificate.cluster, round) in
+        if not (Hashtbl.mem first key) then begin
+          Hashtbl.replace first key ();
+          if cert.Certificate.view >= forged_view then
+            forged_first.(dst) <- forged_first.(dst) + 1
+        end;
+        if List.mem dst forgers && cluster src <> cluster dst then
+          Rdb_sim.Network.multicast (Dep.network d) ~src:dst
+            ~dsts:(List.filter (( <> ) dst) (Config.replicas_of_cluster cfg (cluster dst)))
+            ~size
+            { Rdb_fabric.Deployment.payload =
+                Messages.Global_share { round; batch; cert = forge cert };
+              vcost }
+    | _ -> ());
+    true
+  in
+  Dep.set_interposer d (Some { Rdb_types.Interpose.obtrude; admit });
+  drain d cfg ~pause:(Time.sec 2);
+  let _ = Dep.run ~warmup:(Time.sec 1) ~measure:(Time.ms 1800) d in
+  let height = Ledger.length (Dep.ledger d ~replica:0) in
+  Alcotest.(check bool) "several rounds" true (height >= 100 * z);
+  Alcotest.(check int) "no DRVC" 0 !drvcs;
+  Alcotest.(check int) "no view change" 0 (Dep.view_changes d);
+  let total_forged_first = ref 0 in
+  for i = 0 to Config.n_replicas cfg - 1 do
+    if not (List.mem i forgers) then begin
+      let label = Printf.sprintf "replica %d" i in
+      Alcotest.(check int) (label ^ " executed every round") height
+        (Ledger.length (Dep.ledger d ~replica:i));
+      Alcotest.(check int) (label ^ " verifications: one per round, two if forged first")
+        (((z - 1) * (height / z)) + forged_first.(i))
+        (Geo.cert_verifications (Dep.replica d i));
+      total_forged_first := !total_forged_first + forged_first.(i)
+    end
+  done;
+  Alcotest.(check bool) "forgeries arrived first" true (!total_forged_first > 0)
+
+(* A replica crashes while a certificate verification is in flight.
+   The verification fails while it is down, so the parked copy's
+   fallback is charged to a crashed replica and dropped.  Recovery
+   clears the in-flight table; otherwise every later copy of that
+   round would be parked behind the lost verification, the replica
+   would stall there and its detection timer would send a DRVC. *)
+let test_crash_during_verification () =
+  let cfg = Itest.small_cfg ~z:2 ~n:4 () in
+  let d = Dep.create ~n_records:Itest.records cfg in
+  let victim = Config.replica_id cfg ~cluster:1 ~index:1 in
+  let drvcs = ref 0 in
+  let obtrude ~src:_ ~dst:_ (m : Messages.msg) =
+    (match m with Messages.Drvc _ -> incr drvcs | _ -> ());
+    Rdb_types.Interpose.pass m
+  in
+  Dep.set_interposer d (Some { Rdb_types.Interpose.obtrude; admit = (fun ~src:_ ~dst:_ _ -> true) });
+  (* About 300 rounds ahead: after the victim's catch-up, before the
+     run ends. *)
+  let round = ref 0 and before = ref 0 and crashed = ref 0 in
+  let verifications () = Geo.cert_verifications (Dep.replica d victim) in
+  Dep.at d ~time:(Time.ms 1500) (fun () ->
+      before := verifications ();
+      let l = Dep.ledger d ~replica:victim in
+      let executed = Ledger.length l / 2 in
+      round := executed + 300;
+      (* A forgery of cluster 0's certificate of the last executed
+         round, relabelled with the future round. *)
+      let b = Ledger.get l (2 * (executed - 1)) in
+      let cert = forge { (Option.get b.Block.cert) with Certificate.seq = !round } in
+      let share = Messages.Global_share { round = !round; batch = b.Block.batch; cert } in
+      (* The first copy is verified, the second parked behind it. *)
+      Geo.on_message (Dep.replica d victim) ~src:0 share;
+      Geo.on_message (Dep.replica d victim) ~src:1 share;
+      Dep.crash_replica d victim);
+  (* A short crash: longer ones can wedge the local Pbft engine, and
+     the ledger catch-up that then heals the replica would skip the
+     round this test watches. *)
+  Dep.at d ~time:(Time.us 1_501_000) (fun () ->
+      crashed := verifications ();
+      Dep.recover_replica d victim);
+  let _ = Dep.run ~warmup:(Time.sec 1) ~measure:(Time.sec 4) d in
+  Alcotest.(check int) "the fallback was charged while crashed" 2 (!crashed - !before);
+  let executed = Ledger.length (Dep.ledger d ~replica:victim) / 2 in
+  Alcotest.(check bool)
+    (Printf.sprintf "victim executed past round %d (reached %d)" !round executed)
+    true (executed > !round + 100);
+  Alcotest.(check int) "no DRVC" 0 !drvcs;
+  Itest.check_ledger_prefixes ~ledgers:(ledgers_of d cfg) ()
+
+let suite =
+  suite
+  @ [
+      ("one certificate verification per remote round", `Quick, test_one_verification_per_remote_round);
+      ("forged copy first", `Quick, test_forged_copy_first);
+      ("crash during a certificate verification", `Quick, test_crash_during_verification);
+    ]

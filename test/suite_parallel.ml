@@ -211,17 +211,17 @@ let sampled_attack proto cfg =
 let pinned_runs =
   [
     (Runner.Geobft, `Healthy,
-     "d2793b7d0b9be6c3861a079c0e23c9f8c3bdaa3ab04af9053d0c055c3e70ef58",
-     "14298e4e8b0f017b990bbde93db17fa799afab162e52191adea6144d014d4780");
+     "0980f44a3a1393e131f6ac6c2b882f9c0426c768dca0497fc8a790a5f7e6c92f",
+     "71d90472cebed504377702f61642e55ff0a83eac4296580ee49bb1c32f9304c5");
     (Runner.Geobft, `Chaos,
-     "b863d95e95e6c8aaa320abcf5715d3d0b285361a88a1c6b4126757726ffba2c0",
-     "efe8171e0e3d52a47ec7983fff99152c3b8f651751e143b603950f203e228ee4");
+     "5dda807356ae71fbd264f1c960bbd690d9bed201dcc905176c28105df518b8c8",
+     "ea25399af60eeaf3949e6ab71f312deca47d8a79f4b96697d30f91ed483d4cbc");
     (Runner.Geobft, `Attack,
-     "2ece019059d5a7a80742e65567ef0e2421bb774c6126bceec14f288cf98cb375",
-     "29b5816a9f8824c8f7fd4cf8dc4c99a8e0730b2be10adee1449f65a169df71bf");
+     "7b6cfb72896ce90ac1b6f36aa52f2cb0268cdc3ddeefe42363e6f31a7baba33e",
+     "a121dfb387c868d5577dca3a5e67179e2a2d6e9b5b03beb5ddbe40bafb7b793a");
     (Runner.Geobft, `Reads,
-     "b786a0af5d64ac9e47b0e37ec39cdf0ee7027dc58b2134dedc1c073a5408721c",
-     "45b5c5c47ea63e83d3a59afe71b4ba0183d82697b75be29e78cc4e01548420e3");
+     "0925f0059cde84a50bc22917563667ec7aeb054ef604b8383bd1258e893d570b",
+     "7957c13c5f3f9797353592d4ef71e48346a26d8fdc742993e13659cf8087677e");
     (Runner.Pbft, `Healthy,
      "125fc3e28596c531314ab1b196d48f81eba4f2043e7d4f57492be07391920dc4",
      "f64738499a0645960fcb485ce46c8e3a852624fc75be233ba44922f4a3a38aca");
@@ -353,7 +353,7 @@ let test_pinned_fault_digests () =
   let chaos_cfg = Config.make ~z:3 ~n:4 ~batch_size:20 ~client_inflight:4 ~seed:2 () in
   let chaos_windows = { Scenario.warmup = Time.ms 1000; measure = Time.ms 3000 } in
   Alcotest.(check string) "chaos z3"
-    "e2e7c27b8e5a09e9abff3784db3cfe43159afc9cbac8a9d9dec8edacd7ee1e17"
+    "b9fade1a44e0b317d1be64f19faf739c5e8b43a422a11eb6b9dfa0cc8f53405a"
     (digest_of
        (Scenario.make ~windows:chaos_windows ~fault:(Runner.Chaos 8) Scenario.Geobft chaos_cfg))
 
@@ -394,8 +394,8 @@ let test_pinned_recovery_digests () =
   let base = "z2 n4 b20 i8 seed1" in
   catchup (Printf.sprintf "pbft %s w1000+3000 fault=chaos:6" base) ~st:5 ~holes:188 ~rtx:3
     "bafb8690e572e37a0ed5b4050f9e3871d944bff25da24522cc81061ae2185e81";
-  catchup (Printf.sprintf "geobft %s w1000+3000 fault=chaos:3" base) ~st:7 ~holes:648 ~rtx:3
-    "a59ebf1bfcd818bc8ee4836a20bb7583adbbdec245ce0078c492ef337aafac76";
+  catchup (Printf.sprintf "geobft %s w1000+3000 fault=chaos:3" base) ~st:37 ~holes:3386 ~rtx:8
+    "5059ac4377e2df2fca03c7ffa546ea60ca943d63d180956da28a500781a67da9";
   catchup (Printf.sprintf "hotstuff %s w1000+5000 fault=chaos:1" base) ~st:4 ~holes:160 ~rtx:11
     "ef618b5a8ba3bd099b17b74b09d400b23ecdcc481340d421f0a568c21bc4e589";
   catchup (Printf.sprintf "steward %s w1000+5000 fault=chaos:13" base) ~st:2 ~holes:112 ~rtx:2

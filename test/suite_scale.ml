@@ -122,9 +122,9 @@ let test_large_topology_smoke () =
   let r, json, digest = run_to_bytes s in
   Alcotest.(check bool) "progress at scale" true (r.Report.completed_txns > 0);
   Alcotest.(check string) "trace digest at scale"
-    "a598e5ab737f9c422229cd0cb082be5a4b72b6fd2a0741650bc81c61fe26de37" digest;
+    "2d53bae8c963bec28ac9af35bcbc66e8026ad34f411adc293a965c3070bde528" digest;
   Alcotest.(check string) "report JSON hash at scale"
-    "a1784eb5ca16270a198fb72d671fd04d68bfddba87b028bbb6227070f748f38c"
+    "3e8884cc9d6f2b141dde3bf4fa992dd7585422b891469f45c49bda23c7a54d24"
     (Rdb_crypto.Sha256.digest_hex json)
 
 let suite =
