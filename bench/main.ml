@@ -79,7 +79,7 @@ let micro_tests () =
         keychain = kc;
         rng = Rdb_prng.Rng.create 1L;
         now = (fun () -> Rdb_sim.Time.zero);
-        send = (fun ~dsts:_ ~size:_ ~vcost:_ _ -> ());
+        send = (fun ~dsts:_ _ -> ());
         charge = (fun ~stage:_ ~cost:_ k -> k ());
         set_timer = (fun ~delay:_ _ -> inert);
         cancel_timer = ignore;

@@ -37,8 +37,8 @@ module Workload = Rdb_ycsb.Workload
 module Kv = Rdb_storage.Kv
 module Backend = Rdb_storage.Backend
 
-(* What travels on the simulated wire: the protocol payload plus the
-   receiver-side verification cost declared by the sender. *)
+(* What travels on the simulated wire: the protocol payload plus its
+   receive cost, priced at the send by [P.wire]. *)
 type 'm packet = 'm Deployment_intf.packet = { payload : 'm; vcost : Time.t }
 
 module type S = Deployment_intf.S
@@ -147,8 +147,10 @@ module Make (P : Protocol.S) = struct
   let rec make_ctx (t : t) ~node : P.msg Ctx.t =
     let cfg = t.cfg in
     let is_replica = Config.is_replica cfg node in
-    let send ~dsts ~size ~vcost payload =
-      Network.multicast t.net ~src:node ~dsts ~size { payload; vcost }
+    let send ~dsts payload =
+      let w = P.wire cfg payload in
+      Network.multicast t.net ~src:node ~dsts ~size:w.Wire.bytes
+        { payload; vcost = Config.recv_cost cfg w }
     in
     let charge ~stage ~cost k =
       if t.crashed.(node) then () else Cpu.charge t.cpu ~node ~stage ~cost k

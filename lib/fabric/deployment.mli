@@ -11,10 +11,10 @@
 
 module Time = Rdb_sim.Time
 
-(** What travels on the simulated wire: the protocol payload plus the
-    receiver-side verification cost declared by the sender.
-    Interposers and delivery hooks observe (and may rewrite) payloads;
-    size and vcost stay with the packet. *)
+(** What travels on the simulated wire: the protocol payload plus its
+    receive cost, priced at the send by [Protocol.S.wire].  Interposers
+    and delivery hooks observe (and may rewrite) payloads; size and
+    vcost stay with the packet. *)
 type 'm packet = 'm Deployment_intf.packet = { payload : 'm; vcost : Time.t }
 
 (** A deployment of one protocol: what [Make] returns, named so that

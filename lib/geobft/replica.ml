@@ -97,40 +97,32 @@ type replica = {
 (* Blocks per catch-up reply, so one message stays bounded. *)
 let catchup_chunk = 96
 
-(* -- sizes and verification costs -------------------------------------- *)
+(* -- wire declaration ------------------------------------------------------ *)
 
 let share_size cfg =
   Wire.certificate_bytes ~batch_size:cfg.Config.batch_size ~sigs:(Config.cert_wire_sigs cfg)
 
-let size_of cfg = function
-  | Local _ -> assert false (* the engine sizes its own messages *)
-  | Request _ | Read_request _ -> Client_core.request_bytes cfg
-  | Global_share _ -> share_size cfg
-  | Drvc _ | Rvc _ -> Wire.small
-  | Reply _ -> Client_core.reply_bytes cfg
-  | Fetch_rounds _ -> Wire.fetch_bytes
-  | Round_data { suffix; _ } -> Catchup.bytes cfg suffix
-
-(* Receiver floor only: a share's certificate is verified on the
-   certify thread by [accept_share], at most once per (cluster, round)
-   unless a copy fails, not per received copy. *)
-let vcost_of cfg m =
-  match m with
-  | Local _ -> assert false
-  | Rvc _ ->
-      Time.add
-        (Config.recv_floor_cost cfg ~bytes:Wire.small)
-        (Config.verify_cost cfg)
-  | Round_data { suffix; _ } -> Catchup.vcost cfg suffix
-  | m -> Config.recv_floor_cost cfg ~bytes:(size_of cfg m)
-
-let send r ~dst m = Ctx.send r.ctx ~dst ~size:(size_of r.cfg m) ~vcost:(vcost_of r.cfg m) m
+(* A share pays the receive floor only: its certificate is verified on
+   the certify thread by [accept_share], at most once per (cluster,
+   round) unless a copy fails, not per received copy.  A remote
+   view-change request carries one signature, round data one
+   certificate per block. *)
+let wire cfg : msg -> Wire.cost = function
+  | Local m -> Rdb_pbft.Messages.wire cfg m
+  | Request _ | Read_request _ -> { bytes = Client_core.request_bytes cfg; verifies = 0 }
+  | Global_share _ -> { bytes = share_size cfg; verifies = 0 }
+  | Drvc _ -> { bytes = Wire.small; verifies = 0 }
+  | Rvc _ -> { bytes = Wire.small; verifies = 1 }
+  | Reply _ -> { bytes = Client_core.reply_bytes cfg; verifies = 0 }
+  | Fetch_rounds _ -> { bytes = Wire.fetch_bytes; verifies = 0 }
+  | Round_data { suffix; _ } ->
+      { bytes = Catchup.bytes cfg suffix; verifies = Catchup.verifies suffix }
 
 let local_members r = Config.replicas_of_cluster r.cfg r.my_cluster
 
 let broadcast_local r m =
   let dsts = List.filter (fun dst -> dst <> r.ctx.Ctx.id) (local_members r) in
-  Ctx.multicast r.ctx ~dsts ~size:(size_of r.cfg m) ~vcost:(vcost_of r.cfg m) m
+  Ctx.multicast r.ctx ~dsts m
 
 (* Trace-phase slot key.  The local cluster's chain uses the engine seq
    (= round) directly, so the embedded Pbft engine's propose / prepare /
@@ -204,7 +196,7 @@ and exec_batches r round = function
           (match result with
           | Some res
             when (not (Batch.is_noop batch)) && batch.Batch.cluster = r.my_cluster ->
-              Client_core.reply r.ctx ~dst:batch.Batch.origin
+              Ctx.send r.ctx ~dst:batch.Batch.origin
                 (reply r ~batch_id:batch.Batch.id res.Rdb_types.App.digest)
           | _ -> ());
           exec_batches r round rest)
@@ -282,7 +274,7 @@ and record_drvc r tr ~src_local ~round ~v =
       let signature = Keychain.sign r.ctx.Ctx.keychain ~signer:r.ctx.Ctx.id payload in
       let target = Config.replica_id r.cfg ~cluster:tr.cluster ~index:r.my_local in
       r.ctx.Ctx.charge ~stage:Cpu.Worker ~cost:(Config.sign_cost r.cfg) (fun () ->
-          send r ~dst:target
+          Ctx.send r.ctx ~dst:target
             (Rvc
                {
                  failed_cluster = tr.cluster;
@@ -380,7 +372,7 @@ and share_round r ~round (batch : Batch.t) (cert : Certificate.t) =
             dsts := Config.replica_id cfg ~cluster:c ~index:idx :: !dsts
           done
       done;
-      Ctx.multicast r.ctx ~dsts:!dsts ~size:(size_of cfg m) ~vcost:(vcost_of cfg m) m)
+      Ctx.multicast r.ctx ~dsts:!dsts m)
 
 (* Accept a certified batch for (cluster, round).  Each copy reaches
    us once from the sender and once per local rebroadcast.  The first
@@ -466,13 +458,13 @@ let send_catchup_fetch r ~attempt =
   | [] -> ()
   | peers ->
       let dst = List.nth peers (attempt mod List.length peers) in
-      send r ~dst (Fetch_rounds { from = r.catchup.issued })
+      Ctx.send r.ctx ~dst (Fetch_rounds { from = r.catchup.issued })
 
 (* Always answer, even when empty: an empty reply tells the requester
    it has reached our executed frontier. *)
 let serve_rounds r ~src ~from =
   let suffix = Catchup.read ~limit:catchup_chunk r.ctx ~from in
-  send r ~dst:src (Round_data { from; eng_view = Engine.view r.engine; suffix })
+  Ctx.send r.ctx ~dst:src (Round_data { from; eng_view = Engine.view r.engine; suffix })
 
 let install_rounds r ~from ~eng_view suffix =
   if r.catchup.recovering && (not r.exec_busy) && from = r.catchup.issued then begin
@@ -564,7 +556,7 @@ let create_replica (ctx : msg Ctx.t) =
                       if r.my_cluster = 0 && Mutation.is "geobft-share-stale" then round - 1
                       else round
                     in
-                    send r ~dst (Global_share { round; batch = b; cert })
+                    Ctx.send r.ctx ~dst (Global_share { round; batch = b; cert })
                   done
               | None -> ()
             done
@@ -660,7 +652,7 @@ let on_message (r : replica) ~src (m : msg) =
         let tr = r.tracks.(failed_cluster) in
         (* Lines 5-7: if we already hold m, hand it to the requester. *)
         (match Hashtbl.find_opt tr.certified round with
-        | Some (b, cert) -> send r ~dst:src (Global_share { round; batch = b; cert })
+        | Some (b, cert) -> Ctx.send r.ctx ~dst:src (Global_share { round; batch = b; cert })
         | None -> ());
         record_drvc r tr ~src_local:(Config.local_index r.cfg src) ~round ~v:vc_count
       end

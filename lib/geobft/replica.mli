@@ -49,6 +49,10 @@ val cert_verifications : replica -> int
     one per copy that failed verification before the round's first
     valid copy. *)
 
+val wire : Rdb_types.Config.t -> msg -> Rdb_types.Wire.cost
+(** Bytes and receiver signature checks of each message; engine
+    traffic ([Local]) is declared by {!Rdb_pbft.Messages.wire}. *)
+
 val adversary : msg Rdb_types.Interpose.view
 (** Adversarial message classification ([Share] = the certified
     inter-cluster traffic of Figure 5, so silencing it models

@@ -49,6 +49,9 @@ val create_client : msg Ctx.t -> cluster:int -> client
 val submit : client -> Batch.t -> unit
 val on_client_message : client -> src:int -> msg -> unit
 
+val wire : Rdb_types.Config.t -> msg -> Rdb_types.Wire.cost
+(** Bytes and receiver signature checks of each message. *)
+
 val adversary : msg Rdb_types.Interpose.view
 (** Adversarial message classification ([Share] = the leader's phase
     certificates); content equivocation is not modelled, so

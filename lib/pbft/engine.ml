@@ -276,45 +276,12 @@ let commit_payload t s ~view ~digest =
   end;
   s.payload
 
-(* -- message costs ----------------------------------------------------- *)
-
-let cfg t = t.ctx.Ctx.config
-
-let batch_bytes t = Wire.batch_bytes ~batch_size:(cfg t).Config.batch_size
-
-let size_of t = function
-  | Forward _ | Preprepare _ -> batch_bytes t
-  | Prepare _ | Commit _ | Checkpoint _ -> Wire.small
-  | ViewChange { prepared; _ } ->
-      Wire.view_change_bytes ~batch_size:(cfg t).Config.batch_size ~prepared:(List.length prepared)
-  | NewView { preprepares; _ } -> Wire.small + (batch_bytes t * List.length preprepares)
-
-(* Receiver-side verification cost charged to the worker thread. *)
-let vcost_of t m =
-  let c = cfg t in
-  match m with
-  | Forward _ ->
-      (* Deduplication precedes verification for forwarded requests;
-         the client signature is checked at preprepare time. *)
-      Config.recv_floor_cost c ~bytes:(batch_bytes t)
-  | Preprepare _ ->
-      (* MAC + digest of the batch + client signature check. *)
-      Time.add (Config.recv_floor_cost c ~bytes:(batch_bytes t)) (Config.verify_cost c)
-  | Prepare _ | Checkpoint _ -> Config.recv_floor_cost c ~bytes:Wire.small
-  | Commit _ -> Time.add (Config.recv_floor_cost c ~bytes:Wire.small) (Config.verify_cost c)
-  | ViewChange { prepared; _ } ->
-      Time.add
-        (Config.recv_floor_cost c ~bytes:(size_of t m))
-        (Time.of_us_f (c.Config.costs.Config.verify_us *. float_of_int (List.length prepared)))
-  | NewView { preprepares; _ } ->
-      Time.add
-        (Config.recv_floor_cost c ~bytes:(size_of t m))
-        (Time.of_us_f (c.Config.costs.Config.verify_us *. float_of_int (List.length preprepares)))
-
 (* -- sending ------------------------------------------------------------ *)
 
-let send_to t ~dst_local m =
-  Ctx.send t.ctx ~dst:t.members.(dst_local) ~size:(size_of t m) ~vcost:(vcost_of t m) m
+let cfg t = t.ctx.Ctx.config
+let batch_bytes t = Wire.batch_bytes ~batch_size:(cfg t).Config.batch_size
+
+let send_to t ~dst_local m = Ctx.send t.ctx ~dst:t.members.(dst_local) m
 
 (* Broadcast to all other members; the caller handles its own copy
    directly (self-delivery never crosses the network). *)
@@ -329,7 +296,7 @@ let broadcast t m =
   for i = t.n - 1 downto 0 do
     if i <> t.me then dsts := t.members.(i) :: !dsts
   done;
-  Ctx.multicast t.ctx ~dsts:!dsts ~size:(size_of t m) ~vcost:(vcost_of t m) m
+  Ctx.multicast t.ctx ~dsts:!dsts m
 
 (* Garbage-collect every slot and checkpoint vote at or below a stable
    checkpoint [seq]. *)
@@ -563,7 +530,8 @@ and handle_commit t ~src_local ~view ~seq ~digest ~signature =
     let s = slot t seq in
     if not s.committed then begin
       (* Verify the commit signature before counting it (the modeled
-         CPU cost was already charged by the fabric via vcost). *)
+         CPU cost was already charged by the fabric: Messages.wire
+         declares one signature check per commit). *)
       let payload = commit_payload t s ~view ~digest in
       let signer = t.members.(src_local) in
       if Keychain.verify t.ctx.Ctx.keychain ~signer payload signature then begin

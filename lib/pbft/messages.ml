@@ -10,6 +10,8 @@
    primaries indefinitely proposing no-ops). *)
 
 module Batch = Rdb_types.Batch
+module Config = Rdb_types.Config
+module Wire = Rdb_types.Wire
 module Schnorr = Rdb_crypto.Schnorr
 
 (* Proof that a replica had prepared (seq, digest) in some view; part
@@ -54,6 +56,24 @@ let classify : msg -> Rdb_types.Interpose.cls = function
   | Checkpoint _ -> Sync
   | ViewChange _ | NewView _ -> View_change
   | Forward _ -> Client
+
+(* Engine messages' wire, shared by every protocol wrapping the engine.
+   A forward is deduplicated before verification: its client signature
+   is checked at pre-prepare time. *)
+let wire (cfg : Config.t) m : Wire.cost =
+  let batch_size = cfg.Config.batch_size in
+  let batch = Wire.batch_bytes ~batch_size in
+  match m with
+  | Forward _ -> { bytes = batch; verifies = 0 }
+  | Preprepare _ -> { bytes = batch; verifies = 1 }
+  | Prepare _ | Checkpoint _ -> { bytes = Wire.small; verifies = 0 }
+  | Commit _ -> { bytes = Wire.small; verifies = 1 }
+  | ViewChange { prepared; _ } ->
+      let k = List.length prepared in
+      { bytes = Wire.view_change_bytes ~batch_size ~prepared:k; verifies = k }
+  | NewView { preprepares; _ } ->
+      let k = List.length preprepares in
+      { bytes = Wire.small + (batch * k); verifies = k }
 
 let conflict ~keychain ~nonce = function
   | Preprepare { view; seq; batch } ->

@@ -33,6 +33,9 @@ val kind : msg -> string
 val classify : msg -> Rdb_types.Interpose.cls
 (** The adversary's class of each engine message (DESIGN.md §14). *)
 
+val wire : Rdb_types.Config.t -> msg -> Rdb_types.Wire.cost
+(** Bytes and receiver signature checks of each engine message. *)
+
 val conflict : keychain:Rdb_crypto.Keychain.t -> nonce:int -> msg -> msg option
 (** A pre-prepare's equivocating twin: a validly signed no-op batch in
     the same (view, seq) slot; [None] for every other message. *)

@@ -87,7 +87,7 @@ let execute (r : replica) ~seq ~answer (batch : Batch.t) ~cert =
       | Some res when not (Batch.is_noop batch) ->
           Hashtbl.replace r.reply_cache batch.Batch.digest (batch.Batch.id, res.App.digest);
           if answer then
-            Client_core.reply r.ctx ~dst:batch.Batch.origin
+            Ctx.send r.ctx ~dst:batch.Batch.origin
               (reply r ~batch_id:batch.Batch.id res.App.digest)
       | _ -> ())
 
@@ -95,17 +95,14 @@ let execute (r : replica) ~seq ~answer (batch : Batch.t) ~cert =
 
 let broadcast_fetch (r : replica) =
   let cfg = r.ctx.Ctx.config in
-  let vcost = Config.recv_floor_cost cfg ~bytes:Wire.fetch_bytes in
   let me = r.ctx.Ctx.id in
   let dsts = List.filter (fun d -> d <> me) (List.init (Config.n_replicas cfg) Fun.id) in
-  Ctx.multicast r.ctx ~dsts ~size:Wire.fetch_bytes ~vcost
-    (Fetch_state { from = r.catchup.issued })
+  Ctx.multicast r.ctx ~dsts (Fetch_state { from = r.catchup.issued })
 
 (* The whole suffix, with the App state whenever payloads are stripped. *)
 let serve_fetch (r : replica) ~src ~from =
-  let cfg = r.ctx.Ctx.config in
   let suffix = Catchup.read r.ctx ~from in
-  Ctx.send r.ctx ~dst:src ~size:(Catchup.bytes cfg suffix) ~vcost:(Catchup.vcost cfg suffix)
+  Ctx.send r.ctx ~dst:src
     (Snapshot
        {
          from;
@@ -207,7 +204,7 @@ let on_message (r : replica) ~src (m : msg) =
         | Some (batch_id, result_digest) ->
             (* Already executed: the client's retransmission means the
                original reply was lost — answer from the cache. *)
-            Client_core.reply r.ctx ~dst:batch.Batch.origin (reply r ~batch_id result_digest)
+            Ctx.send r.ctx ~dst:batch.Batch.origin (reply r ~batch_id result_digest)
         | None -> Engine.submit_batch r.engine batch)
   | Read_request batch ->
       Client_core.serve_read r.ctx batch ~reply:(reply r ~batch_id:batch.Batch.id)
@@ -221,7 +218,17 @@ let on_message (r : replica) ~src (m : msg) =
 
 let engine (r : replica) = r.engine
 
-(* -- adversarial view (lib/adversary) ------------------------------------ *)
+(* -- wire and adversarial view (lib/adversary) ---------------------------- *)
+
+(* A snapshot's receiver re-verifies one certificate per block it
+   installs; every other non-engine message pays the receive floor. *)
+let wire (cfg : Config.t) : msg -> Wire.cost = function
+  | Engine_msg em -> Messages.wire cfg em
+  | Request _ | Read_request _ -> { bytes = Client_core.request_bytes cfg; verifies = 0 }
+  | Reply _ -> { bytes = Client_core.reply_bytes cfg; verifies = 0 }
+  | Fetch_state _ -> { bytes = Wire.fetch_bytes; verifies = 0 }
+  | Snapshot { suffix; _ } ->
+      { bytes = Catchup.bytes cfg suffix; verifies = Catchup.verifies suffix }
 
 let adversary : msg Rdb_types.Interpose.view =
   let open Rdb_types.Interpose in

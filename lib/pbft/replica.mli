@@ -45,6 +45,10 @@ val recovery : replica -> Rdb_types.Protocol.recovery_stats
 val engine : replica -> Engine.t
 (** The underlying Pbft engine (tests and Byzantine hooks). *)
 
+val wire : Rdb_types.Config.t -> msg -> Rdb_types.Wire.cost
+(** Bytes and receiver signature checks of each message; engine
+    traffic is declared by {!Messages.wire}. *)
+
 val adversary : msg Rdb_types.Interpose.view
 (** Adversarial message classification; equivocation forges a
     conflicting pre-prepare (signed no-op in the same slot). *)

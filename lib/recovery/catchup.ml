@@ -1,6 +1,5 @@
 (* Ledger catch-up shared by pbft and GeoBFT (catchup.mli, DESIGN.md §9). *)
 
-module Time = Rdb_sim.Time
 module Batch = Rdb_types.Batch
 module Certificate = Rdb_types.Certificate
 module Config = Rdb_types.Config
@@ -77,11 +76,7 @@ let bytes (cfg : Config.t) s =
   + match s.state with Some st -> String.length st.App.state | None -> 0
 
 (* The requester verifies one certificate per block (at least one). *)
-let vcost (cfg : Config.t) s =
-  let verifies = float_of_int (max 1 (List.length s.blocks)) in
-  Time.add
-    (Config.recv_floor_cost cfg ~bytes:(bytes cfg s))
-    (Time.of_us_f (cfg.Config.costs.Config.verify_us *. verifies))
+let verifies s = max 1 (List.length s.blocks)
 
 let install ?(count = max_int) t (ctx : _ Ctx.t) ~from s ~apply =
   (* Ratchet the App forward first (a stale snapshot is ignored): with

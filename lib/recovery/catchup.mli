@@ -48,8 +48,9 @@ val read : ?limit:int -> _ Rdb_types.Ctx.t -> from:int -> suffix
 val bytes : Rdb_types.Config.t -> suffix -> int
 (** {!Rdb_types.Wire.snapshot_bytes} plus the state's length. *)
 
-val vcost : Rdb_types.Config.t -> suffix -> Rdb_sim.Time.t
-(** The receive floor plus one [verify_us] per block, at least one. *)
+val verifies : suffix -> int
+(** Signature checks its receiver performs: one certificate per block,
+    at least one. *)
 
 val install :
   ?count:int ->

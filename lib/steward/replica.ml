@@ -108,38 +108,23 @@ type replica = {
 (* Batches per catch-up reply. *)
 let catchup_chunk = 64
 
-let cert_size cfg = Wire.certificate_bytes ~batch_size:cfg.Config.batch_size ~sigs:1
-
-let size_of cfg = function
-  | Request _ | Read_request _ -> Client_core.request_bytes cfg
-  | Certify_req { batch = Some _; _ } -> Wire.batch_bytes ~batch_size:cfg.Config.batch_size
-  | Certify_req _ | Partial_sig _ | Local_commit _ | Global_accept _ | Fetch_globals _ ->
-      Wire.small
-  | Globals_data { batches; _ } ->
-      Wire.snapshot_bytes ~batch_size:cfg.Config.batch_size ~sigs:1
-        ~blocks:(List.length batches)
-  | Site_forward _ | Global_proposal _ | Local_bcast _ -> cert_size cfg
-  | Reply _ -> Client_core.reply_bytes cfg
-
 (* Threshold-signature verification is RSA-verify class; model it with
-   the standard signature-verification cost. *)
-let vcost_of cfg m =
+   the standard signature-verification cost.  A catch-up reply's
+   requester re-verifies the site certificate of each batch it
+   installs (at least one). *)
+let wire cfg m : Wire.cost =
+  let batch_size = cfg.Config.batch_size in
   match m with
-  | Site_forward _ | Global_proposal _ | Global_accept _ | Local_bcast _ ->
-      Time.add (Config.recv_floor_cost cfg ~bytes:(size_of cfg m)) (Config.verify_cost cfg)
-  | Partial_sig _ ->
-      Time.add (Config.recv_floor_cost cfg ~bytes:Wire.small) (Config.verify_cost cfg)
+  | Request _ | Read_request _ -> { bytes = Client_core.request_bytes cfg; verifies = 0 }
+  | Certify_req { batch = Some _; _ } -> { bytes = Wire.batch_bytes ~batch_size; verifies = 0 }
+  | Certify_req _ | Local_commit _ | Fetch_globals _ -> { bytes = Wire.small; verifies = 0 }
+  | Partial_sig _ | Global_accept _ -> { bytes = Wire.small; verifies = 1 }
+  | Site_forward _ | Global_proposal _ | Local_bcast _ ->
+      { bytes = Wire.certificate_bytes ~batch_size ~sigs:1; verifies = 1 }
   | Globals_data { batches; _ } ->
-      (* The requester re-verifies the site certificates it installs. *)
-      Time.add
-        (Config.recv_floor_cost cfg ~bytes:(size_of cfg m))
-        (Time.of_us_f
-           (cfg.Config.costs.Config.verify_us *. float_of_int (max 1 (List.length batches))))
-  | m -> Config.recv_floor_cost cfg ~bytes:(size_of cfg m)
-
-let send r ~dst m = Ctx.send r.ctx ~dst ~size:(size_of r.cfg m) ~vcost:(vcost_of r.cfg m) m
-let multicast r ~dsts m =
-  Ctx.multicast r.ctx ~dsts ~size:(size_of r.cfg m) ~vcost:(vcost_of r.cfg m) m
+      let blocks = List.length batches in
+      { bytes = Wire.snapshot_bytes ~batch_size ~sigs:1 ~blocks; verifies = max 1 blocks }
+  | Reply _ -> { bytes = Client_core.reply_bytes cfg; verifies = 0 }
 
 let rep_of cfg ~cluster = Config.replica_id cfg ~cluster ~index:0
 let is_rep r = r.my_local = 0
@@ -149,7 +134,7 @@ let is_leader_rep r = r.ctx.Ctx.id = leader_rep r
 let site_members r = Config.replicas_of_cluster r.cfg r.my_cluster
 
 let broadcast_site r m =
-  multicast r ~dsts:(List.filter (fun dst -> dst <> r.ctx.Ctx.id) (site_members r)) m
+  Ctx.multicast r.ctx ~dsts:(List.filter (fun dst -> dst <> r.ctx.Ctx.id) (site_members r)) m
 
 (* Pooled fan-out to every remote site's representative. *)
 let broadcast_reps r m =
@@ -157,7 +142,7 @@ let broadcast_reps r m =
   for c = r.cfg.Config.z - 1 downto 0 do
     if c <> r.my_cluster then dsts := rep_of r.cfg ~cluster:c :: !dsts
   done;
-  multicast r ~dsts:!dsts m
+  Ctx.multicast r.ctx ~dsts:!dsts m
 
 let majority_sites cfg = (cfg.Config.z / 2) + 1
 
@@ -239,7 +224,7 @@ let rec exec_ready r =
             (match result with
             | Some res
               when (not (Batch.is_noop batch)) && batch.Batch.cluster = r.my_cluster ->
-                Client_core.reply r.ctx ~dst:batch.Batch.origin
+                Ctx.send r.ctx ~dst:batch.Batch.origin
                   (Reply
                      { batch_id = batch.Batch.id; result_digest = res.Rdb_types.App.digest })
             | _ -> ());
@@ -337,7 +322,9 @@ let send_catchup_fetch r ~attempt =
   match targets with
   | [] -> ()
   | ts ->
-      send r ~dst:(List.nth ts (attempt mod List.length ts)) (Fetch_globals { from = r.next_exec })
+      Ctx.send r.ctx
+        ~dst:(List.nth ts (attempt mod List.length ts))
+        (Fetch_globals { from = r.next_exec })
 
 let serve_globals r ~src ~from =
   let rec collect g acc =
@@ -349,7 +336,7 @@ let serve_globals r ~src ~from =
   in
   match collect from [] with
   | [] -> ()
-  | batches -> send r ~dst:src (Globals_data { from; batches })
+  | batches -> Ctx.send r.ctx ~dst:src (Globals_data { from; batches })
 
 let install_globals r ~from batches =
   let filled = ref 0 in
@@ -399,7 +386,7 @@ let retransmit r ~attempt =
       if not (Hashtbl.mem r.committed g) then
         match Hashtbl.find_opt r.accepts g with
         | Some tbl when Hashtbl.mem tbl r.my_cluster ->
-            multicast r ~dsts:(reps_except_self r)
+            Ctx.multicast r.ctx ~dsts:(reps_except_self r)
               (Global_accept { g; site = r.my_cluster; digest = Hashtbl.find r.accepted_digest g })
         | _ -> ()
     done;
@@ -407,7 +394,7 @@ let retransmit r ~attempt =
        sequenced (the forward may have been lost). *)
     if not (is_leader_rep r) then
       Hashtbl.iter
-        (fun _ batch -> send r ~dst:(leader_rep r) (Site_forward { batch }))
+        (fun _ batch -> Ctx.send r.ctx ~dst:(leader_rep r) (Site_forward { batch }))
         r.pending_forwards;
     (* Leader: re-propose assigned-but-uncommitted globals to the
        sites that have not accepted them yet. *)
@@ -423,7 +410,7 @@ let retransmit r ~attempt =
               in
               for c = 0 to r.cfg.Config.z - 1 do
                 if c <> r.my_cluster && not (accepted c) then
-                  send r ~dst:(rep_of r.cfg ~cluster:c) (Global_proposal { g; batch })
+                  Ctx.send r.ctx ~dst:(rep_of r.cfg ~cluster:c) (Global_proposal { g; batch })
               done
           | None -> ()
       done
@@ -492,7 +479,7 @@ let on_message r ~src (m : msg) =
             else begin
               Hashtbl.replace r.pending_forwards batch.Batch.digest batch;
               Recovery.ensure r.recovery;
-              send r ~dst:(leader_rep r) (Site_forward { batch })
+              Ctx.send r.ctx ~dst:(leader_rep r) (Site_forward { batch })
             end)
           ()
       end
@@ -501,7 +488,7 @@ let on_message r ~src (m : msg) =
       if Config.cluster_of_replica r.cfg src = r.my_cluster && src = rep_of r.cfg ~cluster:r.my_cluster
       then
         r.ctx.Ctx.charge ~stage:Cpu.Worker ~cost:(Config.threshold_partial_cost r.cfg) (fun () ->
-            send r ~dst:src (Partial_sig { tag; digest }))
+            Ctx.send r.ctx ~dst:src (Partial_sig { tag; digest }))
   | Partial_sig { tag; digest } ->
       if is_rep r && Config.cluster_of_replica r.cfg src = r.my_cluster then begin
         match Hashtbl.find_opt r.certifying tag with

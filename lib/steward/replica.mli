@@ -46,6 +46,9 @@ val create_client : msg Ctx.t -> cluster:int -> client
 val submit : client -> Batch.t -> unit
 val on_client_message : client -> src:int -> msg -> unit
 
+val wire : Rdb_types.Config.t -> msg -> Rdb_types.Wire.cost
+(** Bytes and receiver signature checks of each message. *)
+
 val adversary : msg Rdb_types.Interpose.view
 (** Adversarial message classification ([Share] = threshold-signature
     traffic); certificates bind batch digests, so [conflict] is

@@ -21,8 +21,6 @@ type pending = {
 type 'm t = {
   ctx : 'm Ctx.t;
   threshold : int;
-  size : int;              (* of every request and read: one batch *)
-  vcost : Time.t;
   request : Batch.t -> 'm;
   route : route;
   mutable primary : int;   (* latest primary hint, for [Primary] routes *)
@@ -36,12 +34,9 @@ let request_bytes (cfg : Config.t) = Wire.batch_bytes ~batch_size:cfg.Config.bat
 let reply_bytes (cfg : Config.t) = Wire.response_bytes ~batch_size:cfg.Config.batch_size
 
 let create ~(ctx : 'm Ctx.t) ~threshold ~request ?read ~route () =
-  let size = request_bytes ctx.Ctx.config in
   {
     ctx;
     threshold;
-    size;
-    vcost = Config.recv_floor_cost ctx.Ctx.config ~bytes:size;
     request;
     route;
     primary = (match route with Primary { initial; _ } -> initial | Pick _ -> 0);
@@ -54,8 +49,6 @@ let create ~(ctx : 'm Ctx.t) ~threshold ~request ?read ~route () =
 let retransmits t = t.retransmits
 let read_fallbacks t = t.read_fallbacks
 
-let send t ~dsts m = Ctx.multicast t.ctx ~dsts ~size:t.size ~vcost:t.vcost m
-
 (* An ordered request; [retry] on retransmission. *)
 let transmit t ~retry batch =
   let dsts =
@@ -64,7 +57,7 @@ let transmit t ~retry batch =
     | Primary _ -> [ t.primary ]
     | Pick pick -> [ pick () ]
   in
-  send t ~dsts (t.request batch)
+  Ctx.multicast t.ctx ~dsts (t.request batch)
 
 (* Exponential backoff, capped at 8x the base timeout: a wedged system
    is probed persistently but not flooded. *)
@@ -97,7 +90,7 @@ let submit t (batch : Batch.t) =
     in
     Hashtbl.replace t.inflight batch.Batch.id p;
     (match t.read with
-    | Some (read, dsts) when Batch.read_only batch -> send t ~dsts (read batch)
+    | Some (read, dsts) when Batch.read_only batch -> Ctx.multicast t.ctx ~dsts (read batch)
     | _ -> transmit t ~retry:false batch);
     arm_timer t p
   end
@@ -124,10 +117,6 @@ let on_reply ?primary t ~src ~batch_id ~result_digest =
 
 (* -- replica side ------------------------------------------------------ *)
 
-let reply (ctx : _ Ctx.t) ~dst m =
-  let size = reply_bytes ctx.Ctx.config in
-  Ctx.send ctx ~dst ~size ~vcost:(Config.recv_floor_cost ctx.Ctx.config ~bytes:size) m
-
 (* The replica half of the consensus-bypass read: serve a verified
    read-only batch from current state.  Safe at f+1 matching digests
    because a non-faulty reply reflects a prefix of the agreed order; a
@@ -136,4 +125,4 @@ let reply (ctx : _ Ctx.t) ~dst m =
 let serve_read (ctx : _ Ctx.t) (batch : Batch.t) ~reply:msg =
   if Batch.verify ~keychain:ctx.Ctx.keychain batch && Batch.read_only batch then
     ctx.Ctx.read_execute batch ~on_done:(fun res ->
-        reply ctx ~dst:batch.Batch.origin (msg res.App.digest))
+        Ctx.send ctx ~dst:batch.Batch.origin (msg res.App.digest))

@@ -2,9 +2,9 @@
     replica half of the client interface.  The agent submits a batch,
     accepts at [threshold] matching results (f+1 per §2.4: one of f+1
     identical responses is from a non-faulty replica) and retransmits
-    on timeout.  Protocols hand it constructors and destinations; it
-    sends each request or read as one {!request_bytes} message at the
-    receive floor.  Zyzzyva keeps its own agent. *)
+    on timeout.  Protocols hand it constructors and destinations, and
+    declare requests and reads at {!request_bytes}.  Zyzzyva keeps its
+    own agent. *)
 
 (** Where an ordered request goes. *)
 type route =
@@ -46,10 +46,7 @@ val reply_bytes : Config.t -> int
 
 (** {2 Replica side} *)
 
-val reply : 'm Ctx.t -> dst:int -> 'm -> unit
-(** Send a client reply: {!reply_bytes} at the receive floor. *)
-
 val serve_read : 'm Ctx.t -> Batch.t -> reply:(string -> 'm) -> unit
 (** If [batch] verifies and is read-only, execute it against current
-    state (no consensus, no ledger) and {!reply} [reply digest] to its
+    state (no consensus, no ledger) and send [reply digest] to its
     origin. *)

@@ -265,8 +265,13 @@ let cert_verify_cost t = (cost_tab t).c_cert_verify
 let cert_wire_sigs t = if t.threshold_certs then 1 else quorum t
 
 (* MAC check plus digest of a payload of [bytes]: the per-message floor
-   charged to a receiver's worker thread. *)
+   of every receive cost. *)
 let recv_floor_cost t ~bytes = Time.add (mac_cost t) (hash_cost t ~bytes)
+
+(* The floor over a message's bytes plus one [verify_us] per check. *)
+let recv_cost t (w : Wire.cost) =
+  let checks = Time.of_us_f (t.costs.verify_us *. float_of_int w.verifies) in
+  Time.add (recv_floor_cost t ~bytes:w.bytes) checks
 
 let threshold_partial_cost t = (cost_tab t).c_thresh_partial
 let threshold_combine_cost t = (cost_tab t).c_thresh_combine

@@ -143,3 +143,7 @@ val cert_wire_sigs : t -> int
 
 val recv_floor_cost : t -> bytes:int -> Time.t
 (** MAC check plus payload digest: the per-message floor at receivers. *)
+
+val recv_cost : t -> Wire.cost -> Time.t
+(** A declared message's receive cost: {!recv_floor_cost} over its
+    bytes plus [verify_us] per signature check. *)

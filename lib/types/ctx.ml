@@ -11,12 +11,13 @@ open Import
 
    Conventions:
    - [send] delivers one message to a list of recipients (in list
-     order); it declares the wire [size] (bandwidth model) and the
-     receiver-side verification cost [vcost] (charged to the receiver's
-     worker thread before its handler runs).  The fabric binds it to
-     the network's pooled fan-out, so an n-recipient message costs one
-     event-queue record per destination shard instead of n.  Protocols
-     call it through [send] (one recipient) and [multicast].
+     order), priced by the protocol's [wire]: the receive cost is
+     charged before the handler runs, on a replica's two input threads
+     alternately or a client agent's Misc thread.  The fabric binds it
+     to the network's pooled fan-out, so an n-recipient message costs
+     one event-queue record per destination shard instead of n.
+     Protocols call it through [send] (one recipient) and
+     [multicast].
    - Sender-side CPU (signing, certificate construction, batch
      assembly) is charged explicitly with [charge]; continuations fire
      when the stage completes.
@@ -47,7 +48,7 @@ type 'm t = {
   keychain : Keychain.t;
   rng : Rng.t;
   now : unit -> Time.t;
-  send : dsts:int list -> size:int -> vcost:Time.t -> 'm -> unit;
+  send : dsts:int list -> 'm -> unit;
   charge : stage:Cpu.stage -> cost:Time.t -> (unit -> unit) -> unit;
   set_timer : delay:Time.t -> (unit -> unit) -> timer;
   cancel_timer : timer -> unit;
@@ -70,12 +71,12 @@ type 'm t = {
   phase : key:int -> name:string -> unit;
 }
 
-let send t ~dst ~size ~vcost msg = t.send ~dsts:[ dst ] ~size ~vcost msg
-let multicast t ~dsts ~size ~vcost msg = t.send ~dsts ~size ~vcost msg
+let send t ~dst msg = t.send ~dsts:[ dst ] msg
+let multicast t ~dsts msg = t.send ~dsts msg
 
 (* Restrict a context to an embedded sub-protocol speaking its own
    message type (e.g. the Pbft engine inside GeoBFT): sends are mapped
-   through [inject] into the outer wire type. *)
+   through [inject] into the outer wire type, which prices them. *)
 let map_send (inject : 'a -> 'b) (t : 'b t) : 'a t =
   {
     id = t.id;
@@ -83,7 +84,7 @@ let map_send (inject : 'a -> 'b) (t : 'b t) : 'a t =
     keychain = t.keychain;
     rng = t.rng;
     now = t.now;
-    send = (fun ~dsts ~size ~vcost m -> t.send ~dsts ~size ~vcost (inject m));
+    send = (fun ~dsts m -> t.send ~dsts (inject m));
     charge = t.charge;
     set_timer = t.set_timer;
     cancel_timer = t.cancel_timer;

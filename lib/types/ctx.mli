@@ -8,10 +8,10 @@ open Import
     charging of CPU/network costs uniform and auditable.
 
     Conventions:
-    - [send] delivers one message to a list of recipients and declares
-      the wire [size] (for the bandwidth model) and the receiver-side
-      verification cost [vcost] (charged to the receiver's input
-      threads before its handler runs);
+    - [send] delivers one message to a list of recipients, priced by
+      the protocol's [wire]: the receive cost is charged before the
+      handler runs, on a replica's two input threads alternately or a
+      client agent's Misc thread;
     - sender-side CPU (signing, certificate construction, batch
       assembly) is charged explicitly with [charge];
     - [execute] is the single "this batch is ordered" entry point: the
@@ -35,7 +35,7 @@ type 'm t = {
   keychain : Keychain.t;
   rng : Rng.t;
   now : unit -> Time.t;
-  send : dsts:int list -> size:int -> vcost:Time.t -> 'm -> unit;
+  send : dsts:int list -> 'm -> unit;
       (** One message to many recipients (in list order), each getting
           exactly what a separate send would.  The fabric binds it to
           the network's pooled fan-out, so an n-recipient message costs
@@ -65,12 +65,12 @@ type 'm t = {
           the hot path unconditionally. *)
 }
 
-val send : 'm t -> dst:int -> size:int -> vcost:Time.t -> 'm -> unit
+val send : 'm t -> dst:int -> 'm -> unit
 (** One message to one recipient. *)
 
-val multicast : 'm t -> dsts:int list -> size:int -> vcost:Time.t -> 'm -> unit
+val multicast : 'm t -> dsts:int list -> 'm -> unit
 
 val map_send : ('a -> 'b) -> 'b t -> 'a t
 (** Restrict a context to an embedded sub-protocol speaking its own
     message type (e.g. the Pbft engine inside GeoBFT): sends are mapped
-    through the injection into the outer wire type. *)
+    through the injection into the outer wire type, which prices them. *)

@@ -11,10 +11,10 @@
      commit-certificate recovery path, which is why the agent is
      protocol-owned rather than fabric-owned.
 
-   Replicas and clients exchange values of the protocol's [msg] type;
-   the fabric delivers them with [on_message] / [on_client_message]
-   after charging the receiver-side verification cost declared by the
-   sender. *)
+   Replicas and clients exchange values of the protocol's [msg] type,
+   whose bytes and receiver signature checks [wire] declares once; the
+   fabric prices every send from it ([Config.recv_cost]) and delivers
+   with [on_message] / [on_client_message] after charging that cost. *)
 
 (* Counters for the recovery subsystem (lib/recovery): checkpoint
    state transfers installed, execution holes filled by catch-up
@@ -46,6 +46,8 @@ module type S = sig
      classification plus (where sound) a conflicting-payload forgery,
      consumed by the Byzantine-strategy subsystem (lib/adversary). *)
   val adversary : msg Interpose.view
+
+  val wire : Config.t -> msg -> Wire.cost
 
   val create_replica : msg Ctx.t -> replica
   val on_message : replica -> src:int -> msg -> unit

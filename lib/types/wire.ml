@@ -15,6 +15,9 @@
      response(b)     = header + per_result * b       (1.5 kB at b=100)
      small           = 250 B. *)
 
+(* A message's bytes, and its receiver's signature checks. *)
+type cost = { bytes : int; verifies : int }
+
 let header_bytes = 200
 let per_txn_bytes = 52          (* 200 + 52*100 = 5400 *)
 let commit_entry_bytes = 143    (* 5400 + 7*143 ≈ 6400 *)

@@ -4,6 +4,10 @@
     (other messages)".  Payloads travel as OCaml values inside the
     simulator; these sizes are what enters the bandwidth model. *)
 
+type cost = { bytes : int; verifies : int }
+(** A message's bytes on the wire and its receiver's signature checks,
+    declared once per constructor by [Protocol.S.wire]. *)
+
 val commit_entry_bytes : int
 
 val batch_bytes : batch_size:int -> int

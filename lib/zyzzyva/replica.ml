@@ -61,26 +61,19 @@ type replica = {
   seen : (string, unit) Hashtbl.t;     (* proposed digests (primary) *)
 }
 
-let size_of cfg = function
-  | Request _ -> Wire.batch_bytes ~batch_size:cfg.Config.batch_size
-  | Order_req _ -> Wire.batch_bytes ~batch_size:cfg.Config.batch_size + 64
-  | Spec_reply _ -> Wire.response_bytes ~batch_size:cfg.Config.batch_size
-  | Commit_cert { responders; _ } ->
-      Wire.small + (Wire.commit_entry_bytes * List.length responders)
-  | Local_commit _ -> Wire.small
-
-let vcost_of cfg m =
+(* An order request carries the client's signed batch; a commit
+   certificate one signature per embedded response, checked on
+   receipt. *)
+let wire cfg m : Wire.cost =
+  let batch_size = cfg.Config.batch_size in
   match m with
+  | Request _ -> { bytes = Wire.batch_bytes ~batch_size; verifies = 0 }
+  | Order_req _ -> { bytes = Wire.batch_bytes ~batch_size + 64; verifies = 1 }
+  | Spec_reply _ -> { bytes = Wire.response_bytes ~batch_size; verifies = 0 }
   | Commit_cert { responders; _ } ->
-      (* The certify thread checks one signature per embedded response. *)
-      Time.add
-        (Config.recv_floor_cost cfg ~bytes:(size_of cfg m))
-        (Time.of_us_f (cfg.Config.costs.Config.verify_us *. float_of_int (List.length responders)))
-  | Order_req _ ->
-      Time.add (Config.recv_floor_cost cfg ~bytes:(size_of cfg m)) (Config.verify_cost cfg)
-  | m -> Config.recv_floor_cost cfg ~bytes:(size_of cfg m)
-
-let send r ~dst m = Ctx.send r.ctx ~dst ~size:(size_of r.cfg m) ~vcost:(vcost_of r.cfg m) m
+      let k = List.length responders in
+      { bytes = Wire.small + (Wire.commit_entry_bytes * k); verifies = k }
+  | Local_commit _ -> { bytes = Wire.small; verifies = 0 }
 
 let create_replica (ctx : msg Ctx.t) =
   let cfg = ctx.Ctx.config in
@@ -121,7 +114,7 @@ let rec exec_ready r =
           r.ctx.Ctx.phase ~key:seq ~name:"execute";
           (match result with
           | Some res when not (Batch.is_noop batch) ->
-              send r ~dst:batch.Batch.origin
+              Ctx.send r.ctx ~dst:batch.Batch.origin
                 (Spec_reply
                    {
                      batch_id = batch.Batch.id;
@@ -155,8 +148,7 @@ let on_message r ~src (m : msg) =
               for dst = r.n - 1 downto 0 do
                 if dst <> r.ctx.Ctx.id then dsts := dst :: !dsts
               done;
-              Ctx.multicast r.ctx ~dsts:!dsts ~size:(size_of r.cfg m)
-                ~vcost:(vcost_of r.cfg m) m;
+              Ctx.multicast r.ctx ~dsts:!dsts m;
               Hashtbl.replace r.ordered seq (batch, h);
               exec_ready r)
         end
@@ -176,7 +168,7 @@ let on_message r ~src (m : msg) =
                 r.ctx.Ctx.phase ~key:seq ~name:"execute";
                 (match result with
                 | Some res when not (Batch.is_noop batch) ->
-                    send r ~dst:batch.Batch.origin
+                    Ctx.send r.ctx ~dst:batch.Batch.origin
                       (Spec_reply
                          {
                            batch_id = batch.Batch.id;
@@ -203,7 +195,7 @@ let on_message r ~src (m : msg) =
         (match Hashtbl.find_opt r.ordered seq with
         | Some (_, h) when String.equal h history ->
             r.max_committed <- max r.max_committed seq;
-            send r ~dst:src (Local_commit { batch_id; seq })
+            Ctx.send r.ctx ~dst:src (Local_commit { batch_id; seq })
         | _ -> ())
       end
   | Spec_reply _ | Local_commit _ -> ()
@@ -241,8 +233,6 @@ let create_client (ctx : msg Ctx.t) ~cluster:_ =
     fast_completions = 0;
     slow_completions = 0;
   }
-
-let csend c ~dst m = Ctx.send c.cctx ~dst ~size:(size_of c.ccfg m) ~vcost:(vcost_of c.ccfg m) m
 
 (* The commit timer: how long a client waits for the full n fast-path
    replies before falling back to the commit-certificate path.  Zyzzyva
@@ -293,12 +283,10 @@ let try_commit_cert c p =
       let seq = p.seq in
       c.cctx.Ctx.charge ~stage:Cpu.Misc ~cost:(Config.sign_cost c.ccfg) (fun () ->
           let m = Commit_cert { batch_id = p.batch.Batch.id; seq; history = h; responders } in
-          Ctx.multicast c.cctx
-            ~dsts:(List.init c.cn Fun.id)
-            ~size:(size_of c.ccfg m) ~vcost:(vcost_of c.ccfg m) m)
+          Ctx.multicast c.cctx ~dsts:(List.init c.cn Fun.id) m)
   | _ ->
       (* Not enough agreement: retransmit the request to the primary. *)
-      csend c ~dst:0 (Request p.batch)
+      Ctx.send c.cctx ~dst:0 (Request p.batch)
 
 let rec arm_commit_timer c p =
   p.timer <-
@@ -314,7 +302,7 @@ let submit (c : client) (batch : Batch.t) =
   if not (Hashtbl.mem c.inflight batch.Batch.id) then begin
     let p = { batch; replies = []; acks = []; seq = -1; state = `Speculative; timer = None } in
     Hashtbl.replace c.inflight batch.Batch.id p;
-    csend c ~dst:0 (Request batch);
+    Ctx.send c.cctx ~dst:0 (Request batch);
     (* The commit timer doubles as the retransmission timer: with no
        replies at all, try_commit_cert falls through to a retransmit. *)
     arm_commit_timer c p

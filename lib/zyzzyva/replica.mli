@@ -42,6 +42,9 @@ val fast_completions : client -> int
 val slow_completions : client -> int
 (** Batches completed through the commit-certificate path. *)
 
+val wire : Rdb_types.Config.t -> msg -> Rdb_types.Wire.cost
+(** Bytes and receiver signature checks of each message. *)
+
 val adversary : msg Rdb_types.Interpose.view
 (** Adversarial message classification; content equivocation is not
     modelled (speculative histories legally diverge), so [conflict]

@@ -248,3 +248,162 @@ let test_ledger_words_pinned () =
   Alcotest.(check int) "reachable words" 435_161 words
 
 let suite = suite @ [ ("ledger words pinned", `Quick, test_ledger_words_pinned) ]
+
+(* -- wire declarations ---------------------------------------------------------- *)
+
+(* Every constructor of every protocol's wire declaration, pinned at
+   b100 for z2 n4 and z2 n7: (bytes, verifies) per message.  The sizes
+   follow §4's calibration (5400 B batch, 1500 B response, 250 B small,
+   143 B per certificate entry); n enters only through the n − f
+   certificate entries of shares and catch-up replies (3 at n4, 5 at
+   n7).  HotStuff's QC and fill carry a fixed four entries at every n. *)
+let test_declared_wire_costs () =
+  let keychain = Rdb_crypto.Keychain.create ~seed:"wire" ~n_nodes:16 in
+  let batch = Batch.noop ~keychain ~cluster:0 ~origin:0 ~created:Time.zero ~nonce:1 in
+  let signature = Rdb_crypto.Keychain.sign keychain ~signer:0 "wire" in
+  let cert = Rdb_types.Certificate.make ~cluster:0 ~view:0 ~seq:1 ~digest:"d" ~commits:[] in
+  let suffix blocks =
+    { Rdb_recovery.Catchup.blocks = List.init blocks (fun _ -> (batch, None)); state = None }
+  in
+  let proof = { Rdb_pbft.Messages.pp_seq = 1; pp_view = 0; pp_digest = "d"; pp_batch = batch } in
+  let check name cfg wire rows =
+    List.iter
+      (fun (label, m, (bytes, verifies)) ->
+        let w : Rdb_types.Wire.cost = wire cfg m in
+        Alcotest.(check (pair int int))
+          (Printf.sprintf "%s n%d %s" name cfg.Config.n label)
+          (bytes, verifies) (w.bytes, w.verifies))
+      rows
+  in
+  List.iter
+    (fun (n, sigs) ->
+      let cfg = Config.make ~z:2 ~n ~batch_size:100 () in
+      Alcotest.(check int) "n - f certificate entries" sigs (Config.cert_wire_sigs cfg);
+      (* A share: the batch plus n − f entries; a catch-up reply of two
+         blocks: header, anchor entries and two certified blocks. *)
+      let share = 5400 + (143 * sigs) in
+      let two_blocks = 200 + (143 * sigs) + (2 * share) in
+      let empty = 200 + (143 * sigs) in
+      let module M = Rdb_pbft.Messages in
+      let engine =
+        [
+          ("forward", M.Forward batch, (5400, 0));
+          ("preprepare", M.Preprepare { view = 0; seq = 1; batch }, (5400, 1));
+          ("prepare", M.Prepare { view = 0; seq = 1; digest = "d" }, (250, 0));
+          ("commit", M.Commit { view = 0; seq = 1; digest = "d"; signature }, (250, 1));
+          ("checkpoint", M.Checkpoint { seq = 1; state_digest = "d" }, (250, 0));
+          ( "view-change",
+            M.ViewChange { target = 1; last_stable = 0; prepared = [ proof; proof ] },
+            (250 + (2 * 5400), 2) );
+          ( "new-view",
+            M.NewView { target = 1; preprepares = [ (1, batch); (2, batch); (3, batch) ] },
+            (250 + (3 * 5400), 3) );
+        ]
+      in
+      check "messages" cfg M.wire engine;
+      let module P = Rdb_pbft.Replica in
+      check "pbft" cfg P.wire
+        (List.map (fun (l, m, c) -> (l, P.Engine_msg m, c)) engine
+        @ [
+            ("request", P.Request batch, (5400, 0));
+            ("read-request", P.Read_request batch, (5400, 0));
+            ("reply", P.Reply { batch_id = 1; result_digest = "r"; primary = 0 }, (1500, 0));
+            ("fetch-state", P.Fetch_state { from = 3 }, (250, 0));
+            ( "snapshot",
+              P.Snapshot
+                { from = 0; anchor_seq = 0; anchor_digest = "a"; view = 0; suffix = suffix 2 },
+              (two_blocks, 2) );
+            ( "empty snapshot",
+              P.Snapshot
+                { from = 0; anchor_seq = 0; anchor_digest = "a"; view = 0; suffix = suffix 0 },
+              (empty, 1) );
+          ]);
+      let module G = Rdb_geobft.Messages in
+      check "geobft" cfg Rdb_geobft.Replica.wire
+        (List.map (fun (l, m, c) -> ("local-" ^ l, G.Local m, c)) engine
+        @ [
+            ("request", G.Request batch, (5400, 0));
+            ("read-request", G.Read_request batch, (5400, 0));
+            ("global-share", G.Global_share { round = 1; batch; cert }, (share, 0));
+            ("drvc", G.Drvc { failed_cluster = 1; round = 1; vc_count = 1 }, (250, 0));
+            ( "rvc",
+              G.Rvc { failed_cluster = 1; round = 1; vc_count = 1; requester = 0; signature },
+              (250, 1) );
+            ("reply", G.Reply { batch_id = 1; result_digest = "r"; primary = 0 }, (1500, 0));
+            ("fetch-rounds", G.Fetch_rounds { from = 3 }, (250, 0));
+            ( "round-data",
+              G.Round_data { from = 0; eng_view = 0; suffix = suffix 2 },
+              (two_blocks, 2) );
+            ( "empty round-data",
+              G.Round_data { from = 0; eng_view = 0; suffix = suffix 0 },
+              (empty, 1) );
+          ]);
+      let module S = Rdb_steward.Replica in
+      check "steward" cfg S.wire
+        [
+          ("request", S.Request batch, (5400, 0));
+          ("read-request", S.Read_request batch, (5400, 0));
+          ( "certify-req batch",
+            S.Certify_req { tag = "t"; digest = "d"; batch = Some batch },
+            (5400, 0) );
+          ("certify-req", S.Certify_req { tag = "t"; digest = "d"; batch = None }, (250, 0));
+          ("partial-sig", S.Partial_sig { tag = "t"; digest = "d" }, (250, 1));
+          ("site-forward", S.Site_forward { batch }, (5543, 1));
+          ("global-proposal", S.Global_proposal { g = 1; batch }, (5543, 1));
+          ("global-accept", S.Global_accept { g = 1; site = 0; digest = "d" }, (250, 1));
+          ("local-bcast", S.Local_bcast { g = 1; batch }, (5543, 1));
+          ("local-commit", S.Local_commit { g = 1 }, (250, 0));
+          ("fetch-globals", S.Fetch_globals { from = 3 }, (250, 0));
+          ( "globals-data",
+            S.Globals_data { from = 0; batches = [ batch; batch ] },
+            (200 + 143 + (2 * 5543), 2) );
+          ("empty globals-data", S.Globals_data { from = 0; batches = [] }, (343, 1));
+          ("reply", S.Reply { batch_id = 1; result_digest = "r" }, (1500, 0));
+        ];
+      let module Z = Rdb_zyzzyva.Replica in
+      check "zyzzyva" cfg Z.wire
+        [
+          ("request", Z.Request batch, (5400, 0));
+          ("order-req", Z.Order_req { view = 0; seq = 1; batch; history = "h" }, (5464, 1));
+          ( "spec-reply",
+            Z.Spec_reply { batch_id = 1; seq = 1; history = "h"; result_digest = "r" },
+            (1500, 0) );
+          ( "commit-cert",
+            Z.Commit_cert
+              { batch_id = 1; seq = 1; history = "h"; responders = List.init sigs Fun.id },
+            (250 + (143 * sigs), sigs) );
+          ("local-commit", Z.Local_commit { batch_id = 1; seq = 1 }, (250, 0));
+        ];
+      let module H = Rdb_hotstuff.Replica in
+      check "hotstuff" cfg H.wire
+        [
+          ("request", H.Request batch, (5400, 0));
+          ("propose", H.Propose { inst = 0; height = 1; batch }, (5400, 1));
+          ("vote", H.Vote { inst = 0; height = 1; phase = H.Prepare; digest = "d" }, (250, 0));
+          ( "qc",
+            H.Qc { inst = 0; height = 1; phase = H.Commit; digest = "d" },
+            (250 + (4 * 143), 0) );
+          ("reply", H.Reply { batch_id = 1; result_digest = "r" }, (1500, 0));
+          ("fetch", H.Fetch { inst = 0; heights = [ 1; 2 ] }, (250, 0));
+          ("filled", H.Filled { inst = 0; height = 1; batch }, (5400 + (4 * 143), 0));
+          ("fetch-log", H.Fetch_log { inst = 0; from = 1 }, (250, 0));
+          ( "log-suffix",
+            H.Log_suffix { inst = 0; from = 1; batches = [ batch; batch ] },
+            (250 + (2 * (5400 + (4 * 143))), 0) );
+        ])
+    [ (4, 3); (7, 5) ];
+  (* The one conversion to a receive cost reproduces the formulas the
+     senders used to spell out: the floor alone, the floor plus
+     [verify_cost], and the floor plus k scaled verifications. *)
+  let cfg = Config.make ~z:2 ~n:4 ~batch_size:100 () in
+  let floor = Config.recv_floor_cost cfg ~bytes:5400 in
+  let cost verifies = Config.recv_cost cfg { bytes = 5400; verifies } in
+  Alcotest.(check int) "k = 0: the floor" floor (cost 0);
+  Alcotest.(check int) "k = 1: floor + verify_cost"
+    (Time.add floor (Config.verify_cost cfg))
+    (cost 1);
+  Alcotest.(check int) "k = 5: floor + 5 verify_us"
+    (Time.add floor (Time.of_us_f (cfg.Config.costs.Config.verify_us *. 5.)))
+    (cost 5)
+
+let suite = suite @ [ ("declared wire costs", `Quick, test_declared_wire_costs) ]

@@ -422,6 +422,33 @@ let test_pinned_executed_events () =
   PbftDep.close d;
   Alcotest.(check int) "pbft z4 n7" 475_907 (Engine.executed_events (PbftDep.engine d))
 
+(* -- a deferred cross-shard landing ------------------------------------------ *)
+
+(* The checker's Defer edit reaches an entry the epoch barrier lands
+   on another shard: schedule call 96214 is a WAN delivery landed at
+   1.315002656 s beside a same-time peer (the landing at call 96216),
+   so deferring it swaps their order and moves the digest off the
+   unperturbed run's.  Were landings numbered outside the Defer counter,
+   call 96214 would name another event and this pin would move. *)
+let test_deferred_landing () =
+  let module Check = Rdb_check.Check in
+  let module Perturb = Rdb_check.Perturb in
+  let cfg = Config.make ~z:2 ~n:4 ~batch_size:20 ~client_inflight:8 ~seed:1 () in
+  let windows = { Scenario.warmup = Time.ms 500; measure = Time.ms 1000 } in
+  let run edits =
+    Check.run_one (Scenario.make ~windows ~trace:true Scenario.Pbft cfg)
+      ~hooks:(Perturb.replay edits)
+  in
+  let unperturbed = "7f06acf61d95fad195841a0a0f3f3f7fdca3f73832ca95f23f5756a50a37c5ae" in
+  Alcotest.(check (option string)) "unperturbed" (Some unperturbed) (run []).Check.digest;
+  let edit = Perturb.Defer { nth = 96214 } in
+  let r = run [ edit ] in
+  Alcotest.(check (list string)) "the edit landed" [ Perturb.to_string edit ]
+    (List.map Perturb.to_string r.Check.applied);
+  Alcotest.(check (option string)) "deferred landing"
+    (Some "5106e9ef3d5bd1925bb9bee6928c4eacdc61405ee0cac67e25251daf50d05b1a")
+    r.Check.digest
+
 let suite =
   [
     ("event pool reuse", `Quick, test_pool_reuse);
@@ -439,4 +466,5 @@ let suite =
     ("pinned recovery and read digests", `Slow, test_pinned_recovery_digests);
     ("pinned executed events", `Quick, test_pinned_executed_events);
     ("executing shard lookup", `Quick, test_executing_shard);
+    ("deferred cross-shard landing", `Slow, test_deferred_landing);
   ]

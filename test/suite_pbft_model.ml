@@ -71,7 +71,7 @@ let make_harness ~n =
       rng = Rng.create (Int64.of_int id);
       now = (fun () -> Rdb_sim.Engine.now engine_handle);
       send =
-        (fun ~dsts ~size:_ ~vcost:_ m ->
+        (fun ~dsts m ->
           match !h_ref with
           | Some h -> List.iter (fun dst -> push_mail h (id, dst, m)) dsts
           | None -> ());
@@ -223,7 +223,7 @@ let test_ignores_non_members () =
       keychain = kc;
       rng = Rng.create 5L;
       now = (fun () -> Rdb_sim.Engine.now engine_handle);
-      send = (fun ~dsts:_ ~size:_ ~vcost:_ _ -> incr sends);
+      send = (fun ~dsts:_ _ -> incr sends);
       charge = (fun ~stage:_ ~cost:_ k -> k ());
       set_timer = (fun ~delay k -> Rdb_sim.Engine.schedule_after engine_handle ~delay k);
       cancel_timer = Rdb_sim.Engine.cancel;

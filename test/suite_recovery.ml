@@ -28,7 +28,7 @@ let mk_ctx ?(seed = 42L) () =
       keychain = Rdb_crypto.Keychain.create ~seed:"recovery-test" ~n_nodes:4;
       rng;
       now = (fun () -> Engine.now engine);
-      send = (fun ~dsts:_ ~size:_ ~vcost:_ () -> ());
+      send = (fun ~dsts:_ () -> ());
       charge = (fun ~stage:_ ~cost:_ k -> k ());
       set_timer = (fun ~delay k -> Engine.schedule_after engine ~delay k);
       cancel_timer = Engine.cancel;
@@ -219,21 +219,15 @@ let test_suffix_wire () =
         + match state with Some st -> String.length st.App.state | None -> 0
       in
       Alcotest.(check int) (name ^ ": bytes") bytes (Catchup.bytes cfg s);
-      Alcotest.(check int) (name ^ ": vcost")
-        (Time.add
-           (Config.recv_floor_cost cfg ~bytes)
-           (Time.of_us_f (cfg.Config.costs.Config.verify_us *. float_of_int (max 1 blocks))))
-        (Catchup.vcost cfg s))
+      Alcotest.(check int) (name ^ ": verifies") (max 1 blocks) (Catchup.verifies s))
     [
       (0, None); (1, None); (96, None); (0, Some snapshot); (1, Some snapshot); (96, Some snapshot);
     ];
   (* An empty suffix still pays one verification (the anchor). *)
   let empty = { Catchup.blocks = []; state = None } in
   let one = { Catchup.blocks = [ (batch, None) ]; state = None } in
-  let verify s =
-    Time.sub (Catchup.vcost cfg s) (Config.recv_floor_cost cfg ~bytes:(Catchup.bytes cfg s))
-  in
-  Alcotest.(check int) "0 and 1 blocks verify alike" (verify one) (verify empty)
+  Alcotest.(check int) "0 and 1 blocks verify alike" (Catchup.verifies one)
+    (Catchup.verifies empty)
 
 let test_suffix_chunks () =
   let ctx = mk_ledger_ctx ~height:200 ~state:(Some snapshot) in
