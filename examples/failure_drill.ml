@@ -35,7 +35,7 @@ let () =
       Dep.crash_replica d 6);
   Dep.at d ~time:(Time.sec 8) (fun () ->
       print_endline "  t=8s   !! crash of Oregon's primary (replica 0)";
-      Dep.crash_primary d ~cluster:0);
+      Dep.crash_replica d (Config.replica_id cfg ~cluster:0 ~index:0));
   Dep.at d ~time:(Time.sec 14) (fun () ->
       print_endline "  t=14s  !! Oregon's new primary stops talking to Iowa";
       (* Replica 1 is the view-1 primary; drop only its cross-cluster

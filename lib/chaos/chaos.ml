@@ -1,6 +1,6 @@
 (* Chaos fault injection with continuous safety-invariant checking.
 
-   Three pieces, all deterministic given the engine RNG:
+   Three pieces, all deterministic given their seeds:
 
    - fault actions: small reversible edits of the simulated network /
      deployment (crash, partition, link flap, loss, duplication,
@@ -127,7 +127,7 @@ let within_cluster_budget ~n ~f ids =
    cluster coincide is rejected, as are overlapping partitions /
    equivocations (global faults are kept one-at-a-time so every heal
    is unambiguous) and overlapping faults on the same directed link. *)
-let admissible surface accepted cand =
+let admissible ~n ~f accepted cand =
   let same_link s d = function
     | Link_down l -> l.src = s && l.dst = d
     | Link_loss l -> l.src = s && l.dst = d
@@ -146,7 +146,7 @@ let admissible surface accepted cand =
           | Crash v2 -> (not (overlaps cand e)) || v2 <> v
           | _ -> true)
         accepted
-      && within_cluster_budget ~n:surface.n ~f:surface.f
+      && within_cluster_budget ~n ~f
            (v
            :: List.filter_map
                 (fun e ->
@@ -164,20 +164,18 @@ let admissible surface accepted cand =
         (fun e -> (not (same_link src dst e.action)) || not (overlaps cand e))
         accepted
 
-let plan ~rng ~surface (pc : plan_cfg) : timeline =
-  let s = surface in
-  let replicas = s.z * s.n in
+let plan ~rng ~z ~n ~f ~caps (pc : plan_cfg) : timeline =
+  let replicas = z * n in
   let crashables =
-    Array.of_list
-      (List.filter s.caps.crashable (List.init replicas (fun i -> i)))
+    Array.of_list (List.filter caps.crashable (List.init replicas (fun i -> i)))
   in
   let kinds =
-    (if Array.length crashables > 0 && s.f > 0 then [ KCrash ] else [])
-    @ (if s.caps.partitions && s.z >= 2 then [ KPartition ] else [])
-    @ (if s.caps.link_down && replicas >= 2 then [ KLink_down ] else [])
-    @ (if s.caps.link_loss && replicas >= 2 then [ KLink_loss ] else [])
-    @ (if s.caps.link_dup && replicas >= 2 then [ KLink_dup ] else [])
-    @ if s.caps.equivocation && s.z >= 2 then [ KEquivocate ] else []
+    (if Array.length crashables > 0 && f > 0 then [ KCrash ] else [])
+    @ (if caps.partitions && z >= 2 then [ KPartition ] else [])
+    @ (if caps.link_down && replicas >= 2 then [ KLink_down ] else [])
+    @ (if caps.link_loss && replicas >= 2 then [ KLink_loss ] else [])
+    @ (if caps.link_dup && replicas >= 2 then [ KLink_dup ] else [])
+    @ if caps.equivocation && z >= 2 then [ KEquivocate ] else []
   in
   let min_onset_ms = 500. in
   let latest_ms = Time.to_ms_f (Time.sub pc.horizon pc.tail) in
@@ -199,8 +197,8 @@ let plan ~rng ~surface (pc : plan_cfg) : timeline =
           match k with
           | KCrash -> Crash (Rng.choose rng crashables)
           | KPartition ->
-              let ca = Rng.int rng s.z in
-              let cb = (ca + 1 + Rng.int rng (s.z - 1)) mod s.z in
+              let ca = Rng.int rng z in
+              let cb = (ca + 1 + Rng.int rng (z - 1)) mod z in
               Partition (min ca cb, max ca cb)
           | KLink_down | KLink_loss | KLink_dup -> (
               let src = Rng.int rng replicas in
@@ -213,8 +211,8 @@ let plan ~rng ~surface (pc : plan_cfg) : timeline =
               | _ ->
                   Link_dup { src; dst; p = Rng.float_range rng ~lo:0.1 ~hi:0.5 })
           | KEquivocate ->
-              let cluster = Rng.int rng s.z in
-              let skip = (cluster + 1 + Rng.int rng (s.z - 1)) mod s.z in
+              let cluster = Rng.int rng z in
+              let skip = (cluster + 1 + Rng.int rng (z - 1)) mod z in
               Equivocate { cluster; skip = [ skip ] }
         in
         if span > 0. then begin
@@ -225,7 +223,7 @@ let plan ~rng ~surface (pc : plan_cfg) : timeline =
               action;
             }
           in
-          if admissible s !accepted cand then begin
+          if admissible ~n ~f !accepted cand then begin
             accepted := cand :: !accepted;
             incr n_accepted
           end

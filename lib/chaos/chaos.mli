@@ -126,11 +126,12 @@ val within_cluster_budget : n:int -> f:int -> int list -> bool
     planner for concurrent crash windows and by the Byzantine-strategy
     subsystem (lib/adversary) for its corrupted-replica envelope. *)
 
-val plan : rng:Rng.t -> surface:surface -> plan_cfg -> timeline
-(** Sample a fault timeline.  Every window clears before
-    [horizon - tail]; concurrent crashes per cluster never exceed
-    [surface.f]; only capability-allowed kinds are drawn.  The result
-    is a pure function of the RNG state and the surface shape. *)
+val plan : rng:Rng.t -> z:int -> n:int -> f:int -> caps:caps -> plan_cfg -> timeline
+(** Sample a fault timeline for [z] clusters of [n] replicas.  Every
+    window clears before [horizon - tail]; concurrent crashes per
+    cluster never exceed [f]; only [caps]-allowed kinds are drawn.  The
+    result is a pure function of the RNG state and the arguments: no
+    deployment is needed to plan. *)
 
 val install : surface -> timeline -> unit
 (** Schedule every fault's apply at [at] and inverse at [until]. *)

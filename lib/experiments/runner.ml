@@ -37,8 +37,7 @@ type fault = Scenario.fault =
 
 type windows = Scenario.windows = { warmup : Time.t; measure : Time.t }
 
-(* The deployment module of each protocol: [run] and [chaos_timeline]
-   unpack it. *)
+(* The deployment module of each protocol, which [run] unpacks. *)
 let deployment : proto -> (module Deployment.S) = function
   | Geobft -> (module GeoDep)
   | Pbft -> (module PbftDep)
@@ -203,62 +202,81 @@ let adversary_runtime (type a m)
     ~n:cfg.Config.n
     ~install:(fun h -> D.set_interposer d h)
 
-let chaos_equiv rt (cfg : Config.t) =
-  ( (fun ~cluster ~skip ->
-      let rules =
-        List.init cfg.Config.n (fun i ->
-            Adversary.always
-              ~actor:((cluster * cfg.Config.n) + i)
-              (Adversary.Silence
-                 { cls = Some Interpose.Share; dst = Adversary.Clusters skip }))
-      in
-      Adversary.Runtime.set rt ~name:("chaos-equiv-" ^ string_of_int cluster)
-        rules),
-    fun ~cluster ->
-      Adversary.Runtime.clear rt ~name:("chaos-equiv-" ^ string_of_int cluster)
-  )
-
-let chaos_surface (type a) (module D : Deployment.S with type t = a) (d : a)
-    (cfg : Config.t) ~caps ~agreement ~equiv : Chaos.surface =
+(* The chaos surface over a deployment, its equivocation going through
+   the deployment's adversary runtime [rt]. *)
+let surface (type a m) (module D : Deployment.S with type t = a and type msg = m) (d : a)
+    (rt : m Adversary.Runtime.t) (p : proto) (cfg : Config.t) : Chaos.surface =
+  let caps, agreement, _ = chaos_profile p cfg in
+  let equiv_name cluster = "chaos-equiv-" ^ string_of_int cluster in
   {
     Chaos.z = cfg.Config.z;
     n = cfg.Config.n;
     f = Config.f cfg;
     caps;
     agreement;
-    crash = (fun v -> D.crash_replica d v);
-    recover = (fun v -> D.recover_replica d v);
+    crash = D.crash_replica d;
+    recover = D.recover_replica d;
     partition = (fun ~ca ~cb -> D.partition_clusters d ~ca ~cb);
     heal = (fun ~ca ~cb -> D.heal_clusters d ~ca ~cb);
     sever_link = (fun ~src ~dst -> D.sever_link d ~src ~dst);
     restore_link = (fun ~src ~dst -> D.restore_link d ~src ~dst);
     set_link_loss = (fun ~src ~dst ~p -> D.set_link_loss d ~src ~dst ~p);
     set_link_dup = (fun ~src ~dst ~p -> D.set_link_dup d ~src ~dst ~p);
-    equivocate = fst equiv;
-    stop_equivocate = snd equiv;
+    equivocate =
+      (fun ~cluster ~skip ->
+        Adversary.Runtime.set rt ~name:(equiv_name cluster)
+          (List.init cfg.Config.n (fun i ->
+               Adversary.always
+                 ~actor:((cluster * cfg.Config.n) + i)
+                 (Adversary.Silence
+                    { cls = Some Interpose.Share; dst = Adversary.Clusters skip }))));
+    stop_equivocate = (fun ~cluster -> Adversary.Runtime.clear rt ~name:(equiv_name cluster));
     ledger = (fun r -> D.ledger d ~replica:r);
     now = (fun () -> Engine.now (D.engine d));
     at = (fun time k -> D.at d ~time k);
   }
 
-(* Plan a timeline for one freshly created deployment.  The planner
-   RNG is split off the engine's stream (parent not advanced), so the
-   timeline is a pure function of (cfg, protocol, seed) and the
-   simulation itself consumes exactly the stream it would without
-   chaos. *)
-let chaos_plan (type a) (module D : Deployment.S with type t = a) (d : a) (p : proto)
-    ~(windows : windows) ~seed (cfg : Config.t) ~equiv =
-  let seed = if seed >= 0 then seed else cfg.Config.seed in
-  let caps, agreement, liveness_window_ms = chaos_profile p cfg in
-  let surface = chaos_surface (module D) d cfg ~caps ~agreement ~equiv in
-  let rng = Rng.split (Engine.rng (D.engine d)) ~index:(0x0C7A05 + seed) in
+let chaos_surface (type a) (module D : Deployment.S with type t = a) (d : a) p cfg =
+  surface (module D) d (adversary_runtime (module D) d cfg) p cfg
+
+(* A negative chaos seed stands for the config's seed. *)
+let chaos_seed (cfg : Config.t) seed = if seed >= 0 then seed else cfg.Config.seed
+
+(* -- fault timelines ------------------------------------------------------ *)
+
+(* Every scenario fault as a timeline of fault windows, without a
+   deployment.  The §4.3 faults are crash windows that close 1 s after
+   the horizon, so their recovery never runs (a recovery at the horizon
+   itself would, and would add its messages to the report).  A chaos
+   timeline is drawn from a stream split off a fresh RNG seeded like the
+   engine's root stream, which building a deployment never advances, so
+   the simulation consumes exactly the stream it would without chaos. *)
+let timeline (s : Scenario.t) : Chaos.timeline =
+  let { Scenario.proto = p; cfg; fault; windows; _ } = s in
   let horizon = Time.add windows.warmup windows.measure in
-  let tail_ms =
-    Float.min (liveness_window_ms +. 1000.) (Time.to_ms_f horizon /. 2.)
+  let crash ?(at = Time.zero) ~cluster index =
+    let v = Config.replica_id cfg ~cluster ~index in
+    { Chaos.at; until = Time.add horizon (Time.sec 1); action = Chaos.Crash v }
   in
-  let pc = Chaos.default_plan ~horizon ~tail:(Time.of_ms_f tail_ms) in
-  let timeline = Chaos.plan ~rng ~surface pc in
-  (seed, surface, timeline, liveness_window_ms)
+  match fault with
+  | No_fault -> []
+  | One_nonprimary -> [ crash ~cluster:0 (cfg.Config.n - 1) ]
+  | F_nonprimary ->
+      List.concat
+        (List.init cfg.Config.z (fun cluster ->
+             List.init (Config.f cfg) (fun i -> crash ~cluster (cfg.Config.n - 1 - i))))
+  | Primary_failure -> [ crash ~at:(Time.add windows.warmup (Time.sec 2)) ~cluster:0 0 ]
+  | Chaos seed ->
+      let seed = chaos_seed cfg seed in
+      let caps, _, liveness_window_ms = chaos_profile p cfg in
+      let rng =
+        Rng.split (Rng.create (Int64.of_int cfg.Config.seed)) ~index:(0x0C7A05 + seed)
+      in
+      let tail_ms =
+        Float.min (liveness_window_ms +. 1000.) (Time.to_ms_f horizon /. 2.)
+      in
+      Chaos.plan ~rng ~z:cfg.Config.z ~n:cfg.Config.n ~f:(Config.f cfg) ~caps
+        (Chaos.default_plan ~horizon ~tail:(Time.of_ms_f tail_ms))
 
 (* What the schedule-exploration checker (lib/check) gets to see of a
    deployment it is about to run: the chaos-monitor surface (ledgers,
@@ -300,58 +318,38 @@ let run ?tracer ?install (s : Scenario.t) : Report.t =
   let d = D.create ?tracer ~n_records ~retain_payloads:false cfg in
   Fun.protect ~finally:(fun () -> D.close d) @@ fun () ->
   let rt = adversary_runtime (module D) d cfg in
-  (match attack with
-  | None -> ()
-  | Some a -> Adversary.Runtime.set_attack rt a);
-  let equiv = chaos_equiv rt cfg in
-  (match install with
-  | None -> ()
-  | Some install ->
-      let caps, agreement, liveness_window_ms = chaos_profile p cfg in
-      let surface = chaos_surface (module D) d cfg ~caps ~agreement ~equiv in
+  Option.iter (Adversary.Runtime.set_attack rt) attack;
+  let surface = surface (module D) d rt p cfg in
+  let _, _, liveness_window_ms = chaos_profile p cfg in
+  Option.iter
+    (fun install ->
       install
         {
           inst_surface = surface;
           inst_engine = D.engine d;
           inst_set_delivery_hook = (fun h -> D.set_delivery_hook d h);
           inst_liveness_window_ms = liveness_window_ms;
-        });
+        })
+    install;
+  let timeline = timeline s in
+  Chaos.install surface timeline;
+  (* Only chaos arms the monitor: its sampling controls would cut the
+     scripted faults' epochs and move their digests. *)
   match fault with
-  | Chaos s ->
-      let seed, surface, timeline, liveness_window_ms =
-        chaos_plan (module D) d p ~windows ~seed:s cfg ~equiv
-      in
-      Chaos.install surface timeline;
+  | Chaos seed ->
       let mon = Chaos.monitor ~liveness_window_ms surface timeline in
       let report = D.run ~warmup:windows.warmup ~measure:windows.measure d in
       Chaos.check_now mon;
       (match Chaos.first_violation mon with
       | Some violation ->
-          Chaos.fail ~protocol:(Scenario.proto_name p) ~seed ~timeline ~violation
+          Chaos.fail ~protocol:(Scenario.proto_name p) ~seed:(chaos_seed cfg seed)
+            ~timeline ~violation
       | None -> report)
-  | _ ->
-      (match fault with
-      | No_fault | Chaos _ -> ()
-      | One_nonprimary -> D.crash_replica d (cfg.Config.n - 1)
-      | F_nonprimary -> D.crash_f_per_cluster d
-      | Primary_failure ->
-          D.at d ~time:(Time.add windows.warmup (Time.ms 2000)) (fun () ->
-              D.crash_primary d ~cluster:0));
-      D.run ~warmup:windows.warmup ~measure:windows.measure d
+  | _ -> D.run ~warmup:windows.warmup ~measure:windows.measure d
 
 (* The fault timeline a chaos run with this seed would execute, without
    running it — lets tests (and curious users) verify event-for-event
    reproducibility cheaply. *)
 let chaos_timeline (p : proto) ?(windows = Scenario.default_windows) ~seed
     (cfg : Config.t) : Chaos.timeline =
-  let (module D) = deployment p in
-  (* Planning happens before the first simulated event, and YCSB
-     table population never touches the engine RNG, so a tiny table
-     yields the identical timeline at a fraction of the setup cost. *)
-  let d = D.create ~retain_payloads:false ~n_records:1000 cfg in
-  Fun.protect ~finally:(fun () -> D.close d) @@ fun () ->
-  let rt = adversary_runtime (module D) d cfg in
-  let _, _, timeline, _ =
-    chaos_plan (module D) d p ~windows ~seed cfg ~equiv:(chaos_equiv rt cfg)
-  in
-  timeline
+  timeline (Scenario.make ~windows ~fault:(Chaos seed) p cfg)

@@ -36,12 +36,22 @@ type instrument = {
     actions), the engine, the network delivery-hook installer, and the
     protocol's liveness envelope (ms). *)
 
+val timeline : Scenario.t -> Chaos.timeline
+(** The scenario's fault as fault windows, planned without a
+    deployment: [No_fault] is empty; [One_nonprimary] crashes replica
+    n−1 and [F_nonprimary] replicas n−1 … n−f of every cluster at time
+    0; [Primary_failure] crashes replica 0 at warmup + 2 s; each of
+    these windows closes 1 s after warmup + measure, so its recovery
+    never runs.  [Chaos seed] is the planner's draw for the protocol's
+    {!chaos_profile}. *)
+
 val run :
   ?tracer:Rdb_trace.Trace.t -> ?install:(instrument -> unit) -> Scenario.t -> Report.t
-(** Build the deployment (compact-ledger mode), inject the scenario's
-    fault, run warm-up + measurement, return the report.  The one entry
-    point of the figures, the checker and the attack search: a search's
-    unperturbed run is the figure run, byte for byte.
+(** Build the deployment (compact-ledger mode), install the scenario's
+    {!timeline} through [Chaos.install] (and arm the invariant monitor
+    for [Chaos _]), run warm-up + measurement, return the report.  The
+    one entry point of the figures, the checker and the attack search: a
+    search's unperturbed run is the figure run, byte for byte.
 
     When the scenario has [trace = true], a summary-only tracer is
     created internally and the report carries the per-phase breakdown
@@ -67,5 +77,13 @@ val adversary_profile : proto -> Config.t -> Rdb_adversary.Adversary.caps
 
 val chaos_timeline : proto -> ?windows:windows -> seed:int -> Config.t -> Chaos.timeline
 (** The exact fault timeline a [Chaos seed] scenario would execute,
-    without running it: same deployment construction, same RNG split —
-    reproducibility made checkable. *)
+    without running it: {!timeline} of that scenario — reproducibility
+    made checkable. *)
+
+val chaos_surface :
+  (module Rdb_fabric.Deployment.S with type t = 'a) -> 'a -> proto -> Config.t -> Chaos.surface
+(** The chaos surface {!run} builds over a deployment of the protocol:
+    its faults, ledgers and clock, with the protocol's
+    {!chaos_profile} capabilities and agreement mode.  Equivocation
+    goes through an adversary runtime of its own, so do not combine it
+    with an attack on the same deployment. *)

@@ -48,7 +48,7 @@ type fault =
   | No_fault
   | One_nonprimary           (* one backup crashed from the start *)
   | F_nonprimary             (* f backups per cluster crashed from the start *)
-  | Primary_failure          (* the (initial) primary crashes mid-run *)
+  | Primary_failure          (* the initial primary crashes at warmup + 2 s *)
   | Chaos of int             (* seeded fault timeline + invariant monitor;
                                 a negative seed means "use cfg.seed" *)
 
@@ -63,8 +63,8 @@ let fault_id = function
 let fault_of_id s =
   match String.lowercase_ascii s with
   | "none" -> Some No_fault
-  | "one" | "one-nonprimary" -> Some One_nonprimary
-  | "f" | "f-nonprimary" -> Some F_nonprimary
+  | "one" -> Some One_nonprimary
+  | "f" -> Some F_nonprimary
   | "primary" -> Some Primary_failure
   | "chaos" -> Some (Chaos (-1))
   | s when String.length s > 6 && String.sub s 0 6 = "chaos:" -> (

@@ -24,7 +24,7 @@ type fault =
   | No_fault
   | One_nonprimary   (** one backup crashed from the start *)
   | F_nonprimary     (** f backups per cluster crashed from the start *)
-  | Primary_failure  (** the initial primary crashes mid-measurement *)
+  | Primary_failure  (** the initial primary crashes at warmup + 2 s *)
   | Chaos of int
       (** sample a fault timeline from this seed (negative: use
           [cfg.seed]) and run it under the continuous invariant

@@ -14,9 +14,9 @@
      saturating clients);
    - metrics with warm-up / measurement windows (§4's methodology).
 
-   Failure injection for the §4.3 experiments: crash any replica (or a
-   cluster's current primary), add message-drop rules, partition
-   regions, all scheduled at simulated times. *)
+   Failure injection for the §4.3 experiments and the chaos harness:
+   crash any replica, add message-drop rules, partition regions, sever
+   or degrade links, all scheduled at simulated times. *)
 
 module Time = Rdb_sim.Time
 module Engine = Rdb_sim.Engine
@@ -77,7 +77,6 @@ module Make (P : Protocol.S) = struct
     scratch_root : string option;        (* store root this deployment created *)
     mutable nodes : node_kind array;
     drivers : client_driver array;
-    mutable crashed : bool array;
     (* Engine shard owning each node: cluster c (replicas and its
        co-located client group) = shard c when z > 1, everything on
        shard 0 otherwise. *)
@@ -153,7 +152,7 @@ module Make (P : Protocol.S) = struct
         { payload; vcost = Config.recv_cost cfg w }
     in
     let charge ~stage ~cost k =
-      if t.crashed.(node) then () else Cpu.charge t.cpu ~node ~stage ~cost k
+      if Network.is_crashed t.net node then () else Cpu.charge t.cpu ~node ~stage ~cost k
     in
     let shard = t.shard_of node in
     let set_timer ~delay k =
@@ -162,7 +161,7 @@ module Make (P : Protocol.S) = struct
          on whichever shard happens to be current. *)
       Engine.schedule_at_shard t.engine ~shard
         ~at:(Time.add (Engine.now t.engine) delay)
-        (fun () -> if not t.crashed.(node) then k ())
+        (fun () -> if not (Network.is_crashed t.net node) then k ())
     in
     let execute (batch : Batch.t) ~cert ~on_done =
       let txns = Array.length batch.Batch.txns in
@@ -170,7 +169,7 @@ module Make (P : Protocol.S) = struct
         Time.add (Config.exec_cost cfg ~txns) (Config.hash_cost cfg ~bytes:Wire.small)
       in
       Cpu.charge t.cpu ~node ~stage:Cpu.Execute ~cost (fun () ->
-          if not t.crashed.(node) then begin
+          if not (Network.is_crashed t.net node) then begin
             let ledger = t.ledgers.(node) in
             let height = Ledger.length ledger in
             let apply =
@@ -207,7 +206,7 @@ module Make (P : Protocol.S) = struct
         Time.add (Config.exec_cost cfg ~txns) (Config.hash_cost cfg ~bytes:Wire.small)
       in
       Cpu.charge t.cpu ~node ~stage:Cpu.Execute ~cost (fun () ->
-          if not t.crashed.(node) then on_done (Kv.read t.kvs.(node) batch))
+          if not (Network.is_crashed t.net node) then on_done (Kv.read t.kvs.(node) batch))
     in
     let state_snapshot () =
       (* With payloads retained, ledger replay rebuilds state for free;
@@ -387,7 +386,7 @@ module Make (P : Protocol.S) = struct
       match !t_ref with
       | None -> ()
       | Some t ->
-          if not t.crashed.(dst) then begin
+          if not (Network.is_crashed t.net dst) then begin
             let stage =
               if Config.is_replica cfg dst then begin
                 input_toggle.(dst) <- not input_toggle.(dst);
@@ -396,7 +395,7 @@ module Make (P : Protocol.S) = struct
               else Cpu.Misc
             in
             Cpu.charge t.cpu ~node:dst ~stage ~cost:pkt.vcost (fun () ->
-                if not t.crashed.(dst) then
+                if not (Network.is_crashed t.net dst) then
                   match t.nodes.(dst) with
                   | Replica r -> P.on_message r ~src pkt.payload
                   | Client c -> P.on_client_message c ~src pkt.payload)
@@ -432,7 +431,6 @@ module Make (P : Protocol.S) = struct
         scratch_root;
         nodes = [||];
         drivers;
-        crashed = Array.make n_nodes false;
         shard_of;
         tracer;
         retain_payloads;
@@ -458,9 +456,7 @@ module Make (P : Protocol.S) = struct
 
   (* -- fault injection ------------------------------------------------------ *)
 
-  let crash_replica t node =
-    t.crashed.(node) <- true;
-    Network.crash t.net node
+  let crash_replica t node = Network.crash t.net node
 
   (* Un-crash a node: it resumes sending/receiving with the state it
      had at crash time.  Timers armed before the crash were dropped
@@ -468,35 +464,12 @@ module Make (P : Protocol.S) = struct
      to restart its self-rearming tasks and kick off state transfer /
      catch-up. *)
   let recover_replica t node =
-    t.crashed.(node) <- false;
     Network.recover t.net node;
     match t.nodes.(node) with
     | Replica r -> P.on_recover r
     | Client _ -> ()
 
-  (* Test hook: rejoin WITHOUT the protocol's [on_recover] — the
-     pre-recovery-subsystem behaviour, kept so the chaos monitor can be
-     shown to still catch a recovery-disabled run. *)
-  let uncrash_replica_no_recovery t node =
-    t.crashed.(node) <- false;
-    Network.recover t.net node
-
-  let is_crashed t node = t.crashed.(node)
-
-  (* Crash the view-0 primary of [cluster] (experiments fail "the"
-     primary; protocols place it at local index 0 initially). *)
-  let crash_primary t ~cluster =
-    crash_replica t (Config.replica_id t.cfg ~cluster ~index:0)
-
-  (* Crash f non-primary replicas in every cluster (the worst case
-     GeoBFT is designed for, §4.3). *)
-  let crash_f_per_cluster t =
-    let f = Config.f t.cfg in
-    for cluster = 0 to t.cfg.Config.z - 1 do
-      for i = 1 to f do
-        crash_replica t (Config.replica_id t.cfg ~cluster ~index:(t.cfg.Config.n - i))
-      done
-    done
+  let is_crashed t node = Network.is_crashed t.net node
 
   let add_drop_rule t rule = Network.add_drop_rule t.net rule
   let clear_drop_rules t = Network.clear_drop_rules t.net

@@ -13,8 +13,9 @@ module Time = Rdb_sim.Time
 
 (** What travels on the simulated wire: the protocol payload plus its
     receive cost, priced at the send by [Protocol.S.wire].  Interposers
-    and delivery hooks observe (and may rewrite) payloads; size and
-    vcost stay with the packet. *)
+    and delivery hooks observe (and may rewrite) payloads; the vcost
+    stays with the packet, and the network carries its size beside
+    it. *)
 type 'm packet = 'm Deployment_intf.packet = { payload : 'm; vcost : Time.t }
 
 (** A deployment of one protocol: what [Make] returns, named so that

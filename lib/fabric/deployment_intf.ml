@@ -83,12 +83,6 @@ module type S = sig
   val crash_replica : t -> int -> unit
   val recover_replica : t -> int -> unit
   val is_crashed : t -> int -> bool
-  val crash_primary : t -> cluster:int -> unit
-  val crash_f_per_cluster : t -> unit
-
-  val uncrash_replica_no_recovery : t -> int -> unit
-  (** Test hook: rejoin without the protocol's [on_recover]. *)
-
   val add_drop_rule : t -> (src:int -> dst:int -> bool) -> unit
   val clear_drop_rules : t -> unit
   val partition_clusters : t -> ca:int -> cb:int -> unit

@@ -82,7 +82,8 @@ let test_failure_drill () =
   let d = GeoDep.create ~n_records:records cfg in
   GeoDep.at d ~time:(Time.sec 2) (fun () -> GeoDep.crash_replica d 3);
   GeoDep.at d ~time:(Time.sec 4) (fun () -> GeoDep.recover_replica d 3);
-  GeoDep.at d ~time:(Time.sec 5) (fun () -> GeoDep.crash_primary d ~cluster:0);
+  GeoDep.at d ~time:(Time.sec 5) (fun () ->
+      GeoDep.crash_replica d (Config.replica_id cfg ~cluster:0 ~index:0));
   GeoDep.at d ~time:(Time.sec 7) (fun () ->
       (* the view-1 primary goes Byzantine-silent toward cluster 1 *)
       GeoDep.add_drop_rule d (fun ~src ~dst -> src = 1 && dst >= 4 && dst < 8));

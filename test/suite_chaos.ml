@@ -84,31 +84,6 @@ let test_timeline_respects_budget () =
 
 module PbftDep = Rdb_fabric.Deployment.Make (Rdb_pbft.Replica)
 
-let pbft_surface (d : PbftDep.t) (cfg : Config.t) : Chaos.surface =
-  {
-    Chaos.z = cfg.Config.z;
-    n = cfg.Config.n;
-    f = Config.f cfg;
-    caps =
-      { Chaos.crashable = (fun _ -> true); partitions = false;
-        link_down = false; link_loss = false; link_dup = false;
-        equivocation = false };
-    agreement = Chaos.Prefix;
-    crash = (fun v -> PbftDep.crash_replica d v);
-    recover = (fun v -> PbftDep.recover_replica d v);
-    partition = (fun ~ca ~cb -> PbftDep.partition_clusters d ~ca ~cb);
-    heal = (fun ~ca ~cb -> PbftDep.heal_clusters d ~ca ~cb);
-    sever_link = (fun ~src ~dst -> PbftDep.sever_link d ~src ~dst);
-    restore_link = (fun ~src ~dst -> PbftDep.restore_link d ~src ~dst);
-    set_link_loss = (fun ~src ~dst ~p -> PbftDep.set_link_loss d ~src ~dst ~p);
-    set_link_dup = (fun ~src ~dst ~p -> PbftDep.set_link_dup d ~src ~dst ~p);
-    equivocate = (fun ~cluster:_ ~skip:_ -> ());
-    stop_equivocate = (fun ~cluster:_ -> ());
-    ledger = (fun r -> PbftDep.ledger d ~replica:r);
-    now = (fun () -> Rdb_sim.Engine.now (PbftDep.engine d));
-    at = (fun time k -> PbftDep.at d ~time k);
-  }
-
 let test_over_budget_trips_liveness () =
   (* Two of four replicas crashed at once is f + 1 = 2 > f: quorum is
      gone, the system stalls, and since the liveness clock deliberately
@@ -116,7 +91,7 @@ let test_over_budget_trips_liveness () =
      <= f crashes), the monitor must report it. *)
   let cfg = Config.make ~z:1 ~n:4 ~batch_size:20 ~client_inflight:8 ~seed:1 () in
   let d = PbftDep.create ~retain_payloads:false cfg in
-  let surface = pbft_surface d cfg in
+  let surface = Runner.chaos_surface (module PbftDep) d Runner.Pbft cfg in
   let timeline =
     [
       { Chaos.at = Time.ms 1500; until = Time.sec 60; action = Chaos.Crash 1 };
@@ -139,7 +114,7 @@ let test_in_budget_stays_clean () =
      non-primary) keeps all invariants green under the same monitor. *)
   let cfg = Config.make ~z:1 ~n:4 ~batch_size:20 ~client_inflight:8 ~seed:1 () in
   let d = PbftDep.create ~retain_payloads:false cfg in
-  let surface = pbft_surface d cfg in
+  let surface = Runner.chaos_surface (module PbftDep) d Runner.Pbft cfg in
   let timeline =
     [ { Chaos.at = Time.ms 1500; until = Time.ms 3500; action = Chaos.Crash 1 } ]
   in
@@ -166,7 +141,7 @@ let run_stale_rejoin ~with_recovery =
   let cfg = chaos_cfg () in
   let tl = Runner.chaos_timeline Runner.Pbft ~windows ~seed:stale_rejoin_seed cfg in
   let d = PbftDep.create ~retain_payloads:false cfg in
-  let surface = pbft_surface d cfg in
+  let surface = Runner.chaos_surface (module PbftDep) d Runner.Pbft cfg in
   let surface =
     if with_recovery then surface
     else begin
@@ -176,7 +151,7 @@ let run_stale_rejoin ~with_recovery =
       for i = 0 to Config.n_replicas cfg - 1 do
         Rdb_pbft.Engine.set_on_behind (Rdb_pbft.Replica.engine (PbftDep.replica d i)) None
       done;
-      { surface with Chaos.recover = (fun v -> PbftDep.uncrash_replica_no_recovery d v) }
+      { surface with Chaos.recover = (fun v -> Rdb_sim.Network.recover (PbftDep.network d) v) }
     end
   in
   Chaos.install surface tl;
@@ -198,6 +173,30 @@ let test_same_timeline_with_recovery_stays_green () =
       Alcotest.(check bool) "progress across the crashes" true
         (report.Rdb_fabric.Report.completed_txns > 0)
 
+(* Planning is pinned: the SHA-256 of the described timelines of seeds
+   1-4 on the suite's deployment, per protocol.  A change to the planner,
+   its RNG split or a protocol's fault menu moves these. *)
+let test_planning_pinned () =
+  let cfg = chaos_cfg () in
+  List.iter
+    (fun (proto, expected) ->
+      let described =
+        List.map
+          (fun seed -> Chaos.describe (Runner.chaos_timeline proto ~windows ~seed cfg))
+          [ 1; 2; 3; 4 ]
+      in
+      Alcotest.(check string)
+        (Scenario.proto_name proto ^ " timelines of seeds 1-4")
+        expected
+        (Rdb_crypto.Sha256.digest_hex (String.concat "" described)))
+    [
+      (Runner.Geobft, "6b0d199003c411a7230d40e81344792dedec3cf37cc05387669e15691fdf7ad8");
+      (Runner.Pbft, "1fbde4760684de93e6b7ed924861f3eb6c481449c3020129d4341c48275372c9");
+      (Runner.Zyzzyva, "7289335a08527083df8a817b351dc1a53e7bbc93b00da135e4be16d0ff13f22c");
+      (Runner.Hotstuff, "1fbde4760684de93e6b7ed924861f3eb6c481449c3020129d4341c48275372c9");
+      (Runner.Steward, "9ec89ba0a9696355cf485b6935f7e5f526796e0411ab3b04bc318606718583fd");
+    ]
+
 let suite =
   [
     ("geobft survives seeded chaos", `Slow, smoke Runner.Geobft);
@@ -215,4 +214,5 @@ let suite =
     ( "same timeline with recovery stays green",
       `Slow,
       test_same_timeline_with_recovery_stays_green );
+    ("timeline planning pinned", `Quick, test_planning_pinned);
   ]

@@ -9,6 +9,7 @@ module Report = Rdb_fabric.Report
 module Runner = Rdb_experiments.Runner
 module Scenario = Rdb_experiments.Scenario
 module Matrices = Rdb_experiments.Matrices
+module Chaos = Rdb_chaos.Chaos
 
 let tiny = { Runner.warmup = Time.sec 1; measure = Time.sec 2 }
 
@@ -311,6 +312,41 @@ let test_golden_renderings () =
   Alcotest.(check string) "table1 configured" table1_configured_golden
     (Matrices.table1_configured ())
 
+(* Every scripted §4.3 fault is a set of crash windows, planned from
+   the scenario alone: the victims, their onsets (time 0, or warmup +
+   2 s for the primary) and windows that outlast the run, so no
+   recovery ever executes. *)
+let test_scripted_fault_windows () =
+  let windows = { Runner.warmup = Time.ms 700; measure = Time.ms 2300 } in
+  let horizon = Time.add windows.Runner.warmup windows.Runner.measure in
+  List.iter
+    (fun (z, n) ->
+      let cfg = Config.make ~z ~n () in
+      let f = Config.f cfg in
+      let windows_of fault =
+        let tl = Runner.timeline (Scenario.make ~windows ~fault Runner.Pbft cfg) in
+        List.map
+          (fun (e : Chaos.event) ->
+            if not Time.(e.Chaos.until > horizon) then
+              Alcotest.failf "z%d n%d %s: window ends at %.0f ms, inside the run" z n
+                (Scenario.fault_id fault) (Time.to_ms_f e.Chaos.until);
+            match e.Chaos.action with
+            | Chaos.Crash v -> (Time.to_ms_f e.Chaos.at, v)
+            | _ -> Alcotest.failf "z%d n%d: a scripted fault is not a crash" z n)
+          tl
+      in
+      let expect = Alcotest.(list (pair (float 0.) int)) in
+      let name what = Printf.sprintf "z%d n%d %s" z n what in
+      Alcotest.check expect (name "none") [] (windows_of Runner.No_fault);
+      Alcotest.check expect (name "one") [ (0., n - 1) ] (windows_of Runner.One_nonprimary);
+      Alcotest.check expect (name "f")
+        (List.concat
+           (List.init z (fun c -> List.init f (fun i -> (0., (c * n) + n - 1 - i)))))
+        (windows_of Runner.F_nonprimary);
+      Alcotest.check expect (name "primary") [ (2700., 0) ]
+        (windows_of Runner.Primary_failure))
+    [ (2, 4); (4, 7) ]
+
 let suite =
   [
     ("protocol parsing", `Quick, test_proto_parsing);
@@ -322,4 +358,5 @@ let suite =
     ("fan-out ablation mechanism", `Quick, test_geobft_global_traffic_scales_with_fanout);
     ("named matrices", `Quick, test_named_matrices);
     ("golden renderings", `Quick, test_golden_renderings);
+    ("scripted faults are crash windows", `Quick, test_scripted_fault_windows);
   ]

@@ -122,7 +122,9 @@ let test_local_primary_failure () =
   let cfg = Itest.small_cfg ~z:2 ~n:4 ~inflight:2 () in
   let d, report =
     run_small ~cfg ~sim_sec:10
-      ~prepare:(fun d -> Dep.at d ~time:(Time.ms 2000) (fun () -> Dep.crash_primary d ~cluster:0))
+      ~prepare:(fun d ->
+        Dep.at d ~time:(Time.ms 2000) (fun () ->
+            Dep.crash_replica d (Config.replica_id cfg ~cluster:0 ~index:0)))
       ()
   in
   Alcotest.(check bool) "view change" true (Dep.view_changes d > 0);
@@ -134,7 +136,12 @@ let test_local_primary_failure () =
 
 let test_f_failures_per_cluster () =
   let cfg = Itest.small_cfg ~z:2 ~n:4 () in
-  let d, report = run_small ~cfg ~prepare:(fun d -> Dep.crash_f_per_cluster d) () in
+  let crash_backups d =
+    for cluster = 0 to cfg.Config.z - 1 do
+      Dep.crash_replica d (Config.replica_id cfg ~cluster ~index:(cfg.Config.n - 1))
+    done
+  in
+  let d, report = run_small ~cfg ~prepare:crash_backups () in
   Alcotest.(check bool) "progress with f failures per cluster" true
     (report.Rdb_fabric.Report.completed_txns > 0);
   let live =

@@ -71,7 +71,9 @@ let test_primary_failure_view_change () =
   let cfg = Itest.small_cfg ~inflight:2 () in
   let d, report =
     run_small ~cfg ~sim_sec:8
-      ~prepare:(fun d -> Dep.at d ~time:(Time.ms 2000) (fun () -> Dep.crash_primary d ~cluster:0))
+      ~prepare:(fun d ->
+        Dep.at d ~time:(Time.ms 2000) (fun () ->
+            Dep.crash_replica d (Config.replica_id cfg ~cluster:0 ~index:0)))
       ()
   in
   Alcotest.(check bool) "view change happened" true (report.Rdb_fabric.Report.view_changes > 0);

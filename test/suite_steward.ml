@@ -58,7 +58,12 @@ let test_backup_failures_tolerated () =
   (* f = 1 per site: one non-representative crash per site leaves the
      threshold rounds with n − f = 3 of 4 partials — still live. *)
   let cfg = fast_cfg () in
-  let d, report = run_small ~cfg ~prepare:(fun d -> Dep.crash_f_per_cluster d) () in
+  let crash_backups d =
+    for cluster = 0 to cfg.Config.z - 1 do
+      Dep.crash_replica d (Config.replica_id cfg ~cluster ~index:(cfg.Config.n - 1))
+    done
+  in
+  let d, report = run_small ~cfg ~prepare:crash_backups () in
   Alcotest.(check bool) "progress with f backups down per site" true
     (report.Rdb_fabric.Report.completed_txns > 0);
   ignore d

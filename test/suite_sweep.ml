@@ -109,6 +109,7 @@ let test_id_rejects_garbage () =
       ""; "paxos z2 n4 b20 i8 seed1 w1000+4000";
       "geobft z2 n4 b20 i8 seed1 w1000+4000 bogus=1";
       "geobft zx n4 b20 i8 seed1 w1000+4000"; "geobft z2 n4 fault=nope";
+      "geobft z2 n4 fault=one-nonprimary"; "geobft z2 n4 fault=f-nonprimary";
     ];
   (* Omitted tokens fall back to defaults — handy for `--scenario geobft`. *)
   Alcotest.(check bool) "bare protocol id accepted with defaults" true
