@@ -305,11 +305,12 @@ let run ?tracer ?install (s : Scenario.t) : Report.t =
   let { Scenario.proto = p; cfg; fault; windows; attack; trace = _ } = s in
   let (module D) = deployment p in
   (* Experiments sweep many large deployments: keep ledgers compact,
-     and shrink the per-replica YCSB table once the topology is large
-     enough that full tables would dominate memory (every replica
-     holds its own record array; the cap keeps a fleet's total near
-     what a 128-replica full-table run uses).  The record count is a
-     pure function of the config, so reports stay deterministic. *)
+     and shrink the YCSB table past 128 replicas.  The cap dates from
+     when every replica held its own record array; the replicas of a
+     memory deployment now share one image, so it no longer bounds
+     memory, but every scale row's report is pinned at the capped
+     count.  The record count is a pure function of the config, so
+     reports stay deterministic. *)
   let n_records =
     let nr = Config.n_replicas cfg in
     if nr <= 128 then Rdb_ycsb.Table.default_records

@@ -333,13 +333,12 @@ module Make (P : Protocol.S) = struct
     | _ -> ());
     let n_repl = Config.n_replicas cfg in
     let ledgers = Array.init n_repl (fun _ -> Ledger.create ()) in
-    (* Identical initial state on every replica: derive the master
-       image once and memcpy, instead of re-mixing 600 k records per
-       node.  Each replica's Kv keeps its state in memory, over a
-       block store under [store_root] for Disk; replica 0 of the
-       Memory configuration adopts the master directly (no extra
-       copy). *)
-    let master = Backend.init_records ~n_records in
+    (* Identical initial state on every replica.  Memory replicas share
+       one image of the table (Kv.shared): each ordered batch executes
+       once, at the image's frontier.  Disk replicas each keep their own
+       records under a block store in [store_root], initialized from
+       one master image by memcpy instead of re-mixing 600 k records per
+       node. *)
     let store_root =
       match (cfg.Config.storage, store_dir) with
       | Config.Memory, _ -> None
@@ -354,10 +353,11 @@ module Make (P : Protocol.S) = struct
     (* [close] removes the root only if it is ours. *)
     let scratch_root = if Option.is_none store_dir then store_root else None in
     let kvs =
-      Array.init n_repl (fun i ->
-          match store_root with
-          | None -> if i = 0 then Kv.of_records master else Kv.of_master master
-          | Some root ->
+      match store_root with
+      | None -> Kv.shared ~n_records ~count:n_repl ()
+      | Some root ->
+          let master = Backend.init_records ~n_records in
+          Array.init n_repl (fun i ->
               Kv.disk ~init:master
                 ~dir:(Filename.concat root (Printf.sprintf "r%d" i))
                 ~n_records ())

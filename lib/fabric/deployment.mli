@@ -5,9 +5,11 @@
     replicas, one client group per cluster): the Table-1-calibrated
     WAN, the per-node CPU pipeline (Figure 9's threads), keys for all
     nodes, a ledger and a {!Rdb_storage.Kv} state machine per replica
-    (in memory, or backed by the persistent block store), protocol
-    replicas and client agents, and closed-loop YCSB client drivers.  Construction internals (node contexts, driver
-    refill, packet delivery) are private to the implementation. *)
+    (views on one shared in-memory image, or each backed by the
+    persistent block store), protocol replicas and client agents, and
+    closed-loop YCSB client drivers.  Construction internals (node
+    contexts, driver refill, packet delivery) are private to the
+    implementation. *)
 
 module Time = Rdb_sim.Time
 

@@ -61,8 +61,11 @@ module type S = sig
   val kv : t -> replica:int -> Kv.t
   (** [replica]'s state machine, which executes what the protocol
       orders through its [Ctx.t].  Read it ([Kv.state_digest],
-      [Kv.height], [Kv.records]); applying batches through it
-      diverges the replica from its ledger. *)
+      [Kv.height]); applying batches through it diverges the replica
+      from its ledger.  A memory deployment's replicas share one
+      image of the table, so [Kv.records] first gives the replica a
+      private copy of its state (the copy is then what it executes
+      on). *)
 
   val replica : t -> int -> replica
   val client : t -> cluster:int -> client

@@ -1,11 +1,10 @@
 (* The record helpers shared by {!Kv} and the {!Blockstore} under it.
 
    The replicated store is an unboxed int64 Bigarray, one word per
-   record: the OCaml GC does not scan it (a deployment holds one 600k
-   table per replica), and {!Kv} reads and writes it in place, so the
-   write hot path allocates nothing.  This module initializes, copies,
-   serializes and digests that array; the store's own format lives in
-   {!Blockstore}. *)
+   record: the OCaml GC does not scan it (a 600k table is 4.8 MB), and
+   {!Kv} reads and writes it in place, so the write hot path allocates
+   nothing.  This module initializes, copies, serializes and digests
+   that array; the store's own format lives in {!Blockstore}. *)
 
 module Sha256 = Rdb_crypto.Sha256
 module Splitmix64 = Rdb_prng.Splitmix64

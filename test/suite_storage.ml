@@ -770,3 +770,210 @@ let suite =
       ("snapshot ~share only when identical", `Quick, test_snapshot_share_only_identical);
       ("snapshot ~share allocates nothing", `Quick, test_snapshot_share_allocates_nothing);
     ]
+
+(* -- shared images against private twins ----------------------------------- *)
+
+(* Batches built without a signature of their own: [Kv] reads only the
+   transactions and the digest. *)
+let signed = lazy (write_batch 0)
+
+let unsigned ~id txns =
+  {
+    (Lazy.force signed) with
+    Batch.id;
+    txns;
+    digest = Batch.digest_of ~id ~cluster:0 ~origin:0 ~txns;
+    vmemo = None;
+  }
+
+type shared_op =
+  | Canonical of int  (** the member applies the canonical batch at its height *)
+  | Fresh of int  (** a divergent batch: a transactions array of its own *)
+  | Relabelled of int  (** the canonical transactions under another digest *)
+  | Bypass of int * int  (** a read-only batch of point reads *)
+  | Scanned of int * int  (** a read-only batch of scans *)
+  | Snapshot of int * bool  (** with [~share] of the last snapshot served, or without *)
+  | Digest of int
+  | Restore of int * int  (** the second member's current snapshot *)
+  | Outrun of int  (** the others apply until this member falls out of the window *)
+
+let shared_op_to_string = function
+  | Canonical i -> Printf.sprintf "canonical %d" i
+  | Fresh i -> Printf.sprintf "fresh %d" i
+  | Relabelled i -> Printf.sprintf "relabelled %d" i
+  | Bypass (i, k) -> Printf.sprintf "read %d@%d" i k
+  | Scanned (i, k) -> Printf.sprintf "scan %d@%d" i k
+  | Snapshot (i, share) -> Printf.sprintf "snapshot %d%s" i (if share then " ~share" else "")
+  | Digest i -> Printf.sprintf "digest %d" i
+  | Restore (i, j) -> Printf.sprintf "restore %d from %d" i j
+  | Outrun i -> Printf.sprintf "outrun %d" i
+
+(* k members of one image and k private twins take the same operations;
+   every result, snapshot, digest and height must match the twin's.
+   The canonical batch of each height is one value, so members below
+   the frontier take the step the first one recorded, while fresh and
+   relabelled batches, restores and falling out of the window make a
+   member leave the image. *)
+let prop_shared_matches_private =
+  let open QCheck in
+  let op k =
+    let m = Gen.int_bound (k - 1) in
+    Gen.(
+      frequency
+        [
+          (12, map (fun i -> Canonical i) m);
+          (1, map (fun i -> Fresh i) m);
+          (1, map (fun i -> Relabelled i) m);
+          (2, map2 (fun i key -> Bypass (i, key)) m (int_bound 1_000));
+          (2, map2 (fun i key -> Scanned (i, key)) m (int_bound 1_000));
+          (2, map2 (fun i share -> Snapshot (i, share)) m bool);
+          (1, map (fun i -> Digest i) m);
+          (1, map2 (fun i j -> Restore (i, j)) m m);
+          (1, map (fun i -> Outrun i) m);
+        ])
+  in
+  let gen =
+    Gen.(int_range 2 5 >>= fun k -> map (fun ops -> (k, ops)) (list_size (int_range 1 40) (op k)))
+  in
+  let print (k, ops) =
+    Printf.sprintf "k=%d [%s]" k (String.concat "; " (List.map shared_op_to_string ops))
+  in
+  Test.make ~name:"shared image matches private twins" ~count:60
+    (make ~print ~shrink:Shrink.(pair nil list) gen)
+    (fun (k, ops) ->
+      let members = Kv.shared ~n_records ~count:k () in
+      let twins = Array.init k (fun _ -> Kv.memory ~n_records ()) in
+      let canon = Hashtbl.create 64 in
+      let canonical h =
+        match Hashtbl.find_opt canon h with
+        | Some b -> b
+        | None ->
+            let txns =
+              Array.init 3 (fun j ->
+                  let key =
+                    Int64.to_int (Splitmix64.mix (Int64.of_int ((h * 3) + j))) land 0xFFFF
+                  in
+                  if j = 2 then Txn.make ~op:Txn.Read ~key ~value:0L ~client_id:0 ()
+                  else Txn.make ~key ~value:(Int64.of_int (h + j)) ~client_id:0 ())
+            in
+            let b = unsigned ~id:h txns in
+            Hashtbl.add canon h b;
+            b
+      in
+      let fresh = ref 0 in
+      let served_m = ref None and served_t = ref None in
+      let same_result what (a : App.result) (b : App.result) =
+        if a <> b then Test.fail_reportf "%s: result differs from the twin's" what
+      in
+      let same_snapshot what (a : App.snapshot) (b : App.snapshot) =
+        if a.App.height <> b.App.height || not (String.equal a.App.state b.App.state) then
+          Test.fail_reportf "%s: snapshot differs from the twin's" what
+      in
+      let apply what i b = same_result what (Kv.apply members.(i) b) (Kv.apply twins.(i) b) in
+      let step op =
+        let what = shared_op_to_string op in
+        match op with
+        | Canonical i -> apply what i (canonical (Kv.height members.(i)))
+        | Fresh i ->
+            incr fresh;
+            let txns =
+              [| Txn.make ~key:!fresh ~value:(Int64.of_int (-(!fresh))) ~client_id:0 () |]
+            in
+            apply what i (unsigned ~id:(-(!fresh)) txns)
+        | Relabelled i ->
+            let b = canonical (Kv.height members.(i)) in
+            apply what i { b with Batch.digest = Sha256.digest ("relabelled" ^ b.Batch.digest) }
+        | Bypass (i, key) | Scanned (i, key) ->
+            let op = match op with Bypass _ -> Txn.Read | _ -> Txn.Scan in
+            let txns =
+              Array.init 2 (fun j ->
+                  Txn.make ~op ~key:(key + j) ~value:(Int64.of_int key) ~client_id:0 ())
+            in
+            let b = unsigned ~id:(1_000_000 + key) txns in
+            same_result what (Kv.read members.(i) b) (Kv.read twins.(i) b)
+        | Snapshot (i, share) ->
+            let sm = Kv.snapshot ?share:(if share then !served_m else None) members.(i) in
+            let st = Kv.snapshot ?share:(if share then !served_t else None) twins.(i) in
+            served_m := Some sm;
+            served_t := Some st;
+            same_snapshot what sm st
+        | Digest i ->
+            if Kv.state_digest members.(i) <> Kv.state_digest twins.(i) then
+              Test.fail_reportf "%s: state digest differs from the twin's" what
+        | Restore (i, j) ->
+            let s = Kv.snapshot twins.(j) in
+            Kv.restore members.(i) s;
+            Kv.restore twins.(i) s
+        | Outrun i ->
+            let target = Kv.height members.(i) + Kv.window + 1 in
+            Array.iteri
+              (fun j m ->
+                if j <> i then
+                  while Kv.height m < target do
+                    apply what j (canonical (Kv.height m))
+                  done)
+              members
+      in
+      List.iter
+        (fun op ->
+          step op;
+          Array.iteri
+            (fun i m ->
+              let what = shared_op_to_string op in
+              if Kv.height m <> Kv.height twins.(i) then
+                Test.fail_reportf "after %s: member %d height differs from the twin's" what i;
+              if Kv.state_digest m <> Kv.state_digest twins.(i) then
+                Test.fail_reportf "after %s: member %d state differs from the twin's" what i)
+            members)
+        ops;
+      true)
+
+(* -- shared images in a deployment ------------------------------------------- *)
+
+module GeoDep = Rdb_fabric.Deployment.Make (Rdb_geobft.Replica)
+module Runner = Rdb_experiments.Runner
+module Scenario = Rdb_experiments.Scenario
+module Chaos = Rdb_chaos.Chaos
+
+(* Runs the scenario with payloads retained, then replays each
+   replica's own ledger on a private Kv: the replica's shared view must
+   hold that state at that height.  The read mix serves bypass reads on
+   lagging replicas, below the image's frontier; the chaos run's
+   laggards catch up below it. *)
+let replay_each_ledger (type d) (module D : Rdb_fabric.Deployment.S with type t = d) id =
+  match Scenario.of_string id with
+  | None -> Alcotest.failf "bad scenario id %S" id
+  | Some s ->
+      let cfg = s.Scenario.cfg in
+      let d = D.create ~n_records:1000 ~retain_payloads:true cfg in
+      Chaos.install (Runner.chaos_surface (module D) d s.Scenario.proto cfg) (Runner.timeline s);
+      let r =
+        D.run ~warmup:s.Scenario.windows.Runner.warmup ~measure:s.Scenario.windows.Runner.measure d
+      in
+      Alcotest.(check bool) (id ^ ": made progress") true (r.Report.completed_batches > 0);
+      for i = 0 to Config.n_replicas cfg - 1 do
+        let ledger = D.ledger d ~replica:i in
+        let own = Kv.memory ~n_records:1000 () in
+        List.iter
+          (fun (b : Rdb_ledger.Block.t) -> ignore (Kv.apply own b.Rdb_ledger.Block.batch))
+          (Ledger.read_from ledger ~height:0);
+        let kv = D.kv d ~replica:i in
+        Alcotest.(check int) (Printf.sprintf "%s: replica %d height" id i) (Kv.height own)
+          (Kv.height kv);
+        Alcotest.(check string)
+          (Printf.sprintf "%s: replica %d state" id i)
+          (Kv.state_digest own) (Kv.state_digest kv)
+      done;
+      D.close d
+
+let test_shared_deployments_replay_their_ledgers () =
+  replay_each_ledger (module GeoDep) "geobft z2 n4 b20 i8 seed1 w1000+3000 reads=0.5 scans=0.1";
+  replay_each_ledger (module Dep) "pbft z2 n4 b20 i8 seed1 w1000+3000 fault=chaos:3"
+
+let suite =
+  suite
+  @ [
+      QCheck_alcotest.to_alcotest prop_shared_matches_private;
+      ("shared deployments replay their ledgers", `Quick,
+        test_shared_deployments_replay_their_ledgers);
+    ]
