@@ -183,10 +183,7 @@ module Make (P : Protocol.S) = struct
               Kv.height t.kvs.(node) = height && not (Batch.stripped batch)
             in
             let result = if apply then Some (Kv.apply t.kvs.(node) batch) else None in
-            let stored = if t.retain_payloads then batch else Batch.strip batch in
-            ignore
-              (Ledger.append ledger ~round:height ~cluster:batch.Batch.cluster ~batch:stored
-                 ~cert);
+            ignore (Ledger.append ledger ~round:height ~cluster:batch.Batch.cluster ~batch ~cert);
             if node = 0 then begin
               Metrics.record_decision t.metrics;
               match t.tracer with
@@ -332,7 +329,10 @@ module Make (P : Protocol.S) = struct
             Engine.current_shard_id engine)
     | _ -> ());
     let n_repl = Config.n_replicas cfg in
-    let ledgers = Array.init n_repl (fun _ -> Ledger.create ()) in
+    (* One pool: the ledgers share the blocks, stripped batches and
+       certificates their replicas agree on. *)
+    let pool = Ledger.pool ~retain_payloads in
+    let ledgers = Array.init n_repl (fun _ -> Ledger.create ~pool ()) in
     (* Identical initial state on every replica.  Memory replicas share
        one image of the table (Kv.shared): each ordered batch executes
        once, at the image's frontier.  Disk replicas each keep their own

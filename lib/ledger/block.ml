@@ -29,47 +29,8 @@ let compute_hash ~height ~round ~cluster ~(batch : Batch.t) ~prev_hash =
     [ "block"; string_of_int height; string_of_int round; string_of_int cluster;
       batch.Batch.digest; prev_hash ]
 
-(* Every honest replica appends the same block at the same height, so
-   the simulator computes each block hash dozens of times with
-   identical inputs.  A small per-domain direct-mapped cache (indexed
-   by height) returns the previously computed hash when {e all} inputs
-   match — a pure-function memo, so a hit can never change a hash, and
-   divergent replicas (different prev_hash or batch) simply miss.
-   Domain-local storage keeps parallel sweep workers race-free.
-   [hash_valid] deliberately bypasses the memo and recomputes. *)
-type memo_entry = {
-  m_height : int;
-  m_round : int;
-  m_cluster : int;
-  m_digest : string;
-  m_prev : string;
-  m_hash : string;
-}
-
-let memo_slots = 64
-
-let memo_key : memo_entry option array Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Array.make memo_slots None)
-
-let memo_hash ~height ~round ~cluster ~(batch : Batch.t) ~prev_hash =
-  let tab = Domain.DLS.get memo_key in
-  let slot = height land (memo_slots - 1) in
-  match tab.(slot) with
-  | Some m
-    when m.m_height = height && m.m_round = round && m.m_cluster = cluster
-         && String.equal m.m_digest batch.Batch.digest
-         && String.equal m.m_prev prev_hash ->
-      m.m_hash
-  | _ ->
-      let hash = compute_hash ~height ~round ~cluster ~batch ~prev_hash in
-      tab.(slot) <-
-        Some
-          { m_height = height; m_round = round; m_cluster = cluster;
-            m_digest = batch.Batch.digest; m_prev = prev_hash; m_hash = hash };
-      hash
-
 let create ~height ~round ~cluster ~batch ~cert ~prev_hash =
-  let hash = memo_hash ~height ~round ~cluster ~batch ~prev_hash in
+  let hash = compute_hash ~height ~round ~cluster ~batch ~prev_hash in
   { height; round; cluster; batch; cert; prev_hash; hash }
 
 (* Recompute the hash from the block contents; false if tampered. *)

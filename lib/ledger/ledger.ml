@@ -15,13 +15,44 @@ module Batch = Rdb_types.Batch
 module Certificate = Rdb_types.Certificate
 module Keychain = Rdb_crypto.Keychain
 
+(* The ledgers of one deployment share what their replicas agree on.
+   Every honest replica appends an equal block at each height, and
+   kept apart those copies dominate a long run's memory: a certificate
+   per replica per height (66 words at n = 28) and, in a stripped
+   deployment, a stripped batch each.  A pool remembers the blocks
+   last appended at each height, in a direct-mapped array indexed by
+   height, and an append whose stripped batch, certificate or whole
+   block equals one of them by content takes that object instead of
+   its own; one with the same hash inputs takes its hash.  Equality is
+   full content ([Batch.equal_stripped], [Certificate.equal], every
+   block field), so a replica whose commit set differs keeps its own
+   certificate and a tampered or forged copy is never merged; a miss
+   only costs the sharing.  Verification memos stay keyed by physical
+   identity, so a shared record's memo holds the verdict of the same
+   content.  The pool makes the stripped ledger copy of a batch once
+   per height rather than once per replica; a retained batch is kept
+   as appended, since the replicas already hold the one object their
+   pre-prepare or share delivered. *)
+type pool = {
+  retain_payloads : bool;  (* false: blocks keep [Batch.strip] copies *)
+  recent : Block.t list array;  (* distinct blocks of one height per slot *)
+}
+
+(* Heights a pool remembers: replicas of a healthy deployment append
+   within a few heights of each other, and a lagging one only loses
+   the sharing. *)
+let pool_slots = 256
+
+let pool ~retain_payloads = { retain_payloads; recent = Array.make pool_slots [] }
+
 type t = {
   mutable blocks : Block.t array;   (* dynamic array *)
   mutable len : int;
   mutable txn_count : int;          (* total transactions executed *)
+  pool : pool option;
 }
 
-let create () = { blocks = [||]; len = 0; txn_count = 0 }
+let create ?pool () = { blocks = [||]; len = 0; txn_count = 0; pool }
 
 let length t = t.len
 let txn_count t = t.txn_count
@@ -42,15 +73,71 @@ let ensure_capacity t =
     t.blocks <- narr
   end
 
+let same_cert a b =
+  match (a, b) with
+  | Some a, Some b -> a == b
+  | None, None -> true
+  | _ -> false
+
+(* The block [pool] holds for these contents, or a new one built from
+   the batch, certificate and hash it holds, remembered if it is the
+   newest height of its slot. *)
+let pooled pool ~height ~round ~cluster ~(batch : Batch.t) ~cert ~prev_hash =
+  let slot = height land (pool_slots - 1) in
+  let here =
+    match pool.recent.(slot) with
+    | (b : Block.t) :: _ as here when b.height = height -> here
+    | _ -> []
+  in
+  let batch =
+    if pool.retain_payloads then batch
+    else
+      match List.find_opt (fun (b : Block.t) -> Batch.equal_stripped b.batch batch) here with
+      | Some b -> b.batch
+      | None -> Batch.strip batch
+  in
+  let cert =
+    match cert with
+    | None -> None
+    | Some c -> (
+        let same (b : Block.t) =
+          match b.cert with Some c' -> Certificate.equal c' c | None -> false
+        in
+        match List.find_opt same here with Some b -> b.cert | None -> cert)
+  in
+  (* Equal hash inputs: the block hash is a pure function of them. *)
+  let same_hash (b : Block.t) =
+    b.round = round && b.cluster = cluster
+    && String.equal b.batch.digest batch.digest
+    && String.equal b.prev_hash prev_hash
+  in
+  match List.find_opt (fun b -> same_hash b && b.batch == batch && same_cert b.cert cert) here with
+  | Some b -> b
+  | None ->
+      let block =
+        match List.find_opt same_hash here with
+        | Some b -> { b with batch; cert }
+        | None -> Block.create ~height ~round ~cluster ~batch ~cert ~prev_hash
+      in
+      (match pool.recent.(slot) with
+      | b :: _ when b.Block.height > height -> ()
+      | _ -> pool.recent.(slot) <- block :: here);
+      block
+
 (* Append the next executed batch; returns the new block. *)
 let append t ~round ~cluster ~batch ~cert =
   let prev_hash = tip_hash t in
-  let block = Block.create ~height:t.len ~round ~cluster ~batch ~cert ~prev_hash in
+  let height = t.len in
+  let block =
+    match t.pool with
+    | None -> Block.create ~height ~round ~cluster ~batch ~cert ~prev_hash
+    | Some pool -> pooled pool ~height ~round ~cluster ~batch ~cert ~prev_hash
+  in
   if t.len = 0 && Array.length t.blocks = 0 then t.blocks <- Array.make 256 block;
   ensure_capacity t;
   t.blocks.(t.len) <- block;
   t.len <- t.len + 1;
-  t.txn_count <- t.txn_count + Array.length batch.Batch.txns;
+  t.txn_count <- t.txn_count + Array.length block.Block.batch.Batch.txns;
   block
 
 (* Structural integrity: heights, hash links, block hashes. *)

@@ -9,7 +9,23 @@ module Keychain = Rdb_crypto.Keychain
 
 type t
 
-val create : unit -> t
+type pool
+(** What the ledgers of one deployment share: the blocks last appended
+    at each height, so that a replica appending a block equal by
+    content to another replica's takes that block's objects (its
+    stripped batch, its certificate, or the whole block) instead of
+    keeping its own.  Equality is full content, so a differing commit
+    set or a tampered copy is never merged, and no audit verdict or
+    hash depends on which object a ledger holds. *)
+
+val pool : retain_payloads:bool -> pool
+(** An empty pool.  [retain_payloads:false] makes its ledgers store
+    {!Batch.strip} copies (one per batch, shared by every ledger of
+    the pool) instead of the batches appended. *)
+
+val create : ?pool:pool -> unit -> t
+(** An empty ledger; without [pool] it shares nothing and keeps every
+    batch whole. *)
 
 val length : t -> int
 val txn_count : t -> int
@@ -23,7 +39,8 @@ val get : t -> int -> Block.t
 
 val append :
   t -> round:int -> cluster:int -> batch:Batch.t -> cert:Certificate.t option -> Block.t
-(** Append the next executed batch; returns the new block. *)
+(** Append the next executed batch; returns the new block (with a
+    pool, possibly one another ledger of the pool holds too). *)
 
 val verify : t -> bool
 (** Structural integrity: heights, hash links, block hashes. *)

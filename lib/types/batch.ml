@@ -90,6 +90,15 @@ let stripped t = t.id >= 0 && Array.length t.txns = 0
    copy that kept it would pin the payload it was built to drop. *)
 let strip t = { t with txns = [||]; vmemo = None }
 
+(* Whether [s] has the content of [strip b], field by field (the memo
+   aside), without building the copy. *)
+let equal_stripped s b =
+  Array.length s.txns = 0 && s.id = b.id && s.cluster = b.cluster && s.origin = b.origin
+  && s.created = b.created
+  && String.equal s.digest b.digest
+  && Int64.equal s.signature.Schnorr.e b.signature.Schnorr.e
+  && Int64.equal s.signature.Schnorr.s b.signature.Schnorr.s
+
 (* Verify the client signature and digest integrity.  Replicas discard
    batches that fail this check (§2.1: "Replicas will discard any
    messages that are not well-formed ... or have invalid signatures"). *)

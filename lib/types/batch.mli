@@ -55,7 +55,15 @@ val stripped : t -> bool
 val strip : t -> t
 (** A copy without transactions and without the verification memo, so
     nothing in it keeps the original payload reachable.  For a non-noop
-    batch, {!stripped} holds of the result. *)
+    batch, {!stripped} holds of the result.  A deployment's ledgers
+    make it once per batch and share it ([Ledger.pool]). *)
+
+val equal_stripped : t -> t -> bool
+(** [equal_stripped s b] iff [s] has the content of [strip b] (every
+    field but the memo), without building the copy.  Because ledgers
+    share stripped batches, which physical record a block holds is an
+    implementation detail: compare batches by content, never with
+    [==]. *)
 
 val digest_of : id:int -> cluster:int -> origin:int -> txns:Txn.t array -> string
 (** The canonical digest (what {!create} signs). *)

@@ -78,6 +78,15 @@ let distinct_signers t =
   let rec go i = i >= n || (signer t i > signer t (i - 1) && go (i + 1)) in
   go 1
 
+(* Content equality: the fields a verdict or a ledger reader depends
+   on, never the memo.  Two certificates over different commit sets
+   (or a copy with any field altered) are different. *)
+let equal a b =
+  a == b
+  || a.cluster = b.cluster && a.view = b.view && a.seq = b.seq
+     && String.equal a.digest b.digest
+     && String.equal a.commits b.commits
+
 let seal ~cluster ~view ~seq ~digest commits =
   { cluster; view; seq; digest; commits; vmemo = Unverified }
 

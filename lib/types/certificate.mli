@@ -17,7 +17,15 @@ open Import
     forged signers and signature words (out of range, sign bit set)
     read back exactly and are rejected by {!verify}, not by the
     encoding.  Build certificates with {!make} or {!collect}; read
-    them with {!n_signatures}, {!distinct_signers} or {!commits}. *)
+    them with {!n_signatures}, {!distinct_signers} or {!commits}.
+
+    {b Sharing.}  Every replica of a deployment collects its own
+    certificate, but the ledgers of one deployment keep one record per
+    content ([Ledger.pool]): replicas whose commit sets agree hold the
+    same object, and a copy with any field altered is never merged.
+    Which physical record a block holds is an implementation detail;
+    callers compare certificates by content ({!equal}), never with
+    [==]. *)
 
 type commit_sig = { replica : int; signature : Schnorr.signature }
 
@@ -68,6 +76,11 @@ val commits : t -> commit_sig list
 
 val distinct_signers : t -> bool
 (** No signer appears twice. *)
+
+val equal : t -> t -> bool
+(** Content equality: cluster, view, seq, digest and the commit block
+    (signers and signatures), never the memo.  What a {!verify}
+    verdict and every ledger reader depend on. *)
 
 val verify : keychain:Keychain.t -> quorum:int -> t -> bool
 (** At least [quorum] distinct signers, no duplicates, every signature

@@ -233,8 +233,10 @@ let suite =
 (* The exact live size of every replica's ledger on a small
    payload-stripped deployment.  A stripped block is its record, its
    batch's identity and its commit certificate, so this pins the
-   certificate layout; the words move only when what a ledger keeps
-   does. *)
+   certificate layout and what the ledgers of one deployment share;
+   the words move only when what a ledger keeps does.  The four
+   ledgers hold one stripped batch per height and one certificate per
+   distinct commit set. *)
 let test_ledger_words_pinned () =
   let cfg = Config.make ~z:1 ~n:4 ~batch_size:20 ~client_inflight:8 ~seed:1 () in
   let d = Dep.create ~n_records:10_000 ~retain_payloads:false cfg in
@@ -243,9 +245,33 @@ let test_ledger_words_pinned () =
   let blocks = Array.fold_left (fun acc l -> acc + Ledger.length l) 0 ledgers in
   let words = Obj.reachable_words (Obj.repr ledgers) in
   Alcotest.(check int) "blocks" 9911 blocks;
-  (* 43.9 words per block; 593,746 (59.9 per block) with a
-     [commit_sig list] per certificate. *)
-  Alcotest.(check int) "reachable words" 435_161 words
+  (* 26.1 words per block; 435,161 (43.9 per block) with a stripped
+     batch and a certificate per replica, 593,746 (59.9 per block)
+     with a [commit_sig list] per certificate besides. *)
+  Alcotest.(check int) "reachable words" 259_035 words;
+  let top = Array.fold_left (fun acc l -> max acc (Ledger.length l)) 0 ledgers in
+  for h = 0 to top - 1 do
+    let here =
+      List.filter_map
+        (fun l -> if h < Ledger.length l then Some (Ledger.get l h) else None)
+        (Array.to_list ledgers)
+    in
+    let first = List.hd here in
+    List.iter
+      (fun (b : Block.t) ->
+        if b.Block.batch != first.Block.batch then
+          Alcotest.failf "height %d: two stripped batch objects" h)
+      here;
+    let certs = List.filter_map (fun (b : Block.t) -> b.Block.cert) here in
+    List.iter
+      (fun a ->
+        List.iter
+          (fun b ->
+            if a != b && Rdb_types.Certificate.equal a b then
+              Alcotest.failf "height %d: two certificate objects with equal content" h)
+          certs)
+      certs
+  done
 
 let suite = suite @ [ ("ledger words pinned", `Quick, test_ledger_words_pinned) ]
 

@@ -970,10 +970,39 @@ let test_shared_deployments_replay_their_ledgers () =
   replay_each_ledger (module GeoDep) "geobft z2 n4 b20 i8 seed1 w1000+3000 reads=0.5 scans=0.1";
   replay_each_ledger (module Dep) "pbft z2 n4 b20 i8 seed1 w1000+3000 fault=chaos:3"
 
+(* The ring is sized to the lag of healthy replicas: a fault-free
+   memory run whose frontier passes the window at least twice ends
+   with every replica still reading the one image. *)
+let stays_in_image (type d) (module D : Rdb_fabric.Deployment.S with type t = d) id =
+  match Scenario.of_string id with
+  | None -> Alcotest.failf "bad scenario id %S" id
+  | Some s ->
+      let cfg = s.Scenario.cfg in
+      let d = D.create ~n_records:1000 ~retain_payloads:false cfg in
+      ignore
+        (D.run ~warmup:s.Scenario.windows.Runner.warmup ~measure:s.Scenario.windows.Runner.measure d);
+      let kvs = List.init (Config.n_replicas cfg) (fun replica -> D.kv d ~replica) in
+      let top = List.fold_left (fun acc kv -> max acc (Kv.height kv)) 0 kvs in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: frontier %d past twice the window" id top)
+        true
+        (top > 2 * Kv.window);
+      List.iteri
+        (fun i kv ->
+          Alcotest.(check bool) (Printf.sprintf "%s: replica %d in the image" id i) true
+            (Kv.in_image kv))
+        kvs;
+      D.close d
+
+let test_fault_free_runs_stay_in_image () =
+  stays_in_image (module Dep) "pbft z4 n7 b100 i64 seed1 w500+1000";
+  stays_in_image (module GeoDep) "geobft z2 n4 b100 i64 seed1 w500+1500"
+
 let suite =
   suite
   @ [
       QCheck_alcotest.to_alcotest prop_shared_matches_private;
       ("shared deployments replay their ledgers", `Quick,
         test_shared_deployments_replay_their_ledgers);
+      ("fault-free runs stay in the image", `Quick, test_fault_free_runs_stay_in_image);
     ]

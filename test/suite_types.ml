@@ -459,10 +459,51 @@ let test_certificate_size () =
     true
     (words <= (3 * 19) + 10)
 
+(* The ledgers of one deployment share a certificate only with one of
+   equal content.  A different commit set over the same (cluster,
+   view, seq, digest) and a tampered copy each keep their own object,
+   an equal copy takes the first, and every verdict and audit is the
+   one the certificate had alone. *)
+let test_certificate_sharing_content_guard () =
+  let module Ledger = Rdb_ledger.Ledger in
+  let kc = Lazy.force kc in
+  let batch = mk_batch () in
+  let digest = batch.Batch.digest in
+  let cert = mk_cert ~signers:[ 0; 1; 2; 3; 4 ] digest in
+  let other_set = mk_cert ~signers:[ 0; 1; 2; 3; 5 ] digest in
+  let tampered =
+    { cert with Certificate.commits = (mk_cert ~signers:[ 0; 1; 2; 3; 4 ] "other").commits }
+  in
+  let copy = { cert with Certificate.seq = cert.Certificate.seq } in
+  let certs = [ cert; other_set; tampered; copy ] in
+  let verdicts () = List.map (Certificate.verify ~keychain:kc ~quorum:5) certs in
+  Alcotest.(check (list bool)) "verdicts alone" [ true; true; false; true ] (verdicts ());
+  Alcotest.(check (list bool)) "content equal to the first" [ true; false; false; true ]
+    (List.map (Certificate.equal cert) certs);
+  let pool = Ledger.pool ~retain_payloads:true in
+  let held =
+    List.map
+      (fun c ->
+        let l = Ledger.create ~pool () in
+        let b = Ledger.append l ~round:0 ~cluster:0 ~batch ~cert:(Some c) in
+        (l, Option.get b.Rdb_ledger.Block.cert))
+      certs
+  in
+  let expected = [ cert; other_set; tampered; cert ] in
+  List.iteri
+    (fun i ((_, h), e) ->
+      Alcotest.(check bool) (Printf.sprintf "ledger %d holds its certificate's object" i) true
+        (h == e))
+    (List.combine held expected);
+  Alcotest.(check (list bool)) "verdicts after sharing" [ true; true; false; true ] (verdicts ());
+  Alcotest.(check (list bool)) "audits" [ true; true; false; true ]
+    (List.map (fun (l, _) -> Ledger.verify_certified l ~keychain:kc ~quorum:5) held)
+
 let suite =
   suite
   @ [
       ("certificate round trip", `Quick, test_certificate_round_trip);
       ("certificate verdicts", `Quick, test_certificate_verdicts);
       ("certificate size", `Quick, test_certificate_size);
+      ("certificate sharing is keyed on content", `Quick, test_certificate_sharing_content_guard);
     ]
