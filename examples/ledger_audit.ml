@@ -91,7 +91,7 @@ let () =
   let suffix = Ledger.read_from source ~height:3 in
   Printf.printf "recovering: fetched %d blocks from replica 2 starting at height 3\n"
     (List.length suffix);
-  let rebuilt = Ledger.create () in
+  let rebuilt = Ledger.create ~pool:(Ledger.pool ~retain_payloads:true) () in
   (* Rebuild a fresh copy: prefix from the honest local state (heights
      0-2 are untampered), suffix from the peer. *)
   for h = 0 to 2 do

@@ -49,10 +49,10 @@ type t = {
   mutable blocks : Block.t array;   (* dynamic array *)
   mutable len : int;
   mutable txn_count : int;          (* total transactions executed *)
-  pool : pool option;
+  pool : pool;
 }
 
-let create ?pool () = { blocks = [||]; len = 0; txn_count = 0; pool }
+let create ~pool () = { blocks = [||]; len = 0; txn_count = 0; pool }
 
 let length t = t.len
 let txn_count t = t.txn_count
@@ -128,11 +128,7 @@ let pooled pool ~height ~round ~cluster ~(batch : Batch.t) ~cert ~prev_hash =
 let append t ~round ~cluster ~batch ~cert =
   let prev_hash = tip_hash t in
   let height = t.len in
-  let block =
-    match t.pool with
-    | None -> Block.create ~height ~round ~cluster ~batch ~cert ~prev_hash
-    | Some pool -> pooled pool ~height ~round ~cluster ~batch ~cert ~prev_hash
-  in
+  let block = pooled t.pool ~height ~round ~cluster ~batch ~cert ~prev_hash in
   if t.len = 0 && Array.length t.blocks = 0 then t.blocks <- Array.make 256 block;
   ensure_capacity t;
   t.blocks.(t.len) <- block;

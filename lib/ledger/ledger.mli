@@ -23,9 +23,9 @@ val pool : retain_payloads:bool -> pool
     {!Batch.strip} copies (one per batch, shared by every ledger of
     the pool) instead of the batches appended. *)
 
-val create : ?pool:pool -> unit -> t
-(** An empty ledger; without [pool] it shares nothing and keeps every
-    batch whole. *)
+val create : pool:pool -> unit -> t
+(** An empty ledger sharing [pool].  A ledger alone in its pool
+    shares nothing. *)
 
 val length : t -> int
 val txn_count : t -> int
@@ -39,8 +39,8 @@ val get : t -> int -> Block.t
 
 val append :
   t -> round:int -> cluster:int -> batch:Batch.t -> cert:Certificate.t option -> Block.t
-(** Append the next executed batch; returns the new block (with a
-    pool, possibly one another ledger of the pool holds too). *)
+(** Append the next executed batch; returns the new block, possibly
+    one another ledger of the pool holds too. *)
 
 val verify : t -> bool
 (** Structural integrity: heights, hash links, block hashes. *)

@@ -248,7 +248,7 @@ let test_ledger_words_pinned () =
   (* 26.1 words per block; 435,161 (43.9 per block) with a stripped
      batch and a certificate per replica, 593,746 (59.9 per block)
      with a [commit_sig list] per certificate besides. *)
-  Alcotest.(check int) "reachable words" 259_035 words;
+  Alcotest.(check int) "reachable words" 259_027 words;
   let top = Array.fold_left (fun acc l -> max acc (Ledger.length l)) 0 ledgers in
   for h = 0 to top - 1 do
     let here =

@@ -25,8 +25,11 @@ let mk_cert (b : Batch.t) ~seq =
   in
   Certificate.make ~cluster:0 ~view:0 ~seq ~digest:b.Batch.digest ~commits
 
+(* A ledger alone in its pool, keeping every batch whole. *)
+let fresh () = Ledger.create ~pool:(Ledger.pool ~retain_payloads:true) ()
+
 let build n =
-  let l = Ledger.create () in
+  let l = fresh () in
   for i = 0 to n - 1 do
     let b = mk_batch i in
     ignore (Ledger.append l ~round:i ~cluster:0 ~batch:b ~cert:(Some (mk_cert b ~seq:i)))
@@ -73,7 +76,7 @@ let test_prefix_relation () =
   (* common_prefix compares stored hashes, which tampering does not
      recompute — so rebuild instead with a diverging block. *)
   let c = build 10 in
-  let d = Ledger.create () in
+  let d = fresh () in
   for i = 0 to 9 do
     let b = mk_batch (if i = 5 then 500 else i) in
     ignore (Ledger.append d ~round:i ~cluster:0 ~batch:b ~cert:(Some (mk_cert b ~seq:i)))
@@ -81,13 +84,13 @@ let test_prefix_relation () =
   Alcotest.(check int) "diverge at 5" 5 (Ledger.common_prefix c d)
 
 let test_empty_ledger () =
-  let l = Ledger.create () in
+  let l = fresh () in
   Alcotest.(check bool) "empty verifies" true (Ledger.verify l);
   Alcotest.(check bool) "empty is prefix" true (Ledger.is_prefix_of l (build 3));
   Alcotest.(check string) "tip is genesis" Block.genesis_hash (Ledger.tip_hash l)
 
 let test_missing_cert_fails_audit () =
-  let l = Ledger.create () in
+  let l = fresh () in
   let b = mk_batch 0 in
   ignore (Ledger.append l ~round:0 ~cluster:0 ~batch:b ~cert:None);
   Alcotest.(check bool) "structure ok" true (Ledger.verify l);
