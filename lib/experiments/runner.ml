@@ -68,10 +68,10 @@ let deployment : proto -> (module Deployment.S) = function
      faithful to the paper's Zyzzyva);
    - HotStuff replicas interleave independent instance logs
      (agreement is per-executed-batch-set with in-flight slack rather
-     than prefix equality); the lib/recovery hole-filling layer
-     detects per-instance gaps and refetches decided batches with
-     backoff, so severed and lossy links now heal — crashes stay off
-     the menu (a crashed leader's own instance legitimately stalls);
+     than prefix equality); a stalled instance fetches its log from
+     the frontier through lib/recovery, so severed and lossy links
+     heal and any replica may crash and rejoin (a crashed leader's own
+     instance legitimately stalls while it is down);
    - Steward's inter-site traffic is threshold-signed shares routed
      through site representatives; the lib/recovery stall task
      re-proposes, re-accepts, re-forwards and catch-up-fetches with
@@ -100,7 +100,7 @@ let chaos_profile (p : proto) (cfg : Config.t) :
         6000. )
   | Hotstuff ->
       (* Crashes joined the menu when ledger state transfer was wired
-         through lib/recovery (Fetch_log/Log_suffix bulk catch-up): a
+         through lib/recovery (Fetch_log/Log_suffix catch-up): a
          recovering replica now closes arbitrarily long holes inside
          the liveness window, where the old bounded archive left them
          permanently unservable. *)
@@ -132,8 +132,8 @@ let chaos_profile (p : proto) (cfg : Config.t) :
    - Zyzzyva has no view change: node 0 must stay honest (faithful to
      the paper), backups may stall or replay — the client
      commit-certificate slow path absorbs it;
-   - HotStuff replicas run independent instances with hole-filling
-     recovery, but a silent leader legitimately stalls its own
+   - HotStuff replicas run independent instances with log-transfer
+     catch-up, but a silent leader legitimately stalls its own
      instance, so only delay and replay are on the menu;
    - Steward's site representatives are single points of coordination:
      only non-representatives may misbehave. *)

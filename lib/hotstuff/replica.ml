@@ -55,21 +55,15 @@ type msg =
      justified by n − f votes of the previous phase. *)
   | Qc of { inst : int; height : int; phase : phase; digest : string }
   | Reply of { batch_id : int; result_digest : string }
-  (* Hole-filling catch-up (lib/recovery): a replica whose instance
-     execution stalled behind the heights it can see fetches the
-     missing decided batches; any replica that executed them serves
-     the fill.  This is what heals instances after link outages, which
-     otherwise leave permanent holes (DESIGN.md §8). *)
-  | Fetch of { inst : int; heights : int list }
-  | Filled of { inst : int; height : int; batch : Batch.t }
-  (* Bulk ledger state transfer (lib/recovery), the same rejoin idiom
-     as Pbft/GeoBFT checkpoint catch-up: a replica far behind on an
-     instance asks for the contiguous executed suffix of that
-     instance's log starting at its own frontier, and a peer that
-     executed it streams the batches back in chunks.  The requester
-     chains further [Fetch_log]s as chunks land, so a multi-second
-     outage heals in a few round trips instead of per-height fetch
-     cycles gated by the stall task's backoff. *)
+  (* Ledger state transfer (lib/recovery), the same rejoin idiom as
+     Pbft/GeoBFT checkpoint catch-up: a replica whose instance stalled
+     behind the heights it can see asks for the contiguous executed
+     suffix of that instance's log starting at its own frontier, and a
+     peer that executed it streams the batches back in chunks.  The
+     requester chains further [Fetch_log]s as chunks land, so a
+     multi-second outage heals in a few round trips.  This is what
+     heals instances after crashes and link outages, which otherwise
+     leave permanent holes (DESIGN.md §8). *)
   | Fetch_log of { inst : int; from : int }
   | Log_suffix of { inst : int; from : int; batches : Batch.t list }
 
@@ -90,19 +84,17 @@ type inst_state = {
   mutable next_exec : int;               (* executing this instance in order *)
   mutable max_seen : int;                (* highest height seen proposed/certified *)
   (* Every executed batch of this instance, kept for the life of the
-     run so the replica can serve hole fetches and bulk [Fetch_log]
-     state transfer arbitrarily far back.  A bounded retention window
-     here is exactly the state-transfer gap: an outage longer than the
-     window left holes no peer could serve, permanently stalling the
-     instance.  Entries are shared batch values (pointers), not copies,
-     so the cost is one table slot per decided height. *)
+     run so the replica can serve [Fetch_log] arbitrarily far back: a
+     bounded window is the state-transfer gap (an outage longer than
+     it left holes no peer could serve).  Entries are shared batch
+     values, so the cost is one table slot per decided height. *)
   archive : (int, Batch.t) Hashtbl.t;
   seen : (string, unit) Hashtbl.t;       (* leader-side dedup *)
-  (* Frontier of the last bulk [Fetch_log] sent for this instance
-     (-1 = none): dedups the event-driven catch-up trigger so one
-     chain is in flight per frontier; the stall task re-requests
-     after backoff if the chain was lost. *)
-  mutable bulk_from : int;
+  (* Frontier of the last [Fetch_log] sent for this instance (-1 =
+     none): dedups the event-driven catch-up trigger so one chain is
+     in flight per frontier; the stall task re-requests after backoff
+     if the chain was lost. *)
+  mutable fetched_from : int;
 }
 
 type replica = {
@@ -119,11 +111,11 @@ type replica = {
   recovery : Recovery.t;
 }
 
-(* Bulk catch-up tuning: switch from per-height [Fetch] to [Fetch_log]
-   once the hole is this deep, and stream at most [log_chunk] batches
-   per [Log_suffix] so one reply never monopolizes the serving
-   replica's uplink. *)
-let bulk_threshold = 64
+(* Catch-up tuning: the event-driven trigger fetches once the hole is
+   this deep (shallower ones wait for the stall task), and a
+   [Log_suffix] streams at most [log_chunk] batches so one reply never
+   monopolizes the serving replica's uplink. *)
+let nudge_depth = 64
 let log_chunk = 256
 
 (* Receipt digest, not an execution-result digest: the parallel
@@ -139,9 +131,9 @@ let result_digest (b : Batch.t) = Sha256.digest_list [ "result"; b.Batch.digest 
    MAC-authenticated, which (with the parallel primaries) is what gives
    their HotStuff its strong showing.  We reproduce that: every message
    pays only the receive floor, plus the client-signature check on
-   proposals.  A QC and a filled batch are charged four signature
-   entries at every n, not n − f (3 at n = 4, 5 at n = 7): a fixed
-   size this declaration keeps until ROADMAP item 4 counts it. *)
+   proposals.  A QC and each batch of a [Log_suffix] are charged four
+   signature entries at every n, not n − f (3 at n = 4, 5 at n = 7):
+   a fixed size this declaration keeps until ROADMAP item 4 counts it. *)
 let wire cfg m : Wire.cost =
   let batch_size = cfg.Config.batch_size in
   let fill = Wire.fill_bytes ~batch_size ~sigs:4 in
@@ -151,8 +143,7 @@ let wire cfg m : Wire.cost =
   | Vote _ -> { bytes = Wire.small; verifies = 0 }
   | Qc _ -> { bytes = Wire.small + (Wire.commit_entry_bytes * 4); verifies = 0 }
   | Reply _ -> { bytes = Client_core.reply_bytes cfg; verifies = 0 }
-  | Fetch _ | Fetch_log _ -> { bytes = Wire.fetch_bytes; verifies = 0 }
-  | Filled _ -> { bytes = fill; verifies = 0 }
+  | Fetch_log _ -> { bytes = Wire.fetch_bytes; verifies = 0 }
   | Log_suffix { batches; _ } -> { bytes = Wire.small + (List.length batches * fill); verifies = 0 }
 
 let broadcast r m =
@@ -177,7 +168,10 @@ let slot_of inst height =
       Hashtbl.replace inst.slots height s;
       s
 
-(* -- hole detection ------------------------------------------------------- *)
+(* -- catch-up ------------------------------------------------------------ *)
+
+let decided inst h =
+  match Hashtbl.find_opt inst.slots h with Some s -> s.decided | None -> false
 
 (* An instance is stalled when heights it can see proposed/certified
    run more than a pipeline window ahead of what it has executed: in
@@ -195,71 +189,31 @@ let stall_token r =
     (fun acc inst -> if inst_stalled inst then acc + inst.next_exec + 1 else acc)
     0 r.insts
 
-let send_fetches r ~attempt =
-  Array.iter
-    (fun inst ->
-      if inst_stalled inst then begin
-        let have h =
-          match Hashtbl.find_opt inst.slots h with Some s -> s.decided | None -> false
-        in
-        (* First try the instance's leader (it certainly decided the
-           heights); if that link is the faulty one, widen to
-           everyone. *)
-        let target m =
-          if attempt = 0 && inst.owner <> r.ctx.Ctx.id then Ctx.send r.ctx ~dst:inst.owner m
-          else broadcast r m
-        in
-        if inst.max_seen - inst.next_exec >= bulk_threshold && not (have inst.next_exec)
-        then begin
-          (* Deep hole starting right at our frontier: bulk ledger
-             state transfer.  Chunk replies chain further [Fetch_log]s
-             without waiting on this task's backoff. *)
-          Recovery.note_retransmit r.recovery;
-          inst.bulk_from <- inst.next_exec;
-          target (Fetch_log { inst = inst.owner; from = inst.next_exec })
-        end
-        else begin
-          (* Scattered or shallow holes: ask per height.  The fetch
-             itself is small and the server pays per-height [Filled]
-             wire costs; a throttled request list (a few dozen heights
-             per fire, with backoff between fires) could never outrun
-             the decision rate of the healthy instances during a
-             multi-second link outage, hence the generous limit. *)
-          let heights =
-            Recovery.missing ~limit:1024 ~have ~from:inst.next_exec ~upto:inst.max_seen ()
-          in
-          if heights <> [] then begin
-            Recovery.note_retransmit r.recovery;
-            target (Fetch { inst = inst.owner; heights })
-          end
-        end
-      end)
-    r.insts
+(* Ask for the instance's log from our frontier: its leader first (it
+   certainly decided the heights), everyone once that link proves to be
+   the faulty one.  Chunk replies chain further [Fetch_log]s without
+   waiting on the stall task's backoff. *)
+let fetch_log r inst ~attempt =
+  Recovery.note_retransmit r.recovery;
+  inst.fetched_from <- inst.next_exec;
+  let m = Fetch_log { inst = inst.owner; from = inst.next_exec } in
+  if attempt = 0 && inst.owner <> r.ctx.Ctx.id then Ctx.send r.ctx ~dst:inst.owner m
+  else broadcast r m
 
-(* Event-driven bulk catch-up.  The first delivery after an outage
-   heals is what reveals the hole (max_seen jumps past the pipeline
-   window); fetching right here — instead of waiting out whatever
-   backoff the stall task accumulated while its requests were being
-   dropped — is what keeps the executed-set divergence inside the
-   chaos monitor's slack.  [bulk_from] dedups to one in-flight chain
-   per frontier; lost chains are re-requested by the task. *)
+(* Event-driven catch-up.  The first delivery after an outage heals is
+   what reveals the hole (max_seen jumps past the pipeline window);
+   fetching right here — instead of waiting out whatever backoff the
+   stall task accumulated while its requests were being dropped — is
+   what keeps the executed-set divergence inside the chaos monitor's
+   slack.  [fetched_from] dedups to one in-flight chain per frontier;
+   lost chains and shallow holes are left to the task. *)
 let nudge_catch_up r inst =
   Recovery.ensure r.recovery;
-  let frontier_decided =
-    match Hashtbl.find_opt inst.slots inst.next_exec with
-    | Some s -> s.decided
-    | None -> false
-  in
   if
-    inst.max_seen - inst.next_exec >= bulk_threshold
-    && (not frontier_decided)
-    && inst.bulk_from <> inst.next_exec
-  then begin
-    Recovery.note_retransmit r.recovery;
-    inst.bulk_from <- inst.next_exec;
-    let m = Fetch_log { inst = inst.owner; from = inst.next_exec } in
-    if inst.owner <> r.ctx.Ctx.id then Ctx.send r.ctx ~dst:inst.owner m else broadcast r m
-  end
+    inst.max_seen - inst.next_exec >= nudge_depth
+    && (not (decided inst inst.next_exec))
+    && inst.fetched_from <> inst.next_exec
+  then fetch_log r inst ~attempt:0
 
 let create_replica (ctx : msg Ctx.t) =
   let cfg = ctx.Ctx.config in
@@ -284,7 +238,7 @@ let create_replica (ctx : msg Ctx.t) =
               max_seen = -1;
               archive = Hashtbl.create 64;
               seen = Hashtbl.create 256;
-              bulk_from = -1;
+              fetched_from = -1;
             });
       decided_total = 0;
       executed_digests = Hashtbl.create 256;
@@ -293,14 +247,15 @@ let create_replica (ctx : msg Ctx.t) =
   Recovery.watch r.recovery
     ~needed:(fun () -> any_stalled r)
     ~progress:(fun () -> stall_token r)
-    ~fire:(fun ~attempt -> send_fetches r ~attempt);
+    ~fire:(fun ~attempt ->
+      Array.iter (fun inst -> if inst_stalled inst then fetch_log r inst ~attempt) r.insts);
   r
 
 let view_changes (_ : replica) = 0
 let decided_total r = r.decided_total
 
 (* Crash-recover: any stall task armed before the crash died with its
-   timer; re-arm if there are holes to fill. *)
+   timer; re-arm if an instance is stalled. *)
 let on_recover (r : replica) = if any_stalled r then Recovery.start r.recovery
 
 let recovery (r : replica) = Recovery.stats r.recovery
@@ -457,34 +412,6 @@ let on_message r ~src (m : msg) =
         apply_qc r inst ~height ~phase;
         if inst_stalled inst then nudge_catch_up r inst
       end
-  | Fetch { inst = i; heights } ->
-      (* Serve decided batches from the live slot or the archive. *)
-      let inst = r.insts.(i) in
-      List.iter
-        (fun h ->
-          let batch =
-            match Hashtbl.find_opt inst.slots h with
-            | Some s when s.decided -> s.batch
-            | _ -> Hashtbl.find_opt inst.archive h
-          in
-          match batch with
-          | Some batch when h < inst.next_exec || (match Hashtbl.find_opt inst.slots h with Some s -> s.decided | None -> false) ->
-              Ctx.send r.ctx ~dst:src (Filled { inst = i; height = h; batch })
-          | _ -> ())
-        heights
-  | Filled { inst = i; height; batch } ->
-      (* Trusted like a checkpoint block: the serving replica executed
-         it, so its digest is fixed by agreement.  Mark it decided and
-         resume in-order execution. *)
-      let inst = r.insts.(i) in
-      inst.max_seen <- max inst.max_seen height;
-      let s = slot_of inst height in
-      if (not s.decided) && height >= inst.next_exec then begin
-        if s.batch = None then s.batch <- Some batch;
-        s.decided <- true;
-        Recovery.note_holes r.recovery 1;
-        exec_ready r inst
-      end
   | Fetch_log { inst = i; from } ->
       (* Serve a contiguous executed suffix of this instance's log from
          the archive, capped at [log_chunk] batches per reply.  Asking
@@ -504,11 +431,12 @@ let on_message r ~src (m : msg) =
           Ctx.send r.ctx ~dst:src (Log_suffix { inst = i; from; batches = !batches })
       end
   | Log_suffix { inst = i; from; batches } ->
-      (* Bulk install: each entry is trusted like [Filled] (the serving
-         replica executed it, so its digest is fixed by agreement).
-         Installing fresh heights counts as one state transfer; if the
-         instance is still behind afterwards, chain the next chunk
-         immediately instead of waiting for the stall task. *)
+      (* Install: each entry is trusted like a checkpoint block (the
+         serving replica executed it, so its digest is fixed by
+         agreement).  Installing fresh heights counts as one state
+         transfer; if the instance is still behind afterwards, chain
+         the next chunk immediately instead of waiting for the stall
+         task. *)
       let inst = r.insts.(i) in
       let installed = ref 0 in
       List.iteri
@@ -526,15 +454,9 @@ let on_message r ~src (m : msg) =
       if !installed > 0 then begin
         exec_ready r inst;
         let next_from = from + List.length batches in
-        if
-          inst_stalled inst
-          && next_from <= inst.max_seen
-          && not
-               (match Hashtbl.find_opt inst.slots next_from with
-               | Some s -> s.decided
-               | None -> false)
+        if inst_stalled inst && next_from <= inst.max_seen && not (decided inst next_from)
         then begin
-          inst.bulk_from <- next_from;
+          inst.fetched_from <- next_from;
           Ctx.send r.ctx ~dst:src (Fetch_log { inst = i; from = next_from })
         end
       end
@@ -585,7 +507,7 @@ let adversary : msg Rdb_types.Interpose.view =
     | Propose _ -> Proposal
     | Vote _ -> Vote
     | Qc _ -> Share
-    | Fetch _ | Filled _ | Fetch_log _ | Log_suffix _ -> Sync
+    | Fetch_log _ | Log_suffix _ -> Sync
   in
   let conflict ~keychain:_ ~nonce:_ _ = None in
   { classify; conflict }

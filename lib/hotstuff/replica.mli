@@ -21,12 +21,10 @@ type msg =
   | Vote of { inst : int; height : int; phase : phase; digest : string }
   | Qc of { inst : int; height : int; phase : phase; digest : string }
   | Reply of { batch_id : int; result_digest : string }
-  | Fetch of { inst : int; heights : int list }
-      (** Hole-filling catch-up: request missing decided batches. *)
-  | Filled of { inst : int; height : int; batch : Batch.t }
   | Fetch_log of { inst : int; from : int }
-      (** Bulk ledger state transfer: request the contiguous executed
-          suffix of an instance's log starting at [from]. *)
+      (** Ledger state transfer, the one catch-up path of a stalled
+          instance: request the contiguous executed suffix of an
+          instance's log starting at [from]. *)
   | Log_suffix of { inst : int; from : int; batches : Batch.t list }
 
 type replica
@@ -40,7 +38,8 @@ val decided_total : replica -> int
 (** Batches this replica has decided-and-executed, over all instances. *)
 
 val on_recover : replica -> unit
-(** Crash-recover hook: re-arm the hole-filling stall task. *)
+(** Crash-recover hook: re-arm the stall task that fetches a stalled
+    instance's log. *)
 
 val recovery : replica -> Rdb_types.Protocol.recovery_stats
 

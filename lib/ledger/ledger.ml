@@ -32,7 +32,9 @@ module Keychain = Rdb_crypto.Keychain
    content.  The pool makes the stripped ledger copy of a batch once
    per height rather than once per replica; a retained batch is kept
    as appended, since the replicas already hold the one object their
-   pre-prepare or share delivered. *)
+   pre-prepare or share delivered, and so is an already stripped one:
+   a replica too far behind for the pool appends the copy it fetched
+   from a peer's ledger, which is that peer's pooled object. *)
 type pool = {
   retain_payloads : bool;  (* false: blocks keep [Batch.strip] copies *)
   recent : Block.t list array;  (* distinct blocks of one height per slot *)
@@ -94,6 +96,7 @@ let pooled pool ~height ~round ~cluster ~(batch : Batch.t) ~cert ~prev_hash =
     else
       match List.find_opt (fun (b : Block.t) -> Batch.equal_stripped b.batch batch) here with
       | Some b -> b.batch
+      | None when Batch.stripped batch -> batch
       | None -> Batch.strip batch
   in
   let cert =

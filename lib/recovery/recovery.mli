@@ -7,8 +7,8 @@
       checkpoint state transfer ([Fetch_state]) and round-aligned
       ledger chunks pulled from one local peer in rotation
       ([Fetch_rounds]);
-    - HotStuff directly: per-height hole fills and bulk ledger
-      suffixes;
+    - HotStuff directly: one path for every stalled instance, chunked
+      transfers of the instance's log from the replica's frontier;
     - Steward directly: timeout retransmission of the representative
       channel plus ledger catch-up ([Fetch_globals]).
 

@@ -54,6 +54,6 @@ let snapshot_bytes ~batch_size ~sigs ~blocks =
   header_bytes + (sigs * commit_entry_bytes)
   + (blocks * certificate_bytes ~batch_size ~sigs)
 
-(* A single filled batch served during hole-filling catch-up: the
-   batch plus its certificate. *)
+(* One batch served during catch-up (each batch of a HotStuff
+   [Log_suffix]): the batch plus its certificate. *)
 let fill_bytes ~batch_size ~sigs = certificate_bytes ~batch_size ~sigs

@@ -40,5 +40,5 @@ val snapshot_bytes : batch_size:int -> sigs:int -> blocks:int -> int
     batch and commit certificate. *)
 
 val fill_bytes : batch_size:int -> sigs:int -> int
-(** One filled batch served during hole-filling catch-up: the batch
-    plus its certificate. *)
+(** One batch served during catch-up (each batch of a HotStuff
+    [Log_suffix]): the batch plus its certificate. *)

@@ -101,8 +101,26 @@ let on_recover (_ : replica) = ()
 let recovery (_ : replica) = Rdb_types.Protocol.no_recovery
 let is_primary r = r.ctx.Ctx.id = r.view mod r.n
 
-(* Execute in sequence order; speculative replies go to the client. *)
-let rec exec_ready r =
+(* Execute [batch] at [seq] and send the client its speculative reply,
+   then go on in sequence order. *)
+let rec execute r ~seq batch ~history =
+  r.ctx.Ctx.execute batch ~cert:None ~on_done:(fun result ->
+      r.ctx.Ctx.phase ~key:seq ~name:"execute";
+      (match result with
+      | Some res when not (Batch.is_noop batch) ->
+          Ctx.send r.ctx ~dst:batch.Batch.origin
+            (Spec_reply
+               {
+                 batch_id = batch.Batch.id;
+                 seq;
+                 history;
+                 result_digest = res.Rdb_types.App.digest;
+               })
+      | _ -> ());
+      exec_ready r)
+
+(* Execute in sequence order. *)
+and exec_ready r =
   match Hashtbl.find_opt r.ordered r.next_exec with
   | None -> ()
   | Some (batch, history) ->
@@ -110,20 +128,7 @@ let rec exec_ready r =
       r.next_exec <- seq + 1;
       (* Keep a window for commit-certificate recovery; drop the rest. *)
       Hashtbl.remove r.ordered (seq - 1024);
-      r.ctx.Ctx.execute batch ~cert:None ~on_done:(fun result ->
-          r.ctx.Ctx.phase ~key:seq ~name:"execute";
-          (match result with
-          | Some res when not (Batch.is_noop batch) ->
-              Ctx.send r.ctx ~dst:batch.Batch.origin
-                (Spec_reply
-                   {
-                     batch_id = batch.Batch.id;
-                     seq;
-                     history;
-                     result_digest = res.Rdb_types.App.digest;
-                   })
-          | _ -> ());
-          exec_ready r)
+      execute r ~seq batch ~history
 
 let on_message r ~src (m : msg) =
   match m with
@@ -164,20 +169,7 @@ let on_message r ~src (m : msg) =
              the moment a schedule reorders two order-requests. *)
           if seq >= r.next_exec then begin
             r.next_exec <- seq + 1;
-            r.ctx.Ctx.execute batch ~cert:None ~on_done:(fun result ->
-                r.ctx.Ctx.phase ~key:seq ~name:"execute";
-                (match result with
-                | Some res when not (Batch.is_noop batch) ->
-                    Ctx.send r.ctx ~dst:batch.Batch.origin
-                      (Spec_reply
-                         {
-                           batch_id = batch.Batch.id;
-                           seq;
-                           history;
-                           result_digest = res.Rdb_types.App.digest;
-                         })
-                | _ -> ());
-                exec_ready r)
+            execute r ~seq batch ~history
           end
         end
         else

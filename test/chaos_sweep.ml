@@ -21,8 +21,9 @@ module Report = Rdb_fabric.Report
 (* Seeds every protocol runs.  HotStuff additionally runs
    [hotstuff_extra]: the seeds whose crash/link-outage timelines used
    to outrun the bounded ledger archive before state transfer was
-   wired through lib/recovery (DESIGN.md §17) — kept in tier-1 as the
-   regression gate for that fix.  CHAOS_SEEDS=LO-HI replaces both
+   wired through lib/recovery (DESIGN.md §17), now the one path that
+   heals every stalled instance — kept in tier-1 as the regression
+   gate for that catch-up.  CHAOS_SEEDS=LO-HI replaces both
    lists with an explicit range for the wide validation sweep. *)
 let hotstuff_extra = [ 6; 8; 9; 12; 13; 14; 16 ]
 

@@ -282,7 +282,8 @@ let suite = suite @ [ ("ledger words pinned", `Quick, test_ledger_words_pinned) 
    follow §4's calibration (5400 B batch, 1500 B response, 250 B small,
    143 B per certificate entry); n enters only through the n − f
    certificate entries of shares and catch-up replies (3 at n4, 5 at
-   n7).  HotStuff's QC and fill carry a fixed four entries at every n. *)
+   n7).  HotStuff's QC and each log-suffix batch carry a fixed four
+   entries at every n. *)
 let test_declared_wire_costs () =
   let keychain = Rdb_crypto.Keychain.create ~seed:"wire" ~n_nodes:16 in
   let batch = Batch.noop ~keychain ~cluster:0 ~origin:0 ~created:Time.zero ~nonce:1 in
@@ -410,8 +411,6 @@ let test_declared_wire_costs () =
             H.Qc { inst = 0; height = 1; phase = H.Commit; digest = "d" },
             (250 + (4 * 143), 0) );
           ("reply", H.Reply { batch_id = 1; result_digest = "r" }, (1500, 0));
-          ("fetch", H.Fetch { inst = 0; heights = [ 1; 2 ] }, (250, 0));
-          ("filled", H.Filled { inst = 0; height = 1; batch }, (5400 + (4 * 143), 0));
           ("fetch-log", H.Fetch_log { inst = 0; from = 1 }, (250, 0));
           ( "log-suffix",
             H.Log_suffix { inst = 0; from = 1; batches = [ batch; batch ] },
@@ -433,3 +432,40 @@ let test_declared_wire_costs () =
     (cost 5)
 
 let suite = suite @ [ ("declared wire costs", `Quick, test_declared_wire_costs) ]
+
+(* -- a replica past the pool ------------------------------------------------- *)
+
+(* A replica crashed for 400 ms of a stripped run rejoins more than
+   the pool's 256 heights behind the others and catches up by ledger
+   fetch.  The stripped batches it fetches are a peer's pooled
+   objects, so its ledger appends them as they are, and the four
+   ledgers hold one batch object per height. *)
+let test_rejoined_ledger_shares_batches () =
+  let cfg = Config.make ~z:1 ~n:4 ~batch_size:20 ~client_inflight:8 ~seed:1 () in
+  let d = Dep.create ~n_records:10_000 ~retain_payloads:false cfg in
+  let ledgers = Array.init (Config.n_replicas cfg) (fun replica -> Dep.ledger d ~replica) in
+  let lag = ref 0 in
+  Dep.at d ~time:(Time.ms 400) (fun () -> Dep.crash_replica d 3);
+  Dep.at d ~time:(Time.ms 800) (fun () ->
+      lag := Ledger.length ledgers.(0) - Ledger.length ledgers.(3);
+      Dep.recover_replica d 3);
+  ignore (Dep.run ~warmup:(Time.ms 300) ~measure:(Time.ms 1200) d);
+  Alcotest.(check bool) (Printf.sprintf "rejoined %d heights behind" !lag) true (!lag > 256);
+  let top = Array.fold_left (fun acc l -> max acc (Ledger.length l)) 0 ledgers in
+  let objects = ref 0 in
+  for h = 0 to top - 1 do
+    let distinct =
+      Array.fold_left
+        (fun acc l ->
+          if h >= Ledger.length l then acc
+          else
+            let b = (Ledger.get l h).Block.batch in
+            if List.memq b acc then acc else b :: acc)
+        [] ledgers
+    in
+    objects := !objects + List.length distinct
+  done;
+  Alcotest.(check int) "one batch object per height" top !objects
+
+let suite =
+  suite @ [ ("rejoined ledger shares batches", `Quick, test_rejoined_ledger_shares_batches) ]

@@ -80,11 +80,12 @@ let test_state_agreement_per_length () =
 
 let test_deep_outage_state_transfer () =
   (* The state-transfer gap (DESIGN.md §17): a replica that sleeps
-     through thousands of decisions must catch back up via bulk
+     through thousands of decisions must catch back up via
      [Fetch_log]/[Log_suffix] ledger transfer — served from the
-     unbounded archive, chained chunk-to-chunk without timer backoff —
-     rather than stalling forever on per-height fetches.  The crash
-     window is sized so the hole far exceeds [bulk_threshold]. *)
+     unbounded archive, chained chunk-to-chunk without timer backoff.
+     The crash window is sized so the hole far exceeds the 64 heights
+     at which the first delivery after the outage triggers the fetch
+     at once. *)
   let cfg = Itest.small_cfg ~z:2 ~n:4 ~batch:5 ~inflight:8 () in
   let d = Dep.create ~n_records:Itest.records cfg in
   Dep.at d ~time:(Time.sec 2) (fun () -> Dep.crash_replica d 7);
@@ -115,3 +116,33 @@ let suite =
     ("deep outage triggers bulk state transfer", `Slow, test_deep_outage_state_transfer);
     ("determinism", `Quick, test_determinism);
   ]
+
+(* Loss on the links into one replica leaves it holes a few heights
+   deep, well under the 64 that trigger an immediate fetch.  The stall
+   task heals them the one way deep outages heal: by fetching the
+   instance's log from the frontier, so the run counts state
+   transfers, and the lossy replica ends within one pipeline window
+   (4 heights) of the best. *)
+let test_shallow_holes_heal () =
+  let cfg = Itest.small_cfg ~z:2 ~n:4 ~batch:5 ~inflight:8 () in
+  let d = Dep.create ~n_records:Itest.records cfg in
+  let lossy p () =
+    for src = 0 to 6 do
+      Dep.set_link_loss d ~src ~dst:7 ~p
+    done
+  in
+  Dep.at d ~time:(Time.sec 2) (lossy 0.3);
+  Dep.at d ~time:(Time.sec 3) (lossy 0.);
+  let report = Dep.run ~warmup:(Time.sec 1) ~measure:(Time.sec 3) d in
+  Alcotest.(check bool) "holes healed by log transfer" true
+    (report.Rdb_fabric.Report.state_transfers > 0);
+  let totals = Array.init 8 (fun i -> Hs.decided_total (Dep.replica d i)) in
+  let best = Array.fold_left max 0 totals in
+  Array.iteri
+    (fun i t ->
+      Alcotest.(check bool)
+        (Printf.sprintf "replica %d within a pipeline window (%d of %d)" i t best)
+        true (t >= best - 4))
+    totals
+
+let suite = suite @ [ ("shallow holes heal", `Quick, test_shallow_holes_heal) ]
