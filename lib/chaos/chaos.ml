@@ -58,6 +58,7 @@ type caps = {
   link_loss : bool;
   link_dup : bool;
   equivocation : bool;
+  rejoin_lag : int;
 }
 
 type agreement_mode = Prefix | Eventual_set of int
@@ -422,12 +423,40 @@ let check_liveness m =
            (Time.to_ms_f m.liveness_window))
   end
 
+(* Per replica: once the deployment has been up and clear of every
+   fault window for one liveness window, each replica trails the
+   highest ledger by at most [caps.rejoin_lag] blocks.  The liveness
+   check sums over all replicas, so without this a replica that never
+   rejoins goes unnoticed while its peers carry on. *)
+let check_rejoin m =
+  let now = m.s.now () in
+  let quiet_from =
+    List.fold_left
+      (fun acc (e : event) -> if Time.(e.at <= now) then Time.max acc e.until else acc)
+      Time.zero m.timeline
+  in
+  if Time.(Time.sub now quiet_from >= m.liveness_window) then begin
+    let top = Array.fold_left max 0 m.prev_len in
+    Array.iteri
+      (fun r len ->
+        if top - len > m.s.caps.rejoin_lag then
+          record m "rejoin"
+            (Printf.sprintf
+               "replica %d trails the highest ledger by %d blocks (%d against %d), %.0fms \
+                after the last fault window (bound %d)"
+               r (top - len) len top
+               (Time.to_ms_f (Time.sub now quiet_from))
+               m.s.caps.rejoin_lag))
+      m.prev_len
+  end
+
 let sweep m =
   if m.violation = None then begin
     m.n_samples <- m.n_samples + 1;
     scan_ledgers m;
     check_agreement m;
-    check_liveness m
+    check_liveness m;
+    check_rejoin m
   end
 
 let monitor ?(sample_ms = 250.) ?(liveness_window_ms = 5000.) s timeline =

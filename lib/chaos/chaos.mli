@@ -17,10 +17,12 @@
       timer rather than only at run end: ledger prefix agreement (or
       per-instance set agreement for protocols with interleaved
       instance logs), monotone execution, no duplicate transaction
-      execution, and liveness (progress resumes within a bounded
+      execution, liveness (progress resumes within a bounded
       window; the clock pauses while a network fault is active, but
       {e not} during in-budget crashes — BFT must stay live under
-      [<= f] crash faults).
+      [<= f] crash faults), and rejoin (once no fault window has been
+      open for one liveness window, every replica trails the highest
+      ledger by at most [caps.rejoin_lag] blocks).
 
     Same seed ⇒ identical fault timeline, event for event. *)
 
@@ -71,6 +73,10 @@ type caps = {
   link_loss : bool;         (** probabilistic loss recovers *)
   link_dup : bool;          (** duplication is handled idempotently *)
   equivocation : bool;      (** sharing-step equivocation (GeoBFT) *)
+  rejoin_lag : int;
+      (** the [rejoin] bound: how many blocks a replica may trail the
+          highest ledger once no fault window has been open for one
+          liveness window *)
 }
 
 (** How cross-replica agreement is checked: [Prefix] for protocols
@@ -152,7 +158,9 @@ val monitor :
   monitor
 (** Install a self-rearming invariant check every [sample_ms]
     (default 250 ms).  [liveness_window_ms] (default 5000) bounds how
-    long global execution may stall while no network fault is active.
+    long global execution may stall while no network fault is active,
+    and how long the deployment must have been clear of fault windows
+    before the [rejoin] bound applies.
     Only the first violation is retained; sampling stops after it. *)
 
 val check_now : monitor -> unit

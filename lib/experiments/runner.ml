@@ -50,22 +50,25 @@ let deployment : proto -> (module Deployment.S) = function
 (* What each protocol is expected to absorb — the scheduler only draws
    faults a protocol must survive, so a violation is always a bug.
    The envelopes are empirical statements about *this codebase*, not
-   aspirations (DESIGN.md documents each exclusion):
+   aspirations (DESIGN.md documents each exclusion).  In every envelope
+   the monitor's [rejoin] invariant holds each replica, once it has
+   been up and clear of fault windows for one liveness window, to
+   within z·i blocks of the highest ledger: the batches a closed loop
+   keeps in flight.  So "may crash and rejoin" below is checked per
+   replica, not only as the group's progress:
    - GeoBFT carries the paper's full recovery machinery (local view
      change, DRVC re-serve, remote view change with re-share), so it
-     takes the whole menu: any replica may crash and recover, clusters
+     takes the whole menu: any replica may crash and rejoin, clusters
      may partition and heal, links may flap/lose/duplicate, and a
      Byzantine primary may equivocate at the sharing step;
    - Pbft recovers from message loss and severed links through its
-     view-change timer, and — since the lib/recovery checkpoint
-     state-transfer layer — any replica (the primary included) may
-     crash and rejoin: it pulls the stable-checkpoint anchor plus the
-     missing ledger suffix from f+1 agreeing peers and adopts the
-     group's view;
+     view-change timer, and any replica (the primary included) may
+     crash and rejoin through the lib/recovery catch-up loop, adopting
+     the serving peer's view;
    - Zyzzyva has no view change at all: node 0 is not crashable;
      backup crashes and link faults push clients onto the
-     commit-certificate slow path, which recovers (kept as-is,
-     faithful to the paper's Zyzzyva);
+     commit-certificate slow path, and a backup back from a crash fills
+     its hole through the catch-up loop, so the fast path returns;
    - HotStuff replicas interleave independent instance logs
      (agreement is per-executed-batch-set with in-flight slack rather
      than prefix equality); a stalled instance fetches its log from
@@ -74,44 +77,40 @@ let deployment : proto -> (module Deployment.S) = function
      instance legitimately stalls while it is down);
    - Steward's inter-site traffic is threshold-signed shares routed
      through site representatives; the lib/recovery stall task
-     re-proposes, re-accepts, re-forwards and catch-up-fetches with
-     backoff + jitter, so link outages, loss and duplication on the
-     representative channel now heal alongside non-representative
-     crashes. *)
+     re-proposes, re-accepts and re-forwards with backoff + jitter, and
+     the catch-up loop refills a stalled ledger, so link outages, loss
+     and duplication on the representative channel heal alongside
+     non-representative crashes. *)
 let chaos_profile (p : proto) (cfg : Config.t) :
     Chaos.caps * Chaos.agreement_mode * float =
   let everyone _ = true in
+  let rejoin_lag = cfg.Config.z * cfg.Config.client_inflight in
   match p with
   | Geobft ->
       ( { Chaos.crashable = everyone; partitions = true; link_down = true;
-          link_loss = true; link_dup = true; equivocation = true },
+          link_loss = true; link_dup = true; equivocation = true; rejoin_lag },
         Chaos.Prefix,
         8000. )
   | Pbft ->
       ( { Chaos.crashable = everyone; partitions = false; link_down = true;
-          link_loss = true; link_dup = true; equivocation = false },
+          link_loss = true; link_dup = true; equivocation = false; rejoin_lag },
         Chaos.Prefix,
         6000. )
   | Zyzzyva ->
       ( { Chaos.crashable = (fun v -> v <> 0); partitions = false;
           link_down = true; link_loss = true; link_dup = true;
-          equivocation = false },
+          equivocation = false; rejoin_lag },
         Chaos.Prefix,
         6000. )
   | Hotstuff ->
-      (* Crashes joined the menu when ledger state transfer was wired
-         through lib/recovery (Fetch_log/Log_suffix catch-up): a
-         recovering replica now closes arbitrarily long holes inside
-         the liveness window, where the old bounded archive left them
-         permanently unservable. *)
       ( { Chaos.crashable = everyone; partitions = false; link_down = true;
-          link_loss = true; link_dup = true; equivocation = false },
+          link_loss = true; link_dup = true; equivocation = false; rejoin_lag },
         Chaos.Eventual_set 256,
         6000. )
   | Steward ->
       ( { Chaos.crashable = (fun v -> v mod cfg.Config.n <> 0);
           partitions = false; link_down = true; link_loss = true;
-          link_dup = true; equivocation = false },
+          link_dup = true; equivocation = false; rejoin_lag },
         Chaos.Prefix,
         6000. )
 

@@ -40,27 +40,10 @@ type msg =
   | Reply of { batch_id : int; result_digest : string; primary : int }
       (* [primary]: the replier's current local primary — clients use
          it to re-aim new requests after a view change. *)
-  (* Crash-rejoin catch-up (lib/recovery): a recovering replica asks a
-     local peer for its ledger suffix from height [from]; the peer
-     answers with the blocks (and its engine view, so an ex-primary
-     stops proposing into a dead view). *)
-  | Fetch_rounds of { from : int }
-  | Round_data of {
-      from : int;
-      eng_view : int;
-      suffix : Rdb_recovery.Catchup.suffix;
-    }
+  (* Ledger catch-up (lib/recovery): a rejoining replica pulls the
+     ledger suffix from its local peers, with their engine view, so an
+     ex-primary stops proposing into a dead view. *)
+  | Sync of Rdb_recovery.Catchup.msg
 
 let rvc_payload ~failed_cluster ~round ~vc_count ~requester =
   Printf.sprintf "rvc:%d:%d:%d:%d" failed_cluster round vc_count requester
-
-let kind = function
-  | Local m -> "local-" ^ Rdb_pbft.Messages.kind m
-  | Request _ -> "request"
-  | Read_request _ -> "read-request"
-  | Global_share _ -> "global-share"
-  | Drvc _ -> "drvc"
-  | Rvc _ -> "rvc"
-  | Reply _ -> "reply"
-  | Fetch_rounds _ -> "fetch-rounds"
-  | Round_data _ -> "round-data"

@@ -25,18 +25,10 @@ type msg =
   | Drvc of { failed_cluster : int; round : int; vc_count : int }
   | Rvc of rvc
   | Reply of { batch_id : int; result_digest : string; primary : int }
-  | Fetch_rounds of { from : int }
-      (** Crash-rejoin: ask a local peer for the ledger suffix. *)
-  | Round_data of {
-      from : int;
-      eng_view : int;
-      suffix : Rdb_recovery.Catchup.suffix;
-          (** Up to one chunk of the ledger; the final (short) chunk
-              carries the App state when ledger payloads are stripped
-              and replay cannot rebuild state. *)
-    }
+  | Sync of Rdb_recovery.Catchup.msg
+      (** Ledger catch-up from local peers, who report their engine
+          view. *)
 
 val rvc_payload : failed_cluster:int -> round:int -> vc_count:int -> requester:int -> string
 (** The signed payload of an RVC request (Figure 7, line 13). *)
 
-val kind : msg -> string

@@ -89,13 +89,10 @@ type replica = {
   mutable shares_sent : int;                     (* metrics *)
   mutable cert_verifications : int;              (* certify charges issued *)
   mutable remote_vcs_triggered : int;
-  (* Crash-rejoin catch-up (lib/recovery): the ledger cursor and the
-     task pulling the missing ledger suffix from local peers. *)
+  (* Ledger catch-up (lib/recovery): the ledger cursor and the loop
+     pulling the missing suffix from local peers. *)
   catchup : Catchup.t;
 }
-
-(* Blocks per catch-up reply, so one message stays bounded. *)
-let catchup_chunk = 96
 
 (* -- wire declaration ------------------------------------------------------ *)
 
@@ -105,8 +102,7 @@ let share_size cfg =
 (* A share pays the receive floor only: its certificate is verified on
    the certify thread by [accept_share], at most once per (cluster,
    round) unless a copy fails, not per received copy.  A remote
-   view-change request carries one signature, round data one
-   certificate per block. *)
+   view-change request carries one signature. *)
 let wire cfg : msg -> Wire.cost = function
   | Local m -> Rdb_pbft.Messages.wire cfg m
   | Request _ | Read_request _ -> { bytes = Client_core.request_bytes cfg; verifies = 0 }
@@ -114,9 +110,7 @@ let wire cfg : msg -> Wire.cost = function
   | Drvc _ -> { bytes = Wire.small; verifies = 0 }
   | Rvc _ -> { bytes = Wire.small; verifies = 1 }
   | Reply _ -> { bytes = Client_core.reply_bytes cfg; verifies = 0 }
-  | Fetch_rounds _ -> { bytes = Wire.fetch_bytes; verifies = 0 }
-  | Round_data { suffix; _ } ->
-      { bytes = Catchup.bytes cfg suffix; verifies = Catchup.verifies suffix }
+  | Sync m -> Catchup.wire cfg m
 
 let local_members r = Config.replicas_of_cluster r.cfg r.my_cluster
 
@@ -146,7 +140,8 @@ let rec try_execute r =
   (* While recovering, the ledger may sit mid-round (the crash dropped
      part of an exec chain); executing the next round would append at
      the wrong heights and diverge from honest ledgers.  Catch-up
-     (install_rounds) re-aligns the cursor and clears the flag. *)
+     installs whole rounds, re-aligning the cursor, and clears the
+     flag. *)
   if (not r.exec_busy) && not r.catchup.recovering then begin
     let round = r.exec_round in
     let ready =
@@ -443,61 +438,35 @@ and verify_share r tr parked ~src ~round (batch : Batch.t) (cert : Certificate.t
         | Some (src, batch, cert) when live -> verify_share r tr parked ~src ~round batch cert
         | _ -> Hashtbl.remove tr.verifying round)
 
-(* -- crash-rejoin catch-up (lib/recovery) --------------------------------- *)
+(* -- ledger catch-up (lib/recovery) ------------------------------------- *)
 
 (* Ledger height h holds round h/z, cluster h mod z: the fabric appends
    in execute-call order and exec_batches walks clusters in order.  A
    rejoining replica therefore pulls the missing suffix with a plain
    ledger read on any local-cluster peer; remote-cluster track entries
    are discarded right after execution, so the ledger is the only place
-   old rounds survive. *)
-
-let send_catchup_fetch r ~attempt =
-  let peers = List.filter (fun i -> i <> r.ctx.Ctx.id) (local_members r) in
-  match peers with
-  | [] -> ()
-  | peers ->
-      let dst = List.nth peers (attempt mod List.length peers) in
-      Ctx.send r.ctx ~dst (Fetch_rounds { from = r.catchup.issued })
-
-(* Always answer, even when empty: an empty reply tells the requester
-   it has reached our executed frontier. *)
-let serve_rounds r ~src ~from =
-  let suffix = Catchup.read ~limit:catchup_chunk r.ctx ~from in
-  Ctx.send r.ctx ~dst:src (Round_data { from; eng_view = Engine.view r.engine; suffix })
-
-let install_rounds r ~from ~eng_view suffix =
-  if r.catchup.recovering && (not r.exec_busy) && from = r.catchup.issued then begin
-    let z = r.cfg.Config.z in
-    let len = List.length suffix.Catchup.blocks in
-    (* note_external_commit can synchronously unblock queued local
-       commits whose on_committed handler calls try_execute; hold
-       exec_busy so the normal path cannot interleave mid-install.
-       Install only complete rounds: a partial round would collide with
-       the round-at-a-time normal path once the frontier resumes. *)
-    r.exec_busy <- true;
-    Catchup.install r.catchup r.ctx ~from suffix
-      ~count:(((from + len) / z * z) - from)
-      ~apply:(fun ~h batch cert ->
-        if h mod z = r.my_cluster then
-          ignore (Engine.note_external_commit r.engine ~seq:(h / z) batch);
-        r.ctx.Ctx.execute batch ~cert ~on_done:(fun _ ->
-            r.catchup.appended <- r.catchup.appended + 1));
-    r.exec_busy <- false;
-    (* The install ends on a round boundary, so the cursor division is
-       exact; a dropped exec chain may have left exec_round ahead. *)
-    r.exec_round <- max r.exec_round (r.catchup.issued / z);
-    Engine.adopt_view r.engine ~view:eng_view;
-    if len < catchup_chunk then begin
-      (* The peer's ledger is exhausted: we are at its executed
-         frontier.  Resume the normal path; any residual gap to the
-         live frontier heals via shares and DRVC re-serving. *)
-      r.catchup.recovering <- false;
+   old rounds survive.  Only whole rounds install: a partial round
+   would collide with the round-at-a-time normal path once the
+   frontier resumes. *)
+let watch_catchup r =
+  let z = r.cfg.Config.z in
+  Catchup.watch r.catchup ~align:z
+    ~view:(fun () -> Engine.view r.engine)
+    ~adopt:(fun ~view -> Engine.adopt_view r.engine ~view)
+    ~settled:(fun () -> not (Engine.missed r.engine))
+    ~resume:(fun () ->
+      (* At the peer's executed frontier: any residual gap to the live
+         frontier heals via shares and DRVC re-serving. *)
       update_detection_timers r;
-      try_execute r
-    end
-    else send_catchup_fetch r ~attempt:0
-  end
+      try_execute r)
+    ~apply:(fun ~h batch cert ->
+      if h mod z = r.my_cluster then
+        ignore (Engine.note_external_commit r.engine ~seq:(h / z) batch);
+      (* A dropped exec chain may have left exec_round ahead. *)
+      if (h + 1) mod z = 0 then r.exec_round <- max r.exec_round ((h + 1) / z);
+      r.ctx.Ctx.execute batch ~cert ~on_done:(fun _ ->
+          r.catchup.appended <- r.catchup.appended + 1))
+    ()
 
 (* -- construction ------------------------------------------------------------ *)
 
@@ -589,16 +558,20 @@ let create_replica (ctx : msg Ctx.t) =
       shares_sent = 0;
       cert_verifications = 0;
       remote_vcs_triggered = 0;
-      catchup = Catchup.create ctx;
+      catchup =
+        Catchup.create (Ctx.map_send (fun m -> Sync m) ctx)
+          ~peers:(Config.replicas_of_cluster cfg my_cluster);
     }
   in
   r_ref := Some r;
-  Catchup.watch r.catchup ~fetch:(send_catchup_fetch r) ();
+  watch_catchup r;
   (* A backup whose local engine dropped messages past its acceptance
      window (the cluster raced ahead while one delayed pre-prepare
      stalled its frontier) never crashed, so only this hook notices it
-     is starving; the crash-rejoin fetch path brings it back. *)
-  Engine.set_on_behind engine (Some (fun ~seq:_ -> Catchup.start r.catchup));
+     is starving; the catch-up loop brings it back once no round is
+     executing, so the install cannot interleave with one. *)
+  Engine.set_on_behind engine
+    (Some (fun ~seq:_ -> if not r.exec_busy then Catchup.start r.catchup));
   (* Failure detection is armed from the start of round 0. *)
   update_detection_timers r;
   r
@@ -624,7 +597,7 @@ let adversary : msg Rdb_types.Interpose.view =
     | Messages.Request _ | Messages.Read_request _ | Messages.Reply _ -> Client
     | Messages.Global_share _ -> Share
     | Messages.Drvc _ | Messages.Rvc _ -> View_change
-    | Messages.Fetch_rounds _ | Messages.Round_data _ -> Sync
+    | Messages.Sync _ -> Sync
   in
   let conflict ~keychain ~nonce = function
     | Messages.Local em ->
@@ -657,9 +630,7 @@ let on_message (r : replica) ~src (m : msg) =
         record_drvc r tr ~src_local:(Config.local_index r.cfg src) ~round ~v:vc_count
       end
   | Rvc rvc -> handle_rvc r rvc ~src
-  | Fetch_rounds { from } ->
-      if Config.cluster_of_replica r.cfg src = r.my_cluster then serve_rounds r ~src ~from
-  | Round_data { from; eng_view; suffix } -> install_rounds r ~from ~eng_view suffix
+  | Sync m -> Catchup.on_message r.catchup ~src m
   | Reply _ -> ()
 
 (* -- client agent --------------------------------------------------------------- *)

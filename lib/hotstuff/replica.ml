@@ -215,6 +215,17 @@ let nudge_catch_up r inst =
     && inst.fetched_from <> inst.next_exec
   then fetch_log r inst ~attempt:0
 
+(* A delivery at [height] of instance [inst].  A stall it newly
+   reveals fetches at once, however shallow: the stall task may sit in
+   a long backoff for another instance's stall. *)
+let saw r inst ~height =
+  let was = inst_stalled inst in
+  inst.max_seen <- max inst.max_seen height;
+  if inst_stalled inst then begin
+    if (not was) && inst.fetched_from <> inst.next_exec then fetch_log r inst ~attempt:0;
+    nudge_catch_up r inst
+  end
+
 let create_replica (ctx : msg Ctx.t) =
   let cfg = ctx.Ctx.config in
   let n = Config.n_replicas cfg in
@@ -254,9 +265,13 @@ let create_replica (ctx : msg Ctx.t) =
 let view_changes (_ : replica) = 0
 let decided_total r = r.decided_total
 
-(* Crash-recover: any stall task armed before the crash died with its
-   timer; re-arm if an instance is stalled. *)
-let on_recover (r : replica) = if any_stalled r then Recovery.start r.recovery
+(* Crash-recover: the stall task's pending tick died with the crash,
+   and the replica cannot yet tell how far its instances fell behind.
+   Ask each instance's leader for its log from the frontier (a leader
+   at or behind it answers nothing), and re-arm the task. *)
+let on_recover (r : replica) =
+  Array.iter (fun inst -> if inst.owner <> r.ctx.Ctx.id then fetch_log r inst ~attempt:0) r.insts;
+  Recovery.start r.recovery
 
 let recovery (r : replica) = Recovery.stats r.recovery
 
@@ -394,23 +409,21 @@ let on_message r ~src (m : msg) =
   | Propose { inst = i; height; batch } ->
       if i = src && i <> r.ctx.Ctx.id then begin
         let inst = r.insts.(i) in
-        inst.max_seen <- max inst.max_seen height;
         let s = slot_of inst height in
         if s.batch = None then begin
           s.batch <- Some batch;
           r.ctx.Ctx.phase ~key:(hs_key ~owner:i ~height) ~name:"propose";
           vote r inst ~height ~phase:Prepare ~digest:batch.Batch.digest
         end;
-        if inst_stalled inst then nudge_catch_up r inst
+        saw r inst ~height
       end
   | Vote { inst = i; height; phase; digest } ->
       if i = r.ctx.Ctx.id then record_vote r r.insts.(i) ~height ~phase ~voter:src ~digest
   | Qc { inst = i; height; phase; digest = _ } ->
       if i = src && i <> r.ctx.Ctx.id then begin
         let inst = r.insts.(i) in
-        inst.max_seen <- max inst.max_seen height;
         apply_qc r inst ~height ~phase;
-        if inst_stalled inst then nudge_catch_up r inst
+        saw r inst ~height
       end
   | Fetch_log { inst = i; from } ->
       (* Serve a contiguous executed suffix of this instance's log from

@@ -101,6 +101,9 @@ type t = {
       (* fired when a commit arrives so far past [next_emit] that the
          acceptance window already dropped it: the group has moved on
          and only a state transfer can bring this replica back *)
+  mutable missed : int;
+      (* highest sequence number of a message dropped past the
+         acceptance window: nobody resends it *)
   mutable n_view_changes : int;            (* completed view changes (metric) *)
   mutable deferred : (int * msg) list;     (* messages from views ahead of ours *)
 }
@@ -159,6 +162,7 @@ let create ~(ctx : msg Ctx.t) ~members ~cluster ~on_committed ~on_view_change ()
     on_committed;
     on_view_change;
     on_behind = None;
+    missed = -1;
     n_view_changes = 0;
     deferred = [];
   }
@@ -313,6 +317,18 @@ let collect_below t ~seq =
 
 (* -- progress timer ------------------------------------------------------ *)
 
+(* A later slot holds commits from a quorum while the emit cursor waits:
+   the group may have decided past this replica (a message it needed was
+   lost), which a view change alone cannot mend. *)
+let decided_past t =
+  Hashtbl.fold
+    (fun seq s acc ->
+      acc
+      || seq > t.next_emit
+         && Array.fold_left (fun k d -> if d != absent then k + 1 else k) 0 s.commit_digests
+            >= t.quorum)
+    t.slots false
+
 let has_outstanding t =
   (not (Queue.is_empty t.pending)) || Hashtbl.length t.forwarded > 0 || t.unemitted > 0
 
@@ -367,6 +383,9 @@ and start_view_change t ~target =
 
 and on_timeout t =
   t.vc_timer <- None;
+  (match t.on_behind with
+  | Some behind when decided_past t -> behind ~seq:t.next_emit
+  | _ -> ());
   let target = (match t.mode with `Normal -> t.view | `ViewChange tgt -> tgt) + 1 in
   start_view_change t ~target
 
@@ -742,6 +761,15 @@ let force_view_change t =
 
 (* -- dispatch ---------------------------------------------------------------- *)
 
+(* The acceptance window: a message this far past the emit cursor is
+   dropped, and its sequence number remembered as missed. *)
+let within t seq =
+  seq < t.next_emit + (4 * t.window)
+  || begin
+       t.missed <- max t.missed seq;
+       false
+     end
+
 let rec on_message t ~src (m : msg) =
   let src_local = local_of t.members src in
   if src_local < 0 then () (* not a member of this cluster: ignore *)
@@ -754,7 +782,7 @@ let rec on_message t ~src (m : msg) =
         t.deferred <- (src, m) :: t.deferred
     | Preprepare { view; seq; batch } ->
         if view = t.view && t.mode = `Normal && src_local = view mod t.n
-           && seq > t.low_water && seq < t.next_emit + (4 * t.window) then begin
+           && seq > t.low_water && within t seq then begin
           let s = slot t seq in
           match s.digest with
           | Some d when not (String.equal d batch.Batch.digest) && s.sview = view ->
@@ -773,8 +801,7 @@ let rec on_message t ~src (m : msg) =
     | Prepare { view; seq; _ } when view > t.view && seq > t.low_water ->
         t.deferred <- (src, m) :: t.deferred
     | Prepare { view; seq; digest } ->
-        if view = t.view && t.mode = `Normal && seq > t.low_water
-           && seq < t.next_emit + (4 * t.window) then begin
+        if view = t.view && t.mode = `Normal && seq > t.low_water && within t seq then begin
           let s = slot t seq in
           if s.prepares.(src_local) == absent then begin
             set_prepare s src_local digest;
@@ -782,7 +809,7 @@ let rec on_message t ~src (m : msg) =
           end
         end
     | Commit { view; seq; digest; signature } ->
-        if seq < t.next_emit + (4 * t.window) then
+        if within t seq then
           handle_commit t ~src_local ~view ~seq ~digest ~signature
         else
           (* Too far past our frontier to even buffer: the group has
@@ -822,6 +849,8 @@ let checkpoint_every t = t.checkpoint_every
 let retained_slots t = Hashtbl.length t.slots
 let min_retained_slot t = Hashtbl.fold (fun s _ acc -> min s acc) t.slots max_int
 
+let missed t = t.missed >= t.next_emit
+
 (* A batch learned out-of-band (checkpoint state transfer): advance the
    emit cursor past it without assembling a local certificate.  Only
    the exact frontier advances — the caller installs a contiguous
@@ -845,23 +874,15 @@ let note_external_commit t ~seq (batch : Batch.t) =
     true
   end
 
-(* Adopt a transferred stable checkpoint: advance the watermark and
-   garbage-collect everything at or below it, exactly as a locally
-   quorum-stable checkpoint would. *)
-let install_checkpoint t ~seq ~digest =
-  if seq > t.low_water && seq < t.next_emit then begin
-    t.low_water <- seq;
-    t.stable_digest <- digest;
-    collect_below t ~seq
-  end
-
-(* Adopt the view the rest of the group is in, learned from f+1
-   matching state-transfer replies (the simulator trusts this in lieu
-   of shipping the full new-view certificate): without it a recovering
-   ex-primary keeps proposing into a dead view forever.  Stale vote
-   state from older views is reset exactly as [enter_new_view] does. *)
+(* Adopt the view a catch-up peer executes in (the simulator trusts
+   this in lieu of shipping the full new-view certificate): without it
+   a recovering ex-primary keeps proposing into a dead view forever,
+   and a replica whose lone view change nobody joined (its progress
+   timer fired while it was behind) drops every pre-prepare of the
+   view the group still runs.  Stale vote state from older views is
+   reset exactly as [enter_new_view] does. *)
 let adopt_view t ~view =
-  if view > t.view then begin
+  if view > t.view || (view = t.view && t.mode <> `Normal) then begin
     t.view <- view;
     t.mode <- `Normal;
     Hashtbl.iter

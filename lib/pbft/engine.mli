@@ -80,16 +80,18 @@ val retained_slots : t -> int
 val min_retained_slot : t -> int
 (** [max_int] when no slots are retained. *)
 
+val missed : t -> bool
+(** A message for a slot at or past the emit cursor was dropped past
+    the acceptance window (this replica was behind): nobody resends
+    it, so only a ledger fetch past that slot fills it. *)
+
 val note_external_commit : t -> seq:int -> Batch.t -> bool
 (** A batch learned via checkpoint state transfer: advance the emit
     cursor past it (true iff [seq] was exactly the frontier). *)
 
-val install_checkpoint : t -> seq:int -> digest:string -> unit
-(** Adopt a transferred stable checkpoint: advance the watermark and
-    garbage-collect at or below it. *)
-
 val adopt_view : t -> view:int -> unit
-(** Adopt the view learned from f+1 matching state-transfer replies. *)
+(** Adopt the view a catch-up peer executes in, leaving a view change
+    to a later view that the peer has not entered. *)
 
 val on_recover : t -> unit
 (** After a crash-recover: revive the (silently dropped) progress
@@ -101,4 +103,7 @@ val set_on_behind : t -> (seq:int -> unit) option -> unit
     execution frontier that the acceptance window already discards it.
     Nobody retransmits normal-path messages, so without intervention a
     replica in that state is starved forever; the hook lets the owner
-    start the same state transfer a crash-rejoin uses. *)
+    start the same state transfer a crash-rejoin uses.  The progress
+    timer calls it too, beside starting a view change, when a later
+    slot already holds a quorum of commits: the group may have decided
+    past this replica. *)

@@ -35,14 +35,6 @@ type msg =
   | ViewChange of { target : int; last_stable : int; prepared : prepared_proof list }
   | NewView of { target : int; preprepares : (int * Batch.t) list }
 
-let kind = function
-  | Forward _ -> "forward"
-  | Preprepare _ -> "preprepare"
-  | Prepare _ -> "prepare"
-  | Commit _ -> "commit"
-  | Checkpoint _ -> "checkpoint"
-  | ViewChange _ -> "view-change"
-  | NewView _ -> "new-view"
 
 (* The adversary's view of engine messages (lib/adversary), shared by
    every protocol that wraps this engine.  Equivocation is modelled on

@@ -28,7 +28,6 @@ type msg =
   | ViewChange of { target : int; last_stable : int; prepared : prepared_proof list }
   | NewView of { target : int; preprepares : (int * Batch.t) list }
 
-val kind : msg -> string
 
 val classify : msg -> Rdb_types.Interpose.cls
 (** The adversary's class of each engine message (DESIGN.md §14). *)

@@ -11,15 +11,15 @@
    the single primary's WAN uplinks carry a full pre-prepare per
    replica per decision.
 
-   Crash-rejoin (lib/recovery): a recovering replica broadcasts
-   [Fetch_state] with its ledger height; peers answer [Snapshot] with
-   their stable-checkpoint anchor plus the missing ledger suffix.  The
-   replica installs once f+1 replies agree on the anchor, adopting the
-   group's view, and keeps refetching with backoff until it commits at
-   the live frontier again.  Without this, a rejoining replica (the
-   old primary especially) stays wedged: peers never resend the
+   Rejoin (lib/recovery): a replica back from a crash, or left behind
+   the engine's acceptance window, pulls the ledger suffix through the
+   shared catch-up loop, one peer and one chunk at a time, adopting the
+   serving peer's view, until a short chunk puts it at that peer's
+   executed frontier.  Without this, a rejoining replica (the old
+   primary especially) stays wedged: peers never resend the
    prepares/commits it slept through, and new-view messages skip
-   already-committed slots. *)
+   already-committed slots.  The chaos monitor's [rejoin] invariant
+   checks that it comes back within a few batches of the group. *)
 
 module Batch = Rdb_types.Batch
 module Config = Rdb_types.Config
@@ -39,22 +39,12 @@ type msg =
       (* read-only batch served from replica state without consensus;
          the client needs f+1 matching result digests *)
   | Reply of { batch_id : int; result_digest : string; primary : int }
-  | Fetch_state of { from : int }
-  | Snapshot of {
-      from : int;
-      anchor_seq : int;
-      anchor_digest : string;
-      view : int;
-      suffix : Catchup.suffix;
-    }
+  | Sync of Catchup.msg
 
 type replica = {
   ctx : msg Ctx.t;
   engine : Engine.t;
-  f : int;
   catchup : Catchup.t;
-  (* src -> (from, anchor_seq, anchor_digest, view, suffix) *)
-  snap_replies : (int, int * int * string * int * Catchup.suffix) Hashtbl.t;
   (* digest -> (batch id, result digest) of an executed batch: a
      retransmitted request for a batch we already executed (its reply
      was lost on the wire) is answered from this cache instead of
@@ -91,66 +81,6 @@ let execute (r : replica) ~seq ~answer (batch : Batch.t) ~cert =
               (reply r ~batch_id:batch.Batch.id res.App.digest)
       | _ -> ())
 
-(* -- state transfer ------------------------------------------------------ *)
-
-let broadcast_fetch (r : replica) =
-  let cfg = r.ctx.Ctx.config in
-  let me = r.ctx.Ctx.id in
-  let dsts = List.filter (fun d -> d <> me) (List.init (Config.n_replicas cfg) Fun.id) in
-  Ctx.multicast r.ctx ~dsts (Fetch_state { from = r.catchup.issued })
-
-(* The whole suffix, with the App state whenever payloads are stripped. *)
-let serve_fetch (r : replica) ~src ~from =
-  let suffix = Catchup.read r.ctx ~from in
-  Ctx.send r.ctx ~dst:src
-    (Snapshot
-       {
-         from;
-         anchor_seq = Engine.low_water r.engine;
-         anchor_digest = Engine.stable_digest r.engine;
-         view = Engine.view r.engine;
-         suffix;
-       })
-
-let install (r : replica) ~from ~anchor_seq ~anchor_digest ~view suffix =
-  Catchup.install r.catchup r.ctx ~from suffix ~apply:(fun ~h batch cert ->
-      execute r ~seq:h ~answer:false batch ~cert;
-      (* Unblocks queued commit quorums, whose executes advance
-         [issued] at the frontier in order. *)
-      ignore (Engine.note_external_commit r.engine ~seq:h batch));
-  Engine.install_checkpoint r.engine ~seq:anchor_seq ~digest:anchor_digest;
-  Engine.adopt_view r.engine ~view
-
-(* Install once f+1 replies agree on the stable-checkpoint anchor,
-   taking the reply reaching the highest ledger height. *)
-let try_install (r : replica) =
-  let groups = Hashtbl.create 4 in
-  Hashtbl.iter
-    (fun _ (from, aseq, adig, view, suffix) ->
-      let k = (aseq, adig) in
-      Hashtbl.replace groups k
-        ((from, view, suffix) :: Option.value ~default:[] (Hashtbl.find_opt groups k)))
-    r.snap_replies;
-  let chosen =
-    Hashtbl.fold
-      (fun (aseq, adig) rs acc ->
-        match acc with
-        | Some _ -> acc
-        | None -> if List.length rs >= r.f + 1 then Some (aseq, adig, rs) else None)
-      groups None
-  in
-  match chosen with
-  | None -> ()
-  | Some (aseq, adig, rs) ->
-      let reach (from, _, s) = from + List.length s.Catchup.blocks in
-      let from, view, suffix =
-        List.fold_left
-          (fun best c -> if reach c > reach best then c else best)
-          (List.hd rs) (List.tl rs)
-      in
-      Hashtbl.reset r.snap_replies;
-      install r ~from ~anchor_seq:aseq ~anchor_digest:adig ~view suffix
-
 (* -- replica ------------------------------------------------------------- *)
 
 let create_replica (ctx : msg Ctx.t) =
@@ -161,37 +91,42 @@ let create_replica (ctx : msg Ctx.t) =
     match !r_ref with
     | None -> ()
     | Some r ->
-        r.catchup.issued <- r.catchup.issued + 1;
-        (* A normal-path commit means this replica is back at the live
-           frontier: catch-up is done. *)
-        r.catchup.recovering <- false;
-        execute r ~seq ~answer:true batch ~cert:(Some cert)
+        (* Only at the ledger frontier: after a crash dropped in-flight
+           executes, the engine may emit past it, and catch-up appends
+           the gap first. *)
+        if seq = r.catchup.issued then begin
+          r.catchup.issued <- seq + 1;
+          execute r ~seq ~answer:true batch ~cert:(Some cert)
+        end
   in
   let engine =
     Engine.create ~ctx:engine_ctx ~members:(members_of cfg) ~cluster:0 ~on_committed
       ~on_view_change:(fun ~view:_ -> ()) ()
   in
-  let f = (Config.n_replicas cfg - 1) / 3 in
   let r =
     {
       ctx;
       engine;
-      f;
-      catchup = Catchup.create ctx;
-      snap_replies = Hashtbl.create 8;
+      catchup =
+        Catchup.create (Ctx.map_send (fun m -> Sync m) ctx) ~peers:(Array.to_list (members_of cfg));
       reply_cache = Hashtbl.create 256;
     }
   in
   r_ref := Some r;
   Catchup.watch r.catchup
-    ~on_start:(fun () -> Hashtbl.reset r.snap_replies)
-    ~fetch:(fun ~attempt:_ -> broadcast_fetch r)
+    ~view:(fun () -> Engine.view engine)
+    ~adopt:(fun ~view -> Engine.adopt_view engine ~view)
+    ~settled:(fun () -> not (Engine.missed engine))
+    ~apply:(fun ~h batch cert ->
+      execute r ~seq:h ~answer:false batch ~cert;
+      (* Unblocks queued commit quorums, whose executes advance
+         [issued] at the frontier in order. *)
+      ignore (Engine.note_external_commit engine ~seq:h batch))
     ();
   (* A replica that fell behind the group's acceptance window without
      ever crashing (e.g. a delayed pre-prepare stalled its frontier
-     while the others raced ahead) starts the crash-rejoin state
-     transfer: nobody retransmits the normal-path messages its window
-     dropped, so the fetch/snapshot path is the only way back. *)
+     while the others raced ahead) starts the catch-up loop: nobody
+     retransmits the normal-path messages its window dropped. *)
   Engine.set_on_behind engine (Some (fun ~seq:_ -> Catchup.start r.catchup));
   r
 
@@ -208,34 +143,27 @@ let on_message (r : replica) ~src (m : msg) =
         | None -> Engine.submit_batch r.engine batch)
   | Read_request batch ->
       Client_core.serve_read r.ctx batch ~reply:(reply r ~batch_id:batch.Batch.id)
-  | Fetch_state { from } -> serve_fetch r ~src ~from
-  | Snapshot { from; anchor_seq; anchor_digest; view; suffix } ->
-      if r.catchup.recovering then begin
-        Hashtbl.replace r.snap_replies src (from, anchor_seq, anchor_digest, view, suffix);
-        try_install r
-      end
+  | Sync m -> Catchup.on_message r.catchup ~src m
   | Reply _ -> ()
 
 let engine (r : replica) = r.engine
 
 (* -- wire and adversarial view (lib/adversary) ---------------------------- *)
 
-(* A snapshot's receiver re-verifies one certificate per block it
-   installs; every other non-engine message pays the receive floor. *)
+(* A catch-up chunk's receiver re-verifies one certificate per block;
+   every other non-engine message pays the receive floor. *)
 let wire (cfg : Config.t) : msg -> Wire.cost = function
   | Engine_msg em -> Messages.wire cfg em
   | Request _ | Read_request _ -> { bytes = Client_core.request_bytes cfg; verifies = 0 }
   | Reply _ -> { bytes = Client_core.reply_bytes cfg; verifies = 0 }
-  | Fetch_state _ -> { bytes = Wire.fetch_bytes; verifies = 0 }
-  | Snapshot { suffix; _ } ->
-      { bytes = Catchup.bytes cfg suffix; verifies = Catchup.verifies suffix }
+  | Sync m -> Catchup.wire cfg m
 
 let adversary : msg Rdb_types.Interpose.view =
   let open Rdb_types.Interpose in
   let classify = function
     | Engine_msg em -> Messages.classify em
     | Request _ | Read_request _ | Reply _ -> Client
-    | Fetch_state _ | Snapshot _ -> Sync
+    | Sync _ -> Sync
   in
   let conflict ~keychain ~nonce = function
     | Engine_msg em -> Option.map (fun em -> Engine_msg em) (Messages.conflict ~keychain ~nonce em)

@@ -15,18 +15,8 @@ type msg =
       (** Consensus-bypass read-only batch, answered from replica state
           with a real result digest (client needs f+1 matches). *)
   | Reply of { batch_id : int; result_digest : string; primary : int }
-  | Fetch_state of { from : int }
-      (** Recovering replica asking for the ledger suffix from height
-          [from] plus the stable-checkpoint anchor. *)
-  | Snapshot of {
-      from : int;
-      anchor_seq : int;
-      anchor_digest : string;
-      view : int;
-      suffix : Rdb_recovery.Catchup.suffix;
-          (** The whole ledger suffix from [from], with the App state
-              when ledger blocks are payload-stripped. *)
-    }  (** State-transfer reply; installed after f+1 anchors match. *)
+  | Sync of Rdb_recovery.Catchup.msg
+      (** Ledger catch-up: one peer and one chunk at a time. *)
 
 type replica
 type client = msg Rdb_types.Client_core.t
@@ -36,8 +26,8 @@ val on_message : replica -> src:int -> msg -> unit
 val view_changes : replica -> int
 
 val on_recover : replica -> unit
-(** Crash-rejoin: revive the engine's timers and start checkpoint
-    state transfer with backoff until back at the live frontier. *)
+(** Crash rejoin: revive the engine's timers and start the ledger
+    catch-up loop, which runs until a peer's executed frontier. *)
 
 val recovery : replica -> Rdb_types.Protocol.recovery_stats
 

@@ -1,65 +1,81 @@
-(** Ledger catch-up shared by pbft and GeoBFT (DESIGN.md §9): the
-    append cursor, starting a catch-up on one {!Recovery} task that
-    refetches with backoff while [issued] stalls, and the ledger suffix
-    a peer serves and the requester replays.  Which peers to ask, the
-    messages, pbft's f+1 anchor vote, GeoBFT's round alignment and the
-    per-block action stay in the protocols.  HotStuff and Steward catch
-    up in other shapes and use {!Recovery} directly. *)
-
-type t = {
-  recovery : Recovery.t;
-  mutable issued : int;
-      (** Ledger appends issued (execute calls): the height the next
-          fetch asks from, and the task's progress token. *)
-  mutable appended : int;  (** Ledger appends completed ([on_done]). *)
-  mutable recovering : bool;  (** Cleared by the protocol at the live frontier. *)
-  mutable fetch : attempt:int -> unit;
-  mutable on_start : unit -> unit;
-}
-
-val create : _ Rdb_types.Ctx.t -> t
-
-val watch : t -> ?on_start:(unit -> unit) -> fetch:(attempt:int -> unit) -> unit -> unit
-(** Install the protocol's [fetch] once the replica exists: the task is
-    needed while [recovering], and each stalled fire counts a
-    retransmission and calls [fetch ~attempt].  [on_start] runs as a
-    catch-up starts, before its first fetch. *)
-
-val start : t -> unit
-(** Unless recovering: set [recovering], [on_start], count a
-    retransmission, [fetch ~attempt:0], {!Recovery.start}. *)
-
-val recover : t -> unit
-(** Crash rejoin: resync [issued] to [appended] (in-flight executes
-    were dropped), then start as {!start} does without counting a
-    retransmission. *)
+(** The one ledger catch-up loop (DESIGN.md §9).  Pbft, GeoBFT,
+    Steward and Zyzzyva rejoin through it: a replica back from a crash
+    ([recover]), behind its engine's window ([start]) or seeing a gap in
+    live traffic ([suspect]) pulls its ledger suffix one peer and one
+    {!chunk} at a time.  A full chunk chains a fetch to the same peer; a
+    short one ends catch-up once the protocol is [settled].  Each
+    protocol wraps [msg] in one [Sync]-classed constructor and supplies
+    the per-block [apply].  HotStuff keeps per-instance logs and uses
+    {!Recovery} directly. *)
 
 type suffix = {
   blocks : (Rdb_types.Batch.t * Rdb_types.Certificate.t option) list;
   state : Rdb_types.App.snapshot option;
-      (** Only on a final chunk, and only when ledger payloads are
-          stripped so replay cannot rebuild state. *)
+      (** Only on a short chunk, when ledger payloads are stripped. *)
 }
 
+type msg =
+  | Fetch of { from : int }
+  | Chunk of { from : int; view : int; suffix : suffix }
+      (** Always sent, even empty: the server's blocks from [from] and
+          its view. *)
+
+val chunk : int
+(** Blocks per chunk (96). *)
+
+val wire : Rdb_types.Config.t -> msg -> Rdb_types.Wire.cost
+(** A chunk pays the receive floor only: its certificates, one per
+    block and at least one, are verified on the execute thread. *)
+
+type t = {
+  recovery : Recovery.t;
+  mutable issued : int;
+      (** Ledger appends issued: the height the next fetch asks from. *)
+  mutable appended : int;  (** Ledger appends completed. *)
+  mutable recovering : bool;
+  loop : loop;
+}
+
+and loop
+
+val create : msg Rdb_types.Ctx.t -> peers:int list -> t
+(** [ctx] sends through the protocol's [Sync] constructor; [peers] are
+    the replicas holding this replica's ledger order and view.  They
+    are asked own cluster first, a fresh fetch going to the next. *)
+
+val watch :
+  t ->
+  ?align:int ->
+  ?view:(unit -> int) ->
+  ?adopt:(view:int -> unit) ->
+  ?settled:(unit -> bool) ->
+  ?resume:(unit -> unit) ->
+  apply:(h:int -> Rdb_types.Batch.t -> Rdb_types.Certificate.t option -> unit) ->
+  unit ->
+  unit
+(** [apply ~h] appends block [h] after [issued] passed it (it may
+    advance [issued] further).  A chunk installs whole multiples of
+    [align] heights (default 1); [view] is what a server reports,
+    [adopt] takes the server's view after each chunk, and [resume] runs
+    once catch-up is done. *)
+
+val start : t -> unit
+val recover : t -> unit
+(** [start] unless recovering; [recover] first resyncs [issued] to
+    [appended] (the crash dropped in-flight executes). *)
+
+val suspect : t -> unit
+(** Start unless the frontier moves within one stall-task period. *)
+
+val on_message : t -> src:int -> msg -> unit
 val read : ?limit:int -> _ Rdb_types.Ctx.t -> from:int -> suffix
-(** At most [limit] blocks (default: all) from height [from]; a chunk
-    shorter than [limit] carries [state_snapshot ()]. *)
-
-val bytes : Rdb_types.Config.t -> suffix -> int
-(** {!Rdb_types.Wire.snapshot_bytes} plus the state's length. *)
-
-val verifies : suffix -> int
-(** Signature checks its receiver performs: one certificate per block,
-    at least one. *)
 
 val install :
   ?count:int ->
   t ->
-  _ Rdb_types.Ctx.t ->
   from:int ->
   suffix ->
   apply:(h:int -> Rdb_types.Batch.t -> Rdb_types.Certificate.t option -> unit) ->
   unit
-(** Restore the state, then for each of the first [count] blocks
-    (default: all) at the frontier ([from + i = issued]) advance
-    [issued] and [apply ~h]; count one state transfer. *)
+(** Restore the state, then apply the first [count] blocks that land at
+    the frontier; count one state transfer. *)

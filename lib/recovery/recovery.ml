@@ -100,11 +100,10 @@ let ensure t = if not t.running then start t
 (* -- counters ------------------------------------------------------------- *)
 
 let note_retransmit t = t.retransmissions <- t.retransmissions + 1
-let note_holes t n = t.holes_filled <- t.holes_filled + n
 
 let note_installed t ~filled =
   if filled > 0 then begin
-    note_holes t filled;
+    t.holes_filled <- t.holes_filled + filled;
     t.state_transfers <- t.state_transfers + 1
   end
 
@@ -114,13 +113,3 @@ let stats t : Protocol.recovery_stats =
     holes_filled = t.holes_filled;
     retransmissions = t.retransmissions;
   }
-
-(* -- gap detection -------------------------------------------------------- *)
-
-let missing ?(limit = max_int) ~have ~from ~upto () =
-  let rec go acc k taken =
-    if k > upto || taken >= limit then List.rev acc
-    else if have k then go acc (k + 1) taken
-    else go (k :: acc) (k + 1) (taken + 1)
-  in
-  go [] from 0

@@ -2,15 +2,13 @@
     plus one stall-watch task with exponential backoff and jitter.
 
     The protocols build their catch-up paths on it:
-    - pbft and GeoBFT through {!Catchup}, which adds the shared ledger
-      cursor, suffix and install on top of one handle: f+1-agreed
-      checkpoint state transfer ([Fetch_state]) and round-aligned
-      ledger chunks pulled from one local peer in rotation
-      ([Fetch_rounds]);
+    - Pbft, GeoBFT, Steward and Zyzzyva through {!Catchup}, the one
+      ledger catch-up loop, which adds the ledger cursor, the message
+      pair and the peer rotation on top of one handle;
     - HotStuff directly: one path for every stalled instance, chunked
       transfers of the instance's log from the replica's frontier;
-    - Steward directly: timeout retransmission of the representative
-      channel plus ledger catch-up ([Fetch_globals]).
+    - Steward also directly: timeout retransmission of the
+      representative channel.
 
     The task watches a progress token and fires a recovery action only
     while progress is stalled:
@@ -53,17 +51,8 @@ val ensure : t -> unit
 val note_retransmit : t -> unit
 (** One timeout- or lag-driven resend. *)
 
-val note_holes : t -> int -> unit
-(** [note_holes t n] records [n] batches fetched and applied. *)
-
 val note_installed : t -> filled:int -> unit
 (** One state transfer that filled [filled] batches; nothing when
     [filled = 0]. *)
 
 val stats : t -> Rdb_types.Protocol.recovery_stats
-
-val missing : ?limit:int -> have:(int -> bool) -> from:int -> upto:int -> unit -> int list
-(** Sequence numbers in [[from, upto]] for which [have] is false —
-    the holes a catch-up fetch must fill, in increasing order.
-    [limit] bounds how many are returned per call so one fetch stays
-    a small message. *)

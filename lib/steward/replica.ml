@@ -45,6 +45,7 @@ module Time = Rdb_sim.Time
 module Cpu = Rdb_sim.Cpu
 module Sha256 = Rdb_crypto.Sha256
 module Recovery = Rdb_recovery.Recovery
+module Catchup = Rdb_recovery.Catchup
 module Mutation = Rdb_types.Mutation
 module Evidence = Rdb_types.Evidence
 
@@ -66,8 +67,7 @@ type msg =
   | Global_accept of { g : int; site : int; digest : string }
   | Local_bcast of { g : int; batch : Batch.t }     (* rep -> site members *)
   | Local_commit of { g : int }                     (* rep -> site members *)
-  | Fetch_globals of { from : int }                 (* catch-up request *)
-  | Globals_data of { from : int; batches : Batch.t list }
+  | Sync of Catchup.msg                             (* ledger catch-up *)
   | Reply of { batch_id : int; result_digest : string }
 
 type certify_round = {
@@ -93,7 +93,9 @@ type replica = {
   (* All replicas: *)
   proposals : (int, Batch.t) Hashtbl.t; (* g -> batch *)
   committed : (int, unit) Hashtbl.t;
-  mutable next_exec : int;
+  (* Global sequence g executes at ledger height g: [appended] is the
+     next one to execute, [issued] passes it while its execute runs. *)
+  catchup : Catchup.t;
   mutable exec_busy : bool;             (* an execute is in flight *)
   mutable commit_sent : (int, unit) Hashtbl.t;  (* rep: local commits sent *)
   (* Retransmission / catch-up (lib/recovery).  The representative
@@ -105,25 +107,20 @@ type replica = {
   recovery : Recovery.t;
 }
 
-(* Batches per catch-up reply. *)
-let catchup_chunk = 64
+let next_exec r = r.catchup.Catchup.appended
 
 (* Threshold-signature verification is RSA-verify class; model it with
-   the standard signature-verification cost.  A catch-up reply's
-   requester re-verifies the site certificate of each batch it
-   installs (at least one). *)
+   the standard signature-verification cost. *)
 let wire cfg m : Wire.cost =
   let batch_size = cfg.Config.batch_size in
   match m with
   | Request _ | Read_request _ -> { bytes = Client_core.request_bytes cfg; verifies = 0 }
   | Certify_req { batch = Some _; _ } -> { bytes = Wire.batch_bytes ~batch_size; verifies = 0 }
-  | Certify_req _ | Local_commit _ | Fetch_globals _ -> { bytes = Wire.small; verifies = 0 }
+  | Certify_req _ | Local_commit _ -> { bytes = Wire.small; verifies = 0 }
   | Partial_sig _ | Global_accept _ -> { bytes = Wire.small; verifies = 1 }
   | Site_forward _ | Global_proposal _ | Local_bcast _ ->
       { bytes = Wire.certificate_bytes ~batch_size ~sigs:1; verifies = 1 }
-  | Globals_data { batches; _ } ->
-      let blocks = List.length batches in
-      { bytes = Wire.snapshot_bytes ~batch_size ~sigs:1 ~blocks; verifies = max 1 blocks }
+  | Sync m -> Catchup.wire cfg m
   | Reply _ -> { bytes = Client_core.reply_bytes cfg; verifies = 0 }
 
 let rep_of cfg ~cluster = Config.replica_id cfg ~cluster ~index:0
@@ -153,10 +150,14 @@ let reps_except_self r =
 
 (* Callers arm the stall task whenever there is outstanding work it
    may need to push through; it retires on its own once nothing is
-   pending. *)
+   pending.  A sequence number at or past the frontier is also a gap
+   the catch-up loop fills if the frontier stays put. *)
 let note_g r g =
   if g > r.max_g_seen then r.max_g_seen <- g;
-  if g >= r.next_exec then Recovery.ensure r.recovery
+  if g >= next_exec r then begin
+    Recovery.ensure r.recovery;
+    Catchup.suspect r.catchup
+  end
 
 let view_changes (_ : replica) = 0
 
@@ -195,39 +196,40 @@ and check_certified r round =
 
 (* Global sequence g must land at ledger height g, and the ledger
    append happens inside the charged [execute] callback — which the
-   fabric drops if the replica crashes mid-charge.  Advance [next_exec]
-   only once the append has actually happened ([on_done]); otherwise a
-   crash that interrupts an in-flight execute would skip one append
-   while the cursor moves on, and the cursor-walking catch-up would
-   rebuild the whole suffix shifted by one height (a permanent
-   prefix-agreement violation).  [exec_busy] keeps execution strictly
+   fabric drops if the replica crashes mid-charge.  [next_exec] moves
+   only once the append has actually happened ([on_done]); after a
+   crash, catch-up resyncs [issued] to it and re-fetches the
+   interrupted sequence number.  [exec_busy] keeps execution strictly
    sequential across the re-entrant callers (Local_commit,
-   record_accept, install_globals); [on_recover] clears it because a
-   crash drops the in-flight [on_done]. *)
+   record_accept, the catch-up resume); [on_recover] clears it because
+   a crash drops the in-flight [on_done]. *)
+let append r g batch ~k =
+  r.ctx.Ctx.execute batch ~cert:None ~on_done:(fun result ->
+      r.catchup.appended <- r.catchup.appended + 1;
+      let old = next_exec r - 512 in
+      Hashtbl.remove r.proposals old;
+      Hashtbl.remove r.committed old;
+      Hashtbl.remove r.accepts old;
+      Hashtbl.remove r.accepted_digest old;
+      Hashtbl.remove r.commit_sent old;
+      r.ctx.Ctx.phase ~key:g ~name:"execute";
+      (match result with
+      | Some res when (not (Batch.is_noop batch)) && batch.Batch.cluster = r.my_cluster ->
+          Ctx.send r.ctx ~dst:batch.Batch.origin
+            (Reply { batch_id = batch.Batch.id; result_digest = res.Rdb_types.App.digest })
+      | _ -> ());
+      k ())
+
 let rec exec_ready r =
-  if (not r.exec_busy) && Hashtbl.mem r.committed r.next_exec then
-    match Hashtbl.find_opt r.proposals r.next_exec with
+  let g = r.catchup.issued in
+  if (not r.exec_busy) && Hashtbl.mem r.committed g then
+    match Hashtbl.find_opt r.proposals g with
     | None -> ()
     | Some batch ->
-        let g = r.next_exec in
         r.exec_busy <- true;
-        r.ctx.Ctx.execute batch ~cert:None ~on_done:(fun result ->
+        r.catchup.issued <- g + 1;
+        append r g batch ~k:(fun () ->
             r.exec_busy <- false;
-            r.next_exec <- g + 1;
-            let old = r.next_exec - 512 in
-            Hashtbl.remove r.proposals old;
-            Hashtbl.remove r.committed old;
-            Hashtbl.remove r.accepts old;
-            Hashtbl.remove r.accepted_digest old;
-            Hashtbl.remove r.commit_sent old;
-            r.ctx.Ctx.phase ~key:g ~name:"execute";
-            (match result with
-            | Some res
-              when (not (Batch.is_noop batch)) && batch.Batch.cluster = r.my_cluster ->
-                Ctx.send r.ctx ~dst:batch.Batch.origin
-                  (Reply
-                     { batch_id = batch.Batch.id; result_digest = res.Rdb_types.App.digest })
-            | _ -> ());
             exec_ready r)
 
 (* -- leader-site global ordering --------------------------------------------- *)
@@ -236,7 +238,7 @@ let rec assign_more r =
   if
     is_leader_rep r
     && (not (Queue.is_empty r.assign_queue))
-    && r.next_g - r.next_exec < global_window
+    && r.next_g - next_exec r < global_window
   then begin
     let batch = Queue.pop r.assign_queue in
     let g = r.next_g in
@@ -298,81 +300,22 @@ and record_accept r ~g ~site ~digest =
 
 (* -- retransmission and catch-up (lib/recovery) ---------------------------- *)
 
-let stalled r = r.max_g_seen >= r.next_exec
+let stalled r = r.max_g_seen >= next_exec r
 
 let needed r =
   stalled r
-  || (is_leader_rep r && r.next_exec < r.next_g)
+  || (is_leader_rep r && next_exec r < r.next_g)
   || Hashtbl.length r.pending_forwards > 0
   || Hashtbl.fold (fun _ rd acc -> acc || not rd.c_done) r.certifying false
 
 (* Progress token: only the stall-relevant cursors.  Including the
    committed count or next_g would change on unrelated traffic and
    keep resetting the backoff, starving the fire. *)
-let progress r = r.next_exec + (8191 * Hashtbl.length r.pending_forwards)
-
-(* Global sequence g executes at ledger height g, so catch-up is a walk
-   of the server's committed prefix.  Members ask within their site;
-   representatives rotate over the other sites' representatives. *)
-let send_catchup_fetch r ~attempt =
-  let targets =
-    if is_rep r then reps_except_self r
-    else List.filter (fun id -> id <> r.ctx.Ctx.id) (site_members r)
-  in
-  match targets with
-  | [] -> ()
-  | ts ->
-      Ctx.send r.ctx
-        ~dst:(List.nth ts (attempt mod List.length ts))
-        (Fetch_globals { from = r.next_exec })
-
-let serve_globals r ~src ~from =
-  let rec collect g acc =
-    if g - from >= catchup_chunk then List.rev acc
-    else
-      match (Hashtbl.mem r.committed g, Hashtbl.find_opt r.proposals g) with
-      | true, Some b -> collect (g + 1) (b :: acc)
-      | _ -> List.rev acc
-  in
-  match collect from [] with
-  | [] -> ()
-  | batches -> Ctx.send r.ctx ~dst:src (Globals_data { from; batches })
-
-let install_globals r ~from batches =
-  let filled = ref 0 in
-  List.iteri
-    (fun i batch ->
-      let g = from + i in
-      if g >= r.next_exec then begin
-        note_g r g;
-        let fresh = ref false in
-        if not (Hashtbl.mem r.proposals g) then begin
-          Hashtbl.replace r.proposals g batch;
-          fresh := true
-        end;
-        if not (Hashtbl.mem r.committed g) then begin
-          Hashtbl.replace r.committed g ();
-          fresh := true
-        end;
-        Hashtbl.remove r.pending_forwards batch.Batch.digest;
-        if !fresh then begin
-          incr filled;
-          (* A representative relays what it learned so its site
-             members do not each have to fetch. *)
-          if is_rep r then begin
-            broadcast_site r (Local_bcast { g; batch });
-            broadcast_site r (Local_commit { g })
-          end
-        end
-      end)
-    batches;
-  Recovery.note_installed r.recovery ~filled:!filled;
-  exec_ready r
+let progress r = next_exec r + (8191 * Hashtbl.length r.pending_forwards)
 
 (* The backoff-task fire: push every kind of outstanding work once. *)
-let retransmit r ~attempt =
+let retransmit r =
   Recovery.note_retransmit r.recovery;
-  if stalled r then send_catchup_fetch r ~attempt;
   if is_rep r then begin
     (* Unfinished threshold-certification rounds: re-broadcast the
        request; partial signatures are idempotent. *)
@@ -382,7 +325,7 @@ let retransmit r ~attempt =
           broadcast_site r (Certify_req { tag; digest = rd.c_digest; batch = rd.c_batch }))
       r.certifying;
     (* Re-send our site's accept for still-uncommitted globals. *)
-    for g = r.next_exec to min r.max_g_seen (r.next_exec + global_window) do
+    for g = next_exec r to min r.max_g_seen (next_exec r + global_window) do
       if not (Hashtbl.mem r.committed g) then
         match Hashtbl.find_opt r.accepts g with
         | Some tbl when Hashtbl.mem tbl r.my_cluster ->
@@ -399,7 +342,7 @@ let retransmit r ~attempt =
     (* Leader: re-propose assigned-but-uncommitted globals to the
        sites that have not accepted them yet. *)
     if is_leader_rep r then
-      for g = r.next_exec to r.next_g - 1 do
+      for g = next_exec r to r.next_g - 1 do
         if not (Hashtbl.mem r.committed g) then
           match Hashtbl.find_opt r.proposals g with
           | Some batch ->
@@ -420,12 +363,21 @@ let retransmit r ~attempt =
 
 let create_replica (ctx : msg Ctx.t) =
   let cfg = ctx.Ctx.config in
+  let my_cluster = Config.cluster_of_replica cfg ctx.Ctx.id in
+  let my_local = Config.local_index cfg ctx.Ctx.id in
+  (* Global sequence g executes at ledger height g everywhere, so any
+     replica serves catch-up: members ask within their site, and
+     representatives, whose members trail them, ask each other. *)
+  let peers =
+    if my_local = 0 then List.init cfg.Config.z (fun c -> rep_of cfg ~cluster:c)
+    else Config.replicas_of_cluster cfg my_cluster
+  in
   let r =
     {
       ctx;
       cfg;
-      my_cluster = Config.cluster_of_replica cfg ctx.Ctx.id;
-      my_local = Config.local_index cfg ctx.Ctx.id;
+      my_cluster;
+      my_local;
       certifying = Hashtbl.create 64;
       next_g = 0;
       assign_queue = Queue.create ();
@@ -434,7 +386,7 @@ let create_replica (ctx : msg Ctx.t) =
       accepted_digest = Hashtbl.create 64;
       proposals = Hashtbl.create 128;
       committed = Hashtbl.create 128;
-      next_exec = 0;
+      catchup = Catchup.create (Ctx.map_send (fun m -> Sync m) ctx) ~peers;
       exec_busy = false;
       commit_sent = Hashtbl.create 64;
       max_g_seen = -1;
@@ -445,16 +397,31 @@ let create_replica (ctx : msg Ctx.t) =
   Recovery.watch r.recovery
     ~needed:(fun () -> needed r)
     ~progress:(fun () -> progress r)
-    ~fire:(fun ~attempt -> retransmit r ~attempt);
+    ~fire:(fun ~attempt:_ -> retransmit r);
+  Catchup.watch r.catchup
+    ~resume:(fun () -> exec_ready r)
+    ~apply:(fun ~h batch _ ->
+      (* A representative relays what it fetched, so that its members,
+         who learn the order only from it, need not fetch it too. *)
+      if is_rep r then begin
+        broadcast_site r (Local_bcast { g = h; batch });
+        broadcast_site r (Local_commit { g = h })
+      end;
+      append r h batch ~k:ignore)
+    ();
   r
 
 (* The crash dropped any in-flight execute's [on_done], so the busy
-   flag must be cleared or execution would wedge forever; catch-up then
-   re-fetches and re-executes the interrupted sequence number. *)
+   flag must be cleared or execution would wedge forever, and the
+   stall task's pending tick, so it restarts; catch-up then re-fetches
+   and re-executes the interrupted sequence number. *)
 let on_recover (r : replica) =
   r.exec_busy <- false;
-  Recovery.ensure r.recovery
-let recovery (r : replica) = Recovery.stats r.recovery
+  Recovery.start r.recovery;
+  Catchup.recover r.catchup
+
+let recovery (r : replica) =
+  Rdb_types.Protocol.add_recovery (Recovery.stats r.recovery) (Recovery.stats r.catchup.Catchup.recovery)
 
 (* -- dispatch ------------------------------------------------------------------ *)
 
@@ -528,8 +495,7 @@ let on_message r ~src (m : msg) =
       if batch.Batch.cluster = r.my_cluster then
         Client_core.serve_read r.ctx batch ~reply:(fun result_digest ->
             Reply { batch_id = batch.Batch.id; result_digest })
-  | Fetch_globals { from } -> serve_globals r ~src ~from
-  | Globals_data { from; batches } -> install_globals r ~from batches
+  | Sync m -> Catchup.on_message r.catchup ~src m
   | Reply _ -> ()
 
 (* -- client ---------------------------------------------------------------------- *)
@@ -569,7 +535,7 @@ let adversary : msg Rdb_types.Interpose.view =
     | Certify_req _ | Global_proposal _ -> Proposal
     | Partial_sig _ | Local_bcast _ -> Share
     | Global_accept _ | Local_commit _ -> Vote
-    | Fetch_globals _ | Globals_data _ -> Sync
+    | Sync _ -> Sync
   in
   let conflict ~keychain:_ ~nonce:_ _ = None in
   { classify; conflict }

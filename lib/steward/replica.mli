@@ -24,9 +24,8 @@ type msg =
   | Global_accept of { g : int; site : int; digest : string }
   | Local_bcast of { g : int; batch : Batch.t }
   | Local_commit of { g : int }
-  | Fetch_globals of { from : int }
-      (** Stall catch-up: ask for the committed run from [from]. *)
-  | Globals_data of { from : int; batches : Batch.t list }
+  | Sync of Rdb_recovery.Catchup.msg
+      (** Ledger catch-up: global sequence g is ledger height g. *)
   | Reply of { batch_id : int; result_digest : string }
 
 type replica
@@ -37,8 +36,8 @@ val on_message : replica -> src:int -> msg -> unit
 val view_changes : replica -> int
 
 val on_recover : replica -> unit
-(** Re-arm the stall-retransmission task (Steward replicas are not
-    crash-injected; the task is state-driven and ack-free). *)
+(** Restart the stall-retransmission task and the ledger catch-up
+    loop (only non-representatives are crash-injected). *)
 
 val recovery : replica -> Rdb_types.Protocol.recovery_stats
 

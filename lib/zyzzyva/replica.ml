@@ -24,7 +24,13 @@
    ResilientDB's evaluation placed the primary in Oregon; we do the
    same (replica 0).  View changes are not implemented — the paper
    excludes Zyzzyva from the primary-failure experiment for the same
-   reason ("it already fails to deal with non-primary failures"). *)
+   reason ("it already fails to deal with non-primary failures").
+
+   A backup that misses order requests (a crash, a lossy link) fills
+   the hole from a peer's ledger, as the paper's fill-hole request
+   does, through the shared catch-up loop (lib/recovery); its history
+   digest is rebuilt block by block.  So a backup crash costs the
+   group the slow path only while the backup is down. *)
 
 module Batch = Rdb_types.Batch
 module Config = Rdb_types.Config
@@ -35,6 +41,7 @@ module Cpu = Rdb_sim.Cpu
 module Sha256 = Rdb_crypto.Sha256
 module Mutation = Rdb_types.Mutation
 module Evidence = Rdb_types.Evidence
+module Catchup = Rdb_recovery.Catchup
 
 let name = "Zyzzyva"
 
@@ -44,6 +51,7 @@ type msg =
   | Spec_reply of { batch_id : int; seq : int; history : string; result_digest : string }
   | Commit_cert of { batch_id : int; seq : int; history : string; responders : int list }
   | Local_commit of { batch_id : int; seq : int }
+  | Sync of Catchup.msg
 
 (* -- replica ------------------------------------------------------------- *)
 
@@ -54,8 +62,10 @@ type replica = {
   f : int;
   mutable view : int;
   mutable next_seq : int;              (* primary: next sequence number *)
-  mutable next_exec : int;             (* replicas execute strictly in order *)
-  mutable history : string;            (* speculative history digest *)
+  (* Replicas execute strictly in order: [issued] is the next sequence
+     number, the ledger height it lands at. *)
+  catchup : Catchup.t;
+  mutable history : string;            (* primary: speculative history digest *)
   mutable max_committed : int;         (* highest certificate-committed seq *)
   ordered : (int, Batch.t * string) Hashtbl.t;   (* seq -> batch, history *)
   seen : (string, unit) Hashtbl.t;     (* proposed digests (primary) *)
@@ -74,31 +84,11 @@ let wire cfg m : Wire.cost =
       let k = List.length responders in
       { bytes = Wire.small + (Wire.commit_entry_bytes * k); verifies = k }
   | Local_commit _ -> { bytes = Wire.small; verifies = 0 }
+  | Sync m -> Catchup.wire cfg m
 
-let create_replica (ctx : msg Ctx.t) =
-  let cfg = ctx.Ctx.config in
-  let n = Config.n_replicas cfg in
-  {
-    ctx;
-    cfg;
-    n;
-    f = (n - 1) / 3;
-    view = 0;
-    next_seq = 0;
-    next_exec = 0;
-    history = Sha256.digest "zyzzyva-genesis";
-    max_committed = -1;
-    ordered = Hashtbl.create 128;
-    seen = Hashtbl.create 256;
-  }
+let genesis = Sha256.digest "zyzzyva-genesis"
 
 let view_changes (_ : replica) = 0
-
-(* Zyzzyva ships no view change and, faithfully to the paper's
-   implementation choice, no recovery machinery either: its chaos
-   envelope stays as-is (DESIGN.md §8). *)
-let on_recover (_ : replica) = ()
-let recovery (_ : replica) = Rdb_types.Protocol.no_recovery
 let is_primary r = r.ctx.Ctx.id = r.view mod r.n
 
 (* Execute [batch] at [seq] and send the client its speculative reply,
@@ -106,6 +96,7 @@ let is_primary r = r.ctx.Ctx.id = r.view mod r.n
 let rec execute r ~seq batch ~history =
   r.ctx.Ctx.execute batch ~cert:None ~on_done:(fun result ->
       r.ctx.Ctx.phase ~key:seq ~name:"execute";
+      r.catchup.appended <- r.catchup.appended + 1;
       (match result with
       | Some res when not (Batch.is_noop batch) ->
           Ctx.send r.ctx ~dst:batch.Batch.origin
@@ -121,14 +112,50 @@ let rec execute r ~seq batch ~history =
 
 (* Execute in sequence order. *)
 and exec_ready r =
-  match Hashtbl.find_opt r.ordered r.next_exec with
-  | None -> ()
+  let seq = r.catchup.issued in
+  match Hashtbl.find_opt r.ordered seq with
   | Some (batch, history) ->
-      let seq = r.next_exec in
-      r.next_exec <- seq + 1;
+      r.catchup.issued <- seq + 1;
       (* Keep a window for commit-certificate recovery; drop the rest. *)
       Hashtbl.remove r.ordered (seq - 1024);
       execute r ~seq batch ~history
+  | _ -> ()
+
+let create_replica (ctx : msg Ctx.t) =
+  let cfg = ctx.Ctx.config in
+  let n = Config.n_replicas cfg in
+  let r =
+    {
+      ctx;
+      cfg;
+      n;
+      f = (n - 1) / 3;
+      view = 0;
+      next_seq = 0;
+      catchup = Catchup.create (Ctx.map_send (fun m -> Sync m) ctx) ~peers:(List.init n Fun.id);
+      history = genesis;
+      max_committed = -1;
+      ordered = Hashtbl.create 128;
+      seen = Hashtbl.create 256;
+    }
+  in
+  (* A fetched block extends the history of the one before it, as the
+     order request it stands for did. *)
+  Catchup.watch r.catchup
+    ~resume:(fun () -> exec_ready r)
+    ~apply:(fun ~h batch _ ->
+      let prev = match Hashtbl.find_opt r.ordered (h - 1) with Some (_, p) -> p | None -> genesis in
+      let history = Sha256.digest_list [ prev; batch.Batch.digest ] in
+      Hashtbl.replace r.ordered h (batch, history);
+      Hashtbl.remove r.ordered (h - 1024);
+      execute r ~seq:h batch ~history)
+    ();
+  r
+
+(* The crash dropped the in-flight executes' appends: catch-up resyncs
+   the cursor and fetches from a peer. *)
+let on_recover r = Catchup.recover r.catchup
+let recovery r = Rdb_recovery.Recovery.stats r.catchup.Catchup.recovery
 
 let on_message r ~src (m : msg) =
   match m with
@@ -167,21 +194,25 @@ let on_message r ~src (m : msg) =
              extends the local history chain — execute in arrival
              order.  Indistinguishable under FIFO arrivals; diverges
              the moment a schedule reorders two order-requests. *)
-          if seq >= r.next_exec then begin
-            r.next_exec <- seq + 1;
+          if seq >= r.catchup.issued then begin
+            r.catchup.issued <- seq + 1;
             execute r ~seq batch ~history
           end
         end
-        else
+        else begin
           (* The chained history check: execute only the next expected
              sequence number (the history must extend ours).  Out-of-
-             order arrivals wait (the network may reorder). *)
-          exec_ready r
+             order arrivals wait (the network may reorder); one still
+             above the frontier after that leaves a hole, which a
+             peer's ledger fills. *)
+          exec_ready r;
+          if seq >= r.catchup.issued then Catchup.suspect r.catchup
+        end
       end
   | Commit_cert { batch_id; seq; history; responders } ->
       (* n − f matching speculative responses prove the prefix up to
          [seq] is stable; acknowledge. *)
-      if List.length responders >= r.n - r.f && seq < r.next_exec then begin
+      if List.length responders >= r.n - r.f && seq < r.catchup.issued then begin
         Evidence.note ~point:"zyzzyva.commit-cert" ~node:r.ctx.Ctx.id
           ~count:(List.length responders) ~need:(r.n - r.f);
         (match Hashtbl.find_opt r.ordered seq with
@@ -190,6 +221,7 @@ let on_message r ~src (m : msg) =
             Ctx.send r.ctx ~dst:src (Local_commit { batch_id; seq })
         | _ -> ())
       end
+  | Sync m -> Catchup.on_message r.catchup ~src m
   | Spec_reply _ | Local_commit _ -> ()
 
 (* -- client -------------------------------------------------------------- *)
@@ -343,7 +375,7 @@ let adversary : msg Rdb_types.Interpose.view =
   let classify = function
     | Request _ | Spec_reply _ -> Client
     | Order_req _ -> Proposal
-    | Commit_cert _ -> Sync
+    | Commit_cert _ | Sync _ -> Sync
     | Local_commit _ -> Vote
   in
   let conflict ~keychain:_ ~nonce:_ _ = None in

@@ -3,7 +3,8 @@
     and reply directly to clients; clients need all n matching replies
     (fast path) or fall back, after a commit timer, to broadcasting a
     commit certificate built from n − f matching replies — which is
-    why any replica failure collapses throughput (Figure 12).
+    why any replica failure collapses throughput (Figure 12).  A
+    backup back from a crash fills its hole from a peer's ledger.
     No view change (the paper excludes Zyzzyva from the
     primary-failure experiment for the same reason).
     Satisfies {!Rdb_types.Protocol.S}. *)
@@ -19,6 +20,8 @@ type msg =
   | Spec_reply of { batch_id : int; seq : int; history : string; result_digest : string }
   | Commit_cert of { batch_id : int; seq : int; history : string; responders : int list }
   | Local_commit of { batch_id : int; seq : int }
+  | Sync of Rdb_recovery.Catchup.msg
+      (** Fill-hole: a backup's ledger catch-up from its peers. *)
 
 type replica
 type client
@@ -28,7 +31,7 @@ val on_message : replica -> src:int -> msg -> unit
 val view_changes : replica -> int
 
 val on_recover : replica -> unit
-(** No-op: Zyzzyva keeps its envelope as-is (no recovery machinery). *)
+(** Crash rejoin: the ledger catch-up loop fills the hole. *)
 
 val recovery : replica -> Rdb_types.Protocol.recovery_stats
 

@@ -129,12 +129,12 @@ let test_in_budget_stays_clean () =
 (* -- the recovery subsystem has teeth too -------------------------------- *)
 
 (* Seed 13's Pbft timeline stacks transient crashes: replicas that
-   rejoin WITHOUT [on_recover] (no cursor resync, no state transfer,
-   no view adoption) come back stale, and once enough of the group has
-   been cycled through a crash the live non-stale set drops below
-   quorum — the group wedges and the monitor's liveness invariant
-   trips.  With the recovery subsystem on, the identical timeline is
-   green (it is part of the seeds 1-16 sweep). *)
+   rejoin WITHOUT [on_recover] (no cursor resync, no catch-up, no view
+   adoption) come back stale, and once enough of the group has been
+   cycled through a crash the live non-stale set drops below quorum —
+   the group wedges.  The monitor's per-replica rejoin invariant trips
+   on the stale replicas first.  With the recovery subsystem on, the
+   identical timeline is green (it is part of the seeds 1-16 sweep). *)
 let stale_rejoin_seed = 13
 
 let run_stale_rejoin ~with_recovery =
@@ -163,7 +163,7 @@ let run_stale_rejoin ~with_recovery =
 let test_recovery_disabled_run_trips_monitor () =
   match run_stale_rejoin ~with_recovery:false with
   | Some v, _ ->
-      Alcotest.(check string) "group wedge caught" "liveness-after-heal" v.Chaos.invariant
+      Alcotest.(check string) "stale rejoin caught" "rejoin" v.Chaos.invariant
   | None, _ -> Alcotest.fail "recovery-disabled rejoin was not caught by the monitor"
 
 let test_same_timeline_with_recovery_stays_green () =
@@ -197,6 +197,51 @@ let test_planning_pinned () =
       (Runner.Steward, "9ec89ba0a9696355cf485b6935f7e5f526796e0411ab3b04bc318606718583fd");
     ]
 
+(* -- every protocol rejoins after a short crash --------------------------- *)
+
+(* One non-primary (non-representative) replica crashes at 1.4 s for
+   20 ms.  Eleven seconds later it must stand within the [rejoin] bound
+   of the highest ledger, and the monitor, armed with the protocol's
+   envelope, must stay green: the crash window closes at 1.42 s, so the
+   bound applies from one liveness window later to the end of the
+   run. *)
+let rejoin_rows : (Runner.proto * int * (module Rdb_fabric.Deployment.S)) list =
+  [
+    (Runner.Pbft, 1, (module PbftDep));
+    (Runner.Zyzzyva, 1, (module Rdb_fabric.Deployment.Make (Rdb_zyzzyva.Replica)));
+    (Runner.Geobft, 2, (module Rdb_fabric.Deployment.Make (Rdb_geobft.Replica)));
+    (Runner.Steward, 2, (module Rdb_fabric.Deployment.Make (Rdb_steward.Replica)));
+    (Runner.Hotstuff, 2, (module Rdb_fabric.Deployment.Make (Rdb_hotstuff.Replica)));
+  ]
+
+let test_rejoin_after_short_crash () =
+  List.iter
+    (fun (proto, z, (module D : Rdb_fabric.Deployment.S)) ->
+      let name = Scenario.proto_name proto in
+      let cfg = chaos_cfg ~z () in
+      let victim = Config.n_replicas cfg - 1 in
+      let d = D.create ~retain_payloads:false cfg in
+      Fun.protect ~finally:(fun () -> D.close d) @@ fun () ->
+      let surface = Runner.chaos_surface (module D) d proto cfg in
+      let tl = [ { Chaos.at = Time.ms 1400; until = Time.ms 1420; action = Chaos.Crash victim } ] in
+      let caps, _, liveness_window_ms = Runner.chaos_profile proto cfg in
+      Chaos.install surface tl;
+      let mon = Chaos.monitor ~liveness_window_ms surface tl in
+      ignore (D.run ~warmup:windows.Runner.warmup ~measure:windows.Runner.measure d);
+      Chaos.check_now mon;
+      (match Chaos.first_violation mon with
+      | Some v -> Alcotest.failf "%s: %s" name (Chaos.violation_to_string v)
+      | None -> ());
+      let top = ref 0 in
+      for r = 0 to Config.n_replicas cfg - 1 do
+        top := max !top (Ledger.length (D.ledger d ~replica:r))
+      done;
+      let lag = !top - Ledger.length (D.ledger d ~replica:victim) in
+      if lag > caps.Chaos.rejoin_lag then
+        Alcotest.failf "%s: replica %d ends %d blocks behind the highest ledger (%d), bound %d"
+          name victim lag !top caps.Chaos.rejoin_lag)
+    rejoin_rows
+
 let suite =
   [
     ("geobft survives seeded chaos", `Slow, smoke Runner.Geobft);
@@ -215,4 +260,5 @@ let suite =
       `Slow,
       test_same_timeline_with_recovery_stays_green );
     ("timeline planning pinned", `Quick, test_planning_pinned);
+    ("every protocol rejoins after a short crash", `Slow, test_rejoin_after_short_crash);
   ]

@@ -190,24 +190,29 @@ module App = Rdb_types.App
 module Interpose = Rdb_types.Interpose
 module Catchup = Rdb_recovery.Catchup
 
-(* A crashed replica rejoins a payload-stripped deployment by state
+(* Crashed replicas rejoin a payload-stripped deployment by state
    transfer.  The deployment keeps the last snapshot it served, so a
    server at the same height as the previous one ships that physical
-   string, not a copy of its own. *)
+   string, not a copy of its own.  Two replicas crash at once, which
+   halts the group, and rejoin at once: each catch-up loop ends on a
+   chunk with the state at the halted group's height. *)
 let test_state_transfer_shares_snapshots () =
   let cfg = Config.make ~z:1 ~n:4 ~batch_size:20 ~client_inflight:8 ~seed:1 () in
   let d = Dep.create ~n_records:10_000 ~retain_payloads:false cfg in
   let served = ref [] in
   let obtrude ~src:_ ~dst:_ m =
     (match m with
-    | Rdb_pbft.Replica.Snapshot { suffix = { Catchup.state = Some s; _ }; _ } ->
+    | Rdb_pbft.Replica.Sync (Catchup.Chunk { suffix = { Catchup.state = Some s; _ }; _ }) ->
         served := s :: !served
     | _ -> ());
     Interpose.pass m
   in
   Dep.set_interposer d (Some { Interpose.obtrude; admit = (fun ~src:_ ~dst:_ _ -> true) });
-  Dep.at d ~time:(Time.ms 1200) (fun () -> Dep.crash_replica d 2);
-  Dep.at d ~time:(Time.ms 2400) (fun () -> Dep.recover_replica d 2);
+  List.iter
+    (fun r ->
+      Dep.at d ~time:(Time.ms 1200) (fun () -> Dep.crash_replica d r);
+      Dep.at d ~time:(Time.ms 2400) (fun () -> Dep.recover_replica d r))
+    [ 2; 3 ];
   ignore (Dep.run ~warmup:(Time.sec 1) ~measure:(Time.sec 3) d);
   let served = List.rev !served in
   let rec shared n = function
@@ -281,7 +286,7 @@ let suite = suite @ [ ("ledger words pinned", `Quick, test_ledger_words_pinned) 
    b100 for z2 n4 and z2 n7: (bytes, verifies) per message.  The sizes
    follow §4's calibration (5400 B batch, 1500 B response, 250 B small,
    143 B per certificate entry); n enters only through the n − f
-   certificate entries of shares and catch-up replies (3 at n4, 5 at
+   certificate entries of shares and catch-up chunks (3 at n4, 5 at
    n7).  HotStuff's QC and each log-suffix batch carry a fixed four
    entries at every n. *)
 let test_declared_wire_costs () =
@@ -289,9 +294,15 @@ let test_declared_wire_costs () =
   let batch = Batch.noop ~keychain ~cluster:0 ~origin:0 ~created:Time.zero ~nonce:1 in
   let signature = Rdb_crypto.Keychain.sign keychain ~signer:0 "wire" in
   let cert = Rdb_types.Certificate.make ~cluster:0 ~view:0 ~seq:1 ~digest:"d" ~commits:[] in
-  let suffix blocks =
-    { Rdb_recovery.Catchup.blocks = List.init blocks (fun _ -> (batch, None)); state = None }
+  let chunk blocks =
+    Rdb_recovery.Catchup.Chunk
+      {
+        from = 0;
+        view = 0;
+        suffix = { blocks = List.init blocks (fun _ -> (batch, None)); state = None };
+      }
   in
+  let fetch = Rdb_recovery.Catchup.Fetch { from = 3 } in
   let proof = { Rdb_pbft.Messages.pp_seq = 1; pp_view = 0; pp_digest = "d"; pp_batch = batch } in
   let check name cfg wire rows =
     List.iter
@@ -335,15 +346,9 @@ let test_declared_wire_costs () =
             ("request", P.Request batch, (5400, 0));
             ("read-request", P.Read_request batch, (5400, 0));
             ("reply", P.Reply { batch_id = 1; result_digest = "r"; primary = 0 }, (1500, 0));
-            ("fetch-state", P.Fetch_state { from = 3 }, (250, 0));
-            ( "snapshot",
-              P.Snapshot
-                { from = 0; anchor_seq = 0; anchor_digest = "a"; view = 0; suffix = suffix 2 },
-              (two_blocks, 2) );
-            ( "empty snapshot",
-              P.Snapshot
-                { from = 0; anchor_seq = 0; anchor_digest = "a"; view = 0; suffix = suffix 0 },
-              (empty, 1) );
+            ("fetch", P.Sync fetch, (250, 0));
+            ("chunk", P.Sync (chunk 2), (two_blocks, 0));
+            ("empty chunk", P.Sync (chunk 0), (empty, 0));
           ]);
       let module G = Rdb_geobft.Messages in
       check "geobft" cfg Rdb_geobft.Replica.wire
@@ -357,13 +362,9 @@ let test_declared_wire_costs () =
               G.Rvc { failed_cluster = 1; round = 1; vc_count = 1; requester = 0; signature },
               (250, 1) );
             ("reply", G.Reply { batch_id = 1; result_digest = "r"; primary = 0 }, (1500, 0));
-            ("fetch-rounds", G.Fetch_rounds { from = 3 }, (250, 0));
-            ( "round-data",
-              G.Round_data { from = 0; eng_view = 0; suffix = suffix 2 },
-              (two_blocks, 2) );
-            ( "empty round-data",
-              G.Round_data { from = 0; eng_view = 0; suffix = suffix 0 },
-              (empty, 1) );
+            ("fetch", G.Sync fetch, (250, 0));
+            ("chunk", G.Sync (chunk 2), (two_blocks, 0));
+            ("empty chunk", G.Sync (chunk 0), (empty, 0));
           ]);
       let module S = Rdb_steward.Replica in
       check "steward" cfg S.wire
@@ -380,11 +381,9 @@ let test_declared_wire_costs () =
           ("global-accept", S.Global_accept { g = 1; site = 0; digest = "d" }, (250, 1));
           ("local-bcast", S.Local_bcast { g = 1; batch }, (5543, 1));
           ("local-commit", S.Local_commit { g = 1 }, (250, 0));
-          ("fetch-globals", S.Fetch_globals { from = 3 }, (250, 0));
-          ( "globals-data",
-            S.Globals_data { from = 0; batches = [ batch; batch ] },
-            (200 + 143 + (2 * 5543), 2) );
-          ("empty globals-data", S.Globals_data { from = 0; batches = [] }, (343, 1));
+          ("fetch", S.Sync fetch, (250, 0));
+          ("chunk", S.Sync (chunk 2), (two_blocks, 0));
+          ("empty chunk", S.Sync (chunk 0), (empty, 0));
           ("reply", S.Reply { batch_id = 1; result_digest = "r" }, (1500, 0));
         ];
       let module Z = Rdb_zyzzyva.Replica in
@@ -400,6 +399,8 @@ let test_declared_wire_costs () =
               { batch_id = 1; seq = 1; history = "h"; responders = List.init sigs Fun.id },
             (250 + (143 * sigs), sigs) );
           ("local-commit", Z.Local_commit { batch_id = 1; seq = 1 }, (250, 0));
+          ("fetch", Z.Sync fetch, (250, 0));
+          ("chunk", Z.Sync (chunk 2), (two_blocks, 0));
         ];
       let module H = Rdb_hotstuff.Replica in
       check "hotstuff" cfg H.wire

@@ -253,8 +253,8 @@ let pinned_runs =
      "e8f126452fead44c3139c4f15a6c1ae0493b3216bd735cd9b1b154e6c214cadd",
      "11d2be837c1806de7d1ae32bcb548f0d480037464235d4ba98e09f810ea835e7");
     (Runner.Hotstuff, `Attack,
-     "94ef2dc53c3929d37759386852f9f77cdd569fcc78a53a1b562b62d0cd363b63",
-     "ad43ab28a975d10074fa2b76225047ab9dbfb119f8233a49b6af1bb1dfd309d2");
+     "20257f629e8c185a3d6f764f43b76803eafd9ed679bf05bc26250195e64e38bc",
+     "0fec22d5a51fcc58a9771a74b0b0dfc154faa4b14a6ed99747e8796cd33889be");
     (Runner.Hotstuff, `Reads,
      "212904d2078886675c3c4859c1b3c343b85eb8f87d98b39a98b10b676f508d2a",
      "4caf41df3ce7e54cac871d21a5363d33f9c01f346bb9d9834a6c00e854358167");
@@ -392,14 +392,14 @@ let test_pinned_recovery_digests () =
     Alcotest.(check bool) (id ^ ": bypass reads completed") true (r.Report.read_txns > 0)
   in
   let base = "z2 n4 b20 i8 seed1" in
-  catchup (Printf.sprintf "pbft %s w1000+3000 fault=chaos:6" base) ~st:5 ~holes:188 ~rtx:3
-    "bafb8690e572e37a0ed5b4050f9e3871d944bff25da24522cc81061ae2185e81";
-  catchup (Printf.sprintf "geobft %s w1000+3000 fault=chaos:3" base) ~st:37 ~holes:3386 ~rtx:8
-    "5059ac4377e2df2fca03c7ffa546ea60ca943d63d180956da28a500781a67da9";
-  catchup (Printf.sprintf "hotstuff %s w1000+5000 fault=chaos:1" base) ~st:4 ~holes:160 ~rtx:11
-    "ef618b5a8ba3bd099b17b74b09d400b23ecdcc481340d421f0a568c21bc4e589";
-  catchup (Printf.sprintf "steward %s w1000+5000 fault=chaos:13" base) ~st:2 ~holes:112 ~rtx:2
-    "f3f9b5159432929498cfd8bdfa48966f2eb7a966c8e08a94b464b33d49d05566";
+  catchup (Printf.sprintf "pbft %s w1000+3000 fault=chaos:6" base) ~st:5 ~holes:160 ~rtx:7
+    "2b8784a5391eb2d889bd197dfa0f15b732011b0b5bd10ad03437d7856d3bd231";
+  catchup (Printf.sprintf "geobft %s w1000+3000 fault=chaos:3" base) ~st:42 ~holes:3814 ~rtx:6
+    "62c0c46ff68f3850e498f17a61208dd69e887e4bdf07fe4679c699759b2a1187";
+  catchup (Printf.sprintf "hotstuff %s w1000+5000 fault=chaos:1" base) ~st:6 ~holes:176 ~rtx:21
+    "520aa64bbae896b5490591c65224e186f89608c18c732aa4a0c79c2344798f33";
+  catchup (Printf.sprintf "steward %s w1000+5000 fault=chaos:13" base) ~st:4 ~holes:300 ~rtx:3
+    "e0bf156895ca7876574b28dec90e02a35f0d19116970ffd4a11622fdcf2bdfac";
   let rw = "z2 n4 b50 i16 seed1 w1000+3000 reads=0.5 scans=0.1" in
   reads ("pbft " ^ rw) "2b42eec5b0c3d7678c8722cd0a7e06e328ccce04aa696de8de4bdf3a29c23d26";
   reads ("steward " ^ rw) "194bcc24bf63cee44a5d8e55ea24da4226ba0613d7d3443e2e0f5534950d69e3"

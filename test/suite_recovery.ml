@@ -1,8 +1,8 @@
 (* lib/recovery: the per-replica handle's stall-watch task (backoff
    schedule, progress resets, retirement, generation orphaning, RNG
-   discipline), its counters, gap detection, and the ledger suffix of
-   the shared catch-up (chunking, wire size and cost, install) — over a
-   hand-built Ctx on a bare engine. *)
+   discipline) and the shared catch-up loop (chunking, wire size and
+   cost, install, chaining and completion) — over a hand-built Ctx on a
+   bare engine. *)
 
 module Engine = Rdb_sim.Engine
 module Time = Rdb_sim.Time
@@ -161,28 +161,6 @@ let test_no_fire_no_rng () =
   ignore (Rng.float fresh);
   Alcotest.(check int64) "one draw per fire" (Rng.next_int64 fresh) (Rng.next_int64 rng)
 
-let test_counters () =
-  let _, ctx, _ = mk_ctx () in
-  let t = Recovery.create ctx in
-  let show (s : Rdb_types.Protocol.recovery_stats) =
-    [ s.Rdb_types.Protocol.state_transfers; s.holes_filled; s.retransmissions ]
-  in
-  Alcotest.(check (list int)) "fresh" [ 0; 0; 0 ] (show (Recovery.stats t));
-  Recovery.note_installed t ~filled:0;
-  Alcotest.(check (list int)) "empty install counts nothing" [ 0; 0; 0 ] (show (Recovery.stats t));
-  Recovery.note_installed t ~filled:5;
-  Recovery.note_holes t 1;
-  Recovery.note_retransmit t;
-  Alcotest.(check (list int)) "accumulated" [ 1; 6; 1 ] (show (Recovery.stats t))
-
-let test_missing () =
-  let have k = k mod 3 = 0 in
-  Alcotest.(check (list int)) "holes in range" [ 1; 2; 4; 5; 7 ]
-    (Recovery.missing ~have ~from:0 ~upto:7 ());
-  Alcotest.(check (list int)) "limited" [ 1; 2 ]
-    (Recovery.missing ~limit:2 ~have ~from:0 ~upto:7 ());
-  Alcotest.(check (list int)) "empty range" [] (Recovery.missing ~have ~from:5 ~upto:4 ())
-
 (* -- the ledger suffix (Catchup) ------------------------------------------- *)
 
 (* A ctx whose ledger holds [height] copies of one batch and whose App
@@ -218,16 +196,16 @@ let test_suffix_wire () =
           ~blocks
         + match state with Some st -> String.length st.App.state | None -> 0
       in
-      Alcotest.(check int) (name ^ ": bytes") bytes (Catchup.bytes cfg s);
-      Alcotest.(check int) (name ^ ": verifies") (max 1 blocks) (Catchup.verifies s))
+      let w = Catchup.wire cfg (Catchup.Chunk { from = 0; view = 0; suffix = s }) in
+      Alcotest.(check int) (name ^ ": bytes") bytes w.Wire.bytes;
+      (* Verified on the execute thread, not on receipt. *)
+      Alcotest.(check int) (name ^ ": verifies") 0 w.Wire.verifies)
     [
       (0, None); (1, None); (96, None); (0, Some snapshot); (1, Some snapshot); (96, Some snapshot);
     ];
-  (* An empty suffix still pays one verification (the anchor). *)
-  let empty = { Catchup.blocks = []; state = None } in
-  let one = { Catchup.blocks = [ (batch, None) ]; state = None } in
-  Alcotest.(check int) "0 and 1 blocks verify alike" (Catchup.verifies one)
-    (Catchup.verifies empty)
+  let fetch = Catchup.wire cfg (Catchup.Fetch { from = 3 }) in
+  Alcotest.(check (pair int int)) "a fetch is small" (Wire.fetch_bytes, 0)
+    (fetch.Wire.bytes, fetch.Wire.verifies)
 
 let test_suffix_chunks () =
   let ctx = mk_ledger_ctx ~height:200 ~state:(Some snapshot) in
@@ -250,22 +228,61 @@ let test_suffix_install () =
   let ctx = mk_ledger_ctx ~height:10 ~state:None in
   let restored = ref [] in
   let ctx = { ctx with Ctx.app_restore = (fun s -> restored := s :: !restored) } in
-  let c = Catchup.create ctx in
+  let c = Catchup.create (Ctx.map_send ignore ctx) ~peers:[] in
   c.Catchup.issued <- 4;
   let applied = ref [] in
   let apply ~h _ _ = applied := h :: !applied in
   (* Only blocks at the frontier install, at most [count] of them. *)
-  Catchup.install c ctx ~from:2 ~count:5 (Catchup.read ctx ~from:2) ~apply;
+  Catchup.install c ~from:2 ~count:5 (Catchup.read ctx ~from:2) ~apply;
   Alcotest.(check (list int)) "from the frontier, within count" [ 4; 5; 6 ] (List.rev !applied);
   Alcotest.(check int) "cursor advanced" 7 c.Catchup.issued;
   Alcotest.(check (list int)) "one transfer of 3 blocks" [ 1; 3 ]
     (let s = Recovery.stats c.Catchup.recovery in
      [ s.Rdb_types.Protocol.state_transfers; s.holes_filled ]);
   Alcotest.(check int) "no state restored" 0 (List.length !restored);
-  Catchup.install c ctx ~from:7 { Catchup.blocks = []; state = Some snapshot } ~apply;
+  Catchup.install c ~from:7 { Catchup.blocks = []; state = Some snapshot } ~apply;
   Alcotest.(check bool) "state restored first" true (!restored = [ snapshot ]);
   Alcotest.(check int) "empty install counts no transfer" 1
     (Recovery.stats c.Catchup.recovery).Rdb_types.Protocol.state_transfers
+
+(* The loop between a requester at height 0 and a server whose ledger
+   holds 150 blocks: the first fetch goes to the first peer, a full
+   chunk chains a fetch to the server that sent it, a short chunk ends
+   catch-up, and a chunk that is not at the frontier is ignored. *)
+let test_loop_chains_until_short () =
+  let server = mk_ledger_ctx ~height:150 ~state:None in
+  let sent = ref [] in
+  let ctx =
+    {
+      server with
+      Ctx.id = 0;
+      send = (fun ~dsts m -> sent := (dsts, m) :: !sent);
+    }
+  in
+  let c = Catchup.create ctx ~peers:[ 0; 2; 3 ] in
+  let resumed = ref 0 in
+  Catchup.watch c ~resume:(fun () -> incr resumed) ~apply:(fun ~h:_ _ _ -> ()) ();
+  let last () = match !sent with (dsts, m) :: _ -> (dsts, m) | [] -> Alcotest.fail "nothing sent" in
+  Catchup.start c;
+  (match last () with
+  | [ 2 ], Catchup.Fetch { from = 0 } -> ()
+  | _ -> Alcotest.fail "first fetch: from 0 to the first other peer");
+  (* Serve it from the server's ledger: a full chunk. *)
+  Catchup.on_message (Catchup.create { server with Ctx.send = ctx.Ctx.send } ~peers:[]) ~src:0
+    (Catchup.Fetch { from = 0 });
+  let full = match last () with _, (Catchup.Chunk _ as m) -> m | _ -> Alcotest.fail "no chunk" in
+  Catchup.on_message c ~src:3 full;
+  Alcotest.(check int) "full chunk installed" Catchup.chunk c.Catchup.issued;
+  (match last () with
+  | [ 3 ], Catchup.Fetch { from } when from = Catchup.chunk -> ()
+  | _ -> Alcotest.fail "a full chunk chains a fetch to its sender");
+  Catchup.on_message c ~src:3 full;
+  Alcotest.(check int) "a chunk off the frontier is ignored" Catchup.chunk c.Catchup.issued;
+  let short = Catchup.read ~limit:Catchup.chunk server ~from:Catchup.chunk in
+  Catchup.on_message c ~src:3 (Catchup.Chunk { from = Catchup.chunk; view = 0; suffix = short });
+  Alcotest.(check int) "short chunk installed" 150 c.Catchup.issued;
+  Alcotest.(check bool) "done" false c.Catchup.recovering;
+  Alcotest.(check int) "resumed once" 1 !resumed
 
 let suite =
   [
@@ -274,9 +291,8 @@ let suite =
     ("retires when not needed", `Quick, test_retires_when_not_needed);
     ("start orphans a pending tick", `Quick, test_start_orphans_pending_tick);
     ("no fire, no RNG draw", `Quick, test_no_fire_no_rng);
-    ("counters", `Quick, test_counters);
-    ("missing", `Quick, test_missing);
     ("catch-up suffix size and cost", `Quick, test_suffix_wire);
     ("catch-up suffix chunks", `Quick, test_suffix_chunks);
     ("catch-up install at the frontier", `Quick, test_suffix_install);
+    ("catch-up chains until a short chunk", `Quick, test_loop_chains_until_short);
   ]
